@@ -20,7 +20,7 @@ import numpy as np
 from .angles import estimate_angles, model_covariances
 from .bands import chapeau_band_split, dominant_wave_period
 from .length import estimate_loa
-from .moments import moments_series
+from .moments import frame_moments, moments_series
 from .pose import (FrameClass, classify_frames, invert_frame, motion_matrix,
                    report_noise)
 from .runner import RunConfig, run
@@ -192,7 +192,7 @@ def check_pose_round_trip() -> tuple[bool, str]:
     worst, n_ok, best_k, best_cond = 0.0, 0, 0, np.inf
     for k, fr in enumerate(dwell.frames):
         mm = motion_matrix(track.samples[k], cfg.integration_time)
-        sol = invert_frame(fr, mm, noise)
+        sol = invert_frame(fr, frame_moments(fr), mm, noise)
         if sol.xyz is None:
             continue
         truth = coords[[r.truth_id for r in fr.reports]]
@@ -203,7 +203,7 @@ def check_pose_round_trip() -> tuple[bool, str]:
             best_cond, best_k = mm.cond, k
     fr = dwell.frames[best_k]
     mm = motion_matrix(track.samples[best_k], cfg.integration_time)
-    base = invert_frame(fr, mm, noise)
+    base = invert_frame(fr, frame_moments(fr), mm, noise)
     rng = np.random.default_rng(0)
     diffs = []
     for _ in range(500):
@@ -213,9 +213,9 @@ def check_pose_round_trip() -> tuple[bool, str]:
             f=r.f + rng.normal(0, noise[1]),
             a=r.a + rng.normal(0, noise[2]), truth_id=r.truth_id)
             for r in fr.reports)
-        sol = invert_frame(Frame(index=fr.index, t=fr.t,
-                                 integration_time=fr.integration_time,
-                                 reports=noisy), mm, noise)
+        noisy_fr = Frame(index=fr.index, t=fr.t,
+                         integration_time=fr.integration_time, reports=noisy)
+        sol = invert_frame(noisy_fr, frame_moments(noisy_fr), mm, noise)
         diffs.append(sol.xyz - base.xyz)
     emp = np.array(diffs).reshape(-1, 3).var(axis=0)
     ratio = emp / np.asarray(base.noise_var)
@@ -237,7 +237,8 @@ def _classify_scene(ship, duration, asp_rate_dps, tilt_amp_deg,
         noise=noise, seed=seed)
     track = build_angle_track(cfg)
     dwell = simulate_degraded(ship, track, cfg)
-    sols = [invert_frame(fr, motion_matrix(track.samples[k], T), noise)
+    sols = [invert_frame(fr, frame_moments(fr),
+                         motion_matrix(track.samples[k], T), noise)
             for k, fr in enumerate(dwell.frames)]
     sols = classify_frames(sols)
     counts: dict[str, int] = {}

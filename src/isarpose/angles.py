@@ -27,12 +27,13 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .bands import BandSplit, chapeau_band_split, chapeau_smooth, dominant_wave_period
-from .motion import motion_rows
+from .motion import motion_rows, range_rate_rows
 from .ship import AngleSample, AngleTrack
 
 MIN_ASPECT_DEG = 3.0    # below this mean aspect the slow solve is blind
 NPOLY = 3               # slow-correction polynomial degrees 1..3
 ANGLE_LIMIT = math.pi / 2 - 1e-6
+FD_REL_STEP = np.finfo(float).eps ** 0.5   # 2-point finite-difference step
 
 
 @dataclass(frozen=True)
@@ -112,16 +113,28 @@ def thin_ship_factors(phi0: float, theta0: float, bsq: float,
     return P, Q, denom
 
 
-def _covs_of(phi, th, phid, thd, phidd, thdd, bsq, hsq):
-    m = motion_rows(phi, th, phid, thd, phidd, thdd)
-    w = np.array([1.0, bsq, hsq])
-    c = np.einsum("nij,j,nkj->nik", m, w, m)
-    rr = c[:, 0, 0]
-    cov_rf = c[:, 0, 1] / rr
-    cov_ff = c[:, 1, 1] / rr
-    cov_ra = c[:, 0, 2] / rr
-    cov_fa = c[:, 1, 2] / rr
-    return cov_rf, cov_ff, cov_ra, cov_fa, cov_ff - cov_rf ** 2
+def _covs_of(rows, bsq, hsq):
+    """Scaled model covariances from motion rows.
+
+    rows holds the range and rate rows, optionally the acceleration row,
+    each an (x0, y0, z0) triple of arrays (as range_rate_rows returns
+    them). With zero drydock cross-moments and moments (1, bsq, hsq) <x^2>,
+    the second moment of two rows is the diagonal quadratic form in form(),
+    summed x0, y0, z0 in that order. bsq and hsq broadcast against the row
+    entries. Returns (cov_rf, cov_ff, d), then (cov_ra, cov_fa) when the
+    acceleration row is present.
+    """
+    def form(i, j):
+        u, v = rows[i], rows[j]
+        return u[0] * v[0] + u[1] * bsq * v[1] + u[2] * hsq * v[2]
+
+    rr = form(0, 0)
+    cov_rf = form(0, 1) / rr
+    cov_ff = form(1, 1) / rr
+    out = (cov_rf, cov_ff, cov_ff - cov_rf ** 2)
+    if len(rows) > 2:
+        out += (form(0, 2) / rr, form(1, 2) / rr)
+    return out
 
 
 def model_covariances(track: AngleTrack, bsq: float, hsq: float) -> ModelCovariances:
@@ -138,8 +151,9 @@ def model_covariances(track: AngleTrack, bsq: float, hsq: float) -> ModelCovaria
     thd = np.array([s.theta_dot for s in track.samples])
     phidd = np.array([s.phi_ddot for s in track.samples])
     thdd = np.array([s.theta_ddot for s in track.samples])
-    cov_rf, cov_ff, cov_ra, cov_fa, d = _covs_of(phi, th, phid, thd, phidd, thdd,
-                                                 bsq, hsq)
+    m = motion_rows(phi, th, phid, thd, phidd, thdd)
+    cov_rf, cov_ff, d, cov_ra, cov_fa = _covs_of(
+        np.moveaxis(m, (-2, -1), (0, 1)), bsq, hsq)
     return ModelCovariances(cov_rf=cov_rf, cov_ff=cov_ff, cov_ra=cov_ra,
                             cov_fa=cov_fa, d=d)
 
@@ -207,6 +221,19 @@ def _pursuit_line(t: np.ndarray, resid: np.ndarray, w1: float,
     return float(2 * np.pi * fgrid[i])
 
 
+def _forward_steps(x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """Forward-difference steps of the 2-point rule least_squares uses.
+
+    h = sqrt(eps) * sign(x) * max(1, |x|) with sign(0) = +1, flipped toward
+    the interior where x + h leaves [lb, ub]. Every bounded interval of the
+    wave fit is many steps wide, so a flipped step always fits.
+    """
+    h = FD_REL_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    xh = x + h
+    h[(xh < lb) | (xh > ub)] *= -1
+    return h
+
+
 def waveband_joint_fit(cov_rf_wave: np.ndarray, d_wave: np.ndarray,
                        phi0: float, theta0: float,
                        phi_mean_track: LowpassAspect | np.ndarray,
@@ -227,6 +254,18 @@ def waveband_joint_fit(cov_rf_wave: np.ndarray, d_wave: np.ndarray,
     [0, 0.9] (P = 1 - bsq stays positive) and hsq to [0, 2]. Half a period
     is trimmed at each end before scoring, where the band split has edge
     support.
+
+    The solver gets a forward-difference Jacobian evaluated in one stacked
+    call: the base point and one probe per parameter form an
+    (npar + 1, npar) array, and the track, motion rows, covariances and
+    residuals all broadcast over that leading probe axis. The steps follow
+    the 2-point rule of least_squares itself (_forward_steps): h =
+    sqrt(eps) sign(x) max(1, |x|), turned toward the interior where x + h
+    leaves the bounds, divided by the representable dx = (x + h) - x. Each
+    probe row computes bit for bit what a lone residual call would, so the
+    Jacobian and therefore every iterate equal those of the solver's own
+    finite differences. On the 120-frame one-line fit (npar = 10) one
+    Jacobian costs about three residual calls instead of ten.
 
     The closed-form per-frame quadratic (energy partition between aspect and
     tilt) is evaluated afterwards as a diagnostic: it is iterated at most
@@ -263,33 +302,50 @@ def waveband_joint_fit(cov_rf_wave: np.ndarray, d_wave: np.ndarray,
 
     # parameter layout per line count nl:
     # [poly(3) | aspect a,b per line | tilt c,e per line | w per line | bsq, hsq]
+    # x may carry leading probe axes: every parameter enters as the column
+    # x[..., j, None], which broadcasts against the time axis
     def freqs_of(x, nl):
         return x[NPOLY + 4 * nl:NPOLY + 5 * nl]
 
-    def track_of(x, nl):
-        phi = low.phi_mean + x[0] * u + x[1] * u ** 2 + x[2] * u ** 3
-        phid = low.rate + x[0] + 2 * x[1] * u + 3 * x[2] * u ** 2
-        phidd = low.accel + 2 * x[1] + 6 * x[2] * u
+    u2, u3 = u ** 2, u ** 3
+
+    def track_of(x, nl, accel=True):
+        # (phi, theta, phi_dot, theta_dot[, phi_ddot, theta_ddot])
+        def p(j):
+            return x[..., j, None]
+        phi = low.phi_mean + p(0) * u + p(1) * u2 + p(2) * u3
+        phid = low.rate + p(0) + 2 * p(1) * u + 3 * p(2) * u2
         th = np.full_like(t, theta0)
         thd = np.zeros_like(t)
-        thdd = np.zeros_like(t)
-        for k, w in enumerate(freqs_of(x, nl)):
-            a, b = x[NPOLY + 2 * k], x[NPOLY + 1 + 2 * k]
-            c, e = x[NPOLY + 2 * nl + 2 * k], x[NPOLY + 1 + 2 * nl + 2 * k]
+        if accel:
+            phidd = low.accel + 2 * p(1) + 6 * p(2) * u
+            thdd = np.zeros_like(t)
+        for k in range(nl):
+            w = p(NPOLY + 4 * nl + k)
+            a, b = p(NPOLY + 2 * k), p(NPOLY + 1 + 2 * k)
+            c, e = p(NPOLY + 2 * nl + 2 * k), p(NPOLY + 1 + 2 * nl + 2 * k)
             cw, sw = np.cos(w * t), np.sin(w * t)
             phi = phi + a * cw + b * sw
             phid = phid + w * (-a * sw + b * cw)
-            phidd = phidd - w * w * (a * cw + b * sw)
             th = th + c * cw + e * sw
             thd = thd + w * (-c * sw + e * cw)
-            thdd = thdd - w * w * (c * cw + e * sw)
+            if accel:
+                phidd = phidd - w * w * (a * cw + b * sw)
+                thdd = thdd - w * w * (c * cw + e * sw)
+        if not accel:
+            return phi, th, phid, thd
         return phi, th, phid, thd, phidd, thdd
 
+    def model_series(x, nl):
+        # model (cov_rf, d); they need only the range and rate rows
+        mrf, _, md = _covs_of(range_rate_rows(*track_of(x, nl, accel=False)),
+                              x[..., -2, None], x[..., -1, None])
+        return mrf, md
+
     def resid(x, nl):
-        tr = track_of(x, nl)
-        mrf, _, _, _, md = _covs_of(*tr, x[-2], x[-1])
-        return np.concatenate([(cov_rf - mrf)[sl] / s_rf,
-                               (d_data - md)[sl] / s_d])
+        mrf, md = model_series(x, nl)
+        return np.concatenate([(cov_rf - mrf)[..., sl] / s_rf,
+                               (d_data - md)[..., sl] / s_d], axis=-1)
 
     span = t[-1] - t[0]
     w_band = 2 * np.pi * 0.75 / span
@@ -310,14 +366,26 @@ def waveband_joint_fit(cov_rf_wave: np.ndarray, d_wave: np.ndarray,
             lb[j] = w0 - w_band
             ub[j] = w0 + w_band
             xsc[j] = 0.01 * w0
+        cols = np.arange(npar)
+
+        def jac(x, nl):
+            # base point and one forward probe per parameter, all in one
+            # broadcast residual call
+            h = _forward_steps(x, lb, ub)
+            probes = np.tile(x, (npar + 1, 1))
+            probes[cols + 1, cols] = x + h
+            f = resid(probes, nl)
+            dx = (x + h) - x
+            return ((f[1:] - f[0]) / dx[:, None]).T
+
         best = None
         for x0 in starts:
             # soft_l1 caps the pull of short corrupted stretches (confuser
             # targets, interference bursts) without touching clean fits:
             # normalized residuals sit well under f_scale on good data
-            r = least_squares(resid, x0, bounds=(lb, ub), x_scale=xsc,
-                              method="trf", max_nfev=400, args=(nl,),
-                              loss="soft_l1", f_scale=1.0)
+            r = least_squares(resid, x0, jac=jac, bounds=(lb, ub),
+                              x_scale=xsc, method="trf", max_nfev=400,
+                              args=(nl,), loss="soft_l1", f_scale=1.0)
             if best is None or r.cost < best.cost:
                 best = r
         return best
@@ -366,8 +434,7 @@ def waveband_joint_fit(cov_rf_wave: np.ndarray, d_wave: np.ndarray,
 
     nl = 1
     best = solve([w1], seeds1(w1))
-    tr = track_of(best.x, nl)
-    mrf = _covs_of(*tr, best.x[-2], best.x[-1])[0]
+    mrf = model_series(best.x, nl)[0]
     w1_conv = float(freqs_of(best.x, 1)[0])
     w2 = _pursuit_line(t, cov_rf - mrf, w1_conv)
     if w2 is not None:

@@ -17,32 +17,47 @@ from __future__ import annotations
 import numpy as np
 
 
+def _rows(phi, theta, phi_dot, theta_dot, accel=None):
+    # rows as (x0, y0, z0) coefficient triples; accel = (phi_ddot, theta_ddot)
+    # adds the acceleration row
+    phi = np.asarray(phi, dtype=float)
+    ct, st = np.cos(theta), np.sin(theta)
+    cp, sp = np.cos(phi), np.sin(phi)
+    rows = [(ct * cp, -ct * sp, -st),
+            (-st * cp * theta_dot - ct * sp * phi_dot,
+             st * sp * theta_dot - ct * cp * phi_dot,
+             -ct * theta_dot)]
+    if accel is not None:
+        phi_ddot, theta_ddot = accel
+        sq = theta_dot ** 2 + phi_dot ** 2
+        rows.append((
+            -sq * ct * cp + 2 * st * sp * theta_dot * phi_dot
+            - st * cp * theta_ddot - ct * sp * phi_ddot,
+            sq * ct * sp + 2 * st * cp * theta_dot * phi_dot
+            + st * sp * theta_ddot - ct * cp * phi_ddot,
+            st * theta_dot ** 2 - ct * theta_ddot))
+    return rows
+
+
+def range_rate_rows(phi, theta, phi_dot, theta_dot):
+    """The range and rate rows of motion_rows as two (x0, y0, z0)
+    coefficient triples, each entry broadcast over the inputs.
+
+    For callers that need no acceleration: the angle fit scores only
+    cov_rf and d, which are built from these two rows alone.
+    """
+    return _rows(phi, theta, phi_dot, theta_dot)
+
+
 def motion_rows(phi, theta, phi_dot, theta_dot, phi_ddot, theta_ddot):
     """Coefficient rows as an array of shape (..., 3, 3).
 
     Inputs broadcast; scalars give a single 3x3 matrix. Row order is
     (range, rate, acceleration); column order is (x0, y0, z0).
     """
-    phi = np.asarray(phi, dtype=float)
-    ct, st = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    one = np.ones_like(ct * cp)
-
-    r_row = np.stack([ct * cp, -ct * sp, -st * one], axis=-1)
-    f_row = np.stack([
-        -st * cp * theta_dot - ct * sp * phi_dot,
-        st * sp * theta_dot - ct * cp * phi_dot,
-        -ct * theta_dot * one,
-    ], axis=-1)
-    sq = theta_dot ** 2 + phi_dot ** 2
-    a_row = np.stack([
-        -sq * ct * cp + 2 * st * sp * theta_dot * phi_dot
-        - st * cp * theta_ddot - ct * sp * phi_ddot,
-        sq * ct * sp + 2 * st * cp * theta_dot * phi_dot
-        + st * sp * theta_ddot - ct * cp * phi_ddot,
-        (st * theta_dot ** 2 - ct * theta_ddot) * one,
-    ], axis=-1)
-    return np.stack([r_row, f_row, a_row], axis=-2)
+    rows = _rows(phi, theta, phi_dot, theta_dot, (phi_ddot, theta_ddot))
+    return np.stack([np.stack(np.broadcast_arrays(*row), axis=-1)
+                     for row in rows], axis=-2)
 
 
 def track_rows(track) -> np.ndarray:

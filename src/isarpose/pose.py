@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .moments import frame_moments
+from .moments import FrameMoments
 from .motion import motion_rows
 from .ship import AngleSample, AngleTrack, Dwell, Frame
 from .validate import BadFitSeries
@@ -96,10 +96,13 @@ def motion_matrix(sample: AngleSample, integration_time: float) -> MotionMatrix:
     return MotionMatrix(m=m, cond=cond, t=sample.t)
 
 
-def invert_frame(frame: Frame, mm: MotionMatrix,
+def invert_frame(frame: Frame, mom: FrameMoments, mm: MotionMatrix,
                  noise: tuple[float, float, float],
                  cond_guard: float = COND_GUARD) -> FrameSolution:
     """Recover centered drydock coordinates for every report in a frame.
+
+    mom is the frame's moments under the run's weighting; its validity
+    gates the inversion and its crf sets the pearls score.
 
     noise_var_k = sum_j (M^-1)_kj^2 sigma_j^2 propagates the report noise
     through the inversion. A condition number beyond cond_guard means the
@@ -107,7 +110,6 @@ def invert_frame(frame: Frame, mm: MotionMatrix,
     carries no coordinates. The class set here ignores fit-quality flags;
     classify_frames applies those afterwards.
     """
-    mom = frame_moments(frame)
     if not mom.valid:
         return FrameSolution(t=frame.t, frame_index=frame.index, xyz=None,
                              noise_var=(0.0, 0.0, 0.0), scores=(0.0, 0.0, 0.0),

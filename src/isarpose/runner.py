@@ -283,7 +283,8 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs, mode: str) -> RunReport:
     try:
         T = dwell.frames[0].integration_time
         noise = config.noise_override or report_noise(dwell.range_resolution, T)
-        sols = [invert_frame(fr, motion_matrix(track.samples[k], T), noise)
+        sols = [invert_frame(fr, mom[k], motion_matrix(track.samples[k], T),
+                             noise)
                 for k, fr in enumerate(dwell.frames)]
         sols = classify_frames(sols, bf, config.class_threshold)
         composites: list[CompositeImage] = []

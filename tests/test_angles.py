@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from isarpose.angles import (estimate_angles, lowpass_aspect_solve,
-                             model_covariances, thin_ship_factors)
+import isarpose.angles
+from isarpose.angles import (_covs_of, estimate_angles, lowpass_aspect_solve,
+                             model_covariances, thin_ship_factors,
+                             waveband_joint_fit)
+from isarpose.bands import chapeau_band_split
 from isarpose.moments import moments_series
-from isarpose.motion import track_rows
+from isarpose.motion import motion_rows, range_rate_rows, track_rows
 from isarpose.ship import AngleSample, AngleTrack, ship_moments
 from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
                                simulate_perfect)
@@ -56,6 +59,75 @@ def test_model_covariances_agree_with_simulated_moments(ideal_track,
     data_ff = np.array([m.cov_ff for m in ideal_moments])
     assert np.allclose(mc.cov_rf, data_rf, atol=1e-12)
     assert np.allclose(mc.cov_ff, data_ff, atol=1e-12)
+
+
+def test_covariance_kernel_broadcasts_exactly():
+    # the stacked Jacobian evaluates many parameter probes in one call; each
+    # stacked row must be bit for bit the row evaluated on its own
+    rng = np.random.default_rng(4)
+    m, n = 7, 50
+    ang = [0.7 + 0.05 * rng.standard_normal((m, n)),
+           0.5 + 0.02 * rng.standard_normal((m, n)),
+           0.01 * rng.standard_normal((m, n)),
+           0.01 * rng.standard_normal((m, n)),
+           1e-3 * rng.standard_normal((m, n)),
+           1e-3 * rng.standard_normal((m, n))]
+    bsq = rng.uniform(0.0, 0.9, (m, 1))
+    hsq = rng.uniform(0.0, 2.0, (m, 1))
+    rf_rows = _covs_of(range_rate_rows(*ang[:4]), bsq, hsq)
+    full = _covs_of(np.moveaxis(motion_rows(*ang), (-2, -1), (0, 1)),
+                    bsq, hsq)
+    assert len(rf_rows) == 3 and len(full) == 5
+    for i in range(m):
+        one = _covs_of(range_rate_rows(*(a[i] for a in ang[:4])),
+                       bsq[i, 0], hsq[i, 0])
+        for stacked, single in zip(rf_rows, one):
+            assert np.array_equal(stacked[i], single)
+        for stacked, single in zip(full, one):
+            assert np.array_equal(stacked[i], single)
+
+
+def test_stacked_jacobian_matches_finite_difference_solver(ideal_moments,
+                                                           monkeypatch):
+    # same steps as the solver's own 2-point rule, so the same iterates; the
+    # start puts bsq on its 0.9 upper bound, where the step must flip sign
+    t = np.array([m.t for m in ideal_moments])
+    cov_rf = np.array([m.cov_rf for m in ideal_moments])
+    d = np.array([m.d_intrinsic for m in ideal_moments])
+    split_rf = chapeau_band_split(t, cov_rf, 11.0)
+    split_d = chapeau_band_split(t, d, 11.0)
+    low = lowpass_aspect_solve(t, -split_rf.low, PHI0, 1.0)
+    solver = isarpose.angles.least_squares
+
+    def fit(drop_jac):
+        calls = []
+
+        def recording(fun, x0, **kwargs):
+            assert callable(kwargs.get("jac"))
+            if drop_jac:
+                del kwargs["jac"]
+            x0 = np.array(x0)
+            x0[-2] = 0.9
+            res = solver(fun, x0, **kwargs)
+            calls.append((res.nfev, res.njev, res.x.tobytes()))
+            return res
+
+        monkeypatch.setattr(isarpose.angles, "least_squares", recording)
+        state = waveband_joint_fit(
+            split_rf.wave, split_d.wave, PHI0, THETA0, low, t=t, period=11.0,
+            cov_rf_low=split_rf.low + split_rf.high,
+            d_low=split_d.low + split_d.high)
+        return state, calls
+
+    stacked, stacked_calls = fit(drop_jac=False)
+    numdiff, numdiff_calls = fit(drop_jac=True)
+    assert stacked.converged
+    assert stacked.lines == numdiff.lines
+    assert (stacked.bsq_est, stacked.hsq_est) == (numdiff.bsq_est,
+                                                  numdiff.hsq_est)
+    assert stacked.residual_rms == numdiff.residual_rms
+    assert stacked_calls == numdiff_calls
+    assert len(stacked_calls) >= 2
 
 
 class TestLowpassAspect:

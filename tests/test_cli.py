@@ -1,5 +1,6 @@
 """Command-line entry points, exit codes, cross-mode agreement."""
 
+import csv
 import filecmp
 import json
 from pathlib import Path
@@ -7,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from isarpose.cli import main
+from isarpose.io import load_dwell
+from isarpose.moments import frame_moments
+from isarpose.pose import PEARLS_EPS
 
 SCENARIO = {
     "duration": 30.0,
@@ -30,6 +34,11 @@ def _write_config(tmp_path, obj, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +112,27 @@ class TestAnalyze:
                     "badfit_count"):
             assert an_report[key] == sim_report[key]
         assert an_report["mode"] == "analyze"
+
+    def test_snr_weighting_reaches_pearls_score(self, sim_dir, tmp_path):
+        # the pearls score must use the run's SNR-weighted crf (the one in
+        # covariances.csv), not a uniform-weight recomputation; a supplied
+        # period keeps the wave fit, so frames have tilt rate to invert with
+        out = tmp_path / "snr"
+        code = main(["analyze", "--input", str(sim_dir / "dwell.csv"),
+                     "--out", str(out), "--weighting", "snr",
+                     "--period", "9"])
+        assert code == 0
+        crf = [float(row["crf"]) for row in _rows(out / "covariances.csv")]
+        pearls = [float(row["pearls_score"])
+                  for row in _rows(out / "classes.csv")]
+        dwell = load_dwell(str(sim_dir / "dwell.csv"))
+        uniform = [frame_moments(fr).crf for fr in dwell.frames]
+        assert max(abs(a - b) for a, b in zip(crf, uniform)) > 1e-3
+        scored = [(c, p) for c, p in zip(crf, pearls) if p > 0]
+        assert scored
+        for c, p in scored:
+            assert p == pytest.approx(c ** 2 / (1.0 - c ** 2 + PEARLS_EPS),
+                                      rel=1e-12)
 
     def test_missing_input_is_data_error(self, tmp_path):
         code = main(["analyze", "--input", str(tmp_path / "absent.csv"),

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from isarpose.pose import (FrameClass, FrameSolution, classify_frames,
-                           compose, invert_frame, motion_matrix, report_noise)
+from isarpose.moments import frame_moments
+from isarpose.pose import (PEARLS_EPS, FrameClass, FrameSolution,
+                           classify_frames, compose, invert_frame,
+                           motion_matrix, report_noise)
 from isarpose.ship import (AngleSample, AngleTrack, Dwell, Frame,
                            TargetReport)
 from isarpose.simulate import (ScenarioConfig, accel_of, build_angle_track,
@@ -89,7 +91,8 @@ class TestInvertFrame:
         k = int(np.argmin(conds))
         mm = motion_matrix(ideal_track.samples[k],
                            ideal_cfg.integration_time)
-        sol = invert_frame(ideal_dwell.frames[k], mm, (0.25, 0.03, 0.01))
+        frame = ideal_dwell.frames[k]
+        sol = invert_frame(frame, frame_moments(frame), mm, (0.25, 0.03, 0.01))
         truth = np.array([(s.x0, s.y0, s.z0) for s in ideal_ship.scatterers])
         truth = truth - truth.mean(axis=0)
         assert sol.xyz is not None
@@ -103,7 +106,8 @@ class TestInvertFrame:
         k = int(np.argmin(conds))
         mm = motion_matrix(ideal_track.samples[k],
                            ideal_cfg.integration_time)
-        sol = invert_frame(ideal_dwell.frames[k], mm, noise)
+        frame = ideal_dwell.frames[k]
+        sol = invert_frame(frame, frame_moments(frame), mm, noise)
         assert sol.xyz is not None
         minv = np.linalg.inv(mm.m)
         expect = (minv ** 2) @ np.array(noise) ** 2
@@ -114,7 +118,7 @@ class TestInvertFrame:
                       reports=(_report(0, 0.25, 1.0, 0.0, 0.0),))
         mm = motion_matrix(AngleSample(t=0.25, phi=PHI0, theta=THETA0,
                                        phi_dot=0.01, theta_dot=0.01), 0.5)
-        sol = invert_frame(frame, mm, (0.25, 0.03, 0.01))
+        sol = invert_frame(frame, frame_moments(frame), mm, (0.25, 0.03, 0.01))
         assert sol.frame_class is FrameClass.INVALID
         assert sol.xyz is None
         assert "too few reports" in sol.flags
@@ -123,10 +127,32 @@ class TestInvertFrame:
             self, ideal_dwell):
         mm = motion_matrix(AngleSample(t=0.25, phi=PHI0, theta=THETA0,
                                        theta_dot=1e-9), 0.5)
-        sol = invert_frame(ideal_dwell.frames[0], mm, (0.25, 0.03, 0.01))
+        frame = ideal_dwell.frames[0]
+        sol = invert_frame(frame, frame_moments(frame), mm, (0.25, 0.03, 0.01))
         assert sol.frame_class is FrameClass.INVALID
         assert sol.xyz is None
         assert "ill-conditioned motion" in sol.flags
+
+    def test_pearls_score_uses_the_given_weighted_moments(self):
+        # one loud report pulls the SNR-weighted range/rate correlation far
+        # from the uniform one; the score must follow the moments passed in
+        reports = tuple(
+            _report(0, 0.25, r, f, a, snr=snr) for r, f, a, snr in (
+                (-10.0, -1.0, 0.1, 30.0), (-3.0, 0.5, -0.2, 12.0),
+                (2.0, 0.1, 0.05, 12.0), (11.0, 0.9, 0.0, 12.0),
+                (0.5, -0.6, 0.3, 12.0)))
+        frame = Frame(index=0, t=0.25, integration_time=0.5, reports=reports)
+        uniform = frame_moments(frame)
+        weighted = frame_moments(frame, weighting="snr")
+        assert abs(weighted.crf - uniform.crf) > 0.1
+        mm = motion_matrix(AngleSample(t=0.25, phi=PHI0, theta=THETA0,
+                                       phi_dot=0.010, theta_dot=0.012,
+                                       phi_ddot=8e-3, theta_ddot=6e-3), 0.5)
+        for mom in (uniform, weighted):
+            sol = invert_frame(frame, mom, mm, (0.25, 0.03, 0.01))
+            assert sol.xyz is not None
+            assert sol.scores[2] == pytest.approx(
+                mom.crf ** 2 / (1.0 - mom.crf ** 2 + PEARLS_EPS), rel=1e-15)
 
     def test_monte_carlo_variance_matches_propagation_at_two_T(
             self, ideal_ship):
@@ -149,15 +175,15 @@ class TestInvertFrame:
                     _report(0, 0.25, *map(float, row)) for row in rfa)
                 frame = Frame(index=0, t=0.25, integration_time=T,
                               reports=reports)
-                sol = invert_frame(frame, mm, noise)
+                sol = invert_frame(frame, frame_moments(frame), mm, noise)
                 centered = truth - truth.mean(axis=0)
                 err.append(sol.xyz - centered)
             meas = np.concatenate(err).var(axis=0)
-            pred = invert_frame(
-                Frame(index=0, t=0.25, integration_time=T,
-                      reports=tuple(_report(0, 0.25, *map(float, row))
-                                    for row in rfa0)),
-                mm, noise).noise_var
+            clean = Frame(index=0, t=0.25, integration_time=T,
+                          reports=tuple(_report(0, 0.25, *map(float, row))
+                                        for row in rfa0))
+            pred = invert_frame(clean, frame_moments(clean), mm,
+                                noise).noise_var
             ratios = meas / np.array(pred)
             assert np.all((ratios > 0.7) & (ratios < 1.4))
 
@@ -201,8 +227,9 @@ class TestClassification:
                                                ideal_track):
         noise = (0.25, 0.03, 0.01)
         sols = classify_frames([
-            invert_frame(fr, motion_matrix(ideal_track.samples[k],
-                                           ideal_cfg.integration_time), noise)
+            invert_frame(fr, frame_moments(fr),
+                         motion_matrix(ideal_track.samples[k],
+                                       ideal_cfg.integration_time), noise)
             for k, fr in enumerate(ideal_dwell.frames)])
         assert len(sols) == len(ideal_dwell.frames)
         assert all(isinstance(s.frame_class, FrameClass) for s in sols)
@@ -217,7 +244,8 @@ class TestClassification:
         track = build_angle_track(cfg)
         dwell = simulate_degraded(ship, track, cfg)
         sols = classify_frames([
-            invert_frame(fr, motion_matrix(track.samples[k], 2.0), noise)
+            invert_frame(fr, frame_moments(fr),
+                         motion_matrix(track.samples[k], 2.0), noise)
             for k, fr in enumerate(dwell.frames)])
         plan = np.array([s.scores[1] for s in sols])
         prof = np.array([s.scores[0] for s in sols])
@@ -314,7 +342,8 @@ class TestCompose:
         track = build_angle_track(cfg)
         dwell = simulate_degraded(ship, track, cfg)
         sols = classify_frames([
-            invert_frame(fr, motion_matrix(track.samples[k], 2.0), noise)
+            invert_frame(fr, frame_moments(fr),
+                         motion_matrix(track.samples[k], 2.0), noise)
             for k, fr in enumerate(dwell.frames)])
         comp = compose(dwell, sols, track, FrameClass.PROFILE)
         assert len(comp.frames_used) >= 15
