@@ -13,7 +13,7 @@ file boundaries. Doppler is carried as range-rate in m/s.
 """
 
 from .ship import (Scatterer, ShipModel, AngleSample, AngleTrack,
-                   TargetReport, Frame, Dwell, ship_moments)
+                   REPORT_DTYPE, report_array, Frame, Dwell, ship_moments)
 from .simulate import (ScenarioConfig, DegradationSpec, range_of, rate_of,
                        accel_of, build_angle_track, simulate_perfect,
                        simulate_degraded, make_ship)
@@ -32,8 +32,8 @@ from .io import load_dwell, save_dwell
 from .runner import RunConfig, RunReport, run, PipelineError
 
 __all__ = [
-    "Scatterer", "ShipModel", "AngleSample", "AngleTrack", "TargetReport",
-    "Frame", "Dwell", "ship_moments",
+    "Scatterer", "ShipModel", "AngleSample", "AngleTrack", "REPORT_DTYPE",
+    "report_array", "Frame", "Dwell", "ship_moments",
     "ScenarioConfig", "DegradationSpec", "range_of", "rate_of", "accel_of",
     "build_angle_track", "simulate_perfect", "simulate_degraded", "make_ship",
     "FrameMoments", "frame_moments", "focus_regression", "moments_series",

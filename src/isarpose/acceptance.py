@@ -24,7 +24,7 @@ from .moments import frame_moments, moments_series
 from .pose import (FrameClass, classify_frames, invert_frame, motion_matrix,
                    report_noise)
 from .runner import RunConfig, run
-from .ship import (Dwell, Frame, Scatterer, ShipModel, TargetReport,
+from .ship import (Dwell, Frame, Scatterer, ShipModel, report_array,
                    ship_moments)
 from .simulate import (DegradationSpec, ScenarioConfig, angle_sample_at,
                        build_angle_track, make_ship, range_of,
@@ -195,7 +195,7 @@ def check_pose_round_trip() -> tuple[bool, str]:
         sol = invert_frame(fr, frame_moments(fr), mm, noise)
         if sol.xyz is None:
             continue
-        truth = coords[[r.truth_id for r in fr.reports]]
+        truth = coords[fr.reports.truth_id]
         truth = truth - truth.mean(axis=0)
         worst = max(worst, float(np.abs(sol.xyz - truth).max()))
         n_ok += 1
@@ -206,13 +206,12 @@ def check_pose_round_trip() -> tuple[bool, str]:
     base = invert_frame(fr, frame_moments(fr), mm, noise)
     rng = np.random.default_rng(0)
     diffs = []
+    reps = fr.reports
     for _ in range(500):
-        noisy = tuple(TargetReport(
-            frame_index=r.frame_index, t=r.t, snr=r.snr,
-            r=r.r + rng.normal(0, noise[0]),
-            f=r.f + rng.normal(0, noise[1]),
-            a=r.a + rng.normal(0, noise[2]), truth_id=r.truth_id)
-            for r in fr.reports)
+        # one (r, f, a) draw per report, report by report
+        d = rng.normal(0.0, noise, size=(len(reps), 3))
+        noisy = report_array(reps.t, reps.snr, reps.r + d[:, 0],
+                             reps.f + d[:, 1], reps.a + d[:, 2], reps.truth_id)
         noisy_fr = Frame(index=fr.index, t=fr.t,
                          integration_time=fr.integration_time, reports=noisy)
         sol = invert_frame(noisy_fr, frame_moments(noisy_fr), mm, noise)
@@ -310,19 +309,18 @@ def _ghost_dwell(dwell: Dwell, seed=3) -> Dwell:
     rng = np.random.default_rng(seed)
     frames = []
     for k, fr in enumerate(dwell.frames):
-        reports = list(fr.reports)
-        if k % 2 == 0 and reports:
-            med_snr = float(np.median([r.snr for r in reports]))
-            r_far = max(r.r for r in reports)
-            for _ in range(2):
-                reports.append(TargetReport(
-                    frame_index=k, t=fr.t, snr=med_snr - 3.0,
-                    r=float(r_far + rng.uniform(2.0, 8.0)),
-                    f=float(rng.normal(0, 0.2)),
-                    a=float(rng.normal(0, 0.1))))
+        reports = fr.reports
+        if k % 2 == 0 and len(reports):
+            r_far = reports.r.max()
+            # two ghosts, each drawn in field order (r, f, a)
+            r, f, a = np.array([(r_far + rng.uniform(2.0, 8.0),
+                                 rng.normal(0, 0.2), rng.normal(0, 0.1))
+                                for _ in range(2)]).T
+            ghosts = report_array(fr.t, np.median(reports.snr) - 3.0, r, f, a)
+            reports = np.concatenate([reports, ghosts])
         frames.append(Frame(index=fr.index, t=fr.t,
                             integration_time=fr.integration_time,
-                            reports=tuple(reports)))
+                            reports=reports))
     return Dwell(tuple(frames), phi0=dwell.phi0, theta0=dwell.theta0,
                  range_resolution=dwell.range_resolution,
                  frame_interval=dwell.frame_interval)

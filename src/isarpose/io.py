@@ -6,7 +6,9 @@ degrees; everything in memory is radians. Report rows are
 frame_index,t,snr_db,range_m,doppler_mps,accel_mps2 with an optional
 truth_id column; a doppler_width_mps column is accepted and ignored. Floats
 are written with shortest round-trip repr, so save -> load -> save is
-byte-identical.
+byte-identical. A frame's reports load as one slice of a REPORT_DTYPE
+record array; a malformed row, a non-finite field included, is named by
+its line number.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ship import Dwell, Frame, TargetReport
+from .ship import REPORT_DTYPE, Dwell, Frame
 
 FORMAT_NAME = "isar-dwell"
 FORMAT_VERSION = 1
@@ -53,17 +55,16 @@ def dwell_text(dwell: Dwell) -> str:
         "theta0_deg": _exact_degrees(dwell.theta0),
         "range_resolution_m": dwell.range_resolution,
     }
-    with_truth = any(rep.truth_id is not None
-                     for fr in dwell.frames for rep in fr.reports)
+    with_truth = any((fr.reports.truth_id >= 0).any() for fr in dwell.frames)
     cols = _COLUMNS + (("truth_id",) if with_truth else ())
     lines = [json.dumps(header, sort_keys=True), ",".join(cols)]
     for fr in dwell.frames:
-        for rep in fr.reports:
-            row = [str(fr.index), repr(rep.t), repr(rep.snr), repr(rep.r),
-                   repr(rep.f), repr(rep.a)]
+        # tolist() yields Python floats, whose repr is the shortest round trip
+        for t, snr, r, f, a, truth in fr.reports.tolist():
+            row = f"{fr.index},{t!r},{snr!r},{r!r},{f!r},{a!r}"
             if with_truth:
-                row.append("" if rep.truth_id is None else str(rep.truth_id))
-            lines.append(",".join(row))
+                row += f",{truth}" if truth >= 0 else ","
+            lines.append(row)
     return "\n".join(lines) + "\n"
 
 
@@ -110,7 +111,8 @@ def load_dwell(path: str | Path) -> Dwell:
 
     n_frames = int(header["n_frames"])
     interval = float(header["frame_interval"])
-    reports: dict[int, list[TargetReport]] = {k: [] for k in range(n_frames)}
+    frame_of: list[int] = []
+    rows: list[tuple] = []
     prev_idx, prev_t = -1, -math.inf
     for ln, raw in enumerate(lines[2:], start=3):
         if not raw.strip():
@@ -120,9 +122,11 @@ def load_dwell(path: str | Path) -> Dwell:
             raise ValueError(f"line {ln}: expected {len(cols)} fields, got {len(parts)}")
         try:
             idx = int(parts[0])
-            t, snr, r, f, a = (float(parts[j]) for j in range(1, 6))
+            t, snr, r, f, a = map(float, parts[1:6])
         except ValueError as exc:
             raise ValueError(f"line {ln}: bad numeric field ({exc})") from exc
+        if not all(map(math.isfinite, (t, snr, r, f, a))):
+            raise ValueError(f"line {ln}: report fields must be finite")
         if not 0 <= idx < n_frames:
             raise ValueError(f"line {ln}: frame_index {idx} outside 0..{n_frames - 1}")
         if idx < prev_idx:
@@ -132,20 +136,26 @@ def load_dwell(path: str | Path) -> Dwell:
         expect_t = (idx + 0.5) * interval
         if abs(t - expect_t) > 0.5 * interval:
             raise ValueError(f"line {ln}: time {t} inconsistent with frame {idx}")
-        truth = None
+        truth = -1
         if i_truth is not None and parts[i_truth].strip():
             try:
                 truth = int(parts[i_truth])
             except ValueError as exc:
                 raise ValueError(f"line {ln}: bad truth_id") from exc
+            if truth < 0:
+                raise ValueError(f"line {ln}: bad truth_id")
         prev_idx, prev_t = idx, t
-        reports[idx].append(TargetReport(frame_index=idx, t=t, snr=snr,
-                                         r=r, f=f, a=a, truth_id=truth))
+        frame_of.append(idx)
+        rows.append((t, snr, r, f, a, truth))
 
+    reports = np.array(rows, dtype=REPORT_DTYPE)
+    # rows arrive in frame order, so each frame is one slice of the array
+    bounds = np.searchsorted(np.array(frame_of, dtype=np.int64),
+                             np.arange(n_frames + 1))
     frames = tuple(
         Frame(index=k, t=(k + 0.5) * interval,
               integration_time=float(header["integration_time"]),
-              reports=tuple(reports[k]))
+              reports=reports[bounds[k]:bounds[k + 1]])
         for k in range(n_frames))
     return Dwell(frames=frames,
                  phi0=math.radians(float(header["phi0_deg"])),
@@ -154,13 +164,11 @@ def load_dwell(path: str | Path) -> Dwell:
                  frame_interval=interval)
 
 
-def save_pgm(grid: np.ndarray, path: str | Path) -> None:
-    """Write a 2-D non-negative array as an 8-bit binary PGM, peak-scaled."""
+def pgm_bytes(grid: np.ndarray) -> bytes:
+    """A 2-D non-negative array as an 8-bit binary PGM, peak-scaled."""
     grid = np.asarray(grid, dtype=float)
-    peak = grid.max()
-    img = np.zeros(grid.shape, dtype=np.uint8) if peak <= 0 else \
-        np.clip(np.round(255.0 * grid / peak), 0, 255).astype(np.uint8)
+    peak = float(grid.max()) if grid.size else 0.0
+    img = (np.zeros(grid.shape, dtype=np.uint8) if peak <= 0 else
+           np.clip(np.round(255.0 * grid / peak), 0, 255).astype(np.uint8))
     h, w = img.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + img.tobytes()

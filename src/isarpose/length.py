@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ship import Dwell, Frame, TargetReport
+from .ship import Dwell, Frame
 
 FOOT = 0.3048
 MIN_PROJECTION = 0.1   # |cos(phi) cos(theta)| floor for a usable frame
@@ -30,7 +30,6 @@ class LengthEstimate:
     rmax_std: float
     frames_used: int
     width_correction: float
-    flags: tuple[str, ...] = ()
 
 
 def beam_rule(loa: float) -> float:
@@ -62,31 +61,29 @@ def frame_loa(r_min: float, r_max: float, phi: float, theta: float,
     return max(corrected, BEAM_CLAMP * raw)
 
 
-def multipath_guard(reports: tuple[TargetReport, ...], k_mad: float = 3.0,
-                    snr_drop_db: float = 6.0) -> tuple[TargetReport, ...]:
+def multipath_guard(reports: np.recarray, k_mad: float = 3.0,
+                    snr_drop_db: float = 6.0) -> np.recarray:
     """Drop far-range ghosts: beyond the 90th percentile by k_mad robust
     sigmas AND at least snr_drop_db below the frame median SNR. Near-range
     reports are never dropped (the bow is real). Needs five reports to have
     a usable percentile; smaller frames pass through."""
     if len(reports) < 5:
         return reports
-    r = np.array([rep.r for rep in reports])
-    snr = np.array([rep.snr for rep in reports])
+    r, snr = reports.r, reports.snr
     p90 = np.percentile(r, 90)
     mad = 1.4826 * np.median(np.abs(r - np.median(r)))
     med_snr = np.median(snr)
     far = r > p90 + k_mad * max(mad, 1e-9)
     weak = snr <= med_snr - snr_drop_db
     keep = ~(far & weak)
-    return tuple(rep for rep, kp in zip(reports, keep) if kp)
+    return reports[keep]
 
 
 def _frame_extent(frame: Frame) -> tuple[float, float] | None:
     reports = multipath_guard(frame.reports)
     if len(reports) < 3:
         return None
-    r = [rep.r for rep in reports]
-    return min(r), max(r)
+    return float(reports.r.min()), float(reports.r.max())
 
 
 def estimate_loa(dwell: Dwell, track, badfit_series=None) -> LengthEstimate:
@@ -102,7 +99,6 @@ def estimate_loa(dwell: Dwell, track, badfit_series=None) -> LengthEstimate:
     under three reports after the multipath screen are excluded; fewer
     than five survivors is an error.
     """
-    flags: list[str] = []
     phi = np.array([s.phi for s in track.samples])
     theta = np.array([s.theta for s in track.samples])
     n = len(dwell.frames)
@@ -151,4 +147,4 @@ def estimate_loa(dwell: Dwell, track, badfit_series=None) -> LengthEstimate:
                           rmin_std=extent_std(r_min),
                           rmax_std=extent_std(r_max),
                           frames_used=int(usable.sum()),
-                          width_correction=beam, flags=tuple(flags))
+                          width_correction=beam)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ship import Dwell, Frame, TargetReport
+from .ship import Dwell, Frame
 
 EPS_VAR = 1e-12
 
@@ -43,16 +43,26 @@ class FrameMoments:
     a_f: float = 0.0
 
 
-def _weights(reports: tuple[TargetReport, ...], weighting: str) -> np.ndarray:
+def snr_power(snr_db) -> np.ndarray:
+    """Linear power from dB SNR, elementwise."""
+    return 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
+
+
+def _weights(snr_db: np.ndarray, weighting: str) -> np.ndarray:
     if weighting == "uniform":
-        return np.ones(len(reports))
+        return np.ones(len(snr_db))
     if weighting == "snr":
-        # linear-power weights from dB SNR
-        return np.array([10.0 ** (rep.snr / 10.0) for rep in reports])
+        return snr_power(snr_db)
     raise ValueError(f"unknown weighting: {weighting}")
 
 
-def focus_regression(reports: tuple[TargetReport, ...],
+def _columns(reports: np.recarray) -> tuple[np.ndarray, ...]:
+    # contiguous copies: BLAS sums a strided column's dot product in
+    # another order, which would move the last bits of every moment
+    return (np.array(reports.r), np.array(reports.f), np.array(reports.a))
+
+
+def focus_regression(reports: np.recarray,
                      weights: np.ndarray | None = None) -> tuple[float, float]:
     """Acceleration regressed on (range, rate): a ~ A_r * r + A_f * f.
 
@@ -61,9 +71,7 @@ def focus_regression(reports: tuple[TargetReport, ...],
     with Det = <rr><ff>(1 - crf^2). Near-collinear frames (crf^2 > 0.98) have
     Det shrunk toward zero, so the estimates are damped instead of exploding.
     """
-    r = np.array([rep.r for rep in reports], dtype=float)
-    f = np.array([rep.f for rep in reports], dtype=float)
-    a = np.array([rep.a for rep in reports], dtype=float)
+    r, f, a = _columns(reports)
     w = np.ones_like(r) if weights is None else np.asarray(weights, dtype=float)
     w = w / w.sum()
     r = r - w @ r
@@ -88,11 +96,9 @@ def frame_moments(frame: Frame, weighting: str = "uniform") -> FrameMoments:
     reports = frame.reports
     if len(reports) < 3:
         return FrameMoments(t=frame.t, n_targets=len(reports), valid=False)
-    w = _weights(reports, weighting)
+    w = _weights(reports.snr, weighting)
     w = w / w.sum()
-    r = np.array([rep.r for rep in reports])
-    f = np.array([rep.f for rep in reports])
-    a = np.array([rep.a for rep in reports])
+    r, f, a = _columns(reports)
     r = r - w @ r
     f = f - w @ f
     a = a - w @ a
@@ -107,12 +113,11 @@ def frame_moments(frame: Frame, weighting: str = "uniform") -> FrameMoments:
     cov_ff = ff / rr
     crf = cov_rf / np.sqrt(cov_ff) if cov_ff > EPS_VAR else 0.0
     a_r, a_f = focus_regression(reports, w)
-    rfull = np.array([rep.r for rep in reports])
     return FrameMoments(
         t=frame.t, n_targets=len(reports), valid=True,
         cov_rf=cov_rf, cov_ff=cov_ff, cov_ra=ra / rr, cov_fa=fa / rr,
         crf=float(crf), d_intrinsic=cov_ff - cov_rf ** 2, r_var=rr,
-        r_min=float(rfull.min()), r_max=float(rfull.max()),
+        r_min=float(reports.r.min()), r_max=float(reports.r.max()),
         a_r=a_r, a_f=a_f)
 
 

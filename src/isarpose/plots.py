@@ -3,8 +3,6 @@ files are simple polylines with axis ticks, good enough to eyeball a run."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -17,12 +15,6 @@ def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
         return np.array([lo])
     step = (hi - lo) / (n - 1)
     return lo + step * np.arange(n)
-
-
-def svg_lines(path: str | Path, t: np.ndarray,
-              series: dict[str, np.ndarray], title: str,
-              ylabel: str = "", xlabel: str = "time (s)") -> None:
-    Path(path).write_text(svg_lines_text(t, series, title, ylabel, xlabel))
 
 
 def svg_lines_text(t: np.ndarray, series: dict[str, np.ndarray], title: str,

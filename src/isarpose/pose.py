@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .moments import FrameMoments
+from .moments import FrameMoments, snr_power
 from .motion import motion_rows
 from .ship import AngleSample, AngleTrack, Dwell, Frame
 from .validate import BadFitSeries
@@ -120,7 +120,8 @@ def invert_frame(frame: Frame, mom: FrameMoments, mm: MotionMatrix,
                              noise_var=(0.0, 0.0, 0.0), scores=(0.0, 0.0, 0.0),
                              frame_class=FrameClass.INVALID, cond=mm.cond,
                              flags=("ill-conditioned motion",))
-    rfa = np.array([(rep.r, rep.f, rep.a) for rep in frame.reports])
+    reports = frame.reports
+    rfa = np.column_stack((reports.r, reports.f, reports.a))
     rfa = rfa - rfa.mean(axis=0)
     minv = np.linalg.inv(mm.m)
     xyz = rfa @ minv.T
@@ -130,7 +131,7 @@ def invert_frame(frame: Frame, mom: FrameMoments, mm: MotionMatrix,
     profile = float(var_xyz[2] / noise_var[2]) if noise_var[2] > 0 else np.inf
     plan = float(var_xyz[1] / noise_var[1]) if noise_var[1] > 0 else np.inf
     pearls = float(mom.crf ** 2 / (1.0 - mom.crf ** 2 + PEARLS_EPS))
-    snr = np.array([rep.snr for rep in frame.reports])
+    snr = np.array(reports.snr)
     return FrameSolution(t=frame.t, frame_index=frame.index, xyz=xyz,
                          noise_var=(float(noise_var[0]), float(noise_var[1]),
                                     float(noise_var[2])),
@@ -209,12 +210,9 @@ def compose(dwell: Dwell, solutions: list[FrameSolution], track: AngleTrack,
         rate = rates[k]
         if abs(rate) < rate_floor_frac * med_rate or rate == 0.0:
             continue
-        frame = dwell.frames[k]
-        r = np.array([rep.r for rep in frame.reports])
-        f = np.array([rep.f for rep in frame.reports])
-        snr = np.array([rep.snr for rep in frame.reports])
-        cross = f / abs(rate)
-        r = r - r.mean()
+        reports = dwell.frames[k].reports
+        cross = reports.f / abs(rate)
+        r = reports.r - reports.r.mean()
         cross = cross - cross.mean()
         # a reversed rotation sweeps Doppler the opposite way; mirroring
         # folds those frames onto the same cross-range axis
@@ -222,7 +220,7 @@ def compose(dwell: Dwell, solutions: list[FrameSolution], track: AngleTrack,
             cross = -cross
         pts_r.append(r)
         pts_c.append(cross)
-        wts.append(10.0 ** (snr / 10.0))
+        wts.append(snr_power(reports.snr))
         used.append(k)
     if not used:
         return CompositeImage(kind=kind, grid=np.zeros((1, 1)),

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .angles import FitState, estimate_angles, model_covariances
-from .io import dwell_text, load_dwell
+from .io import dwell_text, load_dwell, pgm_bytes
 from .length import estimate_loa
 from .moments import moments_series
 from .plots import svg_lines_text
@@ -206,15 +206,7 @@ class _Outputs:
         self.items.append((name, text.encode("utf-8")))
 
     def add_pgm(self, name: str, grid: np.ndarray) -> None:
-        import io as _io
-        peak = float(grid.max()) if grid.size else 0.0
-        img = (np.zeros(grid.shape, dtype=np.uint8) if peak <= 0 else
-               np.clip(np.round(255.0 * grid / peak), 0, 255).astype(np.uint8))
-        h, w = img.shape
-        buf = _io.BytesIO()
-        buf.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        buf.write(img.tobytes())
-        self.items.append((name, buf.getvalue()))
+        self.items.append((name, pgm_bytes(grid)))
 
     def manifest(self) -> tuple[str, ...]:
         return tuple(sorted(name for name, _ in self.items))
@@ -236,7 +228,7 @@ class _Outputs:
             raise
 
 
-def _angle_summary(state: FitState, phi0: float, theta0: float) -> dict:
+def _angle_summary(state: FitState, phi0: float) -> dict:
     return {
         "period_s": state.period,
         "lines_s": [float(p) for p in state.lines],
@@ -244,7 +236,6 @@ def _angle_summary(state: FitState, phi0: float, theta0: float) -> dict:
         "mean_abs_aspect_rate_dps": math.degrees(float(np.mean(np.abs(state.phi_dot)))),
         "mean_abs_tilt_rate_dps": math.degrees(float(np.mean(np.abs(state.theta_dot)))),
         "mean_aspect_deg": math.degrees(phi0 + float(np.mean(state.phi_M))),
-        "mean_tilt_deg": math.degrees(theta0),
         "bsq": state.bsq_est,
         "hsq": state.hsq_est,
         "residual_rms": state.residual_rms,
@@ -390,7 +381,7 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs, mode: str) -> RunReport:
     names = tuple(sorted(out.manifest() + ("run_report.json",)))
     return RunReport(
         mode=mode, n_frames=len(dwell.frames),
-        angle_summary=_angle_summary(state, dwell.phi0, dwell.theta0),
+        angle_summary=_angle_summary(state, dwell.phi0),
         class_counts=class_counts, loa=loa_dict,
         badfit_count=int(np.sum(bf.flagged)), flags=tuple(flags),
         manifest=names)

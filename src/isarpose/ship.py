@@ -8,7 +8,9 @@ share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -85,42 +87,46 @@ class AngleTrack:
         return tuple(s.t for s in self.samples)
 
 
-@dataclass(frozen=True)
-class TargetReport:
-    """One detected scatterer in one frame.
-
-    r: range offset (m); f: range-rate (m/s); a: range-acceleration (m/s^2);
-    snr in dB. width is an optional Doppler-width passthrough that no
-    operation consumes. truth_id ties a report to its source scatterer in
-    simulation only.
-    """
-
-    frame_index: int
-    t: float
-    snr: float
-    r: float
-    f: float
-    a: float
-    truth_id: int | None = None
-    width: float | None = None
-
-    def __post_init__(self):
-        for v in (self.snr, self.r, self.f, self.a):
-            if not math.isfinite(v):
-                raise ValueError("report fields must be finite")
+REPORT_DTYPE = np.dtype([("t", np.float64), ("snr", np.float64),
+                         ("r", np.float64), ("f", np.float64),
+                         ("a", np.float64), ("truth_id", np.int64)])
+"""One target report per record: t (s); snr in dB; r range offset (m);
+f range-rate (m/s); a range-acceleration (m/s^2); truth_id the source
+scatterer in simulation only, -1 for none."""
 
 
-@dataclass(frozen=True)
+def report_array(t, snr, r, f, a, truth_id=-1) -> np.recarray:
+    """Reports of one frame from their columns; scalars broadcast."""
+    cols = (t, snr, r, f, a, truth_id)
+    out = np.recarray(np.broadcast_shapes(*map(np.shape, cols)),
+                      dtype=REPORT_DTYPE)
+    for name, col in zip(REPORT_DTYPE.names, cols):
+        out[name] = col
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class Frame:
-    """All reports of one image frame plus its integration time T (s)."""
+    """All reports of one image frame plus its integration time T (s).
+
+    reports is a read-only REPORT_DTYPE record array, so each field is one
+    column (fr.reports.r); every float field must be finite.
+    """
 
     index: int
     t: float
     integration_time: float
-    reports: tuple[TargetReport, ...]
+    reports: np.recarray
 
     def __post_init__(self):
-        object.__setattr__(self, "reports", tuple(self.reports))
+        reports = np.asarray(self.reports).view(np.recarray)
+        if reports.dtype != REPORT_DTYPE or reports.ndim != 1:
+            raise ValueError("reports must be a 1-D REPORT_DTYPE array")
+        if not all(np.isfinite(reports[name]).all()
+                   for name in ("t", "snr", "r", "f", "a")):
+            raise ValueError(f"frame {self.index}: report fields must be finite")
+        reports.flags.writeable = False
+        object.__setattr__(self, "reports", reports)
 
 
 @dataclass(frozen=True)

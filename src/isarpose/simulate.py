@@ -18,7 +18,7 @@ import numpy as np
 from .length import beam_rule
 from .motion import motion_rows, track_rows
 from .ship import (AngleSample, AngleTrack, Dwell, Frame, Scatterer,
-                   ShipModel, TargetReport)
+                   ShipModel, report_array)
 
 BASE_SNR_DB = 20.0  # reference SNR of a unit-rcs scatterer
 
@@ -195,58 +195,52 @@ def simulate_perfect(model: ShipModel, track: AngleTrack,
                      cfg: ScenarioConfig) -> Dwell:
     """Every scatterer reported in every frame with exact (r, f, a)."""
     vals = _exact_rfa(model, track)
-    frames = []
-    for k, samp in enumerate(track.samples):
-        reports = tuple(
-            TargetReport(frame_index=k, t=samp.t, snr=BASE_SNR_DB,
-                         r=float(vals[k, i, 0]), f=float(vals[k, i, 1]),
-                         a=float(vals[k, i, 2]), truth_id=i)
-            for i in range(len(model.scatterers)))
-        frames.append(Frame(index=k, t=samp.t,
-                            integration_time=cfg.integration_time,
-                            reports=reports))
-    return Dwell(tuple(frames), phi0=cfg.phi0, theta0=cfg.theta0,
+    ids = np.arange(len(model.scatterers))
+    frames = tuple(
+        Frame(index=k, t=samp.t, integration_time=cfg.integration_time,
+              reports=report_array(samp.t, BASE_SNR_DB, vals[k, :, 0],
+                                   vals[k, :, 1], vals[k, :, 2], ids))
+        for k, samp in enumerate(track.samples))
+    return Dwell(frames, phi0=cfg.phi0, theta0=cfg.theta0,
                  range_resolution=cfg.range_resolution,
                  frame_interval=cfg.frame_interval)
 
 
-def _inject(spec: DegradationSpec, k: int, tk: float, rng,
-            r_span: tuple[float, float], f_span: tuple[float, float]) -> list[TargetReport]:
+def _inject(spec: DegradationSpec, tk: float, rng,
+            r_span: tuple[float, float], f_span: tuple[float, float]
+            ) -> list[tuple[float, float, float, float]]:
+    """Injected (snr, r, f, a) rows of one frame. Draws run row by row in
+    field order, so a seed keeps its data."""
     if not (spec.t_start <= tk < spec.t_stop):
         return []
     r_lo, r_hi = r_span
     f_lo, f_hi = f_span
-    out = []
     if spec.kind == "bogey":
         # rapid monotone range migration; reported range-rate stays small and
         # does not match the migration (aliased velocity signature)
         r = r_lo + spec.rate * (tk - spec.t_start)
-        for j in range(spec.density):
-            out.append(TargetReport(
-                frame_index=k, t=tk, snr=25.0 + float(rng.normal(0, 1)),
-                r=float(r + rng.normal(0, 0.5)),
-                f=float(spec.doppler_offset + rng.normal(0, 0.05)),
-                a=float(rng.normal(0, 0.05))))
+
+        def draw():
+            return (25.0 + rng.normal(0, 1), r + rng.normal(0, 0.5),
+                    spec.doppler_offset + rng.normal(0, 0.05),
+                    rng.normal(0, 0.05))
     elif spec.kind == "narrowband_interference":
         # persistent narrow Doppler band whose center migrates across the scene
         frac = (tk - spec.t_start) / (spec.t_stop - spec.t_start)
         center = f_lo + frac * (f_hi - f_lo)
-        for j in range(spec.density):
-            out.append(TargetReport(
-                frame_index=k, t=tk, snr=22.0 + float(rng.normal(0, 1)),
-                r=float(rng.uniform(r_lo, r_hi)),
-                f=float(center + rng.uniform(-0.5, 0.5) * spec.doppler_width),
-                a=float(rng.normal(0, 0.2))))
+
+        def draw():
+            return (22.0 + rng.normal(0, 1), rng.uniform(r_lo, r_hi),
+                    center + rng.uniform(-0.5, 0.5) * spec.doppler_width,
+                    rng.normal(0, 0.2))
     else:  # broadband_interference: episodic wide-band bursts
         if rng.uniform() < 0.5:
             return []
-        for j in range(spec.density):
-            out.append(TargetReport(
-                frame_index=k, t=tk, snr=22.0 + float(rng.normal(0, 1)),
-                r=float(rng.uniform(r_lo, r_hi)),
-                f=float(rng.uniform(3 * f_lo, 3 * f_hi)),
-                a=float(rng.normal(0, 0.5))))
-    return out
+
+        def draw():
+            return (22.0 + rng.normal(0, 1), rng.uniform(r_lo, r_hi),
+                    rng.uniform(3 * f_lo, 3 * f_hi), rng.normal(0, 0.5))
+    return [draw() for _ in range(spec.density)]
 
 
 def simulate_degraded(model: ShipModel, track: AngleTrack,
@@ -257,28 +251,27 @@ def simulate_degraded(model: ShipModel, track: AngleTrack,
     rcs_db = np.array([10 * math.log10(s.rcs) for s in model.scatterers])
     r_span = (float(vals[:, :, 0].min()), float(vals[:, :, 0].max()))
     f_span = (float(vals[:, :, 1].min()), float(vals[:, :, 1].max()))
+    n_s = len(model.scatterers)
     frames = []
     for k, samp in enumerate(track.samples):
         rng = np.random.default_rng([cfg.seed, k])
-        n_s = len(model.scatterers)
         snr = BASE_SNR_DB + rcs_db
         if cfg.fade_sigma > 0:
             snr = snr + rng.normal(0.0, cfg.fade_sigma, size=n_s)
         dr = rng.normal(0.0, sig_r, size=n_s) if sig_r > 0 else np.zeros(n_s)
         df = rng.normal(0.0, sig_f, size=n_s) if sig_f > 0 else np.zeros(n_s)
         da = rng.normal(0.0, sig_a, size=n_s) if sig_a > 0 else np.zeros(n_s)
-        reports = [
-            TargetReport(frame_index=k, t=samp.t, snr=float(snr[i]),
-                         r=float(vals[k, i, 0] + dr[i]),
-                         f=float(vals[k, i, 1] + df[i]),
-                         a=float(vals[k, i, 2] + da[i]), truth_id=i)
-            for i in range(n_s) if snr[i] >= cfg.snr_floor
-        ]
-        for spec in cfg.injectors:
-            reports.extend(_inject(spec, k, samp.t, rng, r_span, f_span))
+        keep = np.flatnonzero(snr >= cfg.snr_floor)
+        extra = np.array([row for spec in cfg.injectors
+                          for row in _inject(spec, samp.t, rng, r_span, f_span)])
+        reports = np.concatenate([
+            report_array(samp.t, snr[keep], vals[k, keep, 0] + dr[keep],
+                         vals[k, keep, 1] + df[keep],
+                         vals[k, keep, 2] + da[keep], keep),
+            report_array(samp.t, *extra.reshape(-1, 4).T)])
         frames.append(Frame(index=k, t=samp.t,
                             integration_time=cfg.integration_time,
-                            reports=tuple(reports)))
+                            reports=reports))
     return Dwell(tuple(frames), phi0=cfg.phi0, theta0=cfg.theta0,
                  range_resolution=cfg.range_resolution,
                  frame_interval=cfg.frame_interval)

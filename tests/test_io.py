@@ -7,25 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isarpose.io import dwell_text, load_dwell, save_dwell, save_pgm
-from isarpose.ship import Dwell, Frame, TargetReport
+from isarpose.io import dwell_text, load_dwell, pgm_bytes, save_dwell
+from isarpose.ship import Dwell, Frame, report_array
 
 _val = st.floats(min_value=-1e6, max_value=1e6,
                  allow_nan=False, allow_infinity=False)
 
 
 def _dwell(rows, interval=0.5, phi0=math.radians(45.0),
-           theta0=math.radians(30.0), with_truth=False):
-    """rows: per-frame list of (snr, r, f, a) tuples."""
+           theta0=math.radians(30.0), truth_ids=None):
+    """rows: per-frame list of (snr, r, f, a) tuples; truth_ids: per-frame
+    lists of ids (-1 for none), or None for a dwell without truth."""
     frames = []
     for k, frame_rows in enumerate(rows):
         t = (k + 0.5) * interval
-        reports = tuple(
-            TargetReport(frame_index=k, t=t, snr=s, r=r, f=f, a=a,
-                         truth_id=(i if with_truth else None))
-            for i, (s, r, f, a) in enumerate(frame_rows))
+        snr, r, f, a = np.array(frame_rows, dtype=float).reshape(-1, 4).T
+        truth = -1 if truth_ids is None else truth_ids[k]
         frames.append(Frame(index=k, t=t, integration_time=interval,
-                            reports=reports))
+                            reports=report_array(t, snr, r, f, a, truth)))
     return Dwell(tuple(frames), phi0=phi0, theta0=theta0,
                  range_resolution=0.5, frame_interval=interval)
 
@@ -33,7 +32,7 @@ def _dwell(rows, interval=0.5, phi0=math.radians(45.0),
 def test_round_trip_preserves_every_field(tmp_path):
     dwell = _dwell([[(20.0, -3.125, 0.7071067811865476, -0.1)],
                     [(17.5, 1e-12, -4.4e8, 2.0), (21.0, 5.0, 0.0, 0.0)]],
-                   with_truth=True)
+                   truth_ids=[[0], [0, 1]])
     path = tmp_path / "dwell.csv"
     save_dwell(dwell, path)
     back = load_dwell(path)
@@ -43,9 +42,8 @@ def test_round_trip_preserves_every_field(tmp_path):
     assert back.range_resolution == dwell.range_resolution
     for fa, fb in zip(dwell.frames, back.frames):
         assert fa.integration_time == fb.integration_time
-        for ra, rb in zip(fa.reports, fb.reports):
-            assert (ra.r, ra.f, ra.a, ra.snr) == (rb.r, rb.f, rb.a, rb.snr)
-            assert ra.truth_id == rb.truth_id
+        # every field, truth_id included, bit for bit
+        assert fa.reports.tobytes() == fb.reports.tobytes()
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
@@ -65,11 +63,8 @@ def test_round_trip_property(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("io") / "d.csv"
     save_dwell(dwell, path)
     back = load_dwell(path)
-    got = [(r.r, r.f, r.a, r.snr)
-           for fr in back.frames for r in fr.reports]
-    want = [(r.r, r.f, r.a, r.snr)
-            for fr in dwell.frames for r in fr.reports]
-    assert got == want
+    assert ([fr.reports.tolist() for fr in back.frames]
+            == [fr.reports.tolist() for fr in dwell.frames])
 
 
 def test_angles_cross_boundary_in_degrees(tmp_path):
@@ -87,6 +82,21 @@ def test_empty_frames_preserved(tmp_path):
     save_dwell(dwell, path)
     back = load_dwell(path)
     assert [len(fr.reports) for fr in back.frames] == [1, 0, 1]
+
+
+@pytest.mark.parametrize("truth_ids", [[[0, 1], [2]], None, [[0, -1], [-1]]],
+                         ids=["present", "absent", "mixed"])
+def test_truth_id_survives_save_load(tmp_path, truth_ids):
+    dwell = _dwell([[(20.0, 0.0, 1.0, 2.0), (19.0, 1.0, 2.0, 3.0)],
+                    [(18.0, 2.0, 3.0, 4.0)]], truth_ids=truth_ids)
+    path = tmp_path / "d.csv"
+    save_dwell(dwell, path)
+    columns = path.read_text().splitlines()[1].split(",")
+    assert ("truth_id" in columns) == (truth_ids is not None)
+    back = load_dwell(path)
+    assert ([fr.reports.truth_id.tolist() for fr in back.frames]
+            == (truth_ids or [[-1, -1], [-1]]))
+    assert dwell_text(back) == path.read_text()
 
 
 class TestSchemaErrors:
@@ -127,6 +137,23 @@ class TestSchemaErrors:
         lines[3] = lines[3].replace("19.0", "abc")
         self._expect(tmp_path, lines, "line 4: bad numeric")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["t", "snr_db", "range_m",
+                                        "doppler_mps", "accel_mps2"])
+    def test_nonfinite_field_names_line(self, tmp_path, column, value):
+        path, lines = self._lines(tmp_path)
+        parts = lines[3].split(",")
+        parts[lines[1].split(",").index(column)] = value
+        lines[3] = ",".join(parts)
+        self._expect(tmp_path, lines, "line 4: report fields must be finite")
+
+    def test_negative_truth_id_names_line(self, tmp_path):
+        path, lines = self._lines(tmp_path)
+        lines[1] += ",truth_id"
+        lines[2] += ",0"
+        lines[3] += ",-1"
+        self._expect(tmp_path, lines, "line 4: bad truth_id")
+
     def test_decreasing_frame_index_names_line(self, tmp_path):
         path, lines = self._lines(tmp_path)
         self._expect(tmp_path, lines + [lines[2]],
@@ -166,15 +193,14 @@ class TestSchemaErrors:
             load_dwell(bad)
 
 
-def test_pgm_bytes_are_peak_scaled(tmp_path):
-    path = tmp_path / "img.pgm"
-    save_pgm(np.array([[0.0, 127.5], [255.0, 510.0]]), path)
-    data = path.read_bytes()
+def test_pgm_bytes_are_peak_scaled():
+    data = pgm_bytes(np.array([[0.0, 127.5], [255.0, 510.0]]))
     assert data == b"P5\n2 2\n255\n" + bytes([0, 64, 128, 255])
 
 
-def test_pgm_all_zero_grid(tmp_path):
-    path = tmp_path / "zero.pgm"
-    save_pgm(np.zeros((2, 3)), path)
-    data = path.read_bytes()
-    assert data == b"P5\n3 2\n255\n" + bytes(6)
+def test_pgm_all_zero_grid():
+    assert pgm_bytes(np.zeros((2, 3))) == b"P5\n3 2\n255\n" + bytes(6)
+
+
+def test_pgm_empty_grid():
+    assert pgm_bytes(np.zeros((0, 3))) == b"P5\n3 0\n255\n"

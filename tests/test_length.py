@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from isarpose.length import (beam_rule, estimate_loa, frame_loa,
                              multipath_guard)
-from isarpose.ship import Dwell, Frame, TargetReport
+from isarpose.ship import Dwell, Frame, report_array
 from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
                                simulate_perfect)
 from isarpose.validate import BadFitSeries
@@ -52,15 +52,13 @@ class TestFrameLoa:
 
 class TestMultipathGuard:
     def _reports(self, ranges, snrs):
-        return tuple(
-            TargetReport(frame_index=0, t=0.25, snr=s, r=r, f=0.0, a=0.0)
-            for r, s in zip(ranges, snrs))
+        return report_array(0.25, snrs, ranges, 0.0, 0.0)
 
     def test_far_weak_echo_trimmed(self):
         ranges = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 120.0]
         snrs = [20.0, 21.0, 20.0, 22.0, 20.0, 21.0, 12.0]
         kept = multipath_guard(self._reports(ranges, snrs))
-        assert [rep.r for rep in kept] == ranges[:-1]
+        assert kept.r.tolist() == ranges[:-1]
 
     def test_far_strong_echo_kept(self):
         ranges = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 120.0]
@@ -96,11 +94,9 @@ class TestEstimateLoa:
         shifted_frames = tuple(
             Frame(index=fr.index, t=fr.t,
                   integration_time=fr.integration_time,
-                  reports=tuple(
-                      TargetReport(frame_index=rep.frame_index, t=rep.t,
-                                   snr=rep.snr, r=rep.r + 500.0, f=rep.f,
-                                   a=rep.a, truth_id=rep.truth_id)
-                      for rep in fr.reports))
+                  reports=report_array(
+                      fr.reports.t, fr.reports.snr, fr.reports.r + 500.0,
+                      fr.reports.f, fr.reports.a, fr.reports.truth_id))
             for fr in ideal_dwell.frames)
         shifted = Dwell(shifted_frames, phi0=ideal_dwell.phi0,
                         theta0=ideal_dwell.theta0,
@@ -148,12 +144,11 @@ class TestEstimateLoa:
         theta = np.array([s.theta for s in ideal_track.samples])
         raw = []
         for k, fr in enumerate(ideal_dwell.frames):
-            r = [rep.r for rep in fr.reports]
-            raw.append(frame_loa(min(r), max(r), phi[k], theta[k], 0.0))
+            r = fr.reports.r
+            raw.append(frame_loa(r.min(), r.max(), phi[k], theta[k], 0.0))
         one_beam = beam_rule(float(np.median(raw)))
         one_pass = float(np.median([
-            frame_loa(min([rep.r for rep in fr.reports]),
-                      max([rep.r for rep in fr.reports]),
+            frame_loa(fr.reports.r.min(), fr.reports.r.max(),
                       phi[k], theta[k], one_beam)
             for k, fr in enumerate(ideal_dwell.frames)]))
         est = estimate_loa(ideal_dwell, ideal_track)

@@ -7,18 +7,14 @@ from hypothesis import strategies as st
 
 from isarpose.moments import (focus_regression, frame_moments,
                               moments_series, time_derivative)
-from isarpose.ship import Frame, TargetReport
+from isarpose.ship import Frame, report_array
 
 _finite = st.floats(min_value=-100.0, max_value=100.0,
                     allow_nan=False, allow_infinity=False)
 
 
 def _frame(r, f, a, snr=None, t=0.25):
-    snr = [20.0] * len(r) if snr is None else snr
-    reports = tuple(
-        TargetReport(frame_index=0, t=t, snr=float(s), r=float(ri),
-                     f=float(fi), a=float(ai))
-        for ri, fi, ai, s in zip(r, f, a, snr))
+    reports = report_array(t, 20.0 if snr is None else snr, r, f, a)
     return Frame(index=0, t=t, integration_time=0.5, reports=reports)
 
 

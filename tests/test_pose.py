@@ -8,7 +8,7 @@ from isarpose.pose import (PEARLS_EPS, FrameClass, FrameSolution,
                            classify_frames, compose, invert_frame,
                            motion_matrix, report_noise)
 from isarpose.ship import (AngleSample, AngleTrack, Dwell, Frame,
-                           TargetReport)
+                           report_array)
 from isarpose.simulate import (ScenarioConfig, accel_of, build_angle_track,
                                make_ship, range_of, rate_of,
                                simulate_degraded, simulate_perfect)
@@ -16,8 +16,10 @@ from isarpose.validate import BadFitSeries
 from tests.conftest import LOA, PHI0, THETA0
 
 
-def _report(k, t, r, f, a, snr=20.0):
-    return TargetReport(frame_index=k, t=t, snr=snr, r=r, f=f, a=a)
+def _reports(rfa, t=0.25, snr=20.0):
+    """Reports from (r, f, a) rows."""
+    rfa = np.asarray(rfa, dtype=float).reshape(-1, 3)
+    return report_array(t, snr, rfa[:, 0], rfa[:, 1], rfa[:, 2])
 
 
 def _solution(k, scores, xyz="dummy", cls=FrameClass.INVALID):
@@ -115,7 +117,7 @@ class TestInvertFrame:
 
     def test_underpopulated_frame_invalid(self):
         frame = Frame(index=0, t=0.25, integration_time=0.5,
-                      reports=(_report(0, 0.25, 1.0, 0.0, 0.0),))
+                      reports=_reports([(1.0, 0.0, 0.0)]))
         mm = motion_matrix(AngleSample(t=0.25, phi=PHI0, theta=THETA0,
                                        phi_dot=0.01, theta_dot=0.01), 0.5)
         sol = invert_frame(frame, frame_moments(frame), mm, (0.25, 0.03, 0.01))
@@ -136,11 +138,10 @@ class TestInvertFrame:
     def test_pearls_score_uses_the_given_weighted_moments(self):
         # one loud report pulls the SNR-weighted range/rate correlation far
         # from the uniform one; the score must follow the moments passed in
-        reports = tuple(
-            _report(0, 0.25, r, f, a, snr=snr) for r, f, a, snr in (
-                (-10.0, -1.0, 0.1, 30.0), (-3.0, 0.5, -0.2, 12.0),
-                (2.0, 0.1, 0.05, 12.0), (11.0, 0.9, 0.0, 12.0),
-                (0.5, -0.6, 0.3, 12.0)))
+        reports = _reports([(-10.0, -1.0, 0.1), (-3.0, 0.5, -0.2),
+                            (2.0, 0.1, 0.05), (11.0, 0.9, 0.0),
+                            (0.5, -0.6, 0.3)],
+                           snr=np.array([30.0, 12.0, 12.0, 12.0, 12.0]))
         frame = Frame(index=0, t=0.25, integration_time=0.5, reports=reports)
         uniform = frame_moments(frame)
         weighted = frame_moments(frame, weighting="snr")
@@ -171,17 +172,14 @@ class TestInvertFrame:
             err = []
             for _ in range(400):
                 rfa = rfa0 + rng.normal(size=rfa0.shape) * np.array(noise)
-                reports = tuple(
-                    _report(0, 0.25, *map(float, row)) for row in rfa)
                 frame = Frame(index=0, t=0.25, integration_time=T,
-                              reports=reports)
+                              reports=_reports(rfa))
                 sol = invert_frame(frame, frame_moments(frame), mm, noise)
                 centered = truth - truth.mean(axis=0)
                 err.append(sol.xyz - centered)
             meas = np.concatenate(err).var(axis=0)
             clean = Frame(index=0, t=0.25, integration_time=T,
-                          reports=tuple(_report(0, 0.25, *map(float, row))
-                                        for row in rfa0))
+                          reports=_reports(rfa0))
             pred = invert_frame(clean, frame_moments(clean), mm,
                                 noise).noise_var
             ratios = meas / np.array(pred)
@@ -262,9 +260,8 @@ class TestCompose:
         z = [0.0, 2.0, 8.0]
         frames = []
         for k, td in enumerate((w, rate_b)):
-            reports = tuple(
-                _report(k, 0.25 + 0.5 * k, xi, -td * zi, 0.0)
-                for xi, zi in zip(x, z))
+            reports = _reports([(xi, -td * zi, 0.0) for xi, zi in zip(x, z)],
+                               t=0.25 + 0.5 * k)
             frames.append(Frame(index=k, t=0.25 + 0.5 * k,
                                 integration_time=0.5, reports=reports))
         dwell = Dwell(tuple(frames), phi0=0.0, theta0=0.0,

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from isarpose.ship import (AngleSample, AngleTrack, Dwell, Frame, Scatterer,
-                           ShipModel, TargetReport, ship_moments)
+from isarpose.ship import (REPORT_DTYPE, AngleSample, AngleTrack, Dwell,
+                           Frame, Scatterer, ShipModel, report_array,
+                           ship_moments)
 
 
 def test_scatterer_rejects_nonfinite_coordinates():
@@ -49,8 +50,8 @@ def test_angle_track_requires_uniform_increasing_times():
 
 def test_dwell_requires_uniform_frame_times():
     def frame(k, t):
-        rep = TargetReport(frame_index=k, t=t, snr=20.0, r=0.0, f=0.0, a=0.0)
-        return Frame(index=k, t=t, integration_time=0.5, reports=(rep,))
+        rep = report_array(t, [20.0], 0.0, 0.0, 0.0)
+        return Frame(index=k, t=t, integration_time=0.5, reports=rep)
 
     frames = (frame(0, 0.25), frame(1, 0.75), frame(2, 1.25))
     Dwell(frames, phi0=0.5, theta0=0.3, range_resolution=0.5,
@@ -58,6 +59,33 @@ def test_dwell_requires_uniform_frame_times():
     with pytest.raises(ValueError):
         Dwell((frame(0, 0.25), frame(1, 0.8)), phi0=0.5, theta0=0.3,
               range_resolution=0.5, frame_interval=0.5)
+
+
+def test_report_array_broadcasts_columns():
+    reps = report_array(0.25, 20.0, [1.0, 2.0], [0.5, -0.5], 0.0)
+    assert reps.dtype == REPORT_DTYPE
+    assert reps.r.tolist() == [1.0, 2.0]
+    assert reps.snr.tolist() == [20.0, 20.0]
+    assert reps.truth_id.tolist() == [-1, -1]
+
+
+@pytest.mark.parametrize("field", ["t", "snr", "r", "f", "a"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_frame_rejects_nonfinite_column(field, value):
+    reps = report_array(0.25, 20.0, [1.0, 2.0, 3.0], 0.0, 0.0)
+    reps[field][1] = value
+    with pytest.raises(ValueError, match="frame 4: report fields must be finite"):
+        Frame(index=4, t=0.25, integration_time=0.5, reports=reps)
+
+
+def test_frame_holds_a_read_only_record_array():
+    with pytest.raises(ValueError, match="REPORT_DTYPE"):
+        Frame(index=0, t=0.25, integration_time=0.5,
+              reports=np.zeros((3, 5)))
+    fr = Frame(index=0, t=0.25, integration_time=0.5,
+               reports=report_array(0.25, 20.0, [1.0, 2.0], 0.0, 0.0))
+    with pytest.raises(ValueError):
+        fr.reports.r[0] = 5.0
 
 
 def test_ship_moments_match_hand_computation():

@@ -126,11 +126,12 @@ class TestPerfectReports:
             frame = dwell.frames[k]
             samp = track.samples[k]
             assert len(frame.reports) == len(ship.scatterers)
-            for rep in frame.reports:
-                s = ship.scatterers[rep.truth_id]
-                assert rep.r == pytest.approx(range_of(s, samp), abs=1e-12)
-                assert rep.f == pytest.approx(rate_of(s, samp), abs=1e-12)
-                assert rep.a == pytest.approx(accel_of(s, samp), abs=1e-12)
+            reps = frame.reports
+            for i, r, f, a in zip(reps.truth_id, reps.r, reps.f, reps.a):
+                s = ship.scatterers[i]
+                assert r == pytest.approx(range_of(s, samp), abs=1e-12)
+                assert f == pytest.approx(rate_of(s, samp), abs=1e-12)
+                assert a == pytest.approx(accel_of(s, samp), abs=1e-12)
 
     def test_dwell_carries_scenario_metadata(self):
         cfg = _cfg()
@@ -149,9 +150,9 @@ class TestDegradedReports:
         perfect = simulate_perfect(ship, track, cfg)
         degraded = simulate_degraded(ship, track, cfg)
         for fp, fd in zip(perfect.frames, degraded.frames):
-            assert [r.r for r in fd.reports] == [r.r for r in fp.reports]
-            assert [r.f for r in fd.reports] == [r.f for r in fp.reports]
-            assert [r.a for r in fd.reports] == [r.a for r in fp.reports]
+            assert fd.reports.r.tolist() == fp.reports.r.tolist()
+            assert fd.reports.f.tolist() == fp.reports.f.tolist()
+            assert fd.reports.a.tolist() == fp.reports.a.tolist()
 
     def test_same_seed_reproduces_reports_exactly(self):
         cfg = _cfg(noise=(0.3, 0.05, 0.02), fade_sigma=1.5)
@@ -159,7 +160,7 @@ class TestDegradedReports:
         track = build_angle_track(cfg)
         a = simulate_degraded(ship, track, cfg)
         b = simulate_degraded(ship, track, cfg)
-        assert all(fa.reports == fb.reports
+        assert all(fa.reports.tobytes() == fb.reports.tobytes()
                    for fa, fb in zip(a.frames, b.frames))
 
     def test_noise_standard_deviation_is_calibrated(self):
@@ -168,10 +169,9 @@ class TestDegradedReports:
         track = build_angle_track(cfg)
         perfect = simulate_perfect(ship, track, cfg)
         degraded = simulate_degraded(ship, track, cfg)
-        resid = np.array([
-            rd.r - rp.r
-            for fp, fd in zip(perfect.frames, degraded.frames)
-            for rp, rd in zip(fp.reports, fd.reports)])
+        resid = np.concatenate([
+            fd.reports.r - fp.reports.r
+            for fp, fd in zip(perfect.frames, degraded.frames)])
         assert np.std(resid) == pytest.approx(0.5, rel=0.05)
         assert abs(np.mean(resid)) < 0.02
 
@@ -182,8 +182,7 @@ class TestDegradedReports:
         track = build_angle_track(cfg)
         dwell = simulate_degraded(ship, track, cfg)
         assert all(len(fr.reports) == 4 for fr in dwell.frames)
-        assert all(rep.snr >= 22.0
-                   for fr in dwell.frames for rep in fr.reports)
+        assert all((fr.reports.snr >= 22.0).all() for fr in dwell.frames)
 
     def test_injected_reports_stay_inside_their_window(self):
         spec = DegradationSpec(kind="bogey", t_start=5.0, t_stop=9.0)
@@ -205,10 +204,10 @@ class TestDegradedReports:
         cfg = _cfg(injectors=(spec,))
         ship = make_ship(60.0, n_scatterers=10)
         dwell = simulate_degraded(ship, build_angle_track(cfg), cfg)
-        injected = [rep for fr in dwell.frames for rep in fr.reports
-                    if rep.truth_id is None]
-        assert injected
-        assert all(2.0 <= rep.t < 6.0 for rep in injected)
+        injected = np.concatenate([fr.reports[fr.reports.truth_id < 0]
+                                   for fr in dwell.frames])
+        assert len(injected)
+        assert ((2.0 <= injected["t"]) & (injected["t"] < 6.0)).all()
 
     @pytest.mark.parametrize("kind", ["bogey", "narrowband_interference",
                                       "broadband_interference"])
@@ -217,8 +216,7 @@ class TestDegradedReports:
         cfg = _cfg(injectors=(spec,))
         ship = make_ship(60.0, n_scatterers=10)
         dwell = simulate_degraded(ship, build_angle_track(cfg), cfg)
-        assert any(rep.truth_id is None
-                   for fr in dwell.frames for rep in fr.reports)
+        assert any((fr.reports.truth_id < 0).any() for fr in dwell.frames)
 
     def test_unknown_degradation_kind_rejected(self):
         with pytest.raises(ValueError):
