@@ -17,13 +17,13 @@ from .ship import (Scatterer, ShipModel, AngleSample, AngleTrack,
 from .simulate import (ScenarioConfig, DegradationSpec, range_of, rate_of,
                        accel_of, build_angle_track, simulate_perfect,
                        simulate_degraded, make_ship)
-from .moments import (FrameMoments, frame_moments, focus_regression,
-                      moments_series, time_derivative)
+from .moments import (MOMENT_DTYPE, frame_moments, moments_series,
+                      time_derivative)
 from .bands import BandSplit, chapeau_band_split, dominant_wave_period
 from .angles import (FitState, lowpass_aspect_solve, waveband_joint_fit,
                      estimate_angles, model_covariances, ModelCovariances)
-from .validate import (ConsistencyRecord, BadFitSeries, consistency_synth,
-                       badfit, crosscheck_focus)
+from .validate import (BadFitSeries, consistency_synth, badfit,
+                       crosscheck_focus)
 from .pose import (MotionMatrix, FrameSolution, CompositeImage, FrameClass,
                    motion_matrix, invert_frame, classify_frames, compose)
 from .length import (LengthEstimate, frame_loa, beam_rule, multipath_guard,
@@ -36,13 +36,11 @@ __all__ = [
     "report_array", "Frame", "Dwell", "ship_moments",
     "ScenarioConfig", "DegradationSpec", "range_of", "rate_of", "accel_of",
     "build_angle_track", "simulate_perfect", "simulate_degraded", "make_ship",
-    "FrameMoments", "frame_moments", "focus_regression", "moments_series",
-    "time_derivative",
+    "MOMENT_DTYPE", "frame_moments", "moments_series", "time_derivative",
     "BandSplit", "chapeau_band_split", "dominant_wave_period",
     "FitState", "lowpass_aspect_solve", "waveband_joint_fit",
     "estimate_angles", "model_covariances", "ModelCovariances",
-    "ConsistencyRecord", "BadFitSeries", "consistency_synth", "badfit",
-    "crosscheck_focus",
+    "BadFitSeries", "consistency_synth", "badfit", "crosscheck_focus",
     "MotionMatrix", "FrameSolution", "CompositeImage", "FrameClass",
     "motion_matrix", "invert_frame", "classify_frames", "compose",
     "LengthEstimate", "frame_loa", "beam_rule", "multipath_guard",

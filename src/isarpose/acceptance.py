@@ -80,10 +80,8 @@ def check_wave_motion_recovery() -> tuple[bool, str]:
         wa = chapeau_band_split(t, a, state.period).wave
         wb = chapeau_band_split(t, b, state.period).wave
         corrs.append(float(np.corrcoef(wa, wb)[0, 1]))
-    seed_period, _ = dominant_wave_period(
-        t, np.array([m.cov_rf for m in mom]),
-        np.array([m.cov_ff for m in mom]),
-        np.array([m.valid for m in mom]))
+    seed_period, _ = dominant_wave_period(t, mom.cov_rf, mom.cov_ff,
+                                          mom.valid)
     step = 0.05 * seed_period
     period_err = min(abs(state.period - 10.0), abs(state.period - 12.0))
     ok = (min(corrs) > 0.95 and period_err <= step + 1e-9 and elapsed < 10.0)
@@ -141,11 +139,11 @@ def check_covariance_closure() -> tuple[bool, str]:
     model = model_covariances(track, bsq, hsq)
     worst = 0.0
     pairs = (
-        (np.array([m.cov_rf for m in mom]), model.cov_rf),
-        (np.array([m.cov_ff for m in mom]), model.cov_ff),
-        (np.array([m.cov_ra for m in mom]), model.cov_ra),
-        (np.array([m.cov_fa for m in mom]), model.cov_fa),
-        (np.array([m.d_intrinsic for m in mom]), model.d),
+        (mom.cov_rf, model.cov_rf),
+        (mom.cov_ff, model.cov_ff),
+        (mom.cov_ra, model.cov_ra),
+        (mom.cov_fa, model.cov_fa),
+        (mom.d_intrinsic, model.d),
     )
     for data, ref in pairs:
         floor = 1e-3 * float(np.abs(ref).max())
@@ -164,13 +162,10 @@ def check_acceleration_consistency() -> tuple[bool, str]:
         track = build_angle_track(cfg)
         dwell = simulate_perfect(ship, track, cfg)
         rec = consistency_synth(moments_series(dwell))
-        ok = np.array([r.valid and np.isfinite(r.cov_ra_synth) for r in rec])
+        ok = rec.valid & np.isfinite(rec.cov_ra_synth)
         worst = 0.0
-        for meas, synth in (
-                (np.array([r.cov_ra_meas for r in rec]),
-                 np.array([r.cov_ra_synth for r in rec])),
-                (np.array([r.cov_fa_meas for r in rec]),
-                 np.array([r.cov_fa_synth for r in rec]))):
+        for meas, synth in ((rec.cov_ra_meas, rec.cov_ra_synth),
+                            (rec.cov_fa_meas, rec.cov_fa_synth)):
             m, s = meas[ok], synth[ok]
             rms = float(np.sqrt(np.mean((s - m) ** 2)))
             worst = max(worst, rms / float(m.max() - m.min()))
@@ -294,7 +289,7 @@ def check_confuser_gating() -> tuple[bool, str]:
     track_b = build_angle_track(cfg_b)
     mom_b, bf_b, loa_b = _noisy_pipeline(simulate_degraded(ship, track_b, cfg_b),
                                          cfg_b.phi0, cfg_b.theta0)
-    t = np.array([m.t for m in mom_b])
+    t = mom_b.t
     win = (t >= 20.0) & (t < 25.0)
     frac_win = float(bf_b.flagged[win].mean())
     frac_clean = float(bf_b.flagged[~win].mean())
@@ -399,10 +394,10 @@ def check_focus_agreement() -> tuple[bool, str]:
     model_l = model_covariances(track, bl, hl)
     fl = crosscheck_focus(mom_l, model_l.cov_rf, model_l.cov_ff,
                           model_l.cov_ra, model_l.cov_fa)
-    valid_l = np.array([m.valid for m in mom_l])
+    valid_l = mom_l.valid
     finite = all(bool(np.isfinite(a[valid_l]).all())
                  for a in (fl.a_r_data, fl.a_f_data, fl.a_r_out, fl.a_f_out))
-    crf2 = float(np.median([m.crf ** 2 for m in mom_l]))
+    crf2 = float(np.median(mom_l.crf ** 2))
     ok = (n_cond > 0 and fc.rms_r <= 0.10 and fc.rms_f <= 0.10 and finite)
     return ok, (f"focus RMS {fc.rms_r:.4f}/{fc.rms_f:.4f} over {n_cond} "
                 f"frames; line target crf^2={crf2:.4f} stays finite")

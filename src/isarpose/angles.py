@@ -530,11 +530,11 @@ def _assemble_track(t: np.ndarray, phi, theta, phid, thd, phidd, thdd) -> AngleT
     return AngleTrack(samples, dt=dt)
 
 
-def estimate_angles(mom_series, phi0: float, theta0: float,
+def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
                     *, period: float | None = None,
                     grid_points: int = 9,
                     grid_halfwidth: float = 0.2) -> tuple[AngleTrack, FitState]:
-    """Full angle history from a moments series.
+    """Full angle history from a moments_series table.
 
     Invalid frames are bridged by interpolation so the spectral machinery
     sees a uniform series. The wave period seeds from the strongest cov_rf
@@ -544,13 +544,12 @@ def estimate_angles(mom_series, phi0: float, theta0: float,
     the slow aspect solution is returned alone, tilt pinned at theta0, and
     the state is flagged 'no wave solution'.
     """
-    t = np.array([m.t for m in mom_series], dtype=float)
-    valid = np.array([m.valid for m in mom_series], dtype=bool)
+    t, valid = mom.t, mom.valid
     if valid.sum() < 8:
         raise ValueError("too few valid frames for angle estimation")
-    cov_rf = _interp_invalid(t, np.array([m.cov_rf for m in mom_series]), valid)
-    cov_ff = _interp_invalid(t, np.array([m.cov_ff for m in mom_series]), valid)
-    d_data = _interp_invalid(t, np.array([m.d_intrinsic for m in mom_series]), valid)
+    cov_rf = _interp_invalid(t, mom.cov_rf, valid)
+    cov_ff = _interp_invalid(t, mom.cov_ff, valid)
+    d_data = _interp_invalid(t, mom.d_intrinsic, valid)
     span = t[-1] - t[0]
 
     if period is None:

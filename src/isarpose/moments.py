@@ -13,34 +13,22 @@ string of pearls (rate a linear function of range).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ship import Dwell, Frame
 
 EPS_VAR = 1e-12
 
-
-@dataclass(frozen=True)
-class FrameMoments:
-    """Scaled covariances of one frame. valid=False when fewer than three
-    reports survive or the range spread is zero; numeric fields are then 0."""
-
-    t: float
-    n_targets: int
-    valid: bool
-    cov_rf: float = 0.0
-    cov_ff: float = 0.0
-    cov_ra: float = 0.0
-    cov_fa: float = 0.0
-    crf: float = 0.0
-    d_intrinsic: float = 0.0
-    r_var: float = 0.0
-    r_min: float = 0.0
-    r_max: float = 0.0
-    a_r: float = 0.0
-    a_f: float = 0.0
+MOMENT_DTYPE = np.dtype([
+    ("t", np.float64), ("n_targets", np.int64), ("valid", np.bool_),
+    ("cov_rf", np.float64), ("cov_ff", np.float64), ("cov_ra", np.float64),
+    ("cov_fa", np.float64), ("crf", np.float64), ("d_intrinsic", np.float64),
+    ("r_var", np.float64), ("r_min", np.float64), ("r_max", np.float64),
+    ("a_r", np.float64), ("a_f", np.float64)])
+"""Scaled covariances of one frame per record. valid is False when fewer
+than three reports survive or the range spread is zero; the numeric fields
+are then 0. a_r/a_f are the focus coefficients of the regression
+a ~ a_r * r + a_f * f over the frame's centered reports."""
 
 
 def snr_power(snr_db) -> np.ndarray:
@@ -56,55 +44,31 @@ def _weights(snr_db: np.ndarray, weighting: str) -> np.ndarray:
     raise ValueError(f"unknown weighting: {weighting}")
 
 
-def _columns(reports: np.recarray) -> tuple[np.ndarray, ...]:
-    # contiguous copies: BLAS sums a strided column's dot product in
-    # another order, which would move the last bits of every moment
-    return (np.array(reports.r), np.array(reports.f), np.array(reports.a))
+def _row(frame: Frame, weighting: str) -> tuple:
+    """One MOMENT_DTYPE record of a frame, as a tuple in field order.
 
-
-def focus_regression(reports: np.recarray,
-                     weights: np.ndarray | None = None) -> tuple[float, float]:
-    """Acceleration regressed on (range, rate): a ~ A_r * r + A_f * f.
-
-    Solves the centered normal equations directly:
-        A_r = (<ra><ff> - <fa><rf>) / Det,  A_f = (<fa><rr> - <ra><rf>) / Det
+    The focus coefficients solve the centered normal equations directly:
+        a_r = (<ra><ff> - <fa><rf>) / Det,  a_f = (<fa><rr> - <ra><rf>) / Det
     with Det = <rr><ff>(1 - crf^2). Near-collinear frames (crf^2 > 0.98) have
     Det shrunk toward zero, so the estimates are damped instead of exploding.
     """
-    r, f, a = _columns(reports)
-    w = np.ones_like(r) if weights is None else np.asarray(weights, dtype=float)
-    w = w / w.sum()
-    r = r - w @ r
-    f = f - w @ f
-    a = a - w @ a
-    rr = w @ (r * r)
-    ff = w @ (f * f)
-    rf = w @ (r * f)
-    ra = w @ (r * a)
-    fa = w @ (f * a)
-    if rr <= EPS_VAR or ff <= EPS_VAR:
-        return 0.0, 0.0
-    crf2 = rf * rf / (rr * ff)
-    det = rr * ff * max(1.0 - crf2, 0.02)
-    a_r = (ra * ff - fa * rf) / det
-    a_f = (fa * rr - ra * rf) / det
-    return float(a_r), float(a_f)
-
-
-def frame_moments(frame: Frame, weighting: str = "uniform") -> FrameMoments:
-    """Scaled covariances of a single frame; invalid when under-populated."""
     reports = frame.reports
-    if len(reports) < 3:
-        return FrameMoments(t=frame.t, n_targets=len(reports), valid=False)
+    n = len(reports)
+    invalid = (frame.t, n, False) + (0.0,) * (len(MOMENT_DTYPE) - 3)
+    if n < 3:
+        return invalid
     w = _weights(reports.snr, weighting)
     w = w / w.sum()
-    r, f, a = _columns(reports)
+    # contiguous copies: BLAS sums a strided column's dot product in
+    # another order, which would move the last bits of every moment
+    r, f, a = np.array(reports.r), np.array(reports.f), np.array(reports.a)
+    r_min, r_max = float(r.min()), float(r.max())
     r = r - w @ r
     f = f - w @ f
     a = a - w @ a
     rr = float(w @ (r * r))
     if rr <= EPS_VAR:
-        return FrameMoments(t=frame.t, n_targets=len(reports), valid=False)
+        return invalid
     ff = float(w @ (f * f))
     rf = float(w @ (r * f))
     ra = float(w @ (r * a))
@@ -112,18 +76,32 @@ def frame_moments(frame: Frame, weighting: str = "uniform") -> FrameMoments:
     cov_rf = rf / rr
     cov_ff = ff / rr
     crf = cov_rf / np.sqrt(cov_ff) if cov_ff > EPS_VAR else 0.0
-    a_r, a_f = focus_regression(reports, w)
-    return FrameMoments(
-        t=frame.t, n_targets=len(reports), valid=True,
-        cov_rf=cov_rf, cov_ff=cov_ff, cov_ra=ra / rr, cov_fa=fa / rr,
-        crf=float(crf), d_intrinsic=cov_ff - cov_rf ** 2, r_var=rr,
-        r_min=float(reports.r.min()), r_max=float(reports.r.max()),
-        a_r=a_r, a_f=a_f)
+    if ff <= EPS_VAR:
+        a_r = a_f = 0.0
+    else:
+        det = rr * ff * max(1.0 - rf * rf / (rr * ff), 0.02)
+        a_r = (ra * ff - fa * rf) / det
+        a_f = (fa * rr - ra * rf) / det
+    return (frame.t, n, True, cov_rf, cov_ff, ra / rr, fa / rr, crf,
+            cov_ff - cov_rf ** 2, rr, r_min, r_max, a_r, a_f)
 
 
-def moments_series(dwell: Dwell, weighting: str = "uniform") -> list[FrameMoments]:
-    """frame_moments over a dwell, order preserved, invalid frames kept."""
-    return [frame_moments(fr, weighting) for fr in dwell.frames]
+def _table(rows: list[tuple]) -> np.recarray:
+    out = np.array(rows, dtype=MOMENT_DTYPE).view(np.recarray)
+    out.flags.writeable = False
+    return out
+
+
+def frame_moments(frame: Frame, weighting: str = "uniform") -> np.record:
+    """Scaled covariances of a single frame as one MOMENT_DTYPE record;
+    invalid when under-populated."""
+    return _table([_row(frame, weighting)])[0]
+
+
+def moments_series(dwell: Dwell, weighting: str = "uniform") -> np.recarray:
+    """Read-only MOMENT_DTYPE record array, one record per frame in order,
+    invalid frames kept: mom.cov_rf is a column, mom[k] is frame k."""
+    return _table([_row(fr, weighting) for fr in dwell.frames])
 
 
 def time_derivative(t: np.ndarray, y: np.ndarray,

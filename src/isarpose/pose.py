@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .moments import FrameMoments, snr_power
+from .moments import snr_power
 from .motion import motion_rows
 from .ship import AngleSample, AngleTrack, Dwell, Frame
 from .validate import BadFitSeries
@@ -62,7 +62,6 @@ class FrameSolution:
     scores: tuple[float, float, float]
     frame_class: FrameClass
     cond: float
-    snr: np.ndarray | None = None
     flags: tuple[str, ...] = ()
 
 
@@ -96,13 +95,13 @@ def motion_matrix(sample: AngleSample, integration_time: float) -> MotionMatrix:
     return MotionMatrix(m=m, cond=cond, t=sample.t)
 
 
-def invert_frame(frame: Frame, mom: FrameMoments, mm: MotionMatrix,
+def invert_frame(frame: Frame, mom: np.record, mm: MotionMatrix,
                  noise: tuple[float, float, float],
                  cond_guard: float = COND_GUARD) -> FrameSolution:
     """Recover centered drydock coordinates for every report in a frame.
 
-    mom is the frame's moments under the run's weighting; its validity
-    gates the inversion and its crf sets the pearls score.
+    mom is the frame's moments record under the run's weighting; its
+    validity gates the inversion and its crf sets the pearls score.
 
     noise_var_k = sum_j (M^-1)_kj^2 sigma_j^2 propagates the report noise
     through the inversion. A condition number beyond cond_guard means the
@@ -131,13 +130,12 @@ def invert_frame(frame: Frame, mom: FrameMoments, mm: MotionMatrix,
     profile = float(var_xyz[2] / noise_var[2]) if noise_var[2] > 0 else np.inf
     plan = float(var_xyz[1] / noise_var[1]) if noise_var[1] > 0 else np.inf
     pearls = float(mom.crf ** 2 / (1.0 - mom.crf ** 2 + PEARLS_EPS))
-    snr = np.array(reports.snr)
     return FrameSolution(t=frame.t, frame_index=frame.index, xyz=xyz,
                          noise_var=(float(noise_var[0]), float(noise_var[1]),
                                     float(noise_var[2])),
                          scores=(profile, plan, pearls),
                          frame_class=_classify(profile, plan, pearls),
-                         cond=mm.cond, snr=snr)
+                         cond=mm.cond)
 
 
 def _classify(profile: float, plan: float, pearls: float,

@@ -302,14 +302,11 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs, mode: str) -> RunReport:
     except ValueError as exc:
         flags.append(f"length: {exc}")
 
-    t = np.array([m.t for m in mom])
-    valid = np.array([m.valid for m in mom])
+    t, cov_rf = mom.t, mom.cov_rf
     out.add_text("covariances.csv", _csv({
-        "t": t, "valid": valid,
-        "n_targets": [m.n_targets for m in mom],
-        "cov_rf": [m.cov_rf for m in mom], "cov_ff": [m.cov_ff for m in mom],
-        "cov_ra": [m.cov_ra for m in mom], "cov_fa": [m.cov_fa for m in mom],
-        "crf": [m.crf for m in mom], "d": [m.d_intrinsic for m in mom],
+        "t": t, "valid": mom.valid, "n_targets": mom.n_targets,
+        "cov_rf": cov_rf, "cov_ff": mom.cov_ff, "cov_ra": mom.cov_ra,
+        "cov_fa": mom.cov_fa, "crf": mom.crf, "d": mom.d_intrinsic,
         "model_cov_rf": model.cov_rf, "model_cov_ff": model.cov_ff,
         "model_d": model.d}))
     out.add_text("angles.csv", _csv({
@@ -322,11 +319,7 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs, mode: str) -> RunReport:
         "phi_wave_deg": np.degrees(state.phi_hat),
         "theta_wave_deg": np.degrees(state.theta_hat)}))
     out.add_text("consistency.csv", _csv({
-        "t": t, "valid": [r.valid for r in records],
-        "cov_ra_meas": [r.cov_ra_meas for r in records],
-        "cov_ra_synth": [r.cov_ra_synth for r in records],
-        "cov_fa_meas": [r.cov_fa_meas for r in records],
-        "cov_fa_synth": [r.cov_fa_synth for r in records]}))
+        "t": t, **{name: records[name] for name in records.dtype.names}}))
     out.add_text("badfit.csv", _csv({
         "t": t, "score": bf.score, "n_accel": bf.n_accel,
         "n_spread": bf.n_spread, "flagged": bf.flagged}))
@@ -345,7 +338,7 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs, mode: str) -> RunReport:
                   else np.full(len(mom), np.nan))
     out.add_text("length.csv", _csv({
         "t": t, "loa_frame": loa_series,
-        "r_min": [m.r_min for m in mom], "r_max": [m.r_max for m in mom],
+        "r_min": mom.r_min, "r_max": mom.r_max,
         "usable": np.isfinite(loa_series)}))
     for img in composites:
         base = f"composite_{img.kind.value.lower()}"
@@ -368,7 +361,7 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs, mode: str) -> RunReport:
                 "tilt rate": np.degrees(state.theta_dot)},
             "Estimated angle rates", ylabel="deg/s"))
         out.add_text("covariances.svg", svg_lines_text(
-            t, {"cov_rf data": np.array([m.cov_rf for m in mom]),
+            t, {"cov_rf data": cov_rf,
                 "cov_rf model": model.cov_rf},
             "Range/rate covariance: data vs model", ylabel="1/s"))
         out.add_text("badfit.svg", svg_lines_text(

@@ -13,33 +13,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import FrameMoments, time_derivative
+from .moments import time_derivative
 
 MAD_TO_SIGMA = 1.4826
 
-
-@dataclass(frozen=True)
-class ConsistencyRecord:
-    """Measured vs synthesized acceleration covariances for one frame."""
-
-    t: float
-    valid: bool
-    cov_ra_meas: float = 0.0
-    cov_fa_meas: float = 0.0
-    cov_ra_synth: float = 0.0
-    cov_fa_synth: float = 0.0
+CONSISTENCY_DTYPE = np.dtype([
+    ("valid", np.bool_), ("cov_ra_meas", np.float64),
+    ("cov_ra_synth", np.float64), ("cov_fa_meas", np.float64),
+    ("cov_fa_synth", np.float64)])
+"""Measured vs synthesized acceleration covariances, one record per frame;
+all 0 where valid is False."""
 
 
 @dataclass(frozen=True)
 class BadFitSeries:
-    """Per-frame fit-quality score; flagged where score > threshold."""
+    """Per-frame fit-quality score; flagged where score > threshold.
+    score is inf on frames the check cannot judge."""
 
-    t: np.ndarray
     score: np.ndarray
     n_accel: np.ndarray
     n_spread: np.ndarray
     flagged: np.ndarray
-    valid: np.ndarray
     threshold: float
 
 
@@ -51,7 +45,6 @@ class FocusCheck:
     collinear (pearls) regime, where the coefficients are well conditioned.
     """
 
-    t: np.ndarray
     a_r_data: np.ndarray
     a_f_data: np.ndarray
     a_r_out: np.ndarray
@@ -61,32 +54,28 @@ class FocusCheck:
     rms_f: float
 
 
-def consistency_synth(mom_series: list[FrameMoments]) -> list[ConsistencyRecord]:
+def consistency_synth(mom: np.recarray) -> np.recarray:
     """Acceleration covariances predicted from the range/rate covariances.
 
     For rigid motion the scaled covariances obey
         cov_ra = d/dt(cov_rf) - cov_ff + 2 cov_rf^2
         cov_fa = d/dt(cov_ff)/2 + cov_ff cov_rf
     so both come from the measured series alone, no model fit involved.
-    The derivatives are gap-aware and skip invalid frames.
+    The derivatives are gap-aware and skip invalid frames. mom is a
+    moments_series table; the result is a read-only CONSISTENCY_DTYPE
+    record array aligned with it.
     """
-    t = np.array([m.t for m in mom_series], dtype=float)
-    valid = np.array([m.valid for m in mom_series], dtype=bool)
-    cov_rf = np.array([m.cov_rf for m in mom_series], dtype=float)
-    cov_ff = np.array([m.cov_ff for m in mom_series], dtype=float)
+    t, valid, cov_rf, cov_ff = mom.t, mom.valid, mom.cov_rf, mom.cov_ff
     rf_dot = time_derivative(t, cov_rf, valid)
     ff_dot = time_derivative(t, cov_ff, valid)
-    out = []
-    for k, m in enumerate(mom_series):
-        ok = bool(valid[k] and np.isfinite(rf_dot[k]) and np.isfinite(ff_dot[k]))
-        if not ok:
-            out.append(ConsistencyRecord(t=m.t, valid=False))
-            continue
-        ra = rf_dot[k] - cov_ff[k] + 2.0 * cov_rf[k] ** 2
-        fa = 0.5 * ff_dot[k] + cov_ff[k] * cov_rf[k]
-        out.append(ConsistencyRecord(
-            t=m.t, valid=True, cov_ra_meas=m.cov_ra, cov_fa_meas=m.cov_fa,
-            cov_ra_synth=float(ra), cov_fa_synth=float(fa)))
+    ok = valid & np.isfinite(rf_dot) & np.isfinite(ff_dot)
+    out = np.recarray(len(mom), dtype=CONSISTENCY_DTYPE)
+    out.valid = ok
+    out.cov_ra_meas = np.where(ok, mom.cov_ra, 0.0)
+    out.cov_ra_synth = np.where(ok, rf_dot - cov_ff + 2.0 * cov_rf ** 2, 0.0)
+    out.cov_fa_meas = np.where(ok, mom.cov_fa, 0.0)
+    out.cov_fa_synth = np.where(ok, 0.5 * ff_dot + cov_ff * cov_rf, 0.0)
+    out.flags.writeable = False
     return out
 
 
@@ -101,9 +90,7 @@ def _mad_normalize(delta: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return z
 
 
-def badfit(mom_series: list[FrameMoments],
-           records: list[ConsistencyRecord],
-           d_out: np.ndarray,
+def badfit(mom: np.recarray, records: np.recarray, d_out: np.ndarray,
            threshold: float = 3.0) -> BadFitSeries:
     """Per-frame score 0.7 * n_accel + 0.3 * n_spread.
 
@@ -112,23 +99,21 @@ def badfit(mom_series: list[FrameMoments],
     normalized disagreement between the measured intrinsic spread d and the
     converged model's d_out. Normalization is median/MAD over valid frames,
     so a handful of contaminated frames cannot drag the scale. When no frame
-    is valid every frame is flagged.
+    is valid every frame is flagged. mom is a moments_series table and
+    records its consistency_synth table.
     """
-    t = np.array([m.t for m in mom_series], dtype=float)
-    n = len(mom_series)
+    n = len(mom)
     if len(records) != n or len(d_out) != n:
         raise ValueError("series lengths disagree")
-    valid = np.array([m.valid and r.valid for m, r in zip(mom_series, records)],
-                     dtype=bool)
+    valid = mom.valid & records.valid
     if not valid.any():
-        ones = np.ones(n)
-        return BadFitSeries(t=t, score=np.full(n, np.inf), n_accel=ones * np.inf,
-                            n_spread=ones * np.inf,
+        inf = np.full(n, np.inf)
+        return BadFitSeries(score=inf, n_accel=inf, n_spread=inf,
                             flagged=np.ones(n, dtype=bool),
-                            valid=np.zeros(n, dtype=bool), threshold=threshold)
-    d_ra = np.array([r.cov_ra_meas - r.cov_ra_synth for r in records])
-    d_fa = np.array([r.cov_fa_meas - r.cov_fa_synth for r in records])
-    d_d = np.array([m.d_intrinsic for m in mom_series]) - np.asarray(d_out)
+                            threshold=threshold)
+    d_ra = records.cov_ra_meas - records.cov_ra_synth
+    d_fa = records.cov_fa_meas - records.cov_fa_synth
+    d_d = mom.d_intrinsic - np.asarray(d_out)
     z_ra = _mad_normalize(d_ra, valid)
     z_fa = _mad_normalize(d_fa, valid)
     z_d = _mad_normalize(d_d, valid)
@@ -137,11 +122,11 @@ def badfit(mom_series: list[FrameMoments],
     score = 0.7 * n_accel + 0.3 * n_spread
     flagged = np.where(valid, score > threshold, True)
     score = np.where(valid, score, np.inf)
-    return BadFitSeries(t=t, score=score, n_accel=n_accel, n_spread=n_spread,
-                        flagged=flagged, valid=valid, threshold=threshold)
+    return BadFitSeries(score=score, n_accel=n_accel, n_spread=n_spread,
+                        flagged=flagged, threshold=threshold)
 
 
-def crosscheck_focus(mom_series: list[FrameMoments],
+def crosscheck_focus(mom: np.recarray,
                      model_cov_rf: np.ndarray, model_cov_ff: np.ndarray,
                      model_cov_ra: np.ndarray, model_cov_fa: np.ndarray,
                      pearls_limit: float = 0.9) -> FocusCheck:
@@ -152,12 +137,10 @@ def crosscheck_focus(mom_series: list[FrameMoments],
         a_f = (cov_fa - cov_ra cov_rf) / D,   D = cov_ff - cov_rf^2,
     with D floored at 0.02 cov_ff so both sides stay finite as the frame
     approaches a perfect range/rate line. Frames with crf^2 above
-    pearls_limit are excluded from the summary statistics.
+    pearls_limit are excluded from the summary statistics. The data side
+    is the a_r/a_f columns of the moments_series table mom.
     """
-    t = np.array([m.t for m in mom_series], dtype=float)
-    valid = np.array([m.valid for m in mom_series], dtype=bool)
-    a_r_data = np.array([m.a_r for m in mom_series], dtype=float)
-    a_f_data = np.array([m.a_f for m in mom_series], dtype=float)
+    a_r_data, a_f_data = mom.a_r, mom.a_f
     rf = np.asarray(model_cov_rf, dtype=float)
     ff = np.asarray(model_cov_ff, dtype=float)
     ra = np.asarray(model_cov_ra, dtype=float)
@@ -165,8 +148,7 @@ def crosscheck_focus(mom_series: list[FrameMoments],
     d_eff = np.maximum(ff - rf ** 2, 0.02 * ff)
     a_r_out = (ra * ff - fa * rf) / d_eff
     a_f_out = (fa - ra * rf) / d_eff
-    crf2 = np.array([m.crf ** 2 for m in mom_series])
-    conditioned = valid & (crf2 < pearls_limit)
+    conditioned = mom.valid & (mom.crf ** 2 < pearls_limit)
     if conditioned.any():
         def rel_rms(data, out):
             scale = max(float(np.sqrt(np.mean(out[conditioned] ** 2))), 1e-12)
@@ -176,6 +158,6 @@ def crosscheck_focus(mom_series: list[FrameMoments],
         rms_f = rel_rms(a_f_data, a_f_out)
     else:
         rms_r = rms_f = float("inf")
-    return FocusCheck(t=t, a_r_data=a_r_data, a_f_data=a_f_data,
+    return FocusCheck(a_r_data=a_r_data, a_f_data=a_f_data,
                       a_r_out=a_r_out, a_f_out=a_f_out,
                       conditioned=conditioned, rms_r=rms_r, rms_f=rms_f)

@@ -110,9 +110,8 @@ class TestEstimateLoa:
         n = len(ideal_dwell.frames)
         flagged = np.zeros(n, dtype=bool)
         flagged[:10] = True
-        bf = BadFitSeries(t=np.arange(n, dtype=float), score=np.zeros(n),
-                          n_accel=np.zeros(n), n_spread=np.zeros(n),
-                          flagged=flagged, valid=~flagged, threshold=3.0)
+        bf = BadFitSeries(score=np.zeros(n), n_accel=np.zeros(n),
+                          n_spread=np.zeros(n), flagged=flagged, threshold=3.0)
         est = estimate_loa(ideal_dwell, ideal_track, badfit_series=bf)
         assert est.frames_used == n - 10
 

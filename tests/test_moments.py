@@ -1,12 +1,14 @@
 """Scaled frame covariances, the focus regression, derivative helper."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isarpose.moments import (focus_regression, frame_moments,
-                              moments_series, time_derivative)
+from isarpose.moments import (MOMENT_DTYPE, frame_moments, moments_series,
+                              time_derivative)
 from isarpose.ship import Frame, report_array
 
 _finite = st.floats(min_value=-100.0, max_value=100.0,
@@ -79,32 +81,52 @@ def test_correlation_bounded_and_spread_nonnegative(rows):
         assert mom.d_intrinsic >= -1e-9 * max(1.0, abs(mom.cov_ff))
 
 
-def test_focus_regression_recovers_exact_plane():
+def test_focus_coefficients_recover_exact_plane():
     rng = np.random.default_rng(1)
     r = rng.normal(size=12)
     f = rng.normal(size=12)
     a = 0.4 * r - 1.2 * f
-    reports = _frame(r, f, a).reports
-    a_r, a_f = focus_regression(reports)
-    assert a_r == pytest.approx(0.4, abs=1e-9)
-    assert a_f == pytest.approx(-1.2, abs=1e-9)
+    mom = frame_moments(_frame(r, f, a))
+    assert mom.a_r == pytest.approx(0.4, abs=1e-9)
+    assert mom.a_f == pytest.approx(-1.2, abs=1e-9)
 
 
-def test_focus_regression_damped_near_collinearity():
+def test_focus_coefficients_damped_near_collinearity():
     # r and f on one line: the determinant floor keeps the output finite
     r = np.linspace(-4.0, 4.0, 9)
     f = 2.0 * r + 1e-6 * np.cos(np.arange(9))
     a = 0.3 * r
-    a_r, a_f = focus_regression(_frame(r, f, a).reports)
-    assert np.isfinite(a_r) and np.isfinite(a_f)
-    assert abs(a_r) < 1e3 and abs(a_f) < 1e3
+    mom = frame_moments(_frame(r, f, a))
+    assert np.isfinite(mom.a_r) and np.isfinite(mom.a_f)
+    assert abs(mom.a_r) < 1e3 and abs(mom.a_f) < 1e3
 
 
 def test_moments_series_preserves_order_and_invalid_slots(ideal_dwell):
-    mom = moments_series(ideal_dwell)
-    assert len(mom) == len(ideal_dwell.frames)
-    assert all(m.t == fr.t for m, fr in zip(mom, ideal_dwell.frames))
-    assert all(m.valid for m in mom)
+    # frame 7 keeps two reports: too few for moments, but it keeps its slot
+    frames = list(ideal_dwell.frames)
+    fr = frames[7]
+    frames[7] = dataclasses.replace(fr, reports=fr.reports[:2])
+    dwell = dataclasses.replace(ideal_dwell, frames=frames)
+    mom = moments_series(dwell)
+    assert mom.dtype == MOMENT_DTYPE and len(mom) == len(frames)
+    assert np.array_equal(mom.t, [f.t for f in frames])
+    assert np.flatnonzero(~mom.valid).tolist() == [7]
+    assert mom.n_targets[7] == 2
+    numeric = [n for n in MOMENT_DTYPE.names
+               if n not in ("t", "n_targets", "valid")]
+    assert all(mom[7][n] == 0.0 for n in numeric)
+    assert all(mom[n][6] != 0.0 for n in ("cov_rf", "cov_ff", "r_var"))
+    with pytest.raises(ValueError):
+        mom.cov_rf[0] = 1.0
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "snr"])
+def test_frame_moments_is_the_series_record(ideal_dwell, weighting):
+    mom = moments_series(ideal_dwell, weighting)
+    for k in (0, 7, len(mom) - 1):
+        one = frame_moments(ideal_dwell.frames[k], weighting)
+        assert one.dtype == MOMENT_DTYPE
+        assert one.tobytes() == mom[k].tobytes()
 
 
 class TestTimeDerivative:

@@ -32,9 +32,8 @@ def _solution(k, scores, xyz="dummy", cls=FrameClass.INVALID):
 def _badfit_flags(flagged):
     n = len(flagged)
     flagged = np.asarray(flagged, dtype=bool)
-    return BadFitSeries(t=0.5 * np.arange(n), score=np.zeros(n),
-                        n_accel=np.zeros(n), n_spread=np.zeros(n),
-                        flagged=flagged, valid=~flagged, threshold=3.0)
+    return BadFitSeries(score=np.zeros(n), n_accel=np.zeros(n),
+                        n_spread=np.zeros(n), flagged=flagged, threshold=3.0)
 
 
 def test_report_noise_sigma_laws():
