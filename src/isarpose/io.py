@@ -7,24 +7,30 @@ frame_index,t,snr_db,range_m,doppler_mps,accel_mps2 with an optional
 truth_id column; a doppler_width_mps column is accepted and ignored. Floats
 are written with shortest round-trip repr, so save -> load -> save is
 byte-identical. A frame's reports load as one slice of a REPORT_DTYPE
-record array; a malformed row, a non-finite field included, is named by
-its line number.
+record array. The report rows are parsed in one np.loadtxt pass and checked
+with whole-column masks; the first malformed line, a non-finite field
+included, is named by its line number. Numbers are ASCII decimals: '_'
+separators and a frame_index beyond int64 are rejected.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .ship import REPORT_DTYPE, Dwell, Frame
+from .ship import REPORT_DTYPE, Dwell, Frame, report_array
 
 FORMAT_NAME = "isar-dwell"
 FORMAT_VERSION = 1
 _COLUMNS = ("frame_index", "t", "snr_db", "range_m", "doppler_mps", "accel_mps2")
 _OPTIONAL = ("truth_id", "doppler_width_mps")
+_FLOATS = REPORT_DTYPE.names[:5]   # the five float report fields
+_BAD_TRUTH = -2   # parsed truth_id of a cell that is not blank and not a valid id
 
 
 def _exact_degrees(rad: float) -> float:
@@ -93,11 +99,98 @@ def _parse_header(line: str) -> dict:
     return header
 
 
+def _truth_cell(cell: str) -> int:
+    """One truth_id cell: -1 when blank, _BAD_TRUTH unless it is a
+    non-negative int64."""
+    try:
+        value = int(cell)
+    except ValueError:
+        return _BAD_TRUTH if cell.strip() else -1
+    return value if 0 <= value < 2 ** 63 else _BAD_TRUTH
+
+
+def _row_parser(cols: tuple[str, ...]):
+    """parse(rows): one record per row of frame_index, the five float
+    columns and, when the file has that column, truth_id. Raises
+    ValueError when a field does not parse."""
+    fields = [("frame_index", np.int64)] + [(n, np.float64) for n in _FLOATS]
+    usecols = list(range(len(_COLUMNS)))
+    converters = None
+    if "truth_id" in cols:
+        fields.append(("truth_id", np.int64))
+        usecols.append(cols.index("truth_id"))
+        converters = {usecols[-1]: _truth_cell}
+    dtype = np.dtype(fields)
+
+    def parse(rows: list[str]) -> np.ndarray:
+        if not rows:   # loadtxt warns on empty input
+            return np.zeros(0, dtype)
+        with warnings.catch_warnings():
+            # NumPy 1.x reads "1.0" as an int64 with only this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(rows, dtype=dtype, delimiter=",",
+                              comments=None, usecols=usecols,
+                              converters=converters, ndmin=1)
+    return parse
+
+
+def _first_unparsable(rows: list[str], parse) -> int:
+    """Index of the first row that parse rejects: blocks of 4096 rows are
+    parsed in turn, and the first failing block is searched in blocks of
+    256, 16 and 1."""
+    lo, step = 0, 4096
+    while step and lo < len(rows):
+        try:
+            parse(rows[lo:lo + step])
+            lo += step
+        except ValueError:
+            step //= 16
+    return lo
+
+
+def _numeric_error(row: str) -> str:
+    """Why a row's numeric fields do not parse, in the words of int() or
+    float() where they reject a field too."""
+    cells = row.split(",")
+    for conv, cell in zip((int,) + (float,) * 5, cells):
+        try:
+            conv(cell)
+        except ValueError as exc:
+            return str(exc)
+    return ("numbers must be ASCII decimals without '_' separators and "
+            "frame_index must fit in int64")
+
+
+def _check_rows(table: np.ndarray, truth: np.ndarray, line_no: np.ndarray,
+                n_frames: int, interval: float) -> None:
+    """Raise for the first row that breaks a report check. Within a row the
+    checks run in the order listed, so the message is the one a row-by-row
+    pass stopping at the first fault would give."""
+    idx, t = table["frame_index"], table["t"]
+    prev_idx = np.r_[-1, idx[:-1]]
+    prev_t = np.r_[-np.inf, t[:-1]]
+    finite = np.logical_and.reduce([np.isfinite(table[name]) for name in _FLOATS])
+    checks = (
+        (~finite, "report fields must be finite"),
+        ((idx < 0) | (idx >= n_frames), "frame_index {idx} outside 0..{last}"),
+        (idx < prev_idx, "frame_index decreases"),
+        ((t < prev_t) & (idx == prev_idx), "time decreases within a frame"),
+        (np.abs(t - (idx + 0.5) * interval) > 0.5 * interval,
+         "time {t} inconsistent with frame {idx}"),
+        (truth == _BAD_TRUTH, "bad truth_id"),
+    )
+    firsts = [(int(mask.argmax()), order)
+              for order, (mask, _) in enumerate(checks) if mask.any()]
+    if firsts:
+        k, order = min(firsts)
+        why = checks[order][1].format(idx=int(idx[k]), t=float(t[k]),
+                                      last=n_frames - 1)
+        raise ValueError(f"line {line_no[k]}: {why}")
+
+
 def load_dwell(path: str | Path) -> Dwell:
-    """Parse a dwell file; schema violations name the offending line."""
-    path = Path(path)
-    text = path.read_text()
-    lines = text.splitlines()
+    """Parse a dwell file; schema violations name the first offending line."""
+    lines = Path(path).read_text().splitlines()
     if len(lines) < 2:
         raise ValueError("line 1: file too short for header and column row")
     header = _parse_header(lines[0])
@@ -107,51 +200,39 @@ def load_dwell(path: str | Path) -> Dwell:
     for extra in cols[len(_COLUMNS):]:
         if extra not in _OPTIONAL:
             raise ValueError(f"line 2: unknown column '{extra}'")
-    i_truth = cols.index("truth_id") if "truth_id" in cols else None
 
     n_frames = int(header["n_frames"])
     interval = float(header["frame_interval"])
-    frame_of: list[int] = []
-    rows: list[tuple] = []
-    prev_idx, prev_t = -1, -math.inf
-    for ln, raw in enumerate(lines[2:], start=3):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        if len(parts) != len(cols):
-            raise ValueError(f"line {ln}: expected {len(cols)} fields, got {len(parts)}")
-        try:
-            idx = int(parts[0])
-            t, snr, r, f, a = map(float, parts[1:6])
-        except ValueError as exc:
-            raise ValueError(f"line {ln}: bad numeric field ({exc})") from exc
-        if not all(map(math.isfinite, (t, snr, r, f, a))):
-            raise ValueError(f"line {ln}: report fields must be finite")
-        if not 0 <= idx < n_frames:
-            raise ValueError(f"line {ln}: frame_index {idx} outside 0..{n_frames - 1}")
-        if idx < prev_idx:
-            raise ValueError(f"line {ln}: frame_index decreases")
-        if t < prev_t and idx == prev_idx:
-            raise ValueError(f"line {ln}: time decreases within a frame")
-        expect_t = (idx + 0.5) * interval
-        if abs(t - expect_t) > 0.5 * interval:
-            raise ValueError(f"line {ln}: time {t} inconsistent with frame {idx}")
-        truth = -1
-        if i_truth is not None and parts[i_truth].strip():
-            try:
-                truth = int(parts[i_truth])
-            except ValueError as exc:
-                raise ValueError(f"line {ln}: bad truth_id") from exc
-            if truth < 0:
-                raise ValueError(f"line {ln}: bad truth_id")
-        prev_idx, prev_t = idx, t
-        frame_of.append(idx)
-        rows.append((t, snr, r, f, a, truth))
+    body = lines[2:]
+    kept = np.fromiter(map(bool, map(str.strip, body)), bool, len(body))
+    rows = list(compress(body, kept))
+    line_no = np.flatnonzero(kept) + 3
+    # loadtxt ignores fields past usecols, so the field count is checked here
+    n_fields = np.fromiter(map(str.count, rows, repeat(",")), np.int64,
+                           len(rows)) + 1
+    # rows from `stop` on are not checked: row `stop` fails with `fault`
+    # unless an earlier row fails first
+    stop, fault = len(rows), None
+    wrong = np.flatnonzero(n_fields != len(cols))
+    if wrong.size:
+        stop = int(wrong[0])
+        fault = f"expected {len(cols)} fields, got {n_fields[stop]}"
+    parse = _row_parser(cols)
+    try:
+        table = parse(rows[:stop])
+    except ValueError:
+        stop = _first_unparsable(rows[:stop], parse)
+        fault = f"bad numeric field ({_numeric_error(rows[stop])})"
+        table = parse(rows[:stop])
+    truth = (table["truth_id"] if "truth_id" in table.dtype.names
+             else np.full(len(table), -1))
+    _check_rows(table, truth, line_no, n_frames, interval)
+    if fault is not None:
+        raise ValueError(f"line {line_no[stop]}: {fault}")
 
-    reports = np.array(rows, dtype=REPORT_DTYPE)
+    reports = report_array(*(table[name] for name in _FLOATS), truth)
     # rows arrive in frame order, so each frame is one slice of the array
-    bounds = np.searchsorted(np.array(frame_of, dtype=np.int64),
-                             np.arange(n_frames + 1))
+    bounds = np.searchsorted(table["frame_index"], np.arange(n_frames + 1))
     frames = tuple(
         Frame(index=k, t=(k + 0.5) * interval,
               integration_time=float(header["integration_time"]),

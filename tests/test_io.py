@@ -1,5 +1,6 @@
 """Dwell file round trips and schema diagnostics."""
 
+import itertools
 import math
 
 import numpy as np
@@ -191,6 +192,221 @@ class TestSchemaErrors:
         bad.write_text("{}\n")
         with pytest.raises(ValueError, match="line 1"):
             load_dwell(bad)
+
+    @pytest.mark.parametrize("line", [
+        "0,1_0.5,20.0,0.0,0.0,0.0",
+        "1_0,0.25,20.0,0.0,0.0,0.0",
+        "99999999999999999999,0.25,20.0,0.0,0.0,0.0",
+        "0.0,0.25,20.0,0.0,0.0,0.0",
+    ], ids=["float-underscore", "int-underscore", "int-beyond-int64",
+            "int-as-float"])
+    def test_narrow_number_grammar(self, tmp_path, line):
+        # float() and int() accept the first three, which the dwell grammar
+        # does not; neither accepts a frame_index written as a float
+        path, lines = self._lines(tmp_path)
+        lines[2] = line
+        self._expect(tmp_path, lines, "line 3: bad numeric field")
+
+
+# _fault puts one fault of a kind on the cells of frame `frame`'s line in
+# the six-frame dwell of _six_frame_lines (one report a frame, so frame k
+# sits on line k + 3). _FAULT_MESSAGES lists the kinds in the order a
+# line's checks run.
+def _fault(kind, cells, frame):
+    center = (frame + 0.5) * 0.5
+    if kind == "count":
+        cells.append("1")
+    elif kind == "numeric":
+        cells[2] = "abc"
+    elif kind == "finite":
+        cells[3] = "nan"
+    elif kind == "range":
+        cells[0] = "9"
+    elif kind == "index":
+        cells[:2] = [str(frame - 2), repr(center - 1.0)]
+    elif kind == "time":
+        cells[:2] = [str(frame - 1), repr(center - 0.6)]
+    elif kind == "frame_time":
+        cells[1] = repr(center + 0.3)
+    elif kind == "truth":
+        cells[6] = "-5"
+    return cells
+
+
+_FAULT_MESSAGES = {
+    "count": "expected 7 fields, got 8",
+    "numeric": "bad numeric field",
+    "finite": "report fields must be finite",
+    "range": "frame_index 9 outside 0..5",
+    "index": "frame_index decreases",
+    "time": "time decreases within a frame",
+    "frame_time": "time .* inconsistent with frame",
+    "truth": "bad truth_id",
+}
+
+
+def _six_frame_lines(tmp_path):
+    dwell = _dwell([[(20.0 + k, k, -k, 0.5)] for k in range(6)],
+                   truth_ids=[[k] for k in range(6)])
+    path = tmp_path / "six.csv"
+    save_dwell(dwell, path)
+    return path.read_text().splitlines()
+
+
+def _expect_first(tmp_path, lines, line_no, kind):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError,
+                       match=f"^line {line_no}: {_FAULT_MESSAGES[kind]}"):
+        load_dwell(bad)
+
+
+@pytest.mark.parametrize("first,second",
+                         list(itertools.permutations(_FAULT_MESSAGES, 2)))
+def test_first_bad_line_wins_across_fault_kinds(tmp_path, first, second):
+    """The earlier of two faulty lines is named, whichever check each
+    line fails and wherever those checks sit in the check order."""
+    lines = _six_frame_lines(tmp_path)
+    for kind, at in ((first, 5), (second, 7)):
+        lines[at - 1] = ",".join(_fault(kind, lines[at - 1].split(","),
+                                        at - 3))
+    _expect_first(tmp_path, lines, 5, first)
+
+
+def test_line_numbers_count_blank_lines(tmp_path):
+    lines = _six_frame_lines(tmp_path)
+    lines[4] = ",".join(_fault("truth", lines[4].split(","), 2))
+    _expect_first(tmp_path, lines[:3] + ["", "  "] + lines[3:], 7, "truth")
+
+
+@pytest.mark.parametrize("first,second", [
+    ("count", "numeric"), ("numeric", "finite"), ("finite", "range"),
+    ("range", "truth"), ("index", "truth"), ("time", "truth"),
+    ("frame_time", "truth")])
+def test_check_order_within_a_line(tmp_path, first, second):
+    lines = _six_frame_lines(tmp_path)
+    cells = _fault(second, lines[5].split(","), 3)
+    lines[5] = ",".join(_fault(first, cells, 3))
+    _expect_first(tmp_path, lines, 6, first)
+
+
+def _row_by_row(lines, n_frames, interval):
+    """The per-row reader the columnar loader replaced, kept as its
+    reference: the (frame_index, report) rows, or the first fault's
+    message."""
+    cols = tuple(c.strip() for c in lines[1].split(","))
+    rows, prev_idx, prev_t = [], -1, -math.inf
+    for ln, raw in enumerate(lines[2:], start=3):
+        if not raw.strip():
+            continue
+        parts = raw.split(",")
+        if len(parts) != len(cols):
+            return f"line {ln}: expected {len(cols)} fields, got {len(parts)}"
+        try:
+            idx = int(parts[0])
+            t, snr, r, f, a = map(float, parts[1:6])
+        except ValueError as exc:
+            return f"line {ln}: bad numeric field ({exc})"
+        if not all(map(math.isfinite, (t, snr, r, f, a))):
+            return f"line {ln}: report fields must be finite"
+        if not 0 <= idx < n_frames:
+            return f"line {ln}: frame_index {idx} outside 0..{n_frames - 1}"
+        if idx < prev_idx:
+            return f"line {ln}: frame_index decreases"
+        if t < prev_t and idx == prev_idx:
+            return f"line {ln}: time decreases within a frame"
+        if abs(t - (idx + 0.5) * interval) > 0.5 * interval:
+            return f"line {ln}: time {t} inconsistent with frame {idx}"
+        truth = -1
+        cell = parts[cols.index("truth_id")]
+        if cell.strip():
+            try:
+                truth = int(cell)
+            except ValueError:
+                return f"line {ln}: bad truth_id"
+            if truth < 0:
+                return f"line {ln}: bad truth_id"
+        prev_idx, prev_t = idx, t
+        rows.append((idx, t, snr, r, f, a, truth))
+    return rows
+
+
+@given(faults=st.lists(st.tuples(st.integers(0, 5),
+                                 st.sampled_from(sorted(_FAULT_MESSAGES))),
+                       max_size=3),
+       blanks=st.lists(st.integers(2, 8), max_size=2))
+@settings(deadline=None, max_examples=60)
+def test_columnar_loader_matches_row_by_row_reference(tmp_path_factory,
+                                                      faults, blanks):
+    lines = _six_frame_lines(tmp_path_factory.mktemp("io"))
+    for frame, kind in faults:
+        lines[frame + 2] = ",".join(_fault(kind, lines[frame + 2].split(","),
+                                           frame))
+    for at in sorted(blanks, reverse=True):
+        lines.insert(at, " ")
+    expected = _row_by_row(lines, 6, 0.5)
+    path = tmp_path_factory.mktemp("io") / "d.csv"
+    path.write_text("\n".join(lines) + "\n")
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as err:
+            load_dwell(path)
+        assert str(err.value) == expected
+    else:
+        back = load_dwell(path)
+        assert [(k,) + row for k, fr in enumerate(back.frames)
+                for row in fr.reports.tolist()] == expected
+
+
+def _plus_padded(cell):
+    if not cell or cell.startswith("-"):
+        return f" {cell} "
+    return f"  +{cell}\t"
+
+
+@pytest.mark.parametrize("variant", [
+    "blank-lines", "crlf", "no-final-newline", "blank-truth-cells",
+    "width-column-text", "signs-and-spaces"])
+def test_loose_inputs_load_to_the_clean_bytes(tmp_path, variant):
+    dwell = _dwell([[(20.0, 0.5, -1.25, 3.0), (21.0, 1e-12, 2.0, -0.0)],
+                    [], [(19.5, -4.4e8, 0.1 + 0.2, 7.0)]],
+                   truth_ids=[[0, -1], [], [3]])
+    clean = dwell_text(dwell)
+    head, cols, *rows = clean.splitlines()
+    if variant == "blank-lines":
+        text = "\n".join([head, cols, "", rows[0], "   \t", "", rows[1],
+                          " ", rows[2], "", ""]) + "\n"
+    elif variant == "crlf":
+        text = clean.replace("\n", "\r\n")
+    elif variant == "no-final-newline":
+        text = clean.rstrip("\n")
+    elif variant == "blank-truth-cells":
+        text = clean.replace(",\n", ", \t \n")
+    elif variant == "width-column-text":
+        cells = ["n/a", "", "1_0 x"]
+        text = "\n".join([head, cols + ",doppler_width_mps"]
+                         + [f"{r},{c}" for r, c in zip(rows, cells)]) + "\n"
+    else:
+        text = "\n".join([head, cols] + [
+            ",".join(map(_plus_padded, r.split(","))) for r in rows]) + "\n"
+    path = tmp_path / "loose.csv"
+    path.write_text(text, newline="")
+    back = load_dwell(path)
+    assert [fr.reports.tobytes() for fr in back.frames] == \
+        [fr.reports.tobytes() for fr in dwell.frames]
+    assert dwell_text(back) == clean
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tail", ["", "\n  \n\n"], ids=["bare", "blank-lines"])
+def test_zero_report_dwell_loads_empty_frames(tmp_path, tail):
+    dwell = _dwell([[], [], []])
+    text = dwell_text(dwell)
+    assert len(text.splitlines()) == 2
+    path = tmp_path / "empty.csv"
+    path.write_text(text + tail)
+    back = load_dwell(path)
+    assert [len(fr.reports) for fr in back.frames] == [0, 0, 0]
+    assert dwell_text(back) == text
 
 
 def test_pgm_bytes_are_peak_scaled():
