@@ -12,6 +12,9 @@ The estimation chain per candidate wave period:
 
 estimate_angles runs the chain over a grid of nine candidate periods around
 the spectral seed and keeps the candidate with the smallest joint residual.
+The joint fit is minimized by least_squares, a bounded Levenberg-Marquardt
+solver with a soft_l1 loss kept in this module, so the package needs NumPy
+alone.
 
 Angle conventions: aspect phi rotates the alongship axis in the slant plane,
 tilt theta is the grazing rotation. Mean angles phi0/theta0 are externally
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .bands import BandSplit, chapeau_band_split, chapeau_smooth, dominant_wave_period
 from .motion import motion_rows, range_rate_rows
@@ -34,6 +36,7 @@ MIN_ASPECT_DEG = 3.0    # below this mean aspect the slow solve is blind
 NPOLY = 3               # slow-correction polynomial degrees 1..3
 ANGLE_LIMIT = math.pi / 2 - 1e-6
 FD_REL_STEP = np.finfo(float).eps ** 0.5   # 2-point finite-difference step
+LM_TOL = 1e-6           # relative cost drop and scaled step that end the fit
 
 
 @dataclass(frozen=True)
@@ -221,8 +224,83 @@ def _pursuit_line(t: np.ndarray, resid: np.ndarray, w1: float,
     return float(2 * np.pi * fgrid[i])
 
 
+@dataclass(frozen=True)
+class LsqResult:
+    """Outcome of least_squares.
+
+    cost is the soft_l1 cost at x; nfev counts residual calls and njev
+    Jacobian calls. status 0 means the max_nfev budget ran out, 2 that an
+    accepted step lowered the cost by less than LM_TOL of it, 3 that the
+    scaled step fell below LM_TOL.
+    """
+
+    x: np.ndarray
+    cost: float
+    nfev: int
+    njev: int
+    status: int
+
+
+def least_squares(fun, x0: np.ndarray, jac, bounds: tuple[np.ndarray, np.ndarray],
+                  x_scale: np.ndarray, max_nfev: int, args: tuple = ()) -> LsqResult:
+    """Bounded Levenberg-Marquardt fit of fun(x, *args) under a soft_l1 loss.
+
+    Minimizes sum(sqrt(1 + f^2) - 1), the soft_l1 cost with f_scale 1, over
+    lb <= x <= ub in the scaled variables z = x / x_scale. Each iteration
+    reweights the Jacobian rows by sqrt(rho' + 2 rho'' f^2) = (1 + f^2)^-3/4
+    and the residuals by rho' / that = (1 + f^2)^1/4, which turns the
+    robust cost into an equivalent least-squares problem, and solves
+    (Jr^T Jr + mu I) dz = -Jr^T fr. The damping mu starts at 1e-3 times the
+    largest diagonal entry of Jr^T Jr and follows Nielsen's rule: after a
+    step that lowers the cost it scales by max(1/3, 1 - (2 rho - 1)^3),
+    where rho is the actual over the predicted reduction; after a rejected
+    step it grows by a factor that doubles with every rejection in a row.
+    Each trial point is clipped into the bounds, and the prediction is made
+    for the clipped step. jac(x, *args) returns the (m, n) Jacobian.
+    """
+    lb, ub = bounds
+    x = np.clip(np.asarray(x0, dtype=float), lb, ub)
+    f = fun(x, *args)
+    cost = float(np.sum(np.sqrt(1.0 + f * f) - 1.0))
+    nfev, njev, status = 1, 0, 0
+    mu, nu, g = None, 2.0, None
+    while nfev < max_nfev:
+        if g is None:
+            s = 1.0 + f * f
+            jr = jac(x, *args) * x_scale * (s ** -0.75)[:, None]
+            njev += 1
+            g = jr.T @ (f * s ** 0.25)
+            a = jr.T @ jr
+            if mu is None:
+                mu = 1e-3 * float(a.diagonal().max())
+        dz = np.linalg.solve(a + mu * np.eye(len(x)), -g)
+        x_new = np.clip(x + dz * x_scale, lb, ub)
+        dz = (x_new - x) / x_scale
+        if np.linalg.norm(dz) < LM_TOL * (LM_TOL + np.linalg.norm(x / x_scale)):
+            status = 3
+            break
+        f_new = fun(x_new, *args)
+        nfev += 1
+        cost_new = float(np.sum(np.sqrt(1.0 + f_new * f_new) - 1.0))
+        jdz = jr @ dz
+        predicted = -float(g @ dz + 0.5 * (jdz @ jdz))
+        rho = (cost - cost_new) / predicted if predicted > 0 else -1.0
+        if rho > 0:
+            stalled = cost - cost_new < LM_TOL * cost
+            x, f, cost, g = x_new, f_new, cost_new, None
+            mu *= max(1 / 3, 1 - (2 * rho - 1) ** 3)
+            nu = 2.0
+            if stalled:
+                status = 2
+                break
+        else:
+            mu *= nu
+            nu *= 2
+    return LsqResult(x=x, cost=cost, nfev=nfev, njev=njev, status=status)
+
+
 def _forward_steps(x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Forward-difference steps of the 2-point rule least_squares uses.
+    """Forward-difference steps of the classic 2-point rule.
 
     h = sqrt(eps) * sign(x) * max(1, |x|) with sign(0) = +1, flipped toward
     the interior where x + h leaves [lb, ub]. Every bounded interval of the
@@ -255,16 +333,18 @@ def waveband_joint_fit(cov_rf_wave: np.ndarray, d_wave: np.ndarray,
     is trimmed at each end before scoring, where the band split has edge
     support.
 
-    The solver gets a forward-difference Jacobian evaluated in one stacked
-    call: the base point and one probe per parameter form an
-    (npar + 1, npar) array, and the track, motion rows, covariances and
-    residuals all broadcast over that leading probe axis. The steps follow
-    the 2-point rule of least_squares itself (_forward_steps): h =
-    sqrt(eps) sign(x) max(1, |x|), turned toward the interior where x + h
-    leaves the bounds, divided by the representable dx = (x + h) - x. Each
-    probe row computes bit for bit what a lone residual call would, so the
-    Jacobian and therefore every iterate equal those of the solver's own
-    finite differences. On the 120-frame one-line fit (npar = 10) one
+    Each start is minimized by least_squares (bounded Levenberg-Marquardt,
+    soft_l1 loss, at most 400 residual calls); a start that runs out of
+    calls leaves the fit flagged 'wave fit did not converge'. The solver
+    gets a forward-difference Jacobian evaluated in one stacked call: the
+    base point and one probe per parameter form an (npar + 1, npar) array,
+    and the track, motion rows, covariances and residuals all broadcast
+    over that leading probe axis. The steps follow the 2-point rule
+    (_forward_steps): h = sqrt(eps) sign(x) max(1, |x|), turned toward the
+    interior where x + h leaves the bounds, divided by the representable
+    dx = (x + h) - x. Each probe row computes bit for bit what a lone
+    residual call would, so every column equals the forward difference of
+    two lone residual calls. On the 120-frame one-line fit (npar = 10) one
     Jacobian costs about three residual calls instead of ten.
 
     The closed-form per-frame quadratic (energy partition between aspect and
@@ -380,12 +460,11 @@ def waveband_joint_fit(cov_rf_wave: np.ndarray, d_wave: np.ndarray,
 
         best = None
         for x0 in starts:
-            # soft_l1 caps the pull of short corrupted stretches (confuser
-            # targets, interference bursts) without touching clean fits:
-            # normalized residuals sit well under f_scale on good data
+            # the soft_l1 loss caps the pull of short corrupted stretches
+            # (confuser targets, interference bursts) without touching clean
+            # fits: normalized residuals sit well under 1 on good data
             r = least_squares(resid, x0, jac=jac, bounds=(lb, ub),
-                              x_scale=xsc, method="trf", max_nfev=400,
-                              args=(nl,), loss="soft_l1", f_scale=1.0)
+                              x_scale=xsc, max_nfev=400, args=(nl,))
             if best is None or r.cost < best.cost:
                 best = r
         return best

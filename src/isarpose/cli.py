@@ -1,6 +1,7 @@
 """Command line entry point.
 
     isarpose simulate --config scenario.json --out outdir [--seed N]
+                      [--weighting uniform|snr]
     isarpose analyze  --input dwell.csv --out outdir [--config overrides.json]
                       [--emit-plots] [--period S] [--weighting uniform|snr]
     isarpose selftest [--list]
@@ -48,6 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory")
     p_sim.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
+    p_sim.add_argument("--weighting", choices=("uniform", "snr"),
+                       default="uniform")
 
     p_an = sub.add_parser("analyze", help="run the estimation pipeline on a dwell")
     p_an.add_argument("--input", required=True, help="dwell file")
@@ -113,7 +116,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "simulate":
             scenario = _load_json(args.config)
             config = RunConfig(mode="simulate", scenario=scenario,
-                               output_dir=args.output, seed=args.seed)
+                               output_dir=args.output, seed=args.seed,
+                               weighting=args.weighting)
             report = run(config)
             print(f"wrote {len(report.manifest)} files to {args.output}")
             return EXIT_OK

@@ -3,6 +3,9 @@
 import csv
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,6 +100,24 @@ class TestSimulate:
         assert not out.exists() or not any(out.iterdir())
 
 
+    def test_snr_weighting_reaches_simulate_analysis(self, sim_dir, tmp_path):
+        out = tmp_path / "sim-snr"
+        code = main(["simulate", "--config", _write_config(tmp_path, SCENARIO),
+                     "--out", str(out), "--weighting", "snr"])
+        assert code == 0
+        assert filecmp.cmp(out / "dwell.csv", sim_dir / "dwell.csv",
+                           shallow=False)
+        assert not filecmp.cmp(out / "covariances.csv",
+                               sim_dir / "covariances.csv", shallow=False)
+        again = tmp_path / "an-snr"
+        code = main(["analyze", "--input", str(out / "dwell.csv"),
+                     "--out", str(again), "--weighting", "snr"])
+        assert code == 0
+        match, mismatch, errors = filecmp.cmpfiles(
+            out, again, ANALYSIS_FILES, shallow=False)
+        assert not mismatch and not errors
+
+
 class TestAnalyze:
     def test_reproduces_simulate_analysis(self, sim_dir, tmp_path):
         out = tmp_path / "an"
@@ -160,6 +181,20 @@ class TestSelftest:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 10
         assert all(" " not in name for name in lines)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the package runs on NumPy alone; SciPy's import would dominate start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, isarpose.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verb_is_required():
