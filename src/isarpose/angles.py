@@ -10,11 +10,13 @@ The estimation chain per candidate wave period:
    slow-aspect correction, and the ship shape ratios bsq = <y^2>/<x^2>,
    hsq = <z^2>/<x^2> as bounded parameters (waveband_joint_fit);
 
-estimate_angles runs the chain over a grid of nine candidate periods around
-the spectral seed and keeps the candidate with the smallest joint residual.
-The joint fit is minimized by least_squares, a bounded Levenberg-Marquardt
-solver with a soft_l1 loss kept in this module, so the package needs NumPy
-alone.
+estimate_angles runs steps 1-2 for each of nine candidate periods around
+the spectral seed, then step 3 once for the whole grid, and keeps the
+candidate with the smallest joint residual. The joint fit is minimized by
+least_squares, a bounded Levenberg-Marquardt solver with a soft_l1 loss kept
+in this module, so the package needs NumPy alone. It runs a batch of starts
+in lockstep, so each fit stage covers every candidate in one call, and takes
+the analytic Jacobian of the joint residual (_cov_partials).
 
 Angle conventions: aspect phi rotates the alongship axis in the slant plane,
 tilt theta is the grazing rotation. Mean angles phi0/theta0 are externally
@@ -35,7 +37,6 @@ from .ship import AngleSample, AngleTrack
 MIN_ASPECT_DEG = 3.0    # below this mean aspect the slow solve is blind
 NPOLY = 3               # slow-correction polynomial degrees 1..3
 ANGLE_LIMIT = math.pi / 2 - 1e-6
-FD_REL_STEP = np.finfo(float).eps ** 0.5   # 2-point finite-difference step
 LM_TOL = 1e-6           # relative cost drop and scaled step that end the fit
 
 
@@ -226,103 +227,198 @@ def _pursuit_line(t: np.ndarray, resid: np.ndarray, w1: float,
 
 @dataclass(frozen=True)
 class LsqResult:
-    """Outcome of least_squares.
+    """Outcome of least_squares for a batch of B starts.
 
-    cost is the soft_l1 cost at x; nfev counts residual calls and njev
-    Jacobian calls. status 0 means the max_nfev budget ran out, 2 that an
-    accepted step lowered the cost by less than LM_TOL of it, 3 that the
-    scaled step fell below LM_TOL.
+    x is (B, npar); cost and status are (B,): the soft_l1 cost at x, and
+    status 0 when the start's max_nfev budget ran out, 2 when an accepted
+    step lowered its cost by less than LM_TOL of it, 3 when its scaled step
+    fell below LM_TOL. nfev and njev count the residual and Jacobian
+    evaluations of all starts together. For a 1-D x0, x is (npar,), cost a
+    float and status an int.
     """
 
     x: np.ndarray
-    cost: float
+    cost: np.ndarray | float
     nfev: int
     njev: int
-    status: int
+    status: np.ndarray | int
 
 
 def least_squares(fun, x0: np.ndarray, jac, bounds: tuple[np.ndarray, np.ndarray],
                   x_scale: np.ndarray, max_nfev: int, args: tuple = ()) -> LsqResult:
-    """Bounded Levenberg-Marquardt fit of fun(x, *args) under a soft_l1 loss.
+    """Bounded Levenberg-Marquardt fits under a soft_l1 loss, one per start,
+    run in lockstep.
 
-    Minimizes sum(sqrt(1 + f^2) - 1), the soft_l1 cost with f_scale 1, over
-    lb <= x <= ub in the scaled variables z = x / x_scale. Each iteration
-    reweights the Jacobian rows by sqrt(rho' + 2 rho'' f^2) = (1 + f^2)^-3/4
-    and the residuals by rho' / that = (1 + f^2)^1/4, which turns the
-    robust cost into an equivalent least-squares problem, and solves
-    (Jr^T Jr + mu I) dz = -Jr^T fr. The damping mu starts at 1e-3 times the
-    largest diagonal entry of Jr^T Jr and follows Nielsen's rule: after a
-    step that lowers the cost it scales by max(1/3, 1 - (2 rho - 1)^3),
-    where rho is the actual over the predicted reduction; after a rejected
-    step it grows by a factor that doubles with every rejection in a row.
-    Each trial point is clipped into the bounds, and the prediction is made
-    for the clipped step. jac(x, *args) returns the (m, n) Jacobian.
+    Each start minimizes sum(sqrt(1 + f^2) - 1), the soft_l1 cost with
+    f_scale 1, over lb <= x <= ub in the scaled variables z = x / x_scale.
+    Each iteration reweights the Jacobian rows by sqrt(rho' + 2 rho'' f^2) =
+    (1 + f^2)^-3/4 and the residuals by rho' / that = (1 + f^2)^1/4, which
+    turns the robust cost into an equivalent least-squares problem, and
+    solves (A + mu I) dz = -Jr^T fr with A = Jr^T Jr. The damping mu starts
+    at 1e-3 times the largest diagonal entry of A and follows Nielsen's
+    rule: after a step that lowers the cost it scales by
+    max(1/3, 1 - (2 rho - 1)^3), where rho is the actual over the predicted
+    reduction -(g.dz + dz.A.dz / 2); after a rejected step it grows by a
+    factor that doubles with every rejection in a row. Each trial point is
+    clipped into the bounds, and the prediction is made for the clipped
+    step.
+
+    x0 is (B, npar), and bounds and x_scale broadcast against it, so every
+    start may have its own. Each start keeps its own damping, budget of
+    max_nfev residual evaluations and stop status, and leaves the batch
+    when it stops. No arithmetic mixes two starts, so each ends bit for bit
+    where it would alone. A round makes one fun(x, rows, *args) call for the
+    starts that need a trial point and one jac(x, rows, *args) call for the
+    starts whose last step was accepted: rows are their indices in the
+    batch and x their (k, npar) points; the calls return (k, m) residuals
+    and a new (k, m, npar) Jacobian array, which the solver scales in
+    place. A 1-D x0 is a batch of one: fun(x, *args) and jac(x, *args) then
+    take that point and return (m,) and (m, npar), and the Jacobian is
+    copied before it is scaled.
     """
-    lb, ub = bounds
-    x = np.clip(np.asarray(x0, dtype=float), lb, ub)
-    f = fun(x, *args)
-    cost = float(np.sum(np.sqrt(1.0 + f * f) - 1.0))
-    nfev, njev, status = 1, 0, 0
-    mu, nu, g = None, 2.0, None
-    while nfev < max_nfev:
-        if g is None:
-            s = 1.0 + f * f
-            jr = jac(x, *args) * x_scale * (s ** -0.75)[:, None]
-            njev += 1
-            g = jr.T @ (f * s ** 0.25)
-            a = jr.T @ jr
-            if mu is None:
-                mu = 1e-3 * float(a.diagonal().max())
-        dz = np.linalg.solve(a + mu * np.eye(len(x)), -g)
-        x_new = np.clip(x + dz * x_scale, lb, ub)
-        dz = (x_new - x) / x_scale
-        if np.linalg.norm(dz) < LM_TOL * (LM_TOL + np.linalg.norm(x / x_scale)):
-            status = 3
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim == 2:
+        return _lockstep_lm(fun, x0, jac, bounds, x_scale, max_nfev, args)
+    res = _lockstep_lm(lambda x, rows, *a: fun(x[0], *a)[None], x0[None],
+                       lambda x, rows, *a: np.array(jac(x[0], *a))[None],
+                       bounds, x_scale, max_nfev, args)
+    return LsqResult(x=res.x[0], cost=float(res.cost[0]), nfev=res.nfev,
+                     njev=res.njev, status=int(res.status[0]))
+
+
+def _soft_l1(f: np.ndarray) -> np.ndarray:
+    return np.sum(np.sqrt(1.0 + f * f) - 1.0, axis=-1)
+
+
+def _normal_equations(j: np.ndarray, f: np.ndarray, xsc: np.ndarray):
+    # (Jr^T fr, Jr^T Jr) of the soft_l1-reweighted problem in the scaled
+    # variables; j, the (k, m, npar) Jacobian, is scaled in place
+    s = 1.0 + f * f
+    j *= xsc[:, None, :]
+    j *= (s ** -0.75)[..., None]
+    jt = np.swapaxes(j, 1, 2)
+    return (jt @ (f * s ** 0.25)[..., None])[..., 0], jt @ j
+
+
+def _lockstep_lm(fun, x0, jac, bounds, x_scale, max_nfev, args) -> LsqResult:
+    lb, ub = (np.broadcast_to(np.asarray(b, dtype=float), x0.shape) for b in bounds)
+    xsc = np.broadcast_to(np.asarray(x_scale, dtype=float), x0.shape)
+    nb, npar = x0.shape
+    x = np.clip(x0, lb, ub)
+    f = fun(x, np.arange(nb), *args)
+    cost = _soft_l1(f)
+    nfev = np.ones(nb, dtype=int)
+    njev = 0
+    status = np.zeros(nb, dtype=int)
+    live = np.ones(nb, dtype=bool)    # still iterating
+    stale = np.ones(nb, dtype=bool)   # Jacobian not yet taken at x
+    mu = np.full(nb, np.nan)
+    nu = np.full(nb, 2.0)
+    g = np.empty((nb, npar))
+    a = np.empty((nb, npar, npar))
+    eye = np.eye(npar)
+    while True:
+        live &= nfev < max_nfev
+        rows = np.flatnonzero(live & stale)
+        if rows.size:
+            g[rows], a[rows] = _normal_equations(
+                jac(x[rows], rows, *args), f[rows], xsc[rows])
+            njev += rows.size
+            first = rows[np.isnan(mu[rows])]
+            mu[first] = 1e-3 * a[first].diagonal(axis1=1, axis2=2).max(axis=-1)
+            stale[rows] = False
+        rows = np.flatnonzero(live)
+        if not rows.size:
             break
-        f_new = fun(x_new, *args)
-        nfev += 1
-        cost_new = float(np.sum(np.sqrt(1.0 + f_new * f_new) - 1.0))
-        jdz = jr @ dz
-        predicted = -float(g @ dz + 0.5 * (jdz @ jdz))
-        rho = (cost - cost_new) / predicted if predicted > 0 else -1.0
-        if rho > 0:
-            stalled = cost - cost_new < LM_TOL * cost
-            x, f, cost, g = x_new, f_new, cost_new, None
-            mu *= max(1 / 3, 1 - (2 * rho - 1) ** 3)
-            nu = 2.0
-            if stalled:
-                status = 2
-                break
-        else:
-            mu *= nu
-            nu *= 2
-    return LsqResult(x=x, cost=cost, nfev=nfev, njev=njev, status=status)
+        xr, sc = x[rows], xsc[rows]
+        dz = np.linalg.solve(a[rows] + mu[rows, None, None] * eye,
+                             -g[rows][..., None])[..., 0]
+        x_new = np.clip(xr + dz * sc, lb[rows], ub[rows])
+        dz = (x_new - xr) / sc
+        small = (np.linalg.norm(dz, axis=-1)
+                 < LM_TOL * (LM_TOL + np.linalg.norm(xr / sc, axis=-1)))
+        status[rows[small]] = 3
+        live[rows[small]] = False
+        rows, x_new, dz = rows[~small], x_new[~small], dz[~small]
+        if not rows.size:
+            continue
+        f_new = fun(x_new, rows, *args)
+        nfev[rows] += 1
+        cost_new = _soft_l1(f_new)
+        ad = (a[rows] @ dz[..., None])[..., 0]
+        predicted = -(np.sum(g[rows] * dz, axis=-1)
+                      + 0.5 * np.sum(dz * ad, axis=-1))
+        drop = cost[rows] - cost_new
+        rho = np.divide(drop, predicted, out=np.full_like(drop, -1.0),
+                        where=predicted > 0)
+        ok = rho > 0
+        up, rho = rows[ok], rho[ok]
+        stalled = drop[ok] < LM_TOL * cost[up]
+        x[up], f[up], cost[up] = x_new[ok], f_new[ok], cost_new[ok]
+        stale[up] = True
+        mu[up] *= np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3)
+        nu[up] = 2.0
+        status[up[stalled]] = 2
+        live[up[stalled]] = False
+        down = rows[~ok]
+        mu[down] *= nu[down]
+        nu[down] *= 2
+    return LsqResult(x=x, cost=cost, nfev=int(nfev.sum()), njev=njev,
+                     status=status)
 
 
-def _forward_steps(x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Forward-difference steps of the classic 2-point rule.
+def _cov_partials(phi, theta, phi_dot, theta_dot, bsq, hsq):
+    """Partial derivatives of the model (cov_rf, d) of _covs_of.
 
-    h = sqrt(eps) * sign(x) * max(1, |x|) with sign(0) = +1, flipped toward
-    the interior where x + h leaves [lb, ub]. Every bounded interval of the
-    wave fit is many steps wide, so a flipped step always fits.
+    Yields six (d cov_rf, d d) pairs, in (phi, theta, phi_dot, theta_dot,
+    bsq, hsq) order, shaped like the broadcast inputs. The chain rule runs
+    through F_ij = form(row_i, row_j) of the range row r and the rate row
+    v: cov_rf = F01 / F00 and d = F11 / F00 - cov_rf^2. Aspect turns the
+    (x0, y0) entries of both rows, d/dphi (p, q) = (q, -p); the rate row's
+    phi_dot and theta_dot partials are the range row's phi and theta ones.
     """
-    h = FD_REL_STEP * np.where(x >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-    xh = x + h
-    h[(xh < lb) | (xh > ub)] *= -1
-    return h
+    r, v = range_rate_rows(phi, theta, phi_dot, theta_dot)
+    ct, st = np.cos(theta), np.sin(theta)
+    cp, sp = np.cos(phi), np.sin(phi)
+
+    def form(p, q):
+        return p[0] * q[0] + p[1] * bsq * q[1] + p[2] * hsq * q[2]
+
+    r_th = (-st * cp, st * sp, -ct)
+    v_th = (-ct * cp * theta_dot + st * sp * phi_dot,
+            ct * sp * theta_dot + st * cp * phi_dot,
+            st * theta_dot)
+    p_along = 1.0 - bsq   # aspect partials weigh the x0, y0 terms 1 and -bsq
+    rr01 = r[0] * r[1]
+    f00 = form(r, r)
+    cov_rf, cov_ff = form(r, v) / f00, form(v, v) / f00
+
+    def pair(d00, d01, d11):
+        # partials of (cov_rf, d) from those of (F00, F01, F11)
+        d_rf = (d01 - cov_rf * d00) / f00
+        return d_rf, (d11 - cov_ff * d00) / f00 - 2 * cov_rf * d_rf
+
+    yield pair(2 * p_along * rr01, p_along * (r[1] * v[0] + r[0] * v[1]),
+               2 * p_along * v[0] * v[1])
+    yield pair(2 * form(r, r_th), form(r_th, v) + form(r, v_th),
+               2 * form(v, v_th))
+    yield pair(0.0, p_along * rr01, 2 * (v[0] * r[1] - bsq * v[1] * r[0]))
+    yield pair(0.0, form(r, r_th), 2 * form(v, r_th))
+    yield pair(r[1] ** 2, r[1] * v[1], v[1] ** 2)
+    yield pair(r[2] ** 2, r[2] * v[2], v[2] ** 2)
 
 
-def waveband_joint_fit(cov_rf_wave: np.ndarray, d_wave: np.ndarray,
-                       phi0: float, theta0: float,
-                       phi_mean_track: LowpassAspect | np.ndarray,
-                       *, t: np.ndarray, period: float,
-                       cov_rf_low: np.ndarray | None = None,
-                       d_low: np.ndarray | None = None,
+def waveband_joint_fit(t: np.ndarray, periods, splits_rf: list[BandSplit],
+                       splits_d: list[BandSplit], lows: list[LowpassAspect],
+                       phi0: float, theta0: float, *,
                        max_iter: int = 20) -> FitState:
-    """Joint wave-band fit of (cov_rf, d) for one candidate period.
+    """Joint wave-band fit of (cov_rf, d) over a grid of candidate periods.
 
-    Stage 1 fits a single sinusoid line near the candidate frequency shared
-    by aspect and tilt (two assignment seeds from the integrated wave band).
+    Candidate g has its period periods[g], the band splits splits_rf[g] and
+    splits_d[g] of cov_rf and d at that period, and the slow aspect
+    solution lows[g]; it fits the raw series low + wave + high. Stage 1
+    fits a single sinusoid line near the candidate frequency shared by
+    aspect and tilt (two assignment seeds from the integrated wave band).
     Stage 2 hunts the residual for a second line by matching pursuit and
     refits with both lines; the richer model is kept only if it lowers the
     cost. Line frequencies are free parameters bounded to a 0.75/span band
@@ -331,202 +427,216 @@ def waveband_joint_fit(cov_rf_wave: np.ndarray, d_wave: np.ndarray,
     count, so it must converge the last fraction itself). bsq is bounded to
     [0, 0.9] (P = 1 - bsq stays positive) and hsq to [0, 2]. Half a period
     is trimmed at each end before scoring, where the band split has edge
-    support.
+    support. Of two seeds the lower cost wins, the first on ties; of the
+    candidates the smallest residual_rms wins, the first on ties.
 
-    Each start is minimized by least_squares (bounded Levenberg-Marquardt,
-    soft_l1 loss, at most 400 residual calls); a start that runs out of
-    calls leaves the fit flagged 'wave fit did not converge'. The solver
-    gets a forward-difference Jacobian evaluated in one stacked call: the
-    base point and one probe per parameter form an (npar + 1, npar) array,
-    and the track, motion rows, covariances and residuals all broadcast
-    over that leading probe axis. The steps follow the 2-point rule
-    (_forward_steps): h = sqrt(eps) sign(x) max(1, |x|), turned toward the
-    interior where x + h leaves the bounds, divided by the representable
-    dx = (x + h) - x. Each probe row computes bit for bit what a lone
-    residual call would, so every column equals the forward difference of
-    two lone residual calls. On the 120-frame one-line fit (npar = 10) one
-    Jacobian costs about three residual calls instead of ten.
+    Each stage is one least_squares call (bounded Levenberg-Marquardt,
+    soft_l1 loss, at most 400 residual calls a start) over the starts of
+    every candidate: stage 1 over both seeds of all candidates, stage 2
+    over both seeds of the candidates where the pursuit found a second
+    line. A winner whose start ran out of calls is flagged 'wave fit did
+    not converge'. Residuals keep all 2n samples (cov_rf, then d) for
+    every candidate: samples outside a candidate's trimmed window weigh 0,
+    so its residual and Jacobian rows there are exactly 0. The Jacobian is
+    analytic: _cov_partials gives the partials of (cov_rf, d) in the track
+    (phi, theta, phi_dot, theta_dot) and in bsq, hsq, and each track
+    partial is multiplied by its parameter's basis column (u, u^2, u^3,
+    cos wt, sin wt, and the t-weighted terms of a line frequency w).
 
-    The closed-form per-frame quadratic (energy partition between aspect and
-    tilt) is evaluated afterwards as a diagnostic: it is iterated at most
-    max_iter times to a 1e-4 relative fixed point and its root series are
-    reported in quad_phi_hat/quad_theta_hat with the clamp count n_floored.
+    The track, the line series and the closed-form per-frame quadratic
+    (energy partition between aspect and tilt) are built for the winner
+    only. The quadratic is a diagnostic: it is iterated at most max_iter
+    times to a 1e-4 relative fixed point and its root series are reported
+    in quad_phi_hat/quad_theta_hat with the clamp count n_floored.
     """
     t = np.asarray(t, dtype=float)
-    cov_rf_wave = np.asarray(cov_rf_wave, dtype=float)
-    d_wave = np.asarray(d_wave, dtype=float)
-    if isinstance(phi_mean_track, LowpassAspect):
-        low = phi_mean_track
-    else:
-        pm = np.asarray(phi_mean_track, dtype=float)
-        rate = np.gradient(pm, t)
-        low = LowpassAspect(phi_mean=pm, rate=rate,
-                            accel=np.gradient(rate, t),
-                            steady_rate=float(rate.mean()),
-                            clamped=np.zeros(t.shape, dtype=bool))
-    cov_rf = cov_rf_wave + (0.0 if cov_rf_low is None else np.asarray(cov_rf_low))
-    d_data = d_wave + (0.0 if d_low is None else np.asarray(d_low))
-    flags: list[str] = list(low.flags)
-
-    dt = float(np.median(np.diff(t)))
-    w1 = 2 * np.pi / period
     n = len(t)
-    trim = int(round(0.5 * period / dt))
-    trim = max(0, min(trim, (n - 8) // 2))
-    sl = slice(trim, n - trim)
-    s_rf = max(float(np.std(cov_rf[sl])), 1e-12)
-    s_d = max(float(np.std(d_data[sl])), 1e-14)
-    tbar = t.mean()
-    u = t - tbar
-    a_int = _zero_mean_integral(t, -cov_rf_wave)
+    ncand = len(periods)
+    dt = float(np.median(np.diff(t)))
+    u = t - t.mean()
+    u2, u3 = u ** 2, u ** 3
+    w_band = 2 * np.pi * 0.75 / (t[-1] - t[0])
+    tp0, tt0 = math.tan(phi0), math.tan(theta0)
+
+    # per candidate: fitted series (cov_rf, d), window weights 1/std inside
+    # the trimmed window and 0 outside, and the slow aspect solution
+    data = np.array([[srf.wave + (srf.low + srf.high),
+                      sd.wave + (sd.low + sd.high)]
+                     for srf, sd in zip(splits_rf, splits_d)])
+    weight = np.zeros_like(data)
+    trims = []
+    for g, per in enumerate(periods):
+        trim = max(0, min(int(round(0.5 * per / dt)), (n - 8) // 2))
+        sl = slice(trim, n - trim)
+        weight[g, 0, sl] = 1.0 / max(float(np.std(data[g, 0, sl])), 1e-12)
+        weight[g, 1, sl] = 1.0 / max(float(np.std(data[g, 1, sl])), 1e-14)
+        trims.append(trim)
+    phi_means = np.array([low.phi_mean for low in lows])
+    rates = np.array([low.rate for low in lows])
 
     # parameter layout per line count nl:
     # [poly(3) | aspect a,b per line | tilt c,e per line | w per line | bsq, hsq]
-    # x may carry leading probe axes: every parameter enters as the column
-    # x[..., j, None], which broadcasts against the time axis
-    def freqs_of(x, nl):
-        return x[NPOLY + 4 * nl:NPOLY + 5 * nl]
-
-    u2, u3 = u ** 2, u ** 3
-
-    def track_of(x, nl, accel=True):
-        # (phi, theta, phi_dot, theta_dot[, phi_ddot, theta_ddot])
+    # x is (k, npar) for k starts of candidates c, or (npar,) for one start
+    # of candidate c; every parameter enters as x[..., j, None]
+    def track_of(x, c, nl, accel=False):
+        # ((phi, theta, phi_dot, theta_dot[, phi_ddot, theta_ddot]),
+        #  [(w, cos wt, sin wt) per line])
         def p(j):
             return x[..., j, None]
-        phi = low.phi_mean + p(0) * u + p(1) * u2 + p(2) * u3
-        phid = low.rate + p(0) + 2 * p(1) * u + 3 * p(2) * u2
+        phi = phi_means[c] + p(0) * u + p(1) * u2 + p(2) * u3
+        phid = rates[c] + p(0) + 2 * p(1) * u + 3 * p(2) * u2
         th = np.full_like(t, theta0)
         thd = np.zeros_like(t)
         if accel:
-            phidd = low.accel + 2 * p(1) + 6 * p(2) * u
+            phidd = lows[c].accel + 2 * p(1) + 6 * p(2) * u
             thdd = np.zeros_like(t)
+        trig = []
         for k in range(nl):
             w = p(NPOLY + 4 * nl + k)
             a, b = p(NPOLY + 2 * k), p(NPOLY + 1 + 2 * k)
-            c, e = p(NPOLY + 2 * nl + 2 * k), p(NPOLY + 1 + 2 * nl + 2 * k)
+            cc, e = p(NPOLY + 2 * nl + 2 * k), p(NPOLY + 1 + 2 * nl + 2 * k)
             cw, sw = np.cos(w * t), np.sin(w * t)
             phi = phi + a * cw + b * sw
             phid = phid + w * (-a * sw + b * cw)
-            th = th + c * cw + e * sw
-            thd = thd + w * (-c * sw + e * cw)
+            th = th + cc * cw + e * sw
+            thd = thd + w * (-cc * sw + e * cw)
             if accel:
                 phidd = phidd - w * w * (a * cw + b * sw)
-                thdd = thdd - w * w * (c * cw + e * sw)
-        if not accel:
-            return phi, th, phid, thd
-        return phi, th, phid, thd, phidd, thdd
+                thdd = thdd - w * w * (cc * cw + e * sw)
+            trig.append((w, cw, sw))
+        if accel:
+            return (phi, th, phid, thd, phidd, thdd), trig
+        return (phi, th, phid, thd), trig
 
-    def model_series(x, nl):
-        # model (cov_rf, d); they need only the range and rate rows
-        mrf, _, md = _covs_of(range_rate_rows(*track_of(x, nl, accel=False)),
+    def model_series(x, c, nl):
+        # model (cov_rf, d) stacked on axis -2; they need only the range and
+        # rate rows
+        mrf, _, md = _covs_of(range_rate_rows(*track_of(x, c, nl)[0]),
                               x[..., -2, None], x[..., -1, None])
-        return mrf, md
+        return np.stack([mrf, md], axis=-2)
 
-    def resid(x, nl):
-        mrf, md = model_series(x, nl)
-        return np.concatenate([(cov_rf - mrf)[..., sl] / s_rf,
-                               (d_data - md)[..., sl] / s_d], axis=-1)
+    def resid(x, rows, cand, nl):
+        c = cand[rows]
+        f = (data[c] - model_series(x, c, nl)) * weight[c]
+        return f.reshape(len(rows), -1)
 
-    span = t[-1] - t[0]
-    w_band = 2 * np.pi * 0.75 / span
+    def jac(x, rows, cand, nl):
+        c = cand[rows]
+        track, trig = track_of(x, c, nl)
+        # partials of the residual in each track quantity and in bsq, hsq
+        g_phi, g_th, g_phid, g_thd, g_bsq, g_hsq = (
+            np.stack(pair, axis=-2) * -weight[c]
+            for pair in _cov_partials(*track, x[:, -2, None], x[:, -1, None]))
+        jm = np.empty(g_phi.shape + (NPOLY + 5 * nl + 2,))
+        jm[..., 0] = g_phi * u + g_phid
+        jm[..., 1] = g_phi * u2 + g_phid * (2 * u)
+        jm[..., 2] = g_phi * u3 + g_phid * (3 * u2)
+        for k, (w, cw, sw) in enumerate(trig):
+            w, cw, sw = w[:, None], cw[:, None], sw[:, None]
+            wcw, wsw = w * cw, w * sw
+            ja, jc = NPOLY + 2 * k, NPOLY + 2 * nl + 2 * k
+            jm[..., ja] = g_phi * cw - g_phid * wsw
+            jm[..., ja + 1] = g_phi * sw + g_phid * wcw
+            jm[..., jc] = g_th * cw - g_thd * wsw
+            jm[..., jc + 1] = g_th * sw + g_thd * wcw
+            a, b, cc, e = (x[:, j, None, None] for j in (ja, ja + 1, jc, jc + 1))
+            # a line l = a cos wt + b sin wt adds l to its angle and w l_w to
+            # the rate, l_w = -a sin wt + b cos wt; their w partials are
+            # t l_w and l_w - w t l
+            lw_a, lw_t = b * cw - a * sw, e * cw - cc * sw
+            wt = w * t
+            jm[..., NPOLY + 4 * nl + k] = (
+                g_phi * (t * lw_a) + g_th * (t * lw_t)
+                + g_phid * (lw_a - wt * (a * cw + b * sw))
+                + g_thd * (lw_t - wt * (cc * cw + e * sw)))
+        jm[..., -2], jm[..., -1] = g_bsq, g_hsq
+        return jm.reshape(len(rows), 2 * n, -1)
 
-    def solve(ws0, starts):
-        nl = len(ws0)
+    def limits(w0):
+        # bounds and x_scale of starts whose lines start at w0, (k, nl)
+        k, nl = w0.shape
         npar = NPOLY + 5 * nl + 2
-        lb = -np.inf * np.ones(npar)
-        ub = np.inf * np.ones(npar)
-        lb[-2:] = 0.0
-        ub[-2], ub[-1] = 0.9, 2.0
-        xsc = np.ones(npar)
-        xsc[0], xsc[1], xsc[2] = 1e-3, 1e-5, 1e-6
-        xsc[NPOLY:NPOLY + 4 * nl] = 0.02
-        xsc[-2:] = 0.05
-        for k, w0 in enumerate(ws0):
-            j = NPOLY + 4 * nl + k
-            lb[j] = w0 - w_band
-            ub[j] = w0 + w_band
-            xsc[j] = 0.01 * w0
-        cols = np.arange(npar)
+        lb = np.full((k, npar), -np.inf)
+        ub = np.full((k, npar), np.inf)
+        lb[:, -2:] = 0.0
+        ub[:, -2], ub[:, -1] = 0.9, 2.0
+        xsc = np.ones((k, npar))
+        xsc[:, :NPOLY] = 1e-3, 1e-5, 1e-6
+        xsc[:, NPOLY:NPOLY + 4 * nl] = 0.02
+        xsc[:, -2:] = 0.05
+        freqs = slice(NPOLY + 4 * nl, NPOLY + 5 * nl)
+        lb[:, freqs] = w0 - w_band
+        ub[:, freqs] = w0 + w_band
+        xsc[:, freqs] = 0.01 * w0
+        return (lb, ub), xsc
 
-        def jac(x, nl):
-            # base point and one forward probe per parameter, all in one
-            # broadcast residual call
-            h = _forward_steps(x, lb, ub)
-            probes = np.tile(x, (npar + 1, 1))
-            probes[cols + 1, cols] = x + h
-            f = resid(probes, nl)
-            dx = (x + h) - x
-            return ((f[1:] - f[0]) / dx[:, None]).T
+    def solve(x0, w0, cand, nl):
+        # both seeds of each candidate in cand order; (x, cost, status) of
+        # the lower-cost seed of each, the first on ties. The soft_l1 loss
+        # caps the pull of short corrupted stretches (confuser targets,
+        # interference bursts) without touching clean fits: normalized
+        # residuals sit well under 1 on good data
+        bounds, xsc = limits(w0)
+        r = least_squares(resid, x0, jac, bounds, xsc, 400, args=(cand, nl))
+        pick = np.arange(0, len(cand), 2) + (r.cost[1::2] < r.cost[0::2])
+        return r.x[pick], r.cost[pick], r.status[pick]
 
-        best = None
-        for x0 in starts:
-            # the soft_l1 loss caps the pull of short corrupted stretches
-            # (confuser targets, interference bursts) without touching clean
-            # fits: normalized residuals sit well under 1 on good data
-            r = least_squares(resid, x0, jac=jac, bounds=(lb, ub),
-                              x_scale=xsc, max_nfev=400, args=(nl,))
-            if best is None or r.cost < best.cost:
-                best = r
-        return best
+    a_int = [_zero_mean_integral(t, -s.wave) for s in splits_rf]
 
-    def line_amp(w):
-        return 2 * np.mean(a_int * np.exp(-1j * w * t))
+    def line_amp(g, w):
+        return 2 * np.mean(a_int[g] * np.exp(-1j * w * t))
 
-    tp0, tt0 = math.tan(phi0), math.tan(theta0)
-
-    def seeds1(w):
+    def seeds(g, w, base=None):
+        # the two assignment seeds of a new line at w: 0 starts it on aspect,
+        # 1 on tilt. Added to a one-line base it becomes the second line,
+        # and the base's parameters move to their two-line places
+        nl = 1 if base is None else 2
+        z = line_amp(g, w)
         out = []
-        z = line_amp(w)
-        for assign in range(2):
-            x0 = np.zeros(NPOLY + 5 + 2)
-            x0[NPOLY + 4] = w
-            x0[-2] = x0[-1] = 0.02
-            if assign:
-                x0[NPOLY + 2] = z.real / tt0
-                x0[NPOLY + 3] = z.imag / tt0
-            else:
-                x0[NPOLY] = z.real / tp0
-                x0[NPOLY + 1] = z.imag / tp0
+        for assign, scale in enumerate((tp0, tt0)):
+            x0 = np.zeros(NPOLY + 5 * nl + 2)
+            x0[-2:] = 0.02
+            if base is not None:
+                x0[:NPOLY + 2] = base[:NPOLY + 2]   # poly, aspect a, b
+                x0[NPOLY + 4:NPOLY + 6] = base[NPOLY + 2:NPOLY + 4]   # tilt c, e
+                x0[NPOLY + 8] = base[NPOLY + 4]   # w
+                x0[-2:] = base[-2:]
+            x0[NPOLY + 5 * nl - 1] = w
+            # the new line's (a, b), or its (c, e) 2 nl places further
+            j = NPOLY + 2 * (nl - 1) + 2 * nl * assign
+            x0[j], x0[j + 1] = z.real / scale, z.imag / scale
             out.append(x0)
         return out
 
-    def seeds2(w2, base):
-        out = []
-        z = line_amp(w2)
-        w1_conv = freqs_of(base, 1)[0]
-        for assign in range(2):
-            x0 = np.zeros(NPOLY + 10 + 2)
-            x0[:NPOLY] = base[:NPOLY]
-            x0[NPOLY + 0:NPOLY + 2] = base[NPOLY + 0:NPOLY + 2]
-            x0[NPOLY + 4:NPOLY + 6] = base[NPOLY + 2:NPOLY + 4]
-            x0[NPOLY + 8] = w1_conv
-            x0[NPOLY + 9] = w2
-            x0[-2:] = base[-2:]
-            if assign:
-                x0[NPOLY + 6] = z.real / tt0
-                x0[NPOLY + 7] = z.imag / tt0
-            else:
-                x0[NPOLY + 2] = z.real / tp0
-                x0[NPOLY + 3] = z.imag / tp0
-            out.append(x0)
-        return out
+    w1 = 2 * np.pi / np.asarray(periods, dtype=float)
+    cand = np.repeat(np.arange(ncand), 2)
+    x0 = np.array([x for g in range(ncand) for x in seeds(g, w1[g])])
+    x1, cost, status = solve(x0, w1[cand, None], cand, 1)
+    xs, nls = list(x1), [1] * ncand
+    resid1 = data[:, 0] - model_series(x1, np.arange(ncand), 1)[:, 0]
+    second = []
+    for g in range(ncand):
+        w2 = _pursuit_line(t, resid1[g], float(x1[g, NPOLY + 4]))
+        if w2 is not None:
+            second.append((g, w2))
+    if second:
+        cand = np.repeat([g for g, _ in second], 2)
+        x0 = np.array([x for g, w2 in second for x in seeds(g, w2, x1[g])])
+        w0 = np.array([[x1[g, NPOLY + 4], w2] for g, w2 in second])
+        x2, cost2, status2 = solve(x0, np.repeat(w0, 2, axis=0), cand, 2)
+        for i, (g, _) in enumerate(second):
+            if cost2[i] < cost[g]:
+                xs[g], nls[g], cost[g], status[g] = x2[i], 2, cost2[i], status2[i]
 
-    nl = 1
-    best = solve([w1], seeds1(w1))
-    mrf = model_series(best.x, nl)[0]
-    w1_conv = float(freqs_of(best.x, 1)[0])
-    w2 = _pursuit_line(t, cov_rf - mrf, w1_conv)
-    if w2 is not None:
-        cand = solve([w1_conv, w2], seeds2(w2, best.x))
-        if cand.cost < best.cost:
-            best, nl = cand, 2
-
-    x = best.x
-    phi, th, phid, thd, phidd, thdd = track_of(x, nl)
-    ws_final = [float(w) for w in freqs_of(x, nl)]
+    rms = np.sqrt(2 * cost / (2 * np.maximum(n - 2 * np.array(trims), 1)))
+    win = int(np.argmin(rms))
+    x, nl, low = xs[win], nls[win], lows[win]
+    (phi, th, phid, thd, phidd, thdd), _ = track_of(x, win, nl, accel=True)
+    ws_final = [float(w) for w in x[NPOLY + 4 * nl:NPOLY + 5 * nl]]
     bsq, hsq = float(x[-2]), float(x[-1])
-    res_rms = float(np.sqrt(2 * best.cost / (2 * max(n - 2 * trim, 1))))
-    converged = bool(best.status > 0)
+    res_rms = float(rms[win])
+    converged = bool(status[win] > 0)
+    flags = list(low.flags)
     if not converged:
         flags.append("wave fit did not converge")
 
@@ -549,7 +659,7 @@ def waveband_joint_fit(cov_rf_wave: np.ndarray, d_wave: np.ndarray,
 
     # closed-form diagnostic: per-frame energy-partition quadratic
     phi_mean = low.phi_mean + phi_slow
-    a_w = _zero_mean_integral(t, -cov_rf_wave * denom)
+    a_w = _zero_mean_integral(t, -splits_rf[win].wave * denom)
     p_hat = P * np.tan(phi_mean) * math.cos(phi0)
     g_fit = phi_hat / math.cos(phi0)
     h_fit = theta_hat / math.cos(theta0)
@@ -618,8 +728,10 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
     Invalid frames are bridged by interpolation so the spectral machinery
     sees a uniform series. The wave period seeds from the strongest cov_rf
     line and is refined on a grid_points-wide grid spanning
-    +-grid_halfwidth; each candidate runs the whole chain and the smallest
-    joint residual wins. With no spectral line (calm water or short dwell)
+    +-grid_halfwidth: each candidate that fits three times inside the dwell
+    gets its band splits and slow aspect solution, and one
+    waveband_joint_fit over all of them keeps the smallest joint
+    residual. With no spectral line (calm water or short dwell)
     the slow aspect solution is returned alone, tilt pinned at theta0, and
     the state is flagged 'no wave solution'.
     """
@@ -660,23 +772,17 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
         return track, state
 
     grid = seed * np.linspace(1 - grid_halfwidth, 1 + grid_halfwidth, grid_points)
-    best: FitState | None = None
+    periods, splits_rf, splits_d, lows = [], [], [], []
     for per in grid:
         if span < 3 * per:
             continue
-        split_rf = chapeau_band_split(t, cov_rf, per)
-        split_d = chapeau_band_split(t, d_data, per)
-        low = lowpass_aspect_solve(t, -split_rf.low, phi0, 1.0)
-        # the baseline keeps the high band so the fit sees the raw series;
-        # only the wave band drives the line seeds and the diagnostics
-        state = waveband_joint_fit(split_rf.wave, split_d.wave, phi0, theta0,
-                                   low, t=t, period=float(per),
-                                   cov_rf_low=split_rf.low + split_rf.high,
-                                   d_low=split_d.low + split_d.high)
-        if best is None or state.residual_rms < best.residual_rms:
-            best = state
-    if best is None:
+        periods.append(float(per))
+        splits_rf.append(chapeau_band_split(t, cov_rf, per))
+        splits_d.append(chapeau_band_split(t, d_data, per))
+        lows.append(lowpass_aspect_solve(t, -splits_rf[-1].low, phi0, 1.0))
+    if not periods:
         raise ValueError("no candidate period fits inside the dwell")
+    best = waveband_joint_fit(t, periods, splits_rf, splits_d, lows, phi0, theta0)
     track = _assemble_track(best.t, best.phi, best.theta, best.phi_dot,
                             best.theta_dot, best.phi_ddot, best.theta_ddot)
     return track, best

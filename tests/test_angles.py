@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import isarpose.angles
-from isarpose.angles import (LM_TOL, _covs_of, _forward_steps, estimate_angles,
+from isarpose.angles import (LM_TOL, NPOLY, _covs_of, estimate_angles,
                              least_squares, lowpass_aspect_solve,
                              model_covariances, thin_ship_factors,
                              waveband_joint_fit)
@@ -63,8 +63,9 @@ def test_model_covariances_agree_with_simulated_moments(ideal_track,
 
 
 def test_covariance_kernel_broadcasts_exactly():
-    # the stacked Jacobian evaluates many parameter probes in one call; each
-    # stacked row must be bit for bit the row evaluated on its own
+    # the lockstep fit evaluates the residuals of many starts in one call;
+    # each start must get, bit for bit, the row it would get on its own, so
+    # that a batch fit ends where its lone fits would
     rng = np.random.default_rng(4)
     m, n = 7, 50
     ang = [0.7 + 0.05 * rng.standard_normal((m, n)),
@@ -88,48 +89,92 @@ def test_covariance_kernel_broadcasts_exactly():
             assert np.array_equal(stacked[i], single)
 
 
-class _Captured(Exception):
-    pass
+def _grid_inputs(moments, periods):
+    # the per-candidate arguments estimate_angles hands waveband_joint_fit
+    t = np.array([m.t for m in moments])
+    cov_rf = np.array([m.cov_rf for m in moments])
+    d = np.array([m.d_intrinsic for m in moments])
+    splits_rf = [chapeau_band_split(t, cov_rf, p) for p in periods]
+    splits_d = [chapeau_band_split(t, d, p) for p in periods]
+    lows = [lowpass_aspect_solve(t, -s.low, PHI0, 1.0) for s in splits_rf]
+    return t, list(periods), splits_rf, splits_d, lows
 
 
-def test_stacked_jacobian_matches_forward_differences(ideal_moments,
-                                                      monkeypatch):
-    # every stacked column must be, bit for bit, the forward difference of
-    # two lone residual calls with the _forward_steps step; bsq sits on its
-    # 0.9 upper bound, where that step must flip toward the interior
-    t = np.array([m.t for m in ideal_moments])
-    cov_rf = np.array([m.cov_rf for m in ideal_moments])
-    d = np.array([m.d_intrinsic for m in ideal_moments])
-    split_rf = chapeau_band_split(t, cov_rf, 11.0)
-    split_d = chapeau_band_split(t, d, 11.0)
-    low = lowpass_aspect_solve(t, -split_rf.low, PHI0, 1.0)
-    captured = {}
+@pytest.fixture(scope="module")
+def monkeypatch_module():
+    with pytest.MonkeyPatch.context() as mp:
+        yield mp
 
-    def capture(fun, x0, **kwargs):
-        captured.update(kwargs, fun=fun, x0=np.array(x0))
-        raise _Captured
 
-    monkeypatch.setattr(isarpose.angles, "least_squares", capture)
-    with pytest.raises(_Captured):
-        waveband_joint_fit(
-            split_rf.wave, split_d.wave, PHI0, THETA0, low, t=t, period=11.0,
-            cov_rf_low=split_rf.low + split_rf.high,
-            d_low=split_d.low + split_d.high)
-    fun, args = captured["fun"], captured["args"]
-    lb, ub = captured["bounds"]
-    x = captured["x0"]
-    x[-2] = 0.9
-    h = _forward_steps(x, lb, ub)
-    assert h[-2] < 0 < h[-1]
-    f0 = fun(x, *args)
-    cols = []
-    for j in range(len(x)):
-        xj = x.copy()
-        xj[j] += h[j]
-        cols.append((fun(xj, *args) - f0) / (xj[j] - x[j]))
-    stacked = captured["jac"](x, *args)
-    assert stacked.shape == (len(f0), len(x))
-    assert np.array_equal(stacked, np.stack(cols, axis=1))
+@pytest.fixture(scope="module")
+def recorded_stages(ideal_moments, monkeypatch_module):
+    # every least_squares call of one two-candidate grid fit, with its result
+    calls = []
+    real = isarpose.angles.least_squares
+
+    def record(fun, x0, jac, bounds, x_scale, max_nfev, args=()):
+        res = real(fun, x0, jac, bounds, x_scale, max_nfev, args)
+        calls.append(dict(fun=fun, jac=jac, bounds=bounds, x_scale=x_scale,
+                          args=args, res=res))
+        return res
+
+    monkeypatch_module.setattr(isarpose.angles, "least_squares", record)
+    waveband_joint_fit(*_grid_inputs(ideal_moments, (11.0, 12.0)),
+                       PHI0, THETA0)
+    return calls
+
+
+@pytest.mark.parametrize("nl", [1, 2])
+def test_analytic_jacobian_matches_central_differences(recorded_stages, nl):
+    # stage nl fits nl lines; check the converged points of the first
+    # candidate's two seeds, with bsq moved onto its 0.9 upper bound
+    stage = recorded_stages[nl - 1]
+    fun, args = stage["fun"], stage["args"]
+    rows = np.array([0, 1])
+    assert len(recorded_stages) == 2 and args[1] == nl
+    assert np.all(args[0][rows] == 0)
+    x = stage["res"].x[rows].copy()
+    x[:, -2] = 0.9
+    assert np.all(x[:, -2] == stage["bounds"][1][rows, -2])
+    analytic = stage["jac"](x, rows, *args)
+    f = fun(x, rows, *args)
+    npar = NPOLY + 5 * nl + 2
+    assert analytic.shape == f.shape + (npar,)
+    h = 1e-4 * stage["x_scale"][rows]
+    for j in range(npar):
+        step = np.zeros_like(x)
+        step[:, j] = h[:, j]
+        central = (fun(x + step, rows, *args)
+                   - fun(x - step, rows, *args)) / (2 * h[:, j, None])
+        peak = np.abs(central).max(axis=1, keepdims=True)
+        assert np.all(peak > 0)
+        assert np.all(np.abs(analytic[..., j] - central) <= 1e-6 * peak), j
+    # the 11 s candidate trims 11 samples (half a period) at each end of
+    # both the cov_rf and the d block, in the residuals and the Jacobian
+    n = f.shape[1] // 2
+    for blocks in (f.reshape(2, 2, n, 1), analytic.reshape(2, 2, n, npar)):
+        assert np.all(blocks[:, :, :11] == 0.0)
+        assert np.all(blocks[:, :, n - 11:] == 0.0)
+        assert np.all(np.any(blocks[:, :, 11:n - 11] != 0.0, axis=-1))
+
+
+def test_grid_fit_is_its_best_lone_candidate(ideal_moments):
+    # a grid fit returns, bit for bit, the candidate of least residual that
+    # a fit of that candidate alone returns
+    t, periods, splits_rf, splits_d, lows = _grid_inputs(
+        ideal_moments, (10.5, 11.5, 12.5))
+    grid = waveband_joint_fit(t, periods, splits_rf, splits_d, lows,
+                              PHI0, THETA0)
+    alone = [waveband_joint_fit(t, [p], [srf], [sd], [low], PHI0, THETA0)
+             for p, srf, sd, low in zip(periods, splits_rf, splits_d, lows)]
+    best = min(alone, key=lambda s: s.residual_rms)
+    assert len({s.residual_rms for s in alone}) == 3
+    for name in ("period", "lines", "bsq_est", "hsq_est", "residual_rms",
+                 "converged", "flags", "n_floored"):
+        assert getattr(grid, name) == getattr(best, name), name
+    for name in ("phi", "theta", "phi_dot", "theta_dot", "phi_ddot",
+                 "theta_ddot", "quad_theta_hat"):
+        assert np.array_equal(getattr(grid, name), getattr(best, name)), name
 
 
 class TestLeastSquares:
@@ -188,6 +233,56 @@ class TestLeastSquares:
         assert res.status > 0
         assert np.allclose(res.x, ref.x, rtol=0, atol=1e-4)
         assert res.cost == pytest.approx(ref.cost, rel=1e-6)
+
+    def test_batch_matches_lone_starts_bit_for_bit(self):
+        # each start of a batch ends where it ends alone, whatever its
+        # neighbours do: start 0 stops on the cost test (noisy data), 1 on
+        # the step test (exact data, zero cost), 2 and 3 on the budget; 3
+        # has its own bounds and x_scale and ends against a lower bound
+        t = np.linspace(0.0, 4.0, 40)
+        clean = 2.0 * np.exp(-0.7 * t) + 0.5
+        noise = 0.05 * np.random.default_rng(5).standard_normal(40)
+        ys = np.array([clean + noise, clean, clean - noise, clean])
+
+        def fun_of(y):
+            def fun(x, rows):
+                return (x[:, 0, None] * np.exp(-x[:, 1, None] * t)
+                        + x[:, 2, None] - y[rows])
+            return fun
+
+        def jac(x, rows):
+            e = np.exp(-x[:, 1, None] * t)
+            return np.stack([e, -x[:, 0, None] * t * e, np.ones_like(e)],
+                            axis=-1)
+
+        x0 = np.array([[1.0, 0.3, 0.0], [1.0, 0.3, 0.0], [30.0, 5.0, -3.0],
+                       [1.5, 0.5, 0.4]])
+        lb = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, -1.0], [0.0, 0.0, -5.0],
+                       [0.0, 0.0, 0.6]])
+        ub = np.array([[5.0, 2.0, 1.0], [5.0, 2.0, 1.0], [50.0, 9.0, 5.0],
+                       [5.0, 2.0, 1.0]])
+        xsc = np.array([[1.0, 0.1, 0.1], [1.0, 0.1, 0.1], [10.0, 1.0, 1.0],
+                        [0.5, 0.2, 0.1]])
+        batch = least_squares(fun_of(ys), x0, jac, (lb, ub), xsc, 12)
+        assert batch.status.tolist() == [2, 3, 0, 0]
+        assert batch.x[3, 2] == 0.6
+        nfev = njev = 0
+        for i in range(4):
+            one = slice(i, i + 1)
+            alone = least_squares(fun_of(ys[one]), x0[one], jac,
+                                  (lb[one], ub[one]), xsc[one], 12)
+            assert np.array_equal(alone.x[0], batch.x[i])
+            assert alone.cost[0] == batch.cost[i]
+            assert alone.status[0] == batch.status[i]
+            nfev, njev = nfev + alone.nfev, njev + alone.njev
+        assert (batch.nfev, batch.njev) == (nfev, njev)
+        # a 1-D x0 is a batch of one with single-start shapes
+        single = least_squares(lambda p: p[0] * np.exp(-p[1] * t) + p[2] - ys[0],
+                               x0[0], lambda p: jac(p[None], None)[0],
+                               (lb[0], ub[0]), xsc[0], 12)
+        assert np.array_equal(single.x, batch.x[0])
+        assert single.cost == batch.cost[0] and isinstance(single.cost, float)
+        assert single.status == 2 and isinstance(single.status, int)
 
     def test_budget_exhaustion_reports_status_zero(self):
         res = least_squares(lambda x: np.exp(x) - 3.0, np.array([5.0]),
