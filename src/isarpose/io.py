@@ -6,11 +6,14 @@ degrees; everything in memory is radians. Report rows are
 frame_index,t,snr_db,range_m,doppler_mps,accel_mps2 with an optional
 truth_id column; a doppler_width_mps column is accepted and ignored. Floats
 are written with shortest round-trip repr, so save -> load -> save is
-byte-identical. A frame's reports load as one slice of a REPORT_DTYPE
-record array. The report rows are parsed in one np.loadtxt pass and checked
-with whole-column masks; the first malformed line, a non-finite field
-included, is named by its line number. Numbers are ASCII decimals: '_'
-separators and a frame_index beyond int64 are rejected.
+byte-identical. Neither direction holds the file as one text. The writer
+gives one ASCII byte chunk per frame. The reader takes the report lines
+from the open file in blocks of _BLOCK_ROWS; each block is parsed by one
+np.loadtxt call, checked with whole-column masks and kept as one
+REPORT_DTYPE record array, which each of its frames slices (a frame that
+spans blocks joins its slices). The first malformed line, a non-finite
+field included, is named by its line number. Numbers are ASCII decimals:
+'_' separators and a frame_index beyond int64 are rejected.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from itertools import compress, repeat
+from collections import deque
+from itertools import compress, islice, repeat
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -31,6 +36,9 @@ _COLUMNS = ("frame_index", "t", "snr_db", "range_m", "doppler_mps", "accel_mps2"
 _OPTIONAL = ("truth_id", "doppler_width_mps")
 _FLOATS = REPORT_DTYPE.names[:5]   # the five float report fields
 _BAD_TRUTH = -2   # parsed truth_id of a cell that is not blank and not a valid id
+_BLOCK_ROWS = 8192   # report lines parsed and checked together
+_READ_CHARS = 1 << 18   # characters taken from the file per read
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"   # str.splitlines' breaks
 
 
 def _exact_degrees(rad: float) -> float:
@@ -47,10 +55,14 @@ def _exact_degrees(rad: float) -> float:
 
 
 def save_dwell(dwell: Dwell, path: str | Path) -> None:
-    Path(path).write_text(dwell_text(dwell))
+    with Path(path).open("wb") as fh:
+        fh.writelines(dwell_text(dwell))
 
 
-def dwell_text(dwell: Dwell) -> str:
+def dwell_text(dwell: Dwell) -> list[bytes]:
+    """The dwell file as ASCII byte chunks: the header and column rows,
+    then one chunk of report rows per frame. Written in order, the chunks
+    are the file."""
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -63,15 +75,18 @@ def dwell_text(dwell: Dwell) -> str:
     }
     with_truth = any((fr.reports.truth_id >= 0).any() for fr in dwell.frames)
     cols = _COLUMNS + (("truth_id",) if with_truth else ())
-    lines = [json.dumps(header, sort_keys=True), ",".join(cols)]
+    chunks = [f"{json.dumps(header, sort_keys=True)}\n{','.join(cols)}\n"
+              .encode("ascii")]
     for fr in dwell.frames:
+        rows = []
         # tolist() yields Python floats, whose repr is the shortest round trip
         for t, snr, r, f, a, truth in fr.reports.tolist():
             row = f"{fr.index},{t!r},{snr!r},{r!r},{f!r},{a!r}"
             if with_truth:
                 row += f",{truth}" if truth >= 0 else ","
-            lines.append(row)
-    return "\n".join(lines) + "\n"
+            rows.append(row + "\n")
+        chunks.append("".join(rows).encode("ascii"))
+    return chunks
 
 
 def _parse_header(line: str) -> dict:
@@ -134,6 +149,13 @@ def _row_parser(cols: tuple[str, ...]):
     return parse
 
 
+def _truth(table: np.ndarray) -> np.ndarray:
+    """The table's truth_id column, -1 throughout when the file has none."""
+    if "truth_id" in table.dtype.names:
+        return table["truth_id"]
+    return np.full(len(table), -1)
+
+
 def _first_unparsable(rows: list[str], parse) -> int:
     """Index of the first row that parse rejects: blocks of 4096 rows are
     parsed in turn, and the first failing block is searched in blocks of
@@ -162,13 +184,14 @@ def _numeric_error(row: str) -> str:
 
 
 def _check_rows(table: np.ndarray, truth: np.ndarray, line_no: np.ndarray,
-                n_frames: int, interval: float) -> None:
-    """Raise for the first row that breaks a report check. Within a row the
+                n_frames: int, interval: float, prev: tuple) -> None:
+    """Raise for the first row that breaks a report check; prev is the
+    (frame_index, t) of the row before the table's first. Within a row the
     checks run in the order listed, so the message is the one a row-by-row
     pass stopping at the first fault would give."""
     idx, t = table["frame_index"], table["t"]
-    prev_idx = np.r_[-1, idx[:-1]]
-    prev_t = np.r_[-np.inf, t[:-1]]
+    prev_idx = np.r_[prev[0], idx[:-1]]
+    prev_t = np.r_[prev[1], t[:-1]]
     finite = np.logical_and.reduce([np.isfinite(table[name]) for name in _FLOATS])
     checks = (
         (~finite, "report fields must be finite"),
@@ -188,25 +211,29 @@ def _check_rows(table: np.ndarray, truth: np.ndarray, line_no: np.ndarray,
         raise ValueError(f"line {line_no[k]}: {why}")
 
 
-def load_dwell(path: str | Path) -> Dwell:
-    """Parse a dwell file; schema violations name the first offending line."""
-    lines = Path(path).read_text().splitlines()
-    if len(lines) < 2:
-        raise ValueError("line 1: file too short for header and column row")
-    header = _parse_header(lines[0])
-    cols = tuple(c.strip() for c in lines[1].split(","))
-    if cols[:len(_COLUMNS)] != _COLUMNS:
-        raise ValueError(f"line 2: columns must start with {','.join(_COLUMNS)}")
-    for extra in cols[len(_COLUMNS):]:
-        if extra not in _OPTIONAL:
-            raise ValueError(f"line 2: unknown column '{extra}'")
+def _lines(f: TextIO) -> Iterator[str]:
+    """The lines str.splitlines() gives for the file's text, read
+    _READ_CHARS characters at a time. Newline translation has already
+    turned each CR LF into one LF, so no line break spans two reads."""
+    tail = ""
+    for piece in iter(lambda: f.read(_READ_CHARS), ""):
+        text = tail + piece
+        lines = text.splitlines()
+        # the last line is unfinished unless the text ends with a break
+        tail = "" if text[-1] in _LINE_BREAKS else lines.pop()
+        yield from lines
+    if tail:
+        yield tail
 
-    n_frames = int(header["n_frames"])
-    interval = float(header["frame_interval"])
-    body = lines[2:]
-    kept = np.fromiter(map(bool, map(str.strip, body)), bool, len(body))
-    rows = list(compress(body, kept))
-    line_no = np.flatnonzero(kept) + 3
+
+def _block_table(block: list[str], first_line: int, cols: tuple[str, ...],
+                 parse, n_frames: int, interval: float,
+                 prev: tuple) -> np.ndarray:
+    """Parse and check one block of report lines, the first of which is
+    line first_line of the file; prev is as for _check_rows."""
+    kept = np.fromiter(map(bool, map(str.strip, block)), bool, len(block))
+    rows = list(compress(block, kept))
+    line_no = np.flatnonzero(kept) + first_line
     # loadtxt ignores fields past usecols, so the field count is checked here
     n_fields = np.fromiter(map(str.count, rows, repeat(",")), np.int64,
                            len(rows)) + 1
@@ -217,32 +244,88 @@ def load_dwell(path: str | Path) -> Dwell:
     if wrong.size:
         stop = int(wrong[0])
         fault = f"expected {len(cols)} fields, got {n_fields[stop]}"
-    parse = _row_parser(cols)
     try:
         table = parse(rows[:stop])
     except ValueError:
         stop = _first_unparsable(rows[:stop], parse)
         fault = f"bad numeric field ({_numeric_error(rows[stop])})"
         table = parse(rows[:stop])
-    truth = (table["truth_id"] if "truth_id" in table.dtype.names
-             else np.full(len(table), -1))
-    _check_rows(table, truth, line_no, n_frames, interval)
+    _check_rows(table, _truth(table), line_no, n_frames, interval, prev)
     if fault is not None:
         raise ValueError(f"line {line_no[stop]}: {fault}")
+    return table
 
-    reports = report_array(*(table[name] for name in _FLOATS), truth)
-    # rows arrive in frame order, so each frame is one slice of the array
-    bounds = np.searchsorted(table["frame_index"], np.arange(n_frames + 1))
+
+def _report_blocks(lines: Iterator[str], cols: tuple[str, ...],
+                   n_frames: int, interval: float) -> Iterator[np.ndarray]:
+    """The checked table of each block of the report lines left in
+    `lines`, which start at line 3; blocks of blank lines give none."""
+    parse = _row_parser(cols)
+    first_line = 3
+    prev = (-1, -math.inf)   # no row before the first
+    while block := list(islice(lines, _BLOCK_ROWS)):
+        table = _block_table(block, first_line, cols, parse, n_frames,
+                             interval, prev)
+        if len(table):
+            prev = (table["frame_index"][-1], table["t"][-1])
+            yield table
+        first_line += len(block)
+
+
+def _read_dwell(lines: Iterator[str]) -> Dwell:
+    head = list(islice(lines, 2))
+    if len(head) < 2:
+        raise ValueError("line 1: file too short for header and column row")
+    header = _parse_header(head[0])
+    cols = tuple(c.strip() for c in head[1].split(","))
+    if cols[:len(_COLUMNS)] != _COLUMNS:
+        raise ValueError(f"line 2: columns must start with {','.join(_COLUMNS)}")
+    for extra in cols[len(_COLUMNS):]:
+        if extra not in _OPTIONAL:
+            raise ValueError(f"line 2: unknown column '{extra}'")
+
+    n_frames = int(header["n_frames"])
+    interval = float(header["frame_interval"])
+    # rows arrive in frame order, so a frame's reports are one slice of
+    # each block it spans; only a frame spanning blocks is copied, so the
+    # reports are never held twice
+    parts = [[] for _ in range(n_frames)]
+    for table in _report_blocks(lines, cols, n_frames, interval):
+        reports = report_array(*(table[name] for name in _FLOATS),
+                               _truth(table))
+        bounds = np.searchsorted(table["frame_index"], np.arange(n_frames + 1))
+        for k in np.flatnonzero(np.diff(bounds)):
+            parts[k].append(reports[bounds[k]:bounds[k + 1]])
+    no_reports = report_array(*(np.zeros(0),) * 5)
     frames = tuple(
         Frame(index=k, t=(k + 0.5) * interval,
               integration_time=float(header["integration_time"]),
-              reports=reports[bounds[k]:bounds[k + 1]])
-        for k in range(n_frames))
+              reports=p[0] if len(p) == 1 else np.concatenate([no_reports] + p))
+        for k, p in enumerate(parts))
     return Dwell(frames=frames,
                  phi0=math.radians(float(header["phi0_deg"])),
                  theta0=math.radians(float(header["theta0_deg"])),
                  range_resolution=float(header["range_resolution_m"]),
                  frame_interval=interval)
+
+
+def load_dwell(path: str | Path) -> Dwell:
+    """Parse a dwell file; schema violations name the first offending line."""
+    path = Path(path)
+    try:
+        with path.open() as f:
+            lines = _lines(f)
+            try:
+                return _read_dwell(lines)
+            except ValueError:
+                # a file that does not decode fails as that, whatever
+                # else is wrong with it
+                deque(lines, maxlen=0)
+                raise
+    except UnicodeDecodeError:
+        # decoded whole, the error names the byte's offset in the file
+        path.read_text()
+        raise
 
 
 def pgm_bytes(grid: np.ndarray) -> bytes:

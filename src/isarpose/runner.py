@@ -196,17 +196,21 @@ def _json_text(obj) -> str:
 
 
 class _Outputs:
-    """Collects output files in memory; writes all-or-nothing."""
+    """Collects output files in memory, each as a list of byte chunks;
+    writes all-or-nothing."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        self.items: list[tuple[str, bytes]] = []
+        self.items: list[tuple[str, list[bytes]]] = []
+
+    def add_chunks(self, name: str, chunks: list[bytes]) -> None:
+        self.items.append((name, chunks))
 
     def add_text(self, name: str, text: str) -> None:
-        self.items.append((name, text.encode("utf-8")))
+        self.add_chunks(name, [text.encode("utf-8")])
 
     def add_pgm(self, name: str, grid: np.ndarray) -> None:
-        self.items.append((name, pgm_bytes(grid)))
+        self.add_chunks(name, [pgm_bytes(grid)])
 
     def manifest(self) -> tuple[str, ...]:
         return tuple(sorted(name for name, _ in self.items))
@@ -215,10 +219,12 @@ class _Outputs:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         written: list[Path] = []
         try:
-            for name, blob in self.items:
+            for name, chunks in self.items:
                 p = self.out_dir / name
-                p.write_bytes(blob)
-                written.append(p)
+                with p.open("wb") as fh:
+                    # listed once opened, so a file cut short is removed too
+                    written.append(p)
+                    fh.writelines(chunks)
         except OSError:
             for p in written:
                 try:
@@ -388,7 +394,7 @@ def _run_simulate(config: RunConfig) -> RunReport:
     except ValueError as exc:
         raise PipelineError("simulate", str(exc)) from exc
     out = _Outputs(Path(config.output_dir))
-    out.add_text("dwell.csv", dwell_text(dwell))
+    out.add_chunks("dwell.csv", dwell_text(dwell))
     report = _pipeline(dwell, config, out, "simulate")
     out.add_text("run_report.json", _json_text(report.to_dict()))
     try:

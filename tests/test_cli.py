@@ -1,6 +1,8 @@
 """Command-line entry points, exit codes, cross-mode agreement."""
 
 import csv
+import dataclasses
+import errno
 import filecmp
 import json
 import os
@@ -10,10 +12,13 @@ from pathlib import Path
 
 import pytest
 
+import isarpose.io
+import isarpose.runner
 from isarpose.cli import main
-from isarpose.io import load_dwell
+from isarpose.io import dwell_text, load_dwell, save_dwell
 from isarpose.moments import frame_moments
 from isarpose.pose import PEARLS_EPS
+from isarpose.ship import Frame
 
 SCENARIO = {
     "duration": 30.0,
@@ -99,6 +104,92 @@ class TestSimulate:
         assert code == 4
         assert not out.exists() or not any(out.iterdir())
 
+    def test_disk_full_mid_file_leaves_no_partial_outputs(self, sim_dir,
+                                                          tmp_path,
+                                                          monkeypatch):
+        # the disk fills half way through dwell.csv, the first file
+        # written: the half already on disk must not stay behind
+        room = (sim_dir / "dwell.csv").stat().st_size // 2
+        real_open = Path.open
+        cut = []
+
+        class FillingWriter:
+            def __init__(self, fh):
+                self.fh, self.room = fh, room
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                data = bytes(data)
+                self.fh.write(data[:self.room])
+                if len(data) > self.room:
+                    cut.append(self.fh.tell())
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.room -= len(data)
+                return len(data)
+
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    self.write(chunk)
+
+        def filling_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            if path.name == "dwell.csv" and "w" in mode:
+                return FillingWriter(fh)
+            return fh
+
+        monkeypatch.setattr(Path, "open", filling_open)
+        out = tmp_path / "full"
+        code = main(["simulate", "--config", _write_config(tmp_path, SCENARIO),
+                     "--out", str(out)])
+        assert code == 4
+        assert cut == [room]
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("truth", [True, False], ids=["truth", "no-truth"])
+    def test_every_dwell_writer_gives_the_same_bytes(self, tmp_path,
+                                                     monkeypatch, truth):
+        # the simulated dwell's first, middle and last frames are emptied,
+        # and without truth ids its file has no truth_id column; the reloads
+        # run in blocks of 7 report lines, so they cross block boundaries
+        monkeypatch.setattr(isarpose.io, "_BLOCK_ROWS", 7)
+        real = isarpose.runner.simulate_degraded
+        empty = (0, 30, 59)   # of the scenario's 60 frames
+        simulated = []
+
+        def gappy(*args):
+            dwell = real(*args)
+            frames = []
+            for fr in dwell.frames:
+                reports = fr.reports[:0] if fr.index in empty else fr.reports
+                if not truth:
+                    reports = reports.copy()
+                    reports.truth_id = -1
+                frames.append(Frame(fr.index, fr.t, fr.integration_time,
+                                    reports))
+            simulated.append(dataclasses.replace(dwell, frames=tuple(frames)))
+            return simulated[-1]
+
+        monkeypatch.setattr(isarpose.runner, "simulate_degraded", gappy)
+        out = tmp_path / "gappy"
+        code = main(["simulate", "--config", _write_config(tmp_path, SCENARIO),
+                     "--out", str(out)])
+        assert code == 0
+        dwell, = simulated
+        saved, again = tmp_path / "saved.csv", tmp_path / "again.csv"
+        save_dwell(dwell, saved)
+        save_dwell(load_dwell(saved), again)
+        written = (out / "dwell.csv").read_bytes()
+        assert written == saved.read_bytes() == again.read_bytes()
+        assert written == b"".join(dwell_text(dwell))
+        columns = written.split(b"\n")[1].split(b",")
+        assert (b"truth_id" in columns) == truth
+        frames = load_dwell(saved).frames
+        assert [len(frames[k].reports) for k in empty] == [0, 0, 0]
 
     def test_snr_weighting_reaches_simulate_analysis(self, sim_dir, tmp_path):
         out = tmp_path / "sim-snr"

@@ -8,11 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isarpose.io import dwell_text, load_dwell, pgm_bytes, save_dwell
+import isarpose.io
+from isarpose.io import _lines, dwell_text, load_dwell, pgm_bytes, save_dwell
 from isarpose.ship import Dwell, Frame, report_array
 
 _val = st.floats(min_value=-1e6, max_value=1e6,
                  allow_nan=False, allow_infinity=False)
+
+
+def _text(dwell):
+    """dwell_text's chunks joined into the file's text."""
+    return b"".join(dwell_text(dwell)).decode("ascii")
+
+
+@pytest.fixture(params=[(1, 1), (2, 7), (3, 64)],
+                ids=["1-row", "2-rows", "3-rows"])
+def small_blocks(request, monkeypatch):
+    """Load in blocks of a few report lines, read a few characters at a
+    time, so that a six-frame dwell spans several blocks and reads."""
+    rows, chars = request.param
+    monkeypatch.setattr(isarpose.io, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(isarpose.io, "_READ_CHARS", chars)
 
 
 def _dwell(rows, interval=0.5, phi0=math.radians(45.0),
@@ -52,7 +68,7 @@ def test_save_load_save_is_byte_identical(tmp_path):
                     [(19.0, 2.0, 3.0, 4.0)]])
     path = tmp_path / "dwell.csv"
     save_dwell(dwell, path)
-    assert dwell_text(load_dwell(path)) == path.read_text()
+    assert _text(load_dwell(path)) == path.read_text()
 
 
 @given(st.lists(st.lists(st.tuples(_val, _val, _val, _val),
@@ -97,7 +113,7 @@ def test_truth_id_survives_save_load(tmp_path, truth_ids):
     back = load_dwell(path)
     assert ([fr.reports.truth_id.tolist() for fr in back.frames]
             == (truth_ids or [[-1, -1], [-1]]))
-    assert dwell_text(back) == path.read_text()
+    assert _text(back) == path.read_text()
 
 
 class TestSchemaErrors:
@@ -357,20 +373,107 @@ def test_columnar_loader_matches_row_by_row_reference(tmp_path_factory,
                 for row in fr.reports.tolist()] == expected
 
 
+@pytest.mark.parametrize("first,second",
+                         list(itertools.permutations(_FAULT_MESSAGES, 2)))
+def test_first_bad_line_wins_in_small_blocks(tmp_path, small_blocks, first,
+                                             second):
+    test_first_bad_line_wins_across_fault_kinds(tmp_path, first, second)
+
+
+def test_line_numbers_count_blank_lines_in_small_blocks(tmp_path,
+                                                        small_blocks):
+    test_line_numbers_count_blank_lines(tmp_path)
+
+
+@pytest.mark.parametrize("first,second", [
+    ("count", "numeric"), ("numeric", "finite"), ("finite", "range"),
+    ("range", "truth"), ("index", "truth"), ("time", "truth"),
+    ("frame_time", "truth")])
+def test_check_order_within_a_line_in_small_blocks(tmp_path, small_blocks,
+                                                   first, second):
+    test_check_order_within_a_line(tmp_path, first, second)
+
+
+def test_columnar_loader_matches_reference_in_small_blocks(tmp_path_factory,
+                                                           small_blocks):
+    test_columnar_loader_matches_row_by_row_reference(tmp_path_factory)
+
+
+@pytest.mark.parametrize("blank_block", [False, True],
+                         ids=["adjacent", "past-a-blank-block"])
+@pytest.mark.parametrize("kind", sorted(_FAULT_MESSAGES))
+def test_fault_opens_a_later_block(tmp_path, monkeypatch, kind, blank_block):
+    """Frames 0 and 1 fill the first two-line block, so frame 2's line
+    opens a later one, optionally after a block of blank lines. The order
+    checks must take frame 1's line, blocks back, as its predecessor:
+    "index" and "time" fault only against it."""
+    monkeypatch.setattr(isarpose.io, "_BLOCK_ROWS", 2)
+    lines = _six_frame_lines(tmp_path)
+    lines[4] = ",".join(_fault(kind, lines[4].split(","), 2))
+    blanks = ["", " \t"] if blank_block else []
+    _expect_first(tmp_path, lines[:4] + blanks + lines[4:],
+                  5 + len(blanks), kind)
+
+
+_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+           "\u2028", "\u2029"]
+
+
+@given(st.lists(st.sampled_from(["a", "0,1", " ", ""] + _BREAKS), max_size=12),
+       st.integers(1, 5))
+@settings(deadline=None, max_examples=200)
+def test_lines_split_as_splitlines(tmp_path_factory, parts, chars):
+    text = "".join(parts)
+    path = tmp_path_factory.mktemp("io") / "t.csv"
+    path.write_text(text, newline="")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(isarpose.io, "_READ_CHARS", chars)
+        with path.open() as f:
+            assert list(_lines(f)) == path.read_text().splitlines()
+
+
+def test_undecodable_byte_beats_an_earlier_fault(tmp_path, monkeypatch):
+    """A byte that does not decode fails the load as a whole-file read
+    names it, even after a malformed line and many reads into the file."""
+    monkeypatch.setattr(isarpose.io, "_BLOCK_ROWS", 1)
+    monkeypatch.setattr(isarpose.io, "_READ_CHARS", 16)
+    lines = _six_frame_lines(tmp_path)
+    lines[2] = lines[2].replace("20.0", "abc")
+    path = tmp_path / "bad.csv"
+    path.write_bytes("\n".join(lines + [" "] * 10000).encode()
+                     + b"\n\xff\n")
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_text()
+    with pytest.raises(UnicodeDecodeError) as err:
+        load_dwell(path)
+    assert str(err.value) == str(whole.value)
+
+
 def _plus_padded(cell):
     if not cell or cell.startswith("-"):
         return f" {cell} "
     return f"  +{cell}\t"
 
 
-@pytest.mark.parametrize("variant", [
-    "blank-lines", "crlf", "no-final-newline", "blank-truth-cells",
-    "width-column-text", "signs-and-spaces"])
+_LOOSE_VARIANTS = ["blank-lines", "crlf", "no-final-newline",
+                   "blank-truth-cells", "width-column-text", "signs-and-spaces"]
+
+
+@pytest.mark.parametrize("variant", _LOOSE_VARIANTS)
 def test_loose_inputs_load_to_the_clean_bytes(tmp_path, variant):
+    _loose_input_round_trip(tmp_path, variant)
+
+
+@pytest.mark.parametrize("variant", _LOOSE_VARIANTS)
+def test_loose_inputs_in_small_blocks(tmp_path, small_blocks, variant):
+    _loose_input_round_trip(tmp_path, variant)
+
+
+def _loose_input_round_trip(tmp_path, variant):
     dwell = _dwell([[(20.0, 0.5, -1.25, 3.0), (21.0, 1e-12, 2.0, -0.0)],
                     [], [(19.5, -4.4e8, 0.1 + 0.2, 7.0)]],
                    truth_ids=[[0, -1], [], [3]])
-    clean = dwell_text(dwell)
+    clean = _text(dwell)
     head, cols, *rows = clean.splitlines()
     if variant == "blank-lines":
         text = "\n".join([head, cols, "", rows[0], "   \t", "", rows[1],
@@ -393,20 +496,20 @@ def test_loose_inputs_load_to_the_clean_bytes(tmp_path, variant):
     back = load_dwell(path)
     assert [fr.reports.tobytes() for fr in back.frames] == \
         [fr.reports.tobytes() for fr in dwell.frames]
-    assert dwell_text(back) == clean
+    assert _text(back) == clean
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("tail", ["", "\n  \n\n"], ids=["bare", "blank-lines"])
 def test_zero_report_dwell_loads_empty_frames(tmp_path, tail):
     dwell = _dwell([[], [], []])
-    text = dwell_text(dwell)
+    text = _text(dwell)
     assert len(text.splitlines()) == 2
     path = tmp_path / "empty.csv"
     path.write_text(text + tail)
     back = load_dwell(path)
     assert [len(fr.reports) for fr in back.frames] == [0, 0, 0]
-    assert dwell_text(back) == text
+    assert _text(back) == text
 
 
 def test_pgm_bytes_are_peak_scaled():
