@@ -61,8 +61,8 @@ def main(argv=None):
         rows = list(csv.DictReader(fh))
     est_pd = np.array([float(r["phi_dot_dps"]) for r in rows])
     est_td = np.array([float(r["theta_dot_dps"]) for r in rows])
-    true_pd = np.degrees([s.phi_dot for s in track.samples])
-    true_td = np.degrees([s.theta_dot for s in track.samples])
+    true_pd = np.degrees(track.samples.phi_dot)
+    true_td = np.degrees(track.samples.theta_dot)
     corr_p = np.corrcoef(est_pd, true_pd)[0, 1]
     corr_t = np.corrcoef(est_td, true_td)[0, 1]
     rate_rms = float(np.std(est_pd - true_pd))

@@ -12,7 +12,7 @@ Angles are radians everywhere inside the package; degrees appear only at
 file boundaries. Doppler is carried as range-rate in m/s.
 """
 
-from .ship import (Scatterer, ShipModel, AngleSample, AngleTrack,
+from .ship import (Scatterer, ShipModel, ANGLE_DTYPE, angle_array, AngleTrack,
                    REPORT_DTYPE, report_array, Frame, Dwell, ship_moments)
 from .simulate import (ScenarioConfig, DegradationSpec, range_of, rate_of,
                        accel_of, build_angle_track, simulate_perfect,
@@ -24,7 +24,7 @@ from .angles import (FitState, lowpass_aspect_solve, waveband_joint_fit,
                      estimate_angles, model_covariances, ModelCovariances)
 from .validate import (BadFitSeries, consistency_synth, badfit,
                        crosscheck_focus)
-from .pose import (MotionMatrix, FrameSolution, CompositeImage, FrameClass,
+from .pose import (FrameSolution, CompositeImage, FrameClass,
                    motion_matrix, invert_frame, classify_frames, compose)
 from .length import (LengthEstimate, frame_loa, beam_rule, multipath_guard,
                      estimate_loa)
@@ -32,8 +32,8 @@ from .io import load_dwell, save_dwell
 from .runner import RunConfig, RunReport, run, PipelineError
 
 __all__ = [
-    "Scatterer", "ShipModel", "AngleSample", "AngleTrack", "REPORT_DTYPE",
-    "report_array", "Frame", "Dwell", "ship_moments",
+    "Scatterer", "ShipModel", "ANGLE_DTYPE", "angle_array", "AngleTrack",
+    "REPORT_DTYPE", "report_array", "Frame", "Dwell", "ship_moments",
     "ScenarioConfig", "DegradationSpec", "range_of", "rate_of", "accel_of",
     "build_angle_track", "simulate_perfect", "simulate_degraded", "make_ship",
     "MOMENT_DTYPE", "frame_moments", "moments_series", "time_derivative",
@@ -41,7 +41,7 @@ __all__ = [
     "FitState", "lowpass_aspect_solve", "waveband_joint_fit",
     "estimate_angles", "model_covariances", "ModelCovariances",
     "BadFitSeries", "consistency_synth", "badfit", "crosscheck_focus",
-    "MotionMatrix", "FrameSolution", "CompositeImage", "FrameClass",
+    "FrameSolution", "CompositeImage", "FrameClass",
     "motion_matrix", "invert_frame", "classify_frames", "compose",
     "LengthEstimate", "frame_loa", "beam_rule", "multipath_guard",
     "estimate_loa",

@@ -56,13 +56,6 @@ def _line_ship() -> ShipModel:
                            for x in np.linspace(-45.0, 45.0, 24)))
 
 
-def _rates(track) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    t = np.array([s.t for s in track.samples])
-    pd = np.array([s.phi_dot for s in track.samples])
-    td = np.array([s.theta_dot for s in track.samples])
-    return t, pd, td
-
-
 def check_wave_motion_recovery() -> tuple[bool, str]:
     """Both oscillation rates recovered from a perfect dwell, quickly."""
     cfg = _ideal_config()
@@ -73,12 +66,11 @@ def check_wave_motion_recovery() -> tuple[bool, str]:
     mom = moments_series(dwell)
     est, state = estimate_angles(mom, cfg.phi0, cfg.theta0)
     elapsed = time.perf_counter() - t0
-    t, pd_true, td_true = _rates(track)
-    _, pd_est, td_est = _rates(est)
+    t = track.samples.t
     corrs = []
-    for a, b in ((pd_true, pd_est), (td_true, td_est)):
-        wa = chapeau_band_split(t, a, state.period).wave
-        wb = chapeau_band_split(t, b, state.period).wave
+    for name in ("phi_dot", "theta_dot"):
+        wa = chapeau_band_split(t, track.samples[name], state.period).wave
+        wb = chapeau_band_split(t, est.samples[name], state.period).wave
         corrs.append(float(np.corrcoef(wa, wb)[0, 1]))
     seed_period, _ = dominant_wave_period(t, mom.cov_rf, mom.cov_ff,
                                           mom.valid)
@@ -184,21 +176,20 @@ def check_pose_round_trip() -> tuple[bool, str]:
     dwell = simulate_perfect(ship, track, cfg)
     noise = report_noise(dwell.range_resolution, cfg.integration_time)
     coords = np.array([(s.x0, s.y0, s.z0) for s in ship.scatterers])
+    m, cond = motion_matrix(track, cfg.integration_time)
     worst, n_ok, best_k, best_cond = 0.0, 0, 0, np.inf
     for k, fr in enumerate(dwell.frames):
-        mm = motion_matrix(track.samples[k], cfg.integration_time)
-        sol = invert_frame(fr, frame_moments(fr), mm, noise)
+        sol = invert_frame(fr, frame_moments(fr), m[k], cond[k], noise)
         if sol.xyz is None:
             continue
         truth = coords[fr.reports.truth_id]
         truth = truth - truth.mean(axis=0)
         worst = max(worst, float(np.abs(sol.xyz - truth).max()))
         n_ok += 1
-        if mm.cond < best_cond:
-            best_cond, best_k = mm.cond, k
+        if cond[k] < best_cond:
+            best_cond, best_k = cond[k], k
     fr = dwell.frames[best_k]
-    mm = motion_matrix(track.samples[best_k], cfg.integration_time)
-    base = invert_frame(fr, frame_moments(fr), mm, noise)
+    base = invert_frame(fr, frame_moments(fr), m[best_k], cond[best_k], noise)
     rng = np.random.default_rng(0)
     diffs = []
     reps = fr.reports
@@ -209,7 +200,8 @@ def check_pose_round_trip() -> tuple[bool, str]:
                              reps.f + d[:, 1], reps.a + d[:, 2], reps.truth_id)
         noisy_fr = Frame(index=fr.index, t=fr.t,
                          integration_time=fr.integration_time, reports=noisy)
-        sol = invert_frame(noisy_fr, frame_moments(noisy_fr), mm, noise)
+        sol = invert_frame(noisy_fr, frame_moments(noisy_fr), m[best_k],
+                           cond[best_k], noise)
         diffs.append(sol.xyz - base.xyz)
     emp = np.array(diffs).reshape(-1, 3).var(axis=0)
     ratio = emp / np.asarray(base.noise_var)
@@ -231,8 +223,8 @@ def _classify_scene(ship, duration, asp_rate_dps, tilt_amp_deg,
         noise=noise, seed=seed)
     track = build_angle_track(cfg)
     dwell = simulate_degraded(ship, track, cfg)
-    sols = [invert_frame(fr, frame_moments(fr),
-                         motion_matrix(track.samples[k], T), noise)
+    m, cond = motion_matrix(track, T)
+    sols = [invert_frame(fr, frame_moments(fr), m[k], cond[k], noise)
             for k, fr in enumerate(dwell.frames)]
     sols = classify_frames(sols)
     counts: dict[str, int] = {}

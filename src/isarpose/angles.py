@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BandSplit, chapeau_band_split, chapeau_smooth, dominant_wave_period
-from .motion import motion_rows, range_rate_rows
-from .ship import AngleSample, AngleTrack
+from .motion import range_rate_rows, track_rows
+from .ship import AngleTrack, angle_array
 
 MIN_ASPECT_DEG = 3.0    # below this mean aspect the slow solve is blind
 NPOLY = 3               # slow-correction polynomial degrees 1..3
@@ -59,22 +59,20 @@ class LowpassAspect:
     rate: np.ndarray
     accel: np.ndarray
     steady_rate: float
-    clamped: np.ndarray
     flags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class FitState:
-    """Converged angle solution for one candidate period plus diagnostics.
+    """What the fit of the winning candidate period knows beyond its track.
 
-    phi_hat/theta_hat are the wave-band excursions; phi/theta and the dot
-    fields are the assembled full tracks. quad_* are the per-frame
-    closed-form diagnostics (energy-partition quadratic), kept for
-    validation only; n_floored counts frames whose partition had to be
-    clamped to keep the quadratic roots real.
+    period is its first line's period and lines every line's (s);
+    phi_hat/theta_hat are the wave-band excursions, phi_mean the slow
+    aspect and phi_M the low-band excursion about phi0; bsq_est/hsq_est are
+    the fitted shape ratios. The angle track itself is the AngleTrack
+    returned beside it.
     """
 
-    t: np.ndarray
     period: float
     lines: tuple[float, ...]
     phi_hat: np.ndarray
@@ -84,37 +82,9 @@ class FitState:
     steady_rate: float
     bsq_est: float
     hsq_est: float
-    P: float
-    Q: float
-    P_hat: np.ndarray
-    denom: float
     residual_rms: float
     converged: bool
-    n_floored: int
-    quad_phi_hat: np.ndarray
-    quad_theta_hat: np.ndarray
-    phi: np.ndarray
-    theta: np.ndarray
-    phi_dot: np.ndarray
-    theta_dot: np.ndarray
-    phi_ddot: np.ndarray
-    theta_ddot: np.ndarray
     flags: tuple[str, ...] = ()
-
-
-def thin_ship_factors(phi0: float, theta0: float, bsq: float,
-                      hsq: float) -> tuple[float, float, float]:
-    """(P, Q, denom) shape factors at the mean angles.
-
-    P = 1 - bsq, Q = 1 + bsq tan^2(phi0) - hsq / cos^2(phi0),
-    denom = 1 + bsq tan^2(phi0) + hsq tan^2(theta0) / cos^2(phi0).
-    """
-    tp2 = math.tan(phi0) ** 2
-    cp2 = math.cos(phi0) ** 2
-    P = 1.0 - bsq
-    Q = 1.0 + bsq * tp2 - hsq / cp2
-    denom = 1.0 + bsq * tp2 + hsq * math.tan(theta0) ** 2 / cp2
-    return P, Q, denom
 
 
 def _covs_of(rows, bsq, hsq):
@@ -149,15 +119,8 @@ def model_covariances(track: AngleTrack, bsq: float, hsq: float) -> ModelCovaria
     """
     if bsq < 0 or hsq < 0:
         raise ValueError("shape ratios must be non-negative")
-    phi = np.array([s.phi for s in track.samples])
-    th = np.array([s.theta for s in track.samples])
-    phid = np.array([s.phi_dot for s in track.samples])
-    thd = np.array([s.theta_dot for s in track.samples])
-    phidd = np.array([s.phi_ddot for s in track.samples])
-    thdd = np.array([s.theta_ddot for s in track.samples])
-    m = motion_rows(phi, th, phid, thd, phidd, thdd)
     cov_rf, cov_ff, d, cov_ra, cov_fa = _covs_of(
-        np.moveaxis(m, (-2, -1), (0, 1)), bsq, hsq)
+        np.moveaxis(track_rows(track), (-2, -1), (0, 1)), bsq, hsq)
     return ModelCovariances(cov_rf=cov_rf, cov_ff=cov_ff, cov_ra=cov_ra,
                             cov_fa=cov_fa, d=d)
 
@@ -189,7 +152,7 @@ def lowpass_aspect_solve(t: np.ndarray, lhs_low: np.ndarray, phi0: float,
     a = 0.5 * P / math.cos(phi0) ** 2
     b = P * math.tan(phi0)
     disc = b * b + 4 * a * i
-    clamped = disc < 0
+    flags = ("lowpass discriminant clamped",) if np.any(disc < 0) else ()
     disc = np.maximum(disc, 0.0)
     r1 = (-b + np.sqrt(disc)) / (2 * a)
     r2 = (-b - np.sqrt(disc)) / (2 * a)
@@ -198,10 +161,8 @@ def lowpass_aspect_solve(t: np.ndarray, lhs_low: np.ndarray, phi0: float,
     phi_mean = phi0 + phi_m
     rate = np.gradient(phi_mean, t)
     accel = np.gradient(rate, t)
-    flags = ("lowpass discriminant clamped",) if clamped.any() else ()
     return LowpassAspect(phi_mean=phi_mean, rate=rate, accel=accel,
-                         steady_rate=float(rate.mean()), clamped=clamped,
-                         flags=flags)
+                         steady_rate=float(rate.mean()), flags=flags)
 
 
 def _pursuit_line(t: np.ndarray, resid: np.ndarray, w1: float,
@@ -410,8 +371,7 @@ def _cov_partials(phi, theta, phi_dot, theta_dot, bsq, hsq):
 
 def waveband_joint_fit(t: np.ndarray, periods, splits_rf: list[BandSplit],
                        splits_d: list[BandSplit], lows: list[LowpassAspect],
-                       phi0: float, theta0: float, *,
-                       max_iter: int = 20) -> FitState:
+                       phi0: float, theta0: float) -> tuple[AngleTrack, FitState]:
     """Joint wave-band fit of (cov_rf, d) over a grid of candidate periods.
 
     Candidate g has its period periods[g], the band splits splits_rf[g] and
@@ -443,11 +403,8 @@ def waveband_joint_fit(t: np.ndarray, periods, splits_rf: list[BandSplit],
     partial is multiplied by its parameter's basis column (u, u^2, u^3,
     cos wt, sin wt, and the t-weighted terms of a line frequency w).
 
-    The track, the line series and the closed-form per-frame quadratic
-    (energy partition between aspect and tilt) are built for the winner
-    only. The quadratic is a diagnostic: it is iterated at most max_iter
-    times to a 1e-4 relative fixed point and its root series are reported
-    in quad_phi_hat/quad_theta_hat with the clamp count n_floored.
+    The track and the line series are built for the winner only; returns
+    (track, state).
     """
     t = np.asarray(t, dtype=float)
     n = len(t)
@@ -631,14 +588,10 @@ def waveband_joint_fit(t: np.ndarray, periods, splits_rf: list[BandSplit],
     rms = np.sqrt(2 * cost / (2 * np.maximum(n - 2 * np.array(trims), 1)))
     win = int(np.argmin(rms))
     x, nl, low = xs[win], nls[win], lows[win]
-    (phi, th, phid, thd, phidd, thdd), _ = track_of(x, win, nl, accel=True)
+    track = _assemble_track(t, *track_of(x, win, nl, accel=True)[0])
     ws_final = [float(w) for w in x[NPOLY + 4 * nl:NPOLY + 5 * nl]]
-    bsq, hsq = float(x[-2]), float(x[-1])
-    res_rms = float(rms[win])
     converged = bool(status[win] > 0)
-    flags = list(low.flags)
-    if not converged:
-        flags.append("wave fit did not converge")
+    flags = low.flags + (() if converged else ("wave fit did not converge",))
 
     # reconstruct the pure wave-band series from the line coefficients
     phi_hat = np.zeros_like(t)
@@ -650,53 +603,14 @@ def waveband_joint_fit(t: np.ndarray, periods, splits_rf: list[BandSplit],
         theta_hat = theta_hat + c * np.cos(w * t) + e * np.sin(w * t)
     phi_slow = x[0] * u + x[1] * u ** 2 + x[2] * u ** 3
 
-    # shape factors at the converged ratios
-    P, Q, denom = thin_ship_factors(phi0, theta0, bsq, hsq)
-    if P <= 0:
-        bsq = 0.9
-        P, Q, denom = thin_ship_factors(phi0, theta0, bsq, hsq)
-        flags.append("alongship dominance clamped")
-
-    # closed-form diagnostic: per-frame energy-partition quadratic
-    phi_mean = low.phi_mean + phi_slow
-    a_w = _zero_mean_integral(t, -splits_rf[win].wave * denom)
-    p_hat = P * np.tan(phi_mean) * math.cos(phi0)
-    g_fit = phi_hat / math.cos(phi0)
-    h_fit = theta_hat / math.cos(theta0)
-    st0 = math.sin(theta0)
-    big_b = 0.5 * (P * g_fit ** 2 + Q * h_fit ** 2)
-    n_floored = 0
-    h_sel = h_fit.copy()
-    for _ in range(max_iter):
-        floor = a_w ** 2 / (2 * (p_hat ** 2 / P + Q * st0 ** 2))
-        n_floored = int(np.sum(big_b < floor - 1e-18))
-        b_eff = np.maximum(big_b, floor)
-        aq = Q + (Q ** 2 * P / p_hat ** 2) * st0 ** 2
-        bq = -2 * (a_w * Q * P / p_hat ** 2) * st0
-        cq = (a_w ** 2 * P / p_hat ** 2) - 2 * b_eff
-        disc = np.maximum(bq ** 2 - 4 * aq * cq, 0.0)
-        hp = (-bq + np.sqrt(disc)) / (2 * aq)
-        hm = (-bq - np.sqrt(disc)) / (2 * aq)
-        h_new = np.where(np.abs(hp - h_sel) <= np.abs(hm - h_sel), hp, hm)
-        g_new = (a_w - Q * st0 * h_new) / p_hat
-        b_new = 0.5 * (P * g_new ** 2 + Q * h_new ** 2)
-        step = float(np.max(np.abs(b_new - big_b)) / (np.max(np.abs(big_b)) + 1e-30))
-        big_b, h_sel = b_new, h_new
-        if step < 1e-4:
-            break
-    g_sel = (a_w - Q * st0 * h_sel) / p_hat
-
-    return FitState(
-        t=t, period=float(2 * np.pi / ws_final[0]),
+    return track, FitState(
+        period=float(2 * np.pi / ws_final[0]),
         lines=tuple(2 * np.pi / w for w in ws_final),
-        phi_hat=phi_hat, theta_hat=theta_hat, phi_mean=phi_mean,
-        phi_M=low.phi_mean - phi0, steady_rate=low.steady_rate,
-        bsq_est=bsq, hsq_est=hsq, P=P, Q=Q, P_hat=p_hat, denom=denom,
-        residual_rms=res_rms, converged=converged, n_floored=n_floored,
-        quad_phi_hat=g_sel * math.cos(phi0),
-        quad_theta_hat=h_sel * math.cos(theta0),
-        phi=phi, theta=th, phi_dot=phid, theta_dot=thd,
-        phi_ddot=phidd, theta_ddot=thdd, flags=tuple(flags))
+        phi_hat=phi_hat, theta_hat=theta_hat,
+        phi_mean=low.phi_mean + phi_slow, phi_M=low.phi_mean - phi0,
+        steady_rate=low.steady_rate, bsq_est=float(x[-2]),
+        hsq_est=float(x[-1]), residual_rms=float(rms[win]),
+        converged=converged, flags=flags)
 
 
 def _interp_invalid(t: np.ndarray, y: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -708,15 +622,9 @@ def _interp_invalid(t: np.ndarray, y: np.ndarray, valid: np.ndarray) -> np.ndarr
 
 
 def _assemble_track(t: np.ndarray, phi, theta, phid, thd, phidd, thdd) -> AngleTrack:
-    dt = float(t[1] - t[0]) if len(t) > 1 else 1.0
-    phi = np.clip(phi, -ANGLE_LIMIT, ANGLE_LIMIT)
-    theta = np.clip(theta, -ANGLE_LIMIT, ANGLE_LIMIT)
-    samples = tuple(
-        AngleSample(t=float(t[k]), phi=float(phi[k]), theta=float(theta[k]),
-                    phi_dot=float(phid[k]), theta_dot=float(thd[k]),
-                    phi_ddot=float(phidd[k]), theta_ddot=float(thdd[k]))
-        for k in range(len(t)))
-    return AngleTrack(samples, dt=dt)
+    return AngleTrack(angle_array(
+        t, np.clip(phi, -ANGLE_LIMIT, ANGLE_LIMIT),
+        np.clip(theta, -ANGLE_LIMIT, ANGLE_LIMIT), phid, thd, phidd, thdd))
 
 
 def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
@@ -759,16 +667,11 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
         track = _assemble_track(t, low.phi_mean, np.full_like(t, theta0),
                                 low.rate, zero, low.accel, zero)
         state = FitState(
-            t=t, period=0.0, lines=(), phi_hat=zero, theta_hat=zero,
+            period=0.0, lines=(), phi_hat=zero, theta_hat=zero,
             phi_mean=low.phi_mean, phi_M=low.phi_mean - phi0,
             steady_rate=low.steady_rate, bsq_est=0.0, hsq_est=0.0,
-            P=1.0, Q=1.0, P_hat=np.tan(low.phi_mean) * math.cos(phi0),
-            denom=1.0, residual_rms=float(np.std(cov_rf + low_series)),
-            converged=False, n_floored=0, quad_phi_hat=zero,
-            quad_theta_hat=zero, phi=low.phi_mean,
-            theta=np.full_like(t, theta0), phi_dot=low.rate, theta_dot=zero,
-            phi_ddot=low.accel, theta_ddot=zero,
-            flags=low.flags + ("no wave solution",))
+            residual_rms=float(np.std(cov_rf + low_series)),
+            converged=False, flags=low.flags + ("no wave solution",))
         return track, state
 
     grid = seed * np.linspace(1 - grid_halfwidth, 1 + grid_halfwidth, grid_points)
@@ -782,7 +685,4 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
         lows.append(lowpass_aspect_solve(t, -splits_rf[-1].low, phi0, 1.0))
     if not periods:
         raise ValueError("no candidate period fits inside the dwell")
-    best = waveband_joint_fit(t, periods, splits_rf, splits_d, lows, phi0, theta0)
-    track = _assemble_track(best.t, best.phi, best.theta, best.phi_dot,
-                            best.theta_dot, best.phi_ddot, best.theta_ddot)
-    return track, best
+    return waveband_joint_fit(t, periods, splits_rf, splits_d, lows, phi0, theta0)

@@ -16,7 +16,8 @@ import argparse
 import json
 import sys
 
-from .runner import ConfigError, DataError, PipelineError, RunConfig, run
+from .runner import (ConfigError, DataError, PipelineError, RunConfig,
+                     is_number, run)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,12 +71,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _number(overrides: dict, key: str, default: float | None) -> float | None:
+    if key not in overrides:
+        return default
+    value = overrides[key]
+    if not is_number(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _analyze_config(args: argparse.Namespace) -> RunConfig:
     overrides = _load_json(args.config) if args.config else {}
     noise = overrides.get("noise_override")
     if noise is not None:
         if (not isinstance(noise, (list, tuple)) or len(noise) != 3
-                or not all(isinstance(v, (int, float)) for v in noise)):
+                or not all(is_number(v) for v in noise)):
             raise ConfigError("noise_override must be [sigma_r, sigma_f, sigma_a]")
         noise = tuple(float(v) for v in noise)
     weighting = args.weighting or overrides.get("weighting", "uniform")
@@ -85,11 +95,11 @@ def _analyze_config(args: argparse.Namespace) -> RunConfig:
         output_dir=args.output,
         emit_plots=bool(args.emit_plots),
         weighting=weighting,
-        badfit_threshold=float(overrides.get("badfit_threshold", 3.0)),
-        class_threshold=float(overrides.get("class_threshold", 4.0)),
+        badfit_threshold=_number(overrides, "badfit_threshold", 3.0),
+        class_threshold=_number(overrides, "class_threshold", 4.0),
         noise_override=noise,
         period=args.period if args.period is not None
-        else overrides.get("period"))
+        else _number(overrides, "period", None))
 
 
 def _selftest(list_only: bool) -> int:

@@ -99,8 +99,7 @@ def estimate_loa(dwell: Dwell, track, badfit_series=None) -> LengthEstimate:
     under three reports after the multipath screen are excluded; fewer
     than five survivors is an error.
     """
-    phi = np.array([s.phi for s in track.samples])
-    theta = np.array([s.theta for s in track.samples])
+    phi, theta = track.samples.phi, track.samples.theta
     n = len(dwell.frames)
     if len(phi) != n:
         raise ValueError("angle track and dwell lengths disagree")

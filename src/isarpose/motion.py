@@ -63,11 +63,5 @@ def motion_rows(phi, theta, phi_dot, theta_dot, phi_ddot, theta_ddot):
 def track_rows(track) -> np.ndarray:
     """motion_rows evaluated at every sample of an AngleTrack, shape (n, 3, 3)."""
     s = track.samples
-    return motion_rows(
-        np.array([a.phi for a in s]),
-        np.array([a.theta for a in s]),
-        np.array([a.phi_dot for a in s]),
-        np.array([a.theta_dot for a in s]),
-        np.array([a.phi_ddot for a in s]),
-        np.array([a.theta_ddot for a in s]),
-    )
+    return motion_rows(s.phi, s.theta, s.phi_dot, s.theta_dot, s.phi_ddot,
+                       s.theta_ddot)

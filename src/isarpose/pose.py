@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .moments import snr_power
-from .motion import motion_rows
-from .ship import AngleSample, AngleTrack, Dwell, Frame
+from .motion import track_rows
+from .ship import AngleTrack, Dwell, Frame
 from .validate import BadFitSeries
 
 PEARLS_EPS = 0.01
@@ -31,19 +31,6 @@ class FrameClass(str, enum.Enum):
     THREE_D = "ThreeD"
     PEARLS = "StringOfPearls"
     INVALID = "Invalid"
-
-
-@dataclass(frozen=True)
-class MotionMatrix:
-    """Motion matrix at one frame with its scaled condition number.
-
-    cond is computed after scaling the rows by (1, T, T^2) so range, rate,
-    and acceleration rows are commensurate; T is the integration time.
-    """
-
-    m: np.ndarray
-    cond: float
-    t: float
 
 
 @dataclass(frozen=True)
@@ -87,21 +74,29 @@ def report_noise(range_resolution: float, integration_time: float) -> tuple[floa
             1.0 / integration_time ** 2)
 
 
-def motion_matrix(sample: AngleSample, integration_time: float) -> MotionMatrix:
-    m = motion_rows(sample.phi, sample.theta, sample.phi_dot, sample.theta_dot,
-                    sample.phi_ddot, sample.theta_ddot)
-    scale = np.diag([1.0, integration_time, integration_time ** 2])
-    cond = float(np.linalg.cond(scale @ m))
-    return MotionMatrix(m=m, cond=cond, t=sample.t)
+def motion_matrix(track: AngleTrack,
+                  integration_time: float) -> tuple[np.ndarray, np.ndarray]:
+    """Motion matrices of every frame of a track, (n, 3, 3), and their
+    scaled condition numbers, (n,).
+
+    The condition number is taken after scaling the rows by (1, T, T^2) so
+    range, rate, and acceleration rows are commensurate; T is the
+    integration time.
+    """
+    m = track_rows(track)
+    scale = np.array([1.0, integration_time, integration_time ** 2])
+    return m, np.linalg.cond(scale[:, None] * m)
 
 
-def invert_frame(frame: Frame, mom: np.record, mm: MotionMatrix,
+def invert_frame(frame: Frame, mom: np.record, m: np.ndarray, cond: float,
                  noise: tuple[float, float, float],
                  cond_guard: float = COND_GUARD) -> FrameSolution:
     """Recover centered drydock coordinates for every report in a frame.
 
     mom is the frame's moments record under the run's weighting; its
-    validity gates the inversion and its crf sets the pearls score.
+    validity gates the inversion and its crf sets the pearls score. m and
+    cond are the frame's motion matrix and scaled condition number, one row
+    of motion_matrix.
 
     noise_var_k = sum_j (M^-1)_kj^2 sigma_j^2 propagates the report noise
     through the inversion. A condition number beyond cond_guard means the
@@ -109,20 +104,21 @@ def invert_frame(frame: Frame, mom: np.record, mm: MotionMatrix,
     carries no coordinates. The class set here ignores fit-quality flags;
     classify_frames applies those afterwards.
     """
+    cond = float(cond)
     if not mom.valid:
         return FrameSolution(t=frame.t, frame_index=frame.index, xyz=None,
                              noise_var=(0.0, 0.0, 0.0), scores=(0.0, 0.0, 0.0),
-                             frame_class=FrameClass.INVALID, cond=mm.cond,
+                             frame_class=FrameClass.INVALID, cond=cond,
                              flags=("too few reports",))
-    if not np.isfinite(mm.cond) or mm.cond > cond_guard:
+    if not np.isfinite(cond) or cond > cond_guard:
         return FrameSolution(t=frame.t, frame_index=frame.index, xyz=None,
                              noise_var=(0.0, 0.0, 0.0), scores=(0.0, 0.0, 0.0),
-                             frame_class=FrameClass.INVALID, cond=mm.cond,
+                             frame_class=FrameClass.INVALID, cond=cond,
                              flags=("ill-conditioned motion",))
     reports = frame.reports
     rfa = np.column_stack((reports.r, reports.f, reports.a))
     rfa = rfa - rfa.mean(axis=0)
-    minv = np.linalg.inv(mm.m)
+    minv = np.linalg.inv(m)
     xyz = rfa @ minv.T
     sig = np.asarray(noise, dtype=float)
     noise_var = (minv ** 2) @ (sig ** 2)
@@ -135,7 +131,7 @@ def invert_frame(frame: Frame, mom: np.record, mm: MotionMatrix,
                                     float(noise_var[2])),
                          scores=(profile, plan, pearls),
                          frame_class=_classify(profile, plan, pearls),
-                         cond=mm.cond)
+                         cond=cond)
 
 
 def _classify(profile: float, plan: float, pearls: float,
@@ -193,9 +189,8 @@ def compose(dwell: Dwell, solutions: list[FrameSolution], track: AngleTrack,
     """
     if kind not in (FrameClass.PROFILE, FrameClass.PLAN):
         raise ValueError("composites exist for Profile and Plan only")
-    rates = np.array([
-        s.theta_dot if kind is FrameClass.PROFILE else s.phi_dot
-        for s in track.samples])
+    rates = (track.samples.theta_dot if kind is FrameClass.PROFILE
+             else track.samples.phi_dot)
     med_rate = float(np.median(np.abs(rates))) if len(rates) else 0.0
     pts_r: list[np.ndarray] = []
     pts_c: list[np.ndarray] = []

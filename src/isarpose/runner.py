@@ -22,7 +22,7 @@ from .moments import moments_series
 from .plots import svg_lines_text
 from .pose import (CompositeImage, FrameClass, classify_frames, compose,
                    invert_frame, motion_matrix, report_noise)
-from .ship import ShipModel
+from .ship import AngleTrack, ShipModel
 from .simulate import (DegradationSpec, ScenarioConfig, build_angle_track,
                        make_ship, simulate_degraded, simulate_perfect)
 from .validate import badfit, consistency_synth, crosscheck_focus
@@ -42,6 +42,13 @@ class PipelineError(Exception):
     def __init__(self, stage: str, message: str):
         super().__init__(f"{stage}: {message}")
         self.stage = stage
+
+
+def is_number(value) -> bool:
+    """True for a finite int or float, which JSON numbers load as; not a
+    bool, and not the NaN or Infinity that Python's json also reads."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,10 @@ class RunConfig:
             raise ConfigError("analyze mode needs input_path")
         if self.weighting not in ("uniform", "snr"):
             raise ConfigError(f"weighting must be uniform or snr, got {self.weighting!r}")
+        if self.period is not None and not (is_number(self.period)
+                                            and self.period > 0):
+            raise ConfigError("period must be a finite positive number of "
+                              f"seconds, got {self.period!r}")
 
 
 @dataclass(frozen=True)
@@ -234,19 +245,19 @@ class _Outputs:
             raise
 
 
-def _angle_summary(state: FitState, phi0: float) -> dict:
+def _angle_summary(track: AngleTrack, state: FitState, phi0: float) -> dict:
+    s = track.samples
     return {
         "period_s": state.period,
         "lines_s": [float(p) for p in state.lines],
         "steady_rate_dps": math.degrees(state.steady_rate),
-        "mean_abs_aspect_rate_dps": math.degrees(float(np.mean(np.abs(state.phi_dot)))),
-        "mean_abs_tilt_rate_dps": math.degrees(float(np.mean(np.abs(state.theta_dot)))),
+        "mean_abs_aspect_rate_dps": math.degrees(float(np.mean(np.abs(s.phi_dot)))),
+        "mean_abs_tilt_rate_dps": math.degrees(float(np.mean(np.abs(s.theta_dot)))),
         "mean_aspect_deg": math.degrees(phi0 + float(np.mean(state.phi_M))),
         "bsq": state.bsq_est,
         "hsq": state.hsq_est,
         "residual_rms": state.residual_rms,
         "converged": state.converged,
-        "n_floored": state.n_floored,
         "flags": list(state.flags),
     }
 
@@ -280,8 +291,8 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs, mode: str) -> RunReport:
     try:
         T = dwell.frames[0].integration_time
         noise = config.noise_override or report_noise(dwell.range_resolution, T)
-        sols = [invert_frame(fr, mom[k], motion_matrix(track.samples[k], T),
-                             noise)
+        m, cond = motion_matrix(track, T)
+        sols = [invert_frame(fr, mom[k], m[k], cond[k], noise)
                 for k, fr in enumerate(dwell.frames)]
         sols = classify_frames(sols, bf, config.class_threshold)
         composites: list[CompositeImage] = []
@@ -308,7 +319,7 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs, mode: str) -> RunReport:
     except ValueError as exc:
         flags.append(f"length: {exc}")
 
-    t, cov_rf = mom.t, mom.cov_rf
+    t, cov_rf, angle = mom.t, mom.cov_rf, track.samples
     out.add_text("covariances.csv", _csv({
         "t": t, "valid": mom.valid, "n_targets": mom.n_targets,
         "cov_rf": cov_rf, "cov_ff": mom.cov_ff, "cov_ra": mom.cov_ra,
@@ -317,10 +328,10 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs, mode: str) -> RunReport:
         "model_d": model.d}))
     out.add_text("angles.csv", _csv({
         "t": t,
-        "phi_deg": np.degrees(state.phi),
-        "theta_deg": np.degrees(state.theta),
-        "phi_dot_dps": np.degrees(state.phi_dot),
-        "theta_dot_dps": np.degrees(state.theta_dot),
+        "phi_deg": np.degrees(angle.phi),
+        "theta_deg": np.degrees(angle.theta),
+        "phi_dot_dps": np.degrees(angle.phi_dot),
+        "theta_dot_dps": np.degrees(angle.theta_dot),
         "phi_mean_deg": np.degrees(state.phi_mean),
         "phi_wave_deg": np.degrees(state.phi_hat),
         "theta_wave_deg": np.degrees(state.theta_hat)}))
@@ -359,12 +370,12 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs, mode: str) -> RunReport:
             "frames_used": list(img.frames_used)}))
     if config.emit_plots:
         out.add_text("angles.svg", svg_lines_text(
-            t, {"aspect": np.degrees(state.phi),
-                "tilt": np.degrees(state.theta)},
+            t, {"aspect": np.degrees(angle.phi),
+                "tilt": np.degrees(angle.theta)},
             "Estimated angles", ylabel="deg"))
         out.add_text("rates.svg", svg_lines_text(
-            t, {"aspect rate": np.degrees(state.phi_dot),
-                "tilt rate": np.degrees(state.theta_dot)},
+            t, {"aspect rate": np.degrees(angle.phi_dot),
+                "tilt rate": np.degrees(angle.theta_dot)},
             "Estimated angle rates", ylabel="deg/s"))
         out.add_text("covariances.svg", svg_lines_text(
             t, {"cov_rf data": cov_rf,
@@ -380,7 +391,7 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs, mode: str) -> RunReport:
     names = tuple(sorted(out.manifest() + ("run_report.json",)))
     return RunReport(
         mode=mode, n_frames=len(dwell.frames),
-        angle_summary=_angle_summary(state, dwell.phi0),
+        angle_summary=_angle_summary(track, state, dwell.phi0),
         class_counts=class_counts, loa=loa_dict,
         badfit_count=int(np.sum(bf.flagged)), flags=tuple(flags),
         manifest=names)

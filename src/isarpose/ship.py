@@ -45,46 +45,58 @@ class ShipModel:
                 raise ValueError("scatterers extend beyond loa_true")
 
 
-@dataclass(frozen=True)
-class AngleSample:
-    """Aspect/tilt state at one instant.
+ANGLE_DTYPE = np.dtype([(name, np.float64) for name in (
+    "t", "phi", "theta", "phi_dot", "theta_dot", "phi_ddot", "theta_ddot")])
+"""Aspect/tilt state at one instant per record: t (s); phi aspect angle
+(rad), rotation in the horizontal plane; theta tilt angle (rad), effective
+grazing rotation; their rates (rad/s) and accelerations (rad/s^2)."""
 
-    phi: aspect angle (rad), rotation in the horizontal plane.
-    theta: tilt angle (rad), effective grazing rotation.
-    Derivative fields are rad/s and rad/s^2.
+
+def _record_array(dtype: np.dtype, cols: tuple) -> np.recarray:
+    # one record per broadcast element, each field filled from its column
+    out = np.recarray(np.broadcast_shapes(*map(np.shape, cols)), dtype=dtype)
+    for name, col in zip(dtype.names, cols):
+        out[name] = col
+    return out
+
+
+def angle_array(t, phi, theta, phi_dot=0.0, theta_dot=0.0, phi_ddot=0.0,
+                theta_ddot=0.0) -> np.recarray:
+    """Angle states from their columns; scalars broadcast."""
+    return _record_array(ANGLE_DTYPE, (t, phi, theta, phi_dot, theta_dot,
+                                       phi_ddot, theta_ddot))
+
+
+@dataclass(frozen=True, eq=False)
+class AngleTrack:
+    """Angle history, one sample per image frame.
+
+    samples is a read-only ANGLE_DTYPE record array, so each field is one
+    column (track.samples.phi) and samples[k] is the state of frame k. Every
+    field is finite, |phi|, |theta| < pi/2 (the model is valid only away
+    from the tangent singularity), and the times increase in uniform steps.
     """
 
-    t: float
-    phi: float
-    theta: float
-    phi_dot: float = 0.0
-    theta_dot: float = 0.0
-    phi_ddot: float = 0.0
-    theta_ddot: float = 0.0
+    samples: np.recarray
 
     def __post_init__(self):
-        # model is valid only away from the tangent singularity
-        if not (abs(self.phi) < math.pi / 2 and abs(self.theta) < math.pi / 2):
+        samples = np.asarray(self.samples).view(np.recarray)
+        if samples.dtype != ANGLE_DTYPE or samples.ndim != 1:
+            raise ValueError("samples must be a 1-D ANGLE_DTYPE array")
+        if not all(np.isfinite(samples[name]).all() for name in ANGLE_DTYPE.names):
+            raise ValueError("angle track fields must be finite")
+        if not (np.all(np.abs(samples.phi) < math.pi / 2)
+                and np.all(np.abs(samples.theta) < math.pi / 2)):
             raise ValueError("angles must satisfy |phi|, |theta| < pi/2")
-
-
-@dataclass(frozen=True)
-class AngleTrack:
-    """Uniformly sampled angle history, one sample per image frame."""
-
-    samples: tuple[AngleSample, ...]
-    dt: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        ts = [s.t for s in self.samples]
-        for a, b in zip(ts, ts[1:]):
-            if not (b > a and abs((b - a) - self.dt) <= 1e-9 * max(1.0, self.dt)):
-                raise ValueError("sample times must increase by dt")
-
-    @property
-    def times(self):
-        return tuple(s.t for s in self.samples)
+        steps = np.diff(samples.t)
+        # Dwell lets each frame step stray 1e-9 of its interval (relative
+        # past 1 s), so two steps of an accepted dwell differ by at most
+        # 2e-9 of it; 3e-9 of the largest step keeps every such dwell
+        if steps.size and not (steps.min() > 0 and np.ptp(steps)
+                               <= 3e-9 * max(1.0, float(steps.max()))):
+            raise ValueError("sample times must increase in uniform steps")
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
 
 
 REPORT_DTYPE = np.dtype([("t", np.float64), ("snr", np.float64),
@@ -97,12 +109,7 @@ scatterer in simulation only, -1 for none."""
 
 def report_array(t, snr, r, f, a, truth_id=-1) -> np.recarray:
     """Reports of one frame from their columns; scalars broadcast."""
-    cols = (t, snr, r, f, a, truth_id)
-    out = np.recarray(np.broadcast_shapes(*map(np.shape, cols)),
-                      dtype=REPORT_DTYPE)
-    for name, col in zip(REPORT_DTYPE.names, cols):
-        out[name] = col
-    return out
+    return _record_array(REPORT_DTYPE, (t, snr, r, f, a, truth_id))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,10 +155,6 @@ class Dwell:
         for a, b in zip(ts, ts[1:]):
             if abs((b - a) - self.frame_interval) > 1e-9 * max(1.0, self.frame_interval):
                 raise ValueError("frame times must be uniformly spaced")
-
-    @property
-    def times(self):
-        return tuple(fr.t for fr in self.frames)
 
 
 def ship_moments(model: ShipModel) -> tuple[float, float, float]:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .length import beam_rule
 from .motion import motion_rows, track_rows
-from .ship import (AngleSample, AngleTrack, Dwell, Frame, Scatterer,
-                   ShipModel, report_array)
+from .ship import (AngleTrack, Dwell, Frame, Scatterer, ShipModel,
+                   angle_array, report_array)
 
 BASE_SNR_DB = 20.0  # reference SNR of a unit-rcs scatterer
 
@@ -131,29 +131,30 @@ def make_ship(loa: float, beam: float | None = None, height: float = 12.0,
     return ShipModel(tuple(sc), loa_true=loa)
 
 
-def range_of(s: Scatterer, ang: AngleSample) -> float:
-    """Range offset (m) of a scatterer at one angle state."""
+def range_of(s: Scatterer, ang: np.record) -> float:
+    """Range offset (m) of a scatterer at one angle state (an ANGLE_DTYPE
+    record, such as angle_sample_at returns)."""
     m = motion_rows(ang.phi, ang.theta, ang.phi_dot, ang.theta_dot,
                     ang.phi_ddot, ang.theta_ddot)
     return float(m[0] @ (s.x0, s.y0, s.z0))
 
 
-def rate_of(s: Scatterer, ang: AngleSample) -> float:
+def rate_of(s: Scatterer, ang: np.record) -> float:
     """Range-rate (m/s): exact time derivative of range_of."""
     m = motion_rows(ang.phi, ang.theta, ang.phi_dot, ang.theta_dot,
                     ang.phi_ddot, ang.theta_ddot)
     return float(m[1] @ (s.x0, s.y0, s.z0))
 
 
-def accel_of(s: Scatterer, ang: AngleSample) -> float:
+def accel_of(s: Scatterer, ang: np.record) -> float:
     """Range-acceleration (m/s^2): exact second time derivative of range_of."""
     m = motion_rows(ang.phi, ang.theta, ang.phi_dot, ang.theta_dot,
                     ang.phi_ddot, ang.theta_ddot)
     return float(m[2] @ (s.x0, s.y0, s.z0))
 
 
-def angle_sample_at(cfg: ScenarioConfig, t: float) -> AngleSample:
-    """Continuous-time angle state of the scenario.
+def _angle_states(cfg: ScenarioConfig, t: np.ndarray) -> np.recarray:
+    """Continuous-time angle states of the scenario at the times t.
 
     phi(t) = phi0 + rate*(t - tbar) + A_phi*sin(2 pi t / P_phi)
     theta(t) = theta0 + A_theta*sin(2 pi t / P_theta)
@@ -164,24 +165,25 @@ def angle_sample_at(cfg: ScenarioConfig, t: float) -> AngleSample:
     t_amp, t_per = cfg.tilt_osc
     wa = 2 * math.pi / a_per
     wt = 2 * math.pi / t_per
-    return AngleSample(
-        t=t,
-        phi=cfg.phi0 + cfg.steady_aspect_rate * (t - tbar)
-            + a_amp * math.sin(wa * t),
-        theta=cfg.theta0 + t_amp * math.sin(wt * t),
-        phi_dot=cfg.steady_aspect_rate + a_amp * wa * math.cos(wa * t),
-        theta_dot=t_amp * wt * math.cos(wt * t),
-        phi_ddot=-a_amp * wa * wa * math.sin(wa * t),
-        theta_ddot=-t_amp * wt * wt * math.sin(wt * t),
-    )
+    return angle_array(
+        t,
+        cfg.phi0 + cfg.steady_aspect_rate * (t - tbar) + a_amp * np.sin(wa * t),
+        cfg.theta0 + t_amp * np.sin(wt * t),
+        cfg.steady_aspect_rate + a_amp * wa * np.cos(wa * t),
+        t_amp * wt * np.cos(wt * t),
+        -a_amp * wa * wa * np.sin(wa * t),
+        -t_amp * wt * wt * np.sin(wt * t))
+
+
+def angle_sample_at(cfg: ScenarioConfig, t: float) -> np.record:
+    """The scenario's angle state at one instant, an ANGLE_DTYPE record."""
+    return _angle_states(cfg, np.array([t], dtype=float))[0]
 
 
 def build_angle_track(cfg: ScenarioConfig) -> AngleTrack:
     """Angle history of the scenario sampled at frame centers."""
-    n = cfg.n_frames
-    dt = cfg.frame_interval
-    samples = tuple(angle_sample_at(cfg, (k + 0.5) * dt) for k in range(n))
-    return AngleTrack(samples, dt=dt)
+    t = (np.arange(cfg.n_frames) + 0.5) * cfg.frame_interval
+    return AngleTrack(_angle_states(cfg, t))
 
 
 def _exact_rfa(model: ShipModel, track: AngleTrack) -> np.ndarray:
@@ -197,10 +199,10 @@ def simulate_perfect(model: ShipModel, track: AngleTrack,
     vals = _exact_rfa(model, track)
     ids = np.arange(len(model.scatterers))
     frames = tuple(
-        Frame(index=k, t=samp.t, integration_time=cfg.integration_time,
-              reports=report_array(samp.t, BASE_SNR_DB, vals[k, :, 0],
+        Frame(index=k, t=tk, integration_time=cfg.integration_time,
+              reports=report_array(tk, BASE_SNR_DB, vals[k, :, 0],
                                    vals[k, :, 1], vals[k, :, 2], ids))
-        for k, samp in enumerate(track.samples))
+        for k, tk in enumerate(track.samples.t.tolist()))
     return Dwell(frames, phi0=cfg.phi0, theta0=cfg.theta0,
                  range_resolution=cfg.range_resolution,
                  frame_interval=cfg.frame_interval)
@@ -253,7 +255,7 @@ def simulate_degraded(model: ShipModel, track: AngleTrack,
     f_span = (float(vals[:, :, 1].min()), float(vals[:, :, 1].max()))
     n_s = len(model.scatterers)
     frames = []
-    for k, samp in enumerate(track.samples):
+    for k, tk in enumerate(track.samples.t.tolist()):
         rng = np.random.default_rng([cfg.seed, k])
         snr = BASE_SNR_DB + rcs_db
         if cfg.fade_sigma > 0:
@@ -263,13 +265,13 @@ def simulate_degraded(model: ShipModel, track: AngleTrack,
         da = rng.normal(0.0, sig_a, size=n_s) if sig_a > 0 else np.zeros(n_s)
         keep = np.flatnonzero(snr >= cfg.snr_floor)
         extra = np.array([row for spec in cfg.injectors
-                          for row in _inject(spec, samp.t, rng, r_span, f_span)])
+                          for row in _inject(spec, tk, rng, r_span, f_span)])
         reports = np.concatenate([
-            report_array(samp.t, snr[keep], vals[k, keep, 0] + dr[keep],
+            report_array(tk, snr[keep], vals[k, keep, 0] + dr[keep],
                          vals[k, keep, 1] + df[keep],
                          vals[k, keep, 2] + da[keep], keep),
-            report_array(samp.t, *extra.reshape(-1, 4).T)])
-        frames.append(Frame(index=k, t=samp.t,
+            report_array(tk, *extra.reshape(-1, 4).T)])
+        frames.append(Frame(index=k, t=tk,
                             integration_time=cfg.integration_time,
                             reports=reports))
     return Dwell(tuple(frames), phi0=cfg.phi0, theta0=cfg.theta0,

@@ -1,4 +1,4 @@
-"""Angle estimation chain: shape factors, model closure, solvers."""
+"""Angle estimation chain: model closure, solvers, the estimated track."""
 
 import math
 
@@ -8,38 +8,25 @@ import pytest
 import isarpose.angles
 from isarpose.angles import (LM_TOL, NPOLY, _covs_of, estimate_angles,
                              least_squares, lowpass_aspect_solve,
-                             model_covariances, thin_ship_factors,
-                             waveband_joint_fit)
+                             model_covariances, waveband_joint_fit)
 from isarpose.bands import chapeau_band_split
 from isarpose.moments import moments_series
 from isarpose.motion import motion_rows, range_rate_rows, track_rows
-from isarpose.ship import AngleSample, AngleTrack, ship_moments
+from isarpose.ship import AngleTrack, Dwell, Frame, angle_array, ship_moments
 from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
                                simulate_degraded, simulate_perfect)
 from tests.conftest import PHI0, THETA0
 
 
-def test_thin_ship_factors_hand_values():
-    phi0, theta0 = np.deg2rad(45.0), np.deg2rad(30.0)
-    bsq, hsq = 0.02, 0.01
-    P, Q, denom = thin_ship_factors(phi0, theta0, bsq, hsq)
-    assert P == pytest.approx(0.98, rel=1e-12)
-    # tan^2(45) = 1, cos^2(45) = 1/2
-    assert Q == pytest.approx(1.0 + 0.02 - 0.02, rel=1e-9)
-    assert denom == pytest.approx(1.0 + 0.02 + 0.01 * (1.0 / 3.0) / 0.5,
-                                  rel=1e-9)
-
-
 def test_model_covariances_match_quadratic_form():
-    samples = tuple(
-        AngleSample(t=0.5 * k, phi=0.7 + 0.004 * k + 0.02 * math.sin(0.6 * k),
-                    theta=0.5 + 0.015 * math.cos(0.4 * k),
-                    phi_dot=0.004 + 0.012 * math.cos(0.6 * k),
-                    theta_dot=-0.006 * math.sin(0.4 * k),
-                    phi_ddot=-0.0072 * math.sin(0.6 * k),
-                    theta_ddot=-0.0024 * math.cos(0.4 * k))
-        for k in range(40))
-    track = AngleTrack(samples, dt=0.5)
+    k = np.arange(40)
+    track = AngleTrack(angle_array(
+        0.5 * k, 0.7 + 0.004 * k + 0.02 * np.sin(0.6 * k),
+        0.5 + 0.015 * np.cos(0.4 * k),
+        phi_dot=0.004 + 0.012 * np.cos(0.6 * k),
+        theta_dot=-0.006 * np.sin(0.4 * k),
+        phi_ddot=-0.0072 * np.sin(0.6 * k),
+        theta_ddot=-0.0024 * np.cos(0.4 * k)))
     bsq, hsq = 0.03, 0.015
     rows = track_rows(track)
     c = np.einsum("nij,j,nkj->nik", rows, np.array([1.0, bsq, hsq]), rows)
@@ -160,21 +147,21 @@ def test_analytic_jacobian_matches_central_differences(recorded_stages, nl):
 
 def test_grid_fit_is_its_best_lone_candidate(ideal_moments):
     # a grid fit returns, bit for bit, the candidate of least residual that
-    # a fit of that candidate alone returns
+    # a fit of that candidate alone returns: its track and its state
     t, periods, splits_rf, splits_d, lows = _grid_inputs(
         ideal_moments, (10.5, 11.5, 12.5))
-    grid = waveband_joint_fit(t, periods, splits_rf, splits_d, lows,
-                              PHI0, THETA0)
+    track, grid = waveband_joint_fit(t, periods, splits_rf, splits_d, lows,
+                                     PHI0, THETA0)
     alone = [waveband_joint_fit(t, [p], [srf], [sd], [low], PHI0, THETA0)
              for p, srf, sd, low in zip(periods, splits_rf, splits_d, lows)]
-    best = min(alone, key=lambda s: s.residual_rms)
-    assert len({s.residual_rms for s in alone}) == 3
-    for name in ("period", "lines", "bsq_est", "hsq_est", "residual_rms",
-                 "converged", "flags", "n_floored"):
+    best_track, best = min(alone, key=lambda fit: fit[1].residual_rms)
+    assert len({state.residual_rms for _, state in alone}) == 3
+    for name in ("period", "lines", "steady_rate", "bsq_est", "hsq_est",
+                 "residual_rms", "converged", "flags"):
         assert getattr(grid, name) == getattr(best, name), name
-    for name in ("phi", "theta", "phi_dot", "theta_dot", "phi_ddot",
-                 "theta_ddot", "quad_theta_hat"):
+    for name in ("phi_hat", "theta_hat", "phi_mean", "phi_M"):
         assert np.array_equal(getattr(grid, name), getattr(best, name)), name
+    assert np.array_equal(track.samples, best_track.samples)
 
 
 class TestLeastSquares:
@@ -305,15 +292,13 @@ class TestLowpassAspect:
         low = lowpass_aspect_solve(t, lhs, phi0, P)
         assert np.allclose(low.phi_mean, phi0 + phi_m, atol=2e-5)
         assert low.steady_rate == pytest.approx(rate, rel=0.05)
-        assert not low.clamped.any()
         assert not low.flags
 
     def test_negative_discriminant_clamped_and_flagged(self):
         t = 0.5 * np.arange(120)
         low = lowpass_aspect_solve(t, np.full(120, -0.05), np.deg2rad(40.0),
                                    0.97)
-        assert low.clamped.any()
-        assert low.flags
+        assert low.flags == ("lowpass discriminant clamped",)
 
     def test_aspect_unobservable_near_zero_mean(self):
         t = 0.5 * np.arange(120)
@@ -322,28 +307,38 @@ class TestLowpassAspect:
 
 
 class TestEstimateAngles:
-    def test_converges_on_two_line_scene(self, ideal_fit):
+    def test_converges_on_two_line_scene(self, ideal_fit, ideal_moments):
         track, state = ideal_fit
         assert state.converged
         assert not state.flags
         # either true line is a legitimate period; the grid refines nearby
         assert min(abs(state.period - 10.0), abs(state.period - 12.0)) < 0.5
-        assert len(track.samples) == len(state.t)
+        assert np.array_equal(track.samples.t, ideal_moments.t)
 
     def test_recovers_rate_histories(self, ideal_fit, ideal_track):
-        track, _ = ideal_fit
-        true_pd = np.array([s.phi_dot for s in ideal_track.samples])
-        true_td = np.array([s.theta_dot for s in ideal_track.samples])
-        est_pd = np.array([s.phi_dot for s in track.samples])
-        est_td = np.array([s.theta_dot for s in track.samples])
-        assert np.corrcoef(true_pd, est_pd)[0, 1] > 0.999
-        assert np.corrcoef(true_td, est_td)[0, 1] > 0.999
+        est, true = ideal_fit[0].samples, ideal_track.samples
+        assert np.corrcoef(true.phi_dot, est.phi_dot)[0, 1] > 0.999
+        assert np.corrcoef(true.theta_dot, est.theta_dot)[0, 1] > 0.999
 
     def test_recovers_aspect_history(self, ideal_fit, ideal_track):
-        track, _ = ideal_fit
-        err = np.array([s.phi for s in track.samples]) \
-            - np.array([s.phi for s in ideal_track.samples])
+        err = ideal_fit[0].samples.phi - ideal_track.samples.phi
         assert np.sqrt(np.mean(err ** 2)) < np.deg2rad(0.1)
+
+    def test_jittered_frame_times_pass_through(self, ideal_dwell):
+        # the dwell takes a frame 0.9 ns off its slot (its tolerance is
+        # 1e-9 s), so the track built on those times must take it too
+        frames = list(ideal_dwell.frames)
+        fr = frames[1]
+        frames[1] = Frame(index=fr.index, t=fr.t + 0.9e-9,
+                          integration_time=fr.integration_time,
+                          reports=fr.reports)
+        dwell = Dwell(tuple(frames), phi0=ideal_dwell.phi0,
+                      theta0=ideal_dwell.theta0,
+                      range_resolution=ideal_dwell.range_resolution,
+                      frame_interval=ideal_dwell.frame_interval)
+        track, state = estimate_angles(moments_series(dwell), PHI0, THETA0)
+        assert track.samples.t[1] == fr.t + 0.9e-9
+        assert state.converged
 
     def test_recovers_shape_ratios(self, ideal_fit, ideal_ship):
         _, state = ideal_fit
@@ -389,7 +384,7 @@ class TestEstimateAngles:
         dwell = simulate_perfect(ship, build_angle_track(cfg), cfg)
         track, state = estimate_angles(moments_series(dwell), PHI0, THETA0)
         assert "no wave solution" in state.flags
-        assert np.allclose([s.theta for s in track.samples], THETA0)
+        assert np.allclose(track.samples.theta, THETA0)
         assert state.steady_rate == pytest.approx(np.deg2rad(0.3), rel=0.1)
 
 
@@ -414,11 +409,9 @@ def test_recovers_noisy_canonical_track(seed):
     mom = moments_series(simulate_degraded(ship, truth, cfg))
     track, state = estimate_angles(mom, PHI0, THETA0)
     assert state.converged
-    t = np.array([s.t for s in truth.samples])
     for name in ("phi_dot", "theta_dot"):
-        true_rate = np.array([getattr(s, name) for s in truth.samples])
-        est_rate = np.array([getattr(s, name) for s in track.samples])
-        assert _wave_corr(t, true_rate, est_rate, state.period) >= 0.9, name
+        assert _wave_corr(truth.samples.t, truth.samples[name],
+                          track.samples[name], state.period) >= 0.9, name
     _, bsq, hsq = ship_moments(ship)
     assert abs(state.bsq_est - bsq) <= 0.01
     assert abs(state.hsq_est - hsq) <= 0.01

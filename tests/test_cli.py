@@ -266,6 +266,32 @@ class TestAnalyze:
         assert code == 2
 
 
+    @pytest.mark.parametrize("overrides,args,message", [
+        ({"badfit_threshold": "x"}, [],
+         "badfit_threshold must be a finite number"),
+        ({"badfit_threshold": float("nan")}, [],
+         "badfit_threshold must be a finite number"),
+        ({"class_threshold": None}, [], "class_threshold must be a finite number"),
+        ({"class_threshold": True}, [], "class_threshold must be a finite number"),
+        ({"period": "x"}, [], "period must be a finite number"),
+        ({"noise_override": [float("nan"), 0.2, 0.3]}, [],
+         "noise_override must be [sigma_r, sigma_f, sigma_a]"),
+        ({"period": -3.0}, [], "period must be a finite positive number"),
+        ({}, ["--period", "nan"], "period must be a finite positive number"),
+        ({}, ["--period", "inf"], "period must be a finite positive number"),
+        ({}, ["--period", "0"], "period must be a finite positive number"),
+    ])
+    def test_bad_numeric_override_is_config_error(self, sim_dir, tmp_path,
+                                                  capsys, overrides, args,
+                                                  message):
+        cfg = _write_config(tmp_path, overrides, name="overrides.json")
+        code = main(["analyze", "--input", str(sim_dir / "dwell.csv"),
+                     "--out", str(tmp_path / "out"), "--config", cfg, *args])
+        assert code == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSelftest:
     def test_list_names_without_running(self, capsys):
         assert main(["selftest", "--list"]) == 0

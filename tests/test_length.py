@@ -128,7 +128,7 @@ class TestEstimateLoa:
 
     def test_track_length_mismatch_rejected(self, ideal_dwell, ideal_track):
         from isarpose.ship import AngleTrack
-        short = AngleTrack(ideal_track.samples[:20], dt=ideal_track.dt)
+        short = AngleTrack(ideal_track.samples[:20])
         with pytest.raises(ValueError):
             estimate_loa(ideal_dwell, short)
 
@@ -139,8 +139,7 @@ class TestEstimateLoa:
         A single correction pass therefore undershoots the length; the
         fixed-point iteration should land much closer on clean data.
         """
-        phi = np.array([s.phi for s in ideal_track.samples])
-        theta = np.array([s.theta for s in ideal_track.samples])
+        phi, theta = ideal_track.samples.phi, ideal_track.samples.theta
         raw = []
         for k, fr in enumerate(ideal_dwell.frames):
             r = fr.reports.r

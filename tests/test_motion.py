@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from isarpose.motion import motion_rows, track_rows
-from isarpose.ship import AngleSample, AngleTrack
+from isarpose.ship import AngleTrack, angle_array
 
 
 def _projection(phi, theta, s):
@@ -69,14 +69,13 @@ def test_pure_aspect_rotation_rows():
 
 
 def test_track_rows_stack_per_sample():
-    samples = tuple(
-        AngleSample(t=0.5 * k, phi=0.5 + 0.01 * k, theta=0.3,
-                    phi_dot=0.01, theta_dot=0.002 * k)
-        for k in range(5))
-    track = AngleTrack(samples, dt=0.5)
+    k = np.arange(5)
+    track = AngleTrack(angle_array(0.5 * k, 0.5 + 0.01 * k, 0.3,
+                                   phi_dot=0.01, theta_dot=0.002 * k,
+                                   phi_ddot=1e-4 * k))
     rows = track_rows(track)
     assert rows.shape == (5, 3, 3)
-    for k, smp in enumerate(samples):
+    for k, smp in enumerate(track.samples):
         one = motion_rows(smp.phi, smp.theta, smp.phi_dot, smp.theta_dot,
                           smp.phi_ddot, smp.theta_ddot)
         assert np.array_equal(rows[k], one)

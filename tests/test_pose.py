@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from isarpose.moments import frame_moments
+from isarpose.motion import motion_rows
 from isarpose.pose import (PEARLS_EPS, FrameClass, FrameSolution,
                            classify_frames, compose, invert_frame,
                            motion_matrix, report_noise)
-from isarpose.ship import (AngleSample, AngleTrack, Dwell, Frame,
-                           report_array)
+from isarpose.ship import AngleTrack, Dwell, Frame, angle_array, report_array
 from isarpose.simulate import (ScenarioConfig, accel_of, build_angle_track,
                                make_ship, range_of, rate_of,
                                simulate_degraded, simulate_perfect)
@@ -27,6 +27,18 @@ def _solution(k, scores, xyz="dummy", cls=FrameClass.INVALID):
     return FrameSolution(t=0.5 * k, frame_index=k, xyz=xyz,
                          noise_var=(1.0, 1.0, 1.0), scores=scores,
                          frame_class=cls, cond=1.0)
+
+
+def _one_state(T, t=0.0, phi=PHI0, theta=THETA0, **rates):
+    """Motion matrix and scaled condition number of one angle state."""
+    m, cond = motion_matrix(AngleTrack(angle_array([t], phi, theta, **rates)), T)
+    return m[0], cond[0]
+
+
+def _invert_all(dwell, track, T, noise):
+    m, cond = motion_matrix(track, T)
+    return [invert_frame(fr, frame_moments(fr), m[k], cond[k], noise)
+            for k, fr in enumerate(dwell.frames)]
 
 
 def _badfit_flags(flagged):
@@ -49,51 +61,58 @@ def test_report_noise_sigma_laws():
 
 class TestMotionMatrix:
     def test_static_geometry_is_singular(self):
-        mm = motion_matrix(AngleSample(t=0.0, phi=0.0, theta=0.0), 0.5)
-        assert np.allclose(mm.m[0], [1.0, 0.0, 0.0])
-        assert np.allclose(mm.m[1:], 0.0)
-        assert not np.isfinite(mm.cond)
+        m, cond = _one_state(0.5, phi=0.0, theta=0.0)
+        assert np.allclose(m[0], [1.0, 0.0, 0.0])
+        assert np.allclose(m[1:], 0.0)
+        assert not np.isfinite(cond)
 
     def test_pure_aspect_rotation_rows(self):
         w = 0.02
-        mm = motion_matrix(AngleSample(t=0.0, phi=0.0, theta=0.0,
-                                       phi_dot=w), 0.5)
-        assert np.allclose(mm.m[1], [0.0, -w, 0.0], atol=1e-15)
-        assert np.allclose(mm.m[2], [-w ** 2, 0.0, 0.0], atol=1e-15)
+        m, _ = _one_state(0.5, phi=0.0, theta=0.0, phi_dot=w)
+        assert np.allclose(m[1], [0.0, -w, 0.0], atol=1e-15)
+        assert np.allclose(m[2], [-w ** 2, 0.0, 0.0], atol=1e-15)
 
     def test_rows_reproduce_forward_model(self, ideal_cfg, ideal_ship,
                                           ideal_track):
         samp = ideal_track.samples[37]
-        mm = motion_matrix(samp, ideal_cfg.integration_time)
+        m = motion_matrix(ideal_track, ideal_cfg.integration_time)[0][37]
         for s in ideal_ship.scatterers[:6]:
             vec = np.array([s.x0, s.y0, s.z0])
-            assert mm.m[0] @ vec == pytest.approx(range_of(s, samp),
-                                                  abs=1e-12)
-            assert mm.m[1] @ vec == pytest.approx(rate_of(s, samp),
-                                                  abs=1e-12)
-            assert mm.m[2] @ vec == pytest.approx(accel_of(s, samp),
-                                                  abs=1e-12)
+            assert m[0] @ vec == pytest.approx(range_of(s, samp), abs=1e-12)
+            assert m[1] @ vec == pytest.approx(rate_of(s, samp), abs=1e-12)
+            assert m[2] @ vec == pytest.approx(accel_of(s, samp), abs=1e-12)
 
     def test_condition_number_commensurates_rows(self):
         # without the (1, T, T^2) row scaling a slow two-rotation frame
         # looks hopeless; with it the frame is comfortably invertible
-        samp = AngleSample(t=0.0, phi=PHI0, theta=THETA0, phi_dot=0.005,
-                           theta_dot=0.008, phi_ddot=1e-4, theta_ddot=2e-4)
-        mm = motion_matrix(samp, 2.0)
-        raw_cond = np.linalg.cond(mm.m)
-        assert mm.cond < 1e4 < raw_cond
+        m, cond = _one_state(2.0, phi_dot=0.005, theta_dot=0.008,
+                             phi_ddot=1e-4, theta_ddot=2e-4)
+        assert cond < 1e4 < np.linalg.cond(m)
+
+    def test_stack_matches_per_frame_rows_bit_for_bit(self, ideal_fit):
+        # the batched stack and condition numbers are, row for row, what a
+        # per-frame motion_rows and np.linalg.cond would give
+        track = ideal_fit[0]
+        T = 0.5
+        m, cond = motion_matrix(track, T)
+        assert m.shape == (len(track.samples), 3, 3)
+        assert cond.shape == (len(track.samples),)
+        scale = np.diag([1.0, T, T ** 2])
+        for k, s in enumerate(track.samples):
+            one = motion_rows(s.phi, s.theta, s.phi_dot, s.theta_dot,
+                              s.phi_ddot, s.theta_ddot)
+            assert np.array_equal(m[k], one), k
+            assert cond[k] == np.linalg.cond(scale @ one), k
 
 
 class TestInvertFrame:
     def test_round_trip_at_zero_noise(self, ideal_cfg, ideal_ship,
                                       ideal_dwell, ideal_track):
-        conds = [motion_matrix(s, ideal_cfg.integration_time).cond
-                 for s in ideal_track.samples]
-        k = int(np.argmin(conds))
-        mm = motion_matrix(ideal_track.samples[k],
-                           ideal_cfg.integration_time)
+        m, cond = motion_matrix(ideal_track, ideal_cfg.integration_time)
+        k = int(np.argmin(cond))
         frame = ideal_dwell.frames[k]
-        sol = invert_frame(frame, frame_moments(frame), mm, (0.25, 0.03, 0.01))
+        sol = invert_frame(frame, frame_moments(frame), m[k], cond[k],
+                           (0.25, 0.03, 0.01))
         truth = np.array([(s.x0, s.y0, s.z0) for s in ideal_ship.scatterers])
         truth = truth - truth.mean(axis=0)
         assert sol.xyz is not None
@@ -102,34 +121,31 @@ class TestInvertFrame:
     def test_noise_variance_propagation_formula(self, ideal_cfg,
                                                 ideal_dwell, ideal_track):
         noise = (0.25, 0.03, 0.01)
-        conds = [motion_matrix(s, ideal_cfg.integration_time).cond
-                 for s in ideal_track.samples]
-        k = int(np.argmin(conds))
-        mm = motion_matrix(ideal_track.samples[k],
-                           ideal_cfg.integration_time)
+        m, cond = motion_matrix(ideal_track, ideal_cfg.integration_time)
+        k = int(np.argmin(cond))
         frame = ideal_dwell.frames[k]
-        sol = invert_frame(frame, frame_moments(frame), mm, noise)
+        sol = invert_frame(frame, frame_moments(frame), m[k], cond[k], noise)
         assert sol.xyz is not None
-        minv = np.linalg.inv(mm.m)
+        minv = np.linalg.inv(m[k])
         expect = (minv ** 2) @ np.array(noise) ** 2
         assert sol.noise_var == pytest.approx(tuple(expect), rel=1e-12)
 
     def test_underpopulated_frame_invalid(self):
         frame = Frame(index=0, t=0.25, integration_time=0.5,
                       reports=_reports([(1.0, 0.0, 0.0)]))
-        mm = motion_matrix(AngleSample(t=0.25, phi=PHI0, theta=THETA0,
-                                       phi_dot=0.01, theta_dot=0.01), 0.5)
-        sol = invert_frame(frame, frame_moments(frame), mm, (0.25, 0.03, 0.01))
+        m, cond = _one_state(0.5, t=0.25, phi_dot=0.01, theta_dot=0.01)
+        sol = invert_frame(frame, frame_moments(frame), m, cond,
+                           (0.25, 0.03, 0.01))
         assert sol.frame_class is FrameClass.INVALID
         assert sol.xyz is None
         assert "too few reports" in sol.flags
 
     def test_ill_conditioned_frame_invalid_without_coordinates(
             self, ideal_dwell):
-        mm = motion_matrix(AngleSample(t=0.25, phi=PHI0, theta=THETA0,
-                                       theta_dot=1e-9), 0.5)
+        m, cond = _one_state(0.5, t=0.25, theta_dot=1e-9)
         frame = ideal_dwell.frames[0]
-        sol = invert_frame(frame, frame_moments(frame), mm, (0.25, 0.03, 0.01))
+        sol = invert_frame(frame, frame_moments(frame), m, cond,
+                           (0.25, 0.03, 0.01))
         assert sol.frame_class is FrameClass.INVALID
         assert sol.xyz is None
         assert "ill-conditioned motion" in sol.flags
@@ -145,11 +161,10 @@ class TestInvertFrame:
         uniform = frame_moments(frame)
         weighted = frame_moments(frame, weighting="snr")
         assert abs(weighted.crf - uniform.crf) > 0.1
-        mm = motion_matrix(AngleSample(t=0.25, phi=PHI0, theta=THETA0,
-                                       phi_dot=0.010, theta_dot=0.012,
-                                       phi_ddot=8e-3, theta_ddot=6e-3), 0.5)
+        m, cond = _one_state(0.5, t=0.25, phi_dot=0.010, theta_dot=0.012,
+                             phi_ddot=8e-3, theta_ddot=6e-3)
         for mom in (uniform, weighted):
-            sol = invert_frame(frame, mom, mm, (0.25, 0.03, 0.01))
+            sol = invert_frame(frame, mom, m, cond, (0.25, 0.03, 0.01))
             assert sol.xyz is not None
             assert sol.scores[2] == pytest.approx(
                 mom.crf ** 2 / (1.0 - mom.crf ** 2 + PEARLS_EPS), rel=1e-15)
@@ -159,27 +174,27 @@ class TestInvertFrame:
         # the propagated (N_X, N_Y, N_Z) must predict the actual scatter of
         # recovered coordinates, and do so at both integration times, which
         # pins the 1/T and 1/T^2 sigma laws rather than just the algebra
-        samp = AngleSample(t=0.0, phi=PHI0, theta=THETA0, phi_dot=0.010,
-                           theta_dot=0.012, phi_ddot=8e-3, theta_ddot=6e-3)
+        rates = dict(phi_dot=0.010, theta_dot=0.012, phi_ddot=8e-3,
+                     theta_ddot=6e-3)
         truth = np.array([(s.x0, s.y0, s.z0)
                           for s in ideal_ship.scatterers])
         rng = np.random.default_rng(9)
         for T in (0.5, 1.0):
-            mm = motion_matrix(samp, T)
+            m, cond = _one_state(T, **rates)
             noise = report_noise(0.5, T)
-            rfa0 = truth @ mm.m.T
+            rfa0 = truth @ m.T
             err = []
             for _ in range(400):
                 rfa = rfa0 + rng.normal(size=rfa0.shape) * np.array(noise)
                 frame = Frame(index=0, t=0.25, integration_time=T,
                               reports=_reports(rfa))
-                sol = invert_frame(frame, frame_moments(frame), mm, noise)
+                sol = invert_frame(frame, frame_moments(frame), m, cond, noise)
                 centered = truth - truth.mean(axis=0)
                 err.append(sol.xyz - centered)
             meas = np.concatenate(err).var(axis=0)
             clean = Frame(index=0, t=0.25, integration_time=T,
                           reports=_reports(rfa0))
-            pred = invert_frame(clean, frame_moments(clean), mm,
+            pred = invert_frame(clean, frame_moments(clean), m, cond,
                                 noise).noise_var
             ratios = meas / np.array(pred)
             assert np.all((ratios > 0.7) & (ratios < 1.4))
@@ -223,11 +238,8 @@ class TestClassification:
     def test_each_frame_gets_exactly_one_class(self, ideal_cfg, ideal_dwell,
                                                ideal_track):
         noise = (0.25, 0.03, 0.01)
-        sols = classify_frames([
-            invert_frame(fr, frame_moments(fr),
-                         motion_matrix(ideal_track.samples[k],
-                                       ideal_cfg.integration_time), noise)
-            for k, fr in enumerate(ideal_dwell.frames)])
+        sols = classify_frames(_invert_all(ideal_dwell, ideal_track,
+                                           ideal_cfg.integration_time, noise))
         assert len(sols) == len(ideal_dwell.frames)
         assert all(isinstance(s.frame_class, FrameClass) for s in sols)
 
@@ -240,10 +252,7 @@ class TestClassification:
         ship = make_ship(90.0, beam=32.0, height=0.0)
         track = build_angle_track(cfg)
         dwell = simulate_degraded(ship, track, cfg)
-        sols = classify_frames([
-            invert_frame(fr, frame_moments(fr),
-                         motion_matrix(track.samples[k], 2.0), noise)
-            for k, fr in enumerate(dwell.frames)])
+        sols = classify_frames(_invert_all(dwell, track, 2.0, noise))
         plan = np.array([s.scores[1] for s in sols])
         prof = np.array([s.scores[0] for s in sols])
         assert np.median(plan) > 10 * max(np.median(prof), 1.0)
@@ -270,10 +279,8 @@ class TestCompose:
         return dwell, sols
 
     def _track(self, rates):
-        samples = tuple(
-            AngleSample(t=0.25 + 0.5 * k, phi=0.0, theta=0.0, theta_dot=td)
-            for k, td in enumerate(rates))
-        return AngleTrack(samples, dt=0.5)
+        t = 0.25 + 0.5 * np.arange(len(rates))
+        return AngleTrack(angle_array(t, 0.0, 0.0, theta_dot=rates))
 
     def test_single_frame_rendered_about_centroid(self):
         dwell, sols = self._two_frame_scene(0.02)
@@ -337,14 +344,11 @@ class TestCompose:
         ship = make_ship(LOA)
         track = build_angle_track(cfg)
         dwell = simulate_degraded(ship, track, cfg)
-        sols = classify_frames([
-            invert_frame(fr, frame_moments(fr),
-                         motion_matrix(track.samples[k], 2.0), noise)
-            for k, fr in enumerate(dwell.frames)])
+        sols = classify_frames(_invert_all(dwell, track, 2.0, noise))
         comp = compose(dwell, sols, track, FrameClass.PROFILE)
         assert len(comp.frames_used) >= 15
-        rates = [track.samples[k].theta_dot for k in comp.frames_used]
-        assert sum(r < 0 for r in rates) >= 5
+        rates = track.samples.theta_dot[list(comp.frames_used)]
+        assert np.sum(rates < 0) >= 5
 
         def wspan(vals, w, q=0.005):
             order = np.argsort(vals)

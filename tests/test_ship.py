@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from isarpose.ship import (REPORT_DTYPE, AngleSample, AngleTrack, Dwell,
-                           Frame, Scatterer, ShipModel, report_array,
-                           ship_moments)
+from isarpose.ship import (ANGLE_DTYPE, REPORT_DTYPE, AngleTrack, Dwell,
+                           Frame, Scatterer, ShipModel, angle_array,
+                           report_array, ship_moments)
 
 
 def test_scatterer_rejects_nonfinite_coordinates():
@@ -31,21 +31,66 @@ def test_ship_model_guards_declared_length():
         ShipModel(sc, loa_true=100.0)
 
 
+def test_angle_array_broadcasts_columns():
+    ang = angle_array([0.25, 0.75], 0.1, [0.2, 0.3], phi_dot=0.01)
+    assert ang.dtype == ANGLE_DTYPE
+    assert ang.t.tolist() == [0.25, 0.75]
+    assert ang.phi.tolist() == [0.1, 0.1]
+    assert ang.theta.tolist() == [0.2, 0.3]
+    assert ang.phi_dot.tolist() == [0.01, 0.01]
+    # rates and accelerations default to zero
+    for name in ("theta_dot", "phi_ddot", "theta_ddot"):
+        assert ang[name].tolist() == [0.0, 0.0]
+
+
 def test_angle_sample_rejects_tangent_singularity():
-    with pytest.raises(ValueError):
-        AngleSample(t=0.0, phi=math.pi / 2, theta=0.0)
-    with pytest.raises(ValueError):
-        AngleSample(t=0.0, phi=0.0, theta=-math.pi / 2)
-    AngleSample(t=0.0, phi=1.5, theta=-1.5)
+    with pytest.raises(ValueError, match="pi/2"):
+        AngleTrack(angle_array([0.0], math.pi / 2, 0.0))
+    with pytest.raises(ValueError, match="pi/2"):
+        AngleTrack(angle_array([0.0], 0.0, -math.pi / 2))
+    AngleTrack(angle_array([0.0], 1.5, -1.5))
+
+
+@pytest.mark.parametrize("field", ANGLE_DTYPE.names)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_angle_track_rejects_nonfinite_field(field, value):
+    ang = angle_array(0.5 * np.arange(4), 0.1, 0.1)
+    ang[field][2] = value
+    with pytest.raises(ValueError, match="finite"):
+        AngleTrack(ang)
 
 
 def test_angle_track_requires_uniform_increasing_times():
-    good = tuple(AngleSample(t=0.5 * k, phi=0.1, theta=0.1) for k in range(4))
-    AngleTrack(good, dt=0.5)
-    bad = good[:2] + (AngleSample(t=1.7, phi=0.1, theta=0.1),)
+    AngleTrack(angle_array(0.5 * np.arange(4), 0.1, 0.1))
+    for times in ([0.0, 0.5, 1.7], [0.0, 0.5, 0.5], [1.0, 0.5, 0.0]):
+        with pytest.raises(ValueError, match="increase"):
+            AngleTrack(angle_array(times, 0.1, 0.1))
+
+
+def test_angle_track_accepts_the_spacing_dwell_accepts():
+    # Dwell takes frame steps within 1e-9 s of its 0.5 s interval, so one
+    # frame shifted by 0.9 ns gives steps 1.8 ns apart
+    times = [0.25, 0.75 + 0.9e-9, 1.25, 1.75]
+    frames = tuple(Frame(index=k, t=t, integration_time=0.5,
+                         reports=report_array(t, [20.0], 0.0, 0.0, 0.0))
+                   for k, t in enumerate(times))
+    Dwell(frames, phi0=0.5, theta0=0.3, range_resolution=0.5,
+          frame_interval=0.5)
+    AngleTrack(angle_array(times, 0.1, 0.1))
+
+
+def test_angle_track_holds_a_read_only_record_array():
+    with pytest.raises(ValueError, match="ANGLE_DTYPE"):
+        AngleTrack(np.zeros((3, 7)))
+    with pytest.raises(ValueError, match="ANGLE_DTYPE"):
+        AngleTrack(angle_array(np.zeros((2, 2)), 0.1, 0.1))
+    track = AngleTrack(angle_array(0.5 * np.arange(3), 0.1, 0.2,
+                                   theta_dot=[0.0, 0.01, 0.02]))
     with pytest.raises(ValueError):
-        AngleTrack(bad, dt=0.5)
-    assert AngleTrack(good, dt=0.5).times == (0.0, 0.5, 1.0, 1.5)
+        track.samples.phi[0] = 0.3
+    # one state is one record, read by field name
+    assert track.samples[1].t == 0.5
+    assert track.samples[2].theta_dot == 0.02
 
 
 def test_dwell_requires_uniform_frame_times():

@@ -80,7 +80,7 @@ class TestAngleTrack:
         cfg = _cfg()
         track = build_angle_track(cfg)
         assert len(track.samples) == cfg.n_frames
-        assert track.dt == cfg.frame_interval
+        assert np.all(np.diff(track.samples.t) == cfg.frame_interval)
         assert track.samples[0].t == pytest.approx(0.25)
         assert track.samples[3].t == pytest.approx(1.75)
 
