@@ -220,9 +220,13 @@ def least_squares(fun, x0: np.ndarray, jac, bounds: tuple[np.ndarray, np.ndarray
     rule: after a step that lowers the cost it scales by
     max(1/3, 1 - (2 rho - 1)^3), where rho is the actual over the predicted
     reduction -(g.dz + dz.A.dz / 2); after a rejected step it grows by a
-    factor that doubles with every rejection in a row. Each trial point is
-    clipped into the bounds, and the prediction is made for the clipped
-    step.
+    factor that doubles with every rejection in a row. A variable that sits
+    on a bound with its gradient entry pointing out of the box (x <= lb and
+    g > 0, or x >= ub and g < 0) is held: its row and column of A become an
+    identity row and its entry of g is 0, so its step is exactly 0 and the
+    free variables solve the reduced system. Each trial point is clipped
+    into the bounds, and the prediction is made for the clipped step. A
+    start with no held variable solves the full system.
 
     x0 is (B, npar), and bounds and x_scale broadcast against it, so every
     start may have its own. Each start keeps its own damping, budget of
@@ -291,9 +295,14 @@ def _lockstep_lm(fun, x0, jac, bounds, x_scale, max_nfev, args) -> LsqResult:
         rows = np.flatnonzero(live)
         if not rows.size:
             break
-        xr, sc = x[rows], xsc[rows]
-        dz = np.linalg.solve(a[rows] + mu[rows, None, None] * eye,
-                             -g[rows][..., None])[..., 0]
+        xr, sc, gr = x[rows], xsc[rows], g[rows]
+        m = a[rows] + mu[rows, None, None] * eye
+        # held: on a bound, with the gradient pointing out of the box
+        held = ((xr <= lb[rows]) & (gr > 0)) | ((xr >= ub[rows]) & (gr < 0))
+        free = ~held
+        m = np.where(free[:, :, None] & free[:, None, :], m, eye)
+        gr = np.where(held, 0.0, gr)
+        dz = np.linalg.solve(m, -gr[..., None])[..., 0]
         x_new = np.clip(xr + dz * sc, lb[rows], ub[rows])
         dz = (x_new - xr) / sc
         small = (np.linalg.norm(dz, axis=-1)
@@ -391,8 +400,10 @@ def waveband_joint_fit(t: np.ndarray, periods, splits_rf: list[BandSplit],
     candidates the smallest residual_rms wins, the first on ties.
 
     Each stage is one least_squares call (bounded Levenberg-Marquardt,
-    soft_l1 loss, at most 400 residual calls a start) over the starts of
-    every candidate: stage 1 over both seeds of all candidates, stage 2
+    soft_l1 loss, at most 400 residual calls a start, a parameter held out
+    of the step while it sits on a bound the cost pushes against; a line
+    frequency at the edge of its band is the common case) over the starts
+    of every candidate: stage 1 over both seeds of all candidates, stage 2
     over both seeds of the candidates where the pursuit found a second
     line. A winner whose start ran out of calls is flagged 'wave fit did
     not converge'. Residuals keep all 2n samples (cov_rf, then d) for

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ship import Dwell, Frame
+from .ship import Dwell
 
 FOOT = 0.3048
 MIN_PROJECTION = 0.1   # |cos(phi) cos(theta)| floor for a usable frame
@@ -61,29 +61,46 @@ def frame_loa(r_min: float, r_max: float, phi: float, theta: float,
     return max(corrected, BEAM_CLAMP * raw)
 
 
+def _screen(r: np.ndarray, snr: np.ndarray, k_mad: float = 3.0,
+            snr_drop_db: float = 6.0) -> np.ndarray:
+    """Keep mask of the multipath screen over k frames of n reports each:
+    r and snr are (k, n), one frame a row, and so is the mask. Frames of
+    under five reports keep every report."""
+    if r.shape[1] < 5:
+        return np.ones(r.shape, dtype=bool)
+    p90 = np.percentile(r, 90, axis=1)
+    mad = 1.4826 * np.median(np.abs(r - np.median(r, axis=1)[:, None]), axis=1)
+    far = r > (p90 + k_mad * np.maximum(mad, 1e-9))[:, None]
+    weak = snr <= (np.median(snr, axis=1) - snr_drop_db)[:, None]
+    return ~(far & weak)
+
+
 def multipath_guard(reports: np.recarray, k_mad: float = 3.0,
                     snr_drop_db: float = 6.0) -> np.recarray:
     """Drop far-range ghosts: beyond the 90th percentile by k_mad robust
     sigmas AND at least snr_drop_db below the frame median SNR. Near-range
     reports are never dropped (the bow is real). Needs five reports to have
     a usable percentile; smaller frames pass through."""
-    if len(reports) < 5:
-        return reports
-    r, snr = reports.r, reports.snr
-    p90 = np.percentile(r, 90)
-    mad = 1.4826 * np.median(np.abs(r - np.median(r)))
-    med_snr = np.median(snr)
-    far = r > p90 + k_mad * max(mad, 1e-9)
-    weak = snr <= med_snr - snr_drop_db
-    keep = ~(far & weak)
-    return reports[keep]
+    return reports[_screen(reports["r"][None], reports["snr"][None],
+                           k_mad, snr_drop_db)[0]]
 
 
-def _frame_extent(frame: Frame) -> tuple[float, float] | None:
-    reports = multipath_guard(frame.reports)
-    if len(reports) < 3:
-        return None
-    return float(reports.r.min()), float(reports.r.max())
+def _extents(frames) -> tuple[np.ndarray, np.ndarray]:
+    """Range extent (r_min, r_max) of each frame's reports after the
+    multipath screen, NaN where under three reports survive. Frames of one
+    report count are screened together, stacked as the rows of one array."""
+    counts = np.array([len(fr.reports) for fr in frames])
+    r_lo = np.full(len(frames), np.nan)
+    r_hi = np.full(len(frames), np.nan)
+    for c in np.unique(counts[counts >= 3]):
+        idx = np.flatnonzero(counts == c)
+        reports = [frames[k].reports.view(np.ndarray) for k in idx]
+        r = np.stack([rep["r"] for rep in reports])
+        keep = _screen(r, np.stack([rep["snr"] for rep in reports]))
+        ok = keep.sum(axis=1) >= 3
+        r_lo[idx[ok]] = np.where(keep, r, np.inf).min(axis=1)[ok]
+        r_hi[idx[ok]] = np.where(keep, r, -np.inf).max(axis=1)[ok]
+    return r_lo, r_hi
 
 
 def estimate_loa(dwell: Dwell, track, badfit_series=None) -> LengthEstimate:
@@ -103,18 +120,18 @@ def estimate_loa(dwell: Dwell, track, badfit_series=None) -> LengthEstimate:
     n = len(dwell.frames)
     if len(phi) != n:
         raise ValueError("angle track and dwell lengths disagree")
-    extents = [_frame_extent(fr) for fr in dwell.frames]
-    usable = np.array([e is not None for e in extents], dtype=bool)
+    r_lo, r_hi = _extents(dwell.frames)
+    usable = np.isfinite(r_lo)
     if badfit_series is not None:
         usable &= ~np.asarray(badfit_series.flagged, dtype=bool)
     usable &= np.abs(np.cos(phi) * np.cos(theta)) > MIN_PROJECTION
+    used = np.flatnonzero(usable).tolist()
+    lo, hi, ph, th = (x.tolist() for x in (r_lo, r_hi, phi, theta))
 
     def series(beam: float) -> np.ndarray:
         vals = np.full(n, np.nan)
-        for k in range(n):
-            if usable[k]:
-                r_lo, r_hi = extents[k]
-                vals[k] = frame_loa(r_lo, r_hi, phi[k], theta[k], beam)
+        for k in used:
+            vals[k] = frame_loa(lo[k], hi[k], ph[k], th[k], beam)
         return vals
 
     def double_median(vals: np.ndarray) -> float:
@@ -133,8 +150,8 @@ def estimate_loa(dwell: Dwell, track, badfit_series=None) -> LengthEstimate:
         second = series(beam)
         loa = double_median(second)
 
-    r_min = np.array([extents[k][0] if usable[k] else np.nan for k in range(n)])
-    r_max = np.array([extents[k][1] if usable[k] else np.nan for k in range(n)])
+    r_min = np.where(usable, r_lo, np.nan)
+    r_max = np.where(usable, r_hi, np.nan)
 
     def extent_std(x: np.ndarray) -> float:
         x = x[np.isfinite(x)]

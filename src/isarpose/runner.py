@@ -81,6 +81,18 @@ class RunConfig:
                                             and self.period > 0):
             raise ConfigError("period must be a finite positive number of "
                               f"seconds, got {self.period!r}")
+        # a zero noise sigma makes every pose score infinite, and a
+        # non-positive threshold passes every frame; neither is a setting
+        for name in ("badfit_threshold", "class_threshold"):
+            value = getattr(self, name)
+            if not (is_number(value) and value > 0):
+                raise ConfigError(f"{name} must be a finite positive number, "
+                                  f"got {value!r}")
+        noise = self.noise_override
+        if noise is not None and not (len(noise) == 3 and all(
+                is_number(v) and v > 0 for v in noise)):
+            raise ConfigError("noise_override sigmas must be finite positive "
+                              f"numbers, got {noise!r}")
 
 
 @dataclass(frozen=True)

@@ -221,18 +221,53 @@ class TestLeastSquares:
         assert np.allclose(res.x, ref.x, rtol=0, atol=1e-4)
         assert res.cost == pytest.approx(ref.cost, rel=1e-6)
 
+    def test_held_lower_bound_reaches_constrained_minimum(self):
+        # x[2] starts clipped onto its 0.6 lower bound and the cost pulls it
+        # below: held there, the fit solves for x[0], x[1] alone and ends
+        # at SciPy's constrained minimum in a few calls, where a clipped
+        # full step crawls along the bound for over a hundred
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        t = np.linspace(0.0, 4.0, 40)
+        y = 2.0 * np.exp(-0.7 * t) + 0.5
+        calls = []
+
+        def fun(p):
+            calls.append(1)
+            return p[0] * np.exp(-p[1] * t) + p[2] - y
+
+        def jac(p):
+            e = np.exp(-p[1] * t)
+            return np.stack([e, -p[0] * t * e, np.ones_like(t)], axis=1)
+
+        x0 = np.array([1.5, 0.5, 0.4])
+        lb, ub = np.array([0.0, 0.0, 0.6]), np.array([5.0, 2.0, 1.0])
+        xsc = np.array([0.5, 0.2, 0.1])
+        ref = scipy_optimize.least_squares(
+            fun, np.clip(x0, lb, ub), jac=jac, bounds=(lb, ub), x_scale=xsc,
+            loss="soft_l1", f_scale=1.0, xtol=1e-14, ftol=1e-14, gtol=1e-14)
+        calls.clear()
+        res = least_squares(fun, x0, jac=jac, bounds=(lb, ub), x_scale=xsc,
+                            max_nfev=400)
+        assert res.status > 0
+        assert len(calls) == res.nfev <= 10
+        assert res.x[2] == 0.6
+        assert np.allclose(res.x, ref.x, rtol=0, atol=1e-5)
+        assert res.cost == pytest.approx(ref.cost, rel=1e-8)
+
     def test_batch_matches_lone_starts_bit_for_bit(self):
         # each start of a batch ends where it ends alone, whatever its
         # neighbours do: start 0 stops on the cost test (noisy data), 1 on
-        # the step test (exact data, zero cost), 2 and 3 on the budget; 3
-        # has its own bounds and x_scale and ends against a lower bound
+        # the step test (exact data, zero cost), 2 on the budget; 3 has its
+        # own bounds and x_scale, runs onto its x[2] >= 0.6 lower bound,
+        # is held there and stops on the cost test
         t = np.linspace(0.0, 4.0, 40)
         clean = 2.0 * np.exp(-0.7 * t) + 0.5
         noise = 0.05 * np.random.default_rng(5).standard_normal(40)
         ys = np.array([clean + noise, clean, clean - noise, clean])
 
-        def fun_of(y):
+        def fun_of(y, calls):
             def fun(x, rows):
+                calls[rows] += 1
                 return (x[:, 0, None] * np.exp(-x[:, 1, None] * t)
                         + x[:, 2, None] - y[rows])
             return fun
@@ -243,21 +278,24 @@ class TestLeastSquares:
                             axis=-1)
 
         x0 = np.array([[1.0, 0.3, 0.0], [1.0, 0.3, 0.0], [30.0, 5.0, -3.0],
-                       [1.5, 0.5, 0.4]])
+                       [1.5, 0.5, 0.9]])
         lb = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, -1.0], [0.0, 0.0, -5.0],
                        [0.0, 0.0, 0.6]])
         ub = np.array([[5.0, 2.0, 1.0], [5.0, 2.0, 1.0], [50.0, 9.0, 5.0],
                        [5.0, 2.0, 1.0]])
         xsc = np.array([[1.0, 0.1, 0.1], [1.0, 0.1, 0.1], [10.0, 1.0, 1.0],
                         [0.5, 0.2, 0.1]])
-        batch = least_squares(fun_of(ys), x0, jac, (lb, ub), xsc, 12)
-        assert batch.status.tolist() == [2, 3, 0, 0]
+        calls = np.zeros(4, dtype=int)
+        batch = least_squares(fun_of(ys, calls), x0, jac, (lb, ub), xsc, 12)
+        assert batch.status.tolist() == [2, 3, 0, 2]
+        assert calls.tolist() == [9, 9, 12, 9]
         assert batch.x[3, 2] == 0.6
         nfev = njev = 0
         for i in range(4):
             one = slice(i, i + 1)
-            alone = least_squares(fun_of(ys[one]), x0[one], jac,
-                                  (lb[one], ub[one]), xsc[one], 12)
+            alone = least_squares(fun_of(ys[one], np.zeros(1, dtype=int)),
+                                  x0[one], jac, (lb[one], ub[one]), xsc[one],
+                                  12)
             assert np.array_equal(alone.x[0], batch.x[i])
             assert alone.cost[0] == batch.cost[i]
             assert alone.status[0] == batch.status[i]
@@ -395,10 +433,9 @@ def _wave_corr(t, truth, est, period):
     return float(np.corrcoef(wa, wb)[0, 1])
 
 
-@pytest.mark.parametrize("seed", [11, 2011, 3011])
-def test_recovers_noisy_canonical_track(seed):
-    # the benchmark's canonical scene with its report noise; on these draws
-    # an earlier solver settled with the tilt line's sign flipped
+def _canonical(seed):
+    # the benchmark's canonical scene with its report noise: (ship, true
+    # track, moments)
     cfg = ScenarioConfig(
         duration=60.0, frame_interval=0.5, integration_time=0.5,
         phi0=PHI0, theta0=THETA0, steady_aspect_rate=np.deg2rad(0.3),
@@ -406,7 +443,14 @@ def test_recovers_noisy_canonical_track(seed):
         noise=(0.2, 0.03, 0.02), seed=seed)
     ship = make_ship(120.0, n_scatterers=24, seed=3)
     truth = build_angle_track(cfg)
-    mom = moments_series(simulate_degraded(ship, truth, cfg))
+    return ship, truth, moments_series(simulate_degraded(ship, truth, cfg))
+
+
+@pytest.mark.parametrize("seed", [11, 2011, 3011])
+def test_recovers_noisy_canonical_track(seed):
+    # on these draws an earlier solver settled with the tilt line's sign
+    # flipped
+    ship, truth, mom = _canonical(seed)
     track, state = estimate_angles(mom, PHI0, THETA0)
     assert state.converged
     for name in ("phi_dot", "theta_dot"):
@@ -415,3 +459,35 @@ def test_recovers_noisy_canonical_track(seed):
     _, bsq, hsq = ship_moments(ship)
     assert abs(state.bsq_est - bsq) <= 0.01
     assert abs(state.hsq_est - hsq) <= 0.01
+
+
+def test_longest_candidate_stops_on_its_frequency_bound(monkeypatch):
+    # both starts of the longest grid period (the ninth candidate) end on
+    # their line frequency's upper bound; held there, they stop within as
+    # many residual calls as the other starts instead of crawling along
+    # the bound (62 and 65 calls when the whole step was clipped)
+    _, _, mom = _canonical(11)
+    real = isarpose.angles.least_squares
+    stages = []
+
+    def counted(fun, x0, jac, bounds, x_scale, max_nfev, args=()):
+        calls = np.zeros(len(x0), dtype=int)
+
+        def fun_counted(x, rows, *a):
+            calls[rows] += 1
+            return fun(x, rows, *a)
+
+        res = real(fun_counted, x0, jac, bounds, x_scale, max_nfev, args)
+        stages.append((args[0], calls, res, bounds))
+        return res
+
+    monkeypatch.setattr(isarpose.angles, "least_squares", counted)
+    estimate_angles(mom, PHI0, THETA0)
+    cand, _, res, (_, ub) = stages[0]
+    last = cand == 8
+    assert last.sum() == 2
+    assert np.all(res.x[last, NPOLY + 4] == ub[last, NPOLY + 4])
+    for cand, calls, res, _ in stages:
+        last = cand == 8
+        assert np.all(res.status[last] > 0)
+        assert np.all(calls[last] <= 40), calls[last]

@@ -280,6 +280,17 @@ class TestAnalyze:
         ({}, ["--period", "nan"], "period must be a finite positive number"),
         ({}, ["--period", "inf"], "period must be a finite positive number"),
         ({}, ["--period", "0"], "period must be a finite positive number"),
+        # in range as numbers, but each silently ruined a run: zero sigmas
+        # classed 116 of 120 canonical frames Profile, a negative BadFit
+        # threshold flagged all 120
+        ({"noise_override": [0, 0, 0]}, [],
+         "noise_override sigmas must be finite positive numbers"),
+        ({"noise_override": [0.2, -0.03, 0.02]}, [],
+         "noise_override sigmas must be finite positive numbers"),
+        ({"badfit_threshold": -1}, [],
+         "badfit_threshold must be a finite positive number"),
+        ({"class_threshold": 0}, [],
+         "class_threshold must be a finite positive number"),
     ])
     def test_bad_numeric_override_is_config_error(self, sim_dir, tmp_path,
                                                   capsys, overrides, args,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isarpose.length import (beam_rule, estimate_loa, frame_loa,
+from isarpose.length import (_extents, beam_rule, estimate_loa, frame_loa,
                              multipath_guard)
 from isarpose.ship import Dwell, Frame, report_array
 from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
@@ -78,6 +78,47 @@ class TestMultipathGuard:
         snrs = [20.0, 20.0, 1.0]
         kept = multipath_guard(self._reports(ranges, snrs))
         assert len(kept) == 3
+
+
+def _one_frame_screen(r, snr):
+    # the screen written for one frame with 1-D reductions, the reference
+    # for the stacked one
+    if len(r) < 5:
+        return np.ones(len(r), dtype=bool)
+    p90 = np.percentile(r, 90)
+    mad = 1.4826 * np.median(np.abs(r - np.median(r)))
+    far = r > p90 + 3.0 * max(mad, 1e-9)
+    return ~(far & (snr <= np.median(snr) - 6.0))
+
+
+def test_grouped_screen_matches_per_frame_guard():
+    # frames of one report count are screened together as the rows of one
+    # array; each must get, bit for bit, the extent the one-frame guard
+    # leaves it: equal and ragged counts, counts under five (no screen) and
+    # under three (no extent), some frames with a far, weak ghost
+    rng = np.random.default_rng(8)
+    counts = [9, 9, 12, 9, 7, 12, 9, 5, 5, 4, 3, 2, 1, 0, 9, 6, 12]
+    frames = []
+    for k, n in enumerate(counts):
+        r = rng.uniform(-30.0, 30.0, n)
+        snr = rng.uniform(18.0, 24.0, n)
+        if n >= 5 and k % 2 == 0:
+            j = rng.integers(n)
+            r[j], snr[j] = 300.0 + k, 5.0
+        frames.append(Frame(index=k, t=0.5 * k, integration_time=0.5,
+                            reports=report_array(0.5 * k, snr, r, 0.0, 0.0)))
+    r_lo, r_hi = _extents(tuple(frames))
+    dropped = 0
+    for k, fr in enumerate(frames):
+        kept = multipath_guard(fr.reports)
+        ref = fr.reports.r[_one_frame_screen(fr.reports.r, fr.reports.snr)]
+        assert np.array_equal(kept.r, ref), k
+        dropped += len(fr.reports) - len(kept)
+        if len(kept) < 3:
+            assert np.isnan(r_lo[k]) and np.isnan(r_hi[k]), k
+        else:
+            assert r_lo[k] == ref.min() and r_hi[k] == ref.max(), k
+    assert dropped == 7   # every ghost
 
 
 class TestEstimateLoa:
