@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .angles import estimate_angles, model_covariances
+from .angles import (GRID_HALFWIDTH, GRID_POINTS, estimate_angles,
+                     model_covariances)
 from .bands import chapeau_band_split, dominant_wave_period
 from .length import estimate_loa
 from .moments import frame_moments, moments_series
@@ -74,7 +75,7 @@ def check_wave_motion_recovery() -> tuple[bool, str]:
         corrs.append(float(np.corrcoef(wa, wb)[0, 1]))
     seed_period, _ = dominant_wave_period(t, mom.cov_rf, mom.cov_ff,
                                           mom.valid)
-    step = 0.05 * seed_period
+    step = 2 * GRID_HALFWIDTH / (GRID_POINTS - 1) * seed_period
     period_err = min(abs(state.period - 10.0), abs(state.period - 12.0))
     ok = (min(corrs) > 0.95 and period_err <= step + 1e-9 and elapsed < 10.0)
     return ok, (f"rate corr {corrs[0]:.4f}/{corrs[1]:.4f}, "

@@ -5,18 +5,19 @@ The estimation chain per candidate wave period:
 1. split cov_rf into low/wave/high bands (see bands);
 2. integrate the low band and solve a per-frame quadratic for the slow
    aspect excursion about the mean aspect (lowpass_aspect_solve);
-3. jointly fit the wave bands of cov_rf and d with a spectral-line motion
-   model: one or two sinusoid lines shared between aspect and tilt, a cubic
-   slow-aspect correction, and the ship shape ratios bsq = <y^2>/<x^2>,
-   hsq = <z^2>/<x^2> as bounded parameters (waveband_joint_fit);
+3. jointly fit the raw cov_rf and d series, seeded from the integrated wave
+   band, with a spectral-line motion model: one or two sinusoid lines shared
+   between aspect and tilt, a cubic slow-aspect correction, and the ship
+   shape ratios bsq = <y^2>/<x^2>, hsq = <z^2>/<x^2> as bounded parameters.
 
-estimate_angles runs steps 1-2 for each of nine candidate periods around
-the spectral seed, then step 3 once for the whole grid, and keeps the
-candidate with the smallest joint residual. The joint fit is minimized by
-least_squares, a bounded Levenberg-Marquardt solver with a soft_l1 loss kept
-in this module, so the package needs NumPy alone. It runs a batch of starts
-in lockstep, so each fit stage covers every candidate in one call, and takes
-the analytic Jacobian of the joint residual (_cov_partials).
+estimate_angles hands the raw series and GRID_POINTS periods around the
+spectral seed to waveband_joint_fit, which runs steps 1-2 for each, then
+step 3 once for the whole grid, and keeps the candidate with the smallest
+joint residual. The joint fit is minimized by least_squares, a bounded
+Levenberg-Marquardt solver with a soft_l1 loss kept in this module, so the
+package needs NumPy alone. It runs a batch of starts in lockstep, so each
+fit stage covers every candidate in one call, and takes the analytic
+Jacobian of the joint residual (_cov_partials).
 
 Angle conventions: aspect phi rotates the alongship axis in the slant plane,
 tilt theta is the grazing rotation. Mean angles phi0/theta0 are externally
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BandSplit, chapeau_band_split, chapeau_smooth, dominant_wave_period
+from .bands import chapeau_band_split, chapeau_smooth, dominant_wave_period
 from .motion import range_rate_rows, track_rows
 from .ship import AngleTrack, angle_array
 
@@ -38,6 +39,8 @@ MIN_ASPECT_DEG = 3.0    # below this mean aspect the slow solve is blind
 NPOLY = 3               # slow-correction polynomial degrees 1..3
 ANGLE_LIMIT = math.pi / 2 - 1e-6
 LM_TOL = 1e-6           # relative cost drop and scaled step that end the fit
+GRID_POINTS = 9         # candidate periods of the joint fit ...
+GRID_HALFWIDTH = 0.2    # ... spanning +-20% of the spectral seed
 
 
 @dataclass(frozen=True)
@@ -378,23 +381,22 @@ def _cov_partials(phi, theta, phi_dot, theta_dot, bsq, hsq):
     yield pair(r[2] ** 2, r[2] * v[2], v[2] ** 2)
 
 
-def waveband_joint_fit(t: np.ndarray, periods, splits_rf: list[BandSplit],
-                       splits_d: list[BandSplit], lows: list[LowpassAspect],
+def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods,
                        phi0: float, theta0: float) -> tuple[AngleTrack, FitState]:
-    """Joint wave-band fit of (cov_rf, d) over a grid of candidate periods.
+    """Joint fit of the raw (cov_rf, d) series over a grid of candidate periods.
 
-    Candidate g has its period periods[g], the band splits splits_rf[g] and
-    splits_d[g] of cov_rf and d at that period, and the slow aspect
-    solution lows[g]; it fits the raw series low + wave + high. Stage 1
-    fits a single sinusoid line near the candidate frequency shared by
-    aspect and tilt (two assignment seeds from the integrated wave band).
-    Stage 2 hunts the residual for a second line by matching pursuit and
-    refits with both lines; the richer model is kept only if it lowers the
-    cost. Line frequencies are free parameters bounded to a 0.75/span band
-    around their starts (the spectral search has only Rayleigh resolution;
-    the fit needs the frequency to much better than one part in the cycle
-    count, so it must converge the last fraction itself). bsq is bounded to
-    [0, 0.9] (P = 1 - bsq stays positive) and hsq to [0, 2]. Half a period
+    Every candidate scores the same cov_rf and d. A period that does not fit
+    three times inside the dwell is skipped (ValueError when none is left);
+    each other one splits cov_rf once, for the slow aspect solution of the low
+    band (lowpass_aspect_solve) and the seeds of the wave band. Stage 1 fits a
+    single sinusoid line near the candidate frequency shared by aspect and tilt
+    (two assignment seeds). Stage 2 hunts the residual for a second line by
+    matching pursuit and refits with both lines; the richer model is kept only
+    if it lowers the cost. Line frequencies are free parameters bounded to a
+    0.75/span band around their starts (the spectral search has only Rayleigh
+    resolution; the fit needs the frequency to much better than one part in the
+    cycle count, so it must converge the last fraction itself). bsq is bounded
+    to [0, 0.9] (P = 1 - bsq stays positive) and hsq to [0, 2]. Half a period
     is trimmed at each end before scoring, where the band split has edge
     support. Of two seeds the lower cost wins, the first on ties; of the
     candidates the smallest residual_rms wins, the first on ties.
@@ -418,26 +420,30 @@ def waveband_joint_fit(t: np.ndarray, periods, splits_rf: list[BandSplit],
     (track, state).
     """
     t = np.asarray(t, dtype=float)
+    data = np.array([cov_rf, d], dtype=float)
     n = len(t)
+    span = t[-1] - t[0]
+    periods = [float(per) for per in periods if span >= 3 * per]
+    if not periods:
+        raise ValueError("no candidate period fits inside the dwell")
+    splits = [chapeau_band_split(t, data[0], per) for per in periods]
+    lows = [lowpass_aspect_solve(t, -s.low, phi0, 1.0) for s in splits]
     ncand = len(periods)
     dt = float(np.median(np.diff(t)))
     u = t - t.mean()
     u2, u3 = u ** 2, u ** 3
-    w_band = 2 * np.pi * 0.75 / (t[-1] - t[0])
+    w_band = 2 * np.pi * 0.75 / span
     tp0, tt0 = math.tan(phi0), math.tan(theta0)
 
-    # per candidate: fitted series (cov_rf, d), window weights 1/std inside
-    # the trimmed window and 0 outside, and the slow aspect solution
-    data = np.array([[srf.wave + (srf.low + srf.high),
-                      sd.wave + (sd.low + sd.high)]
-                     for srf, sd in zip(splits_rf, splits_d)])
-    weight = np.zeros_like(data)
+    # per candidate: window weights 1/std inside the trimmed window and 0
+    # outside, and the slow aspect solution
+    weight = np.zeros((ncand,) + data.shape)
     trims = []
     for g, per in enumerate(periods):
         trim = max(0, min(int(round(0.5 * per / dt)), (n - 8) // 2))
         sl = slice(trim, n - trim)
-        weight[g, 0, sl] = 1.0 / max(float(np.std(data[g, 0, sl])), 1e-12)
-        weight[g, 1, sl] = 1.0 / max(float(np.std(data[g, 1, sl])), 1e-14)
+        weight[g, 0, sl] = 1.0 / max(float(np.std(data[0, sl])), 1e-12)
+        weight[g, 1, sl] = 1.0 / max(float(np.std(data[1, sl])), 1e-14)
         trims.append(trim)
     phi_means = np.array([low.phi_mean for low in lows])
     rates = np.array([low.rate for low in lows])
@@ -485,7 +491,7 @@ def waveband_joint_fit(t: np.ndarray, periods, splits_rf: list[BandSplit],
 
     def resid(x, rows, cand, nl):
         c = cand[rows]
-        f = (data[c] - model_series(x, c, nl)) * weight[c]
+        f = (data - model_series(x, c, nl)) * weight[c]
         return f.reshape(len(rows), -1)
 
     def jac(x, rows, cand, nl):
@@ -549,7 +555,7 @@ def waveband_joint_fit(t: np.ndarray, periods, splits_rf: list[BandSplit],
         pick = np.arange(0, len(cand), 2) + (r.cost[1::2] < r.cost[0::2])
         return r.x[pick], r.cost[pick], r.status[pick]
 
-    a_int = [_zero_mean_integral(t, -s.wave) for s in splits_rf]
+    a_int = [_zero_mean_integral(t, -s.wave) for s in splits]
 
     def line_amp(g, w):
         return 2 * np.mean(a_int[g] * np.exp(-1j * w * t))
@@ -581,7 +587,7 @@ def waveband_joint_fit(t: np.ndarray, periods, splits_rf: list[BandSplit],
     x0 = np.array([x for g in range(ncand) for x in seeds(g, w1[g])])
     x1, cost, status = solve(x0, w1[cand, None], cand, 1)
     xs, nls = list(x1), [1] * ncand
-    resid1 = data[:, 0] - model_series(x1, np.arange(ncand), 1)[:, 0]
+    resid1 = data[0] - model_series(x1, np.arange(ncand), 1)[:, 0]
     second = []
     for g in range(ncand):
         w2 = _pursuit_line(t, resid1[g], float(x1[g, NPOLY + 4]))
@@ -639,20 +645,16 @@ def _assemble_track(t: np.ndarray, phi, theta, phid, thd, phidd, thdd) -> AngleT
 
 
 def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
-                    *, period: float | None = None,
-                    grid_points: int = 9,
-                    grid_halfwidth: float = 0.2) -> tuple[AngleTrack, FitState]:
+                    *, period: float | None = None) -> tuple[AngleTrack, FitState]:
     """Full angle history from a moments_series table.
 
     Invalid frames are bridged by interpolation so the spectral machinery
     sees a uniform series. The wave period seeds from the strongest cov_rf
-    line and is refined on a grid_points-wide grid spanning
-    +-grid_halfwidth: each candidate that fits three times inside the dwell
-    gets its band splits and slow aspect solution, and one
-    waveband_joint_fit over all of them keeps the smallest joint
-    residual. With no spectral line (calm water or short dwell)
-    the slow aspect solution is returned alone, tilt pinned at theta0, and
-    the state is flagged 'no wave solution'.
+    line (or is the given period), and waveband_joint_fit refines it over
+    GRID_POINTS candidate periods spanning +-GRID_HALFWIDTH of the seed.
+    With no spectral line (calm water or short dwell) the slow aspect
+    solution is returned alone, tilt pinned at theta0, and the state is
+    flagged 'no wave solution'.
     """
     t, valid = mom.t, mom.valid
     if valid.sum() < 8:
@@ -685,15 +687,5 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
             converged=False, flags=low.flags + ("no wave solution",))
         return track, state
 
-    grid = seed * np.linspace(1 - grid_halfwidth, 1 + grid_halfwidth, grid_points)
-    periods, splits_rf, splits_d, lows = [], [], [], []
-    for per in grid:
-        if span < 3 * per:
-            continue
-        periods.append(float(per))
-        splits_rf.append(chapeau_band_split(t, cov_rf, per))
-        splits_d.append(chapeau_band_split(t, d_data, per))
-        lows.append(lowpass_aspect_solve(t, -splits_rf[-1].low, phi0, 1.0))
-    if not periods:
-        raise ValueError("no candidate period fits inside the dwell")
-    return waveband_joint_fit(t, periods, splits_rf, splits_d, lows, phi0, theta0)
+    grid = seed * np.linspace(1 - GRID_HALFWIDTH, 1 + GRID_HALFWIDTH, GRID_POINTS)
+    return waveband_joint_fit(t, cov_rf, d_data, grid, phi0, theta0)

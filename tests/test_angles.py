@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import isarpose.angles
-from isarpose.angles import (LM_TOL, NPOLY, _covs_of, estimate_angles,
-                             least_squares, lowpass_aspect_solve,
-                             model_covariances, waveband_joint_fit)
+from isarpose.angles import (GRID_POINTS, LM_TOL, NPOLY, _covs_of,
+                             estimate_angles, least_squares,
+                             lowpass_aspect_solve, model_covariances,
+                             waveband_joint_fit)
 from isarpose.bands import chapeau_band_split
 from isarpose.moments import moments_series
 from isarpose.motion import motion_rows, range_rate_rows, track_rows
@@ -76,17 +77,6 @@ def test_covariance_kernel_broadcasts_exactly():
             assert np.array_equal(stacked[i], single)
 
 
-def _grid_inputs(moments, periods):
-    # the per-candidate arguments estimate_angles hands waveband_joint_fit
-    t = np.array([m.t for m in moments])
-    cov_rf = np.array([m.cov_rf for m in moments])
-    d = np.array([m.d_intrinsic for m in moments])
-    splits_rf = [chapeau_band_split(t, cov_rf, p) for p in periods]
-    splits_d = [chapeau_band_split(t, d, p) for p in periods]
-    lows = [lowpass_aspect_solve(t, -s.low, PHI0, 1.0) for s in splits_rf]
-    return t, list(periods), splits_rf, splits_d, lows
-
-
 @pytest.fixture(scope="module")
 def monkeypatch_module():
     with pytest.MonkeyPatch.context() as mp:
@@ -106,8 +96,8 @@ def recorded_stages(ideal_moments, monkeypatch_module):
         return res
 
     monkeypatch_module.setattr(isarpose.angles, "least_squares", record)
-    waveband_joint_fit(*_grid_inputs(ideal_moments, (11.0, 12.0)),
-                       PHI0, THETA0)
+    m = ideal_moments
+    waveband_joint_fit(m.t, m.cov_rf, m.d_intrinsic, (11.0, 12.0), PHI0, THETA0)
     return calls
 
 
@@ -148,12 +138,11 @@ def test_analytic_jacobian_matches_central_differences(recorded_stages, nl):
 def test_grid_fit_is_its_best_lone_candidate(ideal_moments):
     # a grid fit returns, bit for bit, the candidate of least residual that
     # a fit of that candidate alone returns: its track and its state
-    t, periods, splits_rf, splits_d, lows = _grid_inputs(
-        ideal_moments, (10.5, 11.5, 12.5))
-    track, grid = waveband_joint_fit(t, periods, splits_rf, splits_d, lows,
-                                     PHI0, THETA0)
-    alone = [waveband_joint_fit(t, [p], [srf], [sd], [low], PHI0, THETA0)
-             for p, srf, sd, low in zip(periods, splits_rf, splits_d, lows)]
+    m = ideal_moments
+    series = (m.t, m.cov_rf, m.d_intrinsic)
+    periods = (10.5, 11.5, 12.5)
+    track, grid = waveband_joint_fit(*series, periods, PHI0, THETA0)
+    alone = [waveband_joint_fit(*series, [p], PHI0, THETA0) for p in periods]
     best_track, best = min(alone, key=lambda fit: fit[1].residual_rms)
     assert len({state.residual_rms for _, state in alone}) == 3
     for name in ("period", "lines", "steady_rate", "bsq_est", "hsq_est",
@@ -162,6 +151,19 @@ def test_grid_fit_is_its_best_lone_candidate(ideal_moments):
     for name in ("phi_hat", "theta_hat", "phi_mean", "phi_M"):
         assert np.array_equal(getattr(grid, name), getattr(best, name)), name
     assert np.array_equal(track.samples, best_track.samples)
+
+
+
+def test_candidates_that_do_not_fit_three_times_are_skipped(ideal_moments):
+    # the 60 s dwell holds three 12 s periods but not three 25 s ones
+    m = ideal_moments
+    series = (m.t, m.cov_rf, m.d_intrinsic)
+    track, state = waveband_joint_fit(*series, (12.0, 25.0), PHI0, THETA0)
+    lone_track, lone = waveband_joint_fit(*series, [12.0], PHI0, THETA0)
+    assert state.residual_rms == lone.residual_rms
+    assert np.array_equal(track.samples, lone_track.samples)
+    with pytest.raises(ValueError, match="no candidate period"):
+        waveband_joint_fit(*series, (25.0, 30.0), PHI0, THETA0)
 
 
 class TestLeastSquares:
@@ -491,3 +493,36 @@ def test_longest_candidate_stops_on_its_frequency_bound(monkeypatch):
         last = cand == 8
         assert np.all(res.status[last] > 0)
         assert np.all(calls[last] <= 40), calls[last]
+
+
+def test_band_split_runs_once_per_candidate_on_cov_rf(monkeypatch):
+    # the fit scores the raw cov_rf and d series, so only cov_rf is split:
+    # once per fitted candidate, for its slow aspect and its line seeds.
+    # Frames 40-42 are invalid, so the split sees their bridged values
+    _, _, mom = _canonical(11)
+    mom = mom.copy()
+    mom.valid[40:43] = False
+    bad = ~mom.valid
+    bridged = mom.cov_rf.copy()
+    bridged[bad] = np.interp(mom.t[bad], mom.t[~bad], mom.cov_rf[~bad])
+    real_split = isarpose.angles.chapeau_band_split
+    real_lsq = isarpose.angles.least_squares
+    splits, stages = [], []
+
+    def split(t, y, period):
+        splits.append((np.array(y), period))
+        return real_split(t, y, period)
+
+    def lsq(fun, x0, jac, bounds, x_scale, max_nfev, args=()):
+        stages.append(args[0])
+        return real_lsq(fun, x0, jac, bounds, x_scale, max_nfev, args)
+
+    monkeypatch.setattr(isarpose.angles, "chapeau_band_split", split)
+    monkeypatch.setattr(isarpose.angles, "least_squares", lsq)
+    estimate_angles(mom, PHI0, THETA0)
+    fitted = np.unique(stages[0])
+    assert len(fitted) == GRID_POINTS
+    assert len(splits) == len(fitted)
+    for y, _ in splits:
+        assert np.array_equal(y, bridged)
+    assert np.all(np.diff([period for _, period in splits]) > 0)
