@@ -73,8 +73,7 @@ def check_wave_motion_recovery() -> tuple[bool, str]:
         wa = chapeau_band_split(t, track.samples[name], state.period).wave
         wb = chapeau_band_split(t, est.samples[name], state.period).wave
         corrs.append(float(np.corrcoef(wa, wb)[0, 1]))
-    seed_period, _ = dominant_wave_period(t, mom.cov_rf, mom.cov_ff,
-                                          mom.valid)
+    seed_period, _ = dominant_wave_period(t, mom.cov_rf, valid=mom.valid)
     step = 2 * GRID_HALFWIDTH / (GRID_POINTS - 1) * seed_period
     period_err = min(abs(state.period - 10.0), abs(state.period - 12.0))
     ok = (min(corrs) > 0.95 and period_err <= step + 1e-9 and elapsed < 10.0)
@@ -311,7 +310,8 @@ def _ghost_dwell(dwell: Dwell, seed=3) -> Dwell:
                             reports=reports))
     return Dwell(tuple(frames), phi0=dwell.phi0, theta0=dwell.theta0,
                  range_resolution=dwell.range_resolution,
-                 frame_interval=dwell.frame_interval)
+                 frame_interval=dwell.frame_interval,
+                 report_sigmas=dwell.report_sigmas)
 
 
 def check_length_accuracy() -> tuple[bool, str]:

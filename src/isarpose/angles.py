@@ -10,12 +10,14 @@ The estimation chain per candidate wave period:
    between aspect and tilt, a cubic slow-aspect correction, and the ship
    shape ratios bsq = <y^2>/<x^2>, hsq = <z^2>/<x^2> as bounded parameters.
 
-estimate_angles hands the raw series and GRID_POINTS periods around the
-spectral seed to waveband_joint_fit, which runs steps 1-2 for each, then
-step 3 once for the whole grid, and keeps the candidate with the smallest
-joint residual. The joint fit is minimized by least_squares, a bounded
-Levenberg-Marquardt solver with a soft_l1 loss kept in this module, so the
-package needs NumPy alone. It runs a batch of starts in lockstep, so each
+estimate_angles hands the raw series and GRID_POINTS (3) periods, 0.8, 1.0
+and 1.2 times the spectral seed, to waveband_joint_fit, which runs steps 1-2
+for each, then step 3 once for the whole grid, and keeps the candidate with
+the smallest joint residual. The series are expected free of the report
+noise floor (see moments), which the fit would read as ship height. The
+joint fit is minimized by least_squares, a bounded Levenberg-Marquardt
+solver with a soft_l1 loss kept in this module, so the package needs NumPy
+alone. It runs a batch of starts in lockstep, so each
 fit stage covers every candidate in one call, and takes the analytic
 Jacobian of the joint residual (_cov_partials).
 
@@ -39,7 +41,7 @@ MIN_ASPECT_DEG = 3.0    # below this mean aspect the slow solve is blind
 NPOLY = 3               # slow-correction polynomial degrees 1..3
 ANGLE_LIMIT = math.pi / 2 - 1e-6
 LM_TOL = 1e-6           # relative cost drop and scaled step that end the fit
-GRID_POINTS = 9         # candidate periods of the joint fit ...
+GRID_POINTS = 3         # candidate periods of the joint fit ...
 GRID_HALFWIDTH = 0.2    # ... spanning +-20% of the spectral seed
 
 
@@ -196,9 +198,9 @@ class LsqResult:
     x is (B, npar); cost and status are (B,): the soft_l1 cost at x, and
     status 0 when the start's max_nfev budget ran out, 2 when an accepted
     step lowered its cost by less than LM_TOL of it, 3 when its scaled step
-    fell below LM_TOL. nfev and njev count the residual and Jacobian
-    evaluations of all starts together. For a 1-D x0, x is (npar,), cost a
-    float and status an int.
+    fell below LM_TOL, 4 when a stop_held variable was held on its bound.
+    nfev and njev count the residual and Jacobian evaluations of all starts
+    together. For a 1-D x0, x is (npar,), cost a float and status an int.
     """
 
     x: np.ndarray
@@ -209,7 +211,8 @@ class LsqResult:
 
 
 def least_squares(fun, x0: np.ndarray, jac, bounds: tuple[np.ndarray, np.ndarray],
-                  x_scale: np.ndarray, max_nfev: int, args: tuple = ()) -> LsqResult:
+                  x_scale: np.ndarray, max_nfev: int, args: tuple = (),
+                  stop_held=False) -> LsqResult:
     """Bounded Levenberg-Marquardt fits under a soft_l1 loss, one per start,
     run in lockstep.
 
@@ -229,7 +232,9 @@ def least_squares(fun, x0: np.ndarray, jac, bounds: tuple[np.ndarray, np.ndarray
     identity row and its entry of g is 0, so its step is exactly 0 and the
     free variables solve the reduced system. Each trial point is clipped
     into the bounds, and the prediction is made for the clipped step. A
-    start with no held variable solves the full system.
+    start with no held variable solves the full system. stop_held, an
+    (npar,) boolean mask, names the variables whose hold ends a start
+    instead: it stops with status 4 where one of them is first held.
 
     x0 is (B, npar), and bounds and x_scale broadcast against it, so every
     start may have its own. Each start keeps its own damping, budget of
@@ -245,11 +250,13 @@ def least_squares(fun, x0: np.ndarray, jac, bounds: tuple[np.ndarray, np.ndarray
     copied before it is scaled.
     """
     x0 = np.asarray(x0, dtype=float)
+    stop_held = np.asarray(stop_held, dtype=bool)
     if x0.ndim == 2:
-        return _lockstep_lm(fun, x0, jac, bounds, x_scale, max_nfev, args)
+        return _lockstep_lm(fun, x0, jac, bounds, x_scale, max_nfev, args,
+                            stop_held)
     res = _lockstep_lm(lambda x, rows, *a: fun(x[0], *a)[None], x0[None],
                        lambda x, rows, *a: np.array(jac(x[0], *a))[None],
-                       bounds, x_scale, max_nfev, args)
+                       bounds, x_scale, max_nfev, args, stop_held)
     return LsqResult(x=res.x[0], cost=float(res.cost[0]), nfev=res.nfev,
                      njev=res.njev, status=int(res.status[0]))
 
@@ -268,7 +275,8 @@ def _normal_equations(j: np.ndarray, f: np.ndarray, xsc: np.ndarray):
     return (jt @ (f * s ** 0.25)[..., None])[..., 0], jt @ j
 
 
-def _lockstep_lm(fun, x0, jac, bounds, x_scale, max_nfev, args) -> LsqResult:
+def _lockstep_lm(fun, x0, jac, bounds, x_scale, max_nfev, args,
+                 stop_held) -> LsqResult:
     lb, ub = (np.broadcast_to(np.asarray(b, dtype=float), x0.shape) for b in bounds)
     xsc = np.broadcast_to(np.asarray(x_scale, dtype=float), x0.shape)
     nb, npar = x0.shape
@@ -298,11 +306,18 @@ def _lockstep_lm(fun, x0, jac, bounds, x_scale, max_nfev, args) -> LsqResult:
         rows = np.flatnonzero(live)
         if not rows.size:
             break
-        xr, sc, gr = x[rows], xsc[rows], g[rows]
-        m = a[rows] + mu[rows, None, None] * eye
+        xr, gr = x[rows], g[rows]
         # held: on a bound, with the gradient pointing out of the box
         held = ((xr <= lb[rows]) & (gr > 0)) | ((xr >= ub[rows]) & (gr < 0))
+        ends = (held & stop_held).any(axis=-1)
+        status[rows[ends]] = 4
+        live[rows[ends]] = False
+        rows, xr, gr, held = rows[~ends], xr[~ends], gr[~ends], held[~ends]
+        if not rows.size:
+            continue
+        sc = xsc[rows]
         free = ~held
+        m = a[rows] + mu[rows, None, None] * eye
         m = np.where(free[:, :, None] & free[:, None, :], m, eye)
         gr = np.where(held, 0.0, gr)
         dz = np.linalg.solve(m, -gr[..., None])[..., 0]
@@ -389,32 +404,36 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
     three times inside the dwell is skipped (ValueError when none is left);
     each other one splits cov_rf once, for the slow aspect solution of the low
     band (lowpass_aspect_solve) and the seeds of the wave band. Stage 1 fits a
-    single sinusoid line near the candidate frequency shared by aspect and tilt
-    (two assignment seeds). Stage 2 hunts the residual for a second line by
-    matching pursuit and refits with both lines; the richer model is kept only
-    if it lowers the cost. Line frequencies are free parameters bounded to a
-    0.75/span band around their starts (the spectral search has only Rayleigh
-    resolution; the fit needs the frequency to much better than one part in the
-    cycle count, so it must converge the last fraction itself). bsq is bounded
-    to [0, 0.9] (P = 1 - bsq stays positive) and hsq to [0, 2]. Half a period
-    is trimmed at each end before scoring, where the band split has edge
-    support. Of two seeds the lower cost wins, the first on ties; of the
-    candidates the smallest residual_rms wins, the first on ties.
+    single sinusoid line near the candidate frequency shared by aspect and
+    tilt (two assignment seeds). Stage 2 hunts the residual of the better
+    stage-1 fit for a second line by matching pursuit and adds it, with both
+    assignment seeds, to each of the two stage-1 fits; the richer model is
+    kept only if it lowers the cost. Line frequencies are free parameters
+    bounded to a 0.75/span band around their starts (the spectral search has
+    only Rayleigh resolution; the fit needs the frequency to much better than
+    one part in the cycle count, so it must converge the last fraction
+    itself). bsq is bounded to [0, 0.9] (P = 1 - bsq stays positive) and hsq
+    to [0, 2]. Half a period is trimmed at each end before scoring, where the
+    band split has edge support. Of a candidate's starts the lower cost wins,
+    the first on ties; of the candidates the smallest residual_rms wins, the
+    first on ties.
 
-    Each stage is one least_squares call (bounded Levenberg-Marquardt,
-    soft_l1 loss, at most 400 residual calls a start, a parameter held out
-    of the step while it sits on a bound the cost pushes against; a line
-    frequency at the edge of its band is the common case) over the starts
-    of every candidate: stage 1 over both seeds of all candidates, stage 2
-    over both seeds of the candidates where the pursuit found a second
-    line. A winner whose start ran out of calls is flagged 'wave fit did
-    not converge'. Residuals keep all 2n samples (cov_rf, then d) for
-    every candidate: samples outside a candidate's trimmed window weigh 0,
-    so its residual and Jacobian rows there are exactly 0. The Jacobian is
-    analytic: _cov_partials gives the partials of (cov_rf, d) in the track
-    (phi, theta, phi_dot, theta_dot) and in bsq, hsq, and each track
-    partial is multiplied by its parameter's basis column (u, u^2, u^3,
-    cos wt, sin wt, and the t-weighted terms of a line frequency w).
+    Each stage is one least_squares call (bounded Levenberg-Marquardt, soft_l1
+    loss, at most 400 residual calls a start, a parameter held out of the step
+    while it sits on a bound the cost pushes against) over the starts of every
+    candidate: stage 1 over both seeds of all candidates, stage 2 over the
+    four starts of each candidate where the pursuit found a second line. A
+    start stops once a line frequency is held on the edge of its band: the
+    line has left the band of its candidate, which a neighbouring candidate
+    covers. A winner whose start ran out of calls or stopped on a band edge is
+    flagged 'wave fit did not converge'. Residuals keep all 2n samples
+    (cov_rf, then d) for every candidate: samples outside a candidate's
+    trimmed window weigh 0, so its residual and Jacobian rows there are
+    exactly 0. The Jacobian is analytic: _cov_partials gives the partials of
+    (cov_rf, d) in the track (phi, theta, phi_dot, theta_dot) and in bsq, hsq,
+    and each track partial is multiplied by its parameter's basis column (u,
+    u^2 less its mean, u^3, cos wt, sin wt, and the t-weighted terms of a
+    line frequency w).
 
     The track and the line series are built for the winner only; returns
     (track, state).
@@ -432,6 +451,9 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
     dt = float(np.median(np.diff(t)))
     u = t - t.mean()
     u2, u3 = u ** 2, u ** 3
+    # the quadratic slow term is taken about its mean, so that it leaves
+    # the mean aspect, which phi0 fixes, where it is
+    u2c = u2 - u2.mean()
     w_band = 2 * np.pi * 0.75 / span
     tp0, tt0 = math.tan(phi0), math.tan(theta0)
 
@@ -457,7 +479,7 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
         #  [(w, cos wt, sin wt) per line])
         def p(j):
             return x[..., j, None]
-        phi = phi_means[c] + p(0) * u + p(1) * u2 + p(2) * u3
+        phi = phi_means[c] + p(0) * u + p(1) * u2c + p(2) * u3
         phid = rates[c] + p(0) + 2 * p(1) * u + 3 * p(2) * u2
         th = np.full_like(t, theta0)
         thd = np.zeros_like(t)
@@ -503,7 +525,7 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
             for pair in _cov_partials(*track, x[:, -2, None], x[:, -1, None]))
         jm = np.empty(g_phi.shape + (NPOLY + 5 * nl + 2,))
         jm[..., 0] = g_phi * u + g_phid
-        jm[..., 1] = g_phi * u2 + g_phid * (2 * u)
+        jm[..., 1] = g_phi * u2c + g_phid * (2 * u)
         jm[..., 2] = g_phi * u3 + g_phid * (3 * u2)
         for k, (w, cw, sw) in enumerate(trig):
             w, cw, sw = w[:, None], cw[:, None], sw[:, None]
@@ -544,16 +566,21 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
         xsc[:, freqs] = 0.01 * w0
         return (lb, ub), xsc
 
-    def solve(x0, w0, cand, nl):
-        # both seeds of each candidate in cand order; (x, cost, status) of
-        # the lower-cost seed of each, the first on ties. The soft_l1 loss
+    def solve(x0, w0, cand, nl, per):
+        # starts in runs of `per` per candidate, cand giving each start's;
+        # returns (x, cost, status) of every start and the index of the
+        # lowest-cost start of each run, the first on ties. The soft_l1 loss
         # caps the pull of short corrupted stretches (confuser targets,
         # interference bursts) without touching clean fits: normalized
         # residuals sit well under 1 on good data
         bounds, xsc = limits(w0)
-        r = least_squares(resid, x0, jac, bounds, xsc, 400, args=(cand, nl))
-        pick = np.arange(0, len(cand), 2) + (r.cost[1::2] < r.cost[0::2])
-        return r.x[pick], r.cost[pick], r.status[pick]
+        freqs = np.zeros(x0.shape[1], dtype=bool)
+        freqs[NPOLY + 4 * nl:NPOLY + 5 * nl] = True
+        r = least_squares(resid, x0, jac, bounds, xsc, 400, args=(cand, nl),
+                          stop_held=freqs)
+        best = per * np.arange(len(cand) // per) + np.argmin(
+            r.cost.reshape(-1, per), axis=1)
+        return r.x, r.cost, r.status, best
 
     a_int = [_zero_mean_integral(t, -s.wave) for s in splits]
 
@@ -585,29 +612,35 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
     w1 = 2 * np.pi / np.asarray(periods, dtype=float)
     cand = np.repeat(np.arange(ncand), 2)
     x0 = np.array([x for g in range(ncand) for x in seeds(g, w1[g])])
-    x1, cost, status = solve(x0, w1[cand, None], cand, 1)
-    xs, nls = list(x1), [1] * ncand
-    resid1 = data[0] - model_series(x1, np.arange(ncand), 1)[:, 0]
+    x1, cost1, status1, best = solve(x0, w1[cand, None], cand, 1, 2)
+    xs, nls = list(x1[best]), [1] * ncand
+    cost, status = cost1[best], status1[best]
+    resid1 = data[0] - model_series(x1[best], np.arange(ncand), 1)[:, 0]
     second = []
     for g in range(ncand):
-        w2 = _pursuit_line(t, resid1[g], float(x1[g, NPOLY + 4]))
+        w2 = _pursuit_line(t, resid1[g], float(x1[best[g], NPOLY + 4]))
         if w2 is not None:
             second.append((g, w2))
     if second:
-        cand = np.repeat([g for g, _ in second], 2)
-        x0 = np.array([x for g, w2 in second for x in seeds(g, w2, x1[g])])
-        w0 = np.array([[x1[g, NPOLY + 4], w2] for g, w2 in second])
-        x2, cost2, status2 = solve(x0, np.repeat(w0, 2, axis=0), cand, 2)
-        for i, (g, _) in enumerate(second):
-            if cost2[i] < cost[g]:
-                xs[g], nls[g], cost[g], status[g] = x2[i], 2, cost2[i], status2[i]
+        # the second line joins both one-line fits of its candidate, each
+        # assignment's: the lower-cost one can hold the first line on the
+        # wrong angle
+        bases = [(g, 2 * g + b, w2) for g, w2 in second for b in (0, 1)]
+        cand = np.repeat([g for g, _, _ in bases], 2)
+        x0 = np.array([x for g, k, w2 in bases for x in seeds(g, w2, x1[k])])
+        w0 = np.array([[x1[k, NPOLY + 4], w2] for _, k, w2 in bases])
+        x2, cost2, status2, best2 = solve(x0, np.repeat(w0, 2, axis=0), cand,
+                                          2, 4)
+        for (g, _), k in zip(second, best2):
+            if cost2[k] < cost[g]:
+                xs[g], nls[g], cost[g], status[g] = x2[k], 2, cost2[k], status2[k]
 
     rms = np.sqrt(2 * cost / (2 * np.maximum(n - 2 * np.array(trims), 1)))
     win = int(np.argmin(rms))
     x, nl, low = xs[win], nls[win], lows[win]
     track = _assemble_track(t, *track_of(x, win, nl, accel=True)[0])
     ws_final = [float(w) for w in x[NPOLY + 4 * nl:NPOLY + 5 * nl]]
-    converged = bool(status[win] > 0)
+    converged = bool(status[win] in (2, 3))
     flags = low.flags + (() if converged else ("wave fit did not converge",))
 
     # reconstruct the pure wave-band series from the line coefficients
@@ -618,7 +651,7 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
         c, e = x[NPOLY + 2 * nl + 2 * k], x[NPOLY + 1 + 2 * nl + 2 * k]
         phi_hat = phi_hat + a * np.cos(w * t) + b * np.sin(w * t)
         theta_hat = theta_hat + c * np.cos(w * t) + e * np.sin(w * t)
-    phi_slow = x[0] * u + x[1] * u ** 2 + x[2] * u ** 3
+    phi_slow = x[0] * u + x[1] * u2c + x[2] * u3
 
     return track, FitState(
         period=float(2 * np.pi / ws_final[0]),
@@ -651,7 +684,8 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
     Invalid frames are bridged by interpolation so the spectral machinery
     sees a uniform series. The wave period seeds from the strongest cov_rf
     line (or is the given period), and waveband_joint_fit refines it over
-    GRID_POINTS candidate periods spanning +-GRID_HALFWIDTH of the seed.
+    GRID_POINTS (3) candidate periods spanning +-GRID_HALFWIDTH (20%) of the
+    seed.
     With no spectral line (calm water or short dwell) the slow aspect
     solution is returned alone, tilt pinned at theta0, and the state is
     flagged 'no wave solution'.
@@ -660,13 +694,12 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
     if valid.sum() < 8:
         raise ValueError("too few valid frames for angle estimation")
     cov_rf = _interp_invalid(t, mom.cov_rf, valid)
-    cov_ff = _interp_invalid(t, mom.cov_ff, valid)
     d_data = _interp_invalid(t, mom.d_intrinsic, valid)
     span = t[-1] - t[0]
 
     if period is None:
         try:
-            seed, _ = dominant_wave_period(t, cov_rf, cov_ff)
+            seed, _ = dominant_wave_period(t, cov_rf)
         except ValueError:
             seed = None
     else:

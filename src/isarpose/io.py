@@ -1,8 +1,11 @@
 """Dwell files: a one-line JSON header followed by CSV report rows.
 
 Header keys: format, version, n_frames, frame_interval, integration_time,
-phi0_deg, theta0_deg, range_resolution_m. Angles cross the file boundary in
-degrees; everything in memory is radians. Report rows are
+phi0_deg, theta0_deg, range_resolution_m, and optionally the nominal report
+noise sigmas sigma_range_m, sigma_doppler_mps and sigma_accel_mps2: all
+three or none, each a finite number >= 0. A reader that ignores them reads
+the file correctly, so they need no new version. Angles cross the file
+boundary in degrees; everything in memory is radians. Report rows are
 frame_index,t,snr_db,range_m,doppler_mps,accel_mps2 with an optional
 truth_id column; a doppler_width_mps column is accepted and ignored. Floats
 are written with shortest round-trip repr, so save -> load -> save is
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from collections import deque
 from itertools import compress, islice, repeat
@@ -34,6 +38,7 @@ FORMAT_NAME = "isar-dwell"
 FORMAT_VERSION = 1
 _COLUMNS = ("frame_index", "t", "snr_db", "range_m", "doppler_mps", "accel_mps2")
 _OPTIONAL = ("truth_id", "doppler_width_mps")
+_SIGMA_KEYS = ("sigma_range_m", "sigma_doppler_mps", "sigma_accel_mps2")
 _FLOATS = REPORT_DTYPE.names[:5]   # the five float report fields
 _BAD_TRUTH = -2   # parsed truth_id of a cell that is not blank and not a valid id
 _BLOCK_ROWS = 8192   # report lines parsed and checked together
@@ -73,6 +78,8 @@ def dwell_text(dwell: Dwell) -> list[bytes]:
         "theta0_deg": _exact_degrees(dwell.theta0),
         "range_resolution_m": dwell.range_resolution,
     }
+    if dwell.report_sigmas is not None:
+        header.update(zip(_SIGMA_KEYS, dwell.report_sigmas))
     with_truth = any((fr.reports.truth_id >= 0).any() for fr in dwell.frames)
     cols = _COLUMNS + (("truth_id",) if with_truth else ())
     chunks = [f"{json.dumps(header, sort_keys=True)}\n{','.join(cols)}\n"
@@ -111,6 +118,16 @@ def _parse_header(line: str) -> dict:
     for key in ("frame_interval", "integration_time", "range_resolution_m"):
         if header[key] <= 0:
             raise ValueError(f"line 1: header '{key}' must be positive")
+    sigmas = [key for key in _SIGMA_KEYS if key in header]
+    if sigmas and len(sigmas) < len(_SIGMA_KEYS):
+        raise ValueError(f"line 1: header needs all of {', '.join(_SIGMA_KEYS)} "
+                         "or none")
+    for key in sigmas:
+        value = header[key]
+        # the range test also fails NaN, and JSON integers too large for a float
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not 0 <= value <= sys.float_info.max):
+            raise ValueError(f"line 1: header '{key}' must be a finite number >= 0")
     return header
 
 
@@ -306,7 +323,9 @@ def _read_dwell(lines: Iterator[str]) -> Dwell:
                  phi0=math.radians(float(header["phi0_deg"])),
                  theta0=math.radians(float(header["theta0_deg"])),
                  range_resolution=float(header["range_resolution_m"]),
-                 frame_interval=interval)
+                 frame_interval=interval,
+                 report_sigmas=(tuple(header[key] for key in _SIGMA_KEYS)
+                                if _SIGMA_KEYS[0] in header else None))
 
 
 def load_dwell(path: str | Path) -> Dwell:

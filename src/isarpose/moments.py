@@ -9,6 +9,12 @@ variance, which removes ship size from the estimation problem:
 crf = cov_rf / sqrt(cov_ff) is the range/rate correlation and
 d_intrinsic = cov_ff - cov_rf^2 vanishes exactly when the frame is a
 string of pearls (rate a linear function of range).
+
+Report noise of sigma raises a weighted second moment about the weighted
+mean by sigma^2 (1 - sum w^2) in expectation, w the normalized weights.
+Given the nominal report sigmas, that floor is removed from <rr> and <ff>
+before anything else is derived from them; <rf>, <ra> and <fa> carry no
+floor, since the three noises are independent.
 """
 
 from __future__ import annotations
@@ -26,9 +32,10 @@ MOMENT_DTYPE = np.dtype([
     ("r_var", np.float64), ("r_min", np.float64), ("r_max", np.float64),
     ("a_r", np.float64), ("a_f", np.float64)])
 """Scaled covariances of one frame per record. valid is False when fewer
-than three reports survive or the range spread is zero; the numeric fields
-are then 0. a_r/a_f are the focus coefficients of the regression
-a ~ a_r * r + a_f * f over the frame's centered reports."""
+than three reports survive or the debiased <rr> or <ff> is at most
+EPS_VAR; the numeric fields are then 0. a_r/a_f are the focus coefficients
+of the regression a ~ a_r * r + a_f * f over the frame's centered
+reports."""
 
 
 def snr_power(snr_db) -> np.ndarray:
@@ -44,8 +51,10 @@ def _weights(snr_db: np.ndarray, weighting: str) -> np.ndarray:
     raise ValueError(f"unknown weighting: {weighting}")
 
 
-def _row(frame: Frame, weighting: str) -> tuple:
-    """One MOMENT_DTYPE record of a frame, as a tuple in field order.
+def _row(frame: Frame, weighting: str, var_r: float, var_f: float) -> tuple:
+    """One MOMENT_DTYPE record of a frame, as a tuple in field order, with
+    the noise floors of the report variances var_r (m^2) and var_f
+    (m^2/s^2) removed from <rr> and <ff>.
 
     The focus coefficients solve the centered normal equations directly:
         a_r = (<ra><ff> - <fa><rf>) / Det,  a_f = (<fa><rr> - <ra><rf>) / Det
@@ -68,22 +77,22 @@ def _row(frame: Frame, weighting: str) -> tuple:
     r = r - w @ r
     f = f - w @ f
     a = a - w @ a
-    rr = float(w @ (r * r))
-    if rr <= EPS_VAR:
+    spread = 1.0 - float(w @ w)
+    rr = float(w @ (r * r)) - var_r * spread
+    ff = float(w @ (f * f)) - var_f * spread
+    if rr <= EPS_VAR or ff <= EPS_VAR:
         return invalid
-    ff = float(w @ (f * f))
     rf = float(w @ (r * f))
     ra = float(w @ (r * a))
     fa = float(w @ (f * a))
     cov_rf = rf / rr
     cov_ff = ff / rr
-    crf = cov_rf / np.sqrt(cov_ff) if cov_ff > EPS_VAR else 0.0
-    if ff <= EPS_VAR:
-        a_r = a_f = 0.0
-    else:
-        det = rr * ff * max(1.0 - rf * rf / (rr * ff), 0.02)
-        a_r = (ra * ff - fa * rf) / det
-        a_f = (fa * rr - ra * rf) / det
+    # a rigid ship's |crf| is at most 1; debiasing can carry a string of
+    # pearls frame past it, where the pearls score would change sign
+    crf = min(max(cov_rf / np.sqrt(cov_ff), -1.0), 1.0)
+    det = rr * ff * max(1.0 - rf * rf / (rr * ff), 0.02)
+    a_r = (ra * ff - fa * rf) / det
+    a_f = (fa * rr - ra * rf) / det
     return (frame.t, n, True, cov_rf, cov_ff, ra / rr, fa / rr, crf,
             cov_ff - cov_rf ** 2, rr, r_min, r_max, a_r, a_f)
 
@@ -96,14 +105,22 @@ def _table(rows: list[tuple]) -> np.recarray:
 
 def frame_moments(frame: Frame, weighting: str = "uniform") -> np.record:
     """Scaled covariances of a single frame as one MOMENT_DTYPE record;
-    invalid when under-populated."""
-    return _table([_row(frame, weighting)])[0]
+    invalid when under-populated. No noise floor is removed."""
+    return _table([_row(frame, weighting, 0.0, 0.0)])[0]
 
 
-def moments_series(dwell: Dwell, weighting: str = "uniform") -> np.recarray:
+def moments_series(dwell: Dwell, weighting: str = "uniform",
+                   sigmas: tuple[float, float, float] | None = None
+                   ) -> np.recarray:
     """Read-only MOMENT_DTYPE record array, one record per frame in order,
-    invalid frames kept: mom.cov_rf is a column, mom[k] is frame k."""
-    return _table([_row(fr, weighting) for fr in dwell.frames])
+    invalid frames kept: mom.cov_rf is a column, mom[k] is frame k. sigmas
+    are the nominal (range, Doppler, acceleration) report sigmas whose
+    noise floor is removed; None takes the dwell's report_sigmas, and a
+    dwell without them is not debiased."""
+    sigmas = dwell.report_sigmas if sigmas is None else sigmas
+    var_r, var_f = (0.0, 0.0) if sigmas is None else (sigmas[0] ** 2,
+                                                      sigmas[1] ** 2)
+    return _table([_row(fr, weighting, var_r, var_f) for fr in dwell.frames])
 
 
 def time_derivative(t: np.ndarray, y: np.ndarray,

@@ -141,6 +141,8 @@ class Dwell:
     """One continuous observation: uniformly spaced frames plus metadata.
 
     phi0/theta0 are the externally supplied mean aspect/tilt (rad).
+    report_sigmas are the nominal report noise sigmas (range m, Doppler
+    m/s, acceleration m/s^2), each finite and >= 0, or None when unknown.
     """
 
     frames: tuple[Frame, ...]
@@ -148,9 +150,15 @@ class Dwell:
     theta0: float
     range_resolution: float
     frame_interval: float
+    report_sigmas: tuple[float, float, float] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "frames", tuple(self.frames))
+        if self.report_sigmas is not None:
+            sig = tuple(float(s) for s in self.report_sigmas)
+            if len(sig) != 3 or not all(math.isfinite(s) and s >= 0 for s in sig):
+                raise ValueError("report sigmas must be three finite numbers >= 0")
+            object.__setattr__(self, "report_sigmas", sig)
         ts = [fr.t for fr in self.frames]
         for a, b in zip(ts, ts[1:]):
             if abs((b - a) - self.frame_interval) > 1e-9 * max(1.0, self.frame_interval):

@@ -80,6 +80,8 @@ class ScenarioConfig:
         object.__setattr__(self, "injectors", tuple(self.injectors))
         if self.duration <= 0 or self.frame_interval <= 0 or self.integration_time <= 0:
             raise ValueError("duration, frame_interval, integration_time must be positive")
+        if not all(math.isfinite(s) and s >= 0 for s in self.noise):
+            raise ValueError("noise sigmas must be finite and >= 0")
         for amp, period in (self.aspect_osc, self.tilt_osc):
             if amp != 0.0 and period <= 2 * self.frame_interval:
                 raise ValueError("oscillation period must exceed 2x frame interval")
@@ -195,7 +197,8 @@ def _exact_rfa(model: ShipModel, track: AngleTrack) -> np.ndarray:
 
 def simulate_perfect(model: ShipModel, track: AngleTrack,
                      cfg: ScenarioConfig) -> Dwell:
-    """Every scatterer reported in every frame with exact (r, f, a)."""
+    """Every scatterer reported in every frame with exact (r, f, a); the
+    dwell records zero report sigmas."""
     vals = _exact_rfa(model, track)
     ids = np.arange(len(model.scatterers))
     frames = tuple(
@@ -205,7 +208,8 @@ def simulate_perfect(model: ShipModel, track: AngleTrack,
         for k, tk in enumerate(track.samples.t.tolist()))
     return Dwell(frames, phi0=cfg.phi0, theta0=cfg.theta0,
                  range_resolution=cfg.range_resolution,
-                 frame_interval=cfg.frame_interval)
+                 frame_interval=cfg.frame_interval,
+                 report_sigmas=(0.0, 0.0, 0.0))
 
 
 def _inject(spec: DegradationSpec, tk: float, rng,
@@ -247,7 +251,8 @@ def _inject(spec: DegradationSpec, tk: float, rng,
 
 def simulate_degraded(model: ShipModel, track: AngleTrack,
                       cfg: ScenarioConfig) -> Dwell:
-    """Perfect reports perturbed by noise, fading dropouts, and injectors."""
+    """Perfect reports perturbed by noise, fading dropouts, and injectors;
+    the dwell records cfg.noise as its report sigmas."""
     vals = _exact_rfa(model, track)
     sig_r, sig_f, sig_a = cfg.noise
     rcs_db = np.array([10 * math.log10(s.rcs) for s in model.scatterers])
@@ -276,4 +281,4 @@ def simulate_degraded(model: ShipModel, track: AngleTrack,
                             reports=reports))
     return Dwell(tuple(frames), phi0=cfg.phi0, theta0=cfg.theta0,
                  range_resolution=cfg.range_resolution,
-                 frame_interval=cfg.frame_interval)
+                 frame_interval=cfg.frame_interval, report_sigmas=cfg.noise)

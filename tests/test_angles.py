@@ -89,8 +89,8 @@ def recorded_stages(ideal_moments, monkeypatch_module):
     calls = []
     real = isarpose.angles.least_squares
 
-    def record(fun, x0, jac, bounds, x_scale, max_nfev, args=()):
-        res = real(fun, x0, jac, bounds, x_scale, max_nfev, args)
+    def record(fun, x0, jac, bounds, x_scale, max_nfev, args=(), **kw):
+        res = real(fun, x0, jac, bounds, x_scale, max_nfev, args, **kw)
         calls.append(dict(fun=fun, jac=jac, bounds=bounds, x_scale=x_scale,
                           args=args, res=res))
         return res
@@ -255,6 +255,33 @@ class TestLeastSquares:
         assert res.x[2] == 0.6
         assert np.allclose(res.x, ref.x, rtol=0, atol=1e-5)
         assert res.cost == pytest.approx(ref.cost, rel=1e-8)
+
+    def test_stop_held_variable_ends_its_start(self):
+        # the fit above, with x[2] named in stop_held: a start stops with
+        # status 4 on the first round x[2] is held, before any trial step;
+        # a start that never holds it fits on
+        t = np.linspace(0.0, 4.0, 40)
+        y = 2.0 * np.exp(-0.7 * t) + 0.5
+
+        def fun(p):
+            return p[:, :1] * np.exp(-p[:, 1:2] * t) + p[:, 2:] - y
+
+        def jac(p):
+            e = np.exp(-p[:, 1:2] * t)
+            return np.stack([e, -p[:, :1] * t * e, np.ones_like(e)], axis=-1)
+
+        x0 = np.array([[1.5, 0.5, 0.4], [1.5, 0.5, 0.4]])
+        # the second start's box holds the minimum at x[2] = 0.5
+        lb = np.array([[0.0, 0.0, 0.6], [0.0, 0.0, 0.0]])
+        ub = np.array([5.0, 2.0, 1.0])
+        xsc = np.array([0.5, 0.2, 0.1])
+        res = least_squares(lambda x, rows: fun(x), x0,
+                            lambda x, rows: jac(x), (lb, ub), xsc, 400,
+                            stop_held=[False, False, True])
+        assert res.status[0] == 4
+        assert res.x[0].tolist() == [1.5, 0.5, 0.6]
+        assert res.status[1] in (2, 3)
+        assert np.allclose(res.x[1], [2.0, 0.7, 0.5], atol=1e-6)
 
     def test_batch_matches_lone_starts_bit_for_bit(self):
         # each start of a batch ends where it ends alone, whatever its
@@ -435,15 +462,15 @@ def _wave_corr(t, truth, est, period):
     return float(np.corrcoef(wa, wb)[0, 1])
 
 
-def _canonical(seed):
+def _canonical(seed, duration=60.0, rate_dps=0.3, n_scatterers=24):
     # the benchmark's canonical scene with its report noise: (ship, true
-    # track, moments)
+    # track, moments); 300 s at 0.02 deg/s with 50 scatterers is its long one
     cfg = ScenarioConfig(
-        duration=60.0, frame_interval=0.5, integration_time=0.5,
-        phi0=PHI0, theta0=THETA0, steady_aspect_rate=np.deg2rad(0.3),
+        duration=duration, frame_interval=0.5, integration_time=0.5,
+        phi0=PHI0, theta0=THETA0, steady_aspect_rate=np.deg2rad(rate_dps),
         aspect_osc=(np.deg2rad(1.0), 12.0), tilt_osc=(np.deg2rad(1.0), 10.0),
         noise=(0.2, 0.03, 0.02), seed=seed)
-    ship = make_ship(120.0, n_scatterers=24, seed=3)
+    ship = make_ship(120.0, n_scatterers=n_scatterers, seed=3)
     truth = build_angle_track(cfg)
     return ship, truth, moments_series(simulate_degraded(ship, truth, cfg))
 
@@ -461,36 +488,83 @@ def test_recovers_noisy_canonical_track(seed):
     _, bsq, hsq = ship_moments(ship)
     assert abs(state.bsq_est - bsq) <= 0.01
     assert abs(state.hsq_est - hsq) <= 0.01
+    # the slow correction leaves the mean aspect at phi0: a level shift of
+    # 0.03 deg moves the length estimate by about 5 cm
+    assert np.mean(state.phi_mean) == pytest.approx(PHI0, abs=1e-12)
 
 
-def test_longest_candidate_stops_on_its_frequency_bound(monkeypatch):
-    # both starts of the longest grid period (the ninth candidate) end on
-    # their line frequency's upper bound; held there, they stop within as
-    # many residual calls as the other starts instead of crawling along
-    # the bound (62 and 65 calls when the whole step was clipped)
+def test_long_dwell_keeps_the_tilt_line_on_tilt():
+    # on this draw the cheaper stage-1 assignment puts the 12 s line on
+    # tilt-like shape ratios (bsq 0.54); grown from it alone, the two-line
+    # fit ended on the bsq bound with the aspect rate anti-correlated
+    ship, truth, mom = _canonical(11, duration=300.0, rate_dps=0.02,
+                                  n_scatterers=50)
+    track, state = estimate_angles(mom, PHI0, THETA0)
+    assert state.converged
+    for name in ("phi_dot", "theta_dot"):
+        assert _wave_corr(truth.samples.t, truth.samples[name],
+                          track.samples[name], state.period) >= 0.99, name
+    _, bsq, hsq = ship_moments(ship)
+    assert abs(state.bsq_est - bsq) <= 0.01
+    assert abs(state.hsq_est - hsq) <= 0.01
+
+
+def test_second_line_joins_both_stage1_fits(monkeypatch):
+    # stage 2 grows each candidate's two stage-1 fits, each with both
+    # assignment seeds of the second line: four starts a candidate
     _, _, mom = _canonical(11)
     real = isarpose.angles.least_squares
     stages = []
 
-    def counted(fun, x0, jac, bounds, x_scale, max_nfev, args=()):
+    def record(fun, x0, jac, bounds, x_scale, max_nfev, args=(), **kw):
+        res = real(fun, x0, jac, bounds, x_scale, max_nfev, args, **kw)
+        stages.append((np.array(x0), args[0], res))
+        return res
+
+    monkeypatch.setattr(isarpose.angles, "least_squares", record)
+    estimate_angles(mom, PHI0, THETA0)
+    (_, cand1, one), (x0, cand2, _) = stages
+    assert np.array_equal(cand2, np.repeat(np.unique(cand2), 4))
+    for g in np.unique(cand2):
+        starts = x0[cand2 == g]
+        for b in (0, 1):
+            base = one.x[2 * g + b]
+            for x in starts[2 * b:2 * b + 2]:
+                # the base's polynomial, its line's w and the shape ratios
+                assert np.array_equal(x[:NPOLY], base[:NPOLY])
+                assert x[NPOLY + 8] == base[NPOLY + 4]
+                assert np.array_equal(x[-2:], base[-2:])
+
+
+def test_longest_candidate_stops_on_its_frequency_bound(monkeypatch):
+    # both stage-1 starts of the longest grid period end on their line
+    # frequency's upper bound and stop there (status 4), within as many
+    # residual calls as the other starts; held but still fitted, their free
+    # parameters crept on for 50 and 42 calls
+    _, _, mom = _canonical(11)
+    real = isarpose.angles.least_squares
+    stages = []
+
+    def counted(fun, x0, jac, bounds, x_scale, max_nfev, args=(), **kw):
         calls = np.zeros(len(x0), dtype=int)
 
         def fun_counted(x, rows, *a):
             calls[rows] += 1
             return fun(x, rows, *a)
 
-        res = real(fun_counted, x0, jac, bounds, x_scale, max_nfev, args)
+        res = real(fun_counted, x0, jac, bounds, x_scale, max_nfev, args, **kw)
         stages.append((args[0], calls, res, bounds))
         return res
 
     monkeypatch.setattr(isarpose.angles, "least_squares", counted)
     estimate_angles(mom, PHI0, THETA0)
     cand, _, res, (_, ub) = stages[0]
-    last = cand == 8
+    last = cand == GRID_POINTS - 1
     assert last.sum() == 2
     assert np.all(res.x[last, NPOLY + 4] == ub[last, NPOLY + 4])
+    assert np.all(res.status[last] == 4)
     for cand, calls, res, _ in stages:
-        last = cand == 8
+        last = cand == GRID_POINTS - 1
         assert np.all(res.status[last] > 0)
         assert np.all(calls[last] <= 40), calls[last]
 
@@ -513,9 +587,9 @@ def test_band_split_runs_once_per_candidate_on_cov_rf(monkeypatch):
         splits.append((np.array(y), period))
         return real_split(t, y, period)
 
-    def lsq(fun, x0, jac, bounds, x_scale, max_nfev, args=()):
+    def lsq(fun, x0, jac, bounds, x_scale, max_nfev, args=(), **kw):
         stages.append(args[0])
-        return real_lsq(fun, x0, jac, bounds, x_scale, max_nfev, args)
+        return real_lsq(fun, x0, jac, bounds, x_scale, max_nfev, args, **kw)
 
     monkeypatch.setattr(isarpose.angles, "chapeau_band_split", split)
     monkeypatch.setattr(isarpose.angles, "least_squares", lsq)

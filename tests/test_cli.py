@@ -16,7 +16,7 @@ import isarpose.io
 import isarpose.runner
 from isarpose.cli import main
 from isarpose.io import dwell_text, load_dwell, save_dwell
-from isarpose.moments import frame_moments
+from isarpose.moments import frame_moments, moments_series
 from isarpose.pose import PEARLS_EPS
 from isarpose.ship import Frame
 
@@ -245,6 +245,41 @@ class TestAnalyze:
         for c, p in scored:
             assert p == pytest.approx(c ** 2 / (1.0 - c ** 2 + PEARLS_EPS),
                                       rel=1e-12)
+
+    def test_noise_override_takes_precedence_over_header_sigmas(
+            self, sim_dir, tmp_path):
+        dwell = load_dwell(str(sim_dir / "dwell.csv"))
+        assert dwell.report_sigmas == (0.2, 0.03, 0.02)
+        override = (0.25, 0.04, 0.02)
+        cfg = _write_config(tmp_path, {"noise_override": list(override)},
+                            name="overrides.json")
+        out = tmp_path / "an"
+        code = main(["analyze", "--input", str(sim_dir / "dwell.csv"),
+                     "--out", str(out), "--config", cfg])
+        assert code == 0
+        for run_dir, sigmas in ((out, override), (sim_dir, None)):
+            mom = moments_series(dwell, "uniform", sigmas)
+            cov_ff = [float(row["cov_ff"])
+                      for row in _rows(run_dir / "covariances.csv")]
+            assert cov_ff == mom.cov_ff.tolist()
+        report = json.loads((out / "run_report.json").read_text())
+        assert not any("report noise" in f for f in report["flags"])
+
+    def test_dwell_without_sigmas_is_flagged_and_not_debiased(
+            self, sim_dir, tmp_path):
+        dwell = dataclasses.replace(load_dwell(str(sim_dir / "dwell.csv")),
+                                    report_sigmas=None)
+        path = tmp_path / "dwell.csv"
+        save_dwell(dwell, path)
+        out = tmp_path / "an"
+        assert main(["analyze", "--input", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "run_report.json").read_text())
+        assert "report noise unknown: moments not debiased" in report["flags"]
+        cov_ff = [float(row["cov_ff"])
+                  for row in _rows(out / "covariances.csv")]
+        assert cov_ff == [frame_moments(fr).cov_ff for fr in dwell.frames]
+        sim_report = json.loads((sim_dir / "run_report.json").read_text())
+        assert not any("report noise" in f for f in sim_report["flags"])
 
     def test_missing_input_is_data_error(self, tmp_path):
         code = main(["analyze", "--input", str(tmp_path / "absent.csv"),

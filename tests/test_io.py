@@ -1,6 +1,7 @@
 """Dwell file round trips and schema diagnostics."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ def small_blocks(request, monkeypatch):
 
 
 def _dwell(rows, interval=0.5, phi0=math.radians(45.0),
-           theta0=math.radians(30.0), truth_ids=None):
+           theta0=math.radians(30.0), truth_ids=None, report_sigmas=None):
     """rows: per-frame list of (snr, r, f, a) tuples; truth_ids: per-frame
     lists of ids (-1 for none), or None for a dwell without truth."""
     frames = []
@@ -43,7 +44,8 @@ def _dwell(rows, interval=0.5, phi0=math.radians(45.0),
         frames.append(Frame(index=k, t=t, integration_time=interval,
                             reports=report_array(t, snr, r, f, a, truth)))
     return Dwell(tuple(frames), phi0=phi0, theta0=theta0,
-                 range_resolution=0.5, frame_interval=interval)
+                 range_resolution=0.5, frame_interval=interval,
+                 report_sigmas=report_sigmas)
 
 
 def test_round_trip_preserves_every_field(tmp_path):
@@ -69,6 +71,26 @@ def test_save_load_save_is_byte_identical(tmp_path):
     path = tmp_path / "dwell.csv"
     save_dwell(dwell, path)
     assert _text(load_dwell(path)) == path.read_text()
+
+
+def test_report_sigmas_save_load_save_byte_identical(tmp_path):
+    dwell = _dwell([[(20.0, 0.1, 0.2, 0.3)]],
+                   report_sigmas=(0.2, 0.1 + 0.2, 0.0))
+    path = tmp_path / "dwell.csv"
+    save_dwell(dwell, path)
+    header = json.loads(path.read_text().splitlines()[0])
+    assert (header["sigma_range_m"], header["sigma_doppler_mps"],
+            header["sigma_accel_mps2"]) == (0.2, 0.1 + 0.2, 0.0)
+    back = load_dwell(path)
+    assert back.report_sigmas == (0.2, 0.1 + 0.2, 0.0)
+    assert _text(back) == path.read_text()
+
+
+def test_dwell_without_sigmas_loads_with_none(tmp_path):
+    path = tmp_path / "dwell.csv"
+    save_dwell(_dwell([[(20.0, 0.1, 0.2, 0.3)]]), path)
+    assert "sigma_" not in path.read_text()
+    assert load_dwell(path).report_sigmas is None
 
 
 @given(st.lists(st.lists(st.tuples(_val, _val, _val, _val),
@@ -143,6 +165,28 @@ class TestSchemaErrors:
         path, lines = self._lines(tmp_path)
         header = lines[0].replace('"frame_interval": 0.5, ', "")
         self._expect(tmp_path, [header] + lines[1:], "frame_interval")
+
+    @pytest.mark.parametrize("sigmas,needle", [
+        ('"sigma_range_m": 0.2, "sigma_doppler_mps": 0.03',
+         "needs all of sigma_range_m"),
+        ('"sigma_accel_mps2": 0.02', "needs all of sigma_range_m"),
+        ('"sigma_range_m": -0.2, "sigma_doppler_mps": 0.03, '
+         '"sigma_accel_mps2": 0.02', "'sigma_range_m' must be a finite"),
+        ('"sigma_range_m": 0.2, "sigma_doppler_mps": NaN, '
+         '"sigma_accel_mps2": 0.02', "'sigma_doppler_mps' must be a finite"),
+        ('"sigma_range_m": 0.2, "sigma_doppler_mps": 0.03, '
+         '"sigma_accel_mps2": Infinity', "'sigma_accel_mps2' must be a finite"),
+        ('"sigma_range_m": 1' + "0" * 400 + ', "sigma_doppler_mps": 0.03, '
+         '"sigma_accel_mps2": 0.02', "'sigma_range_m' must be a finite"),
+        ('"sigma_range_m": "0.2", "sigma_doppler_mps": 0.03, '
+         '"sigma_accel_mps2": 0.02', "'sigma_range_m' must be a finite"),
+        ('"sigma_range_m": true, "sigma_doppler_mps": 0.03, '
+         '"sigma_accel_mps2": 0.02', "'sigma_range_m' must be a finite"),
+    ])
+    def test_bad_report_sigmas_rejected(self, tmp_path, sigmas, needle):
+        path, lines = self._lines(tmp_path)
+        header = lines[0].replace("{", "{" + sigmas + ", ", 1)
+        self._expect(tmp_path, [header] + lines[1:], "line 1: .*" + needle)
 
     def test_wrong_column_row_reported_on_line_2(self, tmp_path):
         path, lines = self._lines(tmp_path)

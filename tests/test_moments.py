@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isarpose.moments import (MOMENT_DTYPE, frame_moments, moments_series,
-                              time_derivative)
-from isarpose.ship import Frame, report_array
+from isarpose.moments import (EPS_VAR, MOMENT_DTYPE, frame_moments,
+                              moments_series, time_derivative)
+from isarpose.ship import Dwell, Frame, report_array
 
 _finite = st.floats(min_value=-100.0, max_value=100.0,
                     allow_nan=False, allow_infinity=False)
@@ -68,6 +68,69 @@ def test_underpopulated_or_spreadless_frames_invalid():
                                   [0.0] * 4))
     assert not same_r.valid
     assert same_r.cov_rf == 0.0
+
+
+def _one_frame_dwell(frame, report_sigmas=None):
+    return Dwell((frame,), phi0=0.7, theta0=0.5, range_resolution=0.5,
+                 frame_interval=0.5, report_sigmas=report_sigmas)
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "snr"])
+def test_debiased_moments_remove_the_noise_floor(weighting):
+    # <rr> and <ff> lose sigma^2 (1 - sum w^2) each; every other moment is
+    # divided by the debiased <rr>
+    snr = [20.0, 26.0, 14.0, 23.0, 18.0]
+    frame = _frame([0.0, 10.0, 4.0, -2.0, 7.5], [1.0, -3.0, 2.0, 0.0, -1.5],
+                   [0.5, 1.0, -2.0, 0.3, 0.9], snr=snr)
+    w = (np.ones(5) if weighting == "uniform"
+         else 10.0 ** (np.array(snr) / 10.0))
+    w = w / w.sum()
+    sig = (0.5, 0.2, 0.1)
+    raw = frame_moments(frame, weighting)
+    mom = moments_series(_one_frame_dwell(frame), weighting, sig)[0]
+    floor = 1.0 - w @ w
+    rr = raw.r_var - sig[0] ** 2 * floor
+    ff = raw.cov_ff * raw.r_var - sig[1] ** 2 * floor
+    assert mom.valid
+    assert mom.r_var == pytest.approx(rr, rel=1e-12)
+    assert mom.cov_ff == pytest.approx(ff / rr, rel=1e-12)
+    for name in ("cov_rf", "cov_ra", "cov_fa"):
+        assert mom[name] == pytest.approx(raw[name] * raw.r_var / rr,
+                                          rel=1e-12), name
+    assert mom.d_intrinsic == pytest.approx(ff / rr - mom.cov_rf ** 2,
+                                            rel=1e-12)
+    # the dwell's own sigmas are the default, and a dwell without any is
+    # not debiased
+    own = moments_series(_one_frame_dwell(frame, sig), weighting)[0]
+    assert own.tobytes() == mom.tobytes()
+    none = moments_series(_one_frame_dwell(frame), weighting)[0]
+    assert none.tobytes() == raw.tobytes()
+
+
+@pytest.mark.parametrize("sig,valid", [
+    ((1.0, 0.0, 0.0), False),    # <rr> = 2/3 - 1 * 2/3 = 0
+    ((0.0, 2.0, 0.0), False),    # <ff> = 8/3 - 4 * 2/3 = 0
+    ((1.5, 0.0, 0.0), False),    # pushed below zero
+    ((0.99, 1.99, 0.0), True),
+])
+def test_frames_debiased_to_eps_var_are_invalid(sig, valid):
+    # three uniform reports: <rr> = 2/3, <ff> = 8/3, 1 - sum w^2 = 2/3
+    frame = _frame([-1.0, 0.0, 1.0], [2.0, -2.0, 0.0], [0.0, 0.0, 0.0])
+    mom = moments_series(_one_frame_dwell(frame), sigmas=sig)[0]
+    assert mom.valid == valid
+    if not valid:
+        assert mom.r_var == mom.cov_ff == mom.cov_rf == 0.0
+    else:
+        assert mom.r_var > EPS_VAR and mom.cov_ff > EPS_VAR
+
+
+def test_debiased_correlation_stays_within_one():
+    # a string of pearls, f = 2 r: removing a Doppler floor it never had
+    # leaves <rf>^2 > <rr><ff>, so crf would read 1.03 and d goes negative
+    frame = _frame([-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [0.0, 0.0, 0.0])
+    mom = moments_series(_one_frame_dwell(frame), sigmas=(0.0, 0.5, 0.0))[0]
+    assert mom.crf == 1.0
+    assert mom.d_intrinsic == pytest.approx(3.75 - 4.0, rel=1e-12)
 
 
 @given(st.lists(st.tuples(_finite, _finite, _finite), min_size=3,

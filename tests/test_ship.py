@@ -106,6 +106,19 @@ def test_dwell_requires_uniform_frame_times():
               range_resolution=0.5, frame_interval=0.5)
 
 
+@pytest.mark.parametrize("sigmas", [(0.2, 0.03), (0.2, -0.03, 0.02),
+                                    (0.2, float("nan"), 0.02)])
+def test_dwell_rejects_bad_report_sigmas(sigmas):
+    frames = (Frame(index=0, t=0.25, integration_time=0.5,
+                    reports=report_array(0.25, [20.0], 0.0, 0.0, 0.0)),)
+    dwell = Dwell(frames, phi0=0.5, theta0=0.3, range_resolution=0.5,
+                  frame_interval=0.5, report_sigmas=[0.2, 0, 0.02])
+    assert dwell.report_sigmas == (0.2, 0.0, 0.02)
+    with pytest.raises(ValueError, match="report sigmas"):
+        Dwell(frames, phi0=0.5, theta0=0.3, range_resolution=0.5,
+              frame_interval=0.5, report_sigmas=sigmas)
+
+
 def test_report_array_broadcasts_columns():
     reps = report_array(0.25, 20.0, [1.0, 2.0], [0.5, -0.5], 0.0)
     assert reps.dtype == REPORT_DTYPE

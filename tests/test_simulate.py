@@ -140,9 +140,26 @@ class TestPerfectReports:
         assert dwell.theta0 == cfg.theta0
         assert dwell.frame_interval == cfg.frame_interval
         assert dwell.range_resolution == cfg.range_resolution
+        # exact reports carry no noise, whatever the scenario's sigmas
+        assert dwell.report_sigmas == (0.0, 0.0, 0.0)
+        noisy = _cfg(noise=(0.3, 0.05, 0.02))
+        assert simulate_perfect(make_ship(60.0), build_angle_track(noisy),
+                                noisy).report_sigmas == (0.0, 0.0, 0.0)
 
 
 class TestDegradedReports:
+    def test_dwell_records_the_noise_sigmas(self):
+        cfg = _cfg(noise=(0.3, 0.05, 0.02))
+        dwell = simulate_degraded(make_ship(60.0), build_angle_track(cfg), cfg)
+        assert dwell.report_sigmas == (0.3, 0.05, 0.02)
+
+    @pytest.mark.parametrize("noise", [(-0.3, 0.05, 0.02),
+                                       (0.3, math.inf, 0.02),
+                                       (0.3, 0.05, math.nan)])
+    def test_noise_sigmas_must_be_finite_and_nonnegative(self, noise):
+        with pytest.raises(ValueError, match="noise sigmas"):
+            _cfg(noise=noise)
+
     def test_zero_noise_reduces_to_perfect_values(self):
         cfg = _cfg()
         ship = make_ship(60.0)
