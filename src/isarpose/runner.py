@@ -280,11 +280,10 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs, mode: str) -> RunReport:
     Both modes funnel through here so an analyze run over a saved dwell
     reproduces the simulate run's analysis byte for byte."""
     flags: list[str] = []
-    sigmas = config.noise_override or dwell.report_sigmas
-    if sigmas is None:
+    if config.noise_override is None and dwell.report_sigmas is None:
         flags.append("report noise unknown: moments not debiased")
     try:
-        mom = moments_series(dwell, config.weighting, sigmas)
+        mom = moments_series(dwell, config.weighting, config.noise_override)
     except ValueError as exc:
         raise PipelineError("moments", str(exc)) from exc
 
