@@ -73,7 +73,7 @@ def check_wave_motion_recovery() -> tuple[bool, str]:
         wa = chapeau_band_split(t, track.samples[name], state.period).wave
         wb = chapeau_band_split(t, est.samples[name], state.period).wave
         corrs.append(float(np.corrcoef(wa, wb)[0, 1]))
-    seed_period, _ = dominant_wave_period(t, mom.cov_rf, valid=mom.valid)
+    seed_period = dominant_wave_period(t, mom.cov_rf, valid=mom.valid)
     tol = PERIOD_TOL * seed_period
     period_err = min(abs(state.period - 10.0), abs(state.period - 12.0))
     ok = (min(corrs) > 0.95 and period_err <= tol and elapsed < 10.0)

@@ -21,6 +21,11 @@ alone. It runs a batch of starts in lockstep, so each
 fit stage covers every candidate in one call, and takes the analytic
 Jacobian of the joint residual (_cov_partials).
 
+The joint fit's parameters are [poly(3) | bsq, hsq | a, b, c, e, w per line]:
+line k's aspect (a, b) and tilt (c, e) coefficients and angular frequency w
+are the block x[HEAD + 5k:HEAD + 5k + 5], so a one-line fit is the head of
+any two-line start grown from it.
+
 Angle conventions: aspect phi rotates the alongship axis in the slant plane,
 tilt theta is the grazing rotation. Mean angles phi0/theta0 are externally
 known; only excursions and rates are estimated. All angles radians.
@@ -39,6 +44,7 @@ from .ship import AngleTrack, angle_array
 
 MIN_ASPECT_DEG = 3.0    # below this mean aspect the slow solve is blind
 NPOLY = 3               # slow-correction polynomial degrees 1..3
+HEAD = NPOLY + 2        # the polynomial and bsq, hsq precede the lines
 ANGLE_LIMIT = math.pi / 2 - 1e-6
 LM_TOL = 1e-6           # relative cost drop and scaled step that end the fit
 GRID_POINTS = 3         # candidate periods of the joint fit ...
@@ -72,10 +78,9 @@ class FitState:
     """What the fit of the winning candidate period knows beyond its track.
 
     period is its first line's period and lines every line's (s);
-    phi_hat/theta_hat are the wave-band excursions, phi_mean the slow
-    aspect and phi_M the low-band excursion about phi0; bsq_est/hsq_est are
-    the fitted shape ratios. The angle track itself is the AngleTrack
-    returned beside it.
+    phi_hat/theta_hat are the wave-band excursions and phi_mean the slow
+    aspect; bsq_est/hsq_est are the fitted shape ratios. The angle track
+    itself is the AngleTrack returned beside it.
     """
 
     period: float
@@ -83,7 +88,6 @@ class FitState:
     phi_hat: np.ndarray
     theta_hat: np.ndarray
     phi_mean: np.ndarray
-    phi_M: np.ndarray
     steady_rate: float
     bsq_est: float
     hsq_est: float
@@ -92,27 +96,29 @@ class FitState:
     flags: tuple[str, ...] = ()
 
 
+def _form(p, q, bsq, hsq):
+    # second moment of motion rows p, q, each an (x0, y0, z0) triple: with
+    # zero drydock cross-moments and moments (1, bsq, hsq) <x^2>, a diagonal
+    # quadratic form summed x0, y0, z0 in that order; bsq, hsq broadcast
+    return p[0] * q[0] + p[1] * bsq * q[1] + p[2] * hsq * q[2]
+
+
 def _covs_of(rows, bsq, hsq):
     """Scaled model covariances from motion rows.
 
     rows holds the range and rate rows, optionally the acceleration row,
     each an (x0, y0, z0) triple of arrays (as range_rate_rows returns
-    them). With zero drydock cross-moments and moments (1, bsq, hsq) <x^2>,
-    the second moment of two rows is the diagonal quadratic form in form(),
-    summed x0, y0, z0 in that order. bsq and hsq broadcast against the row
-    entries. Returns (cov_rf, cov_ff, d), then (cov_ra, cov_fa) when the
-    acceleration row is present.
+    them); their second moments are _form's. Returns (cov_rf, cov_ff, d),
+    then (cov_ra, cov_fa) when the acceleration row is present.
     """
-    def form(i, j):
-        u, v = rows[i], rows[j]
-        return u[0] * v[0] + u[1] * bsq * v[1] + u[2] * hsq * v[2]
-
-    rr = form(0, 0)
-    cov_rf = form(0, 1) / rr
-    cov_ff = form(1, 1) / rr
+    r, v = rows[0], rows[1]
+    rr = _form(r, r, bsq, hsq)
+    cov_rf = _form(r, v, bsq, hsq) / rr
+    cov_ff = _form(v, v, bsq, hsq) / rr
     out = (cov_rf, cov_ff, cov_ff - cov_rf ** 2)
     if len(rows) > 2:
-        out += (form(0, 2) / rr, form(1, 2) / rr)
+        out += (_form(r, rows[2], bsq, hsq) / rr,
+                _form(v, rows[2], bsq, hsq) / rr)
     return out
 
 
@@ -360,7 +366,7 @@ def _cov_partials(phi, theta, phi_dot, theta_dot, bsq, hsq):
 
     Yields six (d cov_rf, d d) pairs, in (phi, theta, phi_dot, theta_dot,
     bsq, hsq) order, shaped like the broadcast inputs. The chain rule runs
-    through F_ij = form(row_i, row_j) of the range row r and the rate row
+    through F_ij = _form(row_i, row_j) of the range row r and the rate row
     v: cov_rf = F01 / F00 and d = F11 / F00 - cov_rf^2. Aspect turns the
     (x0, y0) entries of both rows, d/dphi (p, q) = (q, -p); the rate row's
     phi_dot and theta_dot partials are the range row's phi and theta ones.
@@ -368,18 +374,15 @@ def _cov_partials(phi, theta, phi_dot, theta_dot, bsq, hsq):
     r, v = range_rate_rows(phi, theta, phi_dot, theta_dot)
     ct, st = np.cos(theta), np.sin(theta)
     cp, sp = np.cos(phi), np.sin(phi)
-
-    def form(p, q):
-        return p[0] * q[0] + p[1] * bsq * q[1] + p[2] * hsq * q[2]
-
     r_th = (-st * cp, st * sp, -ct)
     v_th = (-ct * cp * theta_dot + st * sp * phi_dot,
             ct * sp * theta_dot + st * cp * phi_dot,
             st * theta_dot)
     p_along = 1.0 - bsq   # aspect partials weigh the x0, y0 terms 1 and -bsq
     rr01 = r[0] * r[1]
-    f00 = form(r, r)
-    cov_rf, cov_ff = form(r, v) / f00, form(v, v) / f00
+    f00 = _form(r, r, bsq, hsq)
+    cov_rf = _form(r, v, bsq, hsq) / f00
+    cov_ff = _form(v, v, bsq, hsq) / f00
 
     def pair(d00, d01, d11):
         # partials of (cov_rf, d) from those of (F00, F01, F11)
@@ -388,10 +391,11 @@ def _cov_partials(phi, theta, phi_dot, theta_dot, bsq, hsq):
 
     yield pair(2 * p_along * rr01, p_along * (r[1] * v[0] + r[0] * v[1]),
                2 * p_along * v[0] * v[1])
-    yield pair(2 * form(r, r_th), form(r_th, v) + form(r, v_th),
-               2 * form(v, v_th))
+    yield pair(2 * _form(r, r_th, bsq, hsq),
+               _form(r_th, v, bsq, hsq) + _form(r, v_th, bsq, hsq),
+               2 * _form(v, v_th, bsq, hsq))
     yield pair(0.0, p_along * rr01, 2 * (v[0] * r[1] - bsq * v[1] * r[0]))
-    yield pair(0.0, form(r, r_th), 2 * form(v, r_th))
+    yield pair(0.0, _form(r, r_th, bsq, hsq), 2 * _form(v, r_th, bsq, hsq))
     yield pair(r[1] ** 2, r[1] * v[1], v[1] ** 2)
     yield pair(r[2] ** 2, r[2] * v[2], v[2] ** 2)
 
@@ -408,7 +412,9 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
     tilt (two assignment seeds). Stage 2 hunts the residual of the better
     stage-1 fit for a second line by matching pursuit and adds it, with both
     assignment seeds, to each of the two stage-1 fits; the richer model is
-    kept only if it lowers the cost. Line frequencies are free parameters
+    kept only if it lowers the cost. In the module's parameter layout a
+    stage-2 start is a whole stage-1 fit with the second line's block
+    appended. Line frequencies are free parameters
     bounded to a 0.75/span band around their starts (the spectral search has
     only Rayleigh resolution; the fit needs the frequency to much better than
     one part in the cycle count, so it must converge the last fraction
@@ -470,10 +476,13 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
     phi_means = np.array([low.phi_mean for low in lows])
     rates = np.array([low.rate for low in lows])
 
-    # parameter layout per line count nl:
-    # [poly(3) | aspect a,b per line | tilt c,e per line | w per line | bsq, hsq]
     # x is (k, npar) for k starts of candidates c, or (npar,) for one start
-    # of candidate c; every parameter enters as x[..., j, None]
+    # of candidate c, laid out as the module docstring says; every
+    # parameter enters as x[..., j, None]
+    def lines_of(x, nl):
+        # each line's (a, b, c, e, w) on the last axis
+        return x[..., HEAD:].reshape(x.shape[:-1] + (nl, 5))
+
     def track_of(x, c, nl, accel=False):
         # ((phi, theta, phi_dot, theta_dot[, phi_ddot, theta_ddot]),
         #  [(w, cos wt, sin wt) per line])
@@ -487,10 +496,9 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
             phidd = lows[c].accel + 2 * p(1) + 6 * p(2) * u
             thdd = np.zeros_like(t)
         trig = []
+        lines = lines_of(x, nl)
         for k in range(nl):
-            w = p(NPOLY + 4 * nl + k)
-            a, b = p(NPOLY + 2 * k), p(NPOLY + 1 + 2 * k)
-            cc, e = p(NPOLY + 2 * nl + 2 * k), p(NPOLY + 1 + 2 * nl + 2 * k)
+            a, b, cc, e, w = (lines[..., k, j, None] for j in range(5))
             cw, sw = np.cos(w * t), np.sin(w * t)
             phi = phi + a * cw + b * sw
             phid = phid + w * (-a * sw + b * cw)
@@ -508,7 +516,7 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
         # model (cov_rf, d) stacked on axis -2; they need only the range and
         # rate rows
         mrf, _, md = _covs_of(range_rate_rows(*track_of(x, c, nl)[0]),
-                              x[..., -2, None], x[..., -1, None])
+                              x[..., NPOLY, None], x[..., NPOLY + 1, None])
         return np.stack([mrf, md], axis=-2)
 
     def resid(x, rows, cand, nl):
@@ -522,115 +530,91 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
         # partials of the residual in each track quantity and in bsq, hsq
         g_phi, g_th, g_phid, g_thd, g_bsq, g_hsq = (
             np.stack(pair, axis=-2) * -weight[c]
-            for pair in _cov_partials(*track, x[:, -2, None], x[:, -1, None]))
-        jm = np.empty(g_phi.shape + (NPOLY + 5 * nl + 2,))
+            for pair in _cov_partials(*track, x[:, NPOLY, None],
+                                      x[:, NPOLY + 1, None]))
+        jm = np.empty(g_phi.shape + (HEAD + 5 * nl,))
         jm[..., 0] = g_phi * u + g_phid
         jm[..., 1] = g_phi * u2c + g_phid * (2 * u)
         jm[..., 2] = g_phi * u3 + g_phid * (3 * u2)
+        jm[..., NPOLY], jm[..., NPOLY + 1] = g_bsq, g_hsq
+        lines = lines_of(x, nl)
         for k, (w, cw, sw) in enumerate(trig):
             w, cw, sw = w[:, None], cw[:, None], sw[:, None]
             wcw, wsw = w * cw, w * sw
-            ja, jc = NPOLY + 2 * k, NPOLY + 2 * nl + 2 * k
-            jm[..., ja] = g_phi * cw - g_phid * wsw
-            jm[..., ja + 1] = g_phi * sw + g_phid * wcw
-            jm[..., jc] = g_th * cw - g_thd * wsw
-            jm[..., jc + 1] = g_th * sw + g_thd * wcw
-            a, b, cc, e = (x[:, j, None, None] for j in (ja, ja + 1, jc, jc + 1))
+            a, b, cc, e = (lines[:, k, j, None, None] for j in range(4))
+            col = HEAD + 5 * k
+            jm[..., col] = g_phi * cw - g_phid * wsw
+            jm[..., col + 1] = g_phi * sw + g_phid * wcw
+            jm[..., col + 2] = g_th * cw - g_thd * wsw
+            jm[..., col + 3] = g_th * sw + g_thd * wcw
             # a line l = a cos wt + b sin wt adds l to its angle and w l_w to
             # the rate, l_w = -a sin wt + b cos wt; their w partials are
             # t l_w and l_w - w t l
             lw_a, lw_t = b * cw - a * sw, e * cw - cc * sw
             wt = w * t
-            jm[..., NPOLY + 4 * nl + k] = (
+            jm[..., col + 4] = (
                 g_phi * (t * lw_a) + g_th * (t * lw_t)
                 + g_phid * (lw_a - wt * (a * cw + b * sw))
                 + g_thd * (lw_t - wt * (cc * cw + e * sw)))
-        jm[..., -2], jm[..., -1] = g_bsq, g_hsq
         return jm.reshape(len(rows), 2 * n, -1)
 
-    def limits(w0):
-        # bounds and x_scale of starts whose lines start at w0, (k, nl)
-        k, nl = w0.shape
-        npar = NPOLY + 5 * nl + 2
-        lb = np.full((k, npar), -np.inf)
-        ub = np.full((k, npar), np.inf)
-        lb[:, -2:] = 0.0
-        ub[:, -2], ub[:, -1] = 0.9, 2.0
-        xsc = np.ones((k, npar))
-        xsc[:, :NPOLY] = 1e-3, 1e-5, 1e-6
-        xsc[:, NPOLY:NPOLY + 4 * nl] = 0.02
-        xsc[:, -2:] = 0.05
-        freqs = slice(NPOLY + 4 * nl, NPOLY + 5 * nl)
-        lb[:, freqs] = w0 - w_band
-        ub[:, freqs] = w0 + w_band
-        xsc[:, freqs] = 0.01 * w0
-        return (lb, ub), xsc
-
-    def solve(x0, w0, cand, nl, per):
+    def solve(x0, cand, nl, per):
         # starts in runs of `per` per candidate, cand giving each start's;
         # returns (x, cost, status) of every start and the index of the
-        # lowest-cost start of each run, the first on ties. The soft_l1 loss
-        # caps the pull of short corrupted stretches (confuser targets,
+        # lowest-cost start of each run, the first on ties. Each line
+        # frequency is bounded to a band about its own start. The soft_l1
+        # loss caps the pull of short corrupted stretches (confuser targets,
         # interference bursts) without touching clean fits: normalized
         # residuals sit well under 1 on good data
-        bounds, xsc = limits(w0)
-        freqs = np.zeros(x0.shape[1], dtype=bool)
-        freqs[NPOLY + 4 * nl:NPOLY + 5 * nl] = True
-        r = least_squares(resid, x0, jac, bounds, xsc, 400, args=(cand, nl),
-                          stop_held=freqs)
+        lb = np.full_like(x0, -np.inf)
+        ub = np.full_like(x0, np.inf)
+        lb[:, NPOLY:HEAD] = 0.0
+        ub[:, NPOLY:HEAD] = 0.9, 2.0
+        xsc = np.full_like(x0, 0.02)
+        xsc[:, :HEAD] = 1e-3, 1e-5, 1e-6, 0.05, 0.05
+        freq = slice(HEAD + 4, None, 5)   # every line's w
+        w0 = x0[:, freq]
+        lb[:, freq], ub[:, freq] = w0 - w_band, w0 + w_band
+        xsc[:, freq] = 0.01 * w0
+        held = np.zeros(x0.shape[1], dtype=bool)
+        held[freq] = True
+        r = least_squares(resid, x0, jac, (lb, ub), xsc, 400, args=(cand, nl),
+                          stop_held=held)
         best = per * np.arange(len(cand) // per) + np.argmin(
             r.cost.reshape(-1, per), axis=1)
         return r.x, r.cost, r.status, best
 
     a_int = [_zero_mean_integral(t, -s.wave) for s in splits]
 
-    def line_amp(g, w):
-        return 2 * np.mean(a_int[g] * np.exp(-1j * w * t))
-
-    def seeds(g, w, base=None):
-        # the two assignment seeds of a new line at w: 0 starts it on aspect,
-        # 1 on tilt. Added to a one-line base it becomes the second line,
-        # and the base's parameters move to their two-line places
-        nl = 1 if base is None else 2
-        z = line_amp(g, w)
-        out = []
-        for assign, scale in enumerate((tp0, tt0)):
-            x0 = np.zeros(NPOLY + 5 * nl + 2)
-            x0[-2:] = 0.02
-            if base is not None:
-                x0[:NPOLY + 2] = base[:NPOLY + 2]   # poly, aspect a, b
-                x0[NPOLY + 4:NPOLY + 6] = base[NPOLY + 2:NPOLY + 4]   # tilt c, e
-                x0[NPOLY + 8] = base[NPOLY + 4]   # w
-                x0[-2:] = base[-2:]
-            x0[NPOLY + 5 * nl - 1] = w
-            # the new line's (a, b), or its (c, e) 2 nl places further
-            j = NPOLY + 2 * (nl - 1) + 2 * nl * assign
-            x0[j], x0[j + 1] = z.real / scale, z.imag / scale
-            out.append(x0)
-        return out
+    def seeds(g, w, head):
+        # the two assignment seeds of a new line at w appended to head, the
+        # start's polynomial, shape ratios and any lines before it: the
+        # first starts the line on aspect (a, b), the second on tilt (c, e)
+        z = 2 * np.mean(a_int[g] * np.exp(-1j * w * t))
+        return [np.r_[head, z.real / tp0, z.imag / tp0, 0.0, 0.0, w],
+                np.r_[head, 0.0, 0.0, z.real / tt0, z.imag / tt0, w]]
 
     w1 = 2 * np.pi / np.asarray(periods, dtype=float)
     cand = np.repeat(np.arange(ncand), 2)
-    x0 = np.array([x for g in range(ncand) for x in seeds(g, w1[g])])
-    x1, cost1, status1, best = solve(x0, w1[cand, None], cand, 1, 2)
+    head = np.r_[np.zeros(NPOLY), 0.02, 0.02]   # no slow term, ratios 0.02
+    x0 = np.array([x for g in range(ncand) for x in seeds(g, w1[g], head)])
+    x1, cost1, status1, best = solve(x0, cand, 1, 2)
     xs, nls = list(x1[best]), [1] * ncand
     cost, status = cost1[best], status1[best]
     resid1 = data[0] - model_series(x1[best], np.arange(ncand), 1)[:, 0]
     second = []
     for g in range(ncand):
-        w2 = _pursuit_line(t, resid1[g], float(x1[best[g], NPOLY + 4]))
+        w2 = _pursuit_line(t, resid1[g], float(x1[best[g], HEAD + 4]))
         if w2 is not None:
             second.append((g, w2))
     if second:
         # the second line joins both one-line fits of its candidate, each
         # assignment's: the lower-cost one can hold the first line on the
         # wrong angle
-        bases = [(g, 2 * g + b, w2) for g, w2 in second for b in (0, 1)]
-        cand = np.repeat([g for g, _, _ in bases], 2)
-        x0 = np.array([x for g, k, w2 in bases for x in seeds(g, w2, x1[k])])
-        w0 = np.array([[x1[k, NPOLY + 4], w2] for _, k, w2 in bases])
-        x2, cost2, status2, best2 = solve(x0, np.repeat(w0, 2, axis=0), cand,
-                                          2, 4)
+        cand = np.repeat([g for g, _ in second], 4)
+        x0 = np.array([x for g, w2 in second for b in (0, 1)
+                       for x in seeds(g, w2, x1[2 * g + b])])
+        x2, cost2, status2, best2 = solve(x0, cand, 2, 4)
         for (g, _), k in zip(second, best2):
             if cost2[k] < cost[g]:
                 xs[g], nls[g], cost[g], status[g] = x2[k], 2, cost2[k], status2[k]
@@ -639,28 +623,25 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
     win = int(np.argmin(rms))
     x, nl, low = xs[win], nls[win], lows[win]
     track = _assemble_track(t, *track_of(x, win, nl, accel=True)[0])
-    ws_final = [float(w) for w in x[NPOLY + 4 * nl:NPOLY + 5 * nl]]
     converged = bool(status[win] in (2, 3))
     flags = low.flags + (() if converged else ("wave fit did not converge",))
 
     # reconstruct the pure wave-band series from the line coefficients
     phi_hat = np.zeros_like(t)
     theta_hat = np.zeros_like(t)
-    for k, w in enumerate(ws_final):
-        a, b = x[NPOLY + 2 * k], x[NPOLY + 1 + 2 * k]
-        c, e = x[NPOLY + 2 * nl + 2 * k], x[NPOLY + 1 + 2 * nl + 2 * k]
+    coef = lines_of(x, nl)
+    for a, b, c, e, w in coef:
         phi_hat = phi_hat + a * np.cos(w * t) + b * np.sin(w * t)
         theta_hat = theta_hat + c * np.cos(w * t) + e * np.sin(w * t)
     phi_slow = x[0] * u + x[1] * u2c + x[2] * u3
+    line_periods = tuple(float(2 * np.pi / w) for w in coef[:, 4])
 
     return track, FitState(
-        period=float(2 * np.pi / ws_final[0]),
-        lines=tuple(2 * np.pi / w for w in ws_final),
+        period=line_periods[0], lines=line_periods,
         phi_hat=phi_hat, theta_hat=theta_hat,
-        phi_mean=low.phi_mean + phi_slow, phi_M=low.phi_mean - phi0,
-        steady_rate=low.steady_rate, bsq_est=float(x[-2]),
-        hsq_est=float(x[-1]), residual_rms=float(rms[win]),
-        converged=converged, flags=flags)
+        phi_mean=low.phi_mean + phi_slow, steady_rate=low.steady_rate,
+        bsq_est=float(x[NPOLY]), hsq_est=float(x[NPOLY + 1]),
+        residual_rms=float(rms[win]), converged=converged, flags=flags)
 
 
 def _interp_invalid(t: np.ndarray, y: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -699,7 +680,7 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
 
     if period is None:
         try:
-            seed, _ = dominant_wave_period(t, cov_rf)
+            seed = dominant_wave_period(t, cov_rf)
         except ValueError:
             seed = None
     else:
@@ -714,8 +695,8 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
                                 low.rate, zero, low.accel, zero)
         state = FitState(
             period=0.0, lines=(), phi_hat=zero, theta_hat=zero,
-            phi_mean=low.phi_mean, phi_M=low.phi_mean - phi0,
-            steady_rate=low.steady_rate, bsq_est=0.0, hsq_est=0.0,
+            phi_mean=low.phi_mean, steady_rate=low.steady_rate,
+            bsq_est=0.0, hsq_est=0.0,
             residual_rms=float(np.std(cov_rf + low_series)),
             converged=False, flags=low.flags + ("no wave solution",))
         return track, state

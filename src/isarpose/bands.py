@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+FLOOR_FACTOR = 3.0   # a wave line's FFT peak over the median spectral floor
+
 
 @dataclass(frozen=True)
 class BandSplit:
@@ -63,16 +65,12 @@ def chapeau_band_split(t: np.ndarray, y: np.ndarray, period: float) -> BandSplit
 
 
 def dominant_wave_period(t: np.ndarray, cov_rf: np.ndarray,
-                         cov_ff: np.ndarray | None = None,
-                         valid: np.ndarray | None = None,
-                         floor_factor: float = 3.0) -> tuple[float, tuple[str, ...]]:
+                         valid: np.ndarray | None = None) -> float:
     """Period (s) of the strongest oscillation line in cov_rf.
 
     Linear-detrended, Hann-windowed FFT; the peak bin must stand above
-    floor_factor times the median spectral floor. The peak is refined by a
-    parabolic fit through the three bins around it. When cov_ff is given,
-    its own peak is compared and a disagreement beyond 30% is flagged (the
-    two series share the wave line when the motion model holds).
+    FLOOR_FACTOR times the median spectral floor. The peak is refined by a
+    parabolic fit through the three bins around it.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(cov_rf, dtype=float)
@@ -84,34 +82,22 @@ def dominant_wave_period(t: np.ndarray, cov_rf: np.ndarray,
     if tv.size < 16:
         raise ValueError("too few valid frames for spectral period search")
     dt = float(np.median(np.diff(tv)))
-
-    def peak_period(series: np.ndarray) -> tuple[float, float, float]:
-        detr = series - np.polyval(np.polyfit(tv, series, 1), tv)
-        win = np.hanning(detr.size)
-        spec = np.abs(np.fft.rfft(detr * win))
-        freqs = np.fft.rfftfreq(detr.size, d=dt)
-        spec[0] = 0.0
-        k = int(np.argmax(spec))
-        floor = float(np.median(spec[1:])) + 1e-30
-        # parabolic refinement of the peak bin
-        if 1 <= k < spec.size - 1:
-            s0, s1, s2 = spec[k - 1], spec[k], spec[k + 1]
-            denom = s0 - 2 * s1 + s2
-            shift = 0.5 * (s0 - s2) / denom if abs(denom) > 0 else 0.0
-            shift = float(np.clip(shift, -0.5, 0.5))
-        else:
-            shift = 0.0
-        f_peak = freqs[k] + shift * (freqs[1] - freqs[0])
-        return float(1.0 / f_peak) if f_peak > 0 else np.inf, float(spec[k]), floor
-
-    period, peak, floor = peak_period(yv)
-    if peak <= floor_factor * floor or not np.isfinite(period):
+    detr = yv - np.polyval(np.polyfit(tv, yv, 1), tv)
+    win = np.hanning(detr.size)
+    spec = np.abs(np.fft.rfft(detr * win))
+    freqs = np.fft.rfftfreq(detr.size, d=dt)
+    spec[0] = 0.0
+    k = int(np.argmax(spec))
+    floor = float(np.median(spec[1:])) + 1e-30
+    # parabolic refinement of the peak bin
+    if 1 <= k < spec.size - 1:
+        s0, s1, s2 = spec[k - 1], spec[k], spec[k + 1]
+        denom = s0 - 2 * s1 + s2
+        shift = 0.5 * (s0 - s2) / denom if abs(denom) > 0 else 0.0
+        shift = float(np.clip(shift, -0.5, 0.5))
+    else:
+        shift = 0.0
+    f_peak = freqs[k] + shift * (freqs[1] - freqs[0])
+    if spec[k] <= FLOOR_FACTOR * floor or not f_peak > 0:
         raise ValueError("no wave line above the spectral floor")
-    flags: tuple[str, ...] = ()
-    if cov_ff is not None:
-        ffv = np.asarray(cov_ff, dtype=float)[valid]
-        p_ff, peak_ff, floor_ff = peak_period(ffv)
-        if peak_ff > floor_factor * floor_ff and np.isfinite(p_ff):
-            if abs(p_ff - period) > 0.3 * period:
-                flags = ("wave period differs between cov_rf and cov_ff",)
-    return period, flags
+    return float(1.0 / f_peak)

@@ -257,7 +257,7 @@ class _Outputs:
             raise
 
 
-def _angle_summary(track: AngleTrack, state: FitState, phi0: float) -> dict:
+def _angle_summary(track: AngleTrack, state: FitState) -> dict:
     s = track.samples
     return {
         "period_s": state.period,
@@ -265,7 +265,7 @@ def _angle_summary(track: AngleTrack, state: FitState, phi0: float) -> dict:
         "steady_rate_dps": math.degrees(state.steady_rate),
         "mean_abs_aspect_rate_dps": math.degrees(float(np.mean(np.abs(s.phi_dot)))),
         "mean_abs_tilt_rate_dps": math.degrees(float(np.mean(np.abs(s.theta_dot)))),
-        "mean_aspect_deg": math.degrees(phi0 + float(np.mean(state.phi_M))),
+        "mean_aspect_deg": math.degrees(float(np.mean(state.phi_mean))),
         "bsq": state.bsq_est,
         "hsq": state.hsq_est,
         "residual_rms": state.residual_rms,
@@ -274,7 +274,7 @@ def _angle_summary(track: AngleTrack, state: FitState, phi0: float) -> dict:
     }
 
 
-def _pipeline(dwell, config: RunConfig, out: _Outputs, mode: str) -> RunReport:
+def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
     """Moments through length on one dwell; fills `out` with figure files.
 
     Both modes funnel through here so an analyze run over a saved dwell
@@ -404,49 +404,35 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs, mode: str) -> RunReport:
         class_counts[s.frame_class.value] = class_counts.get(s.frame_class.value, 0) + 1
     names = tuple(sorted(out.manifest() + ("run_report.json",)))
     return RunReport(
-        mode=mode, n_frames=len(dwell.frames),
-        angle_summary=_angle_summary(track, state, dwell.phi0),
+        mode=config.mode, n_frames=len(dwell.frames),
+        angle_summary=_angle_summary(track, state),
         class_counts=class_counts, loa=loa_dict,
         badfit_count=int(np.sum(bf.flagged)), flags=tuple(flags),
         manifest=names)
 
 
-def _run_simulate(config: RunConfig) -> RunReport:
-    cfg, ship, perfect = scenario_from_dict(config.scenario, config.seed)
-    try:
-        track = build_angle_track(cfg)
-        dwell = (simulate_perfect if perfect else simulate_degraded)(ship, track, cfg)
-    except ValueError as exc:
-        raise PipelineError("simulate", str(exc)) from exc
-    out = _Outputs(Path(config.output_dir))
-    out.add_chunks("dwell.csv", dwell_text(dwell))
-    report = _pipeline(dwell, config, out, "simulate")
-    out.add_text("run_report.json", _json_text(report.to_dict()))
-    try:
-        out.flush()
-    except OSError as exc:
-        raise PipelineError("outputs", str(exc)) from exc
-    return report
-
-
-def _run_analyze(config: RunConfig) -> RunReport:
-    try:
-        dwell = load_dwell(config.input_path)
-    except (OSError, ValueError) as exc:
-        raise DataError(str(exc)) from exc
-    out = _Outputs(Path(config.output_dir))
-    report = _pipeline(dwell, config, out, "analyze")
-    out.add_text("run_report.json", _json_text(report.to_dict()))
-    try:
-        out.flush()
-    except OSError as exc:
-        raise PipelineError("outputs", str(exc)) from exc
-    return report
-
-
 def run(config: RunConfig) -> RunReport:
     """Execute one configured run; see RunConfig. Raises ConfigError,
     DataError, or PipelineError with the failing stage in the message."""
+    out = _Outputs(Path(config.output_dir))
     if config.mode == "simulate":
-        return _run_simulate(config)
-    return _run_analyze(config)
+        cfg, ship, perfect = scenario_from_dict(config.scenario, config.seed)
+        try:
+            track = build_angle_track(cfg)
+            dwell = (simulate_perfect if perfect else simulate_degraded)(
+                ship, track, cfg)
+        except ValueError as exc:
+            raise PipelineError("simulate", str(exc)) from exc
+        out.add_chunks("dwell.csv", dwell_text(dwell))
+    else:
+        try:
+            dwell = load_dwell(config.input_path)
+        except (OSError, ValueError) as exc:
+            raise DataError(str(exc)) from exc
+    report = _pipeline(dwell, config, out)
+    out.add_text("run_report.json", _json_text(report.to_dict()))
+    try:
+        out.flush()
+    except OSError as exc:
+        raise PipelineError("outputs", str(exc)) from exc
+    return report

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import isarpose.angles
-from isarpose.angles import (GRID_POINTS, LM_TOL, NPOLY, _covs_of,
+from isarpose.angles import (GRID_POINTS, HEAD, LM_TOL, NPOLY, _covs_of,
                              estimate_angles, least_squares,
                              lowpass_aspect_solve, model_covariances,
                              waveband_joint_fit)
@@ -111,11 +111,11 @@ def test_analytic_jacobian_matches_central_differences(recorded_stages, nl):
     assert len(recorded_stages) == 2 and args[1] == nl
     assert np.all(args[0][rows] == 0)
     x = stage["res"].x[rows].copy()
-    x[:, -2] = 0.9
-    assert np.all(x[:, -2] == stage["bounds"][1][rows, -2])
+    x[:, NPOLY] = 0.9
+    assert np.all(x[:, NPOLY] == stage["bounds"][1][rows, NPOLY])
     analytic = stage["jac"](x, rows, *args)
     f = fun(x, rows, *args)
-    npar = NPOLY + 5 * nl + 2
+    npar = HEAD + 5 * nl
     assert analytic.shape == f.shape + (npar,)
     h = 1e-4 * stage["x_scale"][rows]
     for j in range(npar):
@@ -148,7 +148,7 @@ def test_grid_fit_is_its_best_lone_candidate(ideal_moments):
     for name in ("period", "lines", "steady_rate", "bsq_est", "hsq_est",
                  "residual_rms", "converged", "flags"):
         assert getattr(grid, name) == getattr(best, name), name
-    for name in ("phi_hat", "theta_hat", "phi_mean", "phi_M"):
+    for name in ("phi_hat", "theta_hat", "phi_mean"):
         assert np.array_equal(getattr(grid, name), getattr(best, name)), name
     assert np.array_equal(track.samples, best_track.samples)
 
@@ -518,22 +518,26 @@ def test_second_line_joins_both_stage1_fits(monkeypatch):
 
     def record(fun, x0, jac, bounds, x_scale, max_nfev, args=(), **kw):
         res = real(fun, x0, jac, bounds, x_scale, max_nfev, args, **kw)
-        stages.append((np.array(x0), args[0], res))
+        stages.append((np.array(x0), args[0], res, bounds))
         return res
 
     monkeypatch.setattr(isarpose.angles, "least_squares", record)
     estimate_angles(mom, PHI0, THETA0)
-    (_, cand1, one), (x0, cand2, _) = stages
+    (_, cand1, one, _), (x0, cand2, _, (lb, ub)) = stages
     assert np.array_equal(cand2, np.repeat(np.unique(cand2), 4))
     for g in np.unique(cand2):
         starts = x0[cand2 == g]
         for b in (0, 1):
             base = one.x[2 * g + b]
             for x in starts[2 * b:2 * b + 2]:
-                # the base's polynomial, its line's w and the shape ratios
-                assert np.array_equal(x[:NPOLY], base[:NPOLY])
-                assert x[NPOLY + 8] == base[NPOLY + 4]
-                assert np.array_equal(x[-2:], base[-2:])
+                # the whole one-line fit heads the two-line start
+                assert np.array_equal(x[:HEAD + 5], base)
+    # each line frequency keeps to a band about its own start
+    band = 2 * np.pi * 0.75 / (mom.t[-1] - mom.t[0])
+    w0 = x0[:, HEAD + 4::5]
+    assert w0.shape == (len(cand2), 2)
+    assert np.array_equal(lb[:, HEAD + 4::5], w0 - band)
+    assert np.array_equal(ub[:, HEAD + 4::5], w0 + band)
 
 
 def test_longest_candidate_stops_on_its_frequency_bound(monkeypatch):
@@ -561,7 +565,7 @@ def test_longest_candidate_stops_on_its_frequency_bound(monkeypatch):
     cand, _, res, (_, ub) = stages[0]
     last = cand == GRID_POINTS - 1
     assert last.sum() == 2
-    assert np.all(res.x[last, NPOLY + 4] == ub[last, NPOLY + 4])
+    assert np.all(res.x[last, HEAD + 4] == ub[last, HEAD + 4])
     assert np.all(res.status[last] == 4)
     for cand, calls, res, _ in stages:
         last = cand == GRID_POINTS - 1

@@ -68,6 +68,17 @@ class TestSimulate:
         assert report["n_frames"] == 60
         assert set(report["manifest"]) == names
 
+    def test_mean_aspect_is_the_slow_aspect_mean(self, sim_dir):
+        # the report's mean aspect averages angles.csv's slow aspect, which
+        # the fit keeps centred on the scenario's 45 deg
+        report = json.loads((sim_dir / "run_report.json").read_text())
+        mean_aspect = report["angle_summary"]["mean_aspect_deg"]
+        phi_mean = [float(r["phi_mean_deg"])
+                    for r in _rows(sim_dir / "angles.csv")]
+        assert mean_aspect == pytest.approx(sum(phi_mean) / len(phi_mean),
+                                            abs=1e-12)
+        assert mean_aspect == pytest.approx(45.0, abs=1e-9)
+
     def test_seed_override_changes_dwell(self, sim_dir, tmp_path):
         out = tmp_path / "seeded"
         code = main(["simulate", "--config", _write_config(tmp_path, SCENARIO),
