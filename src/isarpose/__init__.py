@@ -14,9 +14,9 @@ file boundaries. Doppler is carried as range-rate in m/s.
 
 from .ship import (Scatterer, ShipModel, ANGLE_DTYPE, angle_array, AngleTrack,
                    REPORT_DTYPE, report_array, Frame, Dwell, ship_moments)
-from .simulate import (ScenarioConfig, DegradationSpec, range_of, rate_of,
-                       accel_of, build_angle_track, simulate_perfect,
-                       simulate_degraded, make_ship)
+from .simulate import (ScenarioConfig, DegradationSpec, rfa_of,
+                       build_angle_track, simulate_perfect, simulate_degraded,
+                       make_ship)
 from .moments import (MOMENT_DTYPE, frame_moments, moments_series,
                       time_derivative)
 from .bands import BandSplit, chapeau_band_split, dominant_wave_period
@@ -34,8 +34,8 @@ from .runner import RunConfig, RunReport, run, PipelineError
 __all__ = [
     "Scatterer", "ShipModel", "ANGLE_DTYPE", "angle_array", "AngleTrack",
     "REPORT_DTYPE", "report_array", "Frame", "Dwell", "ship_moments",
-    "ScenarioConfig", "DegradationSpec", "range_of", "rate_of", "accel_of",
-    "build_angle_track", "simulate_perfect", "simulate_degraded", "make_ship",
+    "ScenarioConfig", "DegradationSpec", "rfa_of", "build_angle_track",
+    "simulate_perfect", "simulate_degraded", "make_ship",
     "MOMENT_DTYPE", "frame_moments", "moments_series", "time_derivative",
     "BandSplit", "chapeau_band_split", "dominant_wave_period",
     "FitState", "lowpass_aspect_solve", "waveband_joint_fit",

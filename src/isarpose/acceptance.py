@@ -27,7 +27,7 @@ from .runner import RunConfig, run
 from .ship import (Dwell, Frame, Scatterer, ShipModel, report_array,
                    ship_moments)
 from .simulate import (DegradationSpec, ScenarioConfig, angle_sample_at,
-                       build_angle_track, make_ship, range_of,
+                       build_angle_track, make_ship, rfa_of,
                        simulate_degraded, simulate_perfect)
 from .validate import badfit, consistency_synth, crosscheck_focus
 
@@ -100,14 +100,13 @@ def check_forward_model_calculus() -> tuple[bool, str]:
             tilt_osc=(math.radians(float(rng.uniform(0.3, 2.0))),
                       float(rng.uniform(6, 12))),
             noise=(0.0, 0.0, 0.0), seed=trial)
-        from .simulate import accel_of, rate_of
         for tq in rng.uniform(5, 55, 6):
             for dt in max_rel:
                 sm, s0, sp = (angle_sample_at(cfg, float(tq) + k * dt)
                               for k in (-1, 0, 1))
                 for sc in ship.scatterers:
-                    rm, r0, rp = (range_of(sc, s) for s in (sm, s0, sp))
-                    f_an, a_an = rate_of(sc, s0), accel_of(sc, s0)
+                    rm, rp = (rfa_of(sc, s)[0] for s in (sm, sp))
+                    r0, f_an, a_an = rfa_of(sc, s0)
                     rel_f = abs((rp - rm) / (2 * dt) - f_an) / max(abs(f_an), 0.05)
                     rel_a = abs((rp - 2 * r0 + rm) / dt**2 - a_an) / max(abs(a_an), 0.005)
                     max_rel[dt] = max(max_rel[dt], rel_f, rel_a)
@@ -377,16 +376,13 @@ def check_focus_agreement() -> tuple[bool, str]:
     mom = moments_series(dwell)
     _, bsq, hsq = ship_moments(ship)
     model = model_covariances(track, bsq, hsq)
-    fc = crosscheck_focus(mom, model.cov_rf, model.cov_ff,
-                          model.cov_ra, model.cov_fa)
+    fc = crosscheck_focus(mom, model)
     n_cond = int(fc.conditioned.sum())
 
     dwell_l = simulate_perfect(_line_ship(), track, cfg)
     mom_l = moments_series(dwell_l)
     _, bl, hl = ship_moments(_line_ship())
-    model_l = model_covariances(track, bl, hl)
-    fl = crosscheck_focus(mom_l, model_l.cov_rf, model_l.cov_ff,
-                          model_l.cov_ra, model_l.cov_fa)
+    fl = crosscheck_focus(mom_l, model_covariances(track, bl, hl))
     valid_l = mom_l.valid
     finite = all(bool(np.isfinite(a[valid_l]).all())
                  for a in (fl.a_r_data, fl.a_f_data, fl.a_r_out, fl.a_f_out))

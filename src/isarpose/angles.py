@@ -49,6 +49,7 @@ ANGLE_LIMIT = math.pi / 2 - 1e-6
 LM_TOL = 1e-6           # relative cost drop and scaled step that end the fit
 GRID_POINTS = 3         # candidate periods of the joint fit ...
 GRID_HALFWIDTH = 0.2    # ... spanning +-20% of the spectral seed
+PURSUIT_SNR = 3.0       # a second line's peak over the median amplitude
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,6 @@ class LowpassAspect:
     phi_mean: np.ndarray
     rate: np.ndarray
     accel: np.ndarray
-    steady_rate: float
     flags: tuple[str, ...] = ()
 
 
@@ -78,9 +78,10 @@ class FitState:
     """What the fit of the winning candidate period knows beyond its track.
 
     period is its first line's period and lines every line's (s);
-    phi_hat/theta_hat are the wave-band excursions and phi_mean the slow
-    aspect; bsq_est/hsq_est are the fitted shape ratios. The angle track
-    itself is the AngleTrack returned beside it.
+    phi_hat/theta_hat are the wave-band excursions, phi_mean the slow
+    aspect and steady_rate the mean of its rate; bsq_est/hsq_est are the
+    fitted shape ratios. The angle track itself is the AngleTrack returned
+    beside it.
     """
 
     period: float
@@ -173,11 +174,10 @@ def lowpass_aspect_solve(t: np.ndarray, lhs_low: np.ndarray, phi0: float,
     rate = np.gradient(phi_mean, t)
     accel = np.gradient(rate, t)
     return LowpassAspect(phi_mean=phi_mean, rate=rate, accel=accel,
-                         steady_rate=float(rate.mean()), flags=flags)
+                         flags=flags)
 
 
-def _pursuit_line(t: np.ndarray, resid: np.ndarray, w1: float,
-                  snr_min: float = 3.0) -> float | None:
+def _pursuit_line(t: np.ndarray, resid: np.ndarray, w1: float) -> float | None:
     """Strongest residual sinusoid inside the wave band, excluding a guard
     around w1. Fine-grid windowed projection, immune to FFT bin cancellation
     from the first line's sidelobes. Returns angular frequency or None."""
@@ -192,7 +192,7 @@ def _pursuit_line(t: np.ndarray, resid: np.ndarray, w1: float,
     amp[np.abs(fgrid - f1) < guard] = 0.0
     i = int(np.argmax(amp))
     floor = np.median(amp[amp > 0])
-    if amp[i] < snr_min * floor:
+    if amp[i] < PURSUIT_SNR * floor:
         return None
     return float(2 * np.pi * fgrid[i])
 
@@ -206,14 +206,28 @@ class LsqResult:
     step lowered its cost by less than LM_TOL of it, 3 when its scaled step
     fell below LM_TOL, 4 when a stop_held variable was held on its bound.
     nfev and njev count the residual and Jacobian evaluations of all starts
-    together. For a 1-D x0, x is (npar,), cost a float and status an int.
+    together.
     """
 
     x: np.ndarray
-    cost: np.ndarray | float
+    cost: np.ndarray
     nfev: int
     njev: int
-    status: np.ndarray | int
+    status: np.ndarray
+
+
+def _soft_l1(f: np.ndarray) -> np.ndarray:
+    return np.sum(np.sqrt(1.0 + f * f) - 1.0, axis=-1)
+
+
+def _normal_equations(j: np.ndarray, f: np.ndarray, xsc: np.ndarray):
+    # (Jr^T fr, Jr^T Jr) of the soft_l1-reweighted problem in the scaled
+    # variables; j, the (k, m, npar) Jacobian, is scaled in place
+    s = 1.0 + f * f
+    j *= xsc[:, None, :]
+    j *= (s ** -0.75)[..., None]
+    jt = np.swapaxes(j, 1, 2)
+    return (jt @ (f * s ** 0.25)[..., None])[..., 0], jt @ j
 
 
 def least_squares(fun, x0: np.ndarray, jac, bounds: tuple[np.ndarray, np.ndarray],
@@ -251,38 +265,10 @@ def least_squares(fun, x0: np.ndarray, jac, bounds: tuple[np.ndarray, np.ndarray
     starts whose last step was accepted: rows are their indices in the
     batch and x their (k, npar) points; the calls return (k, m) residuals
     and a new (k, m, npar) Jacobian array, which the solver scales in
-    place. A 1-D x0 is a batch of one: fun(x, *args) and jac(x, *args) then
-    take that point and return (m,) and (m, npar), and the Jacobian is
-    copied before it is scaled.
+    place.
     """
     x0 = np.asarray(x0, dtype=float)
     stop_held = np.asarray(stop_held, dtype=bool)
-    if x0.ndim == 2:
-        return _lockstep_lm(fun, x0, jac, bounds, x_scale, max_nfev, args,
-                            stop_held)
-    res = _lockstep_lm(lambda x, rows, *a: fun(x[0], *a)[None], x0[None],
-                       lambda x, rows, *a: np.array(jac(x[0], *a))[None],
-                       bounds, x_scale, max_nfev, args, stop_held)
-    return LsqResult(x=res.x[0], cost=float(res.cost[0]), nfev=res.nfev,
-                     njev=res.njev, status=int(res.status[0]))
-
-
-def _soft_l1(f: np.ndarray) -> np.ndarray:
-    return np.sum(np.sqrt(1.0 + f * f) - 1.0, axis=-1)
-
-
-def _normal_equations(j: np.ndarray, f: np.ndarray, xsc: np.ndarray):
-    # (Jr^T fr, Jr^T Jr) of the soft_l1-reweighted problem in the scaled
-    # variables; j, the (k, m, npar) Jacobian, is scaled in place
-    s = 1.0 + f * f
-    j *= xsc[:, None, :]
-    j *= (s ** -0.75)[..., None]
-    jt = np.swapaxes(j, 1, 2)
-    return (jt @ (f * s ** 0.25)[..., None])[..., 0], jt @ j
-
-
-def _lockstep_lm(fun, x0, jac, bounds, x_scale, max_nfev, args,
-                 stop_held) -> LsqResult:
     lb, ub = (np.broadcast_to(np.asarray(b, dtype=float), x0.shape) for b in bounds)
     xsc = np.broadcast_to(np.asarray(x_scale, dtype=float), x0.shape)
     nb, npar = x0.shape
@@ -634,12 +620,13 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
         phi_hat = phi_hat + a * np.cos(w * t) + b * np.sin(w * t)
         theta_hat = theta_hat + c * np.cos(w * t) + e * np.sin(w * t)
     phi_slow = x[0] * u + x[1] * u2c + x[2] * u3
+    rate_slow = low.rate + x[0] + 2 * x[1] * u + 3 * x[2] * u2
     line_periods = tuple(float(2 * np.pi / w) for w in coef[:, 4])
 
     return track, FitState(
         period=line_periods[0], lines=line_periods,
         phi_hat=phi_hat, theta_hat=theta_hat,
-        phi_mean=low.phi_mean + phi_slow, steady_rate=low.steady_rate,
+        phi_mean=low.phi_mean + phi_slow, steady_rate=float(rate_slow.mean()),
         bsq_est=float(x[NPOLY]), hsq_est=float(x[NPOLY + 1]),
         residual_rms=float(rms[win]), converged=converged, flags=flags)
 
@@ -695,7 +682,7 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
                                 low.rate, zero, low.accel, zero)
         state = FitState(
             period=0.0, lines=(), phi_hat=zero, theta_hat=zero,
-            phi_mean=low.phi_mean, steady_rate=low.steady_rate,
+            phi_mean=low.phi_mean, steady_rate=float(low.rate.mean()),
             bsq_est=0.0, hsq_est=0.0,
             residual_rms=float(np.std(cov_rf + low_series)),
             converged=False, flags=low.flags + ("no wave solution",))

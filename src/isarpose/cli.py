@@ -16,8 +16,10 @@ import argparse
 import json
 import sys
 
+from .pose import CLASS_THRESHOLD
 from .runner import (ConfigError, DataError, PipelineError, RunConfig,
                      is_number, run)
+from .validate import BADFIT_THRESHOLD
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,8 +97,10 @@ def _analyze_config(args: argparse.Namespace) -> RunConfig:
         output_dir=args.output,
         emit_plots=bool(args.emit_plots),
         weighting=weighting,
-        badfit_threshold=_number(overrides, "badfit_threshold", 3.0),
-        class_threshold=_number(overrides, "class_threshold", 4.0),
+        badfit_threshold=_number(overrides, "badfit_threshold",
+                                 BADFIT_THRESHOLD),
+        class_threshold=_number(overrides, "class_threshold",
+                                CLASS_THRESHOLD),
         noise_override=noise,
         period=args.period if args.period is not None
         else _number(overrides, "period", None))

@@ -80,7 +80,8 @@ def dwell_text(dwell: Dwell) -> list[bytes]:
     }
     if dwell.report_sigmas is not None:
         header.update(zip(_SIGMA_KEYS, dwell.report_sigmas))
-    with_truth = any((fr.reports.truth_id >= 0).any() for fr in dwell.frames)
+    with_truth = any((fr.reports.view(np.ndarray)["truth_id"] >= 0).any()
+                     for fr in dwell.frames)
     cols = _COLUMNS + (("truth_id",) if with_truth else ())
     chunks = [f"{json.dumps(header, sort_keys=True)}\n{','.join(cols)}\n"
               .encode("ascii")]

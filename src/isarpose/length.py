@@ -20,6 +20,8 @@ from .ship import Dwell
 FOOT = 0.3048
 MIN_PROJECTION = 0.1   # |cos(phi) cos(theta)| floor for a usable frame
 BEAM_CLAMP = 0.5       # corrected length never drops under half the raw
+GHOST_K_MAD = 3.0      # a ghost lies this many robust sigmas past the p90 ...
+GHOST_SNR_DROP_DB = 6.0  # ... and this far under the frame's median SNR
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,7 @@ def frame_loa(r_min: float, r_max: float, phi: float, theta: float,
     return max(corrected, BEAM_CLAMP * raw)
 
 
-def _screen(r: np.ndarray, snr: np.ndarray, k_mad: float = 3.0,
-            snr_drop_db: float = 6.0) -> np.ndarray:
+def _screen(r: np.ndarray, snr: np.ndarray) -> np.ndarray:
     """Keep mask of the multipath screen over k frames of n reports each:
     r and snr are (k, n), one frame a row, and so is the mask. Frames of
     under five reports keep every report."""
@@ -70,19 +71,17 @@ def _screen(r: np.ndarray, snr: np.ndarray, k_mad: float = 3.0,
         return np.ones(r.shape, dtype=bool)
     p90 = np.percentile(r, 90, axis=1)
     mad = 1.4826 * np.median(np.abs(r - np.median(r, axis=1)[:, None]), axis=1)
-    far = r > (p90 + k_mad * np.maximum(mad, 1e-9))[:, None]
-    weak = snr <= (np.median(snr, axis=1) - snr_drop_db)[:, None]
+    far = r > (p90 + GHOST_K_MAD * np.maximum(mad, 1e-9))[:, None]
+    weak = snr <= (np.median(snr, axis=1) - GHOST_SNR_DROP_DB)[:, None]
     return ~(far & weak)
 
 
-def multipath_guard(reports: np.recarray, k_mad: float = 3.0,
-                    snr_drop_db: float = 6.0) -> np.recarray:
-    """Drop far-range ghosts: beyond the 90th percentile by k_mad robust
-    sigmas AND at least snr_drop_db below the frame median SNR. Near-range
-    reports are never dropped (the bow is real). Needs five reports to have
-    a usable percentile; smaller frames pass through."""
-    return reports[_screen(reports["r"][None], reports["snr"][None],
-                           k_mad, snr_drop_db)[0]]
+def multipath_guard(reports: np.recarray) -> np.recarray:
+    """Drop far-range ghosts: beyond the 90th percentile by GHOST_K_MAD
+    robust sigmas AND at least GHOST_SNR_DROP_DB below the frame median
+    SNR. Near-range reports are never dropped (the bow is real). Needs five
+    reports to have a usable percentile; smaller frames pass through."""
+    return reports[_screen(reports["r"][None], reports["snr"][None])[0]]
 
 
 def _extents(frames) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
 
 
 def svg_lines_text(t: np.ndarray, series: dict[str, np.ndarray], title: str,
-                   ylabel: str = "", xlabel: str = "time (s)") -> str:
+                   ylabel: str = "") -> str:
     t = np.asarray(t, dtype=float)
     arrays = {k: np.asarray(v, dtype=float) for k, v in series.items()}
     finite = np.concatenate([v[np.isfinite(v)] for v in arrays.values()]) \
@@ -73,7 +73,7 @@ def svg_lines_text(t: np.ndarray, series: dict[str, np.ndarray], title: str,
                      f'text-anchor="end" font-family="sans-serif" '
                      f'font-size="11" fill="{color}">{name}</text>')
     parts.append(f'<text x="{W / 2:.0f}" y="{H - 8}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="11">{xlabel}</text>')
+                 f'font-family="sans-serif" font-size="11">time (s)</text>')
     if ylabel:
         parts.append(f'<text x="14" y="{H / 2:.0f}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="11" '

@@ -23,6 +23,10 @@ from .validate import BadFitSeries
 
 PEARLS_EPS = 0.01
 COND_GUARD = 1e4
+CLASS_THRESHOLD = 4.0   # a score over this makes its class a candidate
+THREE_D_BALANCE = 0.5   # ThreeD needs min/max of (profile, plan) over this
+COMPOSITE_CELL = 1.0    # composite pixel size (m)
+RATE_FLOOR_FRAC = 0.1   # composites skip frames under this x median rate
 
 
 class FrameClass(str, enum.Enum):
@@ -89,8 +93,7 @@ def motion_matrix(track: AngleTrack,
 
 
 def invert_frame(frame: Frame, mom: np.record, m: np.ndarray, cond: float,
-                 noise: tuple[float, float, float],
-                 cond_guard: float = COND_GUARD) -> FrameSolution:
+                 noise: tuple[float, float, float]) -> FrameSolution:
     """Recover centered drydock coordinates for every report in a frame.
 
     mom is the frame's moments record under the run's weighting; its
@@ -99,7 +102,7 @@ def invert_frame(frame: Frame, mom: np.record, m: np.ndarray, cond: float,
     of motion_matrix.
 
     noise_var_k = sum_j (M^-1)_kj^2 sigma_j^2 propagates the report noise
-    through the inversion. A condition number beyond cond_guard means the
+    through the inversion. A condition number beyond COND_GUARD means the
     instantaneous motion cannot separate the axes; the frame is Invalid and
     carries no coordinates. The class set here ignores fit-quality flags;
     classify_frames applies those afterwards.
@@ -110,7 +113,7 @@ def invert_frame(frame: Frame, mom: np.record, m: np.ndarray, cond: float,
                              noise_var=(0.0, 0.0, 0.0), scores=(0.0, 0.0, 0.0),
                              frame_class=FrameClass.INVALID, cond=cond,
                              flags=("too few reports",))
-    if not np.isfinite(cond) or cond > cond_guard:
+    if not np.isfinite(cond) or cond > COND_GUARD:
         return FrameSolution(t=frame.t, frame_index=frame.index, xyz=None,
                              noise_var=(0.0, 0.0, 0.0), scores=(0.0, 0.0, 0.0),
                              frame_class=FrameClass.INVALID, cond=cond,
@@ -136,10 +139,10 @@ def invert_frame(frame: Frame, mom: np.record, m: np.ndarray, cond: float,
 
 
 def _classify(profile: float, plan: float, pearls: float,
-              threshold: float = 4.0, balance: float = 0.5) -> FrameClass:
+              threshold: float = CLASS_THRESHOLD) -> FrameClass:
     if profile > threshold and plan > threshold:
         lo, hi = sorted((profile, plan))
-        if lo / hi > balance:
+        if lo / hi > THREE_D_BALANCE:
             return FrameClass.THREE_D
     scores = {FrameClass.PROFILE: profile, FrameClass.PLAN: plan,
               FrameClass.PEARLS: pearls}
@@ -151,8 +154,7 @@ def _classify(profile: float, plan: float, pearls: float,
 
 def classify_frames(solutions: list[FrameSolution],
                     badfit_series: BadFitSeries | None = None,
-                    threshold: float = 4.0,
-                    balance: float = 0.5) -> list[FrameSolution]:
+                    threshold: float = CLASS_THRESHOLD) -> list[FrameSolution]:
     """Final classes with fit-quality feedback.
 
     Frames flagged by the fit check get their effective noise variances
@@ -170,20 +172,19 @@ def classify_frames(solutions: list[FrameSolution],
         if sol.xyz is None:
             cls = FrameClass.INVALID
         else:
-            cls = _classify(profile, plan, pearls, threshold, balance)
+            cls = _classify(profile, plan, pearls, threshold)
         out.append(replace(sol, scores=(profile, plan, pearls),
                            frame_class=cls, flags=flags))
     return out
 
 
 def compose(dwell: Dwell, solutions: list[FrameSolution], track: AngleTrack,
-            kind: FrameClass, cell: float = 1.0,
-            rate_floor_frac: float = 0.1) -> CompositeImage:
+            kind: FrameClass) -> CompositeImage:
     """Accumulate frames of one class into a range/cross-range image.
 
     Cross-range is Doppler divided by the relevant rotation rate: tilt rate
     for Profile frames (maps to height), aspect rate for Plan frames (maps
-    to cross-ship). Frames whose rate magnitude falls under rate_floor_frac
+    to cross-ship). Frames whose rate magnitude falls under RATE_FLOOR_FRAC
     of the dwell median are excluded (the division blows up); negative-rate
     frames are mirrored so all frames add coherently. Each frame is
     centroid-aligned and weighted by linear-power SNR.
@@ -202,11 +203,11 @@ def compose(dwell: Dwell, solutions: list[FrameSolution], track: AngleTrack,
             continue
         k = sol.frame_index
         rate = rates[k]
-        if abs(rate) < rate_floor_frac * med_rate or rate == 0.0:
+        if abs(rate) < RATE_FLOOR_FRAC * med_rate or rate == 0.0:
             continue
-        reports = dwell.frames[k].reports
-        cross = reports.f / abs(rate)
-        r = reports.r - reports.r.mean()
+        reports = dwell.frames[k].reports.view(np.ndarray)
+        cross = reports["f"] / abs(rate)
+        r = reports["r"] - reports["r"].mean()
         cross = cross - cross.mean()
         # a reversed rotation sweeps Doppler the opposite way; mirroring
         # folds those frames onto the same cross-range axis
@@ -214,7 +215,7 @@ def compose(dwell: Dwell, solutions: list[FrameSolution], track: AngleTrack,
             cross = -cross
         pts_r.append(r)
         pts_c.append(cross)
-        wts.append(snr_power(reports.snr))
+        wts.append(snr_power(reports["snr"]))
         used.append(k)
     if not used:
         return CompositeImage(kind=kind, grid=np.zeros((1, 1)),
@@ -225,13 +226,13 @@ def compose(dwell: Dwell, solutions: list[FrameSolution], track: AngleTrack,
     w_all = np.concatenate(wts)
     r_lo, r_hi = float(r_all.min()), float(r_all.max())
     c_lo, c_hi = float(c_all.min()), float(c_all.max())
-    nr = max(2, int(np.ceil((r_hi - r_lo) / cell)) + 1)
-    nc = max(2, int(np.ceil((c_hi - c_lo) / cell)) + 1)
+    nr = max(2, int(np.ceil((r_hi - r_lo) / COMPOSITE_CELL)) + 1)
+    nc = max(2, int(np.ceil((c_hi - c_lo) / COMPOSITE_CELL)) + 1)
     grid = np.zeros((nc, nr))
-    ir = np.clip(((r_all - r_lo) / cell).astype(int), 0, nr - 1)
-    ic = np.clip(((c_all - c_lo) / cell).astype(int), 0, nc - 1)
+    ir = np.clip(((r_all - r_lo) / COMPOSITE_CELL).astype(int), 0, nr - 1)
+    ic = np.clip(((c_all - c_lo) / COMPOSITE_CELL).astype(int), 0, nc - 1)
     np.add.at(grid, (ic, ir), w_all)
     return CompositeImage(kind=kind, grid=grid,
-                          range_axis=r_lo + cell * np.arange(nr),
-                          cross_axis=c_lo + cell * np.arange(nc),
+                          range_axis=r_lo + COMPOSITE_CELL * np.arange(nr),
+                          cross_axis=c_lo + COMPOSITE_CELL * np.arange(nc),
                           frames_used=tuple(used))

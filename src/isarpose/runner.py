@@ -20,12 +20,14 @@ from .io import dwell_text, load_dwell, pgm_bytes
 from .length import estimate_loa
 from .moments import moments_series
 from .plots import svg_lines_text
-from .pose import (CompositeImage, FrameClass, classify_frames, compose,
-                   invert_frame, motion_matrix, report_noise)
+from .pose import (CLASS_THRESHOLD, CompositeImage, FrameClass,
+                   classify_frames, compose, invert_frame, motion_matrix,
+                   report_noise)
 from .ship import AngleTrack, ShipModel
 from .simulate import (DegradationSpec, ScenarioConfig, build_angle_track,
                        make_ship, simulate_degraded, simulate_perfect)
-from .validate import badfit, consistency_synth, crosscheck_focus
+from .validate import (BADFIT_THRESHOLD, badfit, consistency_synth,
+                       crosscheck_focus)
 
 
 class ConfigError(Exception):
@@ -63,8 +65,8 @@ class RunConfig:
     seed: int | None = None
     emit_plots: bool = False
     weighting: str = "uniform"
-    badfit_threshold: float = 3.0
-    class_threshold: float = 4.0
+    badfit_threshold: float = BADFIT_THRESHOLD
+    class_threshold: float = CLASS_THRESHOLD
     noise_override: tuple[float, float, float] | None = None
     period: float | None = None
 
@@ -297,8 +299,7 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
         model = model_covariances(track, state.bsq_est, state.hsq_est)
         records = consistency_synth(mom)
         bf = badfit(mom, records, model.d, config.badfit_threshold)
-        focus = crosscheck_focus(mom, model.cov_rf, model.cov_ff,
-                                 model.cov_ra, model.cov_fa)
+        focus = crosscheck_focus(mom, model)
     except ValueError as exc:
         raise PipelineError("validation", str(exc)) from exc
 

@@ -133,26 +133,15 @@ def make_ship(loa: float, beam: float | None = None, height: float = 12.0,
     return ShipModel(tuple(sc), loa_true=loa)
 
 
-def range_of(s: Scatterer, ang: np.record) -> float:
-    """Range offset (m) of a scatterer at one angle state (an ANGLE_DTYPE
-    record, such as angle_sample_at returns)."""
+def rfa_of(s: Scatterer, ang: np.record) -> tuple[float, float, float]:
+    """Range offset (m), range-rate (m/s) and range-acceleration (m/s^2) of
+    a scatterer at one angle state (an ANGLE_DTYPE record, such as
+    angle_sample_at returns); rate and acceleration are the exact first and
+    second time derivatives of range."""
     m = motion_rows(ang.phi, ang.theta, ang.phi_dot, ang.theta_dot,
                     ang.phi_ddot, ang.theta_ddot)
-    return float(m[0] @ (s.x0, s.y0, s.z0))
-
-
-def rate_of(s: Scatterer, ang: np.record) -> float:
-    """Range-rate (m/s): exact time derivative of range_of."""
-    m = motion_rows(ang.phi, ang.theta, ang.phi_dot, ang.theta_dot,
-                    ang.phi_ddot, ang.theta_ddot)
-    return float(m[1] @ (s.x0, s.y0, s.z0))
-
-
-def accel_of(s: Scatterer, ang: np.record) -> float:
-    """Range-acceleration (m/s^2): exact second time derivative of range_of."""
-    m = motion_rows(ang.phi, ang.theta, ang.phi_dot, ang.theta_dot,
-                    ang.phi_ddot, ang.theta_ddot)
-    return float(m[2] @ (s.x0, s.y0, s.z0))
+    r, f, a = (m @ (s.x0, s.y0, s.z0)).tolist()
+    return r, f, a
 
 
 def _angle_states(cfg: ScenarioConfig, t: np.ndarray) -> np.recarray:

@@ -13,9 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .angles import ModelCovariances
 from .moments import time_derivative
 
 MAD_TO_SIGMA = 1.4826
+BADFIT_THRESHOLD = 3.0   # badfit flags a frame whose score is over this
+PEARLS_LIMIT = 0.9       # crosscheck_focus judges frames under this crf^2
 
 CONSISTENCY_DTYPE = np.dtype([
     ("valid", np.bool_), ("cov_ra_meas", np.float64),
@@ -91,7 +94,7 @@ def _mad_normalize(delta: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 
 def badfit(mom: np.recarray, records: np.recarray, d_out: np.ndarray,
-           threshold: float = 3.0) -> BadFitSeries:
+           threshold: float = BADFIT_THRESHOLD) -> BadFitSeries:
     """Per-frame score 0.7 * n_accel + 0.3 * n_spread.
 
     n_accel is the magnitude of the robustly normalized disagreement between
@@ -126,29 +129,23 @@ def badfit(mom: np.recarray, records: np.recarray, d_out: np.ndarray,
                         flagged=flagged, threshold=threshold)
 
 
-def crosscheck_focus(mom: np.recarray,
-                     model_cov_rf: np.ndarray, model_cov_ff: np.ndarray,
-                     model_cov_ra: np.ndarray, model_cov_fa: np.ndarray,
-                     pearls_limit: float = 0.9) -> FocusCheck:
+def crosscheck_focus(mom: np.recarray, model: ModelCovariances) -> FocusCheck:
     """Focus coefficients from data regression vs from model covariances.
 
     The model-side coefficients solve the same normal equations,
         a_r = (cov_ra cov_ff - cov_fa cov_rf) / D
         a_f = (cov_fa - cov_ra cov_rf) / D,   D = cov_ff - cov_rf^2,
     with D floored at 0.02 cov_ff so both sides stay finite as the frame
-    approaches a perfect range/rate line. Frames with crf^2 above
-    pearls_limit are excluded from the summary statistics. The data side
-    is the a_r/a_f columns of the moments_series table mom.
+    approaches a perfect range/rate line. Frames with crf^2 of PEARLS_LIMIT
+    or more are excluded from the summary statistics. The data side is the
+    a_r/a_f columns of the moments_series table mom, the model side model's.
     """
     a_r_data, a_f_data = mom.a_r, mom.a_f
-    rf = np.asarray(model_cov_rf, dtype=float)
-    ff = np.asarray(model_cov_ff, dtype=float)
-    ra = np.asarray(model_cov_ra, dtype=float)
-    fa = np.asarray(model_cov_fa, dtype=float)
+    rf, ff, ra, fa = model.cov_rf, model.cov_ff, model.cov_ra, model.cov_fa
     d_eff = np.maximum(ff - rf ** 2, 0.02 * ff)
     a_r_out = (ra * ff - fa * rf) / d_eff
     a_f_out = (fa - ra * rf) / d_eff
-    conditioned = mom.valid & (mom.crf ** 2 < pearls_limit)
+    conditioned = mom.valid & (mom.crf ** 2 < PEARLS_LIMIT)
     if conditioned.any():
         def rel_rms(data, out):
             scale = max(float(np.sqrt(np.mean(out[conditioned] ** 2))), 1e-12)

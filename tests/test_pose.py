@@ -9,9 +9,8 @@ from isarpose.pose import (PEARLS_EPS, FrameClass, FrameSolution,
                            classify_frames, compose, invert_frame,
                            motion_matrix, report_noise)
 from isarpose.ship import AngleTrack, Dwell, Frame, angle_array, report_array
-from isarpose.simulate import (ScenarioConfig, accel_of, build_angle_track,
-                               make_ship, range_of, rate_of,
-                               simulate_degraded, simulate_perfect)
+from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
+                               rfa_of, simulate_degraded, simulate_perfect)
 from isarpose.validate import BadFitSeries
 from tests.conftest import LOA, PHI0, THETA0
 
@@ -78,9 +77,10 @@ class TestMotionMatrix:
         m = motion_matrix(ideal_track, ideal_cfg.integration_time)[0][37]
         for s in ideal_ship.scatterers[:6]:
             vec = np.array([s.x0, s.y0, s.z0])
-            assert m[0] @ vec == pytest.approx(range_of(s, samp), abs=1e-12)
-            assert m[1] @ vec == pytest.approx(rate_of(s, samp), abs=1e-12)
-            assert m[2] @ vec == pytest.approx(accel_of(s, samp), abs=1e-12)
+            r, f, a = rfa_of(s, samp)
+            assert m[0] @ vec == pytest.approx(r, abs=1e-12)
+            assert m[1] @ vec == pytest.approx(f, abs=1e-12)
+            assert m[2] @ vec == pytest.approx(a, abs=1e-12)
 
     def test_condition_number_commensurates_rows(self):
         # without the (1, T, T^2) row scaling a slow two-rotation frame

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from isarpose.length import beam_rule
-from isarpose.simulate import (DegradationSpec, ScenarioConfig, accel_of,
+from isarpose.simulate import (DegradationSpec, ScenarioConfig,
                                angle_sample_at, build_angle_track, make_ship,
-                               range_of, rate_of, simulate_degraded,
-                               simulate_perfect)
+                               rfa_of, simulate_degraded, simulate_perfect)
 
 
 def _cfg(**kw):
@@ -128,10 +127,10 @@ class TestPerfectReports:
             assert len(frame.reports) == len(ship.scatterers)
             reps = frame.reports
             for i, r, f, a in zip(reps.truth_id, reps.r, reps.f, reps.a):
-                s = ship.scatterers[i]
-                assert r == pytest.approx(range_of(s, samp), abs=1e-12)
-                assert f == pytest.approx(rate_of(s, samp), abs=1e-12)
-                assert a == pytest.approx(accel_of(s, samp), abs=1e-12)
+                r_m, f_m, a_m = rfa_of(ship.scatterers[i], samp)
+                assert r == pytest.approx(r_m, abs=1e-12)
+                assert f == pytest.approx(f_m, abs=1e-12)
+                assert a == pytest.approx(a_m, abs=1e-12)
 
     def test_dwell_carries_scenario_metadata(self):
         cfg = _cfg()

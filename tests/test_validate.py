@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from isarpose.angles import ModelCovariances
 from isarpose.moments import MOMENT_DTYPE
 from isarpose.validate import (CONSISTENCY_DTYPE, badfit, consistency_synth,
                                crosscheck_focus)
@@ -153,7 +154,8 @@ class TestCrosscheckFocus:
         a_r, a_f = self._hand_focus(rf, ff, ra, fa)
         mom = _mom(n, crf=rf / np.sqrt(ff), cov_rf=rf, cov_ff=ff, cov_ra=ra,
                    cov_fa=fa, a_r=a_r, a_f=a_f)
-        chk = crosscheck_focus(mom, rf, ff, ra, fa)
+        chk = crosscheck_focus(mom, ModelCovariances(rf, ff, ra, fa,
+                                                     ff - rf ** 2))
         assert chk.rms_r == pytest.approx(0.0, abs=1e-9)
         assert chk.rms_f == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(chk.a_r_data[chk.conditioned],
@@ -165,7 +167,7 @@ class TestCrosscheckFocus:
         ff = np.full(n, 0.09)
         mom = _mom(n, crf=0.3, cov_rf=0.1, cov_ff=0.09)
         mom.crf[4] = 0.999
-        chk = crosscheck_focus(mom, rf, ff, np.zeros(n), np.zeros(n),
-                               pearls_limit=0.9)
+        chk = crosscheck_focus(mom, ModelCovariances(
+            rf, ff, np.zeros(n), np.zeros(n), ff - rf ** 2))
         assert not chk.conditioned[4]
         assert chk.conditioned.sum() == n - 1
