@@ -6,8 +6,11 @@
 
 import argparse
 import sys
+from pathlib import Path
 
-from isarpose import RunConfig, run
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from isarpose import RunConfig, run  # noqa: E402
 
 SCENARIO = {
     "duration": 60.0,
@@ -38,16 +41,13 @@ def main(argv=None):
                     help="base output directory, one subdir per threshold")
     args = ap.parse_args(argv)
 
-    noise = (SCENARIO["noise"]["sigma_r"], SCENARIO["noise"]["sigma_f"],
-             SCENARIO["noise"]["sigma_a"])
     print(f"{'threshold':>10} {'flagged':>8} {'loa_m':>8} {'err_m':>7}"
           f"  classes")
     for thr in THRESHOLDS:
         tag = "off" if thr >= 1e8 else f"{thr:g}"
         rep = run(RunConfig(mode="simulate",
                             output_dir=f"{args.out}/thr_{tag}",
-                            scenario=SCENARIO, badfit_threshold=thr,
-                            noise_override=noise))
+                            scenario=SCENARIO, badfit_threshold=thr))
         loa = rep.loa["loa_m"] if rep.loa else float("nan")
         cls = " ".join(f"{k}:{v}" for k, v in sorted(rep.class_counts.items()))
         print(f"{tag:>10} {rep.badfit_count:>8} {loa:>8.1f}"

@@ -12,11 +12,14 @@ import argparse
 import csv
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from isarpose import RunConfig, build_angle_track, run
-from isarpose.runner import scenario_from_dict
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from isarpose import RunConfig, build_angle_track, run  # noqa: E402
+from isarpose.runner import scenario_from_dict  # noqa: E402
 
 SCENARIO = {
     "duration": 60.0,
@@ -45,13 +48,8 @@ def main(argv=None):
     if args.seed is not None:
         scen["seed"] = args.seed
 
-    # classification scores divide by propagated report noise, so hand the
-    # runner the sigmas the generator actually used
-    noise = (scen["noise"]["sigma_r"], scen["noise"]["sigma_f"],
-             scen["noise"]["sigma_a"])
     report = run(RunConfig(mode="simulate", output_dir=args.out,
-                           scenario=scen, emit_plots=args.plots,
-                           noise_override=noise))
+                           scenario=scen, emit_plots=args.plots))
 
     # score the run's recovered rates sample by sample against the
     # generating truth; only the cheap track is rebuilt, not the dwell

@@ -16,15 +16,16 @@ import argparse
 import json
 import sys
 
-from .pose import CLASS_THRESHOLD
 from .runner import (ConfigError, DataError, PipelineError, RunConfig,
                      is_number, run)
-from .validate import BADFIT_THRESHOLD
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_PIPELINE = 4
+
+# the RunConfig fields an analyze --config JSON may set
+ANALYZE_OVERRIDES = ("badfit_threshold", "class_threshold")
 
 
 def _load_json(path: str) -> dict:
@@ -60,12 +61,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--out", dest="output", required=True,
                       help="output directory")
     p_an.add_argument("--config", default=None,
-                      help="optional JSON with threshold/noise overrides")
+                      help="optional JSON with badfit_threshold and/or "
+                      "class_threshold")
     p_an.add_argument("--emit-plots", action="store_true")
     p_an.add_argument("--period", type=float, default=None,
                       help="force the wave period (s) instead of searching")
     p_an.add_argument("--weighting", choices=("uniform", "snr"),
-                      default=None)
+                      default="uniform")
 
     p_st = sub.add_parser("selftest", help="run the acceptance checks")
     p_st.add_argument("--list", action="store_true", dest="list_only",
@@ -73,37 +75,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _number(overrides: dict, key: str, default: float | None) -> float | None:
-    if key not in overrides:
-        return default
-    value = overrides[key]
-    if not is_number(value):
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _analyze_config(args: argparse.Namespace) -> RunConfig:
     overrides = _load_json(args.config) if args.config else {}
-    noise = overrides.get("noise_override")
-    if noise is not None:
-        if (not isinstance(noise, (list, tuple)) or len(noise) != 3
-                or not all(is_number(v) for v in noise)):
-            raise ConfigError("noise_override must be [sigma_r, sigma_f, sigma_a]")
-        noise = tuple(float(v) for v in noise)
-    weighting = args.weighting or overrides.get("weighting", "uniform")
+    for key in sorted(overrides):
+        if key not in ANALYZE_OVERRIDES:
+            raise ConfigError(f"unknown override key {key!r} (allowed: "
+                              f"{', '.join(ANALYZE_OVERRIDES)})")
+        if not is_number(overrides[key]):
+            raise ConfigError(f"{key} must be a finite number, "
+                              f"got {overrides[key]!r}")
     return RunConfig(
         mode="analyze",
         input_path=args.input,
         output_dir=args.output,
         emit_plots=bool(args.emit_plots),
-        weighting=weighting,
-        badfit_threshold=_number(overrides, "badfit_threshold",
-                                 BADFIT_THRESHOLD),
-        class_threshold=_number(overrides, "class_threshold",
-                                CLASS_THRESHOLD),
-        noise_override=noise,
-        period=args.period if args.period is not None
-        else _number(overrides, "period", None))
+        weighting=args.weighting,
+        period=args.period,
+        **{key: float(value) for key, value in overrides.items()})
 
 
 def _selftest(list_only: bool) -> int:

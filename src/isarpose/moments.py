@@ -109,18 +109,14 @@ def frame_moments(frame: Frame, weighting: str = "uniform") -> np.record:
     return _table([_row(frame, weighting, 0.0, 0.0)])[0]
 
 
-def moments_series(dwell: Dwell, weighting: str = "uniform",
-                   sigmas: tuple[float, float, float] | None = None
-                   ) -> np.recarray:
+def moments_series(dwell: Dwell, weighting: str = "uniform") -> np.recarray:
     """Read-only MOMENT_DTYPE record array, one record per frame in order,
-    invalid frames kept: mom.cov_rf is a column, mom[k] is frame k. sigmas
-    are the nominal (range, Doppler, acceleration) report sigmas whose
-    noise floor is removed; None takes the dwell's report_sigmas, and a
-    dwell without them is not debiased."""
-    sigmas = dwell.report_sigmas if sigmas is None else sigmas
-    var_r, var_f = (0.0, 0.0) if sigmas is None else (sigmas[0] ** 2,
-                                                      sigmas[1] ** 2)
-    return _table([_row(fr, weighting, var_r, var_f) for fr in dwell.frames])
+    invalid frames kept: mom.cov_rf is a column, mom[k] is frame k. The
+    noise floor of the dwell's report_sigmas is removed; a dwell without
+    them is not debiased."""
+    sig_r, sig_f, _ = dwell.report_sigmas or (0.0, 0.0, 0.0)
+    return _table([_row(fr, weighting, sig_r ** 2, sig_f ** 2)
+                   for fr in dwell.frames])
 
 
 def time_derivative(t: np.ndarray, y: np.ndarray,

@@ -67,7 +67,6 @@ class RunConfig:
     weighting: str = "uniform"
     badfit_threshold: float = BADFIT_THRESHOLD
     class_threshold: float = CLASS_THRESHOLD
-    noise_override: tuple[float, float, float] | None = None
     period: float | None = None
 
     def __post_init__(self):
@@ -83,18 +82,12 @@ class RunConfig:
                                             and self.period > 0):
             raise ConfigError("period must be a finite positive number of "
                               f"seconds, got {self.period!r}")
-        # a zero noise sigma makes every pose score infinite, and a
-        # non-positive threshold passes every frame; neither is a setting
+        # a non-positive threshold passes every frame; it is not a setting
         for name in ("badfit_threshold", "class_threshold"):
             value = getattr(self, name)
             if not (is_number(value) and value > 0):
                 raise ConfigError(f"{name} must be a finite positive number, "
                                   f"got {value!r}")
-        noise = self.noise_override
-        if noise is not None and not (len(noise) == 3 and all(
-                is_number(v) and v > 0 for v in noise)):
-            raise ConfigError("noise_override sigmas must be finite positive "
-                              f"numbers, got {noise!r}")
 
 
 @dataclass(frozen=True)
@@ -282,10 +275,11 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
     Both modes funnel through here so an analyze run over a saved dwell
     reproduces the simulate run's analysis byte for byte."""
     flags: list[str] = []
-    if config.noise_override is None and dwell.report_sigmas is None:
+    sigmas = dwell.report_sigmas
+    if sigmas is None:
         flags.append("report noise unknown: moments not debiased")
     try:
-        mom = moments_series(dwell, config.weighting, config.noise_override)
+        mom = moments_series(dwell, config.weighting)
     except ValueError as exc:
         raise PipelineError("moments", str(exc)) from exc
 
@@ -305,7 +299,9 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
 
     try:
         T = dwell.frames[0].integration_time
-        noise = config.noise_override or report_noise(dwell.range_resolution, T)
+        # all-zero sigmas (a perfect dwell) would make every score infinite
+        noise = (sigmas if any(sigmas or ())
+                 else report_noise(dwell.range_resolution, T))
         m, cond = motion_matrix(track, T)
         sols = [invert_frame(fr, mom[k], m[k], cond[k], noise)
                 for k, fr in enumerate(dwell.frames)]

@@ -5,6 +5,7 @@ import dataclasses
 import errno
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,10 +15,12 @@ import pytest
 
 import isarpose.io
 import isarpose.runner
+from isarpose.angles import estimate_angles
 from isarpose.cli import main
 from isarpose.io import dwell_text, load_dwell, save_dwell
 from isarpose.moments import frame_moments, moments_series
-from isarpose.pose import PEARLS_EPS
+from isarpose.pose import (PEARLS_EPS, invert_frame, motion_matrix,
+                           report_noise)
 from isarpose.ship import Frame
 
 SCENARIO = {
@@ -33,6 +36,10 @@ SCENARIO = {
     "seed": 11,
     "ship": {"loa": 120.0},
 }
+
+# the benchmark's canonical scene: 60 s, 120 frames of the README ship
+CANONICAL = {**SCENARIO, "duration": 60.0,
+             "ship": {"loa": 120.0, "n_scatterers": 24, "seed": 3}}
 
 ANALYSIS_FILES = ("covariances.csv", "angles.csv", "consistency.csv",
                   "badfit.csv", "focus.csv", "classes.csv", "length.csv")
@@ -257,25 +264,6 @@ class TestAnalyze:
             assert p == pytest.approx(c ** 2 / (1.0 - c ** 2 + PEARLS_EPS),
                                       rel=1e-12)
 
-    def test_noise_override_takes_precedence_over_header_sigmas(
-            self, sim_dir, tmp_path):
-        dwell = load_dwell(str(sim_dir / "dwell.csv"))
-        assert dwell.report_sigmas == (0.2, 0.03, 0.02)
-        override = (0.25, 0.04, 0.02)
-        cfg = _write_config(tmp_path, {"noise_override": list(override)},
-                            name="overrides.json")
-        out = tmp_path / "an"
-        code = main(["analyze", "--input", str(sim_dir / "dwell.csv"),
-                     "--out", str(out), "--config", cfg])
-        assert code == 0
-        for run_dir, sigmas in ((out, override), (sim_dir, None)):
-            mom = moments_series(dwell, "uniform", sigmas)
-            cov_ff = [float(row["cov_ff"])
-                      for row in _rows(run_dir / "covariances.csv")]
-            assert cov_ff == mom.cov_ff.tolist()
-        report = json.loads((out / "run_report.json").read_text())
-        assert not any("report noise" in f for f in report["flags"])
-
     def test_dwell_without_sigmas_is_flagged_and_not_debiased(
             self, sim_dir, tmp_path):
         dwell = dataclasses.replace(load_dwell(str(sim_dir / "dwell.csv")),
@@ -304,14 +292,6 @@ class TestAnalyze:
                      "--out", str(tmp_path / "out")])
         assert code == 3
 
-    def test_noise_override_validated(self, sim_dir, tmp_path):
-        cfg = _write_config(tmp_path, {"noise_override": [0.1, 0.2]},
-                            name="overrides.json")
-        code = main(["analyze", "--input", str(sim_dir / "dwell.csv"),
-                     "--out", str(tmp_path / "out"), "--config", cfg])
-        assert code == 2
-
-
     @pytest.mark.parametrize("overrides,args,message", [
         ({"badfit_threshold": "x"}, [],
          "badfit_threshold must be a finite number"),
@@ -319,20 +299,21 @@ class TestAnalyze:
          "badfit_threshold must be a finite number"),
         ({"class_threshold": None}, [], "class_threshold must be a finite number"),
         ({"class_threshold": True}, [], "class_threshold must be a finite number"),
-        ({"period": "x"}, [], "period must be a finite number"),
-        ({"noise_override": [float("nan"), 0.2, 0.3]}, [],
-         "noise_override must be [sigma_r, sigma_f, sigma_a]"),
-        ({"period": -3.0}, [], "period must be a finite positive number"),
+        # the overrides JSON holds the two thresholds only: the period and
+        # the weighting are flags, and the report sigmas come from the dwell
+        ({"period": "x"}, [], "unknown override key 'period'"),
+        ({"noise_override": [0.2, 0.03, 0.02]}, [],
+         "unknown override key 'noise_override'"),
+        ({"period": -3.0}, [], "unknown override key 'period'"),
         ({}, ["--period", "nan"], "period must be a finite positive number"),
         ({}, ["--period", "inf"], "period must be a finite positive number"),
         ({}, ["--period", "0"], "period must be a finite positive number"),
-        # in range as numbers, but each silently ruined a run: zero sigmas
-        # classed 116 of 120 canonical frames Profile, a negative BadFit
-        # threshold flagged all 120
-        ({"noise_override": [0, 0, 0]}, [],
-         "noise_override sigmas must be finite positive numbers"),
-        ({"noise_override": [0.2, -0.03, 0.02]}, [],
-         "noise_override sigmas must be finite positive numbers"),
+        ({"weighting": "snr"}, [], "unknown override key 'weighting'"),
+        # a misspelled key would otherwise run silently with the defaults
+        ({"badfit_treshold": 0.5, "noise_overide": [1, 1, 1]}, [],
+         "unknown override key 'badfit_treshold'"),
+        # in range as numbers, but a negative BadFit threshold silently
+        # flagged all 120 canonical frames
         ({"badfit_threshold": -1}, [],
          "badfit_threshold must be a finite positive number"),
         ({"class_threshold": 0}, [],
@@ -347,6 +328,68 @@ class TestAnalyze:
         assert code == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def canonical_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("canonical")
+    out = tmp / "sim"
+    code = main(["simulate", "--config", _write_config(tmp, CANONICAL),
+                 "--out", str(out)])
+    assert code == 0
+    return out
+
+
+class TestReportSigmas:
+    def test_noisy_canonical_run_scores_plan_frames(self, canonical_dir):
+        # the header's sigmas, not pose.report_noise's radar-mode guess (20x
+        # the scene's Doppler and 200x its acceleration sigma), let Plan score
+        report = json.loads((canonical_dir / "run_report.json").read_text())
+        assert report["class_counts"].get("Plan", 0) >= 10
+        assert (canonical_dir / "composite_plan.pgm").exists()
+        assert "no Plan composite" not in report["flags"]
+
+    def test_zero_sigmas_score_like_unknown_ones(self, tmp_path):
+        # a perfect dwell's all-zero sigmas would make every score
+        # infinite, so its poses are scored with report_noise, as a dwell
+        # whose header has no sigmas is
+        out = tmp_path / "perfect"
+        code = main(["simulate", "--config",
+                     _write_config(tmp_path, {**CANONICAL, "perfect": True}),
+                     "--out", str(out)])
+        assert code == 0
+        dwell = load_dwell(str(out / "dwell.csv"))
+        assert dwell.report_sigmas == (0.0, 0.0, 0.0)
+        path = tmp_path / "unknown.csv"
+        save_dwell(dataclasses.replace(dwell, report_sigmas=None), path)
+        again = tmp_path / "an"
+        assert main(["analyze", "--input", str(path), "--out", str(again)]) == 0
+        assert filecmp.cmp(out / "classes.csv", again / "classes.csv",
+                           shallow=False)
+        scores = [float(row["plan_score"])
+                  for row in _rows(out / "classes.csv")]
+        assert all(math.isfinite(v) for v in scores)
+
+    def test_header_sigmas_reach_profile_score(self, canonical_dir):
+        dwell = load_dwell(str(canonical_dir / "dwell.csv"))
+        mom = moments_series(dwell)
+        track, _ = estimate_angles(mom, dwell.phi0, dwell.theta0)
+        T = dwell.frames[0].integration_time
+        m, cond = motion_matrix(track, T)
+        flagged = [row["flagged"] == "1"
+                   for row in _rows(canonical_dir / "badfit.csv")]
+        guess = report_noise(dwell.range_resolution, T)
+        rows = _rows(canonical_dir / "classes.csv")
+        scored = 0
+        for k, fr in enumerate(dwell.frames):
+            sol = invert_frame(fr, mom[k], m[k], cond[k], dwell.report_sigmas)
+            if sol.xyz is None or flagged[k]:
+                continue
+            assert float(rows[k]["profile_score"]) == sol.scores[0]
+            other = invert_frame(fr, mom[k], m[k], cond[k], guess)
+            assert other.scores[0] != sol.scores[0]
+            scored += 1
+        assert scored >= 10
 
 
 class TestSelftest:

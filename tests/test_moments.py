@@ -87,7 +87,9 @@ def test_debiased_moments_remove_the_noise_floor(weighting):
     w = w / w.sum()
     sig = (0.5, 0.2, 0.1)
     raw = frame_moments(frame, weighting)
-    mom = moments_series(_one_frame_dwell(frame), weighting, sig)[0]
+    dwell = _one_frame_dwell(frame)
+    mom = moments_series(dataclasses.replace(dwell, report_sigmas=sig),
+                         weighting)[0]
     floor = 1.0 - w @ w
     rr = raw.r_var - sig[0] ** 2 * floor
     ff = raw.cov_ff * raw.r_var - sig[1] ** 2 * floor
@@ -99,11 +101,11 @@ def test_debiased_moments_remove_the_noise_floor(weighting):
                                           rel=1e-12), name
     assert mom.d_intrinsic == pytest.approx(ff / rr - mom.cov_rf ** 2,
                                             rel=1e-12)
-    # the dwell's own sigmas are the default, and a dwell without any is
-    # not debiased
+    # a dwell built with the sigmas debiases alike, and a dwell without
+    # any is not debiased
     own = moments_series(_one_frame_dwell(frame, sig), weighting)[0]
     assert own.tobytes() == mom.tobytes()
-    none = moments_series(_one_frame_dwell(frame), weighting)[0]
+    none = moments_series(dwell, weighting)[0]
     assert none.tobytes() == raw.tobytes()
 
 
@@ -116,7 +118,7 @@ def test_debiased_moments_remove_the_noise_floor(weighting):
 def test_frames_debiased_to_eps_var_are_invalid(sig, valid):
     # three uniform reports: <rr> = 2/3, <ff> = 8/3, 1 - sum w^2 = 2/3
     frame = _frame([-1.0, 0.0, 1.0], [2.0, -2.0, 0.0], [0.0, 0.0, 0.0])
-    mom = moments_series(_one_frame_dwell(frame), sigmas=sig)[0]
+    mom = moments_series(_one_frame_dwell(frame, sig))[0]
     assert mom.valid == valid
     if not valid:
         assert mom.r_var == mom.cov_ff == mom.cov_rf == 0.0
@@ -128,7 +130,7 @@ def test_debiased_correlation_stays_within_one():
     # a string of pearls, f = 2 r: removing a Doppler floor it never had
     # leaves <rf>^2 > <rr><ff>, so crf would read 1.03 and d goes negative
     frame = _frame([-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [0.0, 0.0, 0.0])
-    mom = moments_series(_one_frame_dwell(frame), sigmas=(0.0, 0.5, 0.0))[0]
+    mom = moments_series(_one_frame_dwell(frame, (0.0, 0.5, 0.0)))[0]
     assert mom.crf == 1.0
     assert mom.d_intrinsic == pytest.approx(3.75 - 4.0, rel=1e-12)
 
