@@ -13,6 +13,7 @@ import filecmp
 import math
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -222,16 +223,14 @@ def _classify_scene(ship, duration, asp_rate_dps, tilt_amp_deg,
         noise=noise, seed=seed)
     track = build_angle_track(cfg)
     dwell = simulate_degraded(ship, track, cfg)
+    mom = moments_series(dwell)
     m, cond = motion_matrix(track, T)
-    sols = [invert_frame(fr, frame_moments(fr), m[k], cond[k], noise)
+    sols = [invert_frame(fr, mom[k], m[k], cond[k], dwell.report_sigmas)
             for k, fr in enumerate(dwell.frames)]
-    sols = classify_frames(sols)
-    counts: dict[str, int] = {}
-    for s in sols:
-        counts[s.frame_class.value] = counts.get(s.frame_class.value, 0) + 1
-    n_classified = sum(v for k, v in counts.items()
-                       if k != FrameClass.INVALID.value)
-    return counts, n_classified, len(sols)
+    classes, _ = classify_frames(sols)
+    counts = Counter(c.value for c in classes)
+    n_classified = len(classes) - counts[FrameClass.INVALID.value]
+    return counts, n_classified, len(classes)
 
 
 def check_frame_classification() -> tuple[bool, str]:

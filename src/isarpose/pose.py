@@ -12,7 +12,7 @@ range/rate line (StringOfPearls).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,21 +39,17 @@ class FrameClass(str, enum.Enum):
 
 @dataclass(frozen=True)
 class FrameSolution:
-    """Inverted frame: xyz is (n_reports, 3) or None when Invalid.
+    """Inverted frame: xyz is (n_reports, 3), or None when the frame
+    cannot be inverted.
 
     noise_var holds the propagated report-noise variances (N_X, N_Y, N_Z).
     scores = (profile, plan, pearls): signal variance over noise variance
     for height and cross-ship, and the range/rate collinearity odds.
     """
 
-    t: float
-    frame_index: int
     xyz: np.ndarray | None
     noise_var: tuple[float, float, float]
     scores: tuple[float, float, float]
-    frame_class: FrameClass
-    cond: float
-    flags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -102,22 +98,13 @@ def invert_frame(frame: Frame, mom: np.record, m: np.ndarray, cond: float,
     of motion_matrix.
 
     noise_var_k = sum_j (M^-1)_kj^2 sigma_j^2 propagates the report noise
-    through the inversion. A condition number beyond COND_GUARD means the
-    instantaneous motion cannot separate the axes; the frame is Invalid and
-    carries no coordinates. The class set here ignores fit-quality flags;
-    classify_frames applies those afterwards.
+    through the inversion. An invalid moments record, or a condition number
+    beyond COND_GUARD (the instantaneous motion cannot separate the axes),
+    leaves the frame without coordinates and with zero scores.
     """
-    cond = float(cond)
-    if not mom.valid:
-        return FrameSolution(t=frame.t, frame_index=frame.index, xyz=None,
-                             noise_var=(0.0, 0.0, 0.0), scores=(0.0, 0.0, 0.0),
-                             frame_class=FrameClass.INVALID, cond=cond,
-                             flags=("too few reports",))
-    if not np.isfinite(cond) or cond > COND_GUARD:
-        return FrameSolution(t=frame.t, frame_index=frame.index, xyz=None,
-                             noise_var=(0.0, 0.0, 0.0), scores=(0.0, 0.0, 0.0),
-                             frame_class=FrameClass.INVALID, cond=cond,
-                             flags=("ill-conditioned motion",))
+    if not (mom.valid and np.isfinite(cond) and cond <= COND_GUARD):
+        return FrameSolution(xyz=None, noise_var=(0.0, 0.0, 0.0),
+                             scores=(0.0, 0.0, 0.0))
     # plain-array field reads: a recarray attribute read costs ~30x more
     reports = frame.reports.view(np.ndarray)
     rfa = np.column_stack((reports["r"], reports["f"], reports["a"]))
@@ -130,16 +117,14 @@ def invert_frame(frame: Frame, mom: np.record, m: np.ndarray, cond: float,
     profile = float(var_xyz[2] / noise_var[2]) if noise_var[2] > 0 else np.inf
     plan = float(var_xyz[1] / noise_var[1]) if noise_var[1] > 0 else np.inf
     pearls = float(mom.crf ** 2 / (1.0 - mom.crf ** 2 + PEARLS_EPS))
-    return FrameSolution(t=frame.t, frame_index=frame.index, xyz=xyz,
+    return FrameSolution(xyz=xyz,
                          noise_var=(float(noise_var[0]), float(noise_var[1]),
                                     float(noise_var[2])),
-                         scores=(profile, plan, pearls),
-                         frame_class=_classify(profile, plan, pearls),
-                         cond=cond)
+                         scores=(profile, plan, pearls))
 
 
 def _classify(profile: float, plan: float, pearls: float,
-              threshold: float = CLASS_THRESHOLD) -> FrameClass:
+              threshold: float) -> FrameClass:
     if profile > threshold and plan > threshold:
         lo, hi = sorted((profile, plan))
         if lo / hi > THREE_D_BALANCE:
@@ -154,33 +139,29 @@ def _classify(profile: float, plan: float, pearls: float,
 
 def classify_frames(solutions: list[FrameSolution],
                     badfit_series: BadFitSeries | None = None,
-                    threshold: float = CLASS_THRESHOLD) -> list[FrameSolution]:
-    """Final classes with fit-quality feedback.
+                    threshold: float = CLASS_THRESHOLD
+                    ) -> tuple[list[FrameClass], np.ndarray]:
+    """Each frame's class, and the (n, 3) scores it was decided on.
 
     Frames flagged by the fit check get their effective noise variances
     inflated tenfold before scoring, which demotes marginal Profile/Plan
     calls on contaminated frames; the collinearity score is geometric and
-    stays as is.
+    stays as is. A frame without coordinates is Invalid.
     """
-    out = []
-    for k, sol in enumerate(solutions):
-        profile, plan, pearls = sol.scores
-        flags = sol.flags
-        if badfit_series is not None and bool(badfit_series.flagged[k]):
-            profile, plan = profile / 10.0, plan / 10.0
-            flags = flags + ("fit-quality flagged",)
-        if sol.xyz is None:
-            cls = FrameClass.INVALID
-        else:
-            cls = _classify(profile, plan, pearls, threshold)
-        out.append(replace(sol, scores=(profile, plan, pearls),
-                           frame_class=cls, flags=flags))
-    return out
+    scores = np.array([sol.scores for sol in solutions],
+                      dtype=float).reshape(-1, 3)
+    if badfit_series is not None:
+        scores[np.asarray(badfit_series.flagged, dtype=bool), :2] /= 10.0
+    classes = [FrameClass.INVALID if sol.xyz is None
+               else _classify(*row, threshold)
+               for sol, row in zip(solutions, scores.tolist())]
+    return classes, scores
 
 
-def compose(dwell: Dwell, solutions: list[FrameSolution], track: AngleTrack,
+def compose(dwell: Dwell, classes: list[FrameClass], track: AngleTrack,
             kind: FrameClass) -> CompositeImage:
-    """Accumulate frames of one class into a range/cross-range image.
+    """Accumulate frames of one class into a range/cross-range image;
+    classes[k] is frame k's class, as classify_frames returns it.
 
     Cross-range is Doppler divided by the relevant rotation rate: tilt rate
     for Profile frames (maps to height), aspect rate for Plan frames (maps
@@ -198,10 +179,9 @@ def compose(dwell: Dwell, solutions: list[FrameSolution], track: AngleTrack,
     pts_c: list[np.ndarray] = []
     wts: list[np.ndarray] = []
     used: list[int] = []
-    for sol in solutions:
-        if sol.frame_class is not kind or sol.xyz is None:
+    for k, cls in enumerate(classes):
+        if cls is not kind:
             continue
-        k = sol.frame_index
         rate = rates[k]
         if abs(rate) < RATE_FLOOR_FRAC * med_rate or rate == 0.0:
             continue

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -102,16 +103,7 @@ class RunReport:
     manifest: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_frames": self.n_frames,
-            "angle_summary": self.angle_summary,
-            "class_counts": self.class_counts,
-            "loa": self.loa,
-            "badfit_count": self.badfit_count,
-            "flags": list(self.flags),
-            "manifest": list(self.manifest),
-        }
+        return asdict(self)
 
 
 def _need(d: dict, key: str, kind=float):
@@ -305,10 +297,10 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
         m, cond = motion_matrix(track, T)
         sols = [invert_frame(fr, mom[k], m[k], cond[k], noise)
                 for k, fr in enumerate(dwell.frames)]
-        sols = classify_frames(sols, bf, config.class_threshold)
+        classes, scores = classify_frames(sols, bf, config.class_threshold)
         composites: list[CompositeImage] = []
         for kind in (FrameClass.PROFILE, FrameClass.PLAN):
-            img = compose(dwell, sols, track, kind)
+            img = compose(dwell, classes, track, kind)
             if img.frames_used:
                 composites.append(img)
             else:
@@ -357,11 +349,9 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
         "conditioned": focus.conditioned}))
     out.add_text("classes.csv", _csv({
         "t": t,
-        "frame_class": [s.frame_class.value for s in sols],
-        "profile_score": [s.scores[0] for s in sols],
-        "plan_score": [s.scores[1] for s in sols],
-        "pearls_score": [s.scores[2] for s in sols],
-        "cond": [s.cond for s in sols]}))
+        "frame_class": [c.value for c in classes],
+        "profile_score": scores[:, 0], "plan_score": scores[:, 1],
+        "pearls_score": scores[:, 2], "cond": cond}))
     loa_series = (loa_est.loa_series if loa_est is not None
                   else np.full(len(mom), np.nan))
     out.add_text("length.csv", _csv({
@@ -396,14 +386,13 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
             t, {"score": np.where(np.isfinite(bf.score), bf.score, np.nan),
                 "threshold": np.full(len(t), bf.threshold)},
             "Fit-quality score", ylabel="score"))
-    class_counts = {}
-    for s in sols:
-        class_counts[s.frame_class.value] = class_counts.get(s.frame_class.value, 0) + 1
     names = tuple(sorted(out.manifest() + ("run_report.json",)))
+    # a plain dict: asdict rebuilds a Counter from its (key, count) pairs,
+    # which counts the pairs
     return RunReport(
         mode=config.mode, n_frames=len(dwell.frames),
         angle_summary=_angle_summary(track, state),
-        class_counts=class_counts, loa=loa_dict,
+        class_counts=dict(Counter(c.value for c in classes)), loa=loa_dict,
         badfit_count=int(np.sum(bf.flagged)), flags=tuple(flags),
         manifest=names)
 

@@ -19,8 +19,8 @@ from isarpose.angles import estimate_angles
 from isarpose.cli import main
 from isarpose.io import dwell_text, load_dwell, save_dwell
 from isarpose.moments import frame_moments, moments_series
-from isarpose.pose import (PEARLS_EPS, invert_frame, motion_matrix,
-                           report_noise)
+from isarpose.pose import (COND_GUARD, PEARLS_EPS, FrameClass, _classify,
+                           invert_frame, motion_matrix, report_noise)
 from isarpose.ship import Frame
 
 SCENARIO = {
@@ -390,6 +390,38 @@ class TestReportSigmas:
             assert other.scores[0] != sol.scores[0]
             scored += 1
         assert scored >= 10
+
+    def test_valid_overrides_reach_every_class_decision(self, canonical_dir,
+                                                        tmp_path):
+        cfg = _write_config(tmp_path, {"class_threshold": 8.0,
+                                       "badfit_threshold": 2.0},
+                            name="overrides.json")
+        out = tmp_path / "an"
+        assert main(["analyze", "--input", str(canonical_dir / "dwell.csv"),
+                     "--out", str(out), "--config", cfg]) == 0
+        valid = [row["valid"] == "1"
+                 for row in _rows(out / "covariances.csv")]
+        rows = _rows(out / "classes.csv")
+        for k, row in enumerate(rows):
+            scores = [float(row[name]) for name in
+                      ("profile_score", "plan_score", "pearls_score")]
+            expect = (FrameClass.INVALID
+                      if not valid[k] or float(row["cond"]) > COND_GUARD
+                      else _classify(*scores, 8.0))
+            assert row["frame_class"] == expect.value, k
+        # frames the lower BadFit threshold flags score with tenfold noise
+        default = _rows(canonical_dir / "classes.csv")
+        was = [row["flagged"] == "1"
+               for row in _rows(canonical_dir / "badfit.csv")]
+        now = [row["flagged"] == "1" for row in _rows(out / "badfit.csv")]
+        newly = [k for k in range(len(rows)) if now[k] and not was[k]]
+        assert newly
+        for k in newly:
+            for name in ("profile_score", "plan_score"):
+                assert (float(rows[k][name])
+                        == float(default[k][name]) / 10.0), (k, name)
+        assert ([row["frame_class"] for row in rows]
+                != [row["frame_class"] for row in default])
 
 
 class TestSelftest:

@@ -21,11 +21,9 @@ def _reports(rfa, t=0.25, snr=20.0):
     return report_array(t, snr, rfa[:, 0], rfa[:, 1], rfa[:, 2])
 
 
-def _solution(k, scores, xyz="dummy", cls=FrameClass.INVALID):
+def _solution(scores, xyz="dummy"):
     xyz = np.zeros((4, 3)) if xyz == "dummy" else xyz
-    return FrameSolution(t=0.5 * k, frame_index=k, xyz=xyz,
-                         noise_var=(1.0, 1.0, 1.0), scores=scores,
-                         frame_class=cls, cond=1.0)
+    return FrameSolution(xyz=xyz, noise_var=(1.0, 1.0, 1.0), scores=scores)
 
 
 def _one_state(T, t=0.0, phi=PHI0, theta=THETA0, **rates):
@@ -136,9 +134,9 @@ class TestInvertFrame:
         m, cond = _one_state(0.5, t=0.25, phi_dot=0.01, theta_dot=0.01)
         sol = invert_frame(frame, frame_moments(frame), m, cond,
                            (0.25, 0.03, 0.01))
-        assert sol.frame_class is FrameClass.INVALID
         assert sol.xyz is None
-        assert "too few reports" in sol.flags
+        assert sol.scores == (0.0, 0.0, 0.0)
+        assert classify_frames([sol])[0] == [FrameClass.INVALID]
 
     def test_ill_conditioned_frame_invalid_without_coordinates(
             self, ideal_dwell):
@@ -146,9 +144,9 @@ class TestInvertFrame:
         frame = ideal_dwell.frames[0]
         sol = invert_frame(frame, frame_moments(frame), m, cond,
                            (0.25, 0.03, 0.01))
-        assert sol.frame_class is FrameClass.INVALID
         assert sol.xyz is None
-        assert "ill-conditioned motion" in sol.flags
+        assert sol.scores == (0.0, 0.0, 0.0)
+        assert classify_frames([sol])[0] == [FrameClass.INVALID]
 
     def test_pearls_score_uses_the_given_weighted_moments(self):
         # one loud report pulls the SNR-weighted range/rate correlation far
@@ -210,38 +208,39 @@ class TestClassification:
         ((3.9, 3.9, 3.9), FrameClass.INVALID),
     ])
     def test_score_rules(self, scores, expected):
-        out = classify_frames([_solution(0, scores)])
-        assert out[0].frame_class is expected
+        classes, _ = classify_frames([_solution(scores)])
+        assert classes[0] is expected
 
     def test_missing_coordinates_stay_invalid(self):
-        out = classify_frames([_solution(0, (9.0, 1.0, 0.0), xyz=None)])
-        assert out[0].frame_class is FrameClass.INVALID
+        classes, _ = classify_frames([_solution((9.0, 1.0, 0.0), xyz=None)])
+        assert classes[0] is FrameClass.INVALID
 
     def test_flagged_frames_score_with_inflated_noise(self):
-        sols = [_solution(0, (30.0, 1.0, 0.0)),
-                _solution(1, (30.0, 1.0, 0.0)),
-                _solution(2, (300.0, 1.0, 0.0))]
-        out = classify_frames(sols, _badfit_flags([False, True, True]))
-        assert out[0].frame_class is FrameClass.PROFILE
+        sols = [_solution((30.0, 1.0, 0.0)),
+                _solution((30.0, 1.0, 0.0)),
+                _solution((300.0, 1.0, 0.0))]
+        classes, scores = classify_frames(sols,
+                                          _badfit_flags([False, True, True]))
+        assert classes[0] is FrameClass.PROFILE
         # tenfold noise divides the variance-ratio scores by ten
-        assert out[1].frame_class is FrameClass.INVALID
-        assert out[1].scores[0] == pytest.approx(3.0)
-        assert "fit-quality flagged" in out[1].flags
-        assert out[2].frame_class is FrameClass.PROFILE
+        assert classes[1] is FrameClass.INVALID
+        assert scores[1, 0] == pytest.approx(3.0)
+        assert classes[2] is FrameClass.PROFILE
 
     def test_collinearity_score_not_inflated(self):
-        out = classify_frames([_solution(0, (1.0, 1.0, 8.0))],
-                              _badfit_flags([True]))
-        assert out[0].scores[2] == 8.0
-        assert out[0].frame_class is FrameClass.PEARLS
+        classes, scores = classify_frames([_solution((1.0, 1.0, 8.0))],
+                                          _badfit_flags([True]))
+        assert scores[0, 2] == 8.0
+        assert classes[0] is FrameClass.PEARLS
 
     def test_each_frame_gets_exactly_one_class(self, ideal_cfg, ideal_dwell,
                                                ideal_track):
         noise = (0.25, 0.03, 0.01)
-        sols = classify_frames(_invert_all(ideal_dwell, ideal_track,
-                                           ideal_cfg.integration_time, noise))
-        assert len(sols) == len(ideal_dwell.frames)
-        assert all(isinstance(s.frame_class, FrameClass) for s in sols)
+        classes, scores = classify_frames(_invert_all(
+            ideal_dwell, ideal_track, ideal_cfg.integration_time, noise))
+        assert len(classes) == len(ideal_dwell.frames)
+        assert scores.shape == (len(ideal_dwell.frames), 3)
+        assert all(isinstance(c, FrameClass) for c in classes)
 
     def test_flat_ship_under_turn_reads_plan(self):
         noise = (0.25, 0.03, 0.01)
@@ -252,12 +251,12 @@ class TestClassification:
         ship = make_ship(90.0, beam=32.0, height=0.0)
         track = build_angle_track(cfg)
         dwell = simulate_degraded(ship, track, cfg)
-        sols = classify_frames(_invert_all(dwell, track, 2.0, noise))
-        plan = np.array([s.scores[1] for s in sols])
-        prof = np.array([s.scores[0] for s in sols])
+        classes, scores = classify_frames(_invert_all(dwell, track, 2.0,
+                                                      noise))
+        plan, prof = scores[:, 1], scores[:, 0]
         assert np.median(plan) > 10 * max(np.median(prof), 1.0)
         assert np.median(prof) < 3.0
-        assert sum(s.frame_class is FrameClass.PLAN for s in sols) >= 8
+        assert classes.count(FrameClass.PLAN) >= 8
 
 
 class TestCompose:
@@ -274,17 +273,15 @@ class TestCompose:
                                 integration_time=0.5, reports=reports))
         dwell = Dwell(tuple(frames), phi0=0.0, theta0=0.0,
                       range_resolution=0.5, frame_interval=0.5)
-        sols = [_solution(k, (9.0, 0.0, 0.0), cls=FrameClass.PROFILE)
-                for k in range(2)]
-        return dwell, sols
+        return dwell, [FrameClass.PROFILE] * 2
 
     def _track(self, rates):
         t = 0.25 + 0.5 * np.arange(len(rates))
         return AngleTrack(angle_array(t, 0.0, 0.0, theta_dot=rates))
 
     def test_single_frame_rendered_about_centroid(self):
-        dwell, sols = self._two_frame_scene(0.02)
-        comp = compose(dwell, sols[:1] + [_solution(1, (0.0,) * 3, xyz=None)],
+        dwell, classes = self._two_frame_scene(0.02)
+        comp = compose(dwell, classes[:1] + [FrameClass.INVALID],
                        self._track([0.02, 0.02]), FrameClass.PROFILE)
         assert comp.frames_used == (0,)
         assert comp.grid.sum() > 0
@@ -294,38 +291,38 @@ class TestCompose:
         assert abs((cax * w).sum() / w.sum()) <= 1.0
 
     def test_mirrored_opposite_rates_overlap(self):
-        dwell, sols = self._two_frame_scene(-0.02)
-        aligned = compose(dwell, sols, self._track([0.02, -0.02]),
+        dwell, classes = self._two_frame_scene(-0.02)
+        aligned = compose(dwell, classes, self._track([0.02, -0.02]),
                           FrameClass.PROFILE)
         # a track that misreports the second rate as positive skips the
         # mirror step, so the two frames accumulate apart
-        naive = compose(dwell, sols, self._track([0.02, 0.02]),
+        naive = compose(dwell, classes, self._track([0.02, 0.02]),
                         FrameClass.PROFILE)
         assert aligned.frames_used == naive.frames_used == (0, 1)
         assert aligned.grid.max() > 1.9 * naive.grid.max()
 
     def test_slow_rotation_frames_excluded(self):
-        dwell, sols = self._two_frame_scene(0.0005)
-        comp = compose(dwell, sols, self._track([0.02, 0.0005]),
+        dwell, classes = self._two_frame_scene(0.0005)
+        comp = compose(dwell, classes, self._track([0.02, 0.0005]),
                        FrameClass.PROFILE)
         assert comp.frames_used == (0,)
 
     def test_no_qualifying_frames_gives_empty_composite(self):
-        dwell, sols = self._two_frame_scene(0.02)
-        empty = [_solution(k, (0.0, 0.0, 0.0), xyz=None) for k in range(2)]
-        comp = compose(dwell, empty, self._track([0.02, 0.02]),
+        dwell, _ = self._two_frame_scene(0.02)
+        comp = compose(dwell, [FrameClass.INVALID] * 2,
+                       self._track([0.02, 0.02]),
                        FrameClass.PROFILE)
         assert comp.frames_used == ()
         assert comp.grid.shape == (1, 1)
         assert comp.grid.sum() == 0.0
 
     def test_only_profile_and_plan_compose(self):
-        dwell, sols = self._two_frame_scene(0.02)
+        dwell, classes = self._two_frame_scene(0.02)
         track = self._track([0.02, 0.02])
         for kind in (FrameClass.PEARLS, FrameClass.INVALID,
                      FrameClass.THREE_D):
             with pytest.raises(ValueError):
-                compose(dwell, sols, track, kind)
+                compose(dwell, classes, track, kind)
 
     def test_composite_extents_recover_hull_dimensions(self):
         """Profile composite spans the hull after projection correction.
@@ -344,8 +341,8 @@ class TestCompose:
         ship = make_ship(LOA)
         track = build_angle_track(cfg)
         dwell = simulate_degraded(ship, track, cfg)
-        sols = classify_frames(_invert_all(dwell, track, 2.0, noise))
-        comp = compose(dwell, sols, track, FrameClass.PROFILE)
+        classes, _ = classify_frames(_invert_all(dwell, track, 2.0, noise))
+        comp = compose(dwell, classes, track, FrameClass.PROFILE)
         assert len(comp.frames_used) >= 15
         rates = track.samples.theta_dot[list(comp.frames_used)]
         assert np.sum(rates < 0) >= 5
