@@ -69,7 +69,6 @@ class LowpassAspect:
 
     phi_mean: np.ndarray
     rate: np.ndarray
-    accel: np.ndarray
     flags: tuple[str, ...] = ()
 
 
@@ -137,17 +136,17 @@ def model_covariances(track: AngleTrack, bsq: float, hsq: float) -> ModelCovaria
                             cov_fa=cov_fa, d=d)
 
 
-def _zero_mean_integral(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    i = np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))])
-    return i - i.mean()
+def _cumtrapz(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # running trapezoid integral of y(t), 0 at t[0]
+    return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))])
 
 
-def lowpass_aspect_solve(t: np.ndarray, lhs_low: np.ndarray, phi0: float,
-                         P: float) -> LowpassAspect:
-    """Slow aspect excursion from the low band of -cov_rf * denom.
+def lowpass_aspect_solve(t: np.ndarray, lhs_low: np.ndarray,
+                         phi0: float) -> LowpassAspect:
+    """Slow aspect excursion from the low band of -cov_rf.
 
     The running integral of the low band equals
-    P tan(phi0) phi_M + (P / (2 cos^2 phi0)) phi_M^2 for small excursions
+    tan(phi0) phi_M + phi_M^2 / (2 cos^2 phi0) for small excursions
     phi_M about phi0, anchored to zero at mid-dwell. Each frame takes the
     smaller-magnitude quadratic root; negative discriminants are clamped to
     zero and reported. The excursion is re-centered so its mean vanishes
@@ -157,12 +156,10 @@ def lowpass_aspect_solve(t: np.ndarray, lhs_low: np.ndarray, phi0: float,
         raise ValueError("aspect unobservable: mean aspect too close to broadside")
     t = np.asarray(t, dtype=float)
     lhs_low = np.asarray(lhs_low, dtype=float)
-    tbar = t.mean()
-    i = np.concatenate([[0.0], np.cumsum(0.5 * (lhs_low[1:] + lhs_low[:-1])
-                                         * np.diff(t))])
-    i = i - np.interp(tbar, t, i)
-    a = 0.5 * P / math.cos(phi0) ** 2
-    b = P * math.tan(phi0)
+    i = _cumtrapz(t, lhs_low)
+    i = i - np.interp(t.mean(), t, i)
+    a = 0.5 / math.cos(phi0) ** 2
+    b = math.tan(phi0)
     disc = b * b + 4 * a * i
     flags = ("lowpass discriminant clamped",) if np.any(disc < 0) else ()
     disc = np.maximum(disc, 0.0)
@@ -171,9 +168,7 @@ def lowpass_aspect_solve(t: np.ndarray, lhs_low: np.ndarray, phi0: float,
     phi_m = np.where(np.abs(r1) <= np.abs(r2), r1, r2)
     phi_m = phi_m - phi_m.mean()
     phi_mean = phi0 + phi_m
-    rate = np.gradient(phi_mean, t)
-    accel = np.gradient(rate, t)
-    return LowpassAspect(phi_mean=phi_mean, rate=rate, accel=accel,
+    return LowpassAspect(phi_mean=phi_mean, rate=np.gradient(phi_mean, t),
                          flags=flags)
 
 
@@ -425,10 +420,7 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
     (cov_rf, d) in the track (phi, theta, phi_dot, theta_dot) and in bsq, hsq,
     and each track partial is multiplied by its parameter's basis column (u,
     u^2 less its mean, u^3, cos wt, sin wt, and the t-weighted terms of a
-    line frequency w).
-
-    The track and the line series are built for the winner only; returns
-    (track, state).
+    line frequency w). The winner's (track, state) is _fit_result's.
     """
     t = np.asarray(t, dtype=float)
     data = np.array([cov_rf, d], dtype=float)
@@ -438,7 +430,7 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
     if not periods:
         raise ValueError("no candidate period fits inside the dwell")
     splits = [chapeau_band_split(t, data[0], per) for per in periods]
-    lows = [lowpass_aspect_solve(t, -s.low, phi0, 1.0) for s in splits]
+    lows = [lowpass_aspect_solve(t, -s.low, phi0) for s in splits]
     ncand = len(periods)
     dt = float(np.median(np.diff(t)))
     u = t - t.mean()
@@ -452,13 +444,11 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
     # per candidate: window weights 1/std inside the trimmed window and 0
     # outside, and the slow aspect solution
     weight = np.zeros((ncand,) + data.shape)
-    trims = []
     for g, per in enumerate(periods):
         trim = max(0, min(int(round(0.5 * per / dt)), (n - 8) // 2))
         sl = slice(trim, n - trim)
         weight[g, 0, sl] = 1.0 / max(float(np.std(data[0, sl])), 1e-12)
         weight[g, 1, sl] = 1.0 / max(float(np.std(data[1, sl])), 1e-14)
-        trims.append(trim)
     phi_means = np.array([low.phi_mean for low in lows])
     rates = np.array([low.rate for low in lows])
 
@@ -469,18 +459,14 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
         # each line's (a, b, c, e, w) on the last axis
         return x[..., HEAD:].reshape(x.shape[:-1] + (nl, 5))
 
-    def track_of(x, c, nl, accel=False):
-        # ((phi, theta, phi_dot, theta_dot[, phi_ddot, theta_ddot]),
-        #  [(w, cos wt, sin wt) per line])
+    def track_of(x, c, nl):
+        # ((phi, theta, phi_dot, theta_dot), [(w, cos wt, sin wt) per line])
         def p(j):
             return x[..., j, None]
         phi = phi_means[c] + p(0) * u + p(1) * u2c + p(2) * u3
         phid = rates[c] + p(0) + 2 * p(1) * u + 3 * p(2) * u2
         th = np.full_like(t, theta0)
         thd = np.zeros_like(t)
-        if accel:
-            phidd = lows[c].accel + 2 * p(1) + 6 * p(2) * u
-            thdd = np.zeros_like(t)
         trig = []
         lines = lines_of(x, nl)
         for k in range(nl):
@@ -490,12 +476,7 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
             phid = phid + w * (-a * sw + b * cw)
             th = th + cc * cw + e * sw
             thd = thd + w * (-cc * sw + e * cw)
-            if accel:
-                phidd = phidd - w * w * (a * cw + b * sw)
-                thdd = thdd - w * w * (cc * cw + e * sw)
             trig.append((w, cw, sw))
-        if accel:
-            return (phi, th, phid, thd, phidd, thdd), trig
         return (phi, th, phid, thd), trig
 
     def model_series(x, c, nl):
@@ -570,7 +551,7 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
             r.cost.reshape(-1, per), axis=1)
         return r.x, r.cost, r.status, best
 
-    a_int = [_zero_mean_integral(t, -s.wave) for s in splits]
+    a_int = [i - i.mean() for i in (_cumtrapz(t, -s.wave) for s in splits)]
 
     def seeds(g, w, head):
         # the two assignment seeds of a new line at w appended to head, the
@@ -605,30 +586,51 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
             if cost2[k] < cost[g]:
                 xs[g], nls[g], cost[g], status[g] = x2[k], 2, cost2[k], status2[k]
 
-    rms = np.sqrt(2 * cost / (2 * np.maximum(n - 2 * np.array(trims), 1)))
+    # every weight inside a candidate's trimmed window is nonzero
+    rms = np.sqrt(2 * cost / np.count_nonzero(weight, axis=(1, 2)))
     win = int(np.argmin(rms))
-    x, nl, low = xs[win], nls[win], lows[win]
-    track = _assemble_track(t, *track_of(x, win, nl, accel=True)[0])
     converged = bool(status[win] in (2, 3))
-    flags = low.flags + (() if converged else ("wave fit did not converge",))
+    flags = lows[win].flags + (() if converged else ("wave fit did not converge",))
+    return _fit_result(t, lows[win], xs[win], theta0, float(rms[win]),
+                       converged, flags)
 
-    # reconstruct the pure wave-band series from the line coefficients
-    phi_hat = np.zeros_like(t)
-    theta_hat = np.zeros_like(t)
-    coef = lines_of(x, nl)
+
+def _fit_result(t: np.ndarray, low: LowpassAspect, x: np.ndarray, theta0: float,
+                rms: float, converged: bool, flags: tuple[str, ...]
+                ) -> tuple[AngleTrack, FitState]:
+    """The angle track and fit state of parameters x over the slow aspect low.
+
+    x is laid out as the module docstring says, with any number of lines;
+    np.zeros(HEAD), no correction and no line, is the slow-only result. The
+    slow aspect is low.phi_mean plus the cubic, whose derivatives add to
+    low's rate and acceleration. Each line adds its angle, rate and
+    acceleration. The track is the slow part plus the lines, clipped to
+    ANGLE_LIMIT.
+    """
+    u = t - t.mean()
+    u2 = u ** 2
+    phi_mean = low.phi_mean + (x[0] * u + x[1] * (u2 - u2.mean()) + x[2] * u ** 3)
+    phi_dot = low.rate + x[0] + 2 * x[1] * u + 3 * x[2] * u2
+    phi_ddot = np.gradient(low.rate, t) + 2 * x[1] + 6 * x[2] * u
+    coef = x[HEAD:].reshape(-1, 5)
+    wave = np.zeros((2, 3, len(t)))   # (aspect, tilt) x (angle, rate, accel)
     for a, b, c, e, w in coef:
-        phi_hat = phi_hat + a * np.cos(w * t) + b * np.sin(w * t)
-        theta_hat = theta_hat + c * np.cos(w * t) + e * np.sin(w * t)
-    phi_slow = x[0] * u + x[1] * u2c + x[2] * u3
-    rate_slow = low.rate + x[0] + 2 * x[1] * u + 3 * x[2] * u2
-    line_periods = tuple(float(2 * np.pi / w) for w in coef[:, 4])
-
+        cw, sw = np.cos(w * t), np.sin(w * t)
+        for k, (p, q) in enumerate(((a, b), (c, e))):
+            line = p * cw + q * sw
+            wave[k] += line, w * (q * cw - p * sw), -w * w * line
+    (phi_hat, phi_w, phi_ww), (theta_hat, theta_w, theta_ww) = wave
+    lines = tuple(float(2 * np.pi / w) for w in coef[:, 4])
+    track = AngleTrack(angle_array(
+        t, np.clip(phi_mean + phi_hat, -ANGLE_LIMIT, ANGLE_LIMIT),
+        np.clip(theta0 + theta_hat, -ANGLE_LIMIT, ANGLE_LIMIT),
+        phi_dot + phi_w, theta_w, phi_ddot + phi_ww, theta_ww))
     return track, FitState(
-        period=line_periods[0], lines=line_periods,
-        phi_hat=phi_hat, theta_hat=theta_hat,
-        phi_mean=low.phi_mean + phi_slow, steady_rate=float(rate_slow.mean()),
-        bsq_est=float(x[NPOLY]), hsq_est=float(x[NPOLY + 1]),
-        residual_rms=float(rms[win]), converged=converged, flags=flags)
+        period=lines[0] if lines else 0.0, lines=lines,
+        phi_hat=phi_hat, theta_hat=theta_hat, phi_mean=phi_mean,
+        steady_rate=float(phi_dot.mean()), bsq_est=float(x[NPOLY]),
+        hsq_est=float(x[NPOLY + 1]), residual_rms=rms, converged=converged,
+        flags=flags)
 
 
 def _interp_invalid(t: np.ndarray, y: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -639,12 +641,6 @@ def _interp_invalid(t: np.ndarray, y: np.ndarray, valid: np.ndarray) -> np.ndarr
     return out
 
 
-def _assemble_track(t: np.ndarray, phi, theta, phid, thd, phidd, thdd) -> AngleTrack:
-    return AngleTrack(angle_array(
-        t, np.clip(phi, -ANGLE_LIMIT, ANGLE_LIMIT),
-        np.clip(theta, -ANGLE_LIMIT, ANGLE_LIMIT), phid, thd, phidd, thdd))
-
-
 def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
                     *, period: float | None = None) -> tuple[AngleTrack, FitState]:
     """Full angle history from a moments_series table.
@@ -652,10 +648,9 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
     Invalid frames are bridged by interpolation so the spectral machinery
     sees a uniform series. The wave period seeds from the strongest cov_rf
     line (or is the given period), and waveband_joint_fit refines it over
-    GRID_POINTS (3) candidate periods spanning +-GRID_HALFWIDTH (20%) of the
-    seed.
-    With no spectral line (calm water or short dwell) the slow aspect
-    solution is returned alone, tilt pinned at theta0, and the state is
+    GRID_POINTS (3) candidate periods spanning +-GRID_HALFWIDTH (20%) of it.
+    With no spectral line (calm water or short dwell) the result is the
+    zero-line _fit_result, the slow aspect alone with tilt pinned at theta0,
     flagged 'no wave solution'.
     """
     t, valid = mom.t, mom.valid
@@ -676,17 +671,10 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
     if seed is None or span < 3 * seed:
         # slow-only fallback: no resolvable wave line
         low_series = chapeau_smooth(t, -cov_rf, span / 5.0)
-        low = lowpass_aspect_solve(t, low_series, phi0, 1.0)
-        zero = np.zeros_like(t)
-        track = _assemble_track(t, low.phi_mean, np.full_like(t, theta0),
-                                low.rate, zero, low.accel, zero)
-        state = FitState(
-            period=0.0, lines=(), phi_hat=zero, theta_hat=zero,
-            phi_mean=low.phi_mean, steady_rate=float(low.rate.mean()),
-            bsq_est=0.0, hsq_est=0.0,
-            residual_rms=float(np.std(cov_rf + low_series)),
-            converged=False, flags=low.flags + ("no wave solution",))
-        return track, state
+        low = lowpass_aspect_solve(t, low_series, phi0)
+        return _fit_result(t, low, np.zeros(HEAD), theta0,
+                           float(np.std(cov_rf + low_series)), False,
+                           low.flags + ("no wave solution",))
 
     grid = seed * np.linspace(1 - GRID_HALFWIDTH, 1 + GRID_HALFWIDTH, GRID_POINTS)
     return waveband_joint_fit(t, cov_rf, d_data, grid, phi0, theta0)

@@ -18,7 +18,6 @@ FLOOR_FACTOR = 3.0   # a wave line's FFT peak over the median spectral floor
 class BandSplit:
     """low + wave + high == input (to solver precision)."""
 
-    t: np.ndarray
     low: np.ndarray
     wave: np.ndarray
     high: np.ndarray
@@ -57,11 +56,11 @@ def chapeau_band_split(t: np.ndarray, y: np.ndarray, period: float) -> BandSplit
     span = t[-1] - t[0]
     if span < 3 * period:
         low = chapeau_smooth(t, y, max(span / 3.0, 3 * np.median(np.diff(t))))
-        return BandSplit(t=t, low=low, wave=np.zeros_like(y), high=y - low,
+        return BandSplit(low=low, wave=np.zeros_like(y), high=y - low,
                          flags=("short dwell: wave band unresolved",))
     low = chapeau_smooth(t, y, 3 * period)
     wave = chapeau_smooth(t, y - low, period / 3.0)
-    return BandSplit(t=t, low=low, wave=wave, high=y - low - wave)
+    return BandSplit(low=low, wave=wave, high=y - low - wave)
 
 
 def dominant_wave_period(t: np.ndarray, cov_rf: np.ndarray,

@@ -17,9 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def _rows(phi, theta, phi_dot, theta_dot, accel=None):
-    # rows as (x0, y0, z0) coefficient triples; accel = (phi_ddot, theta_ddot)
-    # adds the acceleration row
+def range_rate_rows(phi, theta, phi_dot, theta_dot, accel=None):
+    """Motion rows as (x0, y0, z0) coefficient triples broadcast over the
+    inputs: range and rate, then acceleration when accel = (phi_ddot,
+    theta_ddot) is given. The angle fit's cov_rf and d need only the first two.
+    """
     phi = np.asarray(phi, dtype=float)
     ct, st = np.cos(theta), np.sin(theta)
     cp, sp = np.cos(phi), np.sin(phi)
@@ -39,23 +41,13 @@ def _rows(phi, theta, phi_dot, theta_dot, accel=None):
     return rows
 
 
-def range_rate_rows(phi, theta, phi_dot, theta_dot):
-    """The range and rate rows of motion_rows as two (x0, y0, z0)
-    coefficient triples, each entry broadcast over the inputs.
-
-    For callers that need no acceleration: the angle fit scores only
-    cov_rf and d, which are built from these two rows alone.
-    """
-    return _rows(phi, theta, phi_dot, theta_dot)
-
-
 def motion_rows(phi, theta, phi_dot, theta_dot, phi_ddot, theta_ddot):
     """Coefficient rows as an array of shape (..., 3, 3).
 
     Inputs broadcast; scalars give a single 3x3 matrix. Row order is
     (range, rate, acceleration); column order is (x0, y0, z0).
     """
-    rows = _rows(phi, theta, phi_dot, theta_dot, (phi_ddot, theta_ddot))
+    rows = range_rate_rows(phi, theta, phi_dot, theta_dot, (phi_ddot, theta_ddot))
     return np.stack([np.stack(np.broadcast_arrays(*row), axis=-1)
                      for row in rows], axis=-2)
 

@@ -106,98 +106,106 @@ class RunReport:
         return asdict(self)
 
 
-def _need(d: dict, key: str, kind=float):
-    if key not in d:
-        raise ConfigError(f"scenario missing '{key}'")
-    try:
-        return kind(d[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"scenario '{key}': {exc}") from exc
+def _section(d, where: str, keys: tuple[str, ...]):
+    """A getter of d's values, once d is an object with no key outside keys
+    (where is its key path, '' at the top). get(key, default, kind) returns
+    d[key] as kind, or default if absent; a missing key without default and
+    a value kind rejects, null included, are config errors naming the key."""
+    def path(key):
+        return f"{where}.{key}" if where else key
+    if not isinstance(d, dict):
+        raise ConfigError(f"scenario '{where}' must be an object")
+    for key in d:
+        if key not in keys:
+            raise ConfigError(f"unknown scenario key '{path(key)}' "
+                              f"(allowed: {', '.join(keys)})")
+
+    def get(key, default=None, kind=float):
+        if key not in d and default is None:
+            raise ConfigError(f"scenario missing '{path(key)}'")
+        try:
+            return kind(d.get(key, default))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"scenario '{path(key)}': {exc}") from exc
+    return get
 
 
 def _osc(d: dict, key: str) -> tuple[float, float]:
-    sub = d.get(key)
-    if sub is None:
+    if d.get(key) is None:
         return (0.0, 12.0)
-    if not isinstance(sub, dict):
-        raise ConfigError(f"scenario '{key}' must be an object")
-    return (math.radians(float(sub.get("amplitude_deg", 0.0))),
-            float(sub.get("period_s", 12.0)))
+    get = _section(d[key], key, ("amplitude_deg", "period_s"))
+    return (math.radians(get("amplitude_deg", 0.0)), get("period_s", 12.0))
 
 
 def scenario_from_dict(d: dict, seed: int | None = None
                        ) -> tuple[ScenarioConfig, ShipModel, bool]:
-    """Build a scenario and ship from the JSON-shaped config."""
-    noise = d.get("noise", {})
-    if not isinstance(noise, dict):
-        raise ConfigError("scenario 'noise' must be an object")
+    """Build a scenario and ship from the JSON-shaped config; an unknown key
+    at any level is a config error, as a missing or mistyped value is."""
+    top = _section(d, "", (
+        "duration", "frame_interval", "integration_time", "phi0_deg",
+        "theta0_deg", "steady_aspect_rate_dps", "aspect_osc", "tilt_osc",
+        "noise", "snr_floor_db", "fade_sigma_db", "seed", "degradations",
+        "range_resolution_m", "ship", "perfect"))
+    noise = _section(d.get("noise", {}), "noise", ("sigma_r", "sigma_f", "sigma_a"))
+    items = d.get("degradations", [])
+    if not isinstance(items, list):
+        raise ConfigError("scenario 'degradations' must be a list")
     degr = []
-    for i, item in enumerate(d.get("degradations", ())):
-        if not isinstance(item, dict):
-            raise ConfigError(f"degradations[{i}] must be an object")
+    for i, item in enumerate(items):
+        get = _section(item, f"degradations[{i}]", (
+            "kind", "t_start", "t_stop", "rate", "doppler_offset",
+            "doppler_width", "density"))
         try:
             degr.append(DegradationSpec(
-                kind=item.get("kind", ""),
-                t_start=float(item.get("t_start", 0.0)),
-                t_stop=float(item.get("t_stop", 0.0)),
-                rate=float(item.get("rate", 15.0)),
-                doppler_offset=float(item.get("doppler_offset", 2.0)),
-                doppler_width=float(item.get("doppler_width", 1.0)),
-                density=int(item.get("density", 6))))
+                kind=item.get("kind", ""), t_start=get("t_start", 0.0),
+                t_stop=get("t_stop", 0.0), rate=get("rate", 15.0),
+                doppler_offset=get("doppler_offset", 2.0),
+                doppler_width=get("doppler_width", 1.0),
+                density=get("density", 6, int)))
         except ValueError as exc:
             raise ConfigError(f"degradations[{i}]: {exc}") from exc
     try:
         cfg = ScenarioConfig(
-            duration=_need(d, "duration"),
-            frame_interval=_need(d, "frame_interval"),
-            integration_time=_need(d, "integration_time"),
-            phi0=math.radians(_need(d, "phi0_deg")),
-            theta0=math.radians(_need(d, "theta0_deg")),
-            steady_aspect_rate=math.radians(float(d.get("steady_aspect_rate_dps", 0.0))),
+            duration=top("duration"), frame_interval=top("frame_interval"),
+            integration_time=top("integration_time"),
+            phi0=math.radians(top("phi0_deg")), theta0=math.radians(top("theta0_deg")),
+            steady_aspect_rate=math.radians(top("steady_aspect_rate_dps", 0.0)),
             aspect_osc=_osc(d, "aspect_osc"),
             tilt_osc=_osc(d, "tilt_osc"),
-            noise=(float(noise.get("sigma_r", 0.3)),
-                   float(noise.get("sigma_f", 0.05)),
-                   float(noise.get("sigma_a", 0.05))),
-            snr_floor=float(d.get("snr_floor_db", -20.0)),
-            fade_sigma=float(d.get("fade_sigma_db", 0.0)),
-            seed=int(seed if seed is not None else d.get("seed", 0)),
+            noise=(noise("sigma_r", 0.3), noise("sigma_f", 0.05),
+                   noise("sigma_a", 0.05)),
+            snr_floor=top("snr_floor_db", -20.0),
+            fade_sigma=top("fade_sigma_db", 0.0),
+            seed=int(seed) if seed is not None else top("seed", 0, int),
             injectors=tuple(degr),
-            range_resolution=float(d.get("range_resolution_m", 0.5)))
+            range_resolution=top("range_resolution_m", 0.5))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     ship_d = d.get("ship", {})
-    if not isinstance(ship_d, dict):
-        raise ConfigError("scenario 'ship' must be an object")
+    ship = _section(ship_d, "ship", ("loa", "beam", "height", "n_scatterers",
+                                     "seed", "symmetric"))
     try:
-        ship = make_ship(
-            loa=float(ship_d.get("loa", 120.0)),
-            beam=(None if ship_d.get("beam") is None else float(ship_d["beam"])),
-            height=float(ship_d.get("height", 12.0)),
-            n_scatterers=int(ship_d.get("n_scatterers", 24)),
-            seed=int(ship_d.get("seed", 1)),
-            symmetric=bool(ship_d.get("symmetric", True)))
+        model = make_ship(
+            loa=ship("loa", 120.0),
+            beam=None if ship_d.get("beam") is None else ship("beam"),
+            height=ship("height", 12.0),
+            n_scatterers=ship("n_scatterers", 24, int),
+            seed=ship("seed", 1, int),
+            symmetric=ship("symmetric", True, bool))
     except ValueError as exc:
         raise ConfigError(f"ship: {exc}") from exc
-    return cfg, ship, bool(d.get("perfect", False))
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    return repr(float(x))
+    return cfg, model, top("perfect", False, bool)
 
 
 def _csv(columns: dict) -> str:
-    names = list(columns)
-    n = len(next(iter(columns.values())))
-    lines = [",".join(names)]
-    for i in range(n):
-        lines.append(",".join(_fmt(columns[name][i]) for name in names))
+    # each column formatted once, by dtype: floats in shortest round-trip
+    # repr, bools as 1/0, anything else (ints, class names) as str
+    cells = []
+    for col in columns.values():
+        col = np.asarray(col)
+        cell = {"f": repr, "b": lambda v: "1" if v else "0"}.get(col.dtype.kind, str)
+        cells.append(map(cell, col.tolist()))
+    lines = [",".join(columns)] + [",".join(row) for row in zip(*cells)]
     return "\n".join(lines) + "\n"
 
 
@@ -305,7 +313,7 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
                 composites.append(img)
             else:
                 flags.append(f"no {kind.value} composite")
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except ValueError as exc:   # np.linalg.LinAlgError included
         raise PipelineError("pose", str(exc)) from exc
 
     loa_dict = None

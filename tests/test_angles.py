@@ -351,26 +351,25 @@ class TestLowpassAspect:
     def test_recovers_linear_drift(self):
         t = 0.5 * np.arange(120)
         tbar = t.mean()
-        phi0, P = np.deg2rad(40.0), 0.97
+        phi0 = np.deg2rad(40.0)
         rate = 1e-3
         phi_m = rate * (t - tbar)
         cp2 = math.cos(phi0) ** 2
-        lhs = P * math.tan(phi0) * rate + (P / cp2) * phi_m * rate
-        low = lowpass_aspect_solve(t, lhs, phi0, P)
+        lhs = math.tan(phi0) * rate + phi_m * rate / cp2
+        low = lowpass_aspect_solve(t, lhs, phi0)
         assert np.allclose(low.phi_mean, phi0 + phi_m, atol=2e-5)
         assert low.rate.mean() == pytest.approx(rate, rel=0.05)
         assert not low.flags
 
     def test_negative_discriminant_clamped_and_flagged(self):
         t = 0.5 * np.arange(120)
-        low = lowpass_aspect_solve(t, np.full(120, -0.05), np.deg2rad(40.0),
-                                   0.97)
+        low = lowpass_aspect_solve(t, np.full(120, -0.05), np.deg2rad(40.0))
         assert low.flags == ("lowpass discriminant clamped",)
 
     def test_aspect_unobservable_near_zero_mean(self):
         t = 0.5 * np.arange(120)
         with pytest.raises(ValueError):
-            lowpass_aspect_solve(t, np.zeros(120), 0.0, 0.97)
+            lowpass_aspect_solve(t, np.zeros(120), 0.0)
 
 
 class TestEstimateAngles:
@@ -397,6 +396,16 @@ class TestEstimateAngles:
         # reads 0.2903 deg/s on this scene
         assert ideal_fit[1].steady_rate == pytest.approx(np.deg2rad(0.3),
                                                          rel=0.01)
+
+    def test_track_is_the_states_slow_part_plus_its_lines(self, ideal_fit):
+        # the track and the state are read off one parameter vector
+        track, state = ideal_fit
+        lim = isarpose.angles.ANGLE_LIMIT
+        assert len(state.lines) == 2
+        assert np.array_equal(track.samples.phi, np.clip(
+            state.phi_mean + state.phi_hat, -lim, lim))
+        assert np.array_equal(track.samples.theta, np.clip(
+            THETA0 + state.theta_hat, -lim, lim))
 
     def test_jittered_frame_times_pass_through(self, ideal_dwell):
         # the dwell takes a frame 0.9 ns off its slot (its tolerance is
@@ -462,6 +471,11 @@ class TestEstimateAngles:
         assert state.steady_rate == pytest.approx(np.deg2rad(0.3), rel=0.1)
         # with no fit, the steady rate is the mean of the track's own rate
         assert state.steady_rate == np.mean(track.samples.phi_dot)
+        # the slow-only result is the fit's with no slow correction and no line
+        assert state.period == 0.0 and state.lines == ()
+        assert not state.phi_hat.any() and not state.theta_hat.any()
+        assert state.bsq_est == 0.0 and state.hsq_est == 0.0
+        assert np.array_equal(track.samples.phi, state.phi_mean)
 
 
 def _wave_corr(t, truth, est, period):

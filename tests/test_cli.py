@@ -100,6 +100,30 @@ class TestSimulate:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize("change, key", [
+        # a null value used to exit 1 with a TypeError traceback
+        ({"steady_aspect_rate_dps": None}, "steady_aspect_rate_dps"),
+        ({"degradations": [{"kind": "bogey", "t_start": 1.0, "t_stop": 2.0,
+                            "density": None}]}, "degradations[0].density"),
+        # a misspelled key used to run silently with the default
+        ({"nosie": {"sigma_r": 1.0}}, "nosie"),
+        ({"noise": {"sigma_r": 0.2, "sigma_x": 0.1}}, "noise.sigma_x"),
+        ({"aspect_osc": {"amplitude": 2.0, "period_s": 12.0}},
+         "aspect_osc.amplitude"),
+        ({"tilt_osc": {"amplitude_deg": 1.0, "period": 10.0}}, "tilt_osc.period"),
+        ({"ship": {"loa": 120.0, "n_scatters": 40}}, "ship.n_scatters"),
+        ({"degradations": [{"kind": "bogey", "t_start": 1.0, "t_stop": 2.0,
+                            "denisty": 9}]}, "degradations[0].denisty"),
+    ])
+    def test_bad_scenario_key_is_config_error(self, tmp_path, capsys, change,
+                                              key):
+        code = main(["simulate", "--config",
+                     _write_config(tmp_path, {**SCENARIO, **change}),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_config_is_config_error(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "out")])
