@@ -2,17 +2,19 @@
 
 Each seed runs one simulate-verb pipeline on a workload of
 benchmarks/workloads.py (`canonical` unless --workload names another; the
-seed sets the report noise draw, and --noise-scale multiplies the scene's
-report sigmas), is scored by benchmarks/scoring.accuracy, and gains the
-RMS error in degrees of the estimated aspect phi and tilt theta against
-the true track (build_angle_track), and the fitted period_s, bsq, hsq and
-converged of its run_report.json. One JSON object goes to standard output:
+seed sets the report noise draw, --noise-scale multiplies the scene's
+report sigmas and --duration replaces its length in seconds), is scored by
+benchmarks/scoring.accuracy, and gains the RMS error in degrees of the
+estimated aspect phi and tilt theta against the true track
+(build_angle_track), and the fitted period_s, bsq, hsq and converged of its
+run_report.json. One JSON object goes to standard output:
 a row per seed and the median and worst value of every metric. The sweep
 is deterministic, so two runs of one version print the same table. Run
 from the repository root:
 
     python scripts/accuracy_sweep.py --seeds 11 2011
     python scripts/accuracy_sweep.py --workload long --seeds 11 1011 23
+    python scripts/accuracy_sweep.py --workload long --duration 1200 --seeds 11 23
 """
 
 import argparse
@@ -72,8 +74,13 @@ def main(argv=None):
     ap.add_argument("--workload", choices=sorted(WORKLOADS), default="canonical")
     ap.add_argument("--noise-scale", type=float, default=1.0,
                     help="factor on the scene's report noise sigmas")
+    ap.add_argument("--duration", type=float,
+                    help="dwell length in seconds (default: the workload's)")
     args = ap.parse_args(argv)
     wl = WORKLOADS[args.workload]
+    if args.duration is not None:
+        wl = dataclasses.replace(
+            wl, scenario={**wl.scenario, "duration": args.duration})
     if args.noise_scale != 1.0:
         noise = {k: v * args.noise_scale for k, v in wl.scenario["noise"].items()}
         wl = dataclasses.replace(wl, scenario={**wl.scenario, "noise": noise})
@@ -84,7 +91,8 @@ def main(argv=None):
                for k, worst in WORST.items()}
     summary["converged"] = sum(r["converged"] for r in rows)
     print(json.dumps({"workload": args.workload,
-                      "noise_scale": args.noise_scale, "rows": rows,
+                      "noise_scale": args.noise_scale,
+                      "duration_s": wl.scenario["duration"], "rows": rows,
                       "summary": summary}, indent=1))
     return 0
 

@@ -5,26 +5,29 @@ The estimation chain per candidate wave period:
 1. split cov_rf into low/wave/high bands (see bands);
 2. integrate the low band and solve a per-frame quadratic for the slow
    aspect excursion about the mean aspect (lowpass_aspect_solve);
-3. jointly fit the raw cov_rf and d series, seeded from the integrated wave
-   band, with a spectral-line motion model: one or two sinusoid lines shared
-   between aspect and tilt, a cubic slow-aspect correction, and the ship
-   shape ratios bsq = <y^2>/<x^2>, hsq = <z^2>/<x^2> as bounded parameters.
+3. jointly fit the raw cov_rf and d series, seeded from the wave band, with
+   a spectral-line motion model: one or two sinusoid lines shared between
+   aspect and tilt, a cubic slow-aspect correction, and the ship shape
+   ratios bsq = <y^2>/<x^2>, hsq = <z^2>/<x^2> as bounded parameters.
 
 estimate_angles hands the raw series and GRID_POINTS (3) periods, 0.8, 1.0
 and 1.2 times the spectral seed, to waveband_joint_fit, which runs steps 1-2
 for each, then step 3 once for the whole grid, and keeps the candidate with
-the smallest joint residual. The series are expected free of the report
-noise floor (see moments), which the fit would read as ship height. The
-joint fit is minimized by least_squares, a bounded Levenberg-Marquardt
+the smallest joint residual. Step 3 has one stage: the first line starts at
+the strongest wave-band peak near the candidate frequency, the second where
+a pursuit of the wave band less that line finds one, and every start holds
+all its lines from the first iteration. The series are expected free of the
+report noise floor (see moments), which the fit would read as ship height.
+The joint fit is minimized by least_squares, a bounded Levenberg-Marquardt
 solver with a soft_l1 loss kept in this module, so the package needs NumPy
-alone. It runs a batch of starts in lockstep, so each
-fit stage covers every candidate in one call, and takes the analytic
+alone. It runs a batch of starts in lockstep, so one call fits the starts
+of every candidate with the same number of lines, and takes the analytic
 Jacobian of the joint residual (_cov_partials).
 
 The joint fit's parameters are [poly(3) | bsq, hsq | a, b, c, e, w per line]:
 line k's aspect (a, b) and tilt (c, e) coefficients and angular frequency w
-are the block x[HEAD + 5k:HEAD + 5k + 5], so a one-line fit is the head of
-any two-line start grown from it.
+are the block x[HEAD + 5k:HEAD + 5k + 5], so a two-line start is a one-line
+start with the second line's block appended.
 
 Angle conventions: aspect phi rotates the alongship axis in the slant plane,
 tilt theta is the grazing rotation. Mean angles phi0/theta0 are externally
@@ -50,6 +53,7 @@ LM_TOL = 1e-6           # relative cost drop and scaled step that end the fit
 GRID_POINTS = 3         # candidate periods of the joint fit ...
 GRID_HALFWIDTH = 0.2    # ... spanning +-20% of the spectral seed
 PURSUIT_SNR = 3.0       # a second line's peak over the median amplitude
+PURSUIT_GRID = np.linspace(0.5, 3.0, 241)   # its search, in first-line units
 
 
 @dataclass(frozen=True)
@@ -172,19 +176,21 @@ def lowpass_aspect_solve(t: np.ndarray, lhs_low: np.ndarray,
                          flags=flags)
 
 
-def _pursuit_line(t: np.ndarray, resid: np.ndarray, w1: float) -> float | None:
-    """Strongest residual sinusoid inside the wave band, excluding a guard
-    around w1. Fine-grid windowed projection, immune to FFT bin cancellation
-    from the first line's sidelobes. Returns angular frequency or None."""
-    f1 = w1 / (2 * np.pi)
-    span = t[-1] - t[0]
-    guard = 0.75 / span
-    fgrid = np.linspace(0.5 * f1, 3.0 * f1, 241)
+def _projection(t: np.ndarray, y: np.ndarray, f: np.ndarray) -> np.ndarray:
+    # amplitude of y at each frequency f (Hz) by a Hann-windowed projection:
+    # a fine grid, immune to FFT bin cancellation from a line's sidelobes
     win = np.hanning(len(t))
-    y = resid * win
-    ph = np.exp(-2j * np.pi * fgrid[:, None] * t[None, :])
-    amp = np.abs(ph @ y) / np.sum(win)
-    amp[np.abs(fgrid - f1) < guard] = 0.0
+    return np.abs(np.exp(-2j * np.pi * f[:, None] * t[None, :]) @ (y * win)) / np.sum(win)
+
+
+def _pursuit_line(t: np.ndarray, y: np.ndarray, w1: float) -> float | None:
+    """Strongest sinusoid of y on the PURSUIT_GRID of w1, excluding a guard
+    of 0.75/span around w1. Returns angular frequency or None when it does
+    not stand PURSUIT_SNR times over the median amplitude."""
+    f1 = w1 / (2 * np.pi)
+    fgrid = f1 * PURSUIT_GRID
+    amp = _projection(t, y, fgrid)
+    amp[np.abs(fgrid - f1) < 0.75 / (t[-1] - t[0])] = 0.0
     i = int(np.argmax(amp))
     floor = np.median(amp[amp > 0])
     if amp[i] < PURSUIT_SNR * floor:
@@ -388,39 +394,43 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
     Every candidate scores the same cov_rf and d. A period that does not fit
     three times inside the dwell is skipped (ValueError when none is left);
     each other one splits cov_rf once, for the slow aspect solution of the low
-    band (lowpass_aspect_solve) and the seeds of the wave band. Stage 1 fits a
-    single sinusoid line near the candidate frequency shared by aspect and
-    tilt (two assignment seeds). Stage 2 hunts the residual of the better
-    stage-1 fit for a second line by matching pursuit and adds it, with both
-    assignment seeds, to each of the two stage-1 fits; the richer model is
-    kept only if it lowers the cost. In the module's parameter layout a
-    stage-2 start is a whole stage-1 fit with the second line's block
-    appended. Line frequencies are free parameters
-    bounded to a 0.75/span band around their starts (the spectral search has
-    only Rayleigh resolution; the fit needs the frequency to much better than
-    one part in the cycle count, so it must converge the last fraction
-    itself). bsq is bounded to [0, 0.9] (P = 1 - bsq stays positive) and hsq
-    to [0, 2]. Half a period is trimmed at each end before scoring, where the
-    band split has edge support. Of a candidate's starts the lower cost wins,
-    the first on ties; of the candidates the smallest residual_rms wins, the
-    first on ties.
+    band (lowpass_aspect_solve) and the line seeds of the wave band. The
+    first line starts at the strongest peak of a Hann-windowed projection of
+    the wave band within 0.75/span of the candidate frequency, searched at
+    the step of the pursuit's grid. Matching pursuit (_pursuit_line) looks
+    for a second line in the wave band less its least-squares sinusoid at
+    the first line's frequency. Each line is seeded on aspect and on tilt, so
+    a candidate has four two-line starts, {first line on aspect, on tilt} x
+    {second on aspect, on tilt}, or two one-line starts when the pursuit
+    finds no second line. Line frequencies are free parameters bounded to a
+    0.75/span band around their starts (the spectral search has only Rayleigh
+    resolution; the fit needs the frequency to much better than one part in
+    the cycle count, so it must converge the last fraction itself); where the
+    bands of two lines overlap, each stops at the midpoint of their starts,
+    so the lines cannot drift together into a beating pair. bsq is bounded
+    to [0, 0.9] (P = 1 - bsq stays positive) and hsq to [0, 2]. Half a
+    period is trimmed at each end before scoring, where the band split has
+    edge support. Of a candidate's starts a converged one (status 2 or 3)
+    wins over one that stopped on a band edge or ran out of calls, whatever
+    their costs, then the lower cost, the first on ties; of the candidates
+    the smallest residual_rms wins, the first on ties.
 
-    Each stage is one least_squares call (bounded Levenberg-Marquardt, soft_l1
-    loss, at most 400 residual calls a start, a parameter held out of the step
-    while it sits on a bound the cost pushes against) over the starts of every
-    candidate: stage 1 over both seeds of all candidates, stage 2 over the
-    four starts of each candidate where the pursuit found a second line. A
-    start stops once a line frequency is held on the edge of its band: the
-    line has left the band of its candidate, which a neighbouring candidate
-    covers. A winner whose start ran out of calls or stopped on a band edge is
-    flagged 'wave fit did not converge'. Residuals keep all 2n samples
-    (cov_rf, then d) for every candidate: samples outside a candidate's
-    trimmed window weigh 0, so its residual and Jacobian rows there are
-    exactly 0. The Jacobian is analytic: _cov_partials gives the partials of
-    (cov_rf, d) in the track (phi, theta, phi_dot, theta_dot) and in bsq, hsq,
-    and each track partial is multiplied by its parameter's basis column (u,
-    u^2 less its mean, u^3, cos wt, sin wt, and the t-weighted terms of a
-    line frequency w). The winner's (track, state) is _fit_result's.
+    Each number of lines is one least_squares call (bounded
+    Levenberg-Marquardt, soft_l1 loss, at most 400 residual calls a start, a
+    parameter held out of the step while it sits on a bound the cost pushes
+    against) over the starts of every candidate with that many lines. A start
+    stops once a line frequency is held on the edge of its band: the line
+    has left the band of its candidate, which a neighbouring candidate
+    covers, or met the other line's band. A winner whose start ran out of
+    calls or stopped on a band edge is flagged 'wave fit did not converge'.
+    Residuals keep all 2n samples (cov_rf, then d) for every candidate:
+    samples outside a candidate's trimmed window weigh 0, so its residual and
+    Jacobian rows there are exactly 0. The Jacobian is analytic: _cov_partials
+    gives the partials of (cov_rf, d) in the track (phi, theta, phi_dot,
+    theta_dot) and in bsq, hsq, and each track partial is multiplied by its
+    parameter's basis column (u, u^2 less its mean, u^3, cos wt, sin wt, and
+    the t-weighted terms of a line frequency w). The winner's (track, state)
+    is _fit_result's.
     """
     t = np.asarray(t, dtype=float)
     data = np.array([cov_rf, d], dtype=float)
@@ -525,14 +535,14 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
                 + g_thd * (lw_t - wt * (cc * cw + e * sw)))
         return jm.reshape(len(rows), 2 * n, -1)
 
-    def solve(x0, cand, nl, per):
-        # starts in runs of `per` per candidate, cand giving each start's;
-        # returns (x, cost, status) of every start and the index of the
-        # lowest-cost start of each run, the first on ties. Each line
-        # frequency is bounded to a band about its own start. The soft_l1
-        # loss caps the pull of short corrupted stretches (confuser targets,
-        # interference bursts) without touching clean fits: normalized
-        # residuals sit well under 1 on good data
+    xs, cost, status = [None] * ncand, np.empty(ncand), np.empty(ncand, dtype=int)
+
+    def solve(x0, cand, nl):
+        # fits the nl-line starts x0 of candidates cand and keeps each
+        # candidate's best in xs, cost, status. The soft_l1 loss caps the
+        # pull of short corrupted stretches (confuser targets, interference
+        # bursts) without touching clean fits: normalized residuals sit well
+        # under 1 on good data
         lb = np.full_like(x0, -np.inf)
         ub = np.full_like(x0, np.inf)
         lb[:, NPOLY:HEAD] = 0.0
@@ -541,15 +551,18 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
         xsc[:, :HEAD] = 1e-3, 1e-5, 1e-6, 0.05, 0.05
         freq = slice(HEAD + 4, None, 5)   # every line's w
         w0 = x0[:, freq]
-        lb[:, freq], ub[:, freq] = w0 - w_band, w0 + w_band
+        mid = w0.mean(axis=1, keepdims=True)   # overlapping bands meet here
+        lb[:, freq] = np.where(w0 > mid, np.maximum(w0 - w_band, mid), w0 - w_band)
+        ub[:, freq] = np.where(w0 < mid, np.minimum(w0 + w_band, mid), w0 + w_band)
         xsc[:, freq] = 0.01 * w0
         held = np.zeros(x0.shape[1], dtype=bool)
         held[freq] = True
         r = least_squares(resid, x0, jac, (lb, ub), xsc, 400, args=(cand, nl),
                           stop_held=held)
-        best = per * np.arange(len(cand) // per) + np.argmin(
-            r.cost.reshape(-1, per), axis=1)
-        return r.x, r.cost, r.status, best
+        for g in np.unique(cand):
+            k = min(np.flatnonzero(cand == g),
+                    key=lambda k: (r.status[k] not in (2, 3), r.cost[k]))
+            xs[g], cost[g], status[g] = r.x[k], r.cost[k], r.status[k]
 
     a_int = [i - i.mean() for i in (_cumtrapz(t, -s.wave) for s in splits)]
 
@@ -561,30 +574,25 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
         return [np.r_[head, z.real / tp0, z.imag / tp0, 0.0, 0.0, w],
                 np.r_[head, 0.0, 0.0, z.real / tt0, z.imag / tt0, w]]
 
-    w1 = 2 * np.pi / np.asarray(periods, dtype=float)
-    cand = np.repeat(np.arange(ncand), 2)
+    # each candidate's starts, by their number of lines
     head = np.r_[np.zeros(NPOLY), 0.02, 0.02]   # no slow term, ratios 0.02
-    x0 = np.array([x for g in range(ncand) for x in seeds(g, w1[g], head)])
-    x1, cost1, status1, best = solve(x0, cand, 1, 2)
-    xs, nls = list(x1[best]), [1] * ncand
-    cost, status = cost1[best], status1[best]
-    resid1 = data[0] - model_series(x1[best], np.arange(ncand), 1)[:, 0]
-    second = []
-    for g in range(ncand):
-        w2 = _pursuit_line(t, resid1[g], float(x1[best[g], HEAD + 4]))
-        if w2 is not None:
-            second.append((g, w2))
-    if second:
-        # the second line joins both one-line fits of its candidate, each
-        # assignment's: the lower-cost one can hold the first line on the
-        # wrong angle
-        cand = np.repeat([g for g, _ in second], 4)
-        x0 = np.array([x for g, w2 in second for b in (0, 1)
-                       for x in seeds(g, w2, x1[2 * g + b])])
-        x2, cost2, status2, best2 = solve(x0, cand, 2, 4)
-        for (g, _), k in zip(second, best2):
-            if cost2[k] < cost[g]:
-                xs[g], nls[g], cost[g], status[g] = x2[k], 2, cost2[k], status2[k]
+    starts = {1: [], 2: []}
+    for g, (per, s) in enumerate(zip(periods, splits)):
+        step = (PURSUIT_GRID[1] - PURSUIT_GRID[0]) / per
+        k = int(0.75 / span / step)
+        f = 1 / per + step * np.arange(-k, k + 1)
+        w1 = 2 * np.pi * f[np.argmax(_projection(t, s.wave, f))]
+        basis = np.array([np.cos(w1 * t), np.sin(w1 * t)]).T
+        rest = s.wave - basis @ np.linalg.lstsq(basis, s.wave, rcond=None)[0]
+        w2 = _pursuit_line(t, rest, w1)
+        firsts = seeds(g, w1, head)
+        if w2 is None:
+            starts[1] += [(g, x) for x in firsts]
+        else:
+            starts[2] += [(g, x) for x1 in firsts for x in seeds(g, w2, x1)]
+    for nl, st in starts.items():
+        if st:
+            solve(np.array([x for _, x in st]), np.array([g for g, _ in st]), nl)
 
     # every weight inside a candidate's trimmed window is nonzero
     rms = np.sqrt(2 * cost / np.count_nonzero(weight, axis=(1, 2)))

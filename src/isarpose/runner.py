@@ -54,6 +54,20 @@ def is_number(value) -> bool:
             and math.isfinite(value))
 
 
+def _flag(value) -> bool:
+    # a JSON boolean only: bool() reads "false" as true and null as false
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _integer(value) -> int:
+    # an integral JSON number only, not a bool: int() truncates 2.7 to 2
+    if not is_number(value) or value != int(value):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """What to run and where to put it. scenario is the simulate-mode
@@ -161,7 +175,7 @@ def scenario_from_dict(d: dict, seed: int | None = None
                 t_stop=get("t_stop", 0.0), rate=get("rate", 15.0),
                 doppler_offset=get("doppler_offset", 2.0),
                 doppler_width=get("doppler_width", 1.0),
-                density=get("density", 6, int)))
+                density=get("density", 6, _integer)))
         except ValueError as exc:
             raise ConfigError(f"degradations[{i}]: {exc}") from exc
     try:
@@ -176,7 +190,7 @@ def scenario_from_dict(d: dict, seed: int | None = None
                    noise("sigma_a", 0.05)),
             snr_floor=top("snr_floor_db", -20.0),
             fade_sigma=top("fade_sigma_db", 0.0),
-            seed=int(seed) if seed is not None else top("seed", 0, int),
+            seed=int(seed) if seed is not None else top("seed", 0, _integer),
             injectors=tuple(degr),
             range_resolution=top("range_resolution_m", 0.5))
     except ValueError as exc:
@@ -189,12 +203,12 @@ def scenario_from_dict(d: dict, seed: int | None = None
             loa=ship("loa", 120.0),
             beam=None if ship_d.get("beam") is None else ship("beam"),
             height=ship("height", 12.0),
-            n_scatterers=ship("n_scatterers", 24, int),
-            seed=ship("seed", 1, int),
-            symmetric=ship("symmetric", True, bool))
+            n_scatterers=ship("n_scatterers", 24, _integer),
+            seed=ship("seed", 1, _integer),
+            symmetric=ship("symmetric", True, _flag))
     except ValueError as exc:
         raise ConfigError(f"ship: {exc}") from exc
-    return cfg, model, top("perfect", False, bool)
+    return cfg, model, top("perfect", False, _flag)
 
 
 def _csv(columns: dict) -> str:

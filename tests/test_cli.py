@@ -124,6 +124,35 @@ class TestSimulate:
         assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("change, key", [
+        # bool() ran "false" as a perfect dwell and null as a noisy one
+        ({"perfect": "false"}, "perfect"),
+        ({"perfect": None}, "perfect"),
+        ({"ship": {"loa": 120.0, "symmetric": 1}}, "ship.symmetric"),
+        # int() truncated a fractional count and took a bool as 0 or 1
+        ({"seed": 2.7}, "seed"),
+        ({"ship": {"loa": 120.0, "n_scatterers": 24.5}}, "ship.n_scatterers"),
+        ({"ship": {"loa": 120.0, "seed": True}}, "ship.seed"),
+        ({"degradations": [{"kind": "bogey", "t_start": 1.0, "t_stop": 2.0,
+                            "density": 6.9}]}, "degradations[0].density"),
+    ])
+    def test_mistyped_scenario_value_is_config_error(self, tmp_path, capsys,
+                                                     change, key):
+        code = main(["simulate", "--config",
+                     _write_config(tmp_path, {**SCENARIO, **change}),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_count_is_accepted(self):
+        ship = {"loa": 120.0, "n_scatterers": 24, "seed": 3}
+        as_ints = isarpose.runner.scenario_from_dict(
+            {**SCENARIO, "seed": 5, "ship": ship})
+        as_floats = isarpose.runner.scenario_from_dict(
+            {**SCENARIO, "seed": 5.0, "ship": {**ship, "n_scatterers": 24.0}})
+        assert as_floats == as_ints
+
     def test_unreadable_config_is_config_error(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "out")])
