@@ -6,28 +6,29 @@ The estimation chain per candidate wave period:
 2. integrate the low band and solve a per-frame quadratic for the slow
    aspect excursion about the mean aspect (lowpass_aspect_solve);
 3. jointly fit the raw cov_rf and d series, seeded from the wave band, with
-   a spectral-line motion model: one or two sinusoid lines shared between
-   aspect and tilt, a cubic slow-aspect correction, and the ship shape
-   ratios bsq = <y^2>/<x^2>, hsq = <z^2>/<x^2> as bounded parameters.
+   a spectral-line motion model: two sinusoid lines shared between aspect
+   and tilt, a cubic slow-aspect correction, and the ship shape ratios
+   bsq = <y^2>/<x^2>, hsq = <z^2>/<x^2> as bounded parameters.
 
 estimate_angles hands the raw series and GRID_POINTS (3) periods, 0.8, 1.0
 and 1.2 times the spectral seed, to waveband_joint_fit, which runs steps 1-2
 for each, then step 3 once for the whole grid, and keeps the candidate with
 the smallest joint residual. Step 3 has one stage: the first line starts at
-the strongest wave-band peak near the candidate frequency, the second where
-a pursuit of the wave band less that line finds one, and every start holds
-all its lines from the first iteration. The series are expected free of the
-report noise floor (see moments), which the fit would read as ship height.
+the strongest wave-band peak near the candidate frequency, the second at
+the strongest peak a pursuit of the wave band less that line finds, and
+every start holds both lines from the first iteration. The series are
+expected free of the report noise floor (see moments), which the fit would
+read as ship height.
 The joint fit is minimized by least_squares, a bounded Levenberg-Marquardt
 solver with a soft_l1 loss kept in this module, so the package needs NumPy
-alone. It runs a batch of starts in lockstep, so one call fits the starts
-of every candidate with the same number of lines, and takes the analytic
-Jacobian of the joint residual (_cov_partials).
+alone. It runs a batch of starts in lockstep, so one call fits every start
+of every candidate, and takes the analytic Jacobian of the joint residual
+(_cov_partials).
 
 The joint fit's parameters are [poly(3) | bsq, hsq | a, b, c, e, w per line]:
 line k's aspect (a, b) and tilt (c, e) coefficients and angular frequency w
-are the block x[HEAD + 5k:HEAD + 5k + 5], so a two-line start is a one-line
-start with the second line's block appended.
+are the block x[HEAD + 5k:HEAD + 5k + 5], so each line's block follows the
+one before it.
 
 Angle conventions: aspect phi rotates the alongship axis in the slant plane,
 tilt theta is the grazing rotation. Mean angles phi0/theta0 are externally
@@ -52,8 +53,7 @@ ANGLE_LIMIT = math.pi / 2 - 1e-6
 LM_TOL = 1e-6           # relative cost drop and scaled step that end the fit
 GRID_POINTS = 3         # candidate periods of the joint fit ...
 GRID_HALFWIDTH = 0.2    # ... spanning +-20% of the spectral seed
-PURSUIT_SNR = 3.0       # a second line's peak over the median amplitude
-PURSUIT_GRID = np.linspace(0.5, 3.0, 241)   # its search, in first-line units
+PURSUIT_GRID = np.linspace(0.5, 3.0, 241)   # second-line search, in first-line units
 
 
 @dataclass(frozen=True)
@@ -183,19 +183,14 @@ def _projection(t: np.ndarray, y: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.abs(np.exp(-2j * np.pi * f[:, None] * t[None, :]) @ (y * win)) / np.sum(win)
 
 
-def _pursuit_line(t: np.ndarray, y: np.ndarray, w1: float) -> float | None:
-    """Strongest sinusoid of y on the PURSUIT_GRID of w1, excluding a guard
-    of 0.75/span around w1. Returns angular frequency or None when it does
-    not stand PURSUIT_SNR times over the median amplitude."""
+def _pursuit_line(t: np.ndarray, y: np.ndarray, w1: float) -> float:
+    """Angular frequency of the strongest sinusoid of y on the PURSUIT_GRID
+    of w1, excluding a guard of 0.75/span around w1."""
     f1 = w1 / (2 * np.pi)
     fgrid = f1 * PURSUIT_GRID
     amp = _projection(t, y, fgrid)
     amp[np.abs(fgrid - f1) < 0.75 / (t[-1] - t[0])] = 0.0
-    i = int(np.argmax(amp))
-    floor = np.median(amp[amp > 0])
-    if amp[i] < PURSUIT_SNR * floor:
-        return None
-    return float(2 * np.pi * fgrid[i])
+    return float(2 * np.pi * fgrid[np.argmax(amp)])
 
 
 @dataclass(frozen=True)
@@ -397,17 +392,17 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
     band (lowpass_aspect_solve) and the line seeds of the wave band. The
     first line starts at the strongest peak of a Hann-windowed projection of
     the wave band within 0.75/span of the candidate frequency, searched at
-    the step of the pursuit's grid. Matching pursuit (_pursuit_line) looks
-    for a second line in the wave band less its least-squares sinusoid at
-    the first line's frequency. Each line is seeded on aspect and on tilt, so
-    a candidate has four two-line starts, {first line on aspect, on tilt} x
-    {second on aspect, on tilt}, or two one-line starts when the pursuit
-    finds no second line. Line frequencies are free parameters bounded to a
-    0.75/span band around their starts (the spectral search has only Rayleigh
-    resolution; the fit needs the frequency to much better than one part in
-    the cycle count, so it must converge the last fraction itself); where the
-    bands of two lines overlap, each stops at the midpoint of their starts,
-    so the lines cannot drift together into a beating pair. bsq is bounded
+    the step of the pursuit's grid. The second line starts at the strongest
+    peak that matching pursuit (_pursuit_line) finds in the wave band less
+    its least-squares sinusoid at the first line's frequency, on a one-line
+    sea too. Each line is seeded on aspect and on tilt, so a candidate has
+    four starts, {first line on aspect, on tilt} x {second on aspect, on
+    tilt}. Line frequencies are free parameters bounded to a 0.75/span band
+    around their starts (the spectral search has only Rayleigh resolution;
+    the fit needs the frequency to much better than one part in the cycle
+    count, so it must converge the last fraction itself); where the bands of
+    two lines overlap, each stops at the midpoint of their starts, so the
+    lines cannot drift together into a beating pair. bsq is bounded
     to [0, 0.9] (P = 1 - bsq stays positive) and hsq to [0, 2]. Half a
     period is trimmed at each end before scoring, where the band split has
     edge support. Of a candidate's starts a converged one (status 2 or 3)
@@ -415,17 +410,16 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
     their costs, then the lower cost, the first on ties; of the candidates
     the smallest residual_rms wins, the first on ties.
 
-    Each number of lines is one least_squares call (bounded
-    Levenberg-Marquardt, soft_l1 loss, at most 400 residual calls a start, a
-    parameter held out of the step while it sits on a bound the cost pushes
-    against) over the starts of every candidate with that many lines. A start
-    stops once a line frequency is held on the edge of its band: the line
-    has left the band of its candidate, which a neighbouring candidate
-    covers, or met the other line's band. A winner whose start ran out of
-    calls or stopped on a band edge is flagged 'wave fit did not converge'.
-    Residuals keep all 2n samples (cov_rf, then d) for every candidate:
-    samples outside a candidate's trimmed window weigh 0, so its residual and
-    Jacobian rows there are exactly 0. The Jacobian is analytic: _cov_partials
+    One least_squares call (bounded Levenberg-Marquardt, soft_l1 loss, at
+    most 400 residual calls a start, a parameter held out of the step while
+    it sits on a bound the cost pushes against) fits the starts of every
+    candidate. A start stops once a line frequency is held on the edge of its
+    band: the line has left the band of its candidate, which a neighbouring
+    candidate covers, or met the other line's band. A winner whose start ran
+    out of calls or stopped on a band edge is flagged 'wave fit did not
+    converge'. Residuals keep all 2n samples (cov_rf, then d) for every
+    candidate: samples outside a candidate's trimmed window weigh 0, so its
+    residual and Jacobian rows there are exactly 0. The Jacobian is analytic: _cov_partials
     gives the partials of (cov_rf, d) in the track (phi, theta, phi_dot,
     theta_dot) and in bsq, hsq, and each track partial is multiplied by its
     parameter's basis column (u, u^2 less its mean, u^3, cos wt, sin wt, and
@@ -462,14 +456,13 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
     phi_means = np.array([low.phi_mean for low in lows])
     rates = np.array([low.rate for low in lows])
 
-    # x is (k, npar) for k starts of candidates c, or (npar,) for one start
-    # of candidate c, laid out as the module docstring says; every
-    # parameter enters as x[..., j, None]
-    def lines_of(x, nl):
+    # x is (k, npar) for k starts of candidates c, laid out as the module
+    # docstring says; every parameter enters as x[..., j, None]
+    def lines_of(x):
         # each line's (a, b, c, e, w) on the last axis
-        return x[..., HEAD:].reshape(x.shape[:-1] + (nl, 5))
+        return x[..., HEAD:].reshape(x.shape[:-1] + (-1, 5))
 
-    def track_of(x, c, nl):
+    def track_of(x, c):
         # ((phi, theta, phi_dot, theta_dot), [(w, cos wt, sin wt) per line])
         def p(j):
             return x[..., j, None]
@@ -478,8 +471,8 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
         th = np.full_like(t, theta0)
         thd = np.zeros_like(t)
         trig = []
-        lines = lines_of(x, nl)
-        for k in range(nl):
+        lines = lines_of(x)
+        for k in range(lines.shape[-2]):
             a, b, cc, e, w = (lines[..., k, j, None] for j in range(5))
             cw, sw = np.cos(w * t), np.sin(w * t)
             phi = phi + a * cw + b * sw
@@ -489,32 +482,32 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
             trig.append((w, cw, sw))
         return (phi, th, phid, thd), trig
 
-    def model_series(x, c, nl):
+    def model_series(x, c):
         # model (cov_rf, d) stacked on axis -2; they need only the range and
         # rate rows
-        mrf, _, md = _covs_of(range_rate_rows(*track_of(x, c, nl)[0]),
+        mrf, _, md = _covs_of(range_rate_rows(*track_of(x, c)[0]),
                               x[..., NPOLY, None], x[..., NPOLY + 1, None])
         return np.stack([mrf, md], axis=-2)
 
-    def resid(x, rows, cand, nl):
+    def resid(x, rows, cand):
         c = cand[rows]
-        f = (data - model_series(x, c, nl)) * weight[c]
+        f = (data - model_series(x, c)) * weight[c]
         return f.reshape(len(rows), -1)
 
-    def jac(x, rows, cand, nl):
+    def jac(x, rows, cand):
         c = cand[rows]
-        track, trig = track_of(x, c, nl)
+        track, trig = track_of(x, c)
         # partials of the residual in each track quantity and in bsq, hsq
         g_phi, g_th, g_phid, g_thd, g_bsq, g_hsq = (
             np.stack(pair, axis=-2) * -weight[c]
             for pair in _cov_partials(*track, x[:, NPOLY, None],
                                       x[:, NPOLY + 1, None]))
-        jm = np.empty(g_phi.shape + (HEAD + 5 * nl,))
+        jm = np.empty(g_phi.shape + x.shape[-1:])
         jm[..., 0] = g_phi * u + g_phid
         jm[..., 1] = g_phi * u2c + g_phid * (2 * u)
         jm[..., 2] = g_phi * u3 + g_phid * (3 * u2)
         jm[..., NPOLY], jm[..., NPOLY + 1] = g_bsq, g_hsq
-        lines = lines_of(x, nl)
+        lines = lines_of(x)
         for k, (w, cw, sw) in enumerate(trig):
             w, cw, sw = w[:, None], cw[:, None], sw[:, None]
             wcw, wsw = w * cw, w * sw
@@ -535,35 +528,6 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
                 + g_thd * (lw_t - wt * (cc * cw + e * sw)))
         return jm.reshape(len(rows), 2 * n, -1)
 
-    xs, cost, status = [None] * ncand, np.empty(ncand), np.empty(ncand, dtype=int)
-
-    def solve(x0, cand, nl):
-        # fits the nl-line starts x0 of candidates cand and keeps each
-        # candidate's best in xs, cost, status. The soft_l1 loss caps the
-        # pull of short corrupted stretches (confuser targets, interference
-        # bursts) without touching clean fits: normalized residuals sit well
-        # under 1 on good data
-        lb = np.full_like(x0, -np.inf)
-        ub = np.full_like(x0, np.inf)
-        lb[:, NPOLY:HEAD] = 0.0
-        ub[:, NPOLY:HEAD] = 0.9, 2.0
-        xsc = np.full_like(x0, 0.02)
-        xsc[:, :HEAD] = 1e-3, 1e-5, 1e-6, 0.05, 0.05
-        freq = slice(HEAD + 4, None, 5)   # every line's w
-        w0 = x0[:, freq]
-        mid = w0.mean(axis=1, keepdims=True)   # overlapping bands meet here
-        lb[:, freq] = np.where(w0 > mid, np.maximum(w0 - w_band, mid), w0 - w_band)
-        ub[:, freq] = np.where(w0 < mid, np.minimum(w0 + w_band, mid), w0 + w_band)
-        xsc[:, freq] = 0.01 * w0
-        held = np.zeros(x0.shape[1], dtype=bool)
-        held[freq] = True
-        r = least_squares(resid, x0, jac, (lb, ub), xsc, 400, args=(cand, nl),
-                          stop_held=held)
-        for g in np.unique(cand):
-            k = min(np.flatnonzero(cand == g),
-                    key=lambda k: (r.status[k] not in (2, 3), r.cost[k]))
-            xs[g], cost[g], status[g] = r.x[k], r.cost[k], r.status[k]
-
     a_int = [i - i.mean() for i in (_cumtrapz(t, -s.wave) for s in splits)]
 
     def seeds(g, w, head):
@@ -574,9 +538,10 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
         return [np.r_[head, z.real / tp0, z.imag / tp0, 0.0, 0.0, w],
                 np.r_[head, 0.0, 0.0, z.real / tt0, z.imag / tt0, w]]
 
-    # each candidate's starts, by their number of lines
+    # each candidate's four starts, {first line on aspect, on tilt} x
+    # {second line on aspect, on tilt}
     head = np.r_[np.zeros(NPOLY), 0.02, 0.02]   # no slow term, ratios 0.02
-    starts = {1: [], 2: []}
+    x0 = []
     for g, (per, s) in enumerate(zip(periods, splits)):
         step = (PURSUIT_GRID[1] - PURSUIT_GRID[0]) / per
         k = int(0.75 / span / step)
@@ -585,21 +550,40 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
         basis = np.array([np.cos(w1 * t), np.sin(w1 * t)]).T
         rest = s.wave - basis @ np.linalg.lstsq(basis, s.wave, rcond=None)[0]
         w2 = _pursuit_line(t, rest, w1)
-        firsts = seeds(g, w1, head)
-        if w2 is None:
-            starts[1] += [(g, x) for x in firsts]
-        else:
-            starts[2] += [(g, x) for x1 in firsts for x in seeds(g, w2, x1)]
-    for nl, st in starts.items():
-        if st:
-            solve(np.array([x for _, x in st]), np.array([g for g, _ in st]), nl)
+        x0 += [x for x1 in seeds(g, w1, head) for x in seeds(g, w2, x1)]
+    x0 = np.array(x0)
+    cand = np.repeat(np.arange(ncand), 4)
+
+    # the soft_l1 loss caps the pull of short corrupted stretches (confuser
+    # targets, interference bursts) without touching clean fits: normalized
+    # residuals sit well under 1 on good data
+    lb = np.full_like(x0, -np.inf)
+    ub = np.full_like(x0, np.inf)
+    lb[:, NPOLY:HEAD] = 0.0
+    ub[:, NPOLY:HEAD] = 0.9, 2.0
+    xsc = np.full_like(x0, 0.02)
+    xsc[:, :HEAD] = 1e-3, 1e-5, 1e-6, 0.05, 0.05
+    freq = slice(HEAD + 4, None, 5)   # every line's w
+    w0 = x0[:, freq]
+    mid = w0.mean(axis=1, keepdims=True)   # overlapping bands meet here
+    lb[:, freq] = np.where(w0 > mid, np.maximum(w0 - w_band, mid), w0 - w_band)
+    ub[:, freq] = np.where(w0 < mid, np.minimum(w0 + w_band, mid), w0 + w_band)
+    xsc[:, freq] = 0.01 * w0
+    held = np.zeros(x0.shape[1], dtype=bool)
+    held[freq] = True
+    r = least_squares(resid, x0, jac, (lb, ub), xsc, 400, args=(cand,),
+                      stop_held=held)
+    # each candidate's best start
+    best = [min(np.flatnonzero(cand == g),
+                key=lambda k: (r.status[k] not in (2, 3), r.cost[k]))
+            for g in range(ncand)]
 
     # every weight inside a candidate's trimmed window is nonzero
-    rms = np.sqrt(2 * cost / np.count_nonzero(weight, axis=(1, 2)))
+    rms = np.sqrt(2 * r.cost[best] / np.count_nonzero(weight, axis=(1, 2)))
     win = int(np.argmin(rms))
-    converged = bool(status[win] in (2, 3))
+    converged = bool(r.status[best[win]] in (2, 3))
     flags = lows[win].flags + (() if converged else ("wave fit did not converge",))
-    return _fit_result(t, lows[win], xs[win], theta0, float(rms[win]),
+    return _fit_result(t, lows[win], r.x[best[win]], theta0, float(rms[win]),
                        converged, flags)
 
 
@@ -608,7 +592,7 @@ def _fit_result(t: np.ndarray, low: LowpassAspect, x: np.ndarray, theta0: float,
                 ) -> tuple[AngleTrack, FitState]:
     """The angle track and fit state of parameters x over the slow aspect low.
 
-    x is laid out as the module docstring says, with any number of lines;
+    x is laid out as the module docstring says, with two lines or none;
     np.zeros(HEAD), no correction and no line, is the slow-only result. The
     slow aspect is low.phi_mean plus the cubic, whose derivatives add to
     low's rate and acceleration. Each line adds its angle, rate and

@@ -62,9 +62,10 @@ def _flag(value) -> bool:
 
 
 def _integer(value) -> int:
-    # an integral JSON number only, not a bool: int() truncates 2.7 to 2
-    if not is_number(value) or value != int(value):
-        raise TypeError(f"expected an integer, got {value!r}")
+    # a non-negative integral JSON number only, not a bool: int() truncates
+    # 2.7 to 2, and every integer setting is a count or a seed
+    if not is_number(value) or value != int(value) or value < 0:
+        raise TypeError(f"expected a non-negative integer, got {value!r}")
     return int(value)
 
 
@@ -91,6 +92,12 @@ class RunConfig:
             raise ConfigError("simulate mode needs a scenario object")
         if self.mode == "analyze" and not self.input_path:
             raise ConfigError("analyze mode needs input_path")
+        if self.seed is not None:
+            try:
+                _integer(self.seed)
+            except TypeError:
+                raise ConfigError("seed must be a non-negative integer, "
+                                  f"got {self.seed!r}") from None
         if self.weighting not in ("uniform", "snr"):
             raise ConfigError(f"weighting must be uniform or snr, got {self.weighting!r}")
         if self.period is not None and not (is_number(self.period)
@@ -145,7 +152,7 @@ def _section(d, where: str, keys: tuple[str, ...]):
 
 
 def _osc(d: dict, key: str) -> tuple[float, float]:
-    if d.get(key) is None:
+    if key not in d:
         return (0.0, 12.0)
     get = _section(d[key], key, ("amplitude_deg", "period_s"))
     return (math.radians(get("amplitude_deg", 0.0)), get("period_s", 12.0))
@@ -201,7 +208,7 @@ def scenario_from_dict(d: dict, seed: int | None = None
     try:
         model = make_ship(
             loa=ship("loa", 120.0),
-            beam=None if ship_d.get("beam") is None else ship("beam"),
+            beam=ship("beam") if "beam" in ship_d else None,
             height=ship("height", 12.0),
             n_scatterers=ship("n_scatterers", 24, _integer),
             seed=ship("seed", 1, _integer),

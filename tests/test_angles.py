@@ -1,6 +1,5 @@
 """Angle estimation chain: model closure, solvers, the estimated track."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -101,41 +100,29 @@ def _record_solves(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def recorded_solves(ideal_cfg, ideal_ship, ideal_moments):
-    # the solves of a two-candidate grid fit of the two-line ideal scene,
-    # where the pursuit finds a second line, and of the ideal scene without
-    # its tilt line with the pursuit finding none. (On that noise-free scene
-    # the pursuit does find one, the wave band's 2f artifact of the first
-    # line, so it is made to return None for the one-line layout.)
-    one_line = dataclasses.replace(ideal_cfg, tilt_osc=(0.0, 10.0))
-    flat = moments_series(simulate_perfect(ideal_ship,
-                                           build_angle_track(one_line), one_line))
-    solves = {}
-    for nl, m in ((1, flat), (2, ideal_moments)):
-        with pytest.MonkeyPatch.context() as mp:
-            solves[nl] = _record_solves(mp)
-            if nl == 1:
-                mp.setattr(isarpose.angles, "_pursuit_line", lambda *args: None)
-            waveband_joint_fit(m.t, m.cov_rf, m.d_intrinsic, (11.0, 12.0),
-                               PHI0, THETA0)
+def recorded_solves(ideal_moments):
+    # the solve of a two-candidate grid fit of the two-line ideal scene
+    with pytest.MonkeyPatch.context() as mp:
+        solves = _record_solves(mp)
+        waveband_joint_fit(ideal_moments.t, ideal_moments.cov_rf,
+                           ideal_moments.d_intrinsic, (11.0, 12.0),
+                           PHI0, THETA0)
     return solves
 
 
-@pytest.mark.parametrize("nl", [1, 2])
-def test_analytic_jacobian_matches_central_differences(recorded_solves, nl):
+def test_analytic_jacobian_matches_central_differences(recorded_solves):
     # check the converged points of every start of the first candidate,
     # with bsq moved onto its 0.9 upper bound
-    solve, = recorded_solves[nl]
+    solve, = recorded_solves
     fun, args = solve["fun"], solve["args"]
-    assert args[1] == nl
     rows = np.flatnonzero(args[0] == 0)
-    assert len(rows) == 2 * nl
+    assert len(rows) == 4
     x = solve["res"].x[rows].copy()
     x[:, NPOLY] = 0.9
     assert np.all(x[:, NPOLY] == solve["bounds"][1][rows, NPOLY])
     analytic = solve["jac"](x, rows, *args)
     f = fun(x, rows, *args)
-    npar = HEAD + 5 * nl
+    npar = HEAD + 10
     assert analytic.shape == f.shape + (npar,)
     h = 1e-4 * solve["x_scale"][rows]
     for j in range(npar):
@@ -507,14 +494,17 @@ def _wave_corr(t, truth, est, period):
 
 
 def _canonical(seed, duration=60.0, rate_dps=0.3, n_scatterers=24,
-               noise_scale=1.0):
+               noise_scale=1.0, amplitudes_deg=(1.0, 1.0)):
     # the benchmark's canonical scene with its report noise times
-    # noise_scale: (ship, true track, moments); 300 s at 0.02 deg/s with 50
-    # scatterers is its long one
+    # noise_scale and its 12 s aspect and 10 s tilt lines of amplitudes_deg:
+    # (ship, true track, moments); 300 s at 0.02 deg/s with 50 scatterers
+    # is its long one
+    aspect_deg, tilt_deg = amplitudes_deg
     cfg = ScenarioConfig(
         duration=duration, frame_interval=0.5, integration_time=0.5,
         phi0=PHI0, theta0=THETA0, steady_aspect_rate=np.deg2rad(rate_dps),
-        aspect_osc=(np.deg2rad(1.0), 12.0), tilt_osc=(np.deg2rad(1.0), 10.0),
+        aspect_osc=(np.deg2rad(aspect_deg), 12.0),
+        tilt_osc=(np.deg2rad(tilt_deg), 10.0),
         noise=tuple(noise_scale * s for s in (0.2, 0.03, 0.02)), seed=seed)
     ship = make_ship(120.0, n_scatterers=n_scatterers, seed=3)
     truth = build_angle_track(cfg)
@@ -579,8 +569,7 @@ def test_four_starts_per_candidate_in_midpoint_bands(monkeypatch):
     # overlap they meet at the midpoint of the starts
     mom, periods, solves, _ = _canonical_solves(monkeypatch, 11)
     (solve,) = solves
-    x0, (cand, nl), (lb, ub) = solve["x0"], solve["args"], solve["bounds"]
-    assert nl == 2
+    x0, (cand,), (lb, ub) = solve["x0"], solve["args"], solve["bounds"]
     assert np.array_equal(cand, np.repeat(np.arange(GRID_POINTS), 4))
     band = 2 * np.pi * 0.75 / (mom.t[-1] - mom.t[0])
     overlaps = 0
@@ -625,6 +614,39 @@ def test_every_start_stops_within_30_residual_calls(monkeypatch):
     assert state.converged
     assert np.all(solve["res"].status > 0)
     assert np.all(solve["calls"] <= 30), solve["calls"]
+
+
+def test_one_solve_fits_every_start_of_a_calm_sea(monkeypatch):
+    # with no line in the data the pursuit still seeds a second line, so
+    # every candidate has its four two-line starts and one least_squares
+    # call fits all twelve; the pursuit's old amplitude gate found no second
+    # line for one candidate here and fitted its two one-line starts apart
+    ship = make_ship(120.0, n_scatterers=24, seed=3)
+    cfg = ScenarioConfig(
+        duration=60.0, frame_interval=0.5, integration_time=0.5,
+        phi0=PHI0, theta0=THETA0, steady_aspect_rate=np.deg2rad(0.3),
+        noise=(0.2, 0.03, 0.02), seed=2)
+    mom = moments_series(simulate_degraded(ship, build_angle_track(cfg), cfg))
+    solves = _record_solves(monkeypatch)
+    _, state = estimate_angles(mom, PHI0, THETA0, period=10.0)
+    (solve,) = solves
+    assert solve["x0"].shape == (4 * GRID_POINTS, HEAD + 10)
+    assert np.array_equal(solve["args"][0], np.repeat(np.arange(GRID_POINTS), 4))
+    assert state.lines == pytest.approx((12.397, 13.297), abs=5e-4)
+    assert not state.converged
+
+
+@pytest.mark.parametrize("amplitudes_deg, line_s", [
+    ((1.0, 0.0), 12.0), ((0.0, 1.0), 10.0)], ids=["aspect-only", "tilt-only"])
+@pytest.mark.parametrize("seed", [11, 23, 1011])
+def test_one_line_sea_fits_its_line_first(seed, amplitudes_deg, line_s):
+    # a sea with one line still gets two-line starts; the first fitted line
+    # lands on the true one and the fit converges
+    _, _, mom = _canonical(seed, amplitudes_deg=amplitudes_deg)
+    _, state = estimate_angles(mom, PHI0, THETA0)
+    assert state.converged
+    assert len(state.lines) == 2
+    assert abs(state.lines[0] - line_s) <= 0.05
 
 
 @pytest.mark.parametrize("seed", [34, 1017])

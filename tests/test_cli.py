@@ -114,6 +114,11 @@ class TestSimulate:
         ({"ship": {"loa": 120.0, "n_scatters": 40}}, "ship.n_scatters"),
         ({"degradations": [{"kind": "bogey", "t_start": 1.0, "t_stop": 2.0,
                             "denisty": 9}]}, "degradations[0].denisty"),
+        # a null oscillation or beam used to run as no oscillation or as the
+        # rule-of-thumb beam; leaving the key out is how to ask for those
+        ({"aspect_osc": None}, "aspect_osc"),
+        ({"tilt_osc": None}, "tilt_osc"),
+        ({"ship": {"loa": 120.0, "beam": None}}, "ship.beam"),
     ])
     def test_bad_scenario_key_is_config_error(self, tmp_path, capsys, change,
                                               key):
@@ -135,6 +140,10 @@ class TestSimulate:
         ({"ship": {"loa": 120.0, "seed": True}}, "ship.seed"),
         ({"degradations": [{"kind": "bogey", "t_start": 1.0, "t_stop": 2.0,
                             "density": 6.9}]}, "degradations[0].density"),
+        # a negative seed failed in the simulator as a pipeline error (exit
+        # 4), or as a config error that named no key
+        ({"seed": -1}, "seed"),
+        ({"ship": {"loa": 120.0, "seed": -1}}, "ship.seed"),
     ])
     def test_mistyped_scenario_value_is_config_error(self, tmp_path, capsys,
                                                      change, key):
@@ -143,6 +152,21 @@ class TestSimulate:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2.7, True])
+    def test_run_seed_must_be_a_non_negative_integer(self, tmp_path, seed):
+        # the library path truncated 2.7 to 2 and took True as 1
+        with pytest.raises(isarpose.runner.ConfigError,
+                           match="seed must be a non-negative integer"):
+            isarpose.runner.RunConfig(mode="simulate", output_dir=str(tmp_path),
+                                      scenario=SCENARIO, seed=seed)
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        code = main(["simulate", "--config", _write_config(tmp_path, SCENARIO),
+                     "--out", str(tmp_path / "out"), "--seed", "-1"])
+        assert code == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_integral_float_count_is_accepted(self):
