@@ -9,6 +9,7 @@ one explicit runtime budget.
 
 from __future__ import annotations
 
+import dataclasses
 import filecmp
 import math
 import tempfile
@@ -178,8 +179,9 @@ def check_pose_round_trip() -> tuple[bool, str]:
     coords = np.array([(s.x0, s.y0, s.z0) for s in ship.scatterers])
     m, cond = motion_matrix(track, cfg.integration_time)
     worst, n_ok, best_k, best_cond = 0.0, 0, 0, np.inf
+    mom = moments_series(dwell)   # zero report sigmas: nothing is debiased
     for k, fr in enumerate(dwell.frames):
-        sol = invert_frame(fr, frame_moments(fr), m[k], cond[k], noise)
+        sol = invert_frame(fr, mom[k], m[k], cond[k], noise)
         if sol.xyz is None:
             continue
         truth = coords[fr.reports.truth_id]
@@ -189,7 +191,7 @@ def check_pose_round_trip() -> tuple[bool, str]:
         if cond[k] < best_cond:
             best_cond, best_k = cond[k], k
     fr = dwell.frames[best_k]
-    base = invert_frame(fr, frame_moments(fr), m[best_k], cond[best_k], noise)
+    base = invert_frame(fr, mom[best_k], m[best_k], cond[best_k], noise)
     rng = np.random.default_rng(0)
     diffs = []
     reps = fr.reports
@@ -198,10 +200,9 @@ def check_pose_round_trip() -> tuple[bool, str]:
         d = rng.normal(0.0, noise, size=(len(reps), 3))
         noisy = report_array(reps.t, reps.snr, reps.r + d[:, 0],
                              reps.f + d[:, 1], reps.a + d[:, 2], reps.truth_id)
-        noisy_fr = Frame(index=fr.index, t=fr.t,
-                         integration_time=fr.integration_time, reports=noisy)
-        sol = invert_frame(noisy_fr, frame_moments(noisy_fr), m[best_k],
-                           cond[best_k], noise)
+        noisy_fr = Frame(noisy)
+        sol = invert_frame(noisy_fr, frame_moments(noisy_fr, mom.t[best_k]),
+                           m[best_k], cond[best_k], noise)
         diffs.append(sol.xyz - base.xyz)
     emp = np.array(diffs).reshape(-1, 3).var(axis=0)
     ratio = emp / np.asarray(base.noise_var)
@@ -257,9 +258,9 @@ def check_frame_classification() -> tuple[bool, str]:
         f"line: {pearls_frac:.0%} StringOfPearls")
 
 
-def _noisy_pipeline(dwell, phi0, theta0):
+def _noisy_pipeline(dwell):
     mom = moments_series(dwell)
-    est, state = estimate_angles(mom, phi0, theta0)
+    est, state = estimate_angles(mom, dwell.phi0, dwell.theta0)
     model = model_covariances(est, state.bsq_est, state.hsq_est)
     bf = badfit(mom, consistency_synth(mom), model.d)
     loa = estimate_loa(dwell, est, bf)
@@ -272,13 +273,11 @@ def check_confuser_gating() -> tuple[bool, str]:
     sim_noise = (0.3, 0.05, 0.05)
     cfg_c = _ideal_config(noise=sim_noise, seed=11)
     track_c = build_angle_track(cfg_c)
-    _, bf_c, loa_c = _noisy_pipeline(simulate_degraded(ship, track_c, cfg_c),
-                                     cfg_c.phi0, cfg_c.theta0)
+    _, bf_c, loa_c = _noisy_pipeline(simulate_degraded(ship, track_c, cfg_c))
     bogey = DegradationSpec(kind="bogey", t_start=20.0, t_stop=25.0)
     cfg_b = _ideal_config(noise=sim_noise, seed=11, injectors=(bogey,))
     track_b = build_angle_track(cfg_b)
-    mom_b, bf_b, loa_b = _noisy_pipeline(simulate_degraded(ship, track_b, cfg_b),
-                                         cfg_b.phi0, cfg_b.theta0)
+    mom_b, bf_b, loa_b = _noisy_pipeline(simulate_degraded(ship, track_b, cfg_b))
     t = mom_b.t
     win = (t >= 20.0) & (t < 25.0)
     frac_win = float(bf_b.flagged[win].mean())
@@ -293,7 +292,7 @@ def _ghost_dwell(dwell: Dwell, seed=3) -> Dwell:
     """Weak intermittent returns just beyond the far end of the ship."""
     rng = np.random.default_rng(seed)
     frames = []
-    for k, fr in enumerate(dwell.frames):
+    for k, (fr, tk) in enumerate(zip(dwell.frames, dwell.t.tolist())):
         reports = fr.reports
         if k % 2 == 0 and len(reports):
             r_far = reports.r.max()
@@ -301,15 +300,10 @@ def _ghost_dwell(dwell: Dwell, seed=3) -> Dwell:
             r, f, a = np.array([(r_far + rng.uniform(2.0, 8.0),
                                  rng.normal(0, 0.2), rng.normal(0, 0.1))
                                 for _ in range(2)]).T
-            ghosts = report_array(fr.t, np.median(reports.snr) - 3.0, r, f, a)
+            ghosts = report_array(tk, np.median(reports.snr) - 3.0, r, f, a)
             reports = np.concatenate([reports, ghosts])
-        frames.append(Frame(index=fr.index, t=fr.t,
-                            integration_time=fr.integration_time,
-                            reports=reports))
-    return Dwell(tuple(frames), phi0=dwell.phi0, theta0=dwell.theta0,
-                 range_resolution=dwell.range_resolution,
-                 frame_interval=dwell.frame_interval,
-                 report_sigmas=dwell.report_sigmas)
+        frames.append(Frame(reports))
+    return dataclasses.replace(dwell, frames=tuple(frames))
 
 
 def check_length_accuracy() -> tuple[bool, str]:
@@ -318,17 +312,16 @@ def check_length_accuracy() -> tuple[bool, str]:
     ship = _ideal_ship()
     cfg0 = _ideal_config()
     track0 = build_angle_track(cfg0)
-    _, _, loa0 = _noisy_pipeline(simulate_perfect(ship, track0, cfg0),
-                                 cfg0.phi0, cfg0.theta0)
+    _, _, loa0 = _noisy_pipeline(simulate_perfect(ship, track0, cfg0))
     err0 = abs(loa0.loa - LOA_M)
 
     cfg_n = _ideal_config(noise=(0.5, 0.05, 0.05), seed=11)
     track_n = build_angle_track(cfg_n)
     dwell_n = simulate_degraded(ship, track_n, cfg_n)
-    _, _, loa_n = _noisy_pipeline(dwell_n, cfg_n.phi0, cfg_n.theta0)
+    _, _, loa_n = _noisy_pipeline(dwell_n)
     err_n = abs(loa_n.loa - LOA_M) / LOA_M
 
-    _, _, loa_g = _noisy_pipeline(_ghost_dwell(dwell_n), cfg_n.phi0, cfg_n.theta0)
+    _, _, loa_g = _noisy_pipeline(_ghost_dwell(dwell_n))
     ok = (err0 <= cfg0.range_resolution and err_n <= 0.03
           and loa_g.rmin_std < loa_g.rmax_std)
     return ok, (f"clean err {err0:.2f} m (cell {cfg0.range_resolution} m), "

@@ -625,14 +625,6 @@ def _fit_result(t: np.ndarray, low: LowpassAspect, x: np.ndarray, theta0: float,
         flags=flags)
 
 
-def _interp_invalid(t: np.ndarray, y: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    out = np.array(y, dtype=float)
-    bad = ~valid
-    if bad.any():
-        out[bad] = np.interp(t[bad], t[valid], y[valid])
-    return out
-
-
 def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
                     *, period: float | None = None) -> tuple[AngleTrack, FitState]:
     """Full angle history from a moments_series table.
@@ -648,8 +640,9 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
     t, valid = mom.t, mom.valid
     if valid.sum() < 8:
         raise ValueError("too few valid frames for angle estimation")
-    cov_rf = _interp_invalid(t, mom.cov_rf, valid)
-    d_data = _interp_invalid(t, mom.d_intrinsic, valid)
+    # np.interp returns a valid sample's own value at its time, bit for bit
+    cov_rf = np.interp(t, t[valid], mom.cov_rf[valid])
+    d_data = np.interp(t, t[valid], mom.d_intrinsic[valid])
     span = t[-1] - t[0]
 
     if period is None:

@@ -7,16 +7,17 @@ three or none, each a finite number >= 0. A reader that ignores them reads
 the file correctly, so they need no new version. Angles cross the file
 boundary in degrees; everything in memory is radians. Report rows are
 frame_index,t,snr_db,range_m,doppler_mps,accel_mps2 with an optional
-truth_id column; a doppler_width_mps column is accepted and ignored. Floats
-are written with shortest round-trip repr, so save -> load -> save is
-byte-identical. Neither direction holds the file as one text. The writer
-gives one ASCII byte chunk per frame. The reader takes the report lines
-from the open file in blocks of _BLOCK_ROWS; each block is parsed by one
-np.loadtxt call, checked with whole-column masks and kept as one
-REPORT_DTYPE record array, which each of its frames slices (a frame that
-spans blocks joins its slices). The first malformed line, a non-finite
-field included, is named by its line number. Numbers are ASCII decimals:
-'_' separators and a frame_index beyond int64 are rejected.
+truth_id column; a doppler_width_mps column is accepted and ignored. Frame
+k is frame_index k. Floats are written with shortest round-trip repr, so a
+dwell whose reports pass the row checks loads back as saved, and save ->
+load -> save is byte-identical. Neither direction holds the file as one
+text. The writer gives one ASCII byte chunk per frame. The reader takes
+the report lines from the open file in blocks of _BLOCK_ROWS; each block
+is parsed by one np.loadtxt call, checked with whole-column masks and kept
+as one REPORT_DTYPE record array, which each of its frames slices (a frame
+that spans blocks joins its slices). The first malformed line, a
+non-finite field included, is named by its line number. Numbers are ASCII
+decimals: '_' separators and a frame_index beyond int64 are rejected.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def dwell_text(dwell: Dwell) -> list[bytes]:
         "version": FORMAT_VERSION,
         "n_frames": len(dwell.frames),
         "frame_interval": dwell.frame_interval,
-        "integration_time": dwell.frames[0].integration_time,
+        "integration_time": dwell.integration_time,
         "phi0_deg": _exact_degrees(dwell.phi0),
         "theta0_deg": _exact_degrees(dwell.theta0),
         "range_resolution_m": dwell.range_resolution,
@@ -85,11 +86,11 @@ def dwell_text(dwell: Dwell) -> list[bytes]:
     cols = _COLUMNS + (("truth_id",) if with_truth else ())
     chunks = [f"{json.dumps(header, sort_keys=True)}\n{','.join(cols)}\n"
               .encode("ascii")]
-    for fr in dwell.frames:
+    for k, fr in enumerate(dwell.frames):
         rows = []
         # tolist() yields Python floats, whose repr is the shortest round trip
         for t, snr, r, f, a, truth in fr.reports.tolist():
-            row = f"{fr.index},{t!r},{snr!r},{r!r},{f!r},{a!r}"
+            row = f"{k},{t!r},{snr!r},{r!r},{f!r},{a!r}"
             if with_truth:
                 row += f",{truth}" if truth >= 0 else ","
             rows.append(row + "\n")
@@ -117,8 +118,8 @@ def _parse_header(line: str) -> dict:
     if int(header["n_frames"]) < 1:
         raise ValueError("line 1: n_frames must be at least 1")
     for key in ("frame_interval", "integration_time", "range_resolution_m"):
-        if header[key] <= 0:
-            raise ValueError(f"line 1: header '{key}' must be positive")
+        if not 0 < header[key] <= sys.float_info.max:
+            raise ValueError(f"line 1: header '{key}' must be positive and finite")
     sigmas = [key for key in _SIGMA_KEYS if key in header]
     if sigmas and len(sigmas) < len(_SIGMA_KEYS):
         raise ValueError(f"line 1: header needs all of {', '.join(_SIGMA_KEYS)} "
@@ -316,15 +317,14 @@ def _read_dwell(lines: Iterator[str]) -> Dwell:
             parts[k].append(reports[bounds[k]:bounds[k + 1]])
     no_reports = report_array(*(np.zeros(0),) * 5)
     frames = tuple(
-        Frame(index=k, t=(k + 0.5) * interval,
-              integration_time=float(header["integration_time"]),
-              reports=p[0] if len(p) == 1 else np.concatenate([no_reports] + p))
-        for k, p in enumerate(parts))
+        Frame(p[0] if len(p) == 1 else np.concatenate([no_reports] + p))
+        for p in parts)
     return Dwell(frames=frames,
                  phi0=math.radians(float(header["phi0_deg"])),
                  theta0=math.radians(float(header["theta0_deg"])),
                  range_resolution=float(header["range_resolution_m"]),
                  frame_interval=interval,
+                 integration_time=float(header["integration_time"]),
                  report_sigmas=(tuple(header[key] for key in _SIGMA_KEYS)
                                 if _SIGMA_KEYS[0] in header else None))
 

@@ -141,25 +141,15 @@ def estimate_loa(dwell: Dwell, track, badfit_series=None) -> LengthEstimate:
 
     if usable.sum() < 5:
         raise ValueError("insufficient frames for length estimation")
-    beam = 0.0
-    second = series(beam)
-    loa = double_median(second)
-    for _ in range(4):
-        beam = beam_rule(loa)
+    loa = None
+    for _ in range(5):
+        beam = 0.0 if loa is None else beam_rule(loa)
         second = series(beam)
         loa = double_median(second)
 
-    r_min = np.where(usable, r_lo, np.nan)
-    r_max = np.where(usable, r_hi, np.nan)
-
-    def extent_std(x: np.ndarray) -> float:
-        x = x[np.isfinite(x)]
-        if x.size < 3:
-            return float("nan")
-        return float(np.std(x))
-
+    # usable frames have finite extents, and at least five of them
     return LengthEstimate(loa=loa, loa_series=second,
-                          rmin_std=extent_std(r_min),
-                          rmax_std=extent_std(r_max),
+                          rmin_std=float(np.std(r_lo[usable])),
+                          rmax_std=float(np.std(r_hi[usable])),
                           frames_used=int(usable.sum()),
                           width_correction=beam)

@@ -51,10 +51,11 @@ def _weights(snr_db: np.ndarray, weighting: str) -> np.ndarray:
     raise ValueError(f"unknown weighting: {weighting}")
 
 
-def _row(frame: Frame, weighting: str, var_r: float, var_f: float) -> tuple:
-    """One MOMENT_DTYPE record of a frame, as a tuple in field order, with
-    the noise floors of the report variances var_r (m^2) and var_f
-    (m^2/s^2) removed from <rr> and <ff>.
+def _row(frame: Frame, t: float, weighting: str, var_r: float,
+         var_f: float) -> tuple:
+    """One MOMENT_DTYPE record of a frame at time t (s), as a tuple in
+    field order, with the noise floors of the report variances var_r (m^2)
+    and var_f (m^2/s^2) removed from <rr> and <ff>.
 
     The focus coefficients solve the centered normal equations directly:
         a_r = (<ra><ff> - <fa><rf>) / Det,  a_f = (<fa><rr> - <ra><rf>) / Det
@@ -64,7 +65,7 @@ def _row(frame: Frame, weighting: str, var_r: float, var_f: float) -> tuple:
     # plain-array field reads: a recarray attribute read costs ~30x more
     reports = frame.reports.view(np.ndarray)
     n = len(reports)
-    invalid = (frame.t, n, False) + (0.0,) * (len(MOMENT_DTYPE) - 3)
+    invalid = (t, n, False) + (0.0,) * (len(MOMENT_DTYPE) - 3)
     if n < 3:
         return invalid
     w = _weights(reports["snr"], weighting)
@@ -93,7 +94,7 @@ def _row(frame: Frame, weighting: str, var_r: float, var_f: float) -> tuple:
     det = rr * ff * max(1.0 - rf * rf / (rr * ff), 0.02)
     a_r = (ra * ff - fa * rf) / det
     a_f = (fa * rr - ra * rf) / det
-    return (frame.t, n, True, cov_rf, cov_ff, ra / rr, fa / rr, crf,
+    return (t, n, True, cov_rf, cov_ff, ra / rr, fa / rr, crf,
             cov_ff - cov_rf ** 2, rr, r_min, r_max, a_r, a_f)
 
 
@@ -103,10 +104,11 @@ def _table(rows: list[tuple]) -> np.recarray:
     return out
 
 
-def frame_moments(frame: Frame, weighting: str = "uniform") -> np.record:
-    """Scaled covariances of a single frame as one MOMENT_DTYPE record;
-    invalid when under-populated. No noise floor is removed."""
-    return _table([_row(frame, weighting, 0.0, 0.0)])[0]
+def frame_moments(frame: Frame, t: float,
+                  weighting: str = "uniform") -> np.record:
+    """Scaled covariances of a single frame at time t (s) as one MOMENT_DTYPE
+    record; invalid when under-populated. No noise floor is removed."""
+    return _table([_row(frame, t, weighting, 0.0, 0.0)])[0]
 
 
 def moments_series(dwell: Dwell, weighting: str = "uniform") -> np.recarray:
@@ -115,8 +117,8 @@ def moments_series(dwell: Dwell, weighting: str = "uniform") -> np.recarray:
     noise floor of the dwell's report_sigmas is removed; a dwell without
     them is not debiased."""
     sig_r, sig_f, _ = dwell.report_sigmas or (0.0, 0.0, 0.0)
-    return _table([_row(fr, weighting, sig_r ** 2, sig_f ** 2)
-                   for fr in dwell.frames])
+    return _table([_row(fr, t, weighting, sig_r ** 2, sig_f ** 2)
+                   for fr, t in zip(dwell.frames, dwell.t.tolist())])
 
 
 def time_derivative(t: np.ndarray, y: np.ndarray,

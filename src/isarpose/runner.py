@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -48,10 +49,17 @@ class PipelineError(Exception):
 
 
 def is_number(value) -> bool:
-    """True for a finite int or float, which JSON numbers load as; not a
-    bool, and not the NaN or Infinity that Python's json also reads."""
+    """True for an int or float that is finite as a float, which JSON numbers
+    load as; not a bool, nor the NaN or Infinity that Python's json reads."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
+def _number(value) -> float:
+    # a finite JSON number only: float() also reads "20", NaN and Infinity
+    if not is_number(value):
+        raise TypeError(f"expected a finite number, got {value!r}")
+    return float(value)
 
 
 def _flag(value) -> bool:
@@ -141,7 +149,7 @@ def _section(d, where: str, keys: tuple[str, ...]):
             raise ConfigError(f"unknown scenario key '{path(key)}' "
                               f"(allowed: {', '.join(keys)})")
 
-    def get(key, default=None, kind=float):
+    def get(key, default=None, kind=_number):
         if key not in d and default is None:
             raise ConfigError(f"scenario missing '{path(key)}'")
         try:
@@ -248,9 +256,6 @@ class _Outputs:
     def add_text(self, name: str, text: str) -> None:
         self.add_chunks(name, [text.encode("utf-8")])
 
-    def add_pgm(self, name: str, grid: np.ndarray) -> None:
-        self.add_chunks(name, [pgm_bytes(grid)])
-
     def manifest(self) -> tuple[str, ...]:
         return tuple(sorted(name for name, _ in self.items))
 
@@ -319,7 +324,7 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
         raise PipelineError("validation", str(exc)) from exc
 
     try:
-        T = dwell.frames[0].integration_time
+        T = dwell.integration_time
         # all-zero sigmas (a perfect dwell) would make every score infinite
         noise = (sigmas if any(sigmas or ())
                  else report_noise(dwell.range_resolution, T))
@@ -389,7 +394,7 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
         "usable": np.isfinite(loa_series)}))
     for img in composites:
         base = f"composite_{img.kind.value.lower()}"
-        out.add_pgm(base + ".pgm", img.grid)
+        out.add_chunks(base + ".pgm", [pgm_bytes(img.grid)])
         out.add_text(base + ".json", _json_text({
             "kind": img.kind.value,
             "cell_m": float(img.range_axis[1] - img.range_axis[0])

@@ -2,7 +2,7 @@
 
 Drydock coordinates: x alongship (m), y cross-ship (m), z height (m).
 All angles in radians. All types are immutable value data and safe to
-share between threads.
+share between threads. A frame is its reports; its dwell holds the rest.
 """
 
 from __future__ import annotations
@@ -89,9 +89,9 @@ class AngleTrack:
                 and np.all(np.abs(samples.theta) < math.pi / 2)):
             raise ValueError("angles must satisfy |phi|, |theta| < pi/2")
         steps = np.diff(samples.t)
-        # Dwell lets each frame step stray 1e-9 of its interval (relative
-        # past 1 s), so two steps of an accepted dwell differ by at most
-        # 2e-9 of it; 3e-9 of the largest step keeps every such dwell
+        # frame times (k + 0.5) * interval are rounded products, so the
+        # steps of a uniform grid differ in their last bits only; 3e-9 of
+        # the largest step (relative past 1 s) is far above that rounding
         if steps.size and not (steps.min() > 0 and np.ptp(steps)
                                <= 3e-9 * max(1.0, float(steps.max()))):
             raise ValueError("sample times must increase in uniform steps")
@@ -114,15 +114,12 @@ def report_array(t, snr, r, f, a, truth_id=-1) -> np.recarray:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """All reports of one image frame plus its integration time T (s).
+    """All reports of one image frame; its index and times are its dwell's.
 
     reports is a read-only REPORT_DTYPE record array, so each field is one
     column (fr.reports.r); every float field must be finite.
     """
 
-    index: int
-    t: float
-    integration_time: float
     reports: np.recarray
 
     def __post_init__(self):
@@ -131,16 +128,18 @@ class Frame:
             raise ValueError("reports must be a 1-D REPORT_DTYPE array")
         if not all(np.isfinite(reports[name]).all()
                    for name in ("t", "snr", "r", "f", "a")):
-            raise ValueError(f"frame {self.index}: report fields must be finite")
+            raise ValueError("report fields must be finite")
         reports.flags.writeable = False
         object.__setattr__(self, "reports", reports)
 
 
 @dataclass(frozen=True)
 class Dwell:
-    """One continuous observation: uniformly spaced frames plus metadata.
+    """One continuous observation: at least one frame plus metadata.
 
-    phi0/theta0 are the externally supplied mean aspect/tilt (rad).
+    Frame k is centred at t[k] = (k + 0.5) * frame_interval and integrates
+    for integration_time (both s, positive and finite). phi0/theta0 are the
+    externally supplied mean aspect/tilt (rad).
     report_sigmas are the nominal report noise sigmas (range m, Doppler
     m/s, acceleration m/s^2), each finite and >= 0, or None when unknown.
     """
@@ -150,19 +149,27 @@ class Dwell:
     theta0: float
     range_resolution: float
     frame_interval: float
+    integration_time: float
     report_sigmas: tuple[float, float, float] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "frames", tuple(self.frames))
+        if not self.frames:
+            raise ValueError("a dwell needs at least one frame")
+        if not all(0 < v < math.inf for v in (self.frame_interval,
+                                              self.integration_time)):
+            raise ValueError("frame_interval and integration_time must be "
+                             "positive and finite")
         if self.report_sigmas is not None:
             sig = tuple(float(s) for s in self.report_sigmas)
             if len(sig) != 3 or not all(math.isfinite(s) and s >= 0 for s in sig):
                 raise ValueError("report sigmas must be three finite numbers >= 0")
             object.__setattr__(self, "report_sigmas", sig)
-        ts = [fr.t for fr in self.frames]
-        for a, b in zip(ts, ts[1:]):
-            if abs((b - a) - self.frame_interval) > 1e-9 * max(1.0, self.frame_interval):
-                raise ValueError("frame times must be uniformly spaced")
+
+    @property
+    def t(self) -> np.ndarray:
+        """Frame-centre times (s), one per frame."""
+        return (np.arange(len(self.frames)) + 0.5) * self.frame_interval
 
 
 def ship_moments(model: ShipModel) -> tuple[float, float, float]:

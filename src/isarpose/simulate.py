@@ -78,11 +78,18 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "injectors", tuple(self.injectors))
-        if self.duration <= 0 or self.frame_interval <= 0 or self.integration_time <= 0:
-            raise ValueError("duration, frame_interval, integration_time must be positive")
+        if not all(0 < v < math.inf for v in (
+                self.duration, self.frame_interval, self.integration_time)):
+            raise ValueError("duration, frame_interval, integration_time must "
+                             "be positive and finite")
+        if self.n_frames < 1:
+            raise ValueError("'duration' is shorter than one 'frame_interval'")
         if not all(math.isfinite(s) and s >= 0 for s in self.noise):
             raise ValueError("noise sigmas must be finite and >= 0")
-        for amp, period in (self.aspect_osc, self.tilt_osc):
+        for name in ("aspect_osc", "tilt_osc"):
+            amp, period = getattr(self, name)
+            if not 0 < period < math.inf:
+                raise ValueError(f"'{name}' period must be positive and finite")
             if amp != 0.0 and period <= 2 * self.frame_interval:
                 raise ValueError("oscillation period must exceed 2x frame interval")
         for spec in self.injectors:
@@ -191,13 +198,13 @@ def simulate_perfect(model: ShipModel, track: AngleTrack,
     vals = _exact_rfa(model, track)
     ids = np.arange(len(model.scatterers))
     frames = tuple(
-        Frame(index=k, t=tk, integration_time=cfg.integration_time,
-              reports=report_array(tk, BASE_SNR_DB, vals[k, :, 0],
-                                   vals[k, :, 1], vals[k, :, 2], ids))
+        Frame(report_array(tk, BASE_SNR_DB, vals[k, :, 0], vals[k, :, 1],
+                           vals[k, :, 2], ids))
         for k, tk in enumerate(track.samples.t.tolist()))
     return Dwell(frames, phi0=cfg.phi0, theta0=cfg.theta0,
                  range_resolution=cfg.range_resolution,
                  frame_interval=cfg.frame_interval,
+                 integration_time=cfg.integration_time,
                  report_sigmas=(0.0, 0.0, 0.0))
 
 
@@ -265,9 +272,9 @@ def simulate_degraded(model: ShipModel, track: AngleTrack,
                          vals[k, keep, 1] + df[keep],
                          vals[k, keep, 2] + da[keep], keep),
             report_array(tk, *extra.reshape(-1, 4).T)])
-        frames.append(Frame(index=k, t=tk,
-                            integration_time=cfg.integration_time,
-                            reports=reports))
+        frames.append(Frame(reports))
     return Dwell(tuple(frames), phi0=cfg.phi0, theta0=cfg.theta0,
                  range_resolution=cfg.range_resolution,
-                 frame_interval=cfg.frame_interval, report_sigmas=cfg.noise)
+                 frame_interval=cfg.frame_interval,
+                 integration_time=cfg.integration_time,
+                 report_sigmas=cfg.noise)

@@ -13,7 +13,7 @@ from isarpose.angles import (GRID_POINTS, HEAD, LM_TOL, NPOLY, _covs_of,
 from isarpose.bands import chapeau_band_split
 from isarpose.moments import moments_series
 from isarpose.motion import motion_rows, range_rate_rows, track_rows
-from isarpose.ship import AngleTrack, Dwell, Frame, angle_array, ship_moments
+from isarpose.ship import AngleTrack, angle_array, ship_moments
 from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
                                simulate_degraded, simulate_perfect)
 from tests.conftest import PHI0, THETA0
@@ -414,22 +414,6 @@ class TestEstimateAngles:
             state.phi_mean + state.phi_hat, -lim, lim))
         assert np.array_equal(track.samples.theta, np.clip(
             THETA0 + state.theta_hat, -lim, lim))
-
-    def test_jittered_frame_times_pass_through(self, ideal_dwell):
-        # the dwell takes a frame 0.9 ns off its slot (its tolerance is
-        # 1e-9 s), so the track built on those times must take it too
-        frames = list(ideal_dwell.frames)
-        fr = frames[1]
-        frames[1] = Frame(index=fr.index, t=fr.t + 0.9e-9,
-                          integration_time=fr.integration_time,
-                          reports=fr.reports)
-        dwell = Dwell(tuple(frames), phi0=ideal_dwell.phi0,
-                      theta0=ideal_dwell.theta0,
-                      range_resolution=ideal_dwell.range_resolution,
-                      frame_interval=ideal_dwell.frame_interval)
-        track, state = estimate_angles(moments_series(dwell), PHI0, THETA0)
-        assert track.samples.t[1] == fr.t + 0.9e-9
-        assert state.converged
 
     def test_recovers_shape_ratios(self, ideal_fit, ideal_ship):
         _, state = ideal_fit

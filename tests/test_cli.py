@@ -144,6 +144,25 @@ class TestSimulate:
         # 4), or as a config error that named no key
         ({"seed": -1}, "seed"),
         ({"ship": {"loa": 120.0, "seed": -1}}, "ship.seed"),
+        # Infinity overflowed in the frame count (exit 1); NaN failed later
+        # in the pipeline (exit 4) with a message that named no key
+        ({"duration": math.inf}, "duration"),
+        ({"duration": math.nan}, "duration"),
+        ({"phi0_deg": math.nan}, "phi0_deg"),
+        ({"tilt_osc": {"amplitude_deg": 1.0, "period_s": math.nan}},
+         "tilt_osc.period_s"),
+        # a numeric string was read as its number, and an integer too large
+        # for a float overflowed in the finite check (exit 1)
+        ({"duration": "30"}, "duration"),
+        ({"phi0_deg": 10 ** 400}, "phi0_deg"),
+        # under one frame: a perfect dwell failed writing the file (exit 1),
+        # a degraded one in the simulator (exit 4)
+        ({"duration": 0.3}, "duration"),
+        ({"duration": 0.3, "perfect": True}, "duration"),
+        # a zero period divided by zero even at zero amplitude (exit 1)
+        ({"tilt_osc": {"amplitude_deg": 0.0, "period_s": 0.0}}, "tilt_osc"),
+        ({"aspect_osc": {"amplitude_deg": 0.0, "period_s": -12.0}},
+         "aspect_osc"),
     ])
     def test_mistyped_scenario_value_is_config_error(self, tmp_path, capsys,
                                                      change, key):
@@ -259,13 +278,12 @@ class TestSimulate:
         def gappy(*args):
             dwell = real(*args)
             frames = []
-            for fr in dwell.frames:
-                reports = fr.reports[:0] if fr.index in empty else fr.reports
+            for k, fr in enumerate(dwell.frames):
+                reports = fr.reports[:0] if k in empty else fr.reports
                 if not truth:
                     reports = reports.copy()
                     reports.truth_id = -1
-                frames.append(Frame(fr.index, fr.t, fr.integration_time,
-                                    reports))
+                frames.append(Frame(reports))
             simulated.append(dataclasses.replace(dwell, frames=tuple(frames)))
             return simulated[-1]
 
@@ -333,7 +351,8 @@ class TestAnalyze:
         pearls = [float(row["pearls_score"])
                   for row in _rows(out / "classes.csv")]
         dwell = load_dwell(str(sim_dir / "dwell.csv"))
-        uniform = [frame_moments(fr).crf for fr in dwell.frames]
+        uniform = [frame_moments(fr, t).crf
+                   for fr, t in zip(dwell.frames, dwell.t)]
         assert max(abs(a - b) for a, b in zip(crf, uniform)) > 1e-3
         scored = [(c, p) for c, p in zip(crf, pearls) if p > 0]
         assert scored
@@ -353,7 +372,8 @@ class TestAnalyze:
         assert "report noise unknown: moments not debiased" in report["flags"]
         cov_ff = [float(row["cov_ff"])
                   for row in _rows(out / "covariances.csv")]
-        assert cov_ff == [frame_moments(fr).cov_ff for fr in dwell.frames]
+        assert cov_ff == [frame_moments(fr, t).cov_ff
+                          for fr, t in zip(dwell.frames, dwell.t)]
         sim_report = json.loads((sim_dir / "run_report.json").read_text())
         assert not any("report noise" in f for f in sim_report["flags"])
 
@@ -451,7 +471,7 @@ class TestReportSigmas:
         dwell = load_dwell(str(canonical_dir / "dwell.csv"))
         mom = moments_series(dwell)
         track, _ = estimate_angles(mom, dwell.phi0, dwell.theta0)
-        T = dwell.frames[0].integration_time
+        T = dwell.integration_time
         m, cond = motion_matrix(track, T)
         flagged = [row["flagged"] == "1"
                    for row in _rows(canonical_dir / "badfit.csv")]

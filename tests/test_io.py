@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import isarpose.io
 from isarpose.io import _lines, dwell_text, load_dwell, pgm_bytes, save_dwell
+from isarpose.moments import moments_series
 from isarpose.ship import Dwell, Frame, report_array
 
 _val = st.floats(min_value=-1e6, max_value=1e6,
@@ -33,7 +34,8 @@ def small_blocks(request, monkeypatch):
 
 
 def _dwell(rows, interval=0.5, phi0=math.radians(45.0),
-           theta0=math.radians(30.0), truth_ids=None, report_sigmas=None):
+           theta0=math.radians(30.0), truth_ids=None, report_sigmas=None,
+           integration_time=0.5):
     """rows: per-frame list of (snr, r, f, a) tuples; truth_ids: per-frame
     lists of ids (-1 for none), or None for a dwell without truth."""
     frames = []
@@ -41,10 +43,10 @@ def _dwell(rows, interval=0.5, phi0=math.radians(45.0),
         t = (k + 0.5) * interval
         snr, r, f, a = np.array(frame_rows, dtype=float).reshape(-1, 4).T
         truth = -1 if truth_ids is None else truth_ids[k]
-        frames.append(Frame(index=k, t=t, integration_time=interval,
-                            reports=report_array(t, snr, r, f, a, truth)))
+        frames.append(Frame(report_array(t, snr, r, f, a, truth)))
     return Dwell(tuple(frames), phi0=phi0, theta0=theta0,
                  range_resolution=0.5, frame_interval=interval,
+                 integration_time=integration_time,
                  report_sigmas=report_sigmas)
 
 
@@ -59,8 +61,8 @@ def test_round_trip_preserves_every_field(tmp_path):
     assert back.theta0 == dwell.theta0
     assert back.frame_interval == dwell.frame_interval
     assert back.range_resolution == dwell.range_resolution
+    assert back.integration_time == dwell.integration_time
     for fa, fb in zip(dwell.frames, back.frames):
-        assert fa.integration_time == fb.integration_time
         # every field, truth_id included, bit for bit
         assert fa.reports.tobytes() == fb.reports.tobytes()
 
@@ -93,17 +95,29 @@ def test_dwell_without_sigmas_loads_with_none(tmp_path):
     assert load_dwell(path).report_sigmas is None
 
 
+_span = st.floats(min_value=1e-3, max_value=1e3)
+
+
 @given(st.lists(st.lists(st.tuples(_val, _val, _val, _val),
                          min_size=1, max_size=3),
-                min_size=1, max_size=4))
+                min_size=1, max_size=4), _span, _span)
 @settings(deadline=None, max_examples=30)
-def test_round_trip_property(tmp_path_factory, rows):
-    dwell = _dwell(rows)
+def test_round_trip_property(tmp_path_factory, rows, interval,
+                             integration_time):
+    dwell = _dwell(rows, interval=interval, integration_time=integration_time,
+                   report_sigmas=(0.3, 0.05, 0.0))
     path = tmp_path_factory.mktemp("io") / "d.csv"
     save_dwell(dwell, path)
     back = load_dwell(path)
-    assert ([fr.reports.tolist() for fr in back.frames]
-            == [fr.reports.tolist() for fr in dwell.frames])
+    # the loaded dwell as a whole: metadata, frame grid and every report
+    for name in ("phi0", "theta0", "range_resolution", "frame_interval",
+                 "integration_time", "report_sigmas"):
+        assert getattr(back, name) == getattr(dwell, name)
+    assert back.t.tobytes() == dwell.t.tobytes()
+    assert ([fr.reports.tobytes() for fr in back.frames]
+            == [fr.reports.tobytes() for fr in dwell.frames])
+    assert (moments_series(back).tobytes()
+            == moments_series(dwell).tobytes())
 
 
 def test_angles_cross_boundary_in_degrees(tmp_path):

@@ -1,5 +1,6 @@
 """Length estimation: projection correction, guards, dwell aggregation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from isarpose.length import (_extents, beam_rule, estimate_loa, frame_loa,
                              multipath_guard)
-from isarpose.ship import Dwell, Frame, report_array
+from isarpose.ship import Frame, report_array
 from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
                                simulate_perfect)
 from isarpose.validate import BadFitSeries
@@ -105,8 +106,7 @@ def test_grouped_screen_matches_per_frame_guard():
         if n >= 5 and k % 2 == 0:
             j = rng.integers(n)
             r[j], snr[j] = 300.0 + k, 5.0
-        frames.append(Frame(index=k, t=0.5 * k, integration_time=0.5,
-                            reports=report_array(0.5 * k, snr, r, 0.0, 0.0)))
+        frames.append(Frame(report_array(0.5 * k + 0.25, snr, r, 0.0, 0.0)))
     r_lo, r_hi = _extents(tuple(frames))
     dropped = 0
     for k, fr in enumerate(frames):
@@ -133,16 +133,11 @@ class TestEstimateLoa:
 
     def test_translation_invariance(self, ideal_dwell, ideal_track):
         shifted_frames = tuple(
-            Frame(index=fr.index, t=fr.t,
-                  integration_time=fr.integration_time,
-                  reports=report_array(
-                      fr.reports.t, fr.reports.snr, fr.reports.r + 500.0,
-                      fr.reports.f, fr.reports.a, fr.reports.truth_id))
+            Frame(report_array(
+                fr.reports.t, fr.reports.snr, fr.reports.r + 500.0,
+                fr.reports.f, fr.reports.a, fr.reports.truth_id))
             for fr in ideal_dwell.frames)
-        shifted = Dwell(shifted_frames, phi0=ideal_dwell.phi0,
-                        theta0=ideal_dwell.theta0,
-                        range_resolution=ideal_dwell.range_resolution,
-                        frame_interval=ideal_dwell.frame_interval)
+        shifted = dataclasses.replace(ideal_dwell, frames=shifted_frames)
         a = estimate_loa(ideal_dwell, ideal_track)
         b = estimate_loa(shifted, ideal_track)
         assert b.loa == pytest.approx(a.loa, rel=1e-12)

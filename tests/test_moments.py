@@ -15,9 +15,8 @@ _finite = st.floats(min_value=-100.0, max_value=100.0,
                     allow_nan=False, allow_infinity=False)
 
 
-def _frame(r, f, a, snr=None, t=0.25):
-    reports = report_array(t, 20.0 if snr is None else snr, r, f, a)
-    return Frame(index=0, t=t, integration_time=0.5, reports=reports)
+def _frame(r, f, a, snr=None):
+    return Frame(report_array(0.25, 20.0 if snr is None else snr, r, f, a))
 
 
 def test_uniform_moments_match_covariance_oracle():
@@ -25,7 +24,7 @@ def test_uniform_moments_match_covariance_oracle():
     f = [1.0, -3.0, 2.0, 0.0, -1.5]
     a = [0.5, 1.0, -2.0, 0.3, 0.9]
     c = np.cov(np.array([r, f, a]), bias=True)
-    mom = frame_moments(_frame(r, f, a))
+    mom = frame_moments(_frame(r, f, a), 0.25)
     assert mom.valid
     assert mom.n_targets == 5
     assert mom.cov_rf == pytest.approx(c[0, 1] / c[0, 0], rel=1e-12)
@@ -50,29 +49,30 @@ def test_snr_weighting_matches_weighted_oracle():
     rc = np.array(r) - w @ r
     fc = np.array(f) - w @ f
     rr = w @ rc ** 2
-    mom = frame_moments(_frame(r, f, a, snr=snr), weighting="snr")
+    mom = frame_moments(_frame(r, f, a, snr=snr), 0.25, weighting="snr")
     assert mom.cov_rf == pytest.approx((w @ (rc * fc)) / rr, rel=1e-12)
     assert mom.cov_ff == pytest.approx((w @ fc ** 2) / rr, rel=1e-12)
 
 
 def test_unknown_weighting_rejected():
     with pytest.raises(ValueError):
-        frame_moments(_frame([0, 1, 2], [0, 1, 2], [0, 1, 2]),
+        frame_moments(_frame([0, 1, 2], [0, 1, 2], [0, 1, 2]), 0.25,
                       weighting="magic")
 
 
 def test_underpopulated_or_spreadless_frames_invalid():
     assert not frame_moments(_frame([1.0, 2.0], [0.0, 0.0],
-                                    [0.0, 0.0])).valid
+                                    [0.0, 0.0]), 0.25).valid
     same_r = frame_moments(_frame([3.0] * 4, [0.0, 1.0, 2.0, 3.0],
-                                  [0.0] * 4))
+                                  [0.0] * 4), 0.25)
     assert not same_r.valid
     assert same_r.cov_rf == 0.0
 
 
 def _one_frame_dwell(frame, report_sigmas=None):
     return Dwell((frame,), phi0=0.7, theta0=0.5, range_resolution=0.5,
-                 frame_interval=0.5, report_sigmas=report_sigmas)
+                 frame_interval=0.5, integration_time=0.5,
+                 report_sigmas=report_sigmas)
 
 
 @pytest.mark.parametrize("weighting", ["uniform", "snr"])
@@ -86,7 +86,7 @@ def test_debiased_moments_remove_the_noise_floor(weighting):
          else 10.0 ** (np.array(snr) / 10.0))
     w = w / w.sum()
     sig = (0.5, 0.2, 0.1)
-    raw = frame_moments(frame, weighting)
+    raw = frame_moments(frame, 0.25, weighting)
     dwell = _one_frame_dwell(frame)
     mom = moments_series(dataclasses.replace(dwell, report_sigmas=sig),
                          weighting)[0]
@@ -140,7 +140,7 @@ def test_debiased_correlation_stays_within_one():
 @settings(deadline=None)
 def test_correlation_bounded_and_spread_nonnegative(rows):
     r, f, a = zip(*rows)
-    mom = frame_moments(_frame(r, f, a))
+    mom = frame_moments(_frame(r, f, a), 0.25)
     if mom.valid:
         assert abs(mom.crf) <= 1.0 + 1e-9
         assert mom.d_intrinsic >= -1e-9 * max(1.0, abs(mom.cov_ff))
@@ -151,7 +151,7 @@ def test_focus_coefficients_recover_exact_plane():
     r = rng.normal(size=12)
     f = rng.normal(size=12)
     a = 0.4 * r - 1.2 * f
-    mom = frame_moments(_frame(r, f, a))
+    mom = frame_moments(_frame(r, f, a), 0.25)
     assert mom.a_r == pytest.approx(0.4, abs=1e-9)
     assert mom.a_f == pytest.approx(-1.2, abs=1e-9)
 
@@ -161,7 +161,7 @@ def test_focus_coefficients_damped_near_collinearity():
     r = np.linspace(-4.0, 4.0, 9)
     f = 2.0 * r + 1e-6 * np.cos(np.arange(9))
     a = 0.3 * r
-    mom = frame_moments(_frame(r, f, a))
+    mom = frame_moments(_frame(r, f, a), 0.25)
     assert np.isfinite(mom.a_r) and np.isfinite(mom.a_f)
     assert abs(mom.a_r) < 1e3 and abs(mom.a_f) < 1e3
 
@@ -174,7 +174,7 @@ def test_moments_series_preserves_order_and_invalid_slots(ideal_dwell):
     dwell = dataclasses.replace(ideal_dwell, frames=frames)
     mom = moments_series(dwell)
     assert mom.dtype == MOMENT_DTYPE and len(mom) == len(frames)
-    assert np.array_equal(mom.t, [f.t for f in frames])
+    assert np.array_equal(mom.t, (np.arange(len(frames)) + 0.5) * 0.5)
     assert np.flatnonzero(~mom.valid).tolist() == [7]
     assert mom.n_targets[7] == 2
     numeric = [n for n in MOMENT_DTYPE.names
@@ -189,7 +189,8 @@ def test_moments_series_preserves_order_and_invalid_slots(ideal_dwell):
 def test_frame_moments_is_the_series_record(ideal_dwell, weighting):
     mom = moments_series(ideal_dwell, weighting)
     for k in (0, 7, len(mom) - 1):
-        one = frame_moments(ideal_dwell.frames[k], weighting)
+        one = frame_moments(ideal_dwell.frames[k], ideal_dwell.t[k],
+                            weighting)
         assert one.dtype == MOMENT_DTYPE
         assert one.tobytes() == mom[k].tobytes()
 

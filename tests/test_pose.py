@@ -34,8 +34,8 @@ def _one_state(T, t=0.0, phi=PHI0, theta=THETA0, **rates):
 
 def _invert_all(dwell, track, T, noise):
     m, cond = motion_matrix(track, T)
-    return [invert_frame(fr, frame_moments(fr), m[k], cond[k], noise)
-            for k, fr in enumerate(dwell.frames)]
+    return [invert_frame(fr, frame_moments(fr, t), m[k], cond[k], noise)
+            for k, (fr, t) in enumerate(zip(dwell.frames, dwell.t))]
 
 
 def _badfit_flags(flagged):
@@ -109,8 +109,8 @@ class TestInvertFrame:
         m, cond = motion_matrix(ideal_track, ideal_cfg.integration_time)
         k = int(np.argmin(cond))
         frame = ideal_dwell.frames[k]
-        sol = invert_frame(frame, frame_moments(frame), m[k], cond[k],
-                           (0.25, 0.03, 0.01))
+        sol = invert_frame(frame, frame_moments(frame, ideal_dwell.t[k]),
+                           m[k], cond[k], (0.25, 0.03, 0.01))
         truth = np.array([(s.x0, s.y0, s.z0) for s in ideal_ship.scatterers])
         truth = truth - truth.mean(axis=0)
         assert sol.xyz is not None
@@ -122,17 +122,17 @@ class TestInvertFrame:
         m, cond = motion_matrix(ideal_track, ideal_cfg.integration_time)
         k = int(np.argmin(cond))
         frame = ideal_dwell.frames[k]
-        sol = invert_frame(frame, frame_moments(frame), m[k], cond[k], noise)
+        sol = invert_frame(frame, frame_moments(frame, ideal_dwell.t[k]),
+                           m[k], cond[k], noise)
         assert sol.xyz is not None
         minv = np.linalg.inv(m[k])
         expect = (minv ** 2) @ np.array(noise) ** 2
         assert sol.noise_var == pytest.approx(tuple(expect), rel=1e-12)
 
     def test_underpopulated_frame_invalid(self):
-        frame = Frame(index=0, t=0.25, integration_time=0.5,
-                      reports=_reports([(1.0, 0.0, 0.0)]))
+        frame = Frame(_reports([(1.0, 0.0, 0.0)]))
         m, cond = _one_state(0.5, t=0.25, phi_dot=0.01, theta_dot=0.01)
-        sol = invert_frame(frame, frame_moments(frame), m, cond,
+        sol = invert_frame(frame, frame_moments(frame, 0.25), m, cond,
                            (0.25, 0.03, 0.01))
         assert sol.xyz is None
         assert sol.scores == (0.0, 0.0, 0.0)
@@ -142,7 +142,7 @@ class TestInvertFrame:
             self, ideal_dwell):
         m, cond = _one_state(0.5, t=0.25, theta_dot=1e-9)
         frame = ideal_dwell.frames[0]
-        sol = invert_frame(frame, frame_moments(frame), m, cond,
+        sol = invert_frame(frame, frame_moments(frame, 0.25), m, cond,
                            (0.25, 0.03, 0.01))
         assert sol.xyz is None
         assert sol.scores == (0.0, 0.0, 0.0)
@@ -155,9 +155,9 @@ class TestInvertFrame:
                             (2.0, 0.1, 0.05), (11.0, 0.9, 0.0),
                             (0.5, -0.6, 0.3)],
                            snr=np.array([30.0, 12.0, 12.0, 12.0, 12.0]))
-        frame = Frame(index=0, t=0.25, integration_time=0.5, reports=reports)
-        uniform = frame_moments(frame)
-        weighted = frame_moments(frame, weighting="snr")
+        frame = Frame(reports)
+        uniform = frame_moments(frame, 0.25)
+        weighted = frame_moments(frame, 0.25, weighting="snr")
         assert abs(weighted.crf - uniform.crf) > 0.1
         m, cond = _one_state(0.5, t=0.25, phi_dot=0.010, theta_dot=0.012,
                              phi_ddot=8e-3, theta_ddot=6e-3)
@@ -184,15 +184,14 @@ class TestInvertFrame:
             err = []
             for _ in range(400):
                 rfa = rfa0 + rng.normal(size=rfa0.shape) * np.array(noise)
-                frame = Frame(index=0, t=0.25, integration_time=T,
-                              reports=_reports(rfa))
-                sol = invert_frame(frame, frame_moments(frame), m, cond, noise)
+                frame = Frame(_reports(rfa))
+                sol = invert_frame(frame, frame_moments(frame, 0.0), m, cond,
+                                   noise)
                 centered = truth - truth.mean(axis=0)
                 err.append(sol.xyz - centered)
             meas = np.concatenate(err).var(axis=0)
-            clean = Frame(index=0, t=0.25, integration_time=T,
-                          reports=_reports(rfa0))
-            pred = invert_frame(clean, frame_moments(clean), m, cond,
+            clean = Frame(_reports(rfa0))
+            pred = invert_frame(clean, frame_moments(clean, 0.0), m, cond,
                                 noise).noise_var
             ratios = meas / np.array(pred)
             assert np.all((ratios > 0.7) & (ratios < 1.4))
@@ -269,10 +268,10 @@ class TestCompose:
         for k, td in enumerate((w, rate_b)):
             reports = _reports([(xi, -td * zi, 0.0) for xi, zi in zip(x, z)],
                                t=0.25 + 0.5 * k)
-            frames.append(Frame(index=k, t=0.25 + 0.5 * k,
-                                integration_time=0.5, reports=reports))
+            frames.append(Frame(reports))
         dwell = Dwell(tuple(frames), phi0=0.0, theta0=0.0,
-                      range_resolution=0.5, frame_interval=0.5)
+                      range_resolution=0.5, frame_interval=0.5,
+                      integration_time=0.5)
         return dwell, [FrameClass.PROFILE] * 2
 
     def _track(self, rates):

@@ -1,5 +1,6 @@
 """Container invariants and the drydock moment helper."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -68,14 +69,9 @@ def test_angle_track_requires_uniform_increasing_times():
 
 
 def test_angle_track_accepts_the_spacing_dwell_accepts():
-    # Dwell takes frame steps within 1e-9 s of its 0.5 s interval, so one
-    # frame shifted by 0.9 ns gives steps 1.8 ns apart
+    # the step check passes jitter far past the rounding of a frame grid:
+    # one time shifted by 0.9 ns gives steps 1.8 ns apart
     times = [0.25, 0.75 + 0.9e-9, 1.25, 1.75]
-    frames = tuple(Frame(index=k, t=t, integration_time=0.5,
-                         reports=report_array(t, [20.0], 0.0, 0.0, 0.0))
-                   for k, t in enumerate(times))
-    Dwell(frames, phi0=0.5, theta0=0.3, range_resolution=0.5,
-          frame_interval=0.5)
     AngleTrack(angle_array(times, 0.1, 0.1))
 
 
@@ -93,30 +89,48 @@ def test_angle_track_holds_a_read_only_record_array():
     assert track.samples[2].theta_dot == 0.02
 
 
-def test_dwell_requires_uniform_frame_times():
-    def frame(k, t):
-        rep = report_array(t, [20.0], 0.0, 0.0, 0.0)
-        return Frame(index=k, t=t, integration_time=0.5, reports=rep)
+def _one_report_frames(n):
+    return tuple(Frame(report_array((k + 0.5) * 0.5, [20.0], 0.0, 0.0, 0.0))
+                 for k in range(n))
 
-    frames = (frame(0, 0.25), frame(1, 0.75), frame(2, 1.25))
-    Dwell(frames, phi0=0.5, theta0=0.3, range_resolution=0.5,
-          frame_interval=0.5)
-    with pytest.raises(ValueError):
-        Dwell((frame(0, 0.25), frame(1, 0.8)), phi0=0.5, theta0=0.3,
-              range_resolution=0.5, frame_interval=0.5)
+
+def test_dwell_holds_the_frame_grid_once():
+    dwell = Dwell(_one_report_frames(3), phi0=0.5, theta0=0.3,
+                  range_resolution=0.5, frame_interval=0.5,
+                  integration_time=2.0)
+    assert dwell.t.tolist() == [0.25, 0.75, 1.25]
+    assert dwell.integration_time == 2.0
+    assert [f.name for f in dataclasses.fields(Frame)] == ["reports"]
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"frames": ()}, "at least one frame"),
+    ({"integration_time": 0.0}, "must be positive and finite"),
+    ({"integration_time": -0.5}, "must be positive and finite"),
+    ({"integration_time": float("nan")}, "must be positive and finite"),
+    ({"integration_time": float("inf")}, "must be positive and finite"),
+    ({"frame_interval": 0.0}, "must be positive and finite"),
+    ({"frame_interval": float("inf")}, "must be positive and finite"),
+])
+def test_dwell_rejects_what_a_dwell_file_cannot_hold(change, match):
+    kw = dict(frames=_one_report_frames(2), phi0=0.5, theta0=0.3,
+              range_resolution=0.5, frame_interval=0.5, integration_time=0.5)
+    with pytest.raises(ValueError, match=match):
+        Dwell(**{**kw, **change})
 
 
 @pytest.mark.parametrize("sigmas", [(0.2, 0.03), (0.2, -0.03, 0.02),
                                     (0.2, float("nan"), 0.02)])
 def test_dwell_rejects_bad_report_sigmas(sigmas):
-    frames = (Frame(index=0, t=0.25, integration_time=0.5,
-                    reports=report_array(0.25, [20.0], 0.0, 0.0, 0.0)),)
+    frames = _one_report_frames(1)
     dwell = Dwell(frames, phi0=0.5, theta0=0.3, range_resolution=0.5,
-                  frame_interval=0.5, report_sigmas=[0.2, 0, 0.02])
+                  frame_interval=0.5, integration_time=0.5,
+                  report_sigmas=[0.2, 0, 0.02])
     assert dwell.report_sigmas == (0.2, 0.0, 0.02)
     with pytest.raises(ValueError, match="report sigmas"):
         Dwell(frames, phi0=0.5, theta0=0.3, range_resolution=0.5,
-              frame_interval=0.5, report_sigmas=sigmas)
+              frame_interval=0.5, integration_time=0.5,
+              report_sigmas=sigmas)
 
 
 def test_report_array_broadcasts_columns():
@@ -132,16 +146,14 @@ def test_report_array_broadcasts_columns():
 def test_frame_rejects_nonfinite_column(field, value):
     reps = report_array(0.25, 20.0, [1.0, 2.0, 3.0], 0.0, 0.0)
     reps[field][1] = value
-    with pytest.raises(ValueError, match="frame 4: report fields must be finite"):
-        Frame(index=4, t=0.25, integration_time=0.5, reports=reps)
+    with pytest.raises(ValueError, match="^report fields must be finite"):
+        Frame(reps)
 
 
 def test_frame_holds_a_read_only_record_array():
     with pytest.raises(ValueError, match="REPORT_DTYPE"):
-        Frame(index=0, t=0.25, integration_time=0.5,
-              reports=np.zeros((3, 5)))
-    fr = Frame(index=0, t=0.25, integration_time=0.5,
-               reports=report_array(0.25, 20.0, [1.0, 2.0], 0.0, 0.0))
+        Frame(np.zeros((3, 5)))
+    fr = Frame(report_array(0.25, 20.0, [1.0, 2.0], 0.0, 0.0))
     with pytest.raises(ValueError):
         fr.reports.r[0] = 5.0
 

@@ -207,9 +207,9 @@ class TestDegradedReports:
         track = build_angle_track(cfg)
         dwell = simulate_degraded(ship, track, cfg)
         n_true = len(ship.scatterers)
-        for fr in dwell.frames:
+        for fr, t in zip(dwell.frames, dwell.t):
             extra = len(fr.reports) - n_true
-            if 5.0 <= fr.t < 9.0:
+            if 5.0 <= t < 9.0:
                 assert extra == spec.density
             else:
                 assert extra == 0
