@@ -12,7 +12,7 @@ Angles are radians everywhere inside the package; degrees appear only at
 file boundaries. Doppler is carried as range-rate in m/s.
 """
 
-from .ship import (Scatterer, ShipModel, ANGLE_DTYPE, angle_array, AngleTrack,
+from .ship import (ShipModel, ANGLE_DTYPE, angle_array, AngleTrack,
                    REPORT_DTYPE, report_array, Frame, Dwell, ship_moments)
 from .simulate import (ScenarioConfig, DegradationSpec, rfa_of,
                        build_angle_track, simulate_perfect, simulate_degraded,
@@ -32,7 +32,7 @@ from .io import load_dwell, save_dwell
 from .runner import RunConfig, RunReport, run, PipelineError
 
 __all__ = [
-    "Scatterer", "ShipModel", "ANGLE_DTYPE", "angle_array", "AngleTrack",
+    "ShipModel", "ANGLE_DTYPE", "angle_array", "AngleTrack",
     "REPORT_DTYPE", "report_array", "Frame", "Dwell", "ship_moments",
     "ScenarioConfig", "DegradationSpec", "rfa_of", "build_angle_track",
     "simulate_perfect", "simulate_degraded", "make_ship",

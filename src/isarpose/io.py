@@ -5,7 +5,8 @@ phi0_deg, theta0_deg, range_resolution_m, and optionally the nominal report
 noise sigmas sigma_range_m, sigma_doppler_mps and sigma_accel_mps2: all
 three or none, each a finite number >= 0. A reader that ignores them reads
 the file correctly, so they need no new version. Angles cross the file
-boundary in degrees; everything in memory is radians. Report rows are
+boundary in degrees, within +-90 (ship.in_angle_range in radians);
+everything in memory is radians. Report rows are
 frame_index,t,snr_db,range_m,doppler_mps,accel_mps2 with an optional
 truth_id column; a doppler_width_mps column is accepted and ignored. Frame
 k is frame_index k. Floats are written with shortest round-trip repr, so a
@@ -33,7 +34,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .ship import REPORT_DTYPE, Dwell, Frame, report_array
+from .ship import REPORT_DTYPE, Dwell, Frame, in_angle_range, report_array
 
 FORMAT_NAME = "isar-dwell"
 FORMAT_VERSION = 1
@@ -120,6 +121,12 @@ def _parse_header(line: str) -> dict:
     for key in ("frame_interval", "integration_time", "range_resolution_m"):
         if not 0 < header[key] <= sys.float_info.max:
             raise ValueError(f"line 1: header '{key}' must be positive and finite")
+    for key in ("phi0_deg", "theta0_deg"):
+        # the range test fails NaN, and JSON integers too large for a float
+        if not (abs(header[key]) <= sys.float_info.max
+                and in_angle_range(math.radians(header[key]))):
+            raise ValueError(f"line 1: header '{key}' must be finite and "
+                             "strictly between -90 and 90")
     sigmas = [key for key in _SIGMA_KEYS if key in header]
     if sigmas and len(sigmas) < len(_SIGMA_KEYS):
         raise ValueError(f"line 1: header needs all of {', '.join(_SIGMA_KEYS)} "

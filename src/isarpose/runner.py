@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -46,6 +47,16 @@ class PipelineError(Exception):
     def __init__(self, stage: str, message: str):
         super().__init__(f"{stage}: {message}")
         self.stage = stage
+
+
+@contextmanager
+def _stage(name: str):
+    """Re-raise a ValueError from the block, np.linalg.LinAlgError included,
+    as the PipelineError of stage `name`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise PipelineError(name, str(exc)) from exc
 
 
 def is_number(value) -> bool:
@@ -304,26 +315,20 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
     sigmas = dwell.report_sigmas
     if sigmas is None:
         flags.append("report noise unknown: moments not debiased")
-    try:
+    with _stage("moments"):
         mom = moments_series(dwell, config.weighting)
-    except ValueError as exc:
-        raise PipelineError("moments", str(exc)) from exc
 
-    try:
+    with _stage("angles"):
         track, state = estimate_angles(mom, dwell.phi0, dwell.theta0,
                                        period=config.period)
-    except ValueError as exc:
-        raise PipelineError("angles", str(exc)) from exc
 
-    try:
+    with _stage("validation"):
         model = model_covariances(track, state.bsq_est, state.hsq_est)
         records = consistency_synth(mom)
         bf = badfit(mom, records, model.d, config.badfit_threshold)
         focus = crosscheck_focus(mom, model)
-    except ValueError as exc:
-        raise PipelineError("validation", str(exc)) from exc
 
-    try:
+    with _stage("pose"):
         T = dwell.integration_time
         # all-zero sigmas (a perfect dwell) would make every score infinite
         noise = (sigmas if any(sigmas or ())
@@ -339,8 +344,6 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
                 composites.append(img)
             else:
                 flags.append(f"no {kind.value} composite")
-    except ValueError as exc:   # np.linalg.LinAlgError included
-        raise PipelineError("pose", str(exc)) from exc
 
     loa_dict = None
     loa_est = None
@@ -437,12 +440,10 @@ def run(config: RunConfig) -> RunReport:
     out = _Outputs(Path(config.output_dir))
     if config.mode == "simulate":
         cfg, ship, perfect = scenario_from_dict(config.scenario, config.seed)
-        try:
+        with _stage("simulate"):
             track = build_angle_track(cfg)
             dwell = (simulate_perfect if perfect else simulate_degraded)(
                 ship, track, cfg)
-        except ValueError as exc:
-            raise PipelineError("simulate", str(exc)) from exc
         out.add_chunks("dwell.csv", dwell_text(dwell))
     else:
         try:

@@ -13,36 +13,34 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Scatterer:
-    """One point scatterer in drydock coordinates with linear reflectivity."""
-
-    x0: float
-    y0: float
-    z0: float
-    rcs: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x0) and math.isfinite(self.y0)
-                and math.isfinite(self.z0)):
-            raise ValueError("scatterer coordinates must be finite")
-        if not (self.rcs > 0 and math.isfinite(self.rcs)):
-            raise ValueError("rcs must be positive and finite")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShipModel:
-    """A rigid set of scatterers; loa_true is simulation-side truth only."""
+    """A rigid set of point scatterers: xyz a read-only (n, 3) array of finite
+    drydock coordinates (m), rcs a read-only (n,) array of their positive,
+    finite linear reflectivities. loa_true, simulation-side truth only, is
+    at least the alongship extent."""
 
-    scatterers: tuple[Scatterer, ...]
+    xyz: np.ndarray
+    rcs: np.ndarray
     loa_true: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "scatterers", tuple(self.scatterers))
-        if self.loa_true is not None and self.scatterers:
-            xs = [s.x0 for s in self.scatterers]
-            if max(xs) - min(xs) > self.loa_true + 1e-9:
-                raise ValueError("scatterers extend beyond loa_true")
+        xyz = np.array(self.xyz, dtype=np.float64)
+        rcs = np.array(self.rcs, dtype=np.float64)
+        if xyz.ndim != 2 or xyz.shape[1] != 3:
+            raise ValueError("xyz must be an (n, 3) array")
+        if rcs.shape != (len(xyz),):
+            raise ValueError("rcs needs one value per scatterer")
+        if not np.isfinite(xyz).all():
+            raise ValueError("scatterer coordinates must be finite")
+        if not np.all((rcs > 0) & np.isfinite(rcs)):
+            raise ValueError("rcs must be positive and finite")
+        if (self.loa_true is not None and len(xyz)
+                and np.ptp(xyz[:, 0]) > self.loa_true + 1e-9):
+            raise ValueError("scatterers extend beyond loa_true")
+        for name, arr in (("xyz", xyz), ("rcs", rcs)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 ANGLE_DTYPE = np.dtype([(name, np.float64) for name in (
@@ -50,6 +48,11 @@ ANGLE_DTYPE = np.dtype([(name, np.float64) for name in (
 """Aspect/tilt state at one instant per record: t (s); phi aspect angle
 (rad), rotation in the horizontal plane; theta tilt angle (rad), effective
 grazing rotation; their rates (rad/s) and accelerations (rad/s^2)."""
+
+
+def in_angle_range(rad):
+    """|rad| < pi/2 (False for NaN): the model's tangent-singularity bound."""
+    return np.abs(rad) < math.pi / 2
 
 
 def _record_array(dtype: np.dtype, cols: tuple) -> np.recarray:
@@ -85,8 +88,8 @@ class AngleTrack:
             raise ValueError("samples must be a 1-D ANGLE_DTYPE array")
         if not all(np.isfinite(samples[name]).all() for name in ANGLE_DTYPE.names):
             raise ValueError("angle track fields must be finite")
-        if not (np.all(np.abs(samples.phi) < math.pi / 2)
-                and np.all(np.abs(samples.theta) < math.pi / 2)):
+        if not (np.all(in_angle_range(samples.phi))
+                and np.all(in_angle_range(samples.theta))):
             raise ValueError("angles must satisfy |phi|, |theta| < pi/2")
         steps = np.diff(samples.t)
         # frame times (k + 0.5) * interval are rounded products, so the
@@ -138,8 +141,10 @@ class Dwell:
     """One continuous observation: at least one frame plus metadata.
 
     Frame k is centred at t[k] = (k + 0.5) * frame_interval and integrates
-    for integration_time (both s, positive and finite). phi0/theta0 are the
-    externally supplied mean aspect/tilt (rad).
+    for integration_time (both s, positive and finite); its reports lie within
+    half an interval of t[k], with truth_id >= -1. phi0/theta0 are the
+    externally supplied mean aspect/tilt (rad, in_angle_range), and
+    range_resolution (m) is positive and finite.
     report_sigmas are the nominal report noise sigmas (range m, Doppler
     m/s, acceleration m/s^2), each finite and >= 0, or None when unknown.
     """
@@ -156,10 +161,21 @@ class Dwell:
         object.__setattr__(self, "frames", tuple(self.frames))
         if not self.frames:
             raise ValueError("a dwell needs at least one frame")
-        if not all(0 < v < math.inf for v in (self.frame_interval,
-                                              self.integration_time)):
-            raise ValueError("frame_interval and integration_time must be "
-                             "positive and finite")
+        if not all(0 < v < math.inf for v in (
+                self.frame_interval, self.integration_time,
+                self.range_resolution)):
+            raise ValueError("frame_interval, integration_time and "
+                             "range_resolution must be positive and finite")
+        if not (in_angle_range(self.phi0) and in_angle_range(self.theta0)):
+            raise ValueError("mean angles must satisfy |phi0|, |theta0| < pi/2")
+        # the reader's row checks: every dwell saves as a file it reads back
+        half = 0.5 * self.frame_interval
+        for k, (tk, fr) in enumerate(zip(self.t.tolist(), self.frames)):
+            reports = fr.reports.view(np.ndarray)   # faster field reads
+            if (np.abs(reports["t"] - tk) > half).any():
+                raise ValueError(f"frame {k}: report time outside its slot")
+            if (reports["truth_id"] < -1).any():
+                raise ValueError(f"frame {k}: truth_id below -1")
         if self.report_sigmas is not None:
             sig = tuple(float(s) for s in self.report_sigmas)
             if len(sig) != 3 or not all(math.isfinite(s) and s >= 0 for s in sig):
@@ -173,21 +189,15 @@ class Dwell:
 
 
 def ship_moments(model: ShipModel) -> tuple[float, float, float]:
-    """Second moments of centroid-removed drydock coordinates.
+    """Second moments of centroid-removed drydock coordinates, unweighted.
 
     Returns (x2, bsq, hsq) where x2 = <x0^2> in m^2 and bsq = <y0^2>/<x0^2>,
     hsq = <z0^2>/<x0^2>. Centroid removal makes the result invariant under
     rigid translation; the ratios are invariant under uniform scaling.
     """
-    if not model.scatterers:
+    if not len(model.xyz):
         raise ValueError("ship has no scatterers")
-    n = len(model.scatterers)
-    cx = sum(s.x0 for s in model.scatterers) / n
-    cy = sum(s.y0 for s in model.scatterers) / n
-    cz = sum(s.z0 for s in model.scatterers) / n
-    x2 = sum((s.x0 - cx) ** 2 for s in model.scatterers) / n
-    y2 = sum((s.y0 - cy) ** 2 for s in model.scatterers) / n
-    z2 = sum((s.z0 - cz) ** 2 for s in model.scatterers) / n
+    x2, y2, z2 = model.xyz.var(axis=0).tolist()
     if x2 <= 0:
         raise ValueError("zero alongship variance")
     return x2, y2 / x2, z2 / x2

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .length import beam_rule
-from .motion import motion_rows, track_rows
-from .ship import (AngleTrack, Dwell, Frame, Scatterer, ShipModel,
-                   angle_array, report_array)
+from .motion import motion_rows
+from .ship import (AngleTrack, Dwell, Frame, ShipModel, angle_array,
+                   report_array)
 
 BASE_SNR_DB = 20.0  # reference SNR of a unit-rcs scatterer
 
@@ -114,41 +114,36 @@ def make_ship(loa: float, beam: float | None = None, height: float = 12.0,
     """
     if beam is None:
         beam = beam_rule(loa)
-    sc: list[Scatterer] = []
     hl, hb = loa / 2.0, beam / 2.0
-    for sx in (+1, -1):
-        for sy in (+1, -1):
-            sc.append(Scatterer(sx * hl, sy * hb, height, rcs=2.0))
+    xyz = [(sx * hl, sy * hb, height) for sx in (+1, -1) for sy in (+1, -1)]
     # keel line and mast: on the centerline so they add no cross-moment
-    sc.append(Scatterer(0.0, 0.0, 0.0, rcs=1.5))
-    sc.append(Scatterer(0.0, 0.0, height * 1.8, rcs=1.0))
+    xyz += [(0.0, 0.0, 0.0), (0.0, 0.0, height * 1.8)]
+    rcs = [2.0] * 4 + [1.5, 1.0]
     rng = np.random.default_rng(seed)
-    while len(sc) < n_scatterers:
+    while len(xyz) < n_scatterers:
         # keep deck clutter inboard of the hull ends so the bow and stern
         # corners stay the extreme-range points at working aspect angles
         x = float(rng.uniform(0.15, 0.75) * hl)
         y = float(rng.uniform(0.2, 0.9) * hb)
         z = float(rng.uniform(0.2, 1.0) * height)
-        rcs = float(rng.lognormal(0.0, 0.4))
+        w = float(rng.lognormal(0.0, 0.4))
         if symmetric:
-            for sx in (+1, -1):
-                for sy in (+1, -1):
-                    sc.append(Scatterer(sx * x, sy * y, z, rcs=rcs))
+            pts = [(sx * x, sy * y, z) for sx in (+1, -1) for sy in (+1, -1)]
         else:
-            sc.append(Scatterer(x * rng.choice((-1, 1)), y * rng.choice((-1, 1)),
-                                z, rcs=rcs))
-    return ShipModel(tuple(sc), loa_true=loa)
+            pts = [(x * rng.choice((-1, 1)), y * rng.choice((-1, 1)), z)]
+        xyz += pts
+        rcs += [w] * len(pts)
+    return ShipModel(np.array(xyz), np.array(rcs), loa_true=loa)
 
 
-def rfa_of(s: Scatterer, ang: np.record) -> tuple[float, float, float]:
+def rfa_of(xyz: np.ndarray, states) -> np.ndarray:
     """Range offset (m), range-rate (m/s) and range-acceleration (m/s^2) of
-    a scatterer at one angle state (an ANGLE_DTYPE record, such as
-    angle_sample_at returns); rate and acceleration are the exact first and
-    second time derivatives of range."""
-    m = motion_rows(ang.phi, ang.theta, ang.phi_dot, ang.theta_dot,
-                    ang.phi_ddot, ang.theta_ddot)
-    r, f, a = (m @ (s.x0, s.y0, s.z0)).tolist()
-    return r, f, a
+    the (n, 3) drydock points xyz at angle states: one ANGLE_DTYPE record
+    gives shape (n, 3), an array of them (..., n, 3). Rate and acceleration
+    are the exact first and second time derivatives of range."""
+    rows = motion_rows(*(states[name] for name in (
+        "phi", "theta", "phi_dot", "theta_dot", "phi_ddot", "theta_ddot")))
+    return np.einsum("...ij,sj->...si", rows, xyz)
 
 
 def _angle_states(cfg: ScenarioConfig, t: np.ndarray) -> np.recarray:
@@ -184,28 +179,21 @@ def build_angle_track(cfg: ScenarioConfig) -> AngleTrack:
     return AngleTrack(_angle_states(cfg, t))
 
 
-def _exact_rfa(model: ShipModel, track: AngleTrack) -> np.ndarray:
-    """(n_frames, n_scatterers, 3) exact range/rate/acceleration values."""
-    rows = track_rows(track)                       # (n, 3, 3)
-    coords = np.array([(s.x0, s.y0, s.z0) for s in model.scatterers])
-    return np.einsum("nij,sj->nsi", rows, coords)
+def _dwell(cfg: ScenarioConfig, frames: list[Frame], report_sigmas) -> Dwell:
+    """The scenario's dwell of these frames and report sigmas."""
+    return Dwell(tuple(frames), cfg.phi0, cfg.theta0, cfg.range_resolution,
+                 cfg.frame_interval, cfg.integration_time, report_sigmas)
 
 
 def simulate_perfect(model: ShipModel, track: AngleTrack,
                      cfg: ScenarioConfig) -> Dwell:
     """Every scatterer reported in every frame with exact (r, f, a); the
     dwell records zero report sigmas."""
-    vals = _exact_rfa(model, track)
-    ids = np.arange(len(model.scatterers))
-    frames = tuple(
-        Frame(report_array(tk, BASE_SNR_DB, vals[k, :, 0], vals[k, :, 1],
-                           vals[k, :, 2], ids))
-        for k, tk in enumerate(track.samples.t.tolist()))
-    return Dwell(frames, phi0=cfg.phi0, theta0=cfg.theta0,
-                 range_resolution=cfg.range_resolution,
-                 frame_interval=cfg.frame_interval,
-                 integration_time=cfg.integration_time,
-                 report_sigmas=(0.0, 0.0, 0.0))
+    vals = rfa_of(model.xyz, track.samples)
+    ids = np.arange(len(model.xyz))
+    return _dwell(cfg, [Frame(report_array(tk, BASE_SNR_DB, *vals[k].T, ids))
+                        for k, tk in enumerate(track.samples.t.tolist())],
+                  (0.0, 0.0, 0.0))
 
 
 def _inject(spec: DegradationSpec, tk: float, rng,
@@ -249,32 +237,26 @@ def simulate_degraded(model: ShipModel, track: AngleTrack,
                       cfg: ScenarioConfig) -> Dwell:
     """Perfect reports perturbed by noise, fading dropouts, and injectors;
     the dwell records cfg.noise as its report sigmas."""
-    vals = _exact_rfa(model, track)
-    sig_r, sig_f, sig_a = cfg.noise
-    rcs_db = np.array([10 * math.log10(s.rcs) for s in model.scatterers])
-    r_span = (float(vals[:, :, 0].min()), float(vals[:, :, 0].max()))
-    f_span = (float(vals[:, :, 1].min()), float(vals[:, :, 1].max()))
-    n_s = len(model.scatterers)
+    vals = rfa_of(model.xyz, track.samples)
+    # math.log10 per value: np.log10 can differ in the last bit
+    rcs_db = np.array([10 * math.log10(w) for w in model.rcs.tolist()])
+    r_span = (float(vals[..., 0].min()), float(vals[..., 0].max()))
+    f_span = (float(vals[..., 1].min()), float(vals[..., 1].max()))
+    n_s = len(model.xyz)
     frames = []
     for k, tk in enumerate(track.samples.t.tolist()):
         rng = np.random.default_rng([cfg.seed, k])
         snr = BASE_SNR_DB + rcs_db
         if cfg.fade_sigma > 0:
             snr = snr + rng.normal(0.0, cfg.fade_sigma, size=n_s)
-        dr = rng.normal(0.0, sig_r, size=n_s) if sig_r > 0 else np.zeros(n_s)
-        df = rng.normal(0.0, sig_f, size=n_s) if sig_f > 0 else np.zeros(n_s)
-        da = rng.normal(0.0, sig_a, size=n_s) if sig_a > 0 else np.zeros(n_s)
+        # range, rate, then acceleration noise
+        rfa = vals[k] + np.column_stack([
+            rng.normal(0.0, sig, size=n_s) if sig > 0 else np.zeros(n_s)
+            for sig in cfg.noise])
         keep = np.flatnonzero(snr >= cfg.snr_floor)
         extra = np.array([row for spec in cfg.injectors
                           for row in _inject(spec, tk, rng, r_span, f_span)])
-        reports = np.concatenate([
-            report_array(tk, snr[keep], vals[k, keep, 0] + dr[keep],
-                         vals[k, keep, 1] + df[keep],
-                         vals[k, keep, 2] + da[keep], keep),
-            report_array(tk, *extra.reshape(-1, 4).T)])
-        frames.append(Frame(reports))
-    return Dwell(tuple(frames), phi0=cfg.phi0, theta0=cfg.theta0,
-                 range_resolution=cfg.range_resolution,
-                 frame_interval=cfg.frame_interval,
-                 integration_time=cfg.integration_time,
-                 report_sigmas=cfg.noise)
+        frames.append(Frame(np.concatenate([
+            report_array(tk, snr[keep], *rfa[keep].T, keep),
+            report_array(tk, *extra.reshape(-1, 4).T)])))
+    return _dwell(cfg, frames, cfg.noise)

@@ -7,6 +7,7 @@ import filecmp
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -190,11 +191,15 @@ class TestSimulate:
 
     def test_integral_float_count_is_accepted(self):
         ship = {"loa": 120.0, "n_scatterers": 24, "seed": 3}
-        as_ints = isarpose.runner.scenario_from_dict(
+        cfg_i, ship_i, perfect_i = isarpose.runner.scenario_from_dict(
             {**SCENARIO, "seed": 5, "ship": ship})
-        as_floats = isarpose.runner.scenario_from_dict(
+        cfg_f, ship_f, perfect_f = isarpose.runner.scenario_from_dict(
             {**SCENARIO, "seed": 5.0, "ship": {**ship, "n_scatterers": 24.0}})
-        assert as_floats == as_ints
+        assert (cfg_f, perfect_f) == (cfg_i, perfect_i)
+        # a ship compares by identity, so its arrays are compared here
+        assert ship_f.xyz.tobytes() == ship_i.xyz.tobytes()
+        assert ship_f.rcs.tobytes() == ship_i.rcs.tobytes()
+        assert ship_f.loa_true == ship_i.loa_true
 
     def test_unreadable_config_is_config_error(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "absent.json"),
@@ -381,6 +386,39 @@ class TestAnalyze:
         code = main(["analyze", "--input", str(tmp_path / "absent.csv"),
                      "--out", str(tmp_path / "out")])
         assert code == 3
+
+    @pytest.mark.parametrize("key, value", [
+        ("phi0_deg", "NaN"), ("theta0_deg", "Infinity"),
+        ("phi0_deg", "-Infinity"), ("theta0_deg", "-95"),
+    ])
+    def test_bad_header_mean_angle_is_data_error(self, sim_dir, tmp_path,
+                                                 capsys, key, value):
+        # NaN and Infinity exited 4 from the angle fit; -95 deg exited 0
+        lines = (sim_dir / "dwell.csv").read_text().splitlines(True)
+        header = re.sub(f'"{key}": [^,}}]+', f'"{key}": {value}', lines[0])
+        assert header != lines[0]
+        bad = tmp_path / "bad.csv"
+        bad.write_text(header + "".join(lines[1:]))
+        code = main(["analyze", "--input", str(bad),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert (f"data error: line 1: header '{key}' must be finite"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_broadside_mean_aspect_is_an_angles_stage_error(
+            self, sim_dir, tmp_path, capsys):
+        # a 2 deg mean aspect loads, but the angle fit cannot observe it
+        lines = (sim_dir / "dwell.csv").read_text().splitlines(True)
+        header = lines[0].replace('"phi0_deg": 45.0', '"phi0_deg": 2.0')
+        assert header != lines[0]
+        path = tmp_path / "dwell.csv"
+        path.write_text(header + "".join(lines[1:]))
+        code = main(["analyze", "--input", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("pipeline error: angles: ")
+        assert not (tmp_path / "out").exists()
 
     def test_corrupt_dwell_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -201,6 +202,28 @@ class TestSchemaErrors:
         path, lines = self._lines(tmp_path)
         header = lines[0].replace("{", "{" + sigmas + ", ", 1)
         self._expect(tmp_path, [header] + lines[1:], "line 1: .*" + needle)
+
+    @pytest.mark.parametrize("key, value", [
+        ("phi0_deg", "NaN"), ("theta0_deg", "Infinity"),
+        ("phi0_deg", "-Infinity"), ("theta0_deg", "-95"),
+        ("phi0_deg", "90.0"), ("theta0_deg", "-90"),
+        pytest.param("phi0_deg", "1" + "0" * 400, id="phi0_deg-1e400"),
+    ])
+    def test_bad_mean_angle_rejected(self, tmp_path, key, value):
+        # before, NaN and Infinity failed later in the angle fit, and a mean
+        # tilt of -95 deg loaded and was clipped without a word
+        path, lines = self._lines(tmp_path)
+        header = re.sub(f'"{key}": [^,}}]+', f'"{key}": {value}', lines[0])
+        assert header != lines[0]
+        self._expect(tmp_path, [header] + lines[1:],
+                     f"^line 1: header '{key}' must be finite and strictly "
+                     "between -90 and 90$")
+
+    def test_mean_angle_just_inside_the_limit_loads(self, tmp_path):
+        path, lines = self._lines(tmp_path)
+        header = lines[0].replace('"theta0_deg": 30.0', '"theta0_deg": -89.9')
+        path.write_text("\n".join([header] + lines[1:]) + "\n")
+        assert load_dwell(path).theta0 == math.radians(-89.9)
 
     def test_wrong_column_row_reported_on_line_2(self, tmp_path):
         path, lines = self._lines(tmp_path)

@@ -73,12 +73,8 @@ class TestMotionMatrix:
                                           ideal_track):
         samp = ideal_track.samples[37]
         m = motion_matrix(ideal_track, ideal_cfg.integration_time)[0][37]
-        for s in ideal_ship.scatterers[:6]:
-            vec = np.array([s.x0, s.y0, s.z0])
-            r, f, a = rfa_of(s, samp)
-            assert m[0] @ vec == pytest.approx(r, abs=1e-12)
-            assert m[1] @ vec == pytest.approx(f, abs=1e-12)
-            assert m[2] @ vec == pytest.approx(a, abs=1e-12)
+        xyz = ideal_ship.xyz[:6]
+        assert xyz @ m.T == pytest.approx(rfa_of(xyz, samp), rel=0, abs=1e-12)
 
     def test_condition_number_commensurates_rows(self):
         # without the (1, T, T^2) row scaling a slow two-rotation frame
@@ -111,8 +107,7 @@ class TestInvertFrame:
         frame = ideal_dwell.frames[k]
         sol = invert_frame(frame, frame_moments(frame, ideal_dwell.t[k]),
                            m[k], cond[k], (0.25, 0.03, 0.01))
-        truth = np.array([(s.x0, s.y0, s.z0) for s in ideal_ship.scatterers])
-        truth = truth - truth.mean(axis=0)
+        truth = ideal_ship.xyz - ideal_ship.xyz.mean(axis=0)
         assert sol.xyz is not None
         assert np.max(np.abs(sol.xyz - truth)) < 1e-9
 
@@ -174,8 +169,7 @@ class TestInvertFrame:
         # pins the 1/T and 1/T^2 sigma laws rather than just the algebra
         rates = dict(phi_dot=0.010, theta_dot=0.012, phi_ddot=8e-3,
                      theta_ddot=6e-3)
-        truth = np.array([(s.x0, s.y0, s.z0)
-                          for s in ideal_ship.scatterers])
+        truth = ideal_ship.xyz
         rng = np.random.default_rng(9)
         for T in (0.5, 1.0):
             m, cond = _one_state(T, **rates)
@@ -356,9 +350,9 @@ class TestCompose:
         keep = w > 0
         rv, cv, w = rax.ravel()[keep], cax.ravel()[keep], w[keep]
         ct, cp = np.cos(THETA0), np.cos(PHI0)
-        beam = 2 * max(s.y0 for s in ship.scatterers)
+        beam = 2 * ship.xyz[:, 1].max()
         loa_est = wspan(rv, w) / (ct * cp) - beam * np.tan(PHI0)
         assert loa_est == pytest.approx(LOA, rel=0.10)
-        zs = np.array([s.z0 for s in ship.scatterers])
+        zs = ship.xyz[:, 2]
         height_est = wspan(-ct * (cv + np.tan(THETA0) * rv), w)
         assert height_est == pytest.approx(zs.max() - zs.min(), rel=0.10)

@@ -7,29 +7,61 @@ import numpy as np
 import pytest
 
 from isarpose.ship import (ANGLE_DTYPE, REPORT_DTYPE, AngleTrack, Dwell,
-                           Frame, Scatterer, ShipModel, angle_array,
-                           report_array, ship_moments)
+                           Frame, ShipModel, angle_array, report_array,
+                           ship_moments)
+
+
+def _ship(points, rcs=None, loa_true=None):
+    xyz = np.array(points, dtype=float)
+    return ShipModel(xyz, np.ones(len(xyz)) if rcs is None else rcs, loa_true)
 
 
 def test_scatterer_rejects_nonfinite_coordinates():
-    with pytest.raises(ValueError):
-        Scatterer(float("nan"), 0.0, 0.0)
-    with pytest.raises(ValueError):
-        Scatterer(0.0, float("inf"), 0.0)
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        _ship([(0.0, 0.0, 0.0), (float("nan"), 0.0, 0.0)])
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        _ship([(0.0, float("inf"), 0.0)])
 
 
 def test_scatterer_rejects_nonpositive_rcs():
-    with pytest.raises(ValueError):
-        Scatterer(0.0, 0.0, 0.0, rcs=0.0)
-    with pytest.raises(ValueError):
-        Scatterer(0.0, 0.0, 0.0, rcs=-1.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rcs must be positive and finite"):
+            _ship([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], rcs=[1.0, bad])
 
 
 def test_ship_model_guards_declared_length():
-    sc = (Scatterer(-60.0, 0.0, 0.0), Scatterer(60.0, 0.0, 0.0))
-    ShipModel(sc, loa_true=120.0)
-    with pytest.raises(ValueError):
-        ShipModel(sc, loa_true=100.0)
+    pts = [(-60.0, 0.0, 0.0), (60.0, 0.0, 0.0)]
+    _ship(pts, loa_true=120.0)
+    with pytest.raises(ValueError, match="beyond loa_true"):
+        _ship(pts, loa_true=100.0)
+
+
+@pytest.mark.parametrize("rcs", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], 1.0])
+def test_ship_model_needs_one_rcs_per_point(rcs):
+    with pytest.raises(ValueError, match="one value per scatterer"):
+        _ship([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], rcs=rcs)
+
+
+@pytest.mark.parametrize("xyz", [np.zeros(3), np.zeros((2, 2)),
+                                 np.zeros((2, 4)), np.zeros((1, 2, 3))])
+def test_ship_model_needs_n_by_3_coordinates(xyz):
+    with pytest.raises(ValueError, match=r"\(n, 3\) array"):
+        ShipModel(xyz, np.ones(len(xyz)))
+
+
+def test_ship_model_holds_read_only_arrays():
+    xyz = np.array([(-1.0, 2.0, 3.0), (4.0, -5.0, 6.0)])
+    rcs = np.array([0.5, 2.0])
+    ship = ShipModel(xyz, rcs, loa_true=10.0)
+    for arr in (ship.xyz, ship.rcs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert ship.xyz.dtype == ship.rcs.dtype == np.float64
+    assert ship.xyz.tolist() == xyz.tolist()
+    assert ship.rcs.tolist() == rcs.tolist()
+    # the caller's arrays stay writable and unshared
+    xyz[0, 0] = 7.0
+    assert ship.xyz[0, 0] == -1.0
 
 
 def test_angle_array_broadcasts_columns():
@@ -94,6 +126,13 @@ def _one_report_frames(n):
                  for k in range(n))
 
 
+def test_dwell_reports_may_reach_their_slot_edges():
+    # the reader's test is strict, so a report on a slot edge is in its frame
+    frames = (Frame(report_array([0.0, 0.5], 20.0, 0.0, 0.0, 0.0, [-1, 0])),)
+    Dwell(frames, phi0=-1.5, theta0=1.5, range_resolution=0.5,
+          frame_interval=0.5, integration_time=0.5)
+
+
 def test_dwell_holds_the_frame_grid_once():
     dwell = Dwell(_one_report_frames(3), phi0=0.5, theta0=0.3,
                   range_resolution=0.5, frame_interval=0.5,
@@ -111,6 +150,25 @@ def test_dwell_holds_the_frame_grid_once():
     ({"integration_time": float("inf")}, "must be positive and finite"),
     ({"frame_interval": 0.0}, "must be positive and finite"),
     ({"frame_interval": float("inf")}, "must be positive and finite"),
+    # each saved a header load_dwell rejects
+    ({"range_resolution": 0.0}, "must be positive and finite"),
+    ({"range_resolution": float("nan")}, "must be positive and finite"),
+    ({"range_resolution": -0.5}, "must be positive and finite"),
+    # the reader's mean-angle rule
+    ({"phi0": float("nan")}, "mean angles"),
+    ({"theta0": float("inf")}, "mean angles"),
+    ({"phi0": -float("inf")}, "mean angles"),
+    ({"theta0": math.radians(-95.0)}, "mean angles"),
+    ({"phi0": math.pi / 2}, "mean angles"),
+    # a report past its frame's slot loaded as `time inconsistent with frame`
+    ({"frames": (Frame(report_array([0.25], 20.0, 0.0, 0.0, 0.0)),
+                 Frame(report_array([0.75, 1.0 + 1e-9], 20.0, 0.0, 0.0, 0.0)))},
+     "frame 1: report time outside its slot"),
+    ({"frames": (Frame(report_array([-1e-9], 20.0, 0.0, 0.0, 0.0)),)},
+     "frame 0: report time outside its slot"),
+    # a truth_id below -1 was written blank and loaded back as -1
+    ({"frames": (Frame(report_array([0.25], 20.0, 0.0, 0.0, 0.0, -2)),)},
+     "frame 0: truth_id below -1"),
 ])
 def test_dwell_rejects_what_a_dwell_file_cannot_hold(change, match):
     kw = dict(frames=_one_report_frames(2), phi0=0.5, theta0=0.3,
@@ -159,31 +217,25 @@ def test_frame_holds_a_read_only_record_array():
 
 
 def test_ship_moments_match_hand_computation():
-    sc = (Scatterer(10.0, 2.0, 1.0, rcs=3.0),
-          Scatterer(-6.0, -1.0, 4.0, rcs=0.5),
-          Scatterer(2.0, 5.0, 0.0, rcs=1.0))
-    x = np.array([10.0, -6.0, 2.0])
-    y = np.array([2.0, -1.0, 5.0])
-    z = np.array([1.0, 4.0, 0.0])
-    x2 = np.var(x)
-    x2_got, bsq, hsq = ship_moments(ShipModel(sc))
-    assert x2_got == pytest.approx(x2, rel=1e-12)
-    assert bsq == pytest.approx(np.var(y) / x2, rel=1e-12)
-    assert hsq == pytest.approx(np.var(z) / x2, rel=1e-12)
+    # centroid (2, 2, 5/3); mean squared offsets 128/3, 6 and 26/9 m^2. The
+    # moments are of the geometry alone: rcs does not weight them
+    xyz = [(10.0, 2.0, 1.0), (-6.0, -1.0, 4.0), (2.0, 5.0, 0.0)]
+    x2, bsq, hsq = ship_moments(ShipModel(xyz, [3.0, 0.5, 1.0]))
+    assert x2 == pytest.approx(128 / 3, rel=1e-12)
+    assert bsq == pytest.approx(6 / (128 / 3), rel=1e-12)
+    assert hsq == pytest.approx((26 / 9) / (128 / 3), rel=1e-12)
 
 
 def test_ship_moments_translation_invariant():
-    base = [Scatterer(-30.0, 4.0, 2.0), Scatterer(30.0, -4.0, 8.0),
-            Scatterer(5.0, 1.0, 0.0)]
-    moved = [Scatterer(s.x0 + 500.0, s.y0 - 40.0, s.z0 + 7.0) for s in base]
-    assert ship_moments(ShipModel(tuple(base))) == pytest.approx(
-        ship_moments(ShipModel(tuple(moved))), rel=1e-9)
+    base = np.array([(-30.0, 4.0, 2.0), (30.0, -4.0, 8.0), (5.0, 1.0, 0.0)])
+    moved = base + (500.0, -40.0, 7.0)
+    assert ship_moments(_ship(base)) == pytest.approx(
+        ship_moments(_ship(moved)), rel=1e-9)
 
 
 def test_ship_moments_reject_degenerate_sets():
-    with pytest.raises(ValueError):
-        ship_moments(ShipModel(()))
+    with pytest.raises(ValueError, match="no scatterers"):
+        ship_moments(_ship(np.zeros((0, 3))))
     # all scatterers at one alongship station: no length axis to normalize by
-    sc = tuple(Scatterer(0.0, float(k), 0.0) for k in range(3))
-    with pytest.raises(ValueError):
-        ship_moments(ShipModel(sc))
+    with pytest.raises(ValueError, match="zero alongship variance"):
+        ship_moments(_ship([(0.0, float(k), 0.0) for k in range(3)]))

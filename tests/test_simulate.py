@@ -25,7 +25,7 @@ def _cfg(**kw):
 class TestMakeShip:
     def test_deck_corners_and_centerline_points_present(self):
         ship = make_ship(100.0, beam=14.0, height=10.0)
-        pts = {(s.x0, s.y0, s.z0) for s in ship.scatterers}
+        pts = set(map(tuple, ship.xyz.tolist()))
         for sx in (+1, -1):
             for sy in (+1, -1):
                 assert (sx * 50.0, sy * 7.0, 10.0) in pts
@@ -35,11 +35,11 @@ class TestMakeShip:
     def test_scatterer_count_at_least_requested(self):
         for n in (8, 24, 30):
             ship = make_ship(90.0, n_scatterers=n)
-            assert n <= len(ship.scatterers) < n + 4
+            assert n <= len(ship.xyz) == len(ship.rcs) < n + 4
 
     def test_beam_defaults_to_rule_of_thumb(self):
         ship = make_ship(120.0)
-        assert 2 * max(s.y0 for s in ship.scatterers) == pytest.approx(
+        assert 2 * ship.xyz[:, 1].max() == pytest.approx(
             beam_rule(120.0), rel=1e-12)
 
     def test_symmetric_cross_moments_vanish_exactly(self):
@@ -47,10 +47,8 @@ class TestMakeShip:
         # weighted cross term cancels pairwise; fsum keeps the cancellation
         # exact where a BLAS dot's lane ordering would not
         ship = make_ship(75.0, n_scatterers=40, seed=2)
-        w = np.array([s.rcs for s in ship.scatterers])
-        x = np.array([s.x0 for s in ship.scatterers])
-        y = np.array([s.y0 for s in ship.scatterers])
-        z = np.array([s.z0 for s in ship.scatterers])
+        w = ship.rcs
+        x, y, z = ship.xyz.T
         assert math.fsum(w * x) == 0.0
         assert math.fsum(w * y) == 0.0
         assert math.fsum(w * x * y) == 0.0
@@ -59,19 +57,20 @@ class TestMakeShip:
 
     def test_hull_ends_are_extreme_alongship(self):
         ship = make_ship(110.0, n_scatterers=36, seed=4)
-        xs = [abs(s.x0) for s in ship.scatterers]
-        assert max(xs) == 55.0
+        assert np.abs(ship.xyz[:, 0]).max() == 55.0
 
     def test_deterministic_per_seed(self):
         a = make_ship(80.0, seed=7)
         b = make_ship(80.0, seed=7)
         c = make_ship(80.0, seed=8)
-        assert a.scatterers == b.scatterers
-        assert a.scatterers != c.scatterers
+        assert a.xyz.tobytes() == b.xyz.tobytes()
+        assert a.rcs.tobytes() == b.rcs.tobytes()
+        assert a.xyz.shape == c.xyz.shape
+        assert a.xyz.tobytes() != c.xyz.tobytes()
 
     def test_zero_height_gives_flat_ship(self):
         ship = make_ship(90.0, height=0.0)
-        assert all(s.z0 == 0.0 for s in ship.scatterers)
+        assert (ship.xyz[:, 2] == 0.0).all()
 
 
 class TestAngleTrack:
@@ -122,15 +121,24 @@ class TestPerfectReports:
         dwell = simulate_perfect(ship, track, cfg)
         assert len(dwell.frames) == cfg.n_frames
         for k in (0, 11, 39):
-            frame = dwell.frames[k]
-            samp = track.samples[k]
-            assert len(frame.reports) == len(ship.scatterers)
-            reps = frame.reports
-            for i, r, f, a in zip(reps.truth_id, reps.r, reps.f, reps.a):
-                r_m, f_m, a_m = rfa_of(ship.scatterers[i], samp)
-                assert r == pytest.approx(r_m, abs=1e-12)
-                assert f == pytest.approx(f_m, abs=1e-12)
-                assert a == pytest.approx(a_m, abs=1e-12)
+            reps = dwell.frames[k].reports
+            assert reps.truth_id.tolist() == list(range(len(ship.xyz)))
+            # one state at a time: the same values to rounding
+            want = rfa_of(ship.xyz, track.samples[k])
+            assert want.shape == (len(ship.xyz), 3)
+            got = np.column_stack([reps.r, reps.f, reps.a])
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_reports_are_the_forward_model_bit_for_bit(self):
+        cfg = _cfg()
+        ship = make_ship(120.0, n_scatterers=24, seed=3)
+        track = build_angle_track(cfg)
+        dwell = simulate_perfect(ship, track, cfg)
+        want = rfa_of(ship.xyz, track.samples)
+        assert want.shape == (cfg.n_frames, len(ship.xyz), 3)
+        for k, fr in enumerate(dwell.frames):
+            got = np.column_stack([fr.reports.r, fr.reports.f, fr.reports.a])
+            assert got.tobytes() == want[k].tobytes()
 
     def test_dwell_carries_scenario_metadata(self):
         cfg = _cfg()
@@ -206,7 +214,7 @@ class TestDegradedReports:
         ship = make_ship(60.0, n_scatterers=10)
         track = build_angle_track(cfg)
         dwell = simulate_degraded(ship, track, cfg)
-        n_true = len(ship.scatterers)
+        n_true = len(ship.xyz)
         for fr, t in zip(dwell.frames, dwell.t):
             extra = len(fr.reports) - n_true
             if 5.0 <= t < 9.0:
