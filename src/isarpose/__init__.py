@@ -15,8 +15,7 @@ file boundaries. Doppler is carried as range-rate in m/s.
 from .ship import (ShipModel, ANGLE_DTYPE, angle_array, AngleTrack,
                    REPORT_DTYPE, report_array, Frame, Dwell, ship_moments)
 from .simulate import (ScenarioConfig, DegradationSpec, rfa_of,
-                       build_angle_track, simulate_perfect, simulate_degraded,
-                       make_ship)
+                       build_angle_track, simulate_degraded, make_ship)
 from .moments import (MOMENT_DTYPE, frame_moments, moments_series,
                       time_derivative)
 from .bands import BandSplit, chapeau_band_split, dominant_wave_period
@@ -35,7 +34,7 @@ __all__ = [
     "ShipModel", "ANGLE_DTYPE", "angle_array", "AngleTrack",
     "REPORT_DTYPE", "report_array", "Frame", "Dwell", "ship_moments",
     "ScenarioConfig", "DegradationSpec", "rfa_of", "build_angle_track",
-    "simulate_perfect", "simulate_degraded", "make_ship",
+    "simulate_degraded", "make_ship",
     "MOMENT_DTYPE", "frame_moments", "moments_series", "time_derivative",
     "BandSplit", "chapeau_band_split", "dominant_wave_period",
     "FitState", "lowpass_aspect_solve", "waveband_joint_fit",

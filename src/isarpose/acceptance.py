@@ -29,7 +29,7 @@ from .runner import RunConfig, run
 from .ship import Dwell, Frame, ShipModel, report_array, ship_moments
 from .simulate import (DegradationSpec, ScenarioConfig, angle_sample_at,
                        build_angle_track, make_ship, rfa_of,
-                       simulate_degraded, simulate_perfect)
+                       simulate_degraded)
 from .validate import badfit, consistency_synth, crosscheck_focus
 
 LOA_M = 120.0
@@ -64,7 +64,7 @@ def check_wave_motion_recovery() -> tuple[bool, str]:
     cfg = _ideal_config()
     ship = _ideal_ship()
     track = build_angle_track(cfg)
-    dwell = simulate_perfect(ship, track, cfg)
+    dwell = simulate_degraded(ship, track, cfg)
     t0 = time.perf_counter()
     mom = moments_series(dwell)
     est, state = estimate_angles(mom, cfg.phi0, cfg.theta0)
@@ -125,7 +125,7 @@ def check_covariance_closure() -> tuple[bool, str]:
     cfg = _ideal_config()
     ship = _ideal_ship()
     track = build_angle_track(cfg)
-    dwell = simulate_perfect(ship, track, cfg)
+    dwell = simulate_degraded(ship, track, cfg)
     mom = moments_series(dwell)
     _, bsq, hsq = ship_moments(ship)
     model = model_covariances(track, bsq, hsq)
@@ -152,7 +152,7 @@ def check_acceleration_consistency() -> tuple[bool, str]:
     for interval in (0.5, 0.25):
         cfg = _ideal_config(frame_interval=interval)
         track = build_angle_track(cfg)
-        dwell = simulate_perfect(ship, track, cfg)
+        dwell = simulate_degraded(ship, track, cfg)
         rec = consistency_synth(moments_series(dwell))
         ok = rec.valid & np.isfinite(rec.cov_ra_synth)
         worst = 0.0
@@ -173,7 +173,7 @@ def check_pose_round_trip() -> tuple[bool, str]:
     cfg = _ideal_config()
     ship = _ideal_ship()
     track = build_angle_track(cfg)
-    dwell = simulate_perfect(ship, track, cfg)
+    dwell = simulate_degraded(ship, track, cfg)
     noise = report_noise(dwell.range_resolution, cfg.integration_time)
     m, cond = motion_matrix(track, cfg.integration_time)
     worst, n_ok, best_k, best_cond = 0.0, 0, 0, np.inf
@@ -310,7 +310,7 @@ def check_length_accuracy() -> tuple[bool, str]:
     ship = _ideal_ship()
     cfg0 = _ideal_config()
     track0 = build_angle_track(cfg0)
-    _, _, loa0 = _noisy_pipeline(simulate_perfect(ship, track0, cfg0))
+    _, _, loa0 = _noisy_pipeline(simulate_degraded(ship, track0, cfg0))
     err0 = abs(loa0.loa - LOA_M)
 
     cfg_n = _ideal_config(noise=(0.5, 0.05, 0.05), seed=11)
@@ -362,14 +362,14 @@ def check_focus_agreement() -> tuple[bool, str]:
     cfg = _ideal_config()
     ship = make_ship(90.0, beam=28.0, height=22.0, n_scatterers=24)
     track = build_angle_track(cfg)
-    dwell = simulate_perfect(ship, track, cfg)
+    dwell = simulate_degraded(ship, track, cfg)
     mom = moments_series(dwell)
     _, bsq, hsq = ship_moments(ship)
     model = model_covariances(track, bsq, hsq)
     fc = crosscheck_focus(mom, model)
     n_cond = int(fc.conditioned.sum())
 
-    dwell_l = simulate_perfect(_line_ship(), track, cfg)
+    dwell_l = simulate_degraded(_line_ship(), track, cfg)
     mom_l = moments_series(dwell_l)
     _, bl, hl = ship_moments(_line_ship())
     fl = crosscheck_focus(mom_l, model_covariances(track, bl, hl))

@@ -157,7 +157,7 @@ def lowpass_aspect_solve(t: np.ndarray, lhs_low: np.ndarray,
     (the external phi0 carries the absolute level).
     """
     if abs(math.tan(phi0)) <= math.tan(math.radians(MIN_ASPECT_DEG)):
-        raise ValueError("aspect unobservable: mean aspect too close to broadside")
+        raise ValueError("aspect unobservable: mean aspect too close to bow-on")
     t = np.asarray(t, dtype=float)
     lhs_low = np.asarray(lhs_low, dtype=float)
     i = _cumtrapz(t, lhs_low)

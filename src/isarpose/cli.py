@@ -16,8 +16,8 @@ import argparse
 import json
 import sys
 
-from .runner import (ConfigError, DataError, PipelineError, RunConfig,
-                     is_number, run)
+from .io import is_number
+from .runner import ConfigError, DataError, PipelineError, RunConfig, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       "class_threshold")
     p_an.add_argument("--emit-plots", action="store_true")
     p_an.add_argument("--period", type=float, default=None,
-                      help="force the wave period (s) instead of searching")
+                      help="seed the period search (s) with this value in "
+                      "place of the spectral estimate")
     p_an.add_argument("--weighting", choices=("uniform", "snr"),
                       default="uniform")
 

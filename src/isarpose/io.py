@@ -1,7 +1,8 @@
 """Dwell files: a one-line JSON header followed by CSV report rows.
 
-Header keys: format, version, n_frames, frame_interval, integration_time,
-phi0_deg, theta0_deg, range_resolution_m, and optionally the nominal report
+Header keys: format, version, n_frames (an integral JSON number from 1 to
+the int64 maximum), frame_interval, integration_time, phi0_deg,
+theta0_deg, range_resolution_m, and optionally the nominal report
 noise sigmas sigma_range_m, sigma_doppler_mps and sigma_accel_mps2: all
 three or none, each a finite number >= 0. A reader that ignores them reads
 the file correctly, so they need no new version. Angles cross the file
@@ -46,6 +47,19 @@ _BAD_TRUTH = -2   # parsed truth_id of a cell that is not blank and not a valid 
 _BLOCK_ROWS = 8192   # report lines parsed and checked together
 _READ_CHARS = 1 << 18   # characters taken from the file per read
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"   # str.splitlines' breaks
+
+
+def is_number(value) -> bool:
+    """True for an int or float that is finite as a float, which JSON numbers
+    load as; not a bool, nor the NaN or Infinity that Python's json reads."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
+def is_count(value) -> bool:
+    """True for a non-negative integral JSON number, 120.0 included; not a
+    bool, nor a fraction such as 2.7 that int() would truncate."""
+    return is_number(value) and value == int(value) and value >= 0
 
 
 def _exact_degrees(rad: float) -> float:
@@ -116,8 +130,10 @@ def _parse_header(line: str) -> dict:
             raise ValueError(f"line 1: header missing '{key}'")
         if not isinstance(header[key], (int, float)) or isinstance(header[key], bool):
             raise ValueError(f"line 1: header '{key}' must be a number")
-    if int(header["n_frames"]) < 1:
-        raise ValueError("line 1: n_frames must be at least 1")
+    # < 2 ** 63 compares exactly, where an int64 would round to a float
+    if not (is_count(header["n_frames"]) and 1 <= header["n_frames"] < 2 ** 63):
+        raise ValueError("line 1: header 'n_frames' must be an integer from 1 "
+                         "to the int64 maximum")
     for key in ("frame_interval", "integration_time", "range_resolution_m"):
         if not 0 < header[key] <= sys.float_info.max:
             raise ValueError(f"line 1: header '{key}' must be positive and finite")
@@ -132,10 +148,7 @@ def _parse_header(line: str) -> dict:
         raise ValueError(f"line 1: header needs all of {', '.join(_SIGMA_KEYS)} "
                          "or none")
     for key in sigmas:
-        value = header[key]
-        # the range test also fails NaN, and JSON integers too large for a float
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not 0 <= value <= sys.float_info.max):
+        if not (is_number(header[key]) and header[key] >= 0):
             raise ValueError(f"line 1: header '{key}' must be a finite number >= 0")
     return header
 

@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .angles import FitState, estimate_angles, model_covariances
-from .io import dwell_text, load_dwell, pgm_bytes
+from .io import dwell_text, is_count, is_number, load_dwell, pgm_bytes
 from .length import estimate_loa
 from .moments import moments_series
 from .plots import svg_lines_text
@@ -28,7 +27,7 @@ from .pose import (CLASS_THRESHOLD, CompositeImage, FrameClass,
                    report_noise)
 from .ship import AngleTrack, ShipModel
 from .simulate import (DegradationSpec, ScenarioConfig, build_angle_track,
-                       make_ship, simulate_degraded, simulate_perfect)
+                       make_ship, simulate_degraded)
 from .validate import (BADFIT_THRESHOLD, badfit, consistency_synth,
                        crosscheck_focus)
 
@@ -52,18 +51,12 @@ class PipelineError(Exception):
 @contextmanager
 def _stage(name: str):
     """Re-raise a ValueError from the block, np.linalg.LinAlgError included,
-    as the PipelineError of stage `name`."""
+    or an ArithmeticError, such as the OverflowError of a huge integration
+    time, as the PipelineError of stage `name`."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise PipelineError(name, str(exc)) from exc
-
-
-def is_number(value) -> bool:
-    """True for an int or float that is finite as a float, which JSON numbers
-    load as; not a bool, nor the NaN or Infinity that Python's json reads."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 def _number(value) -> float:
@@ -81,9 +74,8 @@ def _flag(value) -> bool:
 
 
 def _integer(value) -> int:
-    # a non-negative integral JSON number only, not a bool: int() truncates
-    # 2.7 to 2, and every integer setting is a count or a seed
-    if not is_number(value) or value != int(value) or value < 0:
+    # int() truncates 2.7 to 2, and every integer setting is a count or a seed
+    if not is_count(value):
         raise TypeError(f"expected a non-negative integer, got {value!r}")
     return int(value)
 
@@ -440,10 +432,11 @@ def run(config: RunConfig) -> RunReport:
     out = _Outputs(Path(config.output_dir))
     if config.mode == "simulate":
         cfg, ship, perfect = scenario_from_dict(config.scenario, config.seed)
+        if perfect:
+            cfg = replace(cfg, noise=(0.0, 0.0, 0.0), fade_sigma=0.0,
+                          snr_floor=-math.inf, injectors=())
         with _stage("simulate"):
-            track = build_angle_track(cfg)
-            dwell = (simulate_perfect if perfect else simulate_degraded)(
-                ship, track, cfg)
+            dwell = simulate_degraded(ship, build_angle_track(cfg), cfg)
         out.add_chunks("dwell.csv", dwell_text(dwell))
     else:
         try:

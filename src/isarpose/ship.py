@@ -172,7 +172,13 @@ class Dwell:
         half = 0.5 * self.frame_interval
         for k, (tk, fr) in enumerate(zip(self.t.tolist(), self.frames)):
             reports = fr.reports.view(np.ndarray)   # faster field reads
-            if (np.abs(reports["t"] - tk) > half).any():
+            t = reports["t"]
+            if (t[1:] < t[:-1]).any():
+                raise ValueError(f"frame {k}: report time decreases")
+            # rounding keeps t - tk in time order, so the first and last
+            # reports are the farthest from tk
+            if len(t) and max(abs(t[0].item() - tk),
+                              abs(t[-1].item() - tk)) > half:
                 raise ValueError(f"frame {k}: report time outside its slot")
             if (reports["truth_id"] < -1).any():
                 raise ValueError(f"frame {k}: truth_id below -1")

@@ -1,10 +1,11 @@
-"""Forward model: perfect and degraded target-report dwells from a ship and
-an angle track, plus confuser/interference injectors for robustness tests.
+"""Forward model: target-report dwells from a ship and an angle track, with
+report noise, fading dropouts and confuser/interference injectors for
+robustness tests. A scenario with all of them off gives the exact reports.
 
 Reports are sampled at frame-center times; integration-time smearing is not
-modeled because target reports are per-frame point estimates. Degraded
-simulation is bit-reproducible for a fixed seed: every frame draws from its
-own child generator keyed by (seed, frame index), so frame order and frame
+modeled because target reports are per-frame point estimates. Simulation is
+bit-reproducible for a fixed seed: every frame draws from its own child
+generator keyed by (seed, frame index), so frame order and frame
 parallelism never change the data.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 from .length import beam_rule
 from .motion import motion_rows
 from .ship import (AngleTrack, Dwell, Frame, ShipModel, angle_array,
-                   report_array)
+                   in_angle_range, report_array)
 
 BASE_SNR_DB = 20.0  # reference SNR of a unit-rcs scatterer
 
@@ -84,8 +85,16 @@ class ScenarioConfig:
                              "be positive and finite")
         if self.n_frames < 1:
             raise ValueError("'duration' is shorter than one 'frame_interval'")
+        # what a Dwell accepts, so the simulator can build its dwell
+        for key, rad in (("phi0_deg", self.phi0), ("theta0_deg", self.theta0)):
+            if not in_angle_range(rad):
+                raise ValueError(f"'{key}' must be strictly between -90 and 90")
+        if not 0 < self.range_resolution < math.inf:
+            raise ValueError("'range_resolution_m' must be positive and finite")
         if not all(math.isfinite(s) and s >= 0 for s in self.noise):
             raise ValueError("noise sigmas must be finite and >= 0")
+        if not 0 <= self.fade_sigma < math.inf:
+            raise ValueError("'fade_sigma_db' must be finite and >= 0")
         for name in ("aspect_osc", "tilt_osc"):
             amp, period = getattr(self, name)
             if not 0 < period < math.inf:
@@ -179,23 +188,6 @@ def build_angle_track(cfg: ScenarioConfig) -> AngleTrack:
     return AngleTrack(_angle_states(cfg, t))
 
 
-def _dwell(cfg: ScenarioConfig, frames: list[Frame], report_sigmas) -> Dwell:
-    """The scenario's dwell of these frames and report sigmas."""
-    return Dwell(tuple(frames), cfg.phi0, cfg.theta0, cfg.range_resolution,
-                 cfg.frame_interval, cfg.integration_time, report_sigmas)
-
-
-def simulate_perfect(model: ShipModel, track: AngleTrack,
-                     cfg: ScenarioConfig) -> Dwell:
-    """Every scatterer reported in every frame with exact (r, f, a); the
-    dwell records zero report sigmas."""
-    vals = rfa_of(model.xyz, track.samples)
-    ids = np.arange(len(model.xyz))
-    return _dwell(cfg, [Frame(report_array(tk, BASE_SNR_DB, *vals[k].T, ids))
-                        for k, tk in enumerate(track.samples.t.tolist())],
-                  (0.0, 0.0, 0.0))
-
-
 def _inject(spec: DegradationSpec, tk: float, rng,
             r_span: tuple[float, float], f_span: tuple[float, float]
             ) -> list[tuple[float, float, float, float]]:
@@ -235,8 +227,10 @@ def _inject(spec: DegradationSpec, tk: float, rng,
 
 def simulate_degraded(model: ShipModel, track: AngleTrack,
                       cfg: ScenarioConfig) -> Dwell:
-    """Perfect reports perturbed by noise, fading dropouts, and injectors;
-    the dwell records cfg.noise as its report sigmas."""
+    """Every scatterer's exact (r, f, a) at SNR 20 dB + 10 log10(rcs), under
+    the noise, fading, SNR floor and injectors of cfg; the dwell records
+    cfg.noise as its report sigmas. A source whose sigma is 0 adds nothing,
+    so a noise-free cfg reports the rfa_of values bit for bit."""
     vals = rfa_of(model.xyz, track.samples)
     # math.log10 per value: np.log10 can differ in the last bit
     rcs_db = np.array([10 * math.log10(w) for w in model.rcs.tolist()])
@@ -249,14 +243,16 @@ def simulate_degraded(model: ShipModel, track: AngleTrack,
         snr = BASE_SNR_DB + rcs_db
         if cfg.fade_sigma > 0:
             snr = snr + rng.normal(0.0, cfg.fade_sigma, size=n_s)
-        # range, rate, then acceleration noise
-        rfa = vals[k] + np.column_stack([
-            rng.normal(0.0, sig, size=n_s) if sig > 0 else np.zeros(n_s)
-            for sig in cfg.noise])
+        rfa = vals[k].copy()
+        # range, rate, then acceleration noise; not even +0.0 at sigma 0
+        for j, sig in enumerate(cfg.noise):
+            if sig > 0:
+                rfa[:, j] += rng.normal(0.0, sig, size=n_s)
         keep = np.flatnonzero(snr >= cfg.snr_floor)
         extra = np.array([row for spec in cfg.injectors
                           for row in _inject(spec, tk, rng, r_span, f_span)])
         frames.append(Frame(np.concatenate([
             report_array(tk, snr[keep], *rfa[keep].T, keep),
             report_array(tk, *extra.reshape(-1, 4).T)])))
-    return _dwell(cfg, frames, cfg.noise)
+    return Dwell(tuple(frames), cfg.phi0, cfg.theta0, cfg.range_resolution,
+                 cfg.frame_interval, cfg.integration_time, cfg.noise)

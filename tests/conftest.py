@@ -6,7 +6,7 @@ import pytest
 from isarpose.angles import estimate_angles
 from isarpose.moments import moments_series
 from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
-                               simulate_perfect)
+                               simulate_degraded)
 
 PHI0 = np.deg2rad(45.0)
 THETA0 = np.deg2rad(30.0)
@@ -36,7 +36,7 @@ def ideal_track(ideal_cfg):
 
 @pytest.fixture(scope="session")
 def ideal_dwell(ideal_cfg, ideal_ship, ideal_track):
-    return simulate_perfect(ideal_ship, ideal_track, ideal_cfg)
+    return simulate_degraded(ideal_ship, ideal_track, ideal_cfg)
 
 
 @pytest.fixture(scope="session")

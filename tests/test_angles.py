@@ -15,7 +15,7 @@ from isarpose.moments import moments_series
 from isarpose.motion import motion_rows, range_rate_rows, track_rows
 from isarpose.ship import AngleTrack, angle_array, ship_moments
 from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
-                               simulate_degraded, simulate_perfect)
+                               simulate_degraded)
 from tests.conftest import PHI0, THETA0
 
 
@@ -435,7 +435,7 @@ class TestEstimateAngles:
             steady_aspect_rate=np.deg2rad(0.3),
             noise=(0.0, 0.0, 0.0), seed=2)
         ship = make_ship(120.0)
-        dwell = simulate_perfect(ship, build_angle_track(cfg), cfg)
+        dwell = simulate_degraded(ship, build_angle_track(cfg), cfg)
         mom = moments_series(dwell)
         # no oscillation anywhere: the search path falls back
         _, free = estimate_angles(mom, PHI0, THETA0)
@@ -456,7 +456,7 @@ class TestEstimateAngles:
             steady_aspect_rate=np.deg2rad(0.3),
             noise=(0.0, 0.0, 0.0), seed=1)
         ship = make_ship(120.0)
-        dwell = simulate_perfect(ship, build_angle_track(cfg), cfg)
+        dwell = simulate_degraded(ship, build_angle_track(cfg), cfg)
         track, state = estimate_angles(moments_series(dwell), PHI0, THETA0)
         assert "no wave solution" in state.flags
         assert np.allclose(track.samples.theta, THETA0)

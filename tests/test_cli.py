@@ -57,6 +57,17 @@ def _rows(path):
         return list(csv.DictReader(fh))
 
 
+def _with_header(sim_dir, tmp_path, key, value):
+    """Path of a copy of sim_dir's dwell whose header sets key to the JSON
+    text value."""
+    lines = (sim_dir / "dwell.csv").read_text().splitlines(True)
+    header = re.sub(f'"{key}": [^,}}]+', f'"{key}": {value}', lines[0])
+    assert header != lines[0]
+    path = tmp_path / "dwell.csv"
+    path.write_text(header + "".join(lines[1:]))
+    return str(path)
+
+
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli")
@@ -164,6 +175,12 @@ class TestSimulate:
         ({"tilt_osc": {"amplitude_deg": 0.0, "period_s": 0.0}}, "tilt_osc"),
         ({"aspect_osc": {"amplitude_deg": 0.0, "period_s": -12.0}},
          "aspect_osc"),
+        # a mean angle at or beyond +-90 deg exited 4 from the simulator
+        ({"theta0_deg": -90}, "theta0_deg"),
+        ({"phi0_deg": 95}, "phi0_deg"),
+        # a zero resolution exited 4; a negative fade applied no fading
+        ({"range_resolution_m": 0}, "range_resolution_m"),
+        ({"fade_sigma_db": -1}, "fade_sigma_db"),
     ])
     def test_mistyped_scenario_value_is_config_error(self, tmp_path, capsys,
                                                      change, key):
@@ -394,27 +411,48 @@ class TestAnalyze:
     def test_bad_header_mean_angle_is_data_error(self, sim_dir, tmp_path,
                                                  capsys, key, value):
         # NaN and Infinity exited 4 from the angle fit; -95 deg exited 0
-        lines = (sim_dir / "dwell.csv").read_text().splitlines(True)
-        header = re.sub(f'"{key}": [^,}}]+', f'"{key}": {value}', lines[0])
-        assert header != lines[0]
-        bad = tmp_path / "bad.csv"
-        bad.write_text(header + "".join(lines[1:]))
-        code = main(["analyze", "--input", str(bad),
+        code = main(["analyze", "--input",
+                     _with_header(sim_dir, tmp_path, key, value),
                      "--out", str(tmp_path / "out")])
         assert code == 3
         assert (f"data error: line 1: header '{key}' must be finite"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
-    def test_broadside_mean_aspect_is_an_angles_stage_error(
+    @pytest.mark.parametrize("value", ["1e999", "120.7", "1e300"])
+    def test_non_integer_header_frame_count_is_data_error(
+            self, sim_dir, tmp_path, capsys, value):
+        # 1e999 exited 1 with an OverflowError, 120.7 analyzed 120 frames
+        # and 1e300 built a report list for every frame it claimed
+        code = main(["analyze", "--input",
+                     _with_header(sim_dir, tmp_path, "n_frames", value),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "data error: line 1: header 'n_frames' must be an integer")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["simulate", "analyze"])
+    def test_huge_integration_time_is_a_pose_stage_error(
+            self, sim_dir, tmp_path, capsys, verb):
+        # T^2 in the motion matrix's scaling overflowed: an OverflowError
+        # traceback, exit 1
+        if verb == "simulate":
+            args = ["--config", _write_config(
+                tmp_path, {**SCENARIO, "integration_time": 1e300})]
+        else:
+            args = ["--input", _with_header(sim_dir, tmp_path,
+                                            "integration_time", "1e300")]
+        code = main([verb, *args, "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("pipeline error: pose: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_bow_on_mean_aspect_is_an_angles_stage_error(
             self, sim_dir, tmp_path, capsys):
         # a 2 deg mean aspect loads, but the angle fit cannot observe it
-        lines = (sim_dir / "dwell.csv").read_text().splitlines(True)
-        header = lines[0].replace('"phi0_deg": 45.0', '"phi0_deg": 2.0')
-        assert header != lines[0]
-        path = tmp_path / "dwell.csv"
-        path.write_text(header + "".join(lines[1:]))
-        code = main(["analyze", "--input", str(path),
+        code = main(["analyze", "--input",
+                     _with_header(sim_dir, tmp_path, "phi0_deg", "2.0"),
                      "--out", str(tmp_path / "out")])
         assert code == 4
         assert capsys.readouterr().err.startswith("pipeline error: angles: ")
@@ -495,6 +533,10 @@ class TestReportSigmas:
         assert code == 0
         dwell = load_dwell(str(out / "dwell.csv"))
         assert dwell.report_sigmas == (0.0, 0.0, 0.0)
+        # every scatterer reported at its own SNR, not a flat 20 dB
+        ship = isarpose.runner.scenario_from_dict(CANONICAL)[1]
+        snr = [20.0 + 10 * math.log10(w) for w in ship.rcs.tolist()]
+        assert all(fr.reports.snr.tolist() == snr for fr in dwell.frames)
         path = tmp_path / "unknown.csv"
         save_dwell(dataclasses.replace(dwell, report_sigmas=None), path)
         again = tmp_path / "an"

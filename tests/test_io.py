@@ -219,6 +219,16 @@ class TestSchemaErrors:
                      f"^line 1: header '{key}' must be finite and strictly "
                      "between -90 and 90$")
 
+    @pytest.mark.parametrize("value", ["1e999", "120.7", "1e300", "0"])
+    def test_frame_count_must_be_an_int64_count(self, tmp_path, value):
+        # before, 1e999 (Infinity) overflowed in int(), 120.7 loaded as 120
+        # frames, and 1e300 built a report list for every frame it claimed
+        path, lines = self._lines(tmp_path)
+        header = re.sub('"n_frames": [^,}]+', f'"n_frames": {value}', lines[0])
+        assert header != lines[0]
+        self._expect(tmp_path, [header] + lines[1:],
+                     "^line 1: header 'n_frames' must be an integer from 1 ")
+
     def test_mean_angle_just_inside_the_limit_loads(self, tmp_path):
         path, lines = self._lines(tmp_path)
         header = lines[0].replace('"theta0_deg": 30.0', '"theta0_deg": -89.9')

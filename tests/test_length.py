@@ -12,7 +12,7 @@ from isarpose.length import (_extents, beam_rule, estimate_loa, frame_loa,
                              multipath_guard)
 from isarpose.ship import Frame, report_array
 from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
-                               simulate_perfect)
+                               simulate_degraded)
 from isarpose.validate import BadFitSeries
 from tests.conftest import LOA, PHI0, THETA0
 
@@ -158,7 +158,7 @@ class TestEstimateLoa:
                              seed=1)
         ship = make_ship(LOA)
         track = build_angle_track(cfg)
-        dwell = simulate_perfect(ship, track, cfg)
+        dwell = simulate_degraded(ship, track, cfg)
         with pytest.raises(ValueError):
             estimate_loa(dwell, track)
 

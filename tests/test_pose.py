@@ -10,7 +10,7 @@ from isarpose.pose import (PEARLS_EPS, FrameClass, FrameSolution,
                            motion_matrix, report_noise)
 from isarpose.ship import AngleTrack, Dwell, Frame, angle_array, report_array
 from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
-                               rfa_of, simulate_degraded, simulate_perfect)
+                               rfa_of, simulate_degraded)
 from isarpose.validate import BadFitSeries
 from tests.conftest import LOA, PHI0, THETA0
 

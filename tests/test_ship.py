@@ -169,6 +169,10 @@ def test_dwell_holds_the_frame_grid_once():
     # a truth_id below -1 was written blank and loaded back as -1
     ({"frames": (Frame(report_array([0.25], 20.0, 0.0, 0.0, 0.0, -2)),)},
      "frame 0: truth_id below -1"),
+    # times that decrease within a frame loaded as `time decreases within
+    # a frame`
+    ({"frames": (Frame(report_array([0.3, 0.2, 0.25], 20.0, 0.0, 0.0, 0.0)),)},
+     "frame 0: report time decreases"),
 ])
 def test_dwell_rejects_what_a_dwell_file_cannot_hold(change, match):
     kw = dict(frames=_one_report_frames(2), phi0=0.5, theta0=0.3,

@@ -8,7 +8,7 @@ import pytest
 from isarpose.length import beam_rule
 from isarpose.simulate import (DegradationSpec, ScenarioConfig,
                                angle_sample_at, build_angle_track, make_ship,
-                               rfa_of, simulate_degraded, simulate_perfect)
+                               rfa_of, simulate_degraded)
 
 
 def _cfg(**kw):
@@ -118,7 +118,7 @@ class TestPerfectReports:
         cfg = _cfg()
         ship = make_ship(60.0, n_scatterers=10)
         track = build_angle_track(cfg)
-        dwell = simulate_perfect(ship, track, cfg)
+        dwell = simulate_degraded(ship, track, cfg)
         assert len(dwell.frames) == cfg.n_frames
         for k in (0, 11, 39):
             reps = dwell.frames[k].reports
@@ -130,28 +130,28 @@ class TestPerfectReports:
             assert got == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_reports_are_the_forward_model_bit_for_bit(self):
-        cfg = _cfg()
+        # the noise-free scene: no report noise, fading, floor or injector
+        cfg = _cfg(snr_floor=-math.inf)
         ship = make_ship(120.0, n_scatterers=24, seed=3)
         track = build_angle_track(cfg)
-        dwell = simulate_perfect(ship, track, cfg)
+        dwell = simulate_degraded(ship, track, cfg)
         want = rfa_of(ship.xyz, track.samples)
         assert want.shape == (cfg.n_frames, len(ship.xyz), 3)
+        snr = [20.0 + 10 * math.log10(w) for w in ship.rcs.tolist()]
         for k, fr in enumerate(dwell.frames):
             got = np.column_stack([fr.reports.r, fr.reports.f, fr.reports.a])
             assert got.tobytes() == want[k].tobytes()
+            # each report keeps its scatterer's own SNR
+            assert fr.reports.snr.tolist() == snr
 
     def test_dwell_carries_scenario_metadata(self):
         cfg = _cfg()
-        dwell = simulate_perfect(make_ship(60.0), build_angle_track(cfg), cfg)
+        dwell = simulate_degraded(make_ship(60.0), build_angle_track(cfg), cfg)
         assert dwell.phi0 == cfg.phi0
         assert dwell.theta0 == cfg.theta0
         assert dwell.frame_interval == cfg.frame_interval
         assert dwell.range_resolution == cfg.range_resolution
-        # exact reports carry no noise, whatever the scenario's sigmas
         assert dwell.report_sigmas == (0.0, 0.0, 0.0)
-        noisy = _cfg(noise=(0.3, 0.05, 0.02))
-        assert simulate_perfect(make_ship(60.0), build_angle_track(noisy),
-                                noisy).report_sigmas == (0.0, 0.0, 0.0)
 
 
 class TestDegradedReports:
@@ -167,17 +167,6 @@ class TestDegradedReports:
         with pytest.raises(ValueError, match="noise sigmas"):
             _cfg(noise=noise)
 
-    def test_zero_noise_reduces_to_perfect_values(self):
-        cfg = _cfg()
-        ship = make_ship(60.0)
-        track = build_angle_track(cfg)
-        perfect = simulate_perfect(ship, track, cfg)
-        degraded = simulate_degraded(ship, track, cfg)
-        for fp, fd in zip(perfect.frames, degraded.frames):
-            assert fd.reports.r.tolist() == fp.reports.r.tolist()
-            assert fd.reports.f.tolist() == fp.reports.f.tolist()
-            assert fd.reports.a.tolist() == fp.reports.a.tolist()
-
     def test_same_seed_reproduces_reports_exactly(self):
         cfg = _cfg(noise=(0.3, 0.05, 0.02), fade_sigma=1.5)
         ship = make_ship(60.0)
@@ -191,11 +180,11 @@ class TestDegradedReports:
         cfg = _cfg(duration=60.0, noise=(0.5, 0.05, 0.02))
         ship = make_ship(60.0, n_scatterers=24)
         track = build_angle_track(cfg)
-        perfect = simulate_perfect(ship, track, cfg)
         degraded = simulate_degraded(ship, track, cfg)
+        exact = rfa_of(ship.xyz, track.samples)
         resid = np.concatenate([
-            fd.reports.r - fp.reports.r
-            for fp, fd in zip(perfect.frames, degraded.frames)])
+            fd.reports.r - exact[k, :, 0]
+            for k, fd in enumerate(degraded.frames)])
         assert np.std(resid) == pytest.approx(0.5, rel=0.05)
         assert abs(np.mean(resid)) < 0.02
 
