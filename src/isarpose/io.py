@@ -1,25 +1,27 @@
 """Dwell files: a one-line JSON header followed by CSV report rows.
 
 Header keys: format, version, n_frames (an integral JSON number from 1 to
-the int64 maximum), frame_interval, integration_time, phi0_deg,
-theta0_deg, range_resolution_m, and optionally the nominal report
-noise sigmas sigma_range_m, sigma_doppler_mps and sigma_accel_mps2: all
-three or none, each a finite number >= 0. A reader that ignores them reads
-the file correctly, so they need no new version. Angles cross the file
-boundary in degrees, within +-90 (ship.in_angle_range in radians);
-everything in memory is radians. Report rows are
-frame_index,t,snr_db,range_m,doppler_mps,accel_mps2 with an optional
-truth_id column; a doppler_width_mps column is accepted and ignored. Frame
-k is frame_index k. Floats are written with shortest round-trip repr, so a
-dwell whose reports pass the row checks loads back as saved, and save ->
-load -> save is byte-identical. Neither direction holds the file as one
-text. The writer gives one ASCII byte chunk per frame. The reader takes
-the report lines from the open file in blocks of _BLOCK_ROWS; each block
-is parsed by one np.loadtxt call, checked with whole-column masks and kept
-as one REPORT_DTYPE record array, which each of its frames slices (a frame
-that spans blocks joins its slices). The first malformed line, a
-non-finite field included, is named by its line number. Numbers are ASCII
-decimals: '_' separators and a frame_index beyond int64 are rejected.
+the int64 maximum), frame_interval, integration_time (its square a finite
+float), phi0_deg, theta0_deg, range_resolution_m, and optionally the
+nominal report noise sigmas sigma_range_m, sigma_doppler_mps and
+sigma_accel_mps2: all three or none, each a finite number >= 0. A reader
+that ignores them reads the file correctly, so they need no new version.
+Angles cross the file boundary in degrees, within +-90
+(ship.in_angle_range in radians); everything in memory is radians. Report
+rows are frame_index,t,snr_db,range_m,doppler_mps,accel_mps2 with an
+optional truth_id column; a doppler_width_mps column is accepted and
+ignored. Frame k is frame_index k. Floats are written with shortest
+round-trip repr, so a dwell whose reports pass the row checks loads back
+as saved, and save -> load -> save is byte-identical. Neither direction
+holds the file as one text. The writer gives one ASCII byte chunk per
+frame. The reader takes the report lines from the open file in blocks of
+_BLOCK_ROWS; each block is parsed natively, by one np.loadtxt call on its
+final dtype, checked with whole-column masks and kept as one REPORT_DTYPE
+record array, which each of its frames slices (a frame that spans blocks
+joins its slices). Only a block whose parse or checks fail goes to
+line-level diagnosis, which names the first malformed line, a non-finite
+field included, by its line number. Numbers are ASCII decimals: '_'
+separators and a frame_index beyond int64 are rejected.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ import math
 import sys
 import warnings
 from collections import deque
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterator, TextIO
 
 import numpy as np
 
-from .ship import REPORT_DTYPE, Dwell, Frame, in_angle_range, report_array
+from .ship import (MAX_INTEGRATION_TIME, REPORT_DTYPE, Dwell, Frame,
+                   in_angle_range, report_array)
 
 FORMAT_NAME = "isar-dwell"
 FORMAT_VERSION = 1
@@ -102,10 +105,20 @@ def dwell_text(dwell: Dwell) -> list[bytes]:
     chunks = [f"{json.dumps(header, sort_keys=True)}\n{','.join(cols)}\n"
               .encode("ascii")]
     for k, fr in enumerate(dwell.frames):
+        reports = fr.reports.view(np.ndarray)
+        t = reports["t"]
+        bits = t.view(np.int64)
+        # tolist() and item() yield Python floats, whose repr is the
+        # shortest round trip. A frame whose reports share one time, as the
+        # simulator's all do, has its row prefix formatted once; equal bits
+        # keep a -0.0 apart from a 0.0
+        if len(t) and (bits == bits[0]).all():
+            heads = repeat(f"{k},{t[0].item()!r},")
+        else:
+            heads = (f"{k},{v!r}," for v in t.tolist())
         rows = []
-        # tolist() yields Python floats, whose repr is the shortest round trip
-        for t, snr, r, f, a, truth in fr.reports.tolist():
-            row = f"{k},{t!r},{snr!r},{r!r},{f!r},{a!r}"
+        for head, (_, snr, r, f, a, truth) in zip(heads, reports.tolist()):
+            row = f"{head}{snr!r},{r!r},{f!r},{a!r}"
             if with_truth:
                 row += f",{truth}" if truth >= 0 else ","
             rows.append(row + "\n")
@@ -137,6 +150,10 @@ def _parse_header(line: str) -> dict:
     for key in ("frame_interval", "integration_time", "range_resolution_m"):
         if not 0 < header[key] <= sys.float_info.max:
             raise ValueError(f"line 1: header '{key}' must be positive and finite")
+    if header["integration_time"] > MAX_INTEGRATION_TIME:
+        raise ValueError("line 1: header 'integration_time' must be at most "
+                         f"{MAX_INTEGRATION_TIME!r}, where its square "
+                         "overflows")
     for key in ("phi0_deg", "theta0_deg"):
         # the range test fails NaN, and JSON integers too large for a float
         if not (abs(header[key]) <= sys.float_info.max
@@ -222,17 +239,16 @@ def _numeric_error(row: str) -> str:
             "frame_index must fit in int64")
 
 
-def _check_rows(table: np.ndarray, truth: np.ndarray, line_no: np.ndarray,
-                n_frames: int, interval: float, prev: tuple) -> None:
-    """Raise for the first row that breaks a report check; prev is the
-    (frame_index, t) of the row before the table's first. Within a row the
-    checks run in the order listed, so the message is the one a row-by-row
-    pass stopping at the first fault would give."""
+def _row_checks(table: np.ndarray, truth: np.ndarray, n_frames: int,
+                interval: float, prev: tuple) -> tuple:
+    """(mask, message) of each report check, in the order a row's checks
+    run; prev is the (frame_index, t) of the row before the table's
+    first."""
     idx, t = table["frame_index"], table["t"]
     prev_idx = np.r_[prev[0], idx[:-1]]
     prev_t = np.r_[prev[1], t[:-1]]
     finite = np.logical_and.reduce([np.isfinite(table[name]) for name in _FLOATS])
-    checks = (
+    return (
         (~finite, "report fields must be finite"),
         ((idx < 0) | (idx >= n_frames), "frame_index {idx} outside 0..{last}"),
         (idx < prev_idx, "frame_index decreases"),
@@ -241,28 +257,90 @@ def _check_rows(table: np.ndarray, truth: np.ndarray, line_no: np.ndarray,
          "time {t} inconsistent with frame {idx}"),
         (truth == _BAD_TRUTH, "bad truth_id"),
     )
+
+
+def _check_rows(table: np.ndarray, truth: np.ndarray, line_no: np.ndarray,
+                n_frames: int, interval: float, prev: tuple) -> None:
+    """Raise for the first row that breaks a report check, with the
+    message a row-by-row pass stopping at the first fault would give."""
+    checks = _row_checks(table, truth, n_frames, interval, prev)
     firsts = [(int(mask.argmax()), order)
               for order, (mask, _) in enumerate(checks) if mask.any()]
     if firsts:
         k, order = min(firsts)
+        idx, t = table["frame_index"], table["t"]
         why = checks[order][1].format(idx=int(idx[k]), t=float(t[k]),
                                       last=n_frames - 1)
         raise ValueError(f"line {line_no[k]}: {why}")
 
 
-def _lines(f: TextIO) -> Iterator[str]:
+def _native_parser(cols: tuple[str, ...]):
+    """parse(block, n_frames, interval, prev): the table of a block of
+    report lines from one np.loadtxt call on a dtype of every column, which
+    also rejects a row of the wrong field count; prev is as for
+    _row_checks. None when the call raises or warns or a row fails a check:
+    _block_table then names the fault. Only blank truth_id cells are
+    rewritten first: in the last column a blank cell ends its line with
+    ',' and becomes -1. The table must then hold as many -1 ids as cells
+    rewritten and no other negative id, so a literal -1 still fails."""
+    names = ("frame_index",) + _FLOATS + cols[len(_COLUMNS):]
+    dtype = np.dtype([(name, np.int64 if name in ("frame_index", "truth_id")
+                       else np.float64) for name in names])
+    blank_truth = cols[-1] == "truth_id"
+
+    def parse(block: list[str], n_frames: int, interval: float,
+              prev: tuple) -> np.ndarray | None:
+        blank = (list(compress(range(len(block)),
+                               map(str.endswith, block, repeat(","))))
+                 if blank_truth else [])
+        rows = block
+        if blank:
+            rows = block.copy()
+            for k in blank:
+                rows[k] += "-1"
+        try:
+            with warnings.catch_warnings():
+                # no data warns; NumPy 1.x warns when it reads "1.0" as an int
+                warnings.simplefilter("error")
+                # loadtxt skips empty lines and rejects a row of the wrong
+                # field count
+                table = np.loadtxt(rows, dtype=dtype, delimiter=",",
+                                   comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+        truth = _truth(table)
+        if "truth_id" in cols and (np.count_nonzero(truth == -1) != len(blank)
+                                   or (truth < -1).any()):
+            return None
+        if any(mask.any() for mask, _ in
+               _row_checks(table, truth, n_frames, interval, prev)):
+            return None
+        return table
+    return parse
+
+
+def _blocks(f: TextIO) -> Iterator[list[str]]:
     """The lines str.splitlines() gives for the file's text, read
-    _READ_CHARS characters at a time. Newline translation has already
-    turned each CR LF into one LF, so no line break spans two reads."""
-    tail = ""
+    _READ_CHARS characters at a time: the first two lines as one list, then
+    the rest in lists of _BLOCK_ROWS lines, the last one shorter. Newline
+    translation has already turned each CR LF into one LF, so no line break
+    spans two reads."""
+    size, buf, tail = 2, [], ""
     for piece in iter(lambda: f.read(_READ_CHARS), ""):
         text = tail + piece
-        lines = text.splitlines()
+        buf += text.splitlines()
         # the last line is unfinished unless the text ends with a break
-        tail = "" if text[-1] in _LINE_BREAKS else lines.pop()
-        yield from lines
+        tail = "" if text[-1] in _LINE_BREAKS else buf.pop()
+        start = 0
+        while len(buf) - start >= size:
+            yield buf[start:start + size]
+            start, size = start + size, _BLOCK_ROWS
+        del buf[:start]
+    # fewer than `size` lines are left, the unfinished one included
     if tail:
-        yield tail
+        buf.append(tail)
+    if buf:
+        yield buf
 
 
 def _block_table(block: list[str], first_line: int, cols: tuple[str, ...],
@@ -295,24 +373,27 @@ def _block_table(block: list[str], first_line: int, cols: tuple[str, ...],
     return table
 
 
-def _report_blocks(lines: Iterator[str], cols: tuple[str, ...],
+def _report_blocks(blocks: Iterator[list[str]], cols: tuple[str, ...],
                    n_frames: int, interval: float) -> Iterator[np.ndarray]:
-    """The checked table of each block of the report lines left in
-    `lines`, which start at line 3; blocks of blank lines give none."""
+    """The checked table of each block of report lines left in `blocks`,
+    which start at line 3; blocks of blank lines give none."""
+    native = _native_parser(cols)
     parse = _row_parser(cols)
     first_line = 3
     prev = (-1, -math.inf)   # no row before the first
-    while block := list(islice(lines, _BLOCK_ROWS)):
-        table = _block_table(block, first_line, cols, parse, n_frames,
-                             interval, prev)
+    for block in blocks:
+        table = native(block, n_frames, interval, prev)
+        if table is None:
+            table = _block_table(block, first_line, cols, parse, n_frames,
+                                 interval, prev)
         if len(table):
             prev = (table["frame_index"][-1], table["t"][-1])
             yield table
         first_line += len(block)
 
 
-def _read_dwell(lines: Iterator[str]) -> Dwell:
-    head = list(islice(lines, 2))
+def _read_dwell(blocks: Iterator[list[str]]) -> Dwell:
+    head = next(blocks, [])
     if len(head) < 2:
         raise ValueError("line 1: file too short for header and column row")
     header = _parse_header(head[0])
@@ -329,7 +410,7 @@ def _read_dwell(lines: Iterator[str]) -> Dwell:
     # each block it spans; only a frame spanning blocks is copied, so the
     # reports are never held twice
     parts = [[] for _ in range(n_frames)]
-    for table in _report_blocks(lines, cols, n_frames, interval):
+    for table in _report_blocks(blocks, cols, n_frames, interval):
         reports = report_array(*(table[name] for name in _FLOATS),
                                _truth(table))
         bounds = np.searchsorted(table["frame_index"], np.arange(n_frames + 1))
@@ -354,13 +435,13 @@ def load_dwell(path: str | Path) -> Dwell:
     path = Path(path)
     try:
         with path.open() as f:
-            lines = _lines(f)
+            blocks = _blocks(f)
             try:
-                return _read_dwell(lines)
+                return _read_dwell(blocks)
             except ValueError:
                 # a file that does not decode fails as that, whatever
                 # else is wrong with it
-                deque(lines, maxlen=0)
+                deque(blocks, maxlen=0)
                 raise
     except UnicodeDecodeError:
         # decoded whole, the error names the byte's offset in the file

@@ -8,6 +8,7 @@ share between threads. A frame is its reports; its dwell holds the rest.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,11 @@ grazing rotation; their rates (rad/s) and accelerations (rad/s^2)."""
 def in_angle_range(rad):
     """|rad| < pi/2 (False for NaN): the model's tangent-singularity bound."""
     return np.abs(rad) < math.pi / 2
+
+
+MAX_INTEGRATION_TIME = math.sqrt(sys.float_info.max)
+"""Largest integration time (s) whose square is a finite float: the pose
+stage scales motion-matrix rows by T^2."""
 
 
 def _record_array(dtype: np.dtype, cols: tuple) -> np.recarray:
@@ -166,6 +172,10 @@ class Dwell:
                 self.range_resolution)):
             raise ValueError("frame_interval, integration_time and "
                              "range_resolution must be positive and finite")
+        if self.integration_time > MAX_INTEGRATION_TIME:
+            raise ValueError("integration_time must be at most "
+                             f"{MAX_INTEGRATION_TIME!r}, where its square "
+                             "overflows")
         if not (in_angle_range(self.phi0) and in_angle_range(self.theta0)):
             raise ValueError("mean angles must satisfy |phi0|, |theta0| < pi/2")
         # the reader's row checks: every dwell saves as a file it reads back

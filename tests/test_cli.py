@@ -432,20 +432,24 @@ class TestAnalyze:
             "data error: line 1: header 'n_frames' must be an integer")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("verb", ["simulate", "analyze"])
-    def test_huge_integration_time_is_a_pose_stage_error(
-            self, sim_dir, tmp_path, capsys, verb):
-        # T^2 in the motion matrix's scaling overflowed: an OverflowError
-        # traceback, exit 1
+    @pytest.mark.parametrize("verb, code, error", [
+        ("simulate", 2, "config error: 'integration_time'"),
+        ("analyze", 3, "data error: line 1: header 'integration_time'")],
+        ids=["simulate", "analyze"])
+    def test_huge_integration_time_is_rejected_at_the_boundary(
+            self, sim_dir, tmp_path, capsys, verb, code, error):
+        # before, T^2 in the motion matrix's scaling overflowed: every stage
+        # before pose ran, then exit 4 with an errno tuple for a message
         if verb == "simulate":
             args = ["--config", _write_config(
                 tmp_path, {**SCENARIO, "integration_time": 1e300})]
         else:
             args = ["--input", _with_header(sim_dir, tmp_path,
                                             "integration_time", "1e300")]
-        code = main([verb, *args, "--out", str(tmp_path / "out")])
-        assert code == 4
-        assert capsys.readouterr().err.startswith("pipeline error: pose: ")
+        assert main([verb, *args, "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err.startswith(
+            f"{error} must be at most 1.3407807929942596e+154, where its "
+            "square overflows")
         assert not (tmp_path / "out").exists()
 
     def test_bow_on_mean_aspect_is_an_angles_stage_error(

@@ -7,11 +7,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import isarpose.io
-from isarpose.io import _lines, dwell_text, load_dwell, pgm_bytes, save_dwell
+from isarpose.io import _blocks, dwell_text, load_dwell, pgm_bytes, save_dwell
 from isarpose.moments import moments_series
 from isarpose.ship import Dwell, Frame, report_array
 
@@ -121,6 +121,28 @@ def test_round_trip_property(tmp_path_factory, rows, interval,
             == moments_series(dwell).tobytes())
 
 
+def test_rows_match_the_per_row_reference_format(tmp_path):
+    """A frame's `k,t,` prefix is formatted once only when all its report
+    times have the same bits: 0.0 and -0.0 compare equal but print apart."""
+    frames = (Frame(report_array([0.0, -0.0, 0.0], 20.0, 1.0, 2.0, 3.0)),
+              Frame(report_array([0.6, 0.75, 0.75, 0.9], 20.0, 0.1 + 0.2,
+                                 -2.0, 1e-12, [1, -1, 2, 3])),
+              Frame(report_array([1.25, 1.25], 21.0, 4.0, 5.0, 6.0)),
+              Frame(report_array(np.zeros(0), 0.0, 0.0, 0.0, 0.0)))
+    dwell = Dwell(frames, phi0=0.5, theta0=0.3, range_resolution=0.5,
+                  frame_interval=0.5, integration_time=0.5)
+    reference = [f"{k},{t!r},{snr!r},{r!r},{f!r},{a!r},"
+                 + (str(truth) if truth >= 0 else "")
+                 for k, fr in enumerate(frames)
+                 for t, snr, r, f, a, truth in fr.reports.tolist()]
+    assert _text(dwell).splitlines()[2:] == reference
+    assert [row.split(",")[1] for row in reference[:3]] == ["0.0", "-0.0",
+                                                            "0.0"]
+    path = tmp_path / "d.csv"
+    save_dwell(dwell, path)
+    assert _text(load_dwell(path)) == path.read_text()
+
+
 def test_angles_cross_boundary_in_degrees(tmp_path):
     dwell = _dwell([[(20.0, 0.0, 0.0, 0.0)]])
     path = tmp_path / "d.csv"
@@ -228,6 +250,25 @@ class TestSchemaErrors:
         assert header != lines[0]
         self._expect(tmp_path, [header] + lines[1:],
                      "^line 1: header 'n_frames' must be an integer from 1 ")
+
+    @pytest.mark.parametrize("value, loads", [
+        ("1e300", False), ("1.3407807929942597e154", False),
+        ("1.3407807929942596e154", True)])
+    def test_integration_time_needs_a_finite_square(self, tmp_path, value,
+                                                    loads):
+        # before, 1e300 loaded and failed in the pose stage, which squares it
+        path, lines = self._lines(tmp_path)
+        header = re.sub('"integration_time": [^,}]+',
+                        f'"integration_time": {value}', lines[0])
+        assert header != lines[0]
+        if loads:
+            path.write_text("\n".join([header] + lines[1:]) + "\n")
+            assert load_dwell(path).integration_time == float(value)
+        else:
+            self._expect(tmp_path, [header] + lines[1:],
+                         "^line 1: header 'integration_time' must be at most "
+                         "1.3407807929942596e\\+154, where its square "
+                         "overflows$")
 
     def test_mean_angle_just_inside_the_limit_loads(self, tmp_path):
         path, lines = self._lines(tmp_path)
@@ -438,14 +479,29 @@ def _row_by_row(lines, n_frames, interval):
     return rows
 
 
+# truth_id cells the reader parses natively, rewrites, or leaves to its
+# line-level diagnosis: blank and literal -1 both parse to -1, but only a
+# blank cell is valid
+_TRUTH_CELLS = ["", "-1", "-0", "+3", " \t", "1_0", " 7 "]
+
+
 @given(faults=st.lists(st.tuples(st.integers(0, 5),
                                  st.sampled_from(sorted(_FAULT_MESSAGES))),
                        max_size=3),
-       blanks=st.lists(st.integers(2, 8), max_size=2))
+       blanks=st.lists(st.integers(2, 8), max_size=2),
+       truths=st.lists(st.tuples(st.integers(0, 5),
+                                 st.sampled_from(_TRUTH_CELLS)), max_size=3))
+# blank cells on the first and last report line, which open and close a
+# block, and on every line; a literal -1 between blank cells
+@example(faults=[], blanks=[], truths=[(0, ""), (5, "")])
+@example(faults=[], blanks=[], truths=[(k, "") for k in range(6)])
+@example(faults=[], blanks=[], truths=[(0, ""), (3, "-1"), (5, "")])
 @settings(deadline=None, max_examples=60)
 def test_columnar_loader_matches_row_by_row_reference(tmp_path_factory,
-                                                      faults, blanks):
+                                                      faults, blanks, truths):
     lines = _six_frame_lines(tmp_path_factory.mktemp("io"))
+    for frame, cell in truths:
+        lines[frame + 2] = ",".join(lines[frame + 2].split(",")[:6] + [cell])
     for frame, kind in faults:
         lines[frame + 2] = ",".join(_fault(kind, lines[frame + 2].split(","),
                                            frame))
@@ -506,21 +562,50 @@ def test_fault_opens_a_later_block(tmp_path, monkeypatch, kind, blank_block):
                   5 + len(blanks), kind)
 
 
+@pytest.mark.parametrize("with_truth", [True, False],
+                         ids=["blank-truth-cells", "no-truth-column"])
+def test_clean_file_never_reaches_line_level_diagnosis(tmp_path, monkeypatch,
+                                                       with_truth):
+    """A clean file loads through the native block parse alone, also when
+    its blank truth_id cells need rewriting and they open or close a
+    block."""
+    def diagnose(*args):
+        raise AssertionError("a clean block went to line-level diagnosis")
+
+    monkeypatch.setattr(isarpose.io, "_block_table", diagnose)
+    monkeypatch.setattr(isarpose.io, "_BLOCK_ROWS", 3)
+    truth_ids = ([[-1, 0], [1, -1, 2], [-1], [3, 4, -1, -1]] if with_truth
+                 else None)
+    dwell = _dwell([[(20.0 + j, 0.5 * j, -1.25, 3.0) for j in range(n)]
+                    for n in (2, 3, 1, 4)], truth_ids=truth_ids)
+    path = tmp_path / "clean.csv"
+    save_dwell(dwell, path)
+    assert ("truth_id" in path.read_text()) == with_truth
+    back = load_dwell(path)
+    assert ([fr.reports.tobytes() for fr in back.frames]
+            == [fr.reports.tobytes() for fr in dwell.frames])
+
+
 _BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
            "\u2028", "\u2029"]
 
 
 @given(st.lists(st.sampled_from(["a", "0,1", " ", ""] + _BREAKS), max_size=12),
-       st.integers(1, 5))
+       st.integers(1, 5), st.integers(1, 3))
 @settings(deadline=None, max_examples=200)
-def test_lines_split_as_splitlines(tmp_path_factory, parts, chars):
+def test_lines_split_as_splitlines(tmp_path_factory, parts, chars, rows):
     text = "".join(parts)
     path = tmp_path_factory.mktemp("io") / "t.csv"
     path.write_text(text, newline="")
+    lines = path.read_text().splitlines()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(isarpose.io, "_READ_CHARS", chars)
+        mp.setattr(isarpose.io, "_BLOCK_ROWS", rows)
         with path.open() as f:
-            assert list(_lines(f)) == path.read_text().splitlines()
+            blocks = list(_blocks(f))
+    # the two header lines, then blocks of `rows` lines
+    assert blocks == [lines[:2]] * bool(lines) + [
+        lines[i:i + rows] for i in range(2, len(lines), rows)]
 
 
 def test_undecodable_byte_beats_an_earlier_fault(tmp_path, monkeypatch):

@@ -173,6 +173,9 @@ def test_dwell_holds_the_frame_grid_once():
     # a frame`
     ({"frames": (Frame(report_array([0.3, 0.2, 0.25], 20.0, 0.0, 0.0, 0.0)),)},
      "frame 0: report time decreases"),
+    # the pose stage squares it
+    ({"integration_time": 1.3407807929942597e154}, "integration_time must be "
+     "at most 1.3407807929942596e\\+154, where its square overflows"),
 ])
 def test_dwell_rejects_what_a_dwell_file_cannot_hold(change, match):
     kw = dict(frames=_one_report_frames(2), phi0=0.5, theta0=0.3,
