@@ -54,6 +54,20 @@ def angle_rms_deg(out: Path, wl, seed: int) -> dict:
          - np.degrees(truth[name])) ** 2))) for name in ("phi", "theta")}
 
 
+def sweep_workload(name: str, noise_scale: float = 1.0,
+                   duration: float | None = None):
+    """WORKLOADS[name] with its report sigmas times noise_scale and, when
+    duration is given, that length in seconds."""
+    wl = WORKLOADS[name]
+    if duration is not None:
+        wl = dataclasses.replace(
+            wl, scenario={**wl.scenario, "duration": duration})
+    if noise_scale != 1.0:
+        noise = {k: v * noise_scale for k, v in wl.scenario["noise"].items()}
+        wl = dataclasses.replace(wl, scenario={**wl.scenario, "noise": noise})
+    return wl
+
+
 def sweep_row(wl, seed: int, workdir: Path) -> dict:
     out = workdir / f"seed{seed}"
     run(RunConfig(mode="simulate", output_dir=str(out), scenario=wl.scenario,
@@ -77,13 +91,7 @@ def main(argv=None):
     ap.add_argument("--duration", type=float,
                     help="dwell length in seconds (default: the workload's)")
     args = ap.parse_args(argv)
-    wl = WORKLOADS[args.workload]
-    if args.duration is not None:
-        wl = dataclasses.replace(
-            wl, scenario={**wl.scenario, "duration": args.duration})
-    if args.noise_scale != 1.0:
-        noise = {k: v * args.noise_scale for k, v in wl.scenario["noise"].items()}
-        wl = dataclasses.replace(wl, scenario={**wl.scenario, "noise": noise})
+    wl = sweep_workload(args.workload, args.noise_scale, args.duration)
     with tempfile.TemporaryDirectory() as workdir:
         rows = [sweep_row(wl, s, Path(workdir)) for s in args.seeds]
     summary = {k: {"median": statistics.median(r[k] for r in rows),

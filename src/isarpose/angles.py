@@ -1,38 +1,27 @@
 """Aspect/tilt angle history from scaled covariance series.
 
-The estimation chain per candidate wave period:
+Aspect phi rotates the alongship axis in the slant plane, tilt theta is the
+grazing rotation; both are radians about externally known means phi0 and
+theta0, and only excursions and rates are estimated. Per candidate wave
+period, chapeau_band_split splits cov_rf into bands (see bands) and
+lowpass_aspect_solve turns the integrated low band into the slow aspect
+about phi0. One joint fit of the raw cov_rf and d series then adds a cubic
+slow-aspect correction, two sinusoid lines shared between aspect and tilt,
+and the ship shape ratios bsq = <y^2>/<x^2>, hsq = <z^2>/<x^2>. Its
+parameters are [poly(3) | bsq, hsq | a, b, c, e, w per line]; line k's
+aspect (a, b) and tilt (c, e) coefficients and angular frequency w are
+x[HEAD + 5k:HEAD + 5k + 5].
 
-1. split cov_rf into low/wave/high bands (see bands);
-2. integrate the low band and solve a per-frame quadratic for the slow
-   aspect excursion about the mean aspect (lowpass_aspect_solve);
-3. jointly fit the raw cov_rf and d series, seeded from the wave band, with
-   a spectral-line motion model: two sinusoid lines shared between aspect
-   and tilt, a cubic slow-aspect correction, and the ship shape ratios
-   bsq = <y^2>/<x^2>, hsq = <z^2>/<x^2> as bounded parameters.
-
-estimate_angles hands the raw series and GRID_POINTS (3) periods, 0.8, 1.0
-and 1.2 times the spectral seed, to waveband_joint_fit, which runs steps 1-2
-for each, then step 3 once for the whole grid, and keeps the candidate with
-the smallest joint residual. Step 3 has one stage: the first line starts at
-the strongest wave-band peak near the candidate frequency, the second at
-the strongest peak a pursuit of the wave band less that line finds, and
-every start holds both lines from the first iteration. The series are
-expected free of the report noise floor (see moments), which the fit would
-read as ship height.
-The joint fit is minimized by least_squares, a bounded Levenberg-Marquardt
-solver with a soft_l1 loss kept in this module, so the package needs NumPy
-alone. It runs a batch of starts in lockstep, so one call fits every start
-of every candidate, and takes the analytic Jacobian of the joint residual
-(_cov_partials).
-
-The joint fit's parameters are [poly(3) | bsq, hsq | a, b, c, e, w per line]:
-line k's aspect (a, b) and tilt (c, e) coefficients and angular frequency w
-are the block x[HEAD + 5k:HEAD + 5k + 5], so each line's block follows the
-one before it.
-
-Angle conventions: aspect phi rotates the alongship axis in the slant plane,
-tilt theta is the grazing rotation. Mean angles phi0/theta0 are externally
-known; only excursions and rates are estimated. All angles radians.
+One model, _wave_model, turns parameter rows and a slow aspect into the
+slow part and the lines' sum. The fit's residual and analytic Jacobian
+(_residual, _jacobian) score aspect = slow part + lines and tilt = theta0 +
+lines, and _fit_result returns the same sums, so a run returns the track
+its fit scored. estimate_angles hands GRID_POINTS (3) periods, 0.8, 1.0 and
+1.2 times the spectral seed, to waveband_joint_fit, whose one least_squares
+call (a bounded Levenberg-Marquardt solver with a soft_l1 loss, kept here
+so the package needs NumPy alone) fits every start of every candidate in
+lockstep. The series are expected free of the report noise floor (see
+moments), which the fit would read as ship height.
 """
 
 from __future__ import annotations
@@ -80,14 +69,13 @@ class LowpassAspect:
 class FitState:
     """What the fit of the winning candidate period knows beyond its track.
 
-    period is its first line's period and lines every line's (s);
-    phi_hat/theta_hat are the wave-band excursions, phi_mean the slow
-    aspect and steady_rate the mean of its rate; bsq_est/hsq_est are the
-    fitted shape ratios. The angle track itself is the AngleTrack returned
-    beside it.
+    lines holds every line's period (s) and period is the first one's, 0
+    with no line; phi_hat/theta_hat are the wave-band excursions, phi_mean
+    the slow aspect and steady_rate the mean of its rate; bsq_est/hsq_est
+    are the fitted shape ratios. The angle track itself is the AngleTrack
+    returned beside it.
     """
 
-    period: float
     lines: tuple[float, ...]
     phi_hat: np.ndarray
     theta_hat: np.ndarray
@@ -98,6 +86,10 @@ class FitState:
     residual_rms: float
     converged: bool
     flags: tuple[str, ...] = ()
+
+    @property
+    def period(self) -> float:
+        return self.lines[0] if self.lines else 0.0
 
 
 def _form(p, q, bsq, hsq):
@@ -382,6 +374,160 @@ def _cov_partials(phi, theta, phi_dot, theta_dot, bsq, hsq):
     yield pair(r[2] ** 2, r[2] * v[2], v[2] ** 2)
 
 
+def _times(t: np.ndarray):
+    # t, then u = t - mean(t), u^2, u^3 and the slow correction's quadratic
+    # term, u^2 less its mean, which leaves the mean aspect (phi0) in place
+    u = t - t.mean()
+    u2 = u ** 2
+    return t, u, u2, u ** 3, u2 - u2.mean()
+
+
+def _wave_model(x: np.ndarray, times, slow):
+    """Slow part, lines' sum and trig of parameter rows x, (..., npar).
+
+    times is _times(t), and slow the slow aspect's (phi_mean, rate,
+    acceleration), each broadcasting against x's rows. Returns the slow
+    aspect plus the cubic correction as (angle, rate, acceleration), the
+    lines' sum, (2, 3, ..., n), as (aspect, tilt) x (angle, rate,
+    acceleration), and each line's (w, cos wt, sin wt).
+    """
+    t, u, u2, u3, u2c = times
+    p0, p1, p2 = (x[..., j, None] for j in range(NPOLY))
+    phi, rate, accel = slow
+    slow = (phi + (p0 * u + p1 * u2c + p2 * u3),
+            rate + p0 + 2 * p1 * u + 3 * p2 * u2,
+            accel + 2 * p1 + 6 * p2 * u)
+    wave = np.zeros((2, 3) + slow[0].shape)
+    lines = x[..., HEAD:].reshape(x.shape[:-1] + (-1, 5))
+    trig = []
+    for k in range(lines.shape[-2]):
+        a, b, c, e, w = (lines[..., k, j, None] for j in range(5))
+        wt = w * t
+        cw, sw = np.cos(wt), np.sin(wt)
+        for angle, (p, q) in zip(wave, ((a, b), (c, e))):
+            line = p * cw + q * sw
+            angle[0] += line
+            angle[1] += w * (q * cw - p * sw)
+            angle[2] -= w * w * line
+        trig.append((w, cw, sw))
+    return slow, wave, trig
+
+
+def _scored(x, c, times, slow, theta0):
+    # the (phi, theta, phi_dot, theta_dot) the fit scores for rows x of
+    # candidates c, and each line's trig
+    (phi, phi_dot, _), wave, trig = _wave_model(x, times, slow[:, c])
+    return (phi + wave[0, 0], theta0 + wave[1, 0], phi_dot + wave[0, 1],
+            wave[1, 1]), trig
+
+
+def _residual(x, rows, cand, times, data, weight, slow, theta0):
+    """(data - model) x weight, (k, 2n), of starts rows at x, (k, npar):
+    data is (2, n), and weight, (ncand, 2, n), and slow, (3, ncand, n), are
+    the candidates' window weights and slow aspects, indexed by cand[rows]."""
+    c = cand[rows]
+    track, _ = _scored(x, c, times, slow, theta0)
+    mrf, _, md = _covs_of(range_rate_rows(*track), x[:, NPOLY, None],
+                          x[:, NPOLY + 1, None])
+    return ((data - np.stack([mrf, md], axis=-2)) * weight[c]).reshape(len(rows), -1)
+
+
+def _jacobian(x, rows, cand, times, data, weight, slow, theta0):
+    """_residual's analytic Jacobian, (k, 2n, npar): _cov_partials' partials
+    of (cov_rf, d) in the track (phi, theta, phi_dot, theta_dot) and in bsq,
+    hsq, each track partial times its parameter's basis column (u, u^2 less
+    its mean, u^3, cos wt, sin wt, and a line frequency's t-weighted terms).
+    """
+    c = cand[rows]
+    track, trig = _scored(x, c, times, slow, theta0)
+    g_phi, g_th, g_phid, g_thd, g_bsq, g_hsq = (
+        np.stack(pair, axis=-2) * -weight[c]
+        for pair in _cov_partials(*track, x[:, NPOLY, None], x[:, NPOLY + 1, None]))
+    t, u, u2, u3, u2c = times
+    jm = np.empty(g_phi.shape + x.shape[-1:])
+    jm[..., 0] = g_phi * u + g_phid
+    jm[..., 1] = g_phi * u2c + g_phid * (2 * u)
+    jm[..., 2] = g_phi * u3 + g_phid * (3 * u2)
+    jm[..., NPOLY], jm[..., NPOLY + 1] = g_bsq, g_hsq
+    for k, (w, cw, sw) in enumerate(trig):
+        col = HEAD + 5 * k
+        w, cw, sw = w[:, None], cw[:, None], sw[:, None]
+        wcw, wsw = w * cw, w * sw
+        a, b, cc, e = (x[:, col + j, None, None] for j in range(4))
+        jm[..., col] = g_phi * cw - g_phid * wsw
+        jm[..., col + 1] = g_phi * sw + g_phid * wcw
+        jm[..., col + 2] = g_th * cw - g_thd * wsw
+        jm[..., col + 3] = g_th * sw + g_thd * wcw
+        # a line l = a cos wt + b sin wt adds l to its angle and w l_w to
+        # the rate, l_w = -a sin wt + b cos wt; their w partials are
+        # t l_w and l_w - w t l
+        lw_a, lw_t = b * cw - a * sw, e * cw - cc * sw
+        wt = w * t
+        jm[..., col + 4] = (
+            g_phi * (t * lw_a) + g_th * (t * lw_t)
+            + g_phid * (lw_a - wt * (a * cw + b * sw))
+            + g_thd * (lw_t - wt * (cc * cw + e * sw)))
+    return jm.reshape(len(rows), 2 * len(t), -1)
+
+
+def _wave_problem(t: np.ndarray, data: np.ndarray, periods: list[float],
+                  phi0: float, theta0: float):
+    """The joint fit of waveband_joint_fit as least_squares takes it.
+
+    Returns (lows, x0, bounds, x_scale, args): each candidate period's slow
+    aspect solution, its four starts, their bounds and scales, and
+    args = (cand, times, data, weight, slow, theta0), the arguments of
+    _residual and _jacobian; cand is each start's candidate.
+    """
+    n = len(t)
+    span = t[-1] - t[0]
+    splits = [chapeau_band_split(t, data[0], per) for per in periods]
+    lows = [lowpass_aspect_solve(t, -s.low, phi0) for s in splits]
+    dt = float(np.median(np.diff(t)))
+    # window weights 1/std inside the trimmed window and 0 outside
+    weight = np.zeros((len(periods),) + data.shape)
+    for g, per in enumerate(periods):
+        trim = max(0, min(int(round(0.5 * per / dt)), (n - 8) // 2))
+        sl = slice(trim, n - trim)
+        weight[g, 0, sl] = 1.0 / max(float(np.std(data[0, sl])), 1e-12)
+        weight[g, 1, sl] = 1.0 / max(float(np.std(data[1, sl])), 1e-14)
+    slow = np.array([[low.phi_mean for low in lows], [low.rate for low in lows],
+                     [np.gradient(low.rate, t) for low in lows]])
+    tp0, tt0 = math.tan(phi0), math.tan(theta0)
+    head = np.r_[np.zeros(NPOLY), 0.02, 0.02]   # no slow term, ratios 0.02
+    x0 = []
+    for per, s in zip(periods, splits):
+        step = (PURSUIT_GRID[1] - PURSUIT_GRID[0]) / per
+        k = int(0.75 / span / step)
+        f = 1 / per + step * np.arange(-k, k + 1)
+        w1 = 2 * np.pi * f[np.argmax(_projection(t, s.wave, f))]
+        basis = np.array([np.cos(w1 * t), np.sin(w1 * t)]).T
+        rest = s.wave - basis @ np.linalg.lstsq(basis, s.wave, rcond=None)[0]
+        w2 = _pursuit_line(t, rest, w1)
+        a_int = _cumtrapz(t, -s.wave)
+        a_int -= a_int.mean()
+        # each line seeded on aspect (a, b) and on tilt (c, e); the four
+        # starts are {first on aspect, on tilt} x {second on aspect, on tilt}
+        on = [[np.r_[z.real / tp0, z.imag / tp0, 0.0, 0.0, w],
+               np.r_[0.0, 0.0, z.real / tt0, z.imag / tt0, w]]
+              for w in (w1, w2) for z in [2 * np.mean(a_int * np.exp(-1j * w * t))]]
+        x0 += [np.r_[head, p, q] for p in on[0] for q in on[1]]
+    x0 = np.array(x0)
+    lb, ub = np.full_like(x0, -np.inf), np.full_like(x0, np.inf)
+    lb[:, NPOLY:HEAD], ub[:, NPOLY:HEAD] = 0.0, (0.9, 2.0)
+    xsc = np.full_like(x0, 0.02)
+    xsc[:, :HEAD] = 1e-3, 1e-5, 1e-6, 0.05, 0.05
+    freq = slice(HEAD + 4, None, 5)   # every line's w
+    w0 = x0[:, freq]
+    mid = w0.mean(axis=1, keepdims=True)   # overlapping bands meet here
+    w_band = 2 * np.pi * 0.75 / span
+    lb[:, freq] = np.where(w0 > mid, np.maximum(w0 - w_band, mid), w0 - w_band)
+    ub[:, freq] = np.where(w0 < mid, np.minimum(w0 + w_band, mid), w0 + w_band)
+    xsc[:, freq] = 0.01 * w0
+    cand = np.repeat(np.arange(len(periods)), 4)
+    return lows, x0, (lb, ub), xsc, (cand, _times(t), data, weight, slow, theta0)
+
+
 def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods,
                        phi0: float, theta0: float) -> tuple[AngleTrack, FitState]:
     """Joint fit of the raw (cov_rf, d) series over a grid of candidate periods.
@@ -410,173 +556,36 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods
     their costs, then the lower cost, the first on ties; of the candidates
     the smallest residual_rms wins, the first on ties.
 
-    One least_squares call (bounded Levenberg-Marquardt, soft_l1 loss, at
-    most 400 residual calls a start, a parameter held out of the step while
-    it sits on a bound the cost pushes against) fits the starts of every
-    candidate. A start stops once a line frequency is held on the edge of its
-    band: the line has left the band of its candidate, which a neighbouring
-    candidate covers, or met the other line's band. A winner whose start ran
-    out of calls or stopped on a band edge is flagged 'wave fit did not
-    converge'. Residuals keep all 2n samples (cov_rf, then d) for every
+    One least_squares call fits the starts of every candidate (_wave_problem
+    builds them): bounded Levenberg-Marquardt, at most 400 residual calls a
+    start, a parameter held out of the step while it sits on a bound the
+    cost pushes against, and a soft_l1 loss that caps the pull of short
+    corrupted stretches (confuser targets, interference bursts) but not of
+    clean fits, whose normalized residuals sit well under 1. A start stops
+    once a line frequency is held on the edge of its band: the line has
+    left the band of its candidate, which a neighbouring candidate covers,
+    or met the other line's band. A winner whose start ran out of calls or
+    stopped on a band edge is flagged 'wave fit did not converge'. The
+    residual (_residual) keeps all 2n samples (cov_rf, then d) for every
     candidate: samples outside a candidate's trimmed window weigh 0, so its
-    residual and Jacobian rows there are exactly 0. The Jacobian is analytic: _cov_partials
-    gives the partials of (cov_rf, d) in the track (phi, theta, phi_dot,
-    theta_dot) and in bsq, hsq, and each track partial is multiplied by its
-    parameter's basis column (u, u^2 less its mean, u^3, cos wt, sin wt, and
-    the t-weighted terms of a line frequency w). The winner's (track, state)
-    is _fit_result's.
+    rows of the residual and the Jacobian (_jacobian) are exactly 0 there.
+    The winner's (track, state) is _fit_result's.
     """
     t = np.asarray(t, dtype=float)
     data = np.array([cov_rf, d], dtype=float)
-    n = len(t)
-    span = t[-1] - t[0]
-    periods = [float(per) for per in periods if span >= 3 * per]
+    periods = [float(per) for per in periods if t[-1] - t[0] >= 3 * per]
     if not periods:
         raise ValueError("no candidate period fits inside the dwell")
-    splits = [chapeau_band_split(t, data[0], per) for per in periods]
-    lows = [lowpass_aspect_solve(t, -s.low, phi0) for s in splits]
-    ncand = len(periods)
-    dt = float(np.median(np.diff(t)))
-    u = t - t.mean()
-    u2, u3 = u ** 2, u ** 3
-    # the quadratic slow term is taken about its mean, so that it leaves
-    # the mean aspect, which phi0 fixes, where it is
-    u2c = u2 - u2.mean()
-    w_band = 2 * np.pi * 0.75 / span
-    tp0, tt0 = math.tan(phi0), math.tan(theta0)
-
-    # per candidate: window weights 1/std inside the trimmed window and 0
-    # outside, and the slow aspect solution
-    weight = np.zeros((ncand,) + data.shape)
-    for g, per in enumerate(periods):
-        trim = max(0, min(int(round(0.5 * per / dt)), (n - 8) // 2))
-        sl = slice(trim, n - trim)
-        weight[g, 0, sl] = 1.0 / max(float(np.std(data[0, sl])), 1e-12)
-        weight[g, 1, sl] = 1.0 / max(float(np.std(data[1, sl])), 1e-14)
-    phi_means = np.array([low.phi_mean for low in lows])
-    rates = np.array([low.rate for low in lows])
-
-    # x is (k, npar) for k starts of candidates c, laid out as the module
-    # docstring says; every parameter enters as x[..., j, None]
-    def lines_of(x):
-        # each line's (a, b, c, e, w) on the last axis
-        return x[..., HEAD:].reshape(x.shape[:-1] + (-1, 5))
-
-    def track_of(x, c):
-        # ((phi, theta, phi_dot, theta_dot), [(w, cos wt, sin wt) per line])
-        def p(j):
-            return x[..., j, None]
-        phi = phi_means[c] + p(0) * u + p(1) * u2c + p(2) * u3
-        phid = rates[c] + p(0) + 2 * p(1) * u + 3 * p(2) * u2
-        th = np.full_like(t, theta0)
-        thd = np.zeros_like(t)
-        trig = []
-        lines = lines_of(x)
-        for k in range(lines.shape[-2]):
-            a, b, cc, e, w = (lines[..., k, j, None] for j in range(5))
-            cw, sw = np.cos(w * t), np.sin(w * t)
-            phi = phi + a * cw + b * sw
-            phid = phid + w * (-a * sw + b * cw)
-            th = th + cc * cw + e * sw
-            thd = thd + w * (-cc * sw + e * cw)
-            trig.append((w, cw, sw))
-        return (phi, th, phid, thd), trig
-
-    def model_series(x, c):
-        # model (cov_rf, d) stacked on axis -2; they need only the range and
-        # rate rows
-        mrf, _, md = _covs_of(range_rate_rows(*track_of(x, c)[0]),
-                              x[..., NPOLY, None], x[..., NPOLY + 1, None])
-        return np.stack([mrf, md], axis=-2)
-
-    def resid(x, rows, cand):
-        c = cand[rows]
-        f = (data - model_series(x, c)) * weight[c]
-        return f.reshape(len(rows), -1)
-
-    def jac(x, rows, cand):
-        c = cand[rows]
-        track, trig = track_of(x, c)
-        # partials of the residual in each track quantity and in bsq, hsq
-        g_phi, g_th, g_phid, g_thd, g_bsq, g_hsq = (
-            np.stack(pair, axis=-2) * -weight[c]
-            for pair in _cov_partials(*track, x[:, NPOLY, None],
-                                      x[:, NPOLY + 1, None]))
-        jm = np.empty(g_phi.shape + x.shape[-1:])
-        jm[..., 0] = g_phi * u + g_phid
-        jm[..., 1] = g_phi * u2c + g_phid * (2 * u)
-        jm[..., 2] = g_phi * u3 + g_phid * (3 * u2)
-        jm[..., NPOLY], jm[..., NPOLY + 1] = g_bsq, g_hsq
-        lines = lines_of(x)
-        for k, (w, cw, sw) in enumerate(trig):
-            w, cw, sw = w[:, None], cw[:, None], sw[:, None]
-            wcw, wsw = w * cw, w * sw
-            a, b, cc, e = (lines[:, k, j, None, None] for j in range(4))
-            col = HEAD + 5 * k
-            jm[..., col] = g_phi * cw - g_phid * wsw
-            jm[..., col + 1] = g_phi * sw + g_phid * wcw
-            jm[..., col + 2] = g_th * cw - g_thd * wsw
-            jm[..., col + 3] = g_th * sw + g_thd * wcw
-            # a line l = a cos wt + b sin wt adds l to its angle and w l_w to
-            # the rate, l_w = -a sin wt + b cos wt; their w partials are
-            # t l_w and l_w - w t l
-            lw_a, lw_t = b * cw - a * sw, e * cw - cc * sw
-            wt = w * t
-            jm[..., col + 4] = (
-                g_phi * (t * lw_a) + g_th * (t * lw_t)
-                + g_phid * (lw_a - wt * (a * cw + b * sw))
-                + g_thd * (lw_t - wt * (cc * cw + e * sw)))
-        return jm.reshape(len(rows), 2 * n, -1)
-
-    a_int = [i - i.mean() for i in (_cumtrapz(t, -s.wave) for s in splits)]
-
-    def seeds(g, w, head):
-        # the two assignment seeds of a new line at w appended to head, the
-        # start's polynomial, shape ratios and any lines before it: the
-        # first starts the line on aspect (a, b), the second on tilt (c, e)
-        z = 2 * np.mean(a_int[g] * np.exp(-1j * w * t))
-        return [np.r_[head, z.real / tp0, z.imag / tp0, 0.0, 0.0, w],
-                np.r_[head, 0.0, 0.0, z.real / tt0, z.imag / tt0, w]]
-
-    # each candidate's four starts, {first line on aspect, on tilt} x
-    # {second line on aspect, on tilt}
-    head = np.r_[np.zeros(NPOLY), 0.02, 0.02]   # no slow term, ratios 0.02
-    x0 = []
-    for g, (per, s) in enumerate(zip(periods, splits)):
-        step = (PURSUIT_GRID[1] - PURSUIT_GRID[0]) / per
-        k = int(0.75 / span / step)
-        f = 1 / per + step * np.arange(-k, k + 1)
-        w1 = 2 * np.pi * f[np.argmax(_projection(t, s.wave, f))]
-        basis = np.array([np.cos(w1 * t), np.sin(w1 * t)]).T
-        rest = s.wave - basis @ np.linalg.lstsq(basis, s.wave, rcond=None)[0]
-        w2 = _pursuit_line(t, rest, w1)
-        x0 += [x for x1 in seeds(g, w1, head) for x in seeds(g, w2, x1)]
-    x0 = np.array(x0)
-    cand = np.repeat(np.arange(ncand), 4)
-
-    # the soft_l1 loss caps the pull of short corrupted stretches (confuser
-    # targets, interference bursts) without touching clean fits: normalized
-    # residuals sit well under 1 on good data
-    lb = np.full_like(x0, -np.inf)
-    ub = np.full_like(x0, np.inf)
-    lb[:, NPOLY:HEAD] = 0.0
-    ub[:, NPOLY:HEAD] = 0.9, 2.0
-    xsc = np.full_like(x0, 0.02)
-    xsc[:, :HEAD] = 1e-3, 1e-5, 1e-6, 0.05, 0.05
-    freq = slice(HEAD + 4, None, 5)   # every line's w
-    w0 = x0[:, freq]
-    mid = w0.mean(axis=1, keepdims=True)   # overlapping bands meet here
-    lb[:, freq] = np.where(w0 > mid, np.maximum(w0 - w_band, mid), w0 - w_band)
-    ub[:, freq] = np.where(w0 < mid, np.minimum(w0 + w_band, mid), w0 + w_band)
-    xsc[:, freq] = 0.01 * w0
+    lows, x0, bounds, xsc, args = _wave_problem(t, data, periods, phi0, theta0)
     held = np.zeros(x0.shape[1], dtype=bool)
-    held[freq] = True
-    r = least_squares(resid, x0, jac, (lb, ub), xsc, 400, args=(cand,),
+    held[HEAD + 4::5] = True   # every line's w
+    r = least_squares(_residual, x0, _jacobian, bounds, xsc, 400, args=args,
                       stop_held=held)
+    cand, weight = args[0], args[3]
     # each candidate's best start
     best = [min(np.flatnonzero(cand == g),
                 key=lambda k: (r.status[k] not in (2, 3), r.cost[k]))
-            for g in range(ncand)]
+            for g in range(len(periods))]
 
     # every weight inside a candidate's trimmed window is nonzero
     rms = np.sqrt(2 * r.cost[best] / np.count_nonzero(weight, axis=(1, 2)))
@@ -594,31 +603,18 @@ def _fit_result(t: np.ndarray, low: LowpassAspect, x: np.ndarray, theta0: float,
 
     x is laid out as the module docstring says, with two lines or none;
     np.zeros(HEAD), no correction and no line, is the slow-only result. The
-    slow aspect is low.phi_mean plus the cubic, whose derivatives add to
-    low's rate and acceleration. Each line adds its angle, rate and
-    acceleration. The track is the slow part plus the lines, clipped to
-    ANGLE_LIMIT.
+    track is _wave_model's slow part plus its lines, the sums the fit
+    scores, clipped to ANGLE_LIMIT.
     """
-    u = t - t.mean()
-    u2 = u ** 2
-    phi_mean = low.phi_mean + (x[0] * u + x[1] * (u2 - u2.mean()) + x[2] * u ** 3)
-    phi_dot = low.rate + x[0] + 2 * x[1] * u + 3 * x[2] * u2
-    phi_ddot = np.gradient(low.rate, t) + 2 * x[1] + 6 * x[2] * u
-    coef = x[HEAD:].reshape(-1, 5)
-    wave = np.zeros((2, 3, len(t)))   # (aspect, tilt) x (angle, rate, accel)
-    for a, b, c, e, w in coef:
-        cw, sw = np.cos(w * t), np.sin(w * t)
-        for k, (p, q) in enumerate(((a, b), (c, e))):
-            line = p * cw + q * sw
-            wave[k] += line, w * (q * cw - p * sw), -w * w * line
+    (phi_mean, phi_dot, phi_ddot), wave, _ = _wave_model(
+        x, _times(t), (low.phi_mean, low.rate, np.gradient(low.rate, t)))
     (phi_hat, phi_w, phi_ww), (theta_hat, theta_w, theta_ww) = wave
-    lines = tuple(float(2 * np.pi / w) for w in coef[:, 4])
     track = AngleTrack(angle_array(
         t, np.clip(phi_mean + phi_hat, -ANGLE_LIMIT, ANGLE_LIMIT),
         np.clip(theta0 + theta_hat, -ANGLE_LIMIT, ANGLE_LIMIT),
         phi_dot + phi_w, theta_w, phi_ddot + phi_ww, theta_ww))
     return track, FitState(
-        period=lines[0] if lines else 0.0, lines=lines,
+        lines=tuple(float(2 * np.pi / w) for w in x[HEAD + 4::5]),
         phi_hat=phi_hat, theta_hat=theta_hat, phi_mean=phi_mean,
         steady_rate=float(phi_dot.mean()), bsq_est=float(x[NPOLY]),
         hsq_est=float(x[NPOLY + 1]), residual_rms=rms, converged=converged,

@@ -1,11 +1,12 @@
 """Dwell files: a one-line JSON header followed by CSV report rows.
 
 Header keys: format, version, n_frames (an integral JSON number from 1 to
-the int64 maximum), frame_interval, integration_time (its square a finite
-float), phi0_deg, theta0_deg, range_resolution_m, and optionally the
-nominal report noise sigmas sigma_range_m, sigma_doppler_mps and
-sigma_accel_mps2: all three or none, each a finite number >= 0. A reader
-that ignores them reads the file correctly, so they need no new version.
+the int64 maximum), frame_interval, integration_time (its square and
+inverse square finite floats), phi0_deg, theta0_deg, range_resolution_m,
+and optionally the nominal report noise sigmas sigma_range_m,
+sigma_doppler_mps and sigma_accel_mps2: all three or none, each a finite
+number >= 0. A reader that ignores them reads the file correctly, so they
+need no new version.
 Angles cross the file boundary in degrees, within +-90
 (ship.in_angle_range in radians); everything in memory is radians. Report
 rows are frame_index,t,snr_db,range_m,doppler_mps,accel_mps2 with an
@@ -37,7 +38,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .ship import (MAX_INTEGRATION_TIME, REPORT_DTYPE, Dwell, Frame,
+from .ship import (REPORT_DTYPE, Dwell, Frame, check_integration_time,
                    in_angle_range, report_array)
 
 FORMAT_NAME = "isar-dwell"
@@ -150,10 +151,8 @@ def _parse_header(line: str) -> dict:
     for key in ("frame_interval", "integration_time", "range_resolution_m"):
         if not 0 < header[key] <= sys.float_info.max:
             raise ValueError(f"line 1: header '{key}' must be positive and finite")
-    if header["integration_time"] > MAX_INTEGRATION_TIME:
-        raise ValueError("line 1: header 'integration_time' must be at most "
-                         f"{MAX_INTEGRATION_TIME!r}, where its square "
-                         "overflows")
+    check_integration_time("line 1: header 'integration_time'",
+                           header["integration_time"])
     for key in ("phi0_deg", "theta0_deg"):
         # the range test fails NaN, and JSON integers too large for a float
         if not (abs(header[key]) <= sys.float_info.max

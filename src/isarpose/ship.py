@@ -57,8 +57,18 @@ def in_angle_range(rad):
 
 
 MAX_INTEGRATION_TIME = math.sqrt(sys.float_info.max)
-"""Largest integration time (s) whose square is a finite float: the pose
-stage scales motion-matrix rows by T^2."""
+MIN_INTEGRATION_TIME = 1 / MAX_INTEGRATION_TIME
+"""Integration times (s) whose square and inverse square are finite floats:
+the pose stage scales motion-matrix rows by T^2, and report_noise divides
+by it."""
+
+
+def check_integration_time(name: str, value: float) -> None:
+    """ValueError, naming the value name, unless T^2 and 1/T^2 are finite."""
+    if not MIN_INTEGRATION_TIME <= value <= MAX_INTEGRATION_TIME:
+        raise ValueError(f"{name} must be from {MIN_INTEGRATION_TIME!r} to "
+                         f"{MAX_INTEGRATION_TIME!r}, where its square and "
+                         "inverse square are finite")
 
 
 def _record_array(dtype: np.dtype, cols: tuple) -> np.recarray:
@@ -172,10 +182,7 @@ class Dwell:
                 self.range_resolution)):
             raise ValueError("frame_interval, integration_time and "
                              "range_resolution must be positive and finite")
-        if self.integration_time > MAX_INTEGRATION_TIME:
-            raise ValueError("integration_time must be at most "
-                             f"{MAX_INTEGRATION_TIME!r}, where its square "
-                             "overflows")
+        check_integration_time("integration_time", self.integration_time)
         if not (in_angle_range(self.phi0) and in_angle_range(self.theta0)):
             raise ValueError("mean angles must satisfy |phi0|, |theta0| < pi/2")
         # the reader's row checks: every dwell saves as a file it reads back

@@ -18,8 +18,8 @@ import numpy as np
 
 from .length import beam_rule
 from .motion import motion_rows
-from .ship import (MAX_INTEGRATION_TIME, AngleTrack, Dwell, Frame, ShipModel,
-                   angle_array, in_angle_range, report_array)
+from .ship import (AngleTrack, Dwell, Frame, ShipModel, angle_array,
+                   check_integration_time, in_angle_range, report_array)
 
 BASE_SNR_DB = 20.0  # reference SNR of a unit-rcs scatterer
 
@@ -83,10 +83,7 @@ class ScenarioConfig:
                 self.duration, self.frame_interval, self.integration_time)):
             raise ValueError("duration, frame_interval, integration_time must "
                              "be positive and finite")
-        if self.integration_time > MAX_INTEGRATION_TIME:
-            raise ValueError("'integration_time' must be at most "
-                             f"{MAX_INTEGRATION_TIME!r}, where its square "
-                             "overflows")
+        check_integration_time("'integration_time'", self.integration_time)
         if self.n_frames < 1:
             raise ValueError("'duration' is shorter than one 'frame_interval'")
         # what a Dwell accepts, so the simulator can build its dwell

@@ -1,9 +1,11 @@
-"""The committed accuracy table (ACCURACY.json) against a rerun of two seeds.
+"""The committed accuracy table (ACCURACY.json) against a rerun of four rows.
 
-scripts/accuracy_sweep.py is deterministic, so a rerun of canonical seeds
-11 and 2011 reproduces their rows of the table's canonical sweep. The
-relative tolerance of 1e-9 admits only platform last bits: a change that
-moves the estimator's outputs has to rewrite the table.
+scripts/accuracy_sweep.py is deterministic, so a rerun of a seed reproduces
+its row of the table. The rows rerun here are canonical seeds 11 and 2011,
+seed 3011 at twice the noise (the weakest tilt line in the table) and the
+1,200 s `long` dwell of seed 11. The relative tolerance of 1e-9 admits only
+platform last bits: a change that moves the estimator's outputs has to
+rewrite the table.
 """
 
 import importlib.util
@@ -28,18 +30,25 @@ def _sweep_module():
     return mod
 
 
-def _canonical_rows():
+def _committed_row(workload, noise_scale, duration, seed):
     table = json.loads((ROOT / "ACCURACY.json").read_text())
     sweep, = [s for s in table["sweeps"]
-              if s["workload"] == "canonical" and s["noise_scale"] == 1.0]
-    return {row["seed"]: row for row in sweep["rows"]}
+              if (s["workload"], s["noise_scale"], s["duration_s"])
+              == (workload, noise_scale, duration)]
+    return {row["seed"]: row for row in sweep["rows"]}[seed]
 
 
-@pytest.mark.parametrize("seed", [11, 2011])
-def test_canonical_seed_reproduces_committed_row(seed, tmp_path):
+@pytest.mark.parametrize("workload, noise_scale, duration, seed", [
+    ("canonical", 1.0, 60.0, 11), ("canonical", 1.0, 60.0, 2011),
+    ("canonical", 2.0, 60.0, 3011), ("long", 1.0, 1200.0, 11)],
+    ids=["canonical-11", "canonical-2011", "canonical-2x-noise-3011",
+         "long-1200s-11"])
+def test_seed_reproduces_committed_row(workload, noise_scale, duration, seed,
+                                       tmp_path):
     sweep = _sweep_module()
-    row = sweep.sweep_row(sweep.WORKLOADS["canonical"], seed, tmp_path)
-    want = _canonical_rows()[seed]
+    wl = sweep.sweep_workload(workload, noise_scale, duration)
+    row = sweep.sweep_row(wl, seed, tmp_path)
+    want = _committed_row(workload, noise_scale, duration, seed)
     assert sorted(row) == sorted(want)
     for key, value in want.items():
         if isinstance(value, bool):

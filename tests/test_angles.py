@@ -7,6 +7,7 @@ import pytest
 
 import isarpose.angles
 from isarpose.angles import (GRID_POINTS, HEAD, LM_TOL, NPOLY, _covs_of,
+                             _jacobian, _residual, _wave_problem,
                              estimate_angles, least_squares,
                              lowpass_aspect_solve, model_covariances,
                              waveband_joint_fit)
@@ -99,37 +100,32 @@ def _record_solves(monkeypatch):
     return solves
 
 
-@pytest.fixture(scope="module")
-def recorded_solves(ideal_moments):
-    # the solve of a two-candidate grid fit of the two-line ideal scene
-    with pytest.MonkeyPatch.context() as mp:
-        solves = _record_solves(mp)
-        waveband_joint_fit(ideal_moments.t, ideal_moments.cov_rf,
-                           ideal_moments.d_intrinsic, (11.0, 12.0),
-                           PHI0, THETA0)
-    return solves
+def _ideal_series(m):
+    return m.t, np.array([m.cov_rf, m.d_intrinsic])
 
 
-def test_analytic_jacobian_matches_central_differences(recorded_solves):
-    # check the converged points of every start of the first candidate,
-    # with bsq moved onto its 0.9 upper bound
-    solve, = recorded_solves
-    fun, args = solve["fun"], solve["args"]
+def test_analytic_jacobian_matches_central_differences(ideal_moments):
+    # the module-level residual and Jacobian of a two-candidate grid fit of
+    # the two-line ideal scene, at the points least_squares reaches from
+    # every start of the first candidate, with bsq moved onto its 0.9 bound
+    _, x0, bounds, x_scale, args = _wave_problem(
+        *_ideal_series(ideal_moments), [11.0, 12.0], PHI0, THETA0)
     rows = np.flatnonzero(args[0] == 0)
     assert len(rows) == 4
-    x = solve["res"].x[rows].copy()
+    x = least_squares(_residual, x0, _jacobian, bounds, x_scale, 400,
+                      args=args).x[rows]
     x[:, NPOLY] = 0.9
-    assert np.all(x[:, NPOLY] == solve["bounds"][1][rows, NPOLY])
-    analytic = solve["jac"](x, rows, *args)
-    f = fun(x, rows, *args)
+    assert np.all(x[:, NPOLY] == bounds[1][rows, NPOLY])
+    analytic = _jacobian(x, rows, *args)
+    f = _residual(x, rows, *args)
     npar = HEAD + 10
     assert analytic.shape == f.shape + (npar,)
-    h = 1e-4 * solve["x_scale"][rows]
+    h = 1e-4 * x_scale[rows]
     for j in range(npar):
         step = np.zeros_like(x)
         step[:, j] = h[:, j]
-        central = (fun(x + step, rows, *args)
-                   - fun(x - step, rows, *args)) / (2 * h[:, j, None])
+        central = (_residual(x + step, rows, *args)
+                   - _residual(x - step, rows, *args)) / (2 * h[:, j, None])
         peak = np.abs(central).max(axis=1, keepdims=True)
         assert np.all(peak > 0)
         assert np.all(np.abs(analytic[..., j] - central) <= 1e-6 * peak), j
@@ -141,6 +137,24 @@ def test_analytic_jacobian_matches_central_differences(recorded_solves):
         assert np.all(blocks[:, :, :11] == 0.0)
         assert np.all(blocks[:, :, n - 11:] == 0.0)
         assert np.all(np.any(blocks[:, :, 11:n - 11] != 0.0, axis=-1))
+
+
+def test_fit_scores_the_track_it_returns(ideal_moments, monkeypatch):
+    # the residual of the winning start is, bit for bit, the data less the
+    # model covariances of the returned track and shape ratios, weighted:
+    # the track once had a builder of its own, 3e-13 off the scored one
+    solves = _record_solves(monkeypatch)
+    t, data = _ideal_series(ideal_moments)
+    track, state = waveband_joint_fit(t, *data, (11.0, 12.0), PHI0, THETA0)
+    (solve,) = solves
+    x, args = solve["res"].x, solve["args"]
+    win = np.flatnonzero((x[:, NPOLY] == state.bsq_est)
+                         & (x[:, NPOLY + 1] == state.hsq_est))
+    assert len(win) == 1
+    assert state.lines == tuple(2 * np.pi / x[win[0], HEAD + 4::5])
+    mc = model_covariances(track, state.bsq_est, state.hsq_est)
+    want = (data - np.array([mc.cov_rf, mc.d])) * args[3][args[0][win[0]]]
+    assert np.array_equal(_residual(x[win], win, *args), want.reshape(1, -1))
 
 
 def test_grid_fit_is_its_best_lone_candidate(ideal_moments):
@@ -553,7 +567,7 @@ def test_four_starts_per_candidate_in_midpoint_bands(monkeypatch):
     # overlap they meet at the midpoint of the starts
     mom, periods, solves, _ = _canonical_solves(monkeypatch, 11)
     (solve,) = solves
-    x0, (cand,), (lb, ub) = solve["x0"], solve["args"], solve["bounds"]
+    x0, cand, (lb, ub) = solve["x0"], solve["args"][0], solve["bounds"]
     assert np.array_equal(cand, np.repeat(np.arange(GRID_POINTS), 4))
     band = 2 * np.pi * 0.75 / (mom.t[-1] - mom.t[0])
     overlaps = 0

@@ -438,19 +438,22 @@ class TestAnalyze:
         ids=["simulate", "analyze"])
     def test_huge_integration_time_is_rejected_at_the_boundary(
             self, sim_dir, tmp_path, capsys, verb, code, error):
-        # before, T^2 in the motion matrix's scaling overflowed: every stage
-        # before pose ran, then exit 4 with an errno tuple for a message
-        if verb == "simulate":
-            args = ["--config", _write_config(
-                tmp_path, {**SCENARIO, "integration_time": 1e300})]
-        else:
-            args = ["--input", _with_header(sim_dir, tmp_path,
-                                            "integration_time", "1e300")]
-        assert main([verb, *args, "--out", str(tmp_path / "out")]) == code
-        assert capsys.readouterr().err.startswith(
-            f"{error} must be at most 1.3407807929942596e+154, where its "
-            "square overflows")
-        assert not (tmp_path / "out").exists()
+        # before, every stage before pose ran, then exit 4: at 1e300 T^2 in
+        # the motion matrix's scaling overflowed (an errno tuple for a
+        # message), and at 1e-170 report_noise divided by an underflowed T^2
+        for value in ("1e300", "1e-170"):
+            if verb == "simulate":
+                args = ["--config", _write_config(
+                    tmp_path, {**SCENARIO, "integration_time": float(value)})]
+            else:
+                args = ["--input", _with_header(sim_dir, tmp_path,
+                                                "integration_time", value)]
+            assert main([verb, *args, "--out", str(tmp_path / "out")]) == code
+            assert capsys.readouterr().err.startswith(
+                f"{error} must be from 7.458340731200208e-155 to "
+                "1.3407807929942596e+154, where its square and inverse square "
+                "are finite")
+            assert not (tmp_path / "out").exists()
 
     def test_bow_on_mean_aspect_is_an_angles_stage_error(
             self, sim_dir, tmp_path, capsys):

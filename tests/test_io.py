@@ -253,10 +253,11 @@ class TestSchemaErrors:
 
     @pytest.mark.parametrize("value, loads", [
         ("1e300", False), ("1.3407807929942597e154", False),
-        ("1.3407807929942596e154", True)])
+        ("1.3407807929942596e154", True), ("1e-170", False)])
     def test_integration_time_needs_a_finite_square(self, tmp_path, value,
                                                     loads):
-        # before, 1e300 loaded and failed in the pose stage, which squares it
+        # before, 1e300 loaded and failed in the pose stage, which squares
+        # it, and so did 1e-170, whose square report_noise divides by
         path, lines = self._lines(tmp_path)
         header = re.sub('"integration_time": [^,}]+',
                         f'"integration_time": {value}', lines[0])
@@ -266,9 +267,9 @@ class TestSchemaErrors:
             assert load_dwell(path).integration_time == float(value)
         else:
             self._expect(tmp_path, [header] + lines[1:],
-                         "^line 1: header 'integration_time' must be at most "
-                         "1.3407807929942596e\\+154, where its square "
-                         "overflows$")
+                         "^line 1: header 'integration_time' must be from "
+                         "7.458340731200208e-155 to 1.3407807929942596e\\+154, "
+                         "where its square and inverse square are finite$")
 
     def test_mean_angle_just_inside_the_limit_loads(self, tmp_path):
         path, lines = self._lines(tmp_path)

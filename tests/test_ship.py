@@ -175,7 +175,10 @@ def test_dwell_holds_the_frame_grid_once():
      "frame 0: report time decreases"),
     # the pose stage squares it
     ({"integration_time": 1.3407807929942597e154}, "integration_time must be "
-     "at most 1.3407807929942596e\\+154, where its square overflows"),
+     "from 7.458340731200208e-155 to 1.3407807929942596e\\+154, where its "
+     "square and inverse square are finite"),
+    # report_noise divides by its square
+    ({"integration_time": 1e-170}, "integration_time must be from"),
 ])
 def test_dwell_rejects_what_a_dwell_file_cannot_hold(change, match):
     kw = dict(frames=_one_report_frames(2), phi0=0.5, theta0=0.3,
