@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .io import is_number
+from .ship import is_number
 from .runner import ConfigError, DataError, PipelineError, RunConfig, run
 
 EXIT_OK = 0

@@ -1,35 +1,34 @@
 """Dwell files: a one-line JSON header followed by CSV report rows.
 
-Header keys: format, version, n_frames (an integral JSON number from 1 to
-the int64 maximum), frame_interval, integration_time (its square and
-inverse square finite floats), phi0_deg, theta0_deg, range_resolution_m,
-and optionally the nominal report noise sigmas sigma_range_m,
-sigma_doppler_mps and sigma_accel_mps2: all three or none, each a finite
-number >= 0. A reader that ignores them reads the file correctly, so they
-need no new version.
-Angles cross the file boundary in degrees, within +-90
-(ship.in_angle_range in radians); everything in memory is radians. Report
-rows are frame_index,t,snr_db,range_m,doppler_mps,accel_mps2 with an
-optional truth_id column; a doppler_width_mps column is accepted and
-ignored. Frame k is frame_index k. Floats are written with shortest
-round-trip repr, so a dwell whose reports pass the row checks loads back
-as saved, and save -> load -> save is byte-identical. Neither direction
-holds the file as one text. The writer gives one ASCII byte chunk per
-frame. The reader takes the report lines from the open file in blocks of
-_BLOCK_ROWS; each block is parsed natively, by one np.loadtxt call on its
-final dtype, checked with whole-column masks and kept as one REPORT_DTYPE
-record array, which each of its frames slices (a frame that spans blocks
-joins its slices). Only a block whose parse or checks fail goes to
-line-level diagnosis, which names the first malformed line, a non-finite
-field included, by its line number. Numbers are ASCII decimals: '_'
-separators and a frame_index beyond int64 are rejected.
+Header keys: format, version, n_frames, frame_interval, integration_time,
+phi0_deg, theta0_deg, range_resolution_m, and optionally the nominal
+report noise sigmas sigma_range_m, sigma_doppler_mps and sigma_accel_mps2,
+all three or none. A reader that ignores the sigmas reads the file
+correctly, so they need no new version. Each value is a JSON number, and
+together they must pass ship.metadata_fault, the rules every Dwell holds.
+Angles cross the file boundary in degrees; everything in memory is
+radians. Report rows are frame_index,t,snr_db,range_m,doppler_mps,
+accel_mps2 with an optional truth_id column; a doppler_width_mps column is
+accepted and ignored. Frame k is frame_index k. Floats are written with
+shortest round-trip repr, so a dwell whose reports pass the row checks
+loads back as saved, and save -> load -> save is byte-identical. Neither
+direction holds the file as one text. The writer gives one ASCII byte
+chunk per frame. The reader takes the report lines from the open file in
+blocks of _BLOCK_ROWS; each block is parsed natively, by one np.loadtxt
+call on its final dtype, checked with whole-column masks and kept as one
+REPORT_DTYPE record array, which each of its frames slices (a frame that
+spans blocks joins its slices). Only a block whose parse or checks fail
+goes to the line-level diagnosis, which reads its lines one by one with
+int() and float() and names the first malformed line, a non-finite field
+included, by its line number. Both parses take numbers as ASCII decimals,
+blank-padded or not, and reject '_' separators and a frame_index beyond
+int64.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 import warnings
 from collections import deque
 from itertools import compress, repeat
@@ -38,32 +37,18 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .ship import (REPORT_DTYPE, Dwell, Frame, check_integration_time,
-                   in_angle_range, report_array)
+from .ship import (REPORT_DTYPE, SIGMA_KEYS, Dwell, Frame, is_number,
+                   metadata_fault, report_array)
 
 FORMAT_NAME = "isar-dwell"
 FORMAT_VERSION = 1
 _COLUMNS = ("frame_index", "t", "snr_db", "range_m", "doppler_mps", "accel_mps2")
 _OPTIONAL = ("truth_id", "doppler_width_mps")
-_SIGMA_KEYS = ("sigma_range_m", "sigma_doppler_mps", "sigma_accel_mps2")
 _FLOATS = REPORT_DTYPE.names[:5]   # the five float report fields
 _BAD_TRUTH = -2   # parsed truth_id of a cell that is not blank and not a valid id
 _BLOCK_ROWS = 8192   # report lines parsed and checked together
 _READ_CHARS = 1 << 18   # characters taken from the file per read
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"   # str.splitlines' breaks
-
-
-def is_number(value) -> bool:
-    """True for an int or float that is finite as a float, which JSON numbers
-    load as; not a bool, nor the NaN or Infinity that Python's json reads."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and -sys.float_info.max <= value <= sys.float_info.max)
-
-
-def is_count(value) -> bool:
-    """True for a non-negative integral JSON number, 120.0 included; not a
-    bool, nor a fraction such as 2.7 that int() would truncate."""
-    return is_number(value) and value == int(value) and value >= 0
 
 
 def _exact_degrees(rad: float) -> float:
@@ -99,7 +84,7 @@ def dwell_text(dwell: Dwell) -> list[bytes]:
         "range_resolution_m": dwell.range_resolution,
     }
     if dwell.report_sigmas is not None:
-        header.update(zip(_SIGMA_KEYS, dwell.report_sigmas))
+        header.update(zip(SIGMA_KEYS, dwell.report_sigmas))
     with_truth = any((fr.reports.view(np.ndarray)["truth_id"] >= 0).any()
                      for fr in dwell.frames)
     cols = _COLUMNS + (("truth_id",) if with_truth else ())
@@ -144,64 +129,20 @@ def _parse_header(line: str) -> dict:
             raise ValueError(f"line 1: header missing '{key}'")
         if not isinstance(header[key], (int, float)) or isinstance(header[key], bool):
             raise ValueError(f"line 1: header '{key}' must be a number")
-    # < 2 ** 63 compares exactly, where an int64 would round to a float
-    if not (is_count(header["n_frames"]) and 1 <= header["n_frames"] < 2 ** 63):
-        raise ValueError("line 1: header 'n_frames' must be an integer from 1 "
-                         "to the int64 maximum")
-    for key in ("frame_interval", "integration_time", "range_resolution_m"):
-        if not 0 < header[key] <= sys.float_info.max:
-            raise ValueError(f"line 1: header '{key}' must be positive and finite")
-    check_integration_time("line 1: header 'integration_time'",
-                           header["integration_time"])
-    for key in ("phi0_deg", "theta0_deg"):
-        # the range test fails NaN, and JSON integers too large for a float
-        if not (abs(header[key]) <= sys.float_info.max
-                and in_angle_range(math.radians(header[key]))):
-            raise ValueError(f"line 1: header '{key}' must be finite and "
-                             "strictly between -90 and 90")
-    sigmas = [key for key in _SIGMA_KEYS if key in header]
-    if sigmas and len(sigmas) < len(_SIGMA_KEYS):
-        raise ValueError(f"line 1: header needs all of {', '.join(_SIGMA_KEYS)} "
+    # a JSON integer too large for a float fails the angle rule as NaN
+    phi0, theta0 = (math.radians(header[key]) if is_number(header[key])
+                    else math.nan for key in ("phi0_deg", "theta0_deg"))
+    sigmas = [header[key] for key in SIGMA_KEYS if key in header]
+    fault = metadata_fault(header["n_frames"], header["frame_interval"],
+                           header["integration_time"], phi0, theta0,
+                           header["range_resolution_m"],
+                           sigmas if len(sigmas) == len(SIGMA_KEYS) else None)
+    if fault is not None:
+        raise ValueError("line 1: header '{}' {}".format(*fault))
+    if sigmas and len(sigmas) < len(SIGMA_KEYS):
+        raise ValueError(f"line 1: header needs all of {', '.join(SIGMA_KEYS)} "
                          "or none")
-    for key in sigmas:
-        if not (is_number(header[key]) and header[key] >= 0):
-            raise ValueError(f"line 1: header '{key}' must be a finite number >= 0")
     return header
-
-
-def _truth_cell(cell: str) -> int:
-    """One truth_id cell: -1 when blank, _BAD_TRUTH unless it is a
-    non-negative int64."""
-    try:
-        value = int(cell)
-    except ValueError:
-        return _BAD_TRUTH if cell.strip() else -1
-    return value if 0 <= value < 2 ** 63 else _BAD_TRUTH
-
-
-def _row_parser(cols: tuple[str, ...]):
-    """parse(rows): one record per row of frame_index, the five float
-    columns and, when the file has that column, truth_id. Raises
-    ValueError when a field does not parse."""
-    fields = [("frame_index", np.int64)] + [(n, np.float64) for n in _FLOATS]
-    usecols = list(range(len(_COLUMNS)))
-    converters = None
-    if "truth_id" in cols:
-        fields.append(("truth_id", np.int64))
-        usecols.append(cols.index("truth_id"))
-        converters = {usecols[-1]: _truth_cell}
-    dtype = np.dtype(fields)
-
-    def parse(rows: list[str]) -> np.ndarray:
-        if not rows:   # loadtxt warns on empty input
-            return np.zeros(0, dtype)
-        with warnings.catch_warnings():
-            # NumPy 1.x reads "1.0" as an int64 with only this warning
-            warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(rows, dtype=dtype, delimiter=",",
-                              comments=None, usecols=usecols,
-                              converters=converters, ndmin=1)
-    return parse
 
 
 def _truth(table: np.ndarray) -> np.ndarray:
@@ -209,33 +150,6 @@ def _truth(table: np.ndarray) -> np.ndarray:
     if "truth_id" in table.dtype.names:
         return table["truth_id"]
     return np.full(len(table), -1)
-
-
-def _first_unparsable(rows: list[str], parse) -> int:
-    """Index of the first row that parse rejects: blocks of 4096 rows are
-    parsed in turn, and the first failing block is searched in blocks of
-    256, 16 and 1."""
-    lo, step = 0, 4096
-    while step and lo < len(rows):
-        try:
-            parse(rows[lo:lo + step])
-            lo += step
-        except ValueError:
-            step //= 16
-    return lo
-
-
-def _numeric_error(row: str) -> str:
-    """Why a row's numeric fields do not parse, in the words of int() or
-    float() where they reject a field too."""
-    cells = row.split(",")
-    for conv, cell in zip((int,) + (float,) * 5, cells):
-        try:
-            conv(cell)
-        except ValueError as exc:
-            return str(exc)
-    return ("numbers must be ASCII decimals without '_' separators and "
-            "frame_index must fit in int64")
 
 
 def _row_checks(table: np.ndarray, truth: np.ndarray, n_frames: int,
@@ -258,11 +172,11 @@ def _row_checks(table: np.ndarray, truth: np.ndarray, n_frames: int,
     )
 
 
-def _check_rows(table: np.ndarray, truth: np.ndarray, line_no: np.ndarray,
-                n_frames: int, interval: float, prev: tuple) -> None:
+def _check_rows(table: np.ndarray, line_no: list[int], n_frames: int,
+                interval: float, prev: tuple) -> None:
     """Raise for the first row that breaks a report check, with the
     message a row-by-row pass stopping at the first fault would give."""
-    checks = _row_checks(table, truth, n_frames, interval, prev)
+    checks = _row_checks(table, table["truth_id"], n_frames, interval, prev)
     firsts = [(int(mask.argmax()), order)
               for order, (mask, _) in enumerate(checks) if mask.any()]
     if firsts:
@@ -342,33 +256,68 @@ def _blocks(f: TextIO) -> Iterator[list[str]]:
         yield buf
 
 
+_LINE_DTYPE = np.dtype([("frame_index", np.int64),
+                        *((name, np.float64) for name in _FLOATS),
+                        ("truth_id", np.int64)])
+_GRAMMAR = ("numbers must be ASCII decimals without '_' separators and "
+            "frame_index must fit in int64")
+
+
+def _numbers(cells: list[str]) -> tuple:
+    """frame_index and the five floats of a report line's cells, read as
+    the native parse reads them: int() or float() of each cell stripped of
+    whitespace, which must be ASCII without '_', and a frame_index that
+    fits in int64. Otherwise ValueError, in the words of int() or float()
+    on the first cell they reject as written, else naming that grammar."""
+    cores = [cell.strip() for cell in cells[:len(_COLUMNS)]]
+    if all(core.isascii() and "_" not in core for core in cores):
+        try:
+            idx = int(cores[0])
+            if -2 ** 63 <= idx < 2 ** 63:
+                return (idx, *map(float, cores[1:]))
+        except ValueError:
+            pass
+    for conv, cell in zip((int,) + (float,) * 5, cells):
+        conv(cell)
+    raise ValueError(_GRAMMAR)
+
+
 def _block_table(block: list[str], first_line: int, cols: tuple[str, ...],
-                 parse, n_frames: int, interval: float,
-                 prev: tuple) -> np.ndarray:
-    """Parse and check one block of report lines, the first of which is
-    line first_line of the file; prev is as for _check_rows."""
-    kept = np.fromiter(map(bool, map(str.strip, block)), bool, len(block))
-    rows = list(compress(block, kept))
-    line_no = np.flatnonzero(kept) + first_line
-    # loadtxt ignores fields past usecols, so the field count is checked here
-    n_fields = np.fromiter(map(str.count, rows, repeat(",")), np.int64,
-                           len(rows)) + 1
-    # rows from `stop` on are not checked: row `stop` fails with `fault`
-    # unless an earlier row fails first
-    stop, fault = len(rows), None
-    wrong = np.flatnonzero(n_fields != len(cols))
-    if wrong.size:
-        stop = int(wrong[0])
-        fault = f"expected {len(cols)} fields, got {n_fields[stop]}"
-    try:
-        table = parse(rows[:stop])
-    except ValueError:
-        stop = _first_unparsable(rows[:stop], parse)
-        fault = f"bad numeric field ({_numeric_error(rows[stop])})"
-        table = parse(rows[:stop])
-    _check_rows(table, _truth(table), line_no, n_frames, interval, prev)
+                 n_frames: int, interval: float, prev: tuple) -> np.ndarray:
+    """Parse and check, line by line, a block the native parse rejected;
+    its first line is line first_line of the file, and prev is as for
+    _check_rows. The first bad line raises after the rows before it are
+    checked, as a row-by-row reader would. A block with none is returned:
+    the native parse also rejects blank lines of spaces, a truth_id that
+    only int() reads, such as '1_0', and a non-numeric doppler_width_mps."""
+    truth_at = cols.index("truth_id") if "truth_id" in cols else None
+    rows, line_no, fault = [], [], None
+    for n, line in enumerate(block, first_line):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(cols):
+            fault = f"line {n}: expected {len(cols)} fields, got {len(cells)}"
+            break
+        try:
+            numbers = _numbers(cells)
+        except ValueError as exc:
+            fault = f"line {n}: bad numeric field ({exc})"
+            break
+        truth = -1
+        if truth_at is not None and cells[truth_at].strip():
+            try:
+                truth = int(cells[truth_at])
+            except ValueError:
+                truth = _BAD_TRUTH
+            if not 0 <= truth < 2 ** 63:
+                truth = _BAD_TRUTH
+        rows.append((*numbers, truth))
+        line_no.append(n)
+    table = np.array(rows, _LINE_DTYPE)
+    _check_rows(table, line_no, n_frames, interval, prev)
     if fault is not None:
-        raise ValueError(f"line {line_no[stop]}: {fault}")
+        raise ValueError(fault)
     return table
 
 
@@ -377,14 +326,13 @@ def _report_blocks(blocks: Iterator[list[str]], cols: tuple[str, ...],
     """The checked table of each block of report lines left in `blocks`,
     which start at line 3; blocks of blank lines give none."""
     native = _native_parser(cols)
-    parse = _row_parser(cols)
     first_line = 3
     prev = (-1, -math.inf)   # no row before the first
     for block in blocks:
         table = native(block, n_frames, interval, prev)
         if table is None:
-            table = _block_table(block, first_line, cols, parse, n_frames,
-                                 interval, prev)
+            table = _block_table(block, first_line, cols, n_frames, interval,
+                                 prev)
         if len(table):
             prev = (table["frame_index"][-1], table["t"][-1])
             yield table
@@ -425,8 +373,8 @@ def _read_dwell(blocks: Iterator[list[str]]) -> Dwell:
                  range_resolution=float(header["range_resolution_m"]),
                  frame_interval=interval,
                  integration_time=float(header["integration_time"]),
-                 report_sigmas=(tuple(header[key] for key in _SIGMA_KEYS)
-                                if _SIGMA_KEYS[0] in header else None))
+                 report_sigmas=(tuple(header[key] for key in SIGMA_KEYS)
+                                if SIGMA_KEYS[0] in header else None))
 
 
 def load_dwell(path: str | Path) -> Dwell:

@@ -18,14 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .angles import FitState, estimate_angles, model_covariances
-from .io import dwell_text, is_count, is_number, load_dwell, pgm_bytes
+from .io import dwell_text, load_dwell, pgm_bytes
 from .length import estimate_loa
 from .moments import moments_series
 from .plots import svg_lines_text
 from .pose import (CLASS_THRESHOLD, CompositeImage, FrameClass,
                    classify_frames, compose, invert_frame, motion_matrix,
                    report_noise)
-from .ship import AngleTrack, ShipModel
+from .ship import AngleTrack, ShipModel, is_count, is_number
 from .simulate import (DegradationSpec, ScenarioConfig, build_angle_track,
                        make_ship, simulate_degraded)
 from .validate import (BADFIT_THRESHOLD, badfit, consistency_synth,

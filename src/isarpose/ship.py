@@ -56,19 +56,57 @@ def in_angle_range(rad):
     return np.abs(rad) < math.pi / 2
 
 
+def is_number(value) -> bool:
+    """True for an int or float that is finite as a float, which JSON numbers
+    load as; not a bool, nor the NaN or Infinity that Python's json reads."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
+def is_count(value) -> bool:
+    """True for a non-negative integral JSON number, 120.0 included; not a
+    bool, nor a fraction such as 2.7 that int() would truncate."""
+    return is_number(value) and value == int(value) and value >= 0
+
+
 MAX_INTEGRATION_TIME = math.sqrt(sys.float_info.max)
 MIN_INTEGRATION_TIME = 1 / MAX_INTEGRATION_TIME
 """Integration times (s) whose square and inverse square are finite floats:
 the pose stage scales motion-matrix rows by T^2, and report_noise divides
 by it."""
 
+SIGMA_KEYS = ("sigma_range_m", "sigma_doppler_mps", "sigma_accel_mps2")
+"""Dwell file header keys of the report noise sigmas, in Dwell's order."""
 
-def check_integration_time(name: str, value: float) -> None:
-    """ValueError, naming the value name, unless T^2 and 1/T^2 are finite."""
-    if not MIN_INTEGRATION_TIME <= value <= MAX_INTEGRATION_TIME:
-        raise ValueError(f"{name} must be from {MIN_INTEGRATION_TIME!r} to "
-                         f"{MAX_INTEGRATION_TIME!r}, where its square and "
-                         "inverse square are finite")
+
+def metadata_fault(n_frames, frame_interval, integration_time, phi0, theta0,
+                   range_resolution, report_sigmas=None
+                   ) -> tuple[str, str] | None:
+    """(key, reason) of the first rule of dwell metadata that the values
+    break, None if they break none. The dwell file header, ScenarioConfig
+    and Dwell each check their metadata here and name the key behind their
+    own prefix. Keys are the header's; phi0 and theta0 are in radians."""
+    for key, value in (("frame_interval", frame_interval),
+                       ("integration_time", integration_time),
+                       ("range_resolution_m", range_resolution)):
+        # the test fails NaN, and integers too large for a float
+        if not 0 < value <= sys.float_info.max:
+            return key, "must be positive and finite"
+    if not MIN_INTEGRATION_TIME <= integration_time <= MAX_INTEGRATION_TIME:
+        return "integration_time", (
+            f"must be from {MIN_INTEGRATION_TIME!r} to "
+            f"{MAX_INTEGRATION_TIME!r}, where its square and inverse square "
+            "are finite")
+    # < 2 ** 63 compares exactly, where an int64 would round to a float
+    if not (is_count(n_frames) and 1 <= n_frames < 2 ** 63):
+        return "n_frames", "must be an integer from 1 to the int64 maximum"
+    for key, rad in (("phi0_deg", phi0), ("theta0_deg", theta0)):
+        if not in_angle_range(rad):
+            return key, "must be finite and strictly between -90 and 90"
+    for key, sigma in zip(SIGMA_KEYS, report_sigmas or ()):
+        if not (is_number(sigma) and sigma >= 0):
+            return key, "must be a finite number >= 0"
+    return None
 
 
 def _record_array(dtype: np.dtype, cols: tuple) -> np.recarray:
@@ -157,12 +195,12 @@ class Dwell:
     """One continuous observation: at least one frame plus metadata.
 
     Frame k is centred at t[k] = (k + 0.5) * frame_interval and integrates
-    for integration_time (both s, positive and finite); its reports lie within
-    half an interval of t[k], with truth_id >= -1. phi0/theta0 are the
-    externally supplied mean aspect/tilt (rad, in_angle_range), and
-    range_resolution (m) is positive and finite.
-    report_sigmas are the nominal report noise sigmas (range m, Doppler
-    m/s, acceleration m/s^2), each finite and >= 0, or None when unknown.
+    for integration_time (both s); its reports lie within half an interval
+    of t[k], with truth_id >= -1. phi0/theta0 are the externally supplied
+    mean aspect/tilt (rad), and range_resolution is in m. report_sigmas are
+    the nominal report noise sigmas (range m, Doppler m/s, acceleration
+    m/s^2), or None when unknown. The metadata must pass metadata_fault;
+    its error names the dwell file header's key ("phi0_deg must be ...").
     """
 
     frames: tuple[Frame, ...]
@@ -175,16 +213,16 @@ class Dwell:
 
     def __post_init__(self):
         object.__setattr__(self, "frames", tuple(self.frames))
-        if not self.frames:
-            raise ValueError("a dwell needs at least one frame")
-        if not all(0 < v < math.inf for v in (
-                self.frame_interval, self.integration_time,
-                self.range_resolution)):
-            raise ValueError("frame_interval, integration_time and "
-                             "range_resolution must be positive and finite")
-        check_integration_time("integration_time", self.integration_time)
-        if not (in_angle_range(self.phi0) and in_angle_range(self.theta0)):
-            raise ValueError("mean angles must satisfy |phi0|, |theta0| < pi/2")
+        if self.report_sigmas is not None:
+            sig = tuple(float(s) for s in self.report_sigmas)
+            if len(sig) != len(SIGMA_KEYS):
+                raise ValueError("report sigmas must be three numbers")
+            object.__setattr__(self, "report_sigmas", sig)
+        fault = metadata_fault(len(self.frames), self.frame_interval,
+                               self.integration_time, self.phi0, self.theta0,
+                               self.range_resolution, self.report_sigmas)
+        if fault is not None:
+            raise ValueError(" ".join(fault))
         # the reader's row checks: every dwell saves as a file it reads back
         half = 0.5 * self.frame_interval
         for k, (tk, fr) in enumerate(zip(self.t.tolist(), self.frames)):
@@ -199,11 +237,6 @@ class Dwell:
                 raise ValueError(f"frame {k}: report time outside its slot")
             if (reports["truth_id"] < -1).any():
                 raise ValueError(f"frame {k}: truth_id below -1")
-        if self.report_sigmas is not None:
-            sig = tuple(float(s) for s in self.report_sigmas)
-            if len(sig) != 3 or not all(math.isfinite(s) and s >= 0 for s in sig):
-                raise ValueError("report sigmas must be three finite numbers >= 0")
-            object.__setattr__(self, "report_sigmas", sig)
 
     @property
     def t(self) -> np.ndarray:

@@ -18,10 +18,14 @@ import numpy as np
 
 from .length import beam_rule
 from .motion import motion_rows
-from .ship import (AngleTrack, Dwell, Frame, ShipModel, angle_array,
-                   check_integration_time, in_angle_range, report_array)
+from .ship import (SIGMA_KEYS, AngleTrack, Dwell, Frame, ShipModel,
+                   angle_array, metadata_fault, report_array)
 
 BASE_SNR_DB = 20.0  # reference SNR of a unit-rcs scatterer
+# the scenario's own names for metadata_fault's keys, where they differ
+_SCENARIO_KEYS = {"n_frames": "duration",
+                  **dict(zip(SIGMA_KEYS, ("noise.sigma_r", "noise.sigma_f",
+                                          "noise.sigma_a")))}
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,10 @@ class ScenarioConfig:
 
     Angles in radians, times in seconds. aspect_osc and tilt_osc are
     (amplitude rad, period s) pairs; noise is (sigma_r m, sigma_f m/s,
-    sigma_a m/s^2).
+    sigma_a m/s^2). Its dwell, of floor(duration / frame_interval) frames
+    with noise as report sigmas, must pass ship.metadata_fault; the error
+    names the scenario key ("scenario 'phi0_deg': must be ..."). The rest
+    are the scenario's own rules: fading, oscillation periods, injectors.
     """
 
     duration: float
@@ -79,21 +86,20 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "injectors", tuple(self.injectors))
-        if not all(0 < v < math.inf for v in (
-                self.duration, self.frame_interval, self.integration_time)):
-            raise ValueError("duration, frame_interval, integration_time must "
-                             "be positive and finite")
-        check_integration_time("'integration_time'", self.integration_time)
-        if self.n_frames < 1:
-            raise ValueError("'duration' is shorter than one 'frame_interval'")
-        # what a Dwell accepts, so the simulator can build its dwell
-        for key, rad in (("phi0_deg", self.phi0), ("theta0_deg", self.theta0)):
-            if not in_angle_range(rad):
-                raise ValueError(f"'{key}' must be strictly between -90 and 90")
-        if not 0 < self.range_resolution < math.inf:
-            raise ValueError("'range_resolution_m' must be positive and finite")
-        if not all(math.isfinite(s) and s >= 0 for s in self.noise):
-            raise ValueError("noise sigmas must be finite and >= 0")
+        # a zero interval fails the rule before the frame count is judged;
+        # an inf or NaN count stays a float, which the count rule rejects
+        frames = (self.duration / self.frame_interval if self.frame_interval
+                  else 0.0)
+        fault = metadata_fault(
+            math.floor(frames) if math.isfinite(frames) else frames,
+            self.frame_interval, self.integration_time, self.phi0,
+            self.theta0, self.range_resolution, self.noise)
+        if fault is not None:
+            key, reason = fault
+            if key == "n_frames":
+                reason = f"floor(duration / frame_interval) {reason}"
+            raise ValueError(f"scenario '{_SCENARIO_KEYS.get(key, key)}': "
+                             f"{reason}")
         if not 0 <= self.fade_sigma < math.inf:
             raise ValueError("'fade_sigma_db' must be finite and >= 0")
         for name in ("aspect_osc", "tilt_osc"):

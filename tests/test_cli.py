@@ -22,7 +22,8 @@ from isarpose.io import dwell_text, load_dwell, save_dwell
 from isarpose.moments import frame_moments, moments_series
 from isarpose.pose import (COND_GUARD, PEARLS_EPS, FrameClass, _classify,
                            invert_frame, motion_matrix, report_noise)
-from isarpose.ship import Frame
+from isarpose.ship import SIGMA_KEYS, Dwell, Frame, report_array
+from isarpose.simulate import ScenarioConfig
 
 SCENARIO = {
     "duration": 30.0,
@@ -190,6 +191,18 @@ class TestSimulate:
         assert code == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change", [
+        {"duration": 1e300, "frame_interval": 1e-10}, {"duration": 1e300}],
+        ids=["count-overflows", "count-beyond-int64"])
+    def test_frame_count_beyond_int64_is_config_error(self, change):
+        # the first raised OverflowError (exit 1); the second was accepted,
+        # and simulating it would have allocated its 2e300 frames
+        with pytest.raises(isarpose.runner.ConfigError,
+                           match=r"^scenario 'duration': floor\(duration / "
+                           r"frame_interval\) must be an integer from 1 to "
+                           r"the int64 maximum$"):
+            isarpose.runner.scenario_from_dict({**SCENARIO, **change})
 
     @pytest.mark.parametrize("seed", [-1, 2.7, True])
     def test_run_seed_must_be_a_non_negative_integer(self, tmp_path, seed):
@@ -433,7 +446,7 @@ class TestAnalyze:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb, code, error", [
-        ("simulate", 2, "config error: 'integration_time'"),
+        ("simulate", 2, "config error: scenario 'integration_time':"),
         ("analyze", 3, "data error: line 1: header 'integration_time'")],
         ids=["simulate", "analyze"])
     def test_huge_integration_time_is_rejected_at_the_boundary(
@@ -508,6 +521,70 @@ class TestAnalyze:
         assert code == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+_POSITIVE = "must be positive and finite"
+_ANGLE = "must be finite and strictly between -90 and 90"
+_SIGMA = "must be a finite number >= 0"
+_INTEGRATION = ("must be from 7.458340731200208e-155 to "
+                "1.3407807929942596e+154, where its square and inverse "
+                "square are finite")
+_SCENARIO_SIGMAS = dict(zip(SIGMA_KEYS, ("noise.sigma_r", "noise.sigma_f",
+                                         "noise.sigma_a")))
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    *((key, value, _POSITIVE)
+      for key in ("frame_interval", "integration_time", "range_resolution_m")
+      for value in (0.0, -0.5, math.nan, math.inf)),
+    *((key, value, _ANGLE) for key in ("phi0_deg", "theta0_deg")
+      for value in (90.0, -90.0, 95.0)),
+    *((key, value, _SIGMA) for key in SIGMA_KEYS
+      for value in (-0.2, math.nan)),
+    *(("integration_time", value, _INTEGRATION)
+      for value in (1.3407807929942597e154, 1e-170)),
+])
+def test_dwell_rules_give_one_reason_at_every_boundary(sim_dir, tmp_path,
+                                                       capsys, key, value,
+                                                       reason):
+    """A bad value of dwell metadata fails the dwell file header (exit 3),
+    the scenario (exit 2) and Dwell with the same reason, each behind its
+    own prefix: the rule is held once, in ship.metadata_fault. key is the
+    header's, and angles are in degrees."""
+    code = main(["analyze", "--input",
+                 _with_header(sim_dir, tmp_path, key, json.dumps(value)),
+                 "--out", str(tmp_path / "an")])
+    assert (code, capsys.readouterr().err) == (
+        3, f"data error: line 1: header '{key}' {reason}\n")
+
+    scenario_key = _SCENARIO_SIGMAS.get(key, key)
+    kw = {"frame_interval": 0.5, "integration_time": 0.5,
+          "range_resolution": 0.5, "phi0": 0.5, "theta0": 0.3}
+    sigmas = [0.2, 0.03, 0.02]
+    if key in SIGMA_KEYS:
+        sigmas[SIGMA_KEYS.index(key)] = value
+    elif key in ("phi0_deg", "theta0_deg"):
+        kw[key.removesuffix("_deg")] = math.radians(value)
+    else:
+        kw[key.removesuffix("_m")] = value
+    with pytest.raises(ValueError) as err:
+        ScenarioConfig(duration=30.0, noise=tuple(sigmas), **kw)
+    assert str(err.value) == f"scenario '{scenario_key}': {reason}"
+    # the scenario reader takes finite JSON numbers only, so NaN and
+    # Infinity fail there, before the rule
+    if math.isfinite(value):
+        section, _, name = scenario_key.rpartition(".")
+        scenario = {**SCENARIO, "noise": dict(SCENARIO["noise"])}
+        (scenario[section] if section else scenario)[name] = value
+        code = main(["simulate", "--config", _write_config(tmp_path, scenario),
+                     "--out", str(tmp_path / "sim")])
+        assert (code, capsys.readouterr().err) == (
+            2, f"config error: scenario '{scenario_key}': {reason}\n")
+
+    with pytest.raises(ValueError) as err:
+        Dwell((Frame(report_array([0.25], 20.0, 0.0, 0.0, 0.0)),),
+              report_sigmas=sigmas, **kw)
+    assert str(err.value) == f"{key} {reason}"
 
 
 @pytest.fixture(scope="module")

@@ -175,6 +175,10 @@ def test_truth_id_survives_save_load(tmp_path, truth_ids):
     assert _text(back) == path.read_text()
 
 
+_GRAMMAR_FAULT = ("bad numeric field (numbers must be ASCII decimals without "
+                  "'_' separators and frame_index must fit in int64)")
+
+
 class TestSchemaErrors:
     def _lines(self, tmp_path):
         dwell = _dwell([[(20.0, 0.0, 0.0, 0.0)],
@@ -342,19 +346,48 @@ class TestSchemaErrors:
         with pytest.raises(ValueError, match="line 1"):
             load_dwell(bad)
 
-    @pytest.mark.parametrize("line", [
-        "0,1_0.5,20.0,0.0,0.0,0.0",
-        "1_0,0.25,20.0,0.0,0.0,0.0",
-        "99999999999999999999,0.25,20.0,0.0,0.0,0.0",
-        "0.0,0.25,20.0,0.0,0.0,0.0",
+    @pytest.mark.parametrize("line, message", [
+        ("0,1_0.5,20.0,0.0,0.0,0.0", _GRAMMAR_FAULT),
+        ("1_0,0.25,20.0,0.0,0.0,0.0", _GRAMMAR_FAULT),
+        ("99999999999999999999,0.25,20.0,0.0,0.0,0.0", _GRAMMAR_FAULT),
+        ("0.0,0.25,20.0,0.0,0.0,0.0",
+         "bad numeric field (invalid literal for int() with base 10: '0.0')"),
+        ("0,0.25,20.0,\u0661,0.0,0.0", _GRAMMAR_FAULT),
+        ("0,0.25,20.0,\uff11,0.0,0.0", _GRAMMAR_FAULT),
+        ("-9223372036854775809,0.25,20.0,0.0,0.0,0.0", _GRAMMAR_FAULT),
+        ("9223372036854775807,0.25,20.0,0.0,0.0,0.0",
+         "frame_index 9223372036854775807 outside 0..1"),
+        ("0,0.25,20.0, 1,\t2,0.0", None),
+        ("0,0.25,20.0,\xa01,\x1f2,0.0", None),
+        ("0,0.25,20.0,Infinity,0.0,0.0", "report fields must be finite"),
+        ("0,0.25,20.0,0.0,-nan,0.0", "report fields must be finite"),
     ], ids=["float-underscore", "int-underscore", "int-beyond-int64",
-            "int-as-float"])
-    def test_narrow_number_grammar(self, tmp_path, line):
-        # float() and int() accept the first three, which the dwell grammar
-        # does not; neither accepts a frame_index written as a float
+            "int-as-float", "arabic-indic-digit", "fullwidth-digit",
+            "int64-min-less-one", "int64-max", "blank-padding",
+            "unicode-blank-padding", "infinity", "minus-nan"])
+    def test_narrow_number_grammar(self, tmp_path, monkeypatch, line,
+                                   message):
+        """Line 3 loads (message None) or fails with message, alike through
+        the native block parse and the line-level diagnosis, which a fault
+        on line 5 forces. float() and int() accept '_' separators, non-ASCII
+        digits and integers beyond int64, which the dwell grammar does not;
+        neither accepts a frame_index written as a float."""
         path, lines = self._lines(tmp_path)
         lines[2] = line
-        self._expect(tmp_path, lines, "line 3: bad numeric field")
+        want = f"line 3: {message}" if message else \
+            "line 5: expected 6 fields, got 1"
+        self._expect(tmp_path, lines + ["x"], f"^{re.escape(want)}$")
+        if message:
+            self._expect(tmp_path, lines, f"^{re.escape(want)}$")
+            return
+
+        def diagnose(*args):
+            raise AssertionError("a clean block went to line-level diagnosis")
+
+        monkeypatch.setattr(isarpose.io, "_block_table", diagnose)
+        path.write_text("\n".join(lines) + "\n")
+        assert load_dwell(path).frames[0].reports.tolist()[0][2:5] == \
+            (1.0, 2.0, 0.0)
 
 
 # _fault puts one fault of a kind on the cells of frame `frame`'s line in

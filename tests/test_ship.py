@@ -142,8 +142,13 @@ def test_dwell_holds_the_frame_grid_once():
     assert [f.name for f in dataclasses.fields(Frame)] == ["reports"]
 
 
+_ANGLE_RULE = "^{}_deg must be finite and strictly between -90 and 90$"
+
+
+# a pytest.param id names the rule its case breaks
 @pytest.mark.parametrize("change, match", [
-    ({"frames": ()}, "at least one frame"),
+    pytest.param({"frames": ()}, "^n_frames must be an integer from 1 to the "
+                 "int64 maximum$", id="change0-at least one frame"),
     ({"integration_time": 0.0}, "must be positive and finite"),
     ({"integration_time": -0.5}, "must be positive and finite"),
     ({"integration_time": float("nan")}, "must be positive and finite"),
@@ -155,11 +160,16 @@ def test_dwell_holds_the_frame_grid_once():
     ({"range_resolution": float("nan")}, "must be positive and finite"),
     ({"range_resolution": -0.5}, "must be positive and finite"),
     # the reader's mean-angle rule
-    ({"phi0": float("nan")}, "mean angles"),
-    ({"theta0": float("inf")}, "mean angles"),
-    ({"phi0": -float("inf")}, "mean angles"),
-    ({"theta0": math.radians(-95.0)}, "mean angles"),
-    ({"phi0": math.pi / 2}, "mean angles"),
+    pytest.param({"phi0": float("nan")}, _ANGLE_RULE.format("phi0"),
+                 id="change10-mean angles"),
+    pytest.param({"theta0": float("inf")}, _ANGLE_RULE.format("theta0"),
+                 id="change11-mean angles"),
+    pytest.param({"phi0": -float("inf")}, _ANGLE_RULE.format("phi0"),
+                 id="change12-mean angles"),
+    pytest.param({"theta0": math.radians(-95.0)}, _ANGLE_RULE.format("theta0"),
+                 id="change13-mean angles"),
+    pytest.param({"phi0": math.pi / 2}, _ANGLE_RULE.format("phi0"),
+                 id="change14-mean angles"),
     # a report past its frame's slot loaded as `time inconsistent with frame`
     ({"frames": (Frame(report_array([0.25], 20.0, 0.0, 0.0, 0.0)),
                  Frame(report_array([0.75, 1.0 + 1e-9], 20.0, 0.0, 0.0, 0.0)))},
@@ -195,7 +205,9 @@ def test_dwell_rejects_bad_report_sigmas(sigmas):
                   frame_interval=0.5, integration_time=0.5,
                   report_sigmas=[0.2, 0, 0.02])
     assert dwell.report_sigmas == (0.2, 0.0, 0.02)
-    with pytest.raises(ValueError, match="report sigmas"):
+    match = ("^report sigmas must be three numbers$" if len(sigmas) != 3
+             else "^sigma_doppler_mps must be a finite number >= 0$")
+    with pytest.raises(ValueError, match=match):
         Dwell(frames, phi0=0.5, theta0=0.3, range_resolution=0.5,
               frame_interval=0.5, integration_time=0.5,
               report_sigmas=sigmas)

@@ -164,7 +164,8 @@ class TestDegradedReports:
                                        (0.3, math.inf, 0.02),
                                        (0.3, 0.05, math.nan)])
     def test_noise_sigmas_must_be_finite_and_nonnegative(self, noise):
-        with pytest.raises(ValueError, match="noise sigmas"):
+        with pytest.raises(ValueError, match="^scenario 'noise.sigma_[rfa]': "
+                           "must be a finite number >= 0$"):
             _cfg(noise=noise)
 
     def test_same_seed_reproduces_reports_exactly(self):
