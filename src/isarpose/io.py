@@ -9,20 +9,20 @@ together they must pass ship.metadata_fault, the rules every Dwell holds.
 Angles cross the file boundary in degrees; everything in memory is
 radians. Report rows are frame_index,t,snr_db,range_m,doppler_mps,
 accel_mps2 with an optional truth_id column; a doppler_width_mps column is
-accepted and ignored. Frame k is frame_index k. Floats are written with
-shortest round-trip repr, so a dwell whose reports pass the row checks
-loads back as saved, and save -> load -> save is byte-identical. Neither
-direction holds the file as one text. The writer gives one ASCII byte
-chunk per frame. The reader takes the report lines from the open file in
-blocks of _BLOCK_ROWS; each block is parsed natively, by one np.loadtxt
-call on its final dtype, checked with whole-column masks and kept as one
-REPORT_DTYPE record array, which each of its frames slices (a frame that
-spans blocks joins its slices). Only a block whose parse or checks fail
-goes to the line-level diagnosis, which reads its lines one by one with
-int() and float() and names the first malformed line, a non-finite field
-included, by its line number. Both parses take numbers as ASCII decimals,
-blank-padded or not, and reject '_' separators and a frame_index beyond
-int64.
+accepted and ignored. Frame k is frame_index k, and every row must pass
+ship.report_fault, the report rules every Dwell holds. Floats are written
+with shortest round-trip repr, so every Dwell loads back as saved, and
+save -> load -> save is byte-identical. Neither direction holds the file
+as one text. The writer gives one ASCII byte chunk per frame. The reader
+takes the report lines from the open file in blocks of _BLOCK_ROWS; each
+block is parsed natively, by one np.loadtxt call on its final dtype,
+checked by report_fault and kept as one REPORT_DTYPE record array, which
+each of its frames slices (a frame that spans blocks joins its slices).
+Only a block that fails goes to the line-level diagnosis, which reads its
+lines one by one with int() and float() and names the first line that is
+malformed or breaks a report rule. Both parses take numbers as ASCII
+decimals, blank-padded or not, and reject '_' separators and a
+frame_index beyond int64.
 """
 
 from __future__ import annotations
@@ -38,14 +38,14 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from .ship import (REPORT_DTYPE, SIGMA_KEYS, Dwell, Frame, is_number,
-                   metadata_fault, report_array)
+                   metadata_fault, report_array, report_fault)
 
 FORMAT_NAME = "isar-dwell"
 FORMAT_VERSION = 1
 _COLUMNS = ("frame_index", "t", "snr_db", "range_m", "doppler_mps", "accel_mps2")
 _OPTIONAL = ("truth_id", "doppler_width_mps")
 _FLOATS = REPORT_DTYPE.names[:5]   # the five float report fields
-_BAD_TRUTH = -2   # parsed truth_id of a cell that is not blank and not a valid id
+_BAD_TRUTH = -2   # a non-blank truth_id cell of no valid id; report_fault fails it
 _BLOCK_ROWS = 8192   # report lines parsed and checked together
 _READ_CHARS = 1 << 18   # characters taken from the file per read
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"   # str.splitlines' breaks
@@ -147,55 +147,18 @@ def _parse_header(line: str) -> dict:
 
 def _truth(table: np.ndarray) -> np.ndarray:
     """The table's truth_id column, -1 throughout when the file has none."""
-    if "truth_id" in table.dtype.names:
-        return table["truth_id"]
-    return np.full(len(table), -1)
-
-
-def _row_checks(table: np.ndarray, truth: np.ndarray, n_frames: int,
-                interval: float, prev: tuple) -> tuple:
-    """(mask, message) of each report check, in the order a row's checks
-    run; prev is the (frame_index, t) of the row before the table's
-    first."""
-    idx, t = table["frame_index"], table["t"]
-    prev_idx = np.r_[prev[0], idx[:-1]]
-    prev_t = np.r_[prev[1], t[:-1]]
-    finite = np.logical_and.reduce([np.isfinite(table[name]) for name in _FLOATS])
-    return (
-        (~finite, "report fields must be finite"),
-        ((idx < 0) | (idx >= n_frames), "frame_index {idx} outside 0..{last}"),
-        (idx < prev_idx, "frame_index decreases"),
-        ((t < prev_t) & (idx == prev_idx), "time decreases within a frame"),
-        (np.abs(t - (idx + 0.5) * interval) > 0.5 * interval,
-         "time {t} inconsistent with frame {idx}"),
-        (truth == _BAD_TRUTH, "bad truth_id"),
-    )
-
-
-def _check_rows(table: np.ndarray, line_no: list[int], n_frames: int,
-                interval: float, prev: tuple) -> None:
-    """Raise for the first row that breaks a report check, with the
-    message a row-by-row pass stopping at the first fault would give."""
-    checks = _row_checks(table, table["truth_id"], n_frames, interval, prev)
-    firsts = [(int(mask.argmax()), order)
-              for order, (mask, _) in enumerate(checks) if mask.any()]
-    if firsts:
-        k, order = min(firsts)
-        idx, t = table["frame_index"], table["t"]
-        why = checks[order][1].format(idx=int(idx[k]), t=float(t[k]),
-                                      last=n_frames - 1)
-        raise ValueError(f"line {line_no[k]}: {why}")
+    return (table["truth_id"] if "truth_id" in table.dtype.names
+            else np.full(len(table), -1))
 
 
 def _native_parser(cols: tuple[str, ...]):
     """parse(block, n_frames, interval, prev): the table of a block of
     report lines from one np.loadtxt call on a dtype of every column, which
-    also rejects a row of the wrong field count; prev is as for
-    _row_checks. None when the call raises or warns or a row fails a check:
-    _block_table then names the fault. Only blank truth_id cells are
-    rewritten first: in the last column a blank cell ends its line with
-    ',' and becomes -1. The table must then hold as many -1 ids as cells
-    rewritten and no other negative id, so a literal -1 still fails."""
+    also rejects a row of the wrong field count. None when the call raises
+    or warns or report_fault finds a fault: _block_table then names it.
+    Only blank truth_id cells are rewritten first: in the last column a
+    blank cell ends its line with ',' and becomes -1. The table must then
+    hold as many -1 ids as cells rewritten, so a literal -1 still fails."""
     names = ("frame_index",) + _FLOATS + cols[len(_COLUMNS):]
     dtype = np.dtype([(name, np.int64 if name in ("frame_index", "truth_id")
                        else np.float64) for name in names])
@@ -222,11 +185,10 @@ def _native_parser(cols: tuple[str, ...]):
         except (ValueError, Warning):
             return None
         truth = _truth(table)
-        if "truth_id" in cols and (np.count_nonzero(truth == -1) != len(blank)
-                                   or (truth < -1).any()):
+        if "truth_id" in cols and np.count_nonzero(truth == -1) != len(blank):
             return None
-        if any(mask.any() for mask, _ in
-               _row_checks(table, truth, n_frames, interval, prev)):
+        if report_fault(table["frame_index"], table, truth, n_frames,
+                        interval, prev) is not None:
             return None
         return table
     return parse
@@ -285,11 +247,11 @@ def _numbers(cells: list[str]) -> tuple:
 def _block_table(block: list[str], first_line: int, cols: tuple[str, ...],
                  n_frames: int, interval: float, prev: tuple) -> np.ndarray:
     """Parse and check, line by line, a block the native parse rejected;
-    its first line is line first_line of the file, and prev is as for
-    _check_rows. The first bad line raises after the rows before it are
-    checked, as a row-by-row reader would. A block with none is returned:
-    the native parse also rejects blank lines of spaces, a truth_id that
-    only int() reads, such as '1_0', and a non-numeric doppler_width_mps."""
+    its first line is line first_line of the file. The first bad line
+    raises after the rows before it are checked, as a row-by-row reader
+    would. A block with none is returned: the native parse also rejects
+    blank lines of spaces, a truth_id that only int() reads, such as
+    '1_0', and a non-numeric doppler_width_mps."""
     truth_at = cols.index("truth_id") if "truth_id" in cols else None
     rows, line_no, fault = [], [], None
     for n, line in enumerate(block, first_line):
@@ -304,18 +266,20 @@ def _block_table(block: list[str], first_line: int, cols: tuple[str, ...],
         except ValueError as exc:
             fault = f"line {n}: bad numeric field ({exc})"
             break
-        truth = -1
-        if truth_at is not None and cells[truth_at].strip():
-            try:
-                truth = int(cells[truth_at])
-            except ValueError:
-                truth = _BAD_TRUTH
-            if not 0 <= truth < 2 ** 63:
-                truth = _BAD_TRUTH
+        cell = "" if truth_at is None else cells[truth_at].strip()
+        try:
+            truth = int(cell) if cell else -1
+        except ValueError:
+            truth = _BAD_TRUTH
+        if cell and not 0 <= truth < 2 ** 63:
+            truth = _BAD_TRUTH
         rows.append((*numbers, truth))
         line_no.append(n)
     table = np.array(rows, _LINE_DTYPE)
-    _check_rows(table, line_no, n_frames, interval, prev)
+    broken = report_fault(table["frame_index"], table, table["truth_id"],
+                          n_frames, interval, prev)
+    if broken is not None:
+        raise ValueError(f"line {line_no[broken[0]]}: {broken[1]}")
     if fault is not None:
         raise ValueError(fault)
     return table

@@ -3,6 +3,8 @@
 Drydock coordinates: x alongship (m), y cross-ship (m), z height (m).
 All angles in radians. All types are immutable value data and safe to
 share between threads. A frame is its reports; its dwell holds the rest.
+The rules of dwell input are held here once, metadata_fault and
+report_fault: every Dwell applies both, and the dwell file reader too.
 """
 
 from __future__ import annotations
@@ -169,12 +171,50 @@ def report_array(t, snr, r, f, a, truth_id=-1) -> np.recarray:
     return _record_array(REPORT_DTYPE, (t, snr, r, f, a, truth_id))
 
 
+def report_fault(frame_index, reports, truth_id, n_frames, frame_interval,
+                 prev=(-1, -math.inf)) -> tuple[int, str] | None:
+    """(row, reason) of the first report that breaks a report rule, None if
+    none does; a report's rules run in the order below. Every report of a
+    Dwell and every report line of a dwell file must pass them. The
+    arguments hold consecutive reports, reports with REPORT_DTYPE's five
+    float fields; prev is the (frame_index, t) before the first."""
+    t = reports["t"]
+    finite = np.logical_and.reduce([np.isfinite(reports[name])
+                                    for name in REPORT_DTYPE.names[:5]])
+    prev_idx = np.concatenate(([prev[0]], frame_index[:-1]))
+    prev_t = np.concatenate(([prev[1]], t[:-1]))
+    rules = (
+        (~finite, "report fields must be finite"),
+        ((frame_index < 0) | (frame_index >= n_frames),
+         "frame_index {idx} outside 0..{last}"),
+        (frame_index < prev_idx, "frame_index decreases"),
+        ((t < prev_t) & (frame_index == prev_idx), "time decreases within a frame"),
+        (np.abs(t - (frame_index + 0.5) * frame_interval)
+         > 0.5 * frame_interval, "time {t} inconsistent with frame {idx}"),
+        # -1 is none; the reader reads a cell of no valid id as below -1
+        (truth_id < -1, "bad truth_id"),
+    )
+    faults = [(int(mask.argmax()), why) for mask, why in rules if mask.any()]
+    if not faults:
+        return None
+    # the earliest row, and of its faults the first rule's
+    row, why = min(faults, key=lambda fault: fault[0])
+    return row, why.format(idx=int(frame_index[row]), t=float(t[row]),
+                           last=n_frames - 1)
+
+
+# Dwell checks runs of about _RULE_ROWS reports, whose masks stay in cache,
+# joined as raw bytes, which NumPy copies faster than a record's fields
+_RULE_ROWS = 8192
+_RAW_REPORT = np.dtype((np.void, REPORT_DTYPE.itemsize))
+
+
 @dataclass(frozen=True, eq=False)
 class Frame:
     """All reports of one image frame; its index and times are its dwell's.
 
-    reports is a read-only REPORT_DTYPE record array, so each field is one
-    column (fr.reports.r); every float field must be finite.
+    reports is a read-only 1-D REPORT_DTYPE record array, so each field is
+    one column (fr.reports.r). Its dwell holds the reports to report_fault.
     """
 
     reports: np.recarray
@@ -183,9 +223,6 @@ class Frame:
         reports = np.asarray(self.reports).view(np.recarray)
         if reports.dtype != REPORT_DTYPE or reports.ndim != 1:
             raise ValueError("reports must be a 1-D REPORT_DTYPE array")
-        if not all(np.isfinite(reports[name]).all()
-                   for name in ("t", "snr", "r", "f", "a")):
-            raise ValueError("report fields must be finite")
         reports.flags.writeable = False
         object.__setattr__(self, "reports", reports)
 
@@ -195,12 +232,13 @@ class Dwell:
     """One continuous observation: at least one frame plus metadata.
 
     Frame k is centred at t[k] = (k + 0.5) * frame_interval and integrates
-    for integration_time (both s); its reports lie within half an interval
-    of t[k], with truth_id >= -1. phi0/theta0 are the externally supplied
+    for integration_time (both s). phi0/theta0 are the externally supplied
     mean aspect/tilt (rad), and range_resolution is in m. report_sigmas are
     the nominal report noise sigmas (range m, Doppler m/s, acceleration
     m/s^2), or None when unknown. The metadata must pass metadata_fault;
     its error names the dwell file header's key ("phi0_deg must be ...").
+    The reports, frame k's with frame_index k, must pass report_fault, whose
+    error follows "frame k: ". So every Dwell saves as a file that loads.
     """
 
     frames: tuple[Frame, ...]
@@ -223,20 +261,17 @@ class Dwell:
                                self.range_resolution, self.report_sigmas)
         if fault is not None:
             raise ValueError(" ".join(fault))
-        # the reader's row checks: every dwell saves as a file it reads back
-        half = 0.5 * self.frame_interval
-        for k, (tk, fr) in enumerate(zip(self.t.tolist(), self.frames)):
-            reports = fr.reports.view(np.ndarray)   # faster field reads
-            t = reports["t"]
-            if (t[1:] < t[:-1]).any():
-                raise ValueError(f"frame {k}: report time decreases")
-            # rounding keeps t - tk in time order, so the first and last
-            # reports are the farthest from tk
-            if len(t) and max(abs(t[0].item() - tk),
-                              abs(t[-1].item() - tk)) > half:
-                raise ValueError(f"frame {k}: report time outside its slot")
-            if (reports["truth_id"] < -1).any():
-                raise ValueError(f"frame {k}: truth_id below -1")
+        # a run starts a frame, so no report before it bears on its rules
+        reports = [fr.reports.view(_RAW_REPORT) for fr in self.frames]
+        step = _RULE_ROWS * len(reports) // max(sum(map(len, reports)), 1) or 1
+        for lo in range(0, len(reports), step):
+            run = reports[lo:lo + step]
+            table = np.concatenate(run).view(REPORT_DTYPE)
+            index = np.repeat(np.arange(lo, lo + len(run)), list(map(len, run)))
+            fault = report_fault(index, table, table["truth_id"],
+                                 len(reports), self.frame_interval)
+            if fault is not None:
+                raise ValueError(f"frame {index[fault[0]]}: {fault[1]}")
 
     @property
     def t(self) -> np.ndarray:

@@ -503,7 +503,7 @@ def _row_by_row(lines, n_frames, interval):
         cell = parts[cols.index("truth_id")]
         if cell.strip():
             try:
-                truth = int(cell)
+                truth = int(cell.strip())
             except ValueError:
                 return f"line {ln}: bad truth_id"
             if truth < 0:
@@ -515,8 +515,8 @@ def _row_by_row(lines, n_frames, interval):
 
 # truth_id cells the reader parses natively, rewrites, or leaves to its
 # line-level diagnosis: blank and literal -1 both parse to -1, but only a
-# blank cell is valid
-_TRUTH_CELLS = ["", "-1", "-0", "+3", " \t", "1_0", " 7 "]
+# blank cell is valid; both parses strip a cell, '\x1f' included
+_TRUTH_CELLS = ["", "-1", "-0", "+3", " \t", "1_0", " 7 ", "\x1f5"]
 
 
 @given(faults=st.lists(st.tuples(st.integers(0, 5),
@@ -530,6 +530,8 @@ _TRUTH_CELLS = ["", "-1", "-0", "+3", " \t", "1_0", " 7 "]
 @example(faults=[], blanks=[], truths=[(0, ""), (5, "")])
 @example(faults=[], blanks=[], truths=[(k, "") for k in range(6)])
 @example(faults=[], blanks=[], truths=[(0, ""), (3, "-1"), (5, "")])
+# a padded id on a line the line-level diagnosis reads
+@example(faults=[], blanks=[4], truths=[(0, "\x1f5")])
 @settings(deadline=None, max_examples=60)
 def test_columnar_loader_matches_row_by_row_reference(tmp_path_factory,
                                                       faults, blanks, truths):

@@ -1,11 +1,14 @@
 """Container invariants and the drydock moment helper."""
 
 import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from isarpose.io import load_dwell
 from isarpose.ship import (ANGLE_DTYPE, REPORT_DTYPE, AngleTrack, Dwell,
                            Frame, ShipModel, angle_array, report_array,
                            ship_moments)
@@ -126,6 +129,33 @@ def _one_report_frames(n):
                  for k in range(n))
 
 
+def _frames_with(field, value):
+    """Two one-report frames, frame 1's report with field set to value."""
+    reports = [report_array((k + 0.5) * 0.5, [20.0], 0.0, 0.0, 0.0)
+               for k in range(2)]
+    reports[1][field] = value
+    return tuple(map(Frame, reports))
+
+
+def _hand_written(kw):
+    """The dwell file of Dwell(**kw), row by row: save_dwell takes only a
+    valid Dwell."""
+    header = {"format": "isar-dwell", "version": 1,
+              "n_frames": len(kw["frames"]),
+              "frame_interval": kw["frame_interval"],
+              "integration_time": kw["integration_time"],
+              "phi0_deg": math.degrees(kw["phi0"]),
+              "theta0_deg": math.degrees(kw["theta0"]),
+              "range_resolution_m": kw["range_resolution"]}
+    lines = [json.dumps(header),
+             "frame_index,t,snr_db,range_m,doppler_mps,accel_mps2,truth_id"]
+    for k, fr in enumerate(kw["frames"]):
+        for *floats, truth in fr.reports.tolist():
+            lines.append(",".join([str(k), *map(repr, floats),
+                                   "" if truth == -1 else str(truth)]))
+    return "\n".join(lines) + "\n"
+
+
 def test_dwell_reports_may_reach_their_slot_edges():
     # the reader's test is strict, so a report on a slot edge is in its frame
     frames = (Frame(report_array([0.0, 0.5], 20.0, 0.0, 0.0, 0.0, [-1, 0])),)
@@ -170,31 +200,50 @@ _ANGLE_RULE = "^{}_deg must be finite and strictly between -90 and 90$"
                  id="change13-mean angles"),
     pytest.param({"phi0": math.pi / 2}, _ANGLE_RULE.format("phi0"),
                  id="change14-mean angles"),
-    # a report past its frame's slot loaded as `time inconsistent with frame`
-    ({"frames": (Frame(report_array([0.25], 20.0, 0.0, 0.0, 0.0)),
-                 Frame(report_array([0.75, 1.0 + 1e-9], 20.0, 0.0, 0.0, 0.0)))},
-     "frame 1: report time outside its slot"),
-    ({"frames": (Frame(report_array([-1e-9], 20.0, 0.0, 0.0, 0.0)),)},
-     "frame 0: report time outside its slot"),
-    # a truth_id below -1 was written blank and loaded back as -1
-    ({"frames": (Frame(report_array([0.25], 20.0, 0.0, 0.0, 0.0, -2)),)},
-     "frame 0: truth_id below -1"),
-    # times that decrease within a frame loaded as `time decreases within
-    # a frame`
-    ({"frames": (Frame(report_array([0.3, 0.2, 0.25], 20.0, 0.0, 0.0, 0.0)),)},
-     "frame 0: report time decreases"),
+    # the report rules; each case is also written to a dwell file by hand,
+    # and the reader must give the same reason after its own prefix
+    pytest.param(
+        {"frames": (Frame(report_array([0.25], 20.0, 0.0, 0.0, 0.0)),
+                    Frame(report_array([0.75, 1.0 + 1e-9], 20.0, 0.0, 0.0,
+                                       0.0)))},
+        "^frame 1: time 1\\.000000001 inconsistent with frame 1$",
+        id="change15-frame 1: report time outside its slot"),
+    pytest.param(
+        {"frames": (Frame(report_array([-1e-9], 20.0, 0.0, 0.0, 0.0)),)},
+        "^frame 0: time -1e-09 inconsistent with frame 0$",
+        id="change16-frame 0: report time outside its slot"),
+    pytest.param(
+        {"frames": (Frame(report_array([0.25], 20.0, 0.0, 0.0, 0.0, -2)),)},
+        "^frame 0: bad truth_id$", id="change17-frame 0: truth_id below -1"),
+    pytest.param(
+        {"frames": (Frame(report_array([0.3, 0.2, 0.25], 20.0, 0.0, 0.0,
+                                       0.0)),)},
+        "^frame 0: time decreases within a frame$",
+        id="change18-frame 0: report time decreases"),
     # the pose stage squares it
     ({"integration_time": 1.3407807929942597e154}, "integration_time must be "
      "from 7.458340731200208e-155 to 1.3407807929942596e\\+154, where its "
      "square and inverse square are finite"),
     # report_noise divides by its square
     ({"integration_time": 1e-170}, "integration_time must be from"),
+    *(pytest.param({"frames": _frames_with(field, value)},
+                   "^frame 1: report fields must be finite$",
+                   id=f"nonfinite-{field}")
+      for field, value in zip(REPORT_DTYPE.names[:5],
+                              (np.nan, np.inf, -np.inf, np.nan, np.inf))),
 ])
-def test_dwell_rejects_what_a_dwell_file_cannot_hold(change, match):
+def test_dwell_rejects_what_a_dwell_file_cannot_hold(tmp_path, change, match):
     kw = dict(frames=_one_report_frames(2), phi0=0.5, theta0=0.3,
               range_resolution=0.5, frame_interval=0.5, integration_time=0.5)
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=match) as err:
         Dwell(**{**kw, **change})
+    if change.get("frames"):
+        path = tmp_path / "dwell.csv"
+        path.write_text(_hand_written({**kw, **change}))
+        with pytest.raises(ValueError) as file_err:
+            load_dwell(path)
+        assert (re.fullmatch(r"line \d+: (.*)", str(file_err.value))[1]
+                == re.fullmatch(r"frame \d+: (.*)", str(err.value))[1])
 
 
 @pytest.mark.parametrize("sigmas", [(0.2, 0.03), (0.2, -0.03, 0.02),
@@ -224,10 +273,14 @@ def test_report_array_broadcasts_columns():
 @pytest.mark.parametrize("field", ["t", "snr", "r", "f", "a"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_frame_rejects_nonfinite_column(field, value):
+    """A frame's Dwell rejects a non-finite report field: the finite rule
+    is a report rule, which every Dwell applies."""
     reps = report_array(0.25, 20.0, [1.0, 2.0, 3.0], 0.0, 0.0)
     reps[field][1] = value
-    with pytest.raises(ValueError, match="^report fields must be finite"):
-        Frame(reps)
+    with pytest.raises(ValueError,
+                       match="^frame 0: report fields must be finite$"):
+        Dwell((Frame(reps),), phi0=0.5, theta0=0.3, range_resolution=0.5,
+              frame_interval=0.5, integration_time=0.5)
 
 
 def test_frame_holds_a_read_only_record_array():
