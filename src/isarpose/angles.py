@@ -2,8 +2,8 @@
 
 Aspect phi rotates the alongship axis in the slant plane, tilt theta is the
 grazing rotation; both are radians about externally known means phi0 and
-theta0, and only excursions and rates are estimated. Per candidate wave
-period, chapeau_band_split splits cov_rf into bands (see bands) and
+theta0, and only excursions and rates are estimated. At one wave period,
+chapeau_band_split splits cov_rf into bands (see bands) and
 lowpass_aspect_solve turns the integrated low band into the slow aspect
 about phi0. One joint fit of the raw cov_rf and d series then adds a cubic
 slow-aspect correction, two sinusoid lines shared between aspect and tilt,
@@ -16,12 +16,12 @@ One model, _wave_model, turns parameter rows and a slow aspect into the
 slow part and the lines' sum. The fit's residual and analytic Jacobian
 (_residual, _jacobian) score aspect = slow part + lines and tilt = theta0 +
 lines, and _fit_result returns the same sums, so a run returns the track
-its fit scored. estimate_angles hands GRID_POINTS (3) periods, 0.8, 1.0 and
-1.2 times the spectral seed, to waveband_joint_fit, whose one least_squares
-call (a bounded Levenberg-Marquardt solver with a soft_l1 loss, kept here
-so the package needs NumPy alone) fits every start of every candidate in
-lockstep. The series are expected free of the report noise floor (see
-moments), which the fit would read as ship height.
+its fit scored. waveband_joint_fit's one least_squares call (a bounded
+Levenberg-Marquardt solver with a soft_l1 loss, kept here so the package
+needs NumPy alone) fits its four starts in lockstep, each frame weighted by
+its own moment noise (sd_rf, sd_d of the moments table). The series are
+expected free of the report noise floor (see moments), which the fit would
+read as ship height.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ NPOLY = 3               # slow-correction polynomial degrees 1..3
 HEAD = NPOLY + 2        # the polynomial and bsq, hsq precede the lines
 ANGLE_LIMIT = math.pi / 2 - 1e-6
 LM_TOL = 1e-6           # relative cost drop and scaled step that end the fit
-GRID_POINTS = 3         # candidate periods of the joint fit ...
-GRID_HALFWIDTH = 0.2    # ... spanning +-20% of the spectral seed
+LOSS_SCALE = 3.0        # residuals in noise sds at which soft_l1 bends
 PURSUIT_GRID = np.linspace(0.5, 3.0, 241)   # second-line search, in first-line units
 
 
@@ -67,13 +66,14 @@ class LowpassAspect:
 
 @dataclass(frozen=True)
 class FitState:
-    """What the fit of the winning candidate period knows beyond its track.
+    """What the fit knows beyond its track.
 
     lines holds every line's period (s) and period is the first one's, 0
     with no line; phi_hat/theta_hat are the wave-band excursions, phi_mean
     the slow aspect and steady_rate the mean of its rate; bsq_est/hsq_est
-    are the fitted shape ratios. The angle track itself is the AngleTrack
-    returned beside it.
+    are the fitted shape ratios; a wave fit's residual_rms is in the units
+    of weight_source, "report noise" or "series spread" (waveband_joint_fit).
+    The angle track itself is the AngleTrack returned beside it.
     """
 
     lines: tuple[float, ...]
@@ -85,6 +85,7 @@ class FitState:
     hsq_est: float
     residual_rms: float
     converged: bool
+    weight_source: str
     flags: tuple[str, ...] = ()
 
     @property
@@ -151,11 +152,9 @@ def lowpass_aspect_solve(t: np.ndarray, lhs_low: np.ndarray,
     if abs(math.tan(phi0)) <= math.tan(math.radians(MIN_ASPECT_DEG)):
         raise ValueError("aspect unobservable: mean aspect too close to bow-on")
     t = np.asarray(t, dtype=float)
-    lhs_low = np.asarray(lhs_low, dtype=float)
-    i = _cumtrapz(t, lhs_low)
+    i = _cumtrapz(t, np.asarray(lhs_low, dtype=float))
     i = i - np.interp(t.mean(), t, i)
-    a = 0.5 / math.cos(phi0) ** 2
-    b = math.tan(phi0)
+    a, b = 0.5 / math.cos(phi0) ** 2, math.tan(phi0)
     disc = b * b + 4 * a * i
     flags = ("lowpass discriminant clamped",) if np.any(disc < 0) else ()
     disc = np.maximum(disc, 0.0)
@@ -177,11 +176,13 @@ def _projection(t: np.ndarray, y: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def _pursuit_line(t: np.ndarray, y: np.ndarray, w1: float) -> float:
     """Angular frequency of the strongest sinusoid of y on the PURSUIT_GRID
-    of w1, excluding a guard of 0.75/span around w1."""
+    of w1, excluding a guard of 0.75/span around w1 and around 2 w1, where
+    the band split's wave band carries a copy of the w1 line."""
     f1 = w1 / (2 * np.pi)
     fgrid = f1 * PURSUIT_GRID
     amp = _projection(t, y, fgrid)
-    amp[np.abs(fgrid - f1) < 0.75 / (t[-1] - t[0])] = 0.0
+    guard = 0.75 / (t[-1] - t[0])
+    amp[(np.abs(fgrid - f1) < guard) | (np.abs(fgrid - 2 * f1) < guard)] = 0.0
     return float(2 * np.pi * fgrid[np.argmax(amp)])
 
 
@@ -189,16 +190,17 @@ def _pursuit_line(t: np.ndarray, y: np.ndarray, w1: float) -> float:
 class LsqResult:
     """Outcome of least_squares for a batch of B starts.
 
-    x is (B, npar); cost and status are (B,): the soft_l1 cost at x, and
-    status 0 when the start's max_nfev budget ran out, 2 when an accepted
-    step lowered its cost by less than LM_TOL of it, 3 when its scaled step
-    fell below LM_TOL, 4 when a stop_held variable was held on its bound.
-    nfev and njev count the residual and Jacobian evaluations of all starts
-    together.
+    x is (B, npar) and fun (B, m), the residuals at x; cost and status are
+    (B,): the soft_l1 cost at x, and status 0 when the start's max_nfev
+    budget ran out, 2 when an accepted step lowered its cost by less than
+    LM_TOL of it, 3 when its scaled step fell below LM_TOL, 4 when a
+    stop_held variable was held on its bound. nfev and njev count the
+    residual and Jacobian evaluations of all starts together.
     """
 
     x: np.ndarray
     cost: np.ndarray
+    fun: np.ndarray
     nfev: int
     njev: int
     status: np.ndarray
@@ -331,7 +333,7 @@ def least_squares(fun, x0: np.ndarray, jac, bounds: tuple[np.ndarray, np.ndarray
         down = rows[~ok]
         mu[down] *= nu[down]
         nu[down] *= 2
-    return LsqResult(x=x, cost=cost, nfev=int(nfev.sum()), njev=njev,
+    return LsqResult(x=x, cost=cost, fun=f, nfev=int(nfev.sum()), njev=njev,
                      status=status)
 
 
@@ -413,35 +415,32 @@ def _wave_model(x: np.ndarray, times, slow):
     return slow, wave, trig
 
 
-def _scored(x, c, times, slow, theta0):
-    # the (phi, theta, phi_dot, theta_dot) the fit scores for rows x of
-    # candidates c, and each line's trig
-    (phi, phi_dot, _), wave, trig = _wave_model(x, times, slow[:, c])
+def _scored(x, times, slow, theta0):
+    # the (phi, theta, phi_dot, theta_dot) the fit scores at rows x; each line's trig
+    (phi, phi_dot, _), wave, trig = _wave_model(x, times, slow)
     return (phi + wave[0, 0], theta0 + wave[1, 0], phi_dot + wave[0, 1],
             wave[1, 1]), trig
 
 
-def _residual(x, rows, cand, times, data, weight, slow, theta0):
-    """(data - model) x weight, (k, 2n), of starts rows at x, (k, npar):
-    data is (2, n), and weight, (ncand, 2, n), and slow, (3, ncand, n), are
-    the candidates' window weights and slow aspects, indexed by cand[rows]."""
-    c = cand[rows]
-    track, _ = _scored(x, c, times, slow, theta0)
+def _residual(x, rows, times, data, weight, slow, theta0):
+    """(data - model) x weight, (k, 2n), at x, (k, npar): data and weight
+    are (2, n), slow, (3, n), the slow aspect's angle, rate and acceleration.
+    A sample of weight 0 has rows of exact 0s here and in _jacobian."""
+    track, _ = _scored(x, times, slow, theta0)
     mrf, _, md = _covs_of(range_rate_rows(*track), x[:, NPOLY, None],
                           x[:, NPOLY + 1, None])
-    return ((data - np.stack([mrf, md], axis=-2)) * weight[c]).reshape(len(rows), -1)
+    return ((data - np.stack([mrf, md], axis=-2)) * weight).reshape(len(x), -1)
 
 
-def _jacobian(x, rows, cand, times, data, weight, slow, theta0):
+def _jacobian(x, rows, times, data, weight, slow, theta0):
     """_residual's analytic Jacobian, (k, 2n, npar): _cov_partials' partials
     of (cov_rf, d) in the track (phi, theta, phi_dot, theta_dot) and in bsq,
     hsq, each track partial times its parameter's basis column (u, u^2 less
     its mean, u^3, cos wt, sin wt, and a line frequency's t-weighted terms).
     """
-    c = cand[rows]
-    track, trig = _scored(x, c, times, slow, theta0)
+    track, trig = _scored(x, times, slow, theta0)
     g_phi, g_th, g_phid, g_thd, g_bsq, g_hsq = (
-        np.stack(pair, axis=-2) * -weight[c]
+        np.stack(pair, axis=-2) * -weight
         for pair in _cov_partials(*track, x[:, NPOLY, None], x[:, NPOLY + 1, None]))
     t, u, u2, u3, u2c = times
     jm = np.empty(g_phi.shape + x.shape[-1:])
@@ -467,52 +466,38 @@ def _jacobian(x, rows, cand, times, data, weight, slow, theta0):
             g_phi * (t * lw_a) + g_th * (t * lw_t)
             + g_phid * (lw_a - wt * (a * cw + b * sw))
             + g_thd * (lw_t - wt * (cc * cw + e * sw)))
-    return jm.reshape(len(rows), 2 * len(t), -1)
+    return jm.reshape(len(x), 2 * len(t), -1)
 
 
-def _wave_problem(t: np.ndarray, data: np.ndarray, periods: list[float],
-                  phi0: float, theta0: float):
+def _wave_problem(t: np.ndarray, data: np.ndarray, weight: np.ndarray,
+                  period: float, phi0: float, theta0: float):
     """The joint fit of waveband_joint_fit as least_squares takes it.
 
-    Returns (lows, x0, bounds, x_scale, args): each candidate period's slow
-    aspect solution, its four starts, their bounds and scales, and
-    args = (cand, times, data, weight, slow, theta0), the arguments of
-    _residual and _jacobian; cand is each start's candidate.
+    Returns (low, x0, bounds, x_scale, args): the slow aspect solution, the
+    four starts, their bounds and scales, and args = (times, data, weight,
+    slow, theta0), the arguments of _residual and _jacobian.
     """
-    n = len(t)
     span = t[-1] - t[0]
-    splits = [chapeau_band_split(t, data[0], per) for per in periods]
-    lows = [lowpass_aspect_solve(t, -s.low, phi0) for s in splits]
-    dt = float(np.median(np.diff(t)))
-    # window weights 1/std inside the trimmed window and 0 outside
-    weight = np.zeros((len(periods),) + data.shape)
-    for g, per in enumerate(periods):
-        trim = max(0, min(int(round(0.5 * per / dt)), (n - 8) // 2))
-        sl = slice(trim, n - trim)
-        weight[g, 0, sl] = 1.0 / max(float(np.std(data[0, sl])), 1e-12)
-        weight[g, 1, sl] = 1.0 / max(float(np.std(data[1, sl])), 1e-14)
-    slow = np.array([[low.phi_mean for low in lows], [low.rate for low in lows],
-                     [np.gradient(low.rate, t) for low in lows]])
+    s = chapeau_band_split(t, data[0], period)
+    low = lowpass_aspect_solve(t, -s.low, phi0)
+    slow = np.array([low.phi_mean, low.rate, np.gradient(low.rate, t)])
     tp0, tt0 = math.tan(phi0), math.tan(theta0)
     head = np.r_[np.zeros(NPOLY), 0.02, 0.02]   # no slow term, ratios 0.02
-    x0 = []
-    for per, s in zip(periods, splits):
-        step = (PURSUIT_GRID[1] - PURSUIT_GRID[0]) / per
-        k = int(0.75 / span / step)
-        f = 1 / per + step * np.arange(-k, k + 1)
-        w1 = 2 * np.pi * f[np.argmax(_projection(t, s.wave, f))]
-        basis = np.array([np.cos(w1 * t), np.sin(w1 * t)]).T
-        rest = s.wave - basis @ np.linalg.lstsq(basis, s.wave, rcond=None)[0]
-        w2 = _pursuit_line(t, rest, w1)
-        a_int = _cumtrapz(t, -s.wave)
-        a_int -= a_int.mean()
-        # each line seeded on aspect (a, b) and on tilt (c, e); the four
-        # starts are {first on aspect, on tilt} x {second on aspect, on tilt}
-        on = [[np.r_[z.real / tp0, z.imag / tp0, 0.0, 0.0, w],
-               np.r_[0.0, 0.0, z.real / tt0, z.imag / tt0, w]]
-              for w in (w1, w2) for z in [2 * np.mean(a_int * np.exp(-1j * w * t))]]
-        x0 += [np.r_[head, p, q] for p in on[0] for q in on[1]]
-    x0 = np.array(x0)
+    step = (PURSUIT_GRID[1] - PURSUIT_GRID[0]) / period
+    k = int(0.75 / span / step)
+    f = 1 / period + step * np.arange(-k, k + 1)
+    w1 = 2 * np.pi * f[np.argmax(_projection(t, s.wave, f))]
+    basis = np.array([np.cos(w1 * t), np.sin(w1 * t)]).T
+    rest = s.wave - basis @ np.linalg.lstsq(basis, s.wave, rcond=None)[0]
+    w2 = _pursuit_line(t, rest, w1)
+    a_int = _cumtrapz(t, -s.wave)
+    a_int -= a_int.mean()
+    # each line seeded on aspect (a, b) and on tilt (c, e); the four starts
+    # are {first on aspect, on tilt} x {second on aspect, on tilt}
+    on = [[np.r_[z.real / tp0, z.imag / tp0, 0.0, 0.0, w],
+           np.r_[0.0, 0.0, z.real / tt0, z.imag / tt0, w]]
+          for w in (w1, w2) for z in [2 * np.mean(a_int * np.exp(-1j * w * t))]]
+    x0 = np.array([np.r_[head, p, q] for p in on[0] for q in on[1]])
     lb, ub = np.full_like(x0, -np.inf), np.full_like(x0, np.inf)
     lb[:, NPOLY:HEAD], ub[:, NPOLY:HEAD] = 0.0, (0.9, 2.0)
     xsc = np.full_like(x0, 0.02)
@@ -524,81 +509,78 @@ def _wave_problem(t: np.ndarray, data: np.ndarray, periods: list[float],
     lb[:, freq] = np.where(w0 > mid, np.maximum(w0 - w_band, mid), w0 - w_band)
     ub[:, freq] = np.where(w0 < mid, np.minimum(w0 + w_band, mid), w0 + w_band)
     xsc[:, freq] = 0.01 * w0
-    cand = np.repeat(np.arange(len(periods)), 4)
-    return lows, x0, (lb, ub), xsc, (cand, _times(t), data, weight, slow, theta0)
+    return low, x0, (lb, ub), xsc, (_times(t), data, weight, slow, theta0)
 
 
-def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray, periods,
-                       phi0: float, theta0: float) -> tuple[AngleTrack, FitState]:
-    """Joint fit of the raw (cov_rf, d) series over a grid of candidate periods.
+def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray,
+                       period: float, phi0: float, theta0: float,
+                       sd: np.ndarray | None = None) -> tuple[AngleTrack, FitState]:
+    """Joint fit of the raw (cov_rf, d) series about one wave period.
 
-    Every candidate scores the same cov_rf and d. A period that does not fit
-    three times inside the dwell is skipped (ValueError when none is left);
-    each other one splits cov_rf once, for the slow aspect solution of the low
-    band (lowpass_aspect_solve) and the line seeds of the wave band. The
-    first line starts at the strongest peak of a Hann-windowed projection of
-    the wave band within 0.75/span of the candidate frequency, searched at
-    the step of the pursuit's grid. The second line starts at the strongest
-    peak that matching pursuit (_pursuit_line) finds in the wave band less
-    its least-squares sinusoid at the first line's frequency, on a one-line
-    sea too. Each line is seeded on aspect and on tilt, so a candidate has
-    four starts, {first line on aspect, on tilt} x {second on aspect, on
-    tilt}. Line frequencies are free parameters bounded to a 0.75/span band
-    around their starts (the spectral search has only Rayleigh resolution;
-    the fit needs the frequency to much better than one part in the cycle
-    count, so it must converge the last fraction itself); where the bands of
-    two lines overlap, each stops at the midpoint of their starts, so the
-    lines cannot drift together into a beating pair. bsq is bounded
-    to [0, 0.9] (P = 1 - bsq stays positive) and hsq to [0, 2]. Half a
-    period is trimmed at each end before scoring, where the band split has
-    edge support. Of a candidate's starts a converged one (status 2 or 3)
-    wins over one that stopped on a band edge or ran out of calls, whatever
-    their costs, then the lower cost, the first on ties; of the candidates
-    the smallest residual_rms wins, the first on ties.
+    sd, (2, n), is each sample's noise sd, inf where it carries none (an
+    invalid frame). A sample weighs 1/(LOSS_SCALE sd), and residual_rms is
+    the RMS of (data - model)/sd over the weighted samples: about 1 when
+    the model explains the data. With sd None each series weighs 1/its std
+    over the window trimmed half a period at each end, 0 outside it, and
+    residual_rms is in those units. A period that does not fit three times
+    in the dwell raises ValueError.
 
-    One least_squares call fits the starts of every candidate (_wave_problem
-    builds them): bounded Levenberg-Marquardt, at most 400 residual calls a
-    start, a parameter held out of the step while it sits on a bound the
-    cost pushes against, and a soft_l1 loss that caps the pull of short
-    corrupted stretches (confuser targets, interference bursts) but not of
-    clean fits, whose normalized residuals sit well under 1. A start stops
-    once a line frequency is held on the edge of its band: the line has
-    left the band of its candidate, which a neighbouring candidate covers,
-    or met the other line's band. A winner whose start ran out of calls or
-    stopped on a band edge is flagged 'wave fit did not converge'. The
-    residual (_residual) keeps all 2n samples (cov_rf, then d) for every
-    candidate: samples outside a candidate's trimmed window weigh 0, so its
-    rows of the residual and the Jacobian (_jacobian) are exactly 0 there.
-    The winner's (track, state) is _fit_result's.
+    cov_rf is split once, for the slow aspect (lowpass_aspect_solve of the
+    low band) and the line seeds of the wave band. The first line starts at
+    the strongest peak of a Hann-windowed projection of the wave band within
+    0.75/span of 1/period; the second at the strongest peak that matching
+    pursuit (_pursuit_line) finds in the wave band less its sinusoid at the
+    first line's frequency. Each line is seeded on aspect and on tilt: four
+    starts, {first line on aspect, on tilt} x {second on aspect, on tilt}.
+    A line frequency is bounded to 0.75/span about its start, which the fit
+    refines past the spectral search's Rayleigh resolution; where two bands
+    overlap each stops at the midpoint of the starts, so the lines cannot
+    drift into a beating pair. bsq is bounded to [0, 0.9] (P = 1 - bsq stays
+    positive) and hsq to [0, 2].
+
+    One least_squares call (_wave_problem builds it) fits the four starts:
+    at most 400 residual calls a start, a parameter held out of the step
+    while it sits on a bound the cost pushes against, and a soft_l1 loss
+    that caps the pull of corrupted stretches (confuser targets,
+    interference bursts). A start stops once a line frequency is held on
+    its band's edge. A converged start (status 2 or 3) wins whatever the
+    others' costs, then the lower cost; a winner that did not converge is
+    flagged 'wave fit did not converge'. It is _fit_result's (track, state).
     """
     t = np.asarray(t, dtype=float)
     data = np.array([cov_rf, d], dtype=float)
-    periods = [float(per) for per in periods if t[-1] - t[0] >= 3 * per]
-    if not periods:
-        raise ValueError("no candidate period fits inside the dwell")
-    lows, x0, bounds, xsc, args = _wave_problem(t, data, periods, phi0, theta0)
+    if t[-1] - t[0] < 3 * period:
+        raise ValueError("the period does not fit three times inside the dwell")
+    if sd is None:
+        # each series weighs 1/its std inside the window trimmed half a
+        # period at each end (the band split's edges), and 0 outside
+        source, scale = "series spread", 1.0
+        n = len(t)
+        trim = max(0, min(int(round(0.5 * period / float(np.median(np.diff(t))))),
+                          (n - 8) // 2))
+        sl = slice(trim, n - trim)
+        weight = np.zeros_like(data)
+        weight[:, sl] = 1.0 / np.maximum(np.std(data[:, sl], axis=1, keepdims=True),
+                                         [[1e-12], [1e-14]])
+    else:
+        source, scale = "report noise", LOSS_SCALE
+        weight = 1.0 / (LOSS_SCALE * np.asarray(sd, dtype=float))
+    low, x0, bounds, xsc, args = _wave_problem(t, data, weight, period, phi0, theta0)
     held = np.zeros(x0.shape[1], dtype=bool)
     held[HEAD + 4::5] = True   # every line's w
     r = least_squares(_residual, x0, _jacobian, bounds, xsc, 400, args=args,
                       stop_held=held)
-    cand, weight = args[0], args[3]
-    # each candidate's best start
-    best = [min(np.flatnonzero(cand == g),
-                key=lambda k: (r.status[k] not in (2, 3), r.cost[k]))
-            for g in range(len(periods))]
-
-    # every weight inside a candidate's trimmed window is nonzero
-    rms = np.sqrt(2 * r.cost[best] / np.count_nonzero(weight, axis=(1, 2)))
-    win = int(np.argmin(rms))
-    converged = bool(r.status[best[win]] in (2, 3))
-    flags = lows[win].flags + (() if converged else ("wave fit did not converge",))
-    return _fit_result(t, lows[win], r.x[best[win]], theta0, float(rms[win]),
-                       converged, flags)
+    win = min(range(len(x0)), key=lambda k: (r.status[k] not in (2, 3), r.cost[k]))
+    f = r.fun[win][weight.ravel() != 0]
+    rms = scale * float(np.sqrt(np.mean(f * f)))
+    converged = bool(r.status[win] in (2, 3))
+    flags = low.flags + (() if converged else ("wave fit did not converge",))
+    return _fit_result(t, low, r.x[win], theta0, rms, converged, source, flags)
 
 
 def _fit_result(t: np.ndarray, low: LowpassAspect, x: np.ndarray, theta0: float,
-                rms: float, converged: bool, flags: tuple[str, ...]
-                ) -> tuple[AngleTrack, FitState]:
+                rms: float, converged: bool, weight_source: str,
+                flags: tuple[str, ...]) -> tuple[AngleTrack, FitState]:
     """The angle track and fit state of parameters x over the slow aspect low.
 
     x is laid out as the module docstring says, with two lines or none;
@@ -618,7 +600,7 @@ def _fit_result(t: np.ndarray, low: LowpassAspect, x: np.ndarray, theta0: float,
         phi_hat=phi_hat, theta_hat=theta_hat, phi_mean=phi_mean,
         steady_rate=float(phi_dot.mean()), bsq_est=float(x[NPOLY]),
         hsq_est=float(x[NPOLY + 1]), residual_rms=rms, converged=converged,
-        flags=flags)
+        weight_source=weight_source, flags=flags)
 
 
 def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
@@ -627,11 +609,11 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
 
     Invalid frames are bridged by interpolation so the spectral machinery
     sees a uniform series. The wave period seeds from the strongest cov_rf
-    line (or is the given period), and waveband_joint_fit refines it over
-    GRID_POINTS (3) candidate periods spanning +-GRID_HALFWIDTH (20%) of it.
-    With no spectral line (calm water or short dwell) the result is the
-    zero-line _fit_result, the slow aspect alone with tilt pinned at theta0,
-    flagged 'no wave solution'.
+    line (or is the given period), and waveband_joint_fit fits about it with
+    sd = (sd_rf, sd_d), inf on invalid frames; or with sd None when a valid
+    frame has a zero sd, as without report sigmas. With no spectral line
+    (calm water or short dwell) the result is the zero-line _fit_result, the
+    slow aspect alone with tilt pinned at theta0, flagged 'no wave solution'.
     """
     t, valid = mom.t, mom.valid
     if valid.sum() < 8:
@@ -639,15 +621,15 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
     # np.interp returns a valid sample's own value at its time, bit for bit
     cov_rf = np.interp(t, t[valid], mom.cov_rf[valid])
     d_data = np.interp(t, t[valid], mom.d_intrinsic[valid])
+    sd = np.array([mom.sd_rf, mom.sd_d])
+    sd = np.where(valid, sd, np.inf) if np.all(sd[:, valid] > 0) else None
     span = t[-1] - t[0]
-
-    if period is None:
+    seed = period
+    if seed is None:
         try:
             seed = dominant_wave_period(t, cov_rf)
         except ValueError:
-            seed = None
-    else:
-        seed = period
+            pass
 
     if seed is None or span < 3 * seed:
         # slow-only fallback: no resolvable wave line
@@ -655,7 +637,7 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
         low = lowpass_aspect_solve(t, low_series, phi0)
         return _fit_result(t, low, np.zeros(HEAD), theta0,
                            float(np.std(cov_rf + low_series)), False,
+                           "series spread" if sd is None else "report noise",
                            low.flags + ("no wave solution",))
 
-    grid = seed * np.linspace(1 - GRID_HALFWIDTH, 1 + GRID_HALFWIDTH, GRID_POINTS)
-    return waveband_joint_fit(t, cov_rf, d_data, grid, phi0, theta0)
+    return waveband_joint_fit(t, cov_rf, d_data, seed, phi0, theta0, sd)

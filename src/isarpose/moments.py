@@ -14,7 +14,8 @@ Report noise of sigma raises a weighted second moment about the weighted
 mean by sigma^2 (1 - sum w^2) in expectation, w the normalized weights.
 Given the nominal report sigmas, that floor is removed from <rr> and <ff>
 before anything else is derived from them; <rf>, <ra> and <fa> carry no
-floor, since the three noises are independent.
+floor, since the three noises are independent. The same sigmas give the
+noise sd of each frame's cov_rf and d by the delta method on its reports.
 """
 
 from __future__ import annotations
@@ -30,12 +31,14 @@ MOMENT_DTYPE = np.dtype([
     ("cov_rf", np.float64), ("cov_ff", np.float64), ("cov_ra", np.float64),
     ("cov_fa", np.float64), ("crf", np.float64), ("d_intrinsic", np.float64),
     ("r_var", np.float64), ("r_min", np.float64), ("r_max", np.float64),
-    ("a_r", np.float64), ("a_f", np.float64)])
+    ("a_r", np.float64), ("a_f", np.float64), ("sd_rf", np.float64),
+    ("sd_d", np.float64)])
 """Scaled covariances of one frame per record. valid is False when fewer
 than three reports survive or the debiased <rr> or <ff> is at most
 EPS_VAR; the numeric fields are then 0. a_r/a_f are the focus coefficients
 of the regression a ~ a_r * r + a_f * f over the frame's centered
-reports."""
+reports. sd_rf/sd_d are the noise sds of cov_rf and d_intrinsic under
+the report sigmas whose floor was removed (0 without them)."""
 
 
 def snr_power(snr_db) -> np.ndarray:
@@ -55,7 +58,8 @@ def _row(frame: Frame, t: float, weighting: str, var_r: float,
          var_f: float) -> tuple:
     """One MOMENT_DTYPE record of a frame at time t (s), as a tuple in
     field order, with the noise floors of the report variances var_r (m^2)
-    and var_f (m^2/s^2) removed from <rr> and <ff>.
+    and var_f (m^2/s^2) removed from <rr> and <ff> and propagated to sd_rf,
+    sd_d: sd^2 = var_r sum (d/d r_i)^2 + var_f sum (d/d f_i)^2.
 
     The focus coefficients solve the centered normal equations directly:
         a_r = (<ra><ff> - <fa><rf>) / Det,  a_f = (<fa><rr> - <ra><rf>) / Det
@@ -94,8 +98,20 @@ def _row(frame: Frame, t: float, weighting: str, var_r: float,
     det = rr * ff * max(1.0 - rf * rf / (rr * ff), 0.02)
     a_r = (ra * ff - fa * rf) / det
     a_f = (fa * rr - ra * rf) / det
+    # noise sds: with c = cov_rf and k = cov_ff - 2 c^2, the partials are
+    # d c/d r_i = w_i (f_i - 2 c r_i) / rr, d c/d f_i = w_i r_i / rr,
+    # d d/d r_i = -2 w_i (k r_i + c f_i) / rr, d d/d f_i = 2 w_i (f_i - c r_i) / rr,
+    # whose squares sum to forms in the w^2-weighted moments of r and f
+    w2 = w * w
+    w2r = w2 * r
+    s_rr, s_rf, s_ff = float(w2r @ r), float(w2r @ f), float((w2 * f) @ f)
+    c, k = cov_rf, cov_ff - 2 * cov_rf ** 2
+    sd_rf = max(var_r * (s_ff - 4 * c * s_rf + 4 * c * c * s_rr)
+                + var_f * s_rr, 0.0) ** 0.5 / rr
+    sd_d = 2 * max(var_r * (k * k * s_rr + 2 * k * c * s_rf + c * c * s_ff)
+                   + var_f * (s_ff - 2 * c * s_rf + c * c * s_rr), 0.0) ** 0.5 / rr
     return (t, n, True, cov_rf, cov_ff, ra / rr, fa / rr, crf,
-            cov_ff - cov_rf ** 2, rr, r_min, r_max, a_r, a_f)
+            cov_ff - cov_rf ** 2, rr, r_min, r_max, a_r, a_f, sd_rf, sd_d)
 
 
 def _table(rows: list[tuple]) -> np.recarray:

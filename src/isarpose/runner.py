@@ -293,6 +293,7 @@ def _angle_summary(track: AngleTrack, state: FitState) -> dict:
         "bsq": state.bsq_est,
         "hsq": state.hsq_est,
         "residual_rms": state.residual_rms,
+        "weight_source": state.weight_source,
         "converged": state.converged,
         "flags": list(state.flags),
     }
@@ -356,8 +357,8 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
         "t": t, "valid": mom.valid, "n_targets": mom.n_targets,
         "cov_rf": cov_rf, "cov_ff": mom.cov_ff, "cov_ra": mom.cov_ra,
         "cov_fa": mom.cov_fa, "crf": mom.crf, "d": mom.d_intrinsic,
-        "model_cov_rf": model.cov_rf, "model_cov_ff": model.cov_ff,
-        "model_d": model.d}))
+        "sd_rf": mom.sd_rf, "sd_d": mom.sd_d, "model_cov_rf": model.cov_rf,
+        "model_cov_ff": model.cov_ff, "model_d": model.d}))
     out.add_text("angles.csv", _csv({
         "t": t,
         "phi_deg": np.degrees(angle.phi),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import isarpose.angles
-from isarpose.angles import (GRID_POINTS, HEAD, LM_TOL, NPOLY, _covs_of,
+from isarpose.angles import (HEAD, LM_TOL, LOSS_SCALE, NPOLY, _covs_of,
                              _jacobian, _residual, _wave_problem,
                              estimate_angles, least_squares,
                              lowpass_aspect_solve, model_covariances,
@@ -100,27 +100,38 @@ def _record_solves(monkeypatch):
     return solves
 
 
-def _ideal_series(m):
+def _series(m):
     return m.t, np.array([m.cov_rf, m.d_intrinsic])
 
 
-def test_analytic_jacobian_matches_central_differences(ideal_moments):
-    # the module-level residual and Jacobian of a two-candidate grid fit of
-    # the two-line ideal scene, at the points least_squares reaches from
-    # every start of the first candidate, with bsq moved onto its 0.9 bound
+def _noise_weight(mom):
+    # the weights estimate_angles gives a table with report noise: each
+    # valid frame 1/(LOSS_SCALE sd), each invalid one 0
+    return 1.0 / (LOSS_SCALE * np.where(mom.valid, [mom.sd_rf, mom.sd_d], np.inf))
+
+
+def test_analytic_jacobian_matches_central_differences():
+    # the module-level residual and Jacobian of the noise-weighted fit of a
+    # noisy canonical draw with frames 40-42 invalid, at the points
+    # least_squares reaches from every start, with bsq moved onto its 0.9
+    # bound
+    _, _, mom = _canonical(11)
+    mom = mom.copy()
+    mom.valid[40:43] = False
+    t, data = _series(mom)
     _, x0, bounds, x_scale, args = _wave_problem(
-        *_ideal_series(ideal_moments), [11.0, 12.0], PHI0, THETA0)
-    rows = np.flatnonzero(args[0] == 0)
-    assert len(rows) == 4
+        t, data, _noise_weight(mom), 12.0, PHI0, THETA0)
+    assert x0.shape == (4, HEAD + 10)
+    rows = np.arange(4)
     x = least_squares(_residual, x0, _jacobian, bounds, x_scale, 400,
-                      args=args).x[rows]
+                      args=args).x
     x[:, NPOLY] = 0.9
-    assert np.all(x[:, NPOLY] == bounds[1][rows, NPOLY])
+    assert np.all(x[:, NPOLY] == bounds[1][:, NPOLY])
     analytic = _jacobian(x, rows, *args)
     f = _residual(x, rows, *args)
     npar = HEAD + 10
     assert analytic.shape == f.shape + (npar,)
-    h = 1e-4 * x_scale[rows]
+    h = 1e-4 * x_scale
     for j in range(npar):
         step = np.zeros_like(x)
         step[:, j] = h[:, j]
@@ -129,14 +140,13 @@ def test_analytic_jacobian_matches_central_differences(ideal_moments):
         peak = np.abs(central).max(axis=1, keepdims=True)
         assert np.all(peak > 0)
         assert np.all(np.abs(analytic[..., j] - central) <= 1e-6 * peak), j
-    # the 11 s candidate trims 11 samples (half a period) at each end of
-    # both the cov_rf and the d block, in the residuals and the Jacobian
+    # the invalid frames weigh 0 in both the cov_rf and the d block, so
+    # their rows of the residuals and the Jacobian are exactly 0
     n = f.shape[1] // 2
-    for blocks in (f.reshape(len(rows), 2, n, 1),
-                   analytic.reshape(len(rows), 2, n, npar)):
-        assert np.all(blocks[:, :, :11] == 0.0)
-        assert np.all(blocks[:, :, n - 11:] == 0.0)
-        assert np.all(np.any(blocks[:, :, 11:n - 11] != 0.0, axis=-1))
+    bad = ~mom.valid
+    for blocks in (f.reshape(4, 2, n, 1), analytic.reshape(4, 2, n, npar)):
+        assert np.all(blocks[:, :, bad] == 0.0)
+        assert np.all(np.any(blocks[:, :, ~bad] != 0.0, axis=-1))
 
 
 def test_fit_scores_the_track_it_returns(ideal_moments, monkeypatch):
@@ -144,8 +154,8 @@ def test_fit_scores_the_track_it_returns(ideal_moments, monkeypatch):
     # model covariances of the returned track and shape ratios, weighted:
     # the track once had a builder of its own, 3e-13 off the scored one
     solves = _record_solves(monkeypatch)
-    t, data = _ideal_series(ideal_moments)
-    track, state = waveband_joint_fit(t, *data, (11.0, 12.0), PHI0, THETA0)
+    t, data = _series(ideal_moments)
+    track, state = waveband_joint_fit(t, *data, 12.0, PHI0, THETA0)
     (solve,) = solves
     x, args = solve["res"].x, solve["args"]
     win = np.flatnonzero((x[:, NPOLY] == state.bsq_est)
@@ -153,39 +163,58 @@ def test_fit_scores_the_track_it_returns(ideal_moments, monkeypatch):
     assert len(win) == 1
     assert state.lines == tuple(2 * np.pi / x[win[0], HEAD + 4::5])
     mc = model_covariances(track, state.bsq_est, state.hsq_est)
-    want = (data - np.array([mc.cov_rf, mc.d])) * args[3][args[0][win[0]]]
+    want = (data - np.array([mc.cov_rf, mc.d])) * args[2]
     assert np.array_equal(_residual(x[win], win, *args), want.reshape(1, -1))
 
 
-def test_grid_fit_is_its_best_lone_candidate(ideal_moments):
-    # a grid fit returns, bit for bit, the candidate of least residual that
-    # a fit of that candidate alone returns: its track and its state
-    m = ideal_moments
-    series = (m.t, m.cov_rf, m.d_intrinsic)
-    periods = (10.5, 11.5, 12.5)
-    track, grid = waveband_joint_fit(*series, periods, PHI0, THETA0)
-    alone = [waveband_joint_fit(*series, [p], PHI0, THETA0) for p in periods]
-    best_track, best = min(alone, key=lambda fit: fit[1].residual_rms)
-    assert len({state.residual_rms for _, state in alone}) == 3
-    for name in ("period", "lines", "steady_rate", "bsq_est", "hsq_est",
-                 "residual_rms", "converged", "flags"):
-        assert getattr(grid, name) == getattr(best, name), name
-    for name in ("phi_hat", "theta_hat", "phi_mean"):
-        assert np.array_equal(getattr(grid, name), getattr(best, name)), name
-    assert np.array_equal(track.samples, best_track.samples)
-
-
-
-def test_candidates_that_do_not_fit_three_times_are_skipped(ideal_moments):
+def test_a_period_that_does_not_fit_three_times_is_rejected(ideal_moments):
     # the 60 s dwell holds three 12 s periods but not three 25 s ones
     m = ideal_moments
-    series = (m.t, m.cov_rf, m.d_intrinsic)
-    track, state = waveband_joint_fit(*series, (12.0, 25.0), PHI0, THETA0)
-    lone_track, lone = waveband_joint_fit(*series, [12.0], PHI0, THETA0)
-    assert state.residual_rms == lone.residual_rms
-    assert np.array_equal(track.samples, lone_track.samples)
-    with pytest.raises(ValueError, match="no candidate period"):
-        waveband_joint_fit(*series, (25.0, 30.0), PHI0, THETA0)
+    with pytest.raises(ValueError, match="does not fit three times"):
+        waveband_joint_fit(m.t, m.cov_rf, m.d_intrinsic, 25.0, PHI0, THETA0)
+
+
+def _weights_of(monkeypatch, mom):
+    # the weight array of the one solve of estimate_angles on mom, and its
+    # state
+    solves = _record_solves(monkeypatch)
+    _, state = estimate_angles(mom, PHI0, THETA0)
+    (solve,) = solves
+    return solve["args"][2], state
+
+
+def test_each_frame_weighs_by_its_own_moment_noise(monkeypatch):
+    # valid frames weigh 1/(LOSS_SCALE sd), invalid ones 0, with no trim at
+    # the ends; the residual RMS is in noise units, about 1 on a clean fit
+    _, _, mom = _canonical(11)
+    mom = mom.copy()
+    mom.valid[40:43] = False
+    weight, state = _weights_of(monkeypatch, mom)
+    assert state.weight_source == "report noise"
+    assert np.array_equal(weight, _noise_weight(mom))
+    assert np.all(weight[:, mom.valid] > 0)
+    assert state.converged
+    assert 0.7 <= state.residual_rms <= 1.2
+
+
+def test_a_table_without_moment_noise_weighs_by_series_spread(monkeypatch):
+    # all-zero sds, as a dwell without report sigmas gives: each series
+    # weighs 1/its std over the window trimmed half a seed period at each
+    # end, 0 outside it
+    _, _, mom = _canonical(11)
+    mom = mom.copy()
+    mom.sd_rf = 0.0
+    mom.sd_d = 0.0
+    seed = isarpose.angles.dominant_wave_period(mom.t, mom.cov_rf)
+    weight, state = _weights_of(monkeypatch, mom)
+    assert state.weight_source == "series spread"
+    trim = int(round(0.5 * seed / 0.5))   # frames 0.5 s apart
+    _, data = _series(mom)
+    inner = slice(trim, len(mom) - trim)
+    want = np.zeros_like(data)
+    want[0, inner] = 1.0 / np.std(data[0, inner])
+    want[1, inner] = 1.0 / np.std(data[1, inner])
+    assert np.array_equal(weight, want)
 
 
 def _one(fn):
@@ -399,7 +428,7 @@ class TestEstimateAngles:
         track, state = ideal_fit
         assert state.converged
         assert not state.flags
-        # either true line is a legitimate period; the grid refines nearby
+        # either true line is a legitimate period; the fit refines nearby
         assert min(abs(state.period - 10.0), abs(state.period - 12.0)) < 0.5
         assert np.array_equal(track.samples.t, ideal_moments.t)
 
@@ -544,68 +573,63 @@ def test_long_dwell_keeps_the_tilt_line_on_tilt():
     assert abs(state.hsq_est - hsq) <= 0.01
 
 
-def _canonical_solves(monkeypatch, seed):
-    # the grid periods, the recorded solves and the result of estimate_angles
-    # on a noisy canonical draw
+def _canonical_solves(monkeypatch, seed, period=None):
+    # the fitted period, the recorded solves and the result of
+    # estimate_angles on a noisy canonical draw
     _, _, mom = _canonical(seed)
     real_fit = isarpose.angles.waveband_joint_fit
     periods = []
 
-    def fit(t, cov_rf, d, grid, *args):
-        periods.extend(grid)
-        return real_fit(t, cov_rf, d, grid, *args)
+    def fit(t, cov_rf, d, period, *args):
+        periods.append(period)
+        return real_fit(t, cov_rf, d, period, *args)
 
     monkeypatch.setattr(isarpose.angles, "waveband_joint_fit", fit)
     solves = _record_solves(monkeypatch)
-    return mom, periods, solves, estimate_angles(mom, PHI0, THETA0)
+    return mom, periods, solves, estimate_angles(mom, PHI0, THETA0,
+                                                 period=period)
 
 
-def test_four_starts_per_candidate_in_midpoint_bands(monkeypatch):
-    # one solve of four two-line starts per candidate: {first line on
-    # aspect, on tilt} x {second line on aspect, on tilt}; each line's
-    # frequency keeps to a band about its own start, and where two bands
-    # overlap they meet at the midpoint of the starts
-    mom, periods, solves, _ = _canonical_solves(monkeypatch, 11)
+def test_four_starts_in_midpoint_bands(monkeypatch):
+    # one solve of four two-line starts: {first line on aspect, on tilt} x
+    # {second line on aspect, on tilt}; each line's frequency keeps to a
+    # band about its own start, and where two bands overlap they meet at
+    # the midpoint of the starts. A given period of 11 s seeds the lines
+    # at about 12.7 s and 9.8 s, closer than two bands
+    mom, (per,), solves, _ = _canonical_solves(monkeypatch, 11, period=11.0)
     (solve,) = solves
-    x0, cand, (lb, ub) = solve["x0"], solve["args"][0], solve["bounds"]
-    assert np.array_equal(cand, np.repeat(np.arange(GRID_POINTS), 4))
+    starts, (lb, ub) = solve["x0"], solve["bounds"]
+    assert starts.shape == (4, HEAD + 10)
     band = 2 * np.pi * 0.75 / (mom.t[-1] - mom.t[0])
-    overlaps = 0
-    for g, per in enumerate(periods):
-        starts = x0[cand == g]
-        assert np.all(starts[:, :HEAD] == [0.0, 0.0, 0.0, 0.02, 0.02])
-        first, second = starts[:, HEAD:HEAD + 5], starts[:, HEAD + 5:]
-        # the first line starts within the band about the candidate's
-        # frequency, the same in all four starts; so does the second
-        assert abs(first[0, 4] - 2 * np.pi / per) <= band
-        assert np.all(first[:, 4] == first[0, 4])
-        assert np.all(second[:, 4] == second[0, 4])
-        # starts 0, 1 hold the first line on aspect (c = e = 0), 2, 3 on
-        # tilt (a = b = 0); starts 0, 2 the second line on aspect, 1, 3 on
-        # tilt; a line's seed is the same in both starts that hold it
-        for aspect, tilt in ((first[:2], first[2:]), (second[::2], second[1::2])):
-            assert np.all(aspect[:, 2:4] == 0.0) and np.all(aspect[:, :2] != 0.0)
-            assert np.all(tilt[:, :2] == 0.0) and np.all(tilt[:, 2:4] != 0.0)
-            assert np.array_equal(aspect[0], aspect[1])
-            assert np.array_equal(tilt[0], tilt[1])
-        w0 = starts[:, HEAD + 4::5]
-        lo, hi = np.sort(w0[0])
-        mid = 0.5 * (lo + hi)
-        want_lb, want_ub = w0 - band, w0 + band
-        if hi - lo < 2 * band:
-            overlaps += 1
-            want_ub = np.where(w0 == lo, mid, want_ub)
-            want_lb = np.where(w0 == hi, mid, want_lb)
-        assert np.allclose(lb[cand == g, HEAD + 4::5], want_lb, rtol=1e-15)
-        assert np.allclose(ub[cand == g, HEAD + 4::5], want_ub, rtol=1e-15)
-    # canonical's 12 s and 10 s lines lie closer than two bands
-    assert overlaps > 0
+    assert np.all(starts[:, :HEAD] == [0.0, 0.0, 0.0, 0.02, 0.02])
+    first, second = starts[:, HEAD:HEAD + 5], starts[:, HEAD + 5:]
+    # the first line starts within the band about the period's frequency,
+    # the same in all four starts; so does the second
+    assert abs(first[0, 4] - 2 * np.pi / per) <= band
+    assert np.all(first[:, 4] == first[0, 4])
+    assert np.all(second[:, 4] == second[0, 4])
+    # starts 0, 1 hold the first line on aspect (c = e = 0), 2, 3 on tilt
+    # (a = b = 0); starts 0, 2 the second line on aspect, 1, 3 on tilt; a
+    # line's seed is the same in both starts that hold it
+    for aspect, tilt in ((first[:2], first[2:]), (second[::2], second[1::2])):
+        assert np.all(aspect[:, 2:4] == 0.0) and np.all(aspect[:, :2] != 0.0)
+        assert np.all(tilt[:, :2] == 0.0) and np.all(tilt[:, 2:4] != 0.0)
+        assert np.array_equal(aspect[0], aspect[1])
+        assert np.array_equal(tilt[0], tilt[1])
+    w0 = starts[:, HEAD + 4::5]
+    lo, hi = np.sort(w0[0])
+    mid = 0.5 * (lo + hi)
+    assert hi - lo < 2 * band
+    want_ub = np.where(w0 == lo, mid, w0 + band)
+    want_lb = np.where(w0 == hi, mid, w0 - band)
+    assert np.allclose(lb[:, HEAD + 4::5], want_lb, rtol=1e-15)
+    assert np.allclose(ub[:, HEAD + 4::5], want_ub, rtol=1e-15)
 
 
 def test_every_start_stops_within_30_residual_calls(monkeypatch):
     # every start converges or stops on a band edge within 30 residual
-    # calls (24 at most here); without the midpoint bands the two lines of
-    # the candidate whose band holds no true line drifted together into a
+    # calls (19 at most here); without the midpoint bands the two lines of
+    # a grid candidate whose band held no true line drifted together into a
     # beating pair, and some starts took up to 54 calls
     _, _, solves, (_, state) = _canonical_solves(monkeypatch, 11)
     (solve,) = solves
@@ -616,9 +640,9 @@ def test_every_start_stops_within_30_residual_calls(monkeypatch):
 
 def test_one_solve_fits_every_start_of_a_calm_sea(monkeypatch):
     # with no line in the data the pursuit still seeds a second line, so
-    # every candidate has its four two-line starts and one least_squares
-    # call fits all twelve; the pursuit's old amplitude gate found no second
-    # line for one candidate here and fitted its two one-line starts apart
+    # the fit has its four two-line starts, all fitted by one least_squares
+    # call; the pursuit's old amplitude gate found no second line here and
+    # fitted two one-line starts apart
     ship = make_ship(120.0, n_scatterers=24, seed=3)
     cfg = ScenarioConfig(
         duration=60.0, frame_interval=0.5, integration_time=0.5,
@@ -628,9 +652,8 @@ def test_one_solve_fits_every_start_of_a_calm_sea(monkeypatch):
     solves = _record_solves(monkeypatch)
     _, state = estimate_angles(mom, PHI0, THETA0, period=10.0)
     (solve,) = solves
-    assert solve["x0"].shape == (4 * GRID_POINTS, HEAD + 10)
-    assert np.array_equal(solve["args"][0], np.repeat(np.arange(GRID_POINTS), 4))
-    assert state.lines == pytest.approx((12.397, 13.297), abs=5e-4)
+    assert solve["x0"].shape == (4, HEAD + 10)
+    assert state.lines == pytest.approx((12.397, 14.594), abs=5e-4)
     assert not state.converged
 
 
@@ -649,11 +672,13 @@ def test_one_line_sea_fits_its_line_first(seed, amplitudes_deg, line_s):
 
 @pytest.mark.parametrize("seed", [34, 1017])
 def test_twice_the_noise_picks_a_converged_start(seed):
-    # at twice the report noise the cheapest start of seed 34's 1.0x
-    # candidate stops on a band edge; picked by cost it wins, and the run is
-    # flagged as not converged. A converged start wins whatever its cost.
-    # Seed 1017 had the worst period error (0.22 s) of the twice-noise sweep
-    # under the two-stage fit
+    # at twice the report noise the cheapest start of seed 34's fit at the
+    # seed period stopped on a band edge; picked by cost it won, and the run
+    # was flagged as not converged. A converged start wins whatever its
+    # cost. Seed 1017 had the worst period error (0.22 s) of the twice-noise
+    # sweep under the two-stage fit. Fitted at the seed period alone with
+    # weights from the series' spread, not the moment noise, both seeds
+    # lose the tilt line (correlation 0.77 and -0.98)
     ship, truth, mom = _canonical(seed, noise_scale=2.0)
     track, state = estimate_angles(mom, PHI0, THETA0)
     assert state.converged
@@ -673,9 +698,9 @@ def test_long_dwell_of_1200_s_keeps_the_tilt_line():
                       track.samples.theta_dot, state.period) >= 0.99
 
 
-def test_band_split_runs_once_per_candidate_on_cov_rf(monkeypatch):
-    # the fit scores the raw cov_rf and d series, so only cov_rf is split:
-    # once per fitted candidate, for its slow aspect and its line seeds.
+def test_band_split_runs_once_on_cov_rf(monkeypatch):
+    # the fit scores the raw cov_rf and d series, so only cov_rf is split,
+    # once, at the seed period, for the slow aspect and the line seeds.
     # Frames 40-42 are invalid, so the split sees their bridged values
     _, _, mom = _canonical(11)
     mom = mom.copy()
@@ -684,23 +709,14 @@ def test_band_split_runs_once_per_candidate_on_cov_rf(monkeypatch):
     bridged = mom.cov_rf.copy()
     bridged[bad] = np.interp(mom.t[bad], mom.t[~bad], mom.cov_rf[~bad])
     real_split = isarpose.angles.chapeau_band_split
-    real_lsq = isarpose.angles.least_squares
-    splits, stages = [], []
+    splits = []
 
     def split(t, y, period):
         splits.append((np.array(y), period))
         return real_split(t, y, period)
 
-    def lsq(fun, x0, jac, bounds, x_scale, max_nfev, args=(), **kw):
-        stages.append(args[0])
-        return real_lsq(fun, x0, jac, bounds, x_scale, max_nfev, args, **kw)
-
     monkeypatch.setattr(isarpose.angles, "chapeau_band_split", split)
-    monkeypatch.setattr(isarpose.angles, "least_squares", lsq)
     estimate_angles(mom, PHI0, THETA0)
-    fitted = np.unique(stages[0])
-    assert len(fitted) == GRID_POINTS
-    assert len(splits) == len(fitted)
-    for y, _ in splits:
-        assert np.array_equal(y, bridged)
-    assert np.all(np.diff([period for _, period in splits]) > 0)
+    ((y, period),) = splits
+    assert np.array_equal(y, bridged)
+    assert period == isarpose.angles.dominant_wave_period(mom.t, bridged)

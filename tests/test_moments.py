@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from isarpose.moments import (EPS_VAR, MOMENT_DTYPE, frame_moments,
                               moments_series, time_derivative)
 from isarpose.ship import Dwell, Frame, report_array
+from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
+                               simulate_degraded)
 
 _finite = st.floats(min_value=-100.0, max_value=100.0,
                     allow_nan=False, allow_infinity=False)
@@ -107,6 +109,63 @@ def test_debiased_moments_remove_the_noise_floor(weighting):
     assert own.tobytes() == mom.tobytes()
     none = moments_series(dwell, weighting)[0]
     assert none.tobytes() == raw.tobytes()
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "snr"])
+def test_moment_noise_sds_are_the_delta_method(weighting):
+    # sd^2 = sigma_r^2 sum (d/d r_i)^2 + sigma_f^2 sum (d/d f_i)^2 of the
+    # debiased cov_rf and d, the partials by central differences
+    snr = [20.0, 26.0, 14.0, 23.0, 18.0]
+    r = np.array([0.0, 10.0, 4.0, -2.0, 7.5])
+    f = np.array([1.0, -3.0, 2.0, 0.0, -1.5])
+    a = np.array([0.5, 1.0, -2.0, 0.3, 0.9])
+    sig = (0.5, 0.2, 0.1)
+
+    def debiased(r, f):
+        frame = _frame(r, f, a, snr=snr)
+        mom = moments_series(_one_frame_dwell(frame, sig), weighting)[0]
+        return np.array([mom.cov_rf, mom.d_intrinsic])
+
+    var = np.zeros(2)
+    h = 1e-6
+    for col, sigma in ((r, sig[0]), (f, sig[1])):
+        for i in range(5):
+            col[i] += h
+            up = debiased(r, f)
+            col[i] -= 2 * h
+            down = debiased(r, f)
+            col[i] += h
+            var += sigma ** 2 * ((up - down) / (2 * h)) ** 2
+    mom = moments_series(_one_frame_dwell(_frame(r, f, a, snr=snr), sig),
+                         weighting)[0]
+    assert mom.sd_rf == pytest.approx(np.sqrt(var[0]), rel=1e-6)
+    assert mom.sd_d == pytest.approx(np.sqrt(var[1]), rel=1e-6)
+    # with no report sigmas there is no noise to propagate
+    raw = frame_moments(_frame(r, f, a, snr=snr), 0.25, weighting)
+    assert raw.sd_rf == 0.0 and raw.sd_d == 0.0
+
+
+def test_moment_noise_sds_match_monte_carlo():
+    # 200 report-noise draws of the canonical scene: per valid frame, the
+    # mean delta-method sd over the std of the draws, for cov_rf and d
+    ship = make_ship(120.0, n_scatterers=24, seed=3)
+    draws = []
+    for seed in range(200):
+        cfg = ScenarioConfig(
+            duration=60.0, frame_interval=0.5, integration_time=0.5,
+            phi0=np.deg2rad(45.0), theta0=np.deg2rad(30.0),
+            steady_aspect_rate=np.deg2rad(0.3),
+            aspect_osc=(np.deg2rad(1.0), 12.0),
+            tilt_osc=(np.deg2rad(1.0), 10.0),
+            noise=(0.2, 0.03, 0.02), seed=seed)
+        draws.append(moments_series(
+            simulate_degraded(ship, build_angle_track(cfg), cfg)))
+    valid = np.all([m.valid for m in draws], axis=0)
+    assert valid.sum() > 100
+    for value, sd in (("cov_rf", "sd_rf"), ("d_intrinsic", "sd_d")):
+        x = np.array([m[value] for m in draws])[:, valid]
+        s = np.array([m[sd] for m in draws])[:, valid]
+        assert 0.9 <= np.median(s.mean(axis=0) / x.std(axis=0)) <= 1.2, value
 
 
 @pytest.mark.parametrize("sig,valid", [

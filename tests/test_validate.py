@@ -70,7 +70,7 @@ class TestConsistencySynth:
         mom = _mom(n, cov_rf=rf, cov_ff=ff, cov_ra=np.sin(t), cov_fa=np.cos(t))
         for k in gaps:
             # what moments_series holds for an under-populated frame
-            mom[k] = (t[k], 2, False) + (0.0,) * 11
+            mom[k] = (t[k], 2, False) + (0.0,) * (len(MOMENT_DTYPE) - 3)
         records = consistency_synth(mom)
         assert not records.valid[gaps].any()
         for name in CONSISTENCY_DTYPE.names[1:]:
