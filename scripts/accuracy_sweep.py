@@ -3,7 +3,8 @@
 Each seed runs one simulate-verb pipeline on a workload of
 benchmarks/workloads.py (`canonical` unless --workload names another; the
 seed sets the report noise draw, --noise-scale multiplies the scene's
-report sigmas and --duration replaces its length in seconds), is scored by
+report sigmas, --duration replaces its length in seconds and --steady-rate
+its steady aspect rate in deg/s), is scored by
 benchmarks/scoring.accuracy, and gains the RMS error in degrees of the
 estimated aspect phi and tilt theta against the true track
 (build_angle_track), and the fitted period_s, bsq, hsq and converged of its
@@ -15,6 +16,7 @@ from the repository root:
     python scripts/accuracy_sweep.py --seeds 11 2011
     python scripts/accuracy_sweep.py --workload long --seeds 11 1011 23
     python scripts/accuracy_sweep.py --workload long --duration 1200 --seeds 11 23
+    python scripts/accuracy_sweep.py --steady-rate 1 --seeds 11 1011
 """
 
 import argparse
@@ -55,13 +57,16 @@ def angle_rms_deg(out: Path, wl, seed: int) -> dict:
 
 
 def sweep_workload(name: str, noise_scale: float = 1.0,
-                   duration: float | None = None):
+                   duration: float | None = None,
+                   steady_rate: float | None = None):
     """WORKLOADS[name] with its report sigmas times noise_scale and, when
-    duration is given, that length in seconds."""
+    given, duration as its length in seconds and steady_rate as its steady
+    aspect rate in deg/s."""
     wl = WORKLOADS[name]
-    if duration is not None:
-        wl = dataclasses.replace(
-            wl, scenario={**wl.scenario, "duration": duration})
+    for key, value in (("duration", duration),
+                       ("steady_aspect_rate_dps", steady_rate)):
+        if value is not None:
+            wl = dataclasses.replace(wl, scenario={**wl.scenario, key: value})
     if noise_scale != 1.0:
         noise = {k: v * noise_scale for k, v in wl.scenario["noise"].items()}
         wl = dataclasses.replace(wl, scenario={**wl.scenario, "noise": noise})
@@ -90,8 +95,11 @@ def main(argv=None):
                     help="factor on the scene's report noise sigmas")
     ap.add_argument("--duration", type=float,
                     help="dwell length in seconds (default: the workload's)")
+    ap.add_argument("--steady-rate", type=float, metavar="DPS",
+                    help="steady aspect rate in deg/s (default: the workload's)")
     args = ap.parse_args(argv)
-    wl = sweep_workload(args.workload, args.noise_scale, args.duration)
+    wl = sweep_workload(args.workload, args.noise_scale, args.duration,
+                        args.steady_rate)
     with tempfile.TemporaryDirectory() as workdir:
         rows = [sweep_row(wl, s, Path(workdir)) for s in args.seeds]
     summary = {k: {"median": statistics.median(r[k] for r in rows),
@@ -100,7 +108,9 @@ def main(argv=None):
     summary["converged"] = sum(r["converged"] for r in rows)
     print(json.dumps({"workload": args.workload,
                       "noise_scale": args.noise_scale,
-                      "duration_s": wl.scenario["duration"], "rows": rows,
+                      "duration_s": wl.scenario["duration"],
+                      "steady_rate_dps": wl.scenario["steady_aspect_rate_dps"],
+                      "rows": rows,
                       "summary": summary}, indent=1))
     return 0
 

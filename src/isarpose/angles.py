@@ -2,21 +2,21 @@
 
 Aspect phi rotates the alongship axis in the slant plane, tilt theta is the
 grazing rotation; both are radians about externally known means phi0 and
-theta0, and only excursions and rates are estimated. At one wave period,
-chapeau_band_split splits cov_rf into bands (see bands) and
-lowpass_aspect_solve turns the integrated low band into the slow aspect
-about phi0. One joint fit of the raw cov_rf and d series then adds a cubic
-slow-aspect correction, two sinusoid lines shared between aspect and tilt,
-and the ship shape ratios bsq = <y^2>/<x^2>, hsq = <z^2>/<x^2>. Its
-parameters are [poly(3) | bsq, hsq | a, b, c, e, w per line]; line k's
-aspect (a, b) and tilt (c, e) coefficients and angular frequency w are
-x[HEAD + 5k:HEAD + 5k + 5].
+theta0, and only excursions and rates are estimated. One joint fit of the
+raw cov_rf and d series fits the slow aspect phi0 + p0 u +
+p1 (u^2 - mean u^2) + p2 u^3, u = t - mean(t), two sinusoid lines shared
+between aspect and tilt, and the ship shape ratios bsq = <y^2>/<x^2>,
+hsq = <z^2>/<x^2>: parameters [poly(3) | bsq, hsq | a, b, c, e, w per
+line], line k's aspect (a, b) and tilt (c, e) coefficients and angular
+frequency w at x[HEAD + 5k:HEAD + 5k + 5]. The cubic of the slow aspect
+that lowpass_aspect_solve reads off the low band of cov_rf (see bands)
+seeds the fit's, and is the answer when no wave line is found.
 
-One model, _wave_model, turns parameter rows and a slow aspect into the
-slow part and the lines' sum. The fit's residual and analytic Jacobian
-(_residual, _jacobian) score aspect = slow part + lines and tilt = theta0 +
-lines, and _fit_result returns the same sums, so a run returns the track
-its fit scored. waveband_joint_fit's one least_squares call (a bounded
+One model, _wave_model, turns parameter rows into the slow aspect and the
+lines' sum. The fit's residual and analytic Jacobian (_residual,
+_jacobian) score aspect = slow aspect + lines and tilt = theta0 + lines,
+and _fit_result returns the same sums, so a run returns the track its fit
+scored. waveband_joint_fit's one least_squares call (a bounded
 Levenberg-Marquardt solver with a soft_l1 loss, kept here so the package
 needs NumPy alone) fits its four starts in lockstep, each frame weighted by
 its own moment noise (sd_rf, sd_d of the moments table). The series are
@@ -36,7 +36,7 @@ from .motion import range_rate_rows, track_rows
 from .ship import AngleTrack, angle_array
 
 MIN_ASPECT_DEG = 3.0    # below this mean aspect the slow solve is blind
-NPOLY = 3               # slow-correction polynomial degrees 1..3
+NPOLY = 3               # slow-aspect polynomial degrees 1..3
 HEAD = NPOLY + 2        # the polynomial and bsq, hsq precede the lines
 ANGLE_LIMIT = math.pi / 2 - 1e-6
 LM_TOL = 1e-6           # relative cost drop and scaled step that end the fit
@@ -60,7 +60,6 @@ class LowpassAspect:
     """Slow aspect solution: phi_mean(t) about the external mean phi0."""
 
     phi_mean: np.ndarray
-    rate: np.ndarray
     flags: tuple[str, ...] = ()
 
 
@@ -70,10 +69,11 @@ class FitState:
 
     lines holds every line's period (s) and period is the first one's, 0
     with no line; phi_hat/theta_hat are the wave-band excursions, phi_mean
-    the slow aspect and steady_rate the mean of its rate; bsq_est/hsq_est
-    are the fitted shape ratios; a wave fit's residual_rms is in the units
-    of weight_source, "report noise" or "series spread" (waveband_joint_fit).
-    The angle track itself is the AngleTrack returned beside it.
+    the slow aspect (phi0 plus the fit's cubic) and steady_rate the mean of
+    its rate; bsq_est/hsq_est are the fitted shape ratios; a wave fit's
+    residual_rms is in the units of weight_source, "report noise" or
+    "series spread" (waveband_joint_fit), and the slow-only answer reads
+    "none". The angle track itself is the AngleTrack returned beside it.
     """
 
     lines: tuple[float, ...]
@@ -147,7 +147,7 @@ def lowpass_aspect_solve(t: np.ndarray, lhs_low: np.ndarray,
     phi_M about phi0, anchored to zero at mid-dwell. Each frame takes the
     smaller-magnitude quadratic root; negative discriminants are clamped to
     zero and reported. The excursion is re-centered so its mean vanishes
-    (the external phi0 carries the absolute level).
+    (phi0 carries the absolute level); its cubic seeds the fit (_slow_cubic).
     """
     if abs(math.tan(phi0)) <= math.tan(math.radians(MIN_ASPECT_DEG)):
         raise ValueError("aspect unobservable: mean aspect too close to bow-on")
@@ -161,10 +161,7 @@ def lowpass_aspect_solve(t: np.ndarray, lhs_low: np.ndarray,
     r1 = (-b + np.sqrt(disc)) / (2 * a)
     r2 = (-b - np.sqrt(disc)) / (2 * a)
     phi_m = np.where(np.abs(r1) <= np.abs(r2), r1, r2)
-    phi_m = phi_m - phi_m.mean()
-    phi_mean = phi0 + phi_m
-    return LowpassAspect(phi_mean=phi_mean, rate=np.gradient(phi_mean, t),
-                         flags=flags)
+    return LowpassAspect(phi_mean=phi0 + (phi_m - phi_m.mean()), flags=flags)
 
 
 def _projection(t: np.ndarray, y: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -377,28 +374,32 @@ def _cov_partials(phi, theta, phi_dot, theta_dot, bsq, hsq):
 
 
 def _times(t: np.ndarray):
-    # t, then u = t - mean(t), u^2, u^3 and the slow correction's quadratic
-    # term, u^2 less its mean, which leaves the mean aspect (phi0) in place
+    # t, the slow cubic's basis u = t - mean(t), u^2 less its mean (which
+    # leaves the mean aspect at phi0) and u^3, then u^2
     u = t - t.mean()
     u2 = u ** 2
-    return t, u, u2, u ** 3, u2 - u2.mean()
+    return t, u, u2 - u2.mean(), u ** 3, u2
 
 
-def _wave_model(x: np.ndarray, times, slow):
-    """Slow part, lines' sum and trig of parameter rows x, (..., npar).
+def _slow_cubic(times, low: LowpassAspect, phi0: float) -> np.ndarray:
+    # the least-squares cubic (p0, p1, p2) of low.phi_mean - phi0
+    return np.linalg.lstsq(np.stack(times[1:4], axis=-1), low.phi_mean - phi0,
+                           rcond=None)[0]
 
-    times is _times(t), and slow the slow aspect's (phi_mean, rate,
-    acceleration), each broadcasting against x's rows. Returns the slow
-    aspect plus the cubic correction as (angle, rate, acceleration), the
-    lines' sum, (2, 3, ..., n), as (aspect, tilt) x (angle, rate,
-    acceleration), and each line's (w, cos wt, sin wt).
+
+def _wave_model(x: np.ndarray, times, phi0: float):
+    """Slow aspect, lines' sum and trig of parameter rows x, (..., npar).
+
+    times is _times(t). Returns the slow aspect phi0 + p0 u +
+    p1 (u^2 - mean u^2) + p2 u^3 as (angle, rate, acceleration), the lines'
+    sum, (2, 3, ..., n), as (aspect, tilt) x (angle, rate, acceleration),
+    and each line's (w, cos wt, sin wt).
     """
-    t, u, u2, u3, u2c = times
+    t, u, u2c, u3, u2 = times
     p0, p1, p2 = (x[..., j, None] for j in range(NPOLY))
-    phi, rate, accel = slow
-    slow = (phi + (p0 * u + p1 * u2c + p2 * u3),
-            rate + p0 + 2 * p1 * u + 3 * p2 * u2,
-            accel + 2 * p1 + 6 * p2 * u)
+    slow = (phi0 + (p0 * u + p1 * u2c + p2 * u3),
+            p0 + 2 * p1 * u + 3 * p2 * u2,
+            2 * p1 + 6 * p2 * u)
     wave = np.zeros((2, 3) + slow[0].shape)
     lines = x[..., HEAD:].reshape(x.shape[:-1] + (-1, 5))
     trig = []
@@ -415,34 +416,33 @@ def _wave_model(x: np.ndarray, times, slow):
     return slow, wave, trig
 
 
-def _scored(x, times, slow, theta0):
+def _scored(x, times, phi0, theta0):
     # the (phi, theta, phi_dot, theta_dot) the fit scores at rows x; each line's trig
-    (phi, phi_dot, _), wave, trig = _wave_model(x, times, slow)
+    (phi, phi_dot, _), wave, trig = _wave_model(x, times, phi0)
     return (phi + wave[0, 0], theta0 + wave[1, 0], phi_dot + wave[0, 1],
             wave[1, 1]), trig
 
 
-def _residual(x, rows, times, data, weight, slow, theta0):
-    """(data - model) x weight, (k, 2n), at x, (k, npar): data and weight
-    are (2, n), slow, (3, n), the slow aspect's angle, rate and acceleration.
-    A sample of weight 0 has rows of exact 0s here and in _jacobian."""
-    track, _ = _scored(x, times, slow, theta0)
+def _residual(x, rows, times, data, weight, phi0, theta0):
+    """(data - model) x weight, (k, 2n), at x, (k, npar), with data and
+    weight (2, n); a weight-0 sample has rows of 0s here and in _jacobian."""
+    track, _ = _scored(x, times, phi0, theta0)
     mrf, _, md = _covs_of(range_rate_rows(*track), x[:, NPOLY, None],
                           x[:, NPOLY + 1, None])
     return ((data - np.stack([mrf, md], axis=-2)) * weight).reshape(len(x), -1)
 
 
-def _jacobian(x, rows, times, data, weight, slow, theta0):
+def _jacobian(x, rows, times, data, weight, phi0, theta0):
     """_residual's analytic Jacobian, (k, 2n, npar): _cov_partials' partials
     of (cov_rf, d) in the track (phi, theta, phi_dot, theta_dot) and in bsq,
     hsq, each track partial times its parameter's basis column (u, u^2 less
     its mean, u^3, cos wt, sin wt, and a line frequency's t-weighted terms).
     """
-    track, trig = _scored(x, times, slow, theta0)
+    track, trig = _scored(x, times, phi0, theta0)
     g_phi, g_th, g_phid, g_thd, g_bsq, g_hsq = (
         np.stack(pair, axis=-2) * -weight
         for pair in _cov_partials(*track, x[:, NPOLY, None], x[:, NPOLY + 1, None]))
-    t, u, u2, u3, u2c = times
+    t, u, u2c, u3, u2 = times
     jm = np.empty(g_phi.shape + x.shape[-1:])
     jm[..., 0] = g_phi * u + g_phid
     jm[..., 1] = g_phi * u2c + g_phid * (2 * u)
@@ -473,16 +473,16 @@ def _wave_problem(t: np.ndarray, data: np.ndarray, weight: np.ndarray,
                   period: float, phi0: float, theta0: float):
     """The joint fit of waveband_joint_fit as least_squares takes it.
 
-    Returns (low, x0, bounds, x_scale, args): the slow aspect solution, the
+    Returns (low, x0, bounds, x_scale, args): the low-pass slow aspect, the
     four starts, their bounds and scales, and args = (times, data, weight,
-    slow, theta0), the arguments of _residual and _jacobian.
+    phi0, theta0), the arguments of _residual and _jacobian.
     """
     span = t[-1] - t[0]
+    times = _times(t)
     s = chapeau_band_split(t, data[0], period)
     low = lowpass_aspect_solve(t, -s.low, phi0)
-    slow = np.array([low.phi_mean, low.rate, np.gradient(low.rate, t)])
     tp0, tt0 = math.tan(phi0), math.tan(theta0)
-    head = np.r_[np.zeros(NPOLY), 0.02, 0.02]   # no slow term, ratios 0.02
+    head = np.r_[_slow_cubic(times, low, phi0), 0.02, 0.02]   # ratios 0.02
     step = (PURSUIT_GRID[1] - PURSUIT_GRID[0]) / period
     k = int(0.75 / span / step)
     f = 1 / period + step * np.arange(-k, k + 1)
@@ -509,7 +509,7 @@ def _wave_problem(t: np.ndarray, data: np.ndarray, weight: np.ndarray,
     lb[:, freq] = np.where(w0 > mid, np.maximum(w0 - w_band, mid), w0 - w_band)
     ub[:, freq] = np.where(w0 < mid, np.minimum(w0 + w_band, mid), w0 + w_band)
     xsc[:, freq] = 0.01 * w0
-    return low, x0, (lb, ub), xsc, (_times(t), data, weight, slow, theta0)
+    return low, x0, (lb, ub), xsc, (times, data, weight, phi0, theta0)
 
 
 def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray,
@@ -525,9 +525,9 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray,
     residual_rms is in those units. A period that does not fit three times
     in the dwell raises ValueError.
 
-    cov_rf is split once, for the slow aspect (lowpass_aspect_solve of the
-    low band) and the line seeds of the wave band. The first line starts at
-    the strongest peak of a Hann-windowed projection of the wave band within
+    cov_rf is split once, for the starts' slow cubic (of lowpass_aspect_solve
+    of the low band) and the line seeds of the wave band. The first line
+    starts at the strongest peak of a Hann-windowed projection of the wave band within
     0.75/span of 1/period; the second at the strongest peak that matching
     pursuit (_pursuit_line) finds in the wave band less its sinusoid at the
     first line's frequency. Each line is seeded on aspect and on tilt: four
@@ -575,21 +575,20 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray,
     rms = scale * float(np.sqrt(np.mean(f * f)))
     converged = bool(r.status[win] in (2, 3))
     flags = low.flags + (() if converged else ("wave fit did not converge",))
-    return _fit_result(t, low, r.x[win], theta0, rms, converged, source, flags)
+    return _fit_result(t, r.x[win], phi0, theta0, rms, converged, source, flags)
 
 
-def _fit_result(t: np.ndarray, low: LowpassAspect, x: np.ndarray, theta0: float,
+def _fit_result(t: np.ndarray, x: np.ndarray, phi0: float, theta0: float,
                 rms: float, converged: bool, weight_source: str,
                 flags: tuple[str, ...]) -> tuple[AngleTrack, FitState]:
-    """The angle track and fit state of parameters x over the slow aspect low.
+    """The angle track and fit state of parameters x about phi0 and theta0.
 
-    x is laid out as the module docstring says, with two lines or none;
-    np.zeros(HEAD), no correction and no line, is the slow-only result. The
-    track is _wave_model's slow part plus its lines, the sums the fit
+    x is laid out as the module docstring says, with two lines or none; the
+    slow-only result is the low-pass cubic with no line and bsq = hsq = 0.
+    The track is _wave_model's slow aspect plus its lines, the sums the fit
     scores, clipped to ANGLE_LIMIT.
     """
-    (phi_mean, phi_dot, phi_ddot), wave, _ = _wave_model(
-        x, _times(t), (low.phi_mean, low.rate, np.gradient(low.rate, t)))
+    (phi_mean, phi_dot, phi_ddot), wave, _ = _wave_model(x, _times(t), phi0)
     (phi_hat, phi_w, phi_ww), (theta_hat, theta_w, theta_ww) = wave
     track = AngleTrack(angle_array(
         t, np.clip(phi_mean + phi_hat, -ANGLE_LIMIT, ANGLE_LIMIT),
@@ -612,8 +611,9 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
     line (or is the given period), and waveband_joint_fit fits about it with
     sd = (sd_rf, sd_d), inf on invalid frames; or with sd None when a valid
     frame has a zero sd, as without report sigmas. With no spectral line
-    (calm water or short dwell) the result is the zero-line _fit_result, the
-    slow aspect alone with tilt pinned at theta0, flagged 'no wave solution'.
+    (calm water or short dwell) the result is the zero-line _fit_result of
+    the low-pass cubic, tilt pinned at theta0, flagged 'no wave solution',
+    with weight_source "none": no weighted fit runs.
     """
     t, valid = mom.t, mom.valid
     if valid.sum() < 8:
@@ -621,8 +621,6 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
     # np.interp returns a valid sample's own value at its time, bit for bit
     cov_rf = np.interp(t, t[valid], mom.cov_rf[valid])
     d_data = np.interp(t, t[valid], mom.d_intrinsic[valid])
-    sd = np.array([mom.sd_rf, mom.sd_d])
-    sd = np.where(valid, sd, np.inf) if np.all(sd[:, valid] > 0) else None
     span = t[-1] - t[0]
     seed = period
     if seed is None:
@@ -635,9 +633,10 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
         # slow-only fallback: no resolvable wave line
         low_series = chapeau_smooth(t, -cov_rf, span / 5.0)
         low = lowpass_aspect_solve(t, low_series, phi0)
-        return _fit_result(t, low, np.zeros(HEAD), theta0,
-                           float(np.std(cov_rf + low_series)), False,
-                           "series spread" if sd is None else "report noise",
-                           low.flags + ("no wave solution",))
+        x = np.r_[_slow_cubic(_times(t), low, phi0), 0.0, 0.0]
+        return _fit_result(t, x, phi0, theta0, float(np.std(cov_rf + low_series)),
+                           False, "none", low.flags + ("no wave solution",))
 
+    sd = np.array([mom.sd_rf, mom.sd_d])
+    sd = np.where(valid, sd, np.inf) if np.all(sd[:, valid] > 0) else None
     return waveband_joint_fit(t, cov_rf, d_data, seed, phi0, theta0, sd)

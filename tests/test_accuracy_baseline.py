@@ -1,13 +1,15 @@
-"""The committed accuracy table (ACCURACY.json) against a rerun of five rows.
+"""The committed accuracy table (ACCURACY.json) against a rerun of seven rows.
 
 scripts/accuracy_sweep.py is deterministic, so a rerun of a seed reproduces
 its row of the table. The rows rerun here are canonical seeds 11 and 2011,
 seeds 3011 and 1017 at twice the noise (3011 had the weakest tilt line of
 the table; 1017 loses its tilt line when one candidate period is fitted
-with weights from the series' spread instead of the moment noise) and the
-1,200 s `long` dwell of seed 11. The relative tolerance of 1e-9 admits only
-platform last bits: a change that moves the estimator's outputs has to
-rewrite the table.
+with weights from the series' spread instead of the moment noise), the
+1,200 s `long` dwell of seed 11, and seed 11 of the two steady turns:
+canonical at 1 deg/s and the 300 s `long` dwell at 0.2 deg/s, where a
+small-excursion slow aspect was 2 deg off. The relative tolerance of 1e-9
+admits only platform last bits: a change that moves the estimator's
+outputs has to rewrite the table.
 """
 
 import importlib.util
@@ -32,26 +34,29 @@ def _sweep_module():
     return mod
 
 
-def _committed_row(workload, noise_scale, duration, seed):
+def _committed_row(workload, noise_scale, duration, steady_rate, seed):
     table = json.loads((ROOT / "ACCURACY.json").read_text())
     sweep, = [s for s in table["sweeps"]
-              if (s["workload"], s["noise_scale"], s["duration_s"])
-              == (workload, noise_scale, duration)]
+              if (s["workload"], s["noise_scale"], s["duration_s"],
+                  s["steady_rate_dps"])
+              == (workload, noise_scale, duration, steady_rate)]
     return {row["seed"]: row for row in sweep["rows"]}[seed]
 
 
-@pytest.mark.parametrize("workload, noise_scale, duration, seed", [
-    ("canonical", 1.0, 60.0, 11), ("canonical", 1.0, 60.0, 2011),
-    ("canonical", 2.0, 60.0, 3011), ("canonical", 2.0, 60.0, 1017),
-    ("long", 1.0, 1200.0, 11)],
+@pytest.mark.parametrize("workload, noise_scale, duration, steady_rate, seed", [
+    ("canonical", 1.0, 60.0, 0.3, 11), ("canonical", 1.0, 60.0, 0.3, 2011),
+    ("canonical", 2.0, 60.0, 0.3, 3011), ("canonical", 2.0, 60.0, 0.3, 1017),
+    ("long", 1.0, 1200.0, 0.02, 11), ("canonical", 1.0, 60.0, 1.0, 11),
+    ("long", 1.0, 300.0, 0.2, 11)],
     ids=["canonical-11", "canonical-2011", "canonical-2x-noise-3011",
-         "canonical-2x-noise-1017", "long-1200s-11"])
-def test_seed_reproduces_committed_row(workload, noise_scale, duration, seed,
-                                       tmp_path):
+         "canonical-2x-noise-1017", "long-1200s-11", "canonical-1dps-11",
+         "long-0.2dps-11"])
+def test_seed_reproduces_committed_row(workload, noise_scale, duration,
+                                       steady_rate, seed, tmp_path):
     sweep = _sweep_module()
-    wl = sweep.sweep_workload(workload, noise_scale, duration)
+    wl = sweep.sweep_workload(workload, noise_scale, duration, steady_rate)
     row = sweep.sweep_row(wl, seed, tmp_path)
-    want = _committed_row(workload, noise_scale, duration, seed)
+    want = _committed_row(workload, noise_scale, duration, steady_rate, seed)
     assert sorted(row) == sorted(want)
     for key, value in want.items():
         if isinstance(value, bool):

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import isarpose.angles
+from isarpose.acceptance import _ideal_config, _ideal_ship
 from isarpose.angles import (HEAD, LM_TOL, LOSS_SCALE, NPOLY, _covs_of,
-                             _jacobian, _residual, _wave_problem,
+                             _jacobian, _residual, _times, _wave_problem,
                              estimate_angles, least_squares,
                              lowpass_aspect_solve, model_covariances,
                              waveband_joint_fit)
-from isarpose.bands import chapeau_band_split
+from isarpose.bands import chapeau_band_split, chapeau_smooth
 from isarpose.moments import moments_series
 from isarpose.motion import motion_rows, range_rate_rows, track_rows
 from isarpose.ship import AngleTrack, angle_array, ship_moments
@@ -165,6 +166,24 @@ def test_fit_scores_the_track_it_returns(ideal_moments, monkeypatch):
     mc = model_covariances(track, state.bsq_est, state.hsq_est)
     want = (data - np.array([mc.cov_rf, mc.d])) * args[2]
     assert np.array_equal(_residual(x[win], win, *args), want.reshape(1, -1))
+
+
+def test_the_true_track_is_a_point_of_the_model():
+    # on the perfect canonical dwell the slow aspect phi0 + 0.3 deg/s u is
+    # the cubic (rate, 0, 0) and each true line a sin wt is (0, a, 0, 0, w)
+    # on aspect or (0, 0, 0, a, w) on tilt, so the model at the true
+    # parameters reproduces the data to rounding
+    cfg, ship = _ideal_config(), _ideal_ship()
+    t, data = _series(moments_series(simulate_degraded(
+        ship, build_angle_track(cfg), cfg)))
+    _, bsq, hsq = ship_moments(ship)
+    (a_phi, p_phi), (a_theta, p_theta) = cfg.aspect_osc, cfg.tilt_osc
+    x = np.array([[cfg.steady_aspect_rate, 0.0, 0.0, bsq, hsq,
+                   0.0, a_phi, 0.0, 0.0, 2 * np.pi / p_phi,
+                   0.0, 0.0, 0.0, a_theta, 2 * np.pi / p_theta]])
+    f = _residual(x, np.arange(1), _times(t), data, np.ones_like(data),
+                  cfg.phi0, cfg.theta0).reshape(data.shape)
+    assert np.all(np.abs(f).max(axis=1) <= 1e-12 * np.abs(data).max(axis=1))
 
 
 def test_a_period_that_does_not_fit_three_times_is_rejected(ideal_moments):
@@ -409,7 +428,7 @@ class TestLowpassAspect:
         lhs = math.tan(phi0) * rate + phi_m * rate / cp2
         low = lowpass_aspect_solve(t, lhs, phi0)
         assert np.allclose(low.phi_mean, phi0 + phi_m, atol=2e-5)
-        assert low.rate.mean() == pytest.approx(rate, rel=0.05)
+        assert np.polyfit(t, low.phi_mean, 1)[0] == pytest.approx(rate, rel=0.05)
         assert not low.flags
 
     def test_negative_discriminant_clamped_and_flagged(self):
@@ -442,9 +461,9 @@ class TestEstimateAngles:
         assert np.sqrt(np.mean(err ** 2)) < np.deg2rad(0.1)
 
     def test_steady_rate_includes_fitted_slow_correction(self, ideal_fit):
-        # the mean of the slow aspect's rate with the fit's cubic correction,
-        # as phi_mean and the track carry it; the slow band's rate alone
-        # reads 0.2903 deg/s on this scene
+        # the mean rate of the fit's slow cubic, as phi_mean and the track
+        # carry it; the low-pass cubic that seeds it reads 0.2906 deg/s on
+        # this scene
         assert ideal_fit[1].steady_rate == pytest.approx(np.deg2rad(0.3),
                                                          rel=0.01)
 
@@ -506,11 +525,43 @@ class TestEstimateAngles:
         assert state.steady_rate == pytest.approx(np.deg2rad(0.3), rel=0.1)
         # with no fit, the steady rate is the mean of the track's own rate
         assert state.steady_rate == np.mean(track.samples.phi_dot)
-        # the slow-only result is the fit's with no slow correction and no line
+        # the slow-only result is the fit's with the low-pass cubic and no line
         assert state.period == 0.0 and state.lines == ()
         assert not state.phi_hat.any() and not state.theta_hat.any()
         assert state.bsq_est == 0.0 and state.hsq_est == 0.0
         assert np.array_equal(track.samples.phi, state.phi_mean)
+
+
+def _low_cubic(t, low):
+    # the slow aspect's basis (u, u^2 less its mean, u^3) and the
+    # least-squares cubic on it of a low-pass solution about PHI0
+    u = t - t.mean()
+    basis = np.stack([u, u ** 2 - np.mean(u ** 2), u ** 3], axis=-1)
+    return basis, np.linalg.lstsq(basis, low.phi_mean - PHI0, rcond=None)[0]
+
+
+def test_a_dwell_shorter_than_three_periods_takes_the_slow_only_path():
+    # canonical cut to 20 s: no wave fit runs, so no weights either; the
+    # slow aspect is phi0 plus the least-squares cubic of the low-pass
+    # solution of the smoothed -cov_rf
+    cfg = ScenarioConfig(
+        duration=20.0, frame_interval=0.5, integration_time=0.5,
+        phi0=PHI0, theta0=THETA0, steady_aspect_rate=np.deg2rad(0.3),
+        aspect_osc=(np.deg2rad(1.0), 12.0), tilt_osc=(np.deg2rad(1.0), 10.0),
+        noise=(0.2, 0.03, 0.02), seed=11)
+    ship = make_ship(120.0, n_scatterers=24, seed=3)
+    mom = moments_series(simulate_degraded(ship, build_angle_track(cfg), cfg))
+    assert mom.valid.all() and np.all(mom.sd_rf > 0)
+    _, state = estimate_angles(mom, PHI0, THETA0)
+    assert "no wave solution" in state.flags
+    assert state.weight_source == "none"
+    t = mom.t
+    low = lowpass_aspect_solve(
+        t, chapeau_smooth(t, -mom.cov_rf, (t[-1] - t[0]) / 5.0), PHI0)
+    basis, cubic = _low_cubic(t, low)
+    assert np.allclose(state.phi_mean, PHI0 + basis @ cubic, rtol=0.0,
+                       atol=1e-15)
+    assert not np.array_equal(state.phi_mean, low.phi_mean)
 
 
 def _wave_corr(t, truth, est, period):
@@ -551,7 +602,7 @@ def test_recovers_noisy_canonical_track(seed):
     _, bsq, hsq = ship_moments(ship)
     assert abs(state.bsq_est - bsq) <= 0.01
     assert abs(state.hsq_est - hsq) <= 0.01
-    # the slow correction leaves the mean aspect at phi0: a level shift of
+    # the slow cubic leaves the mean aspect at phi0: a level shift of
     # 0.03 deg moves the length estimate by about 5 cm
     assert np.mean(state.phi_mean) == pytest.approx(PHI0, abs=1e-12)
 
@@ -601,7 +652,15 @@ def test_four_starts_in_midpoint_bands(monkeypatch):
     starts, (lb, ub) = solve["x0"], solve["bounds"]
     assert starts.shape == (4, HEAD + 10)
     band = 2 * np.pi * 0.75 / (mom.t[-1] - mom.t[0])
-    assert np.all(starts[:, :HEAD] == [0.0, 0.0, 0.0, 0.02, 0.02])
+    # every start's slow aspect is the least-squares cubic of the low-pass
+    # solution of the band split's low band, and its ratios are 0.02
+    t = mom.t
+    _, cubic = _low_cubic(t, lowpass_aspect_solve(
+        t, -chapeau_band_split(t, mom.cov_rf, per).low, PHI0))
+    assert np.allclose(starts[:, :NPOLY], cubic, rtol=1e-12, atol=0.0)
+    assert np.all(starts[:, :HEAD] == starts[0, :HEAD])
+    assert np.all(starts[:, NPOLY:HEAD] == 0.02)
+    assert starts[0, 0] == pytest.approx(np.deg2rad(0.3), rel=0.1)
     first, second = starts[:, HEAD:HEAD + 5], starts[:, HEAD + 5:]
     # the first line starts within the band about the period's frequency,
     # the same in all four starts; so does the second
@@ -653,7 +712,7 @@ def test_one_solve_fits_every_start_of_a_calm_sea(monkeypatch):
     _, state = estimate_angles(mom, PHI0, THETA0, period=10.0)
     (solve,) = solves
     assert solve["x0"].shape == (4, HEAD + 10)
-    assert state.lines == pytest.approx((12.397, 14.594), abs=5e-4)
+    assert state.lines == pytest.approx((12.397, 14.688), abs=5e-4)
     assert not state.converged
 
 
