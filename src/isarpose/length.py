@@ -84,21 +84,20 @@ def multipath_guard(reports: np.recarray) -> np.recarray:
     return reports[_screen(reports["r"][None], reports["snr"][None])[0]]
 
 
-def _extents(frames) -> tuple[np.ndarray, np.ndarray]:
+def _extents(dwell: Dwell) -> tuple[np.ndarray, np.ndarray]:
     """Range extent (r_min, r_max) of each frame's reports after the
-    multipath screen, NaN where under three reports survive. Frames of one
-    report count are screened together, stacked as the rows of one array."""
-    counts = np.array([len(fr.reports) for fr in frames])
-    r_lo = np.full(len(frames), np.nan)
-    r_hi = np.full(len(frames), np.nan)
-    for c in np.unique(counts[counts >= 3]):
-        idx = np.flatnonzero(counts == c)
-        reports = [frames[k].reports.view(np.ndarray) for k in idx]
-        r = np.stack([rep["r"] for rep in reports])
-        keep = _screen(r, np.stack([rep["snr"] for rep in reports]))
+    multipath screen, NaN where under three reports survive. The frames of
+    each of dwell.frame_groups are screened together, one frame a row."""
+    r_lo = np.full(len(dwell.frames), np.nan)
+    r_hi = np.full(len(dwell.frames), np.nan)
+    for index, reports in dwell.frame_groups:
+        if reports.shape[1] < 3:
+            continue
+        r = reports["r"]
+        keep = _screen(r, reports["snr"])
         ok = keep.sum(axis=1) >= 3
-        r_lo[idx[ok]] = np.where(keep, r, np.inf).min(axis=1)[ok]
-        r_hi[idx[ok]] = np.where(keep, r, -np.inf).max(axis=1)[ok]
+        r_lo[index[ok]] = np.where(keep, r, np.inf).min(axis=1)[ok]
+        r_hi[index[ok]] = np.where(keep, r, -np.inf).max(axis=1)[ok]
     return r_lo, r_hi
 
 
@@ -119,7 +118,7 @@ def estimate_loa(dwell: Dwell, track, badfit_series=None) -> LengthEstimate:
     n = len(dwell.frames)
     if len(phi) != n:
         raise ValueError("angle track and dwell lengths disagree")
-    r_lo, r_hi = _extents(dwell.frames)
+    r_lo, r_hi = _extents(dwell)
     usable = np.isfinite(r_lo)
     if badfit_series is not None:
         usable &= ~np.asarray(badfit_series.flagged, dtype=bool)

@@ -7,6 +7,9 @@ that cloud is believable depends on the instantaneous motion: tilt-rate
 frames resolve height (Profile), aspect-rate frames resolve cross-ship
 position (Plan), and frames with neither leave the reports strung along a
 range/rate line (StringOfPearls).
+
+Frames that share a report count (Dwell.frame_groups) are inverted in one
+array pass per group; a single frame is a group of one.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import snr_power
+from .moments import c_pow, snr_power
 from .motion import track_rows
 from .ship import AngleTrack, Dwell, Frame
 from .validate import BadFitSeries
@@ -88,39 +91,55 @@ def motion_matrix(track: AngleTrack,
     return m, np.linalg.cond(scale[:, None] * m)
 
 
-def invert_frame(frame: Frame, mom: np.record, m: np.ndarray, cond: float,
-                 noise: tuple[float, float, float]) -> FrameSolution:
-    """Recover centered drydock coordinates for every report in a frame.
+_NO_SOLUTION = FrameSolution(xyz=None, noise_var=(0.0, 0.0, 0.0),
+                             scores=(0.0, 0.0, 0.0))
 
-    mom is the frame's moments record under the run's weighting; its
-    validity gates the inversion and its crf sets the pearls score. m and
-    cond are the frame's motion matrix and scaled condition number, one row
-    of motion_matrix.
+
+def invert_frame(frame, mom, m, cond, noise):
+    """Recover centered drydock coordinates for every report of a frame, or
+    of each frame of a group of equal report count in one array pass.
+
+    frame is a Frame, and mom, m and cond are its moments record under the
+    run's weighting, its motion matrix and its scaled condition number (a
+    row of motion_matrix); the result is its FrameSolution, the group pass
+    on that frame alone. Or frame is the (k, n) REPORT_DTYPE reports of k
+    frames, one frame a row, as Dwell.frame_groups holds them, and mom, m
+    and cond hold the k frames' rows; the result is their k FrameSolutions
+    in order. The moments' validity gates the inversion and crf sets the
+    pearls score.
 
     noise_var_k = sum_j (M^-1)_kj^2 sigma_j^2 propagates the report noise
     through the inversion. An invalid moments record, or a condition number
     beyond COND_GUARD (the instantaneous motion cannot separate the axes),
     leaves the frame without coordinates and with zero scores.
     """
-    if not (mom.valid and np.isfinite(cond) and cond <= COND_GUARD):
-        return FrameSolution(xyz=None, noise_var=(0.0, 0.0, 0.0),
-                             scores=(0.0, 0.0, 0.0))
-    # plain-array field reads: a recarray attribute read costs ~30x more
-    reports = frame.reports.view(np.ndarray)
-    rfa = np.column_stack((reports["r"], reports["f"], reports["a"]))
-    rfa = rfa - rfa.mean(axis=0)
-    minv = np.linalg.inv(m)
-    xyz = rfa @ minv.T
+    if isinstance(frame, Frame):
+        return invert_frame(frame.reports.view(np.ndarray)[None],
+                            np.asarray(mom)[None], np.asarray(m)[None],
+                            np.reshape(cond, 1), noise)[0]
+    cond = np.asarray(cond)
+    ok = mom["valid"] & np.isfinite(cond) & (cond <= COND_GUARD)
+    sols = [_NO_SOLUTION] * len(frame)
+    if not ok.any():
+        return sols
+    reports = frame if ok.all() else frame[ok]
+    rfa = np.stack([reports[name] for name in ("r", "f", "a")], axis=-1)
+    rfa = rfa - rfa.mean(axis=1, keepdims=True)
+    minv = np.linalg.inv(m[ok])
+    xyz = rfa @ np.swapaxes(minv, 1, 2)
     sig = np.asarray(noise, dtype=float)
     noise_var = (minv ** 2) @ (sig ** 2)
-    var_xyz = xyz.var(axis=0)
-    profile = float(var_xyz[2] / noise_var[2]) if noise_var[2] > 0 else np.inf
-    plan = float(var_xyz[1] / noise_var[1]) if noise_var[1] > 0 else np.inf
-    pearls = float(mom.crf ** 2 / (1.0 - mom.crf ** 2 + PEARLS_EPS))
-    return FrameSolution(xyz=xyz,
-                         noise_var=(float(noise_var[0]), float(noise_var[1]),
-                                    float(noise_var[2])),
-                         scores=(profile, plan, pearls))
+    var_xyz = xyz.var(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(noise_var > 0, var_xyz / noise_var, np.inf)
+    crf2 = c_pow(mom["crf"][ok], 2)
+    pearls = crf2 / (1.0 - crf2 + PEARLS_EPS)
+    for k, xyz_k, var_k, profile, plan, pearls_k in zip(
+            np.flatnonzero(ok).tolist(), xyz, noise_var.tolist(),
+            ratio[:, 2].tolist(), ratio[:, 1].tolist(), pearls.tolist()):
+        sols[k] = FrameSolution(xyz=xyz_k, noise_var=tuple(var_k),
+                                scores=(profile, plan, pearls_k))
+    return sols
 
 
 def _classify(profile: float, plan: float, pearls: float,

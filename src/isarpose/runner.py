@@ -327,8 +327,13 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
         noise = (sigmas if any(sigmas or ())
                  else report_noise(dwell.range_resolution, T))
         m, cond = motion_matrix(track, T)
-        sols = [invert_frame(fr, mom[k], m[k], cond[k], noise)
-                for k, fr in enumerate(dwell.frames)]
+        sols = [None] * len(dwell.frames)
+        rows = mom.view(np.ndarray)   # a recarray's fancy index costs ~2.5x
+        for index, reports in dwell.frame_groups:
+            group = invert_frame(reports, rows[index], m[index], cond[index],
+                                 noise)
+            for k, sol in zip(index.tolist(), group):
+                sols[k] = sol
         classes, scores = classify_frames(sols, bf, config.class_threshold)
         composites: list[CompositeImage] = []
         for kind in (FrameClass.PROFILE, FrameClass.PLAN):

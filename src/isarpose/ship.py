@@ -9,6 +9,7 @@ report_fault: every Dwell applies both, and the dwell file reader too.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -277,6 +278,31 @@ class Dwell:
     def t(self) -> np.ndarray:
         """Frame-centre times (s), one per frame."""
         return (np.arange(len(self.frames)) + 0.5) * self.frame_interval
+
+    @functools.cached_property
+    def frame_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The frames grouped by report count, for stages that run one array
+        pass per group: an (index, reports) pair per count, in increasing
+        count order. index holds the group's k frame indices in order, and
+        reports is their read-only (k, n) plain REPORT_DTYPE array, frame
+        index[i]'s reports its row i. A group of one frame is a view of the
+        frame's own reports; a larger group is stacked once per dwell."""
+        reports = [fr.reports.view(np.ndarray) for fr in self.frames]
+        counts = np.array([len(rep) for rep in reports], dtype=np.int64)
+        order = np.argsort(counts, kind="stable")
+        groups = []
+        starts = np.flatnonzero(np.diff(counts[order])) + 1
+        for index in np.split(order, starts):
+            rows = reports[index[0]][None]
+            if len(index) > 1:
+                # joined as raw bytes, which NumPy copies faster than records
+                rows = np.concatenate([reports[k].view(_RAW_REPORT)
+                                       for k in index.tolist()])
+                rows = rows.view(REPORT_DTYPE).reshape(len(index),
+                                                       counts[index[0]])
+                rows.flags.writeable = False
+            groups.append((index, rows))
+        return tuple(groups)
 
 
 def ship_moments(model: ShipModel) -> tuple[float, float, float]:

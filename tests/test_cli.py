@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -411,6 +412,33 @@ class TestAnalyze:
                           for fr, t in zip(dwell.frames, dwell.t)]
         sim_report = json.loads((sim_dir / "run_report.json").read_text())
         assert not any("report noise" in f for f in sim_report["flags"])
+
+    @pytest.mark.parametrize("snr_db", [5000.0, -4000.0],
+                             ids=["power-overflows", "weights-underflow"])
+    def test_frame_of_non_finite_snr_weights_is_invalid(
+            self, canonical_dir, tmp_path, snr_db):
+        # 10^(SNR/10) overflows to inf past ~3,083 dB, and underflows to 0
+        # below ~-3,240 dB; either way frame 5's normalized weights are not
+        # finite, and the frame is invalid as an under-populated one is
+        dwell = load_dwell(str(canonical_dir / "dwell.csv"))
+        frames = list(dwell.frames)
+        rep = frames[5].reports
+        frames[5] = Frame(report_array(rep.t, snr_db, rep.r, rep.f, rep.a,
+                                       rep.truth_id))
+        odd = dataclasses.replace(dwell, frames=tuple(frames))
+        path = tmp_path / "dwell.csv"
+        save_dwell(odd, path)
+        out = tmp_path / "an"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--input", str(path), "--out", str(out),
+                         "--weighting", "snr"]) == 0
+        rows = _rows(out / "covariances.csv")
+        assert [k for k, row in enumerate(rows) if row["valid"] == "0"] == [5]
+        # every other frame keeps the moments it has in the untouched dwell
+        mom, before = moments_series(odd, "snr"), moments_series(dwell, "snr")
+        assert all(mom[k].tobytes() == before[k].tobytes()
+                   for k in range(len(frames)) if k != 5)
 
     def test_missing_input_is_data_error(self, tmp_path):
         code = main(["analyze", "--input", str(tmp_path / "absent.csv"),

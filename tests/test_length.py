@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from isarpose.length import (_extents, beam_rule, estimate_loa, frame_loa,
                              multipath_guard)
-from isarpose.ship import Frame, report_array
+from isarpose.ship import Dwell, Frame, report_array
 from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
                                simulate_degraded)
 from isarpose.validate import BadFitSeries
@@ -93,8 +93,8 @@ def _one_frame_screen(r, snr):
 
 
 def test_grouped_screen_matches_per_frame_guard():
-    # frames of one report count are screened together as the rows of one
-    # array; each must get, bit for bit, the extent the one-frame guard
+    # frames of one report count (one of the dwell's frame_groups) are
+    # screened together as the rows of one array; each must get, bit for bit, the extent the one-frame guard
     # leaves it: equal and ragged counts, counts under five (no screen) and
     # under three (no extent), some frames with a far, weak ghost
     rng = np.random.default_rng(8)
@@ -107,7 +107,9 @@ def test_grouped_screen_matches_per_frame_guard():
             j = rng.integers(n)
             r[j], snr[j] = 300.0 + k, 5.0
         frames.append(Frame(report_array(0.5 * k + 0.25, snr, r, 0.0, 0.0)))
-    r_lo, r_hi = _extents(tuple(frames))
+    r_lo, r_hi = _extents(Dwell(frames=tuple(frames), phi0=PHI0,
+                                theta0=THETA0, range_resolution=0.5,
+                                frame_interval=0.5, integration_time=0.5))
     dropped = 0
     for k, fr in enumerate(frames):
         kept = multipath_guard(fr.reports)
