@@ -9,7 +9,6 @@ one explicit runtime budget.
 
 from __future__ import annotations
 
-import dataclasses
 import filecmp
 import math
 import tempfile
@@ -301,7 +300,9 @@ def _ghost_dwell(dwell: Dwell, seed=3) -> Dwell:
             ghosts = report_array(tk, np.median(reports.snr) - 3.0, r, f, a)
             reports = np.concatenate([reports, ghosts])
         frames.append(Frame(reports))
-    return dataclasses.replace(dwell, frames=tuple(frames))
+    return Dwell.from_frames(frames, dwell.phi0, dwell.theta0,
+                             dwell.range_resolution, dwell.frame_interval,
+                             dwell.integration_time, dwell.report_sigmas)
 
 
 def check_length_accuracy() -> tuple[bool, str]:

@@ -387,20 +387,22 @@ def _slow_cubic(times, low: LowpassAspect, phi0: float) -> np.ndarray:
                            rcond=None)[0]
 
 
-def _wave_model(x: np.ndarray, times, phi0: float):
+def _wave_model(x: np.ndarray, times, phi0: float, accel: bool = False):
     """Slow aspect, lines' sum and trig of parameter rows x, (..., npar).
 
     times is _times(t). Returns the slow aspect phi0 + p0 u +
-    p1 (u^2 - mean u^2) + p2 u^3 as (angle, rate, acceleration), the lines'
-    sum, (2, 3, ..., n), as (aspect, tilt) x (angle, rate, acceleration),
-    and each line's (w, cos wt, sin wt).
+    p1 (u^2 - mean u^2) + p2 u^3 as (angle, rate), the lines' sum,
+    (2, 2, ..., n), as (aspect, tilt) x (angle, rate), and each line's
+    (w, cos wt, sin wt). With accel, the slow aspect and each line sum
+    also carry their acceleration, last; the fit scores no acceleration.
     """
     t, u, u2c, u3, u2 = times
     p0, p1, p2 = (x[..., j, None] for j in range(NPOLY))
     slow = (phi0 + (p0 * u + p1 * u2c + p2 * u3),
-            p0 + 2 * p1 * u + 3 * p2 * u2,
-            2 * p1 + 6 * p2 * u)
-    wave = np.zeros((2, 3) + slow[0].shape)
+            p0 + 2 * p1 * u + 3 * p2 * u2)
+    if accel:
+        slow += (2 * p1 + 6 * p2 * u,)
+    wave = np.zeros((2, len(slow)) + slow[0].shape)
     lines = x[..., HEAD:].reshape(x.shape[:-1] + (-1, 5))
     trig = []
     for k in range(lines.shape[-2]):
@@ -411,14 +413,15 @@ def _wave_model(x: np.ndarray, times, phi0: float):
             line = p * cw + q * sw
             angle[0] += line
             angle[1] += w * (q * cw - p * sw)
-            angle[2] -= w * w * line
+            if accel:
+                angle[2] -= w * w * line
         trig.append((w, cw, sw))
     return slow, wave, trig
 
 
 def _scored(x, times, phi0, theta0):
     # the (phi, theta, phi_dot, theta_dot) the fit scores at rows x; each line's trig
-    (phi, phi_dot, _), wave, trig = _wave_model(x, times, phi0)
+    (phi, phi_dot), wave, trig = _wave_model(x, times, phi0)
     return (phi + wave[0, 0], theta0 + wave[1, 0], phi_dot + wave[0, 1],
             wave[1, 1]), trig
 
@@ -588,7 +591,8 @@ def _fit_result(t: np.ndarray, x: np.ndarray, phi0: float, theta0: float,
     The track is _wave_model's slow aspect plus its lines, the sums the fit
     scores, clipped to ANGLE_LIMIT.
     """
-    (phi_mean, phi_dot, phi_ddot), wave, _ = _wave_model(x, _times(t), phi0)
+    (phi_mean, phi_dot, phi_ddot), wave, _ = _wave_model(x, _times(t), phi0,
+                                                         accel=True)
     (phi_hat, phi_w, phi_ww), (theta_hat, theta_w, theta_ww) = wave
     track = AngleTrack(angle_array(
         t, np.clip(phi_mean + phi_hat, -ANGLE_LIMIT, ANGLE_LIMIT),

@@ -13,11 +13,11 @@ accepted and ignored. Frame k is frame_index k, and every row must pass
 ship.report_fault, the report rules every Dwell holds. Floats are written
 with shortest round-trip repr, so every Dwell loads back as saved, and
 save -> load -> save is byte-identical. Neither direction holds the file
-as one text. The writer gives one ASCII byte chunk per frame. The reader
-takes the report lines from the open file in blocks of _BLOCK_ROWS; each
-block is parsed natively, by one np.loadtxt call on its final dtype,
-checked by report_fault and kept as one REPORT_DTYPE record array, which
-each of its frames slices (a frame that spans blocks joins its slices).
+as one text. The writer gives one ASCII byte chunk per frame, a slice of
+the dwell's report table. The reader takes the report lines from the open
+file in blocks of _BLOCK_ROWS; each block is parsed natively, by one
+np.loadtxt call on its final dtype, checked by report_fault and appended
+to the one report table of the Dwell, whose frame counts it then takes.
 Only a block that fails goes to the line-level diagnosis, which reads its
 lines one by one with int() and float() and names the first line that is
 malformed or breaks a report rule. Both parses take numbers as ASCII
@@ -37,7 +37,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .ship import (REPORT_DTYPE, SIGMA_KEYS, Dwell, Frame, is_number,
+from .ship import (REPORT_DTYPE, SIGMA_KEYS, Dwell, is_number,
                    metadata_fault, report_array, report_fault)
 
 FORMAT_NAME = "isar-dwell"
@@ -76,7 +76,7 @@ def dwell_text(dwell: Dwell) -> list[bytes]:
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "n_frames": len(dwell.frames),
+        "n_frames": len(dwell.counts),
         "frame_interval": dwell.frame_interval,
         "integration_time": dwell.integration_time,
         "phi0_deg": _exact_degrees(dwell.phi0),
@@ -85,13 +85,11 @@ def dwell_text(dwell: Dwell) -> list[bytes]:
     }
     if dwell.report_sigmas is not None:
         header.update(zip(SIGMA_KEYS, dwell.report_sigmas))
-    with_truth = any((fr.reports.view(np.ndarray)["truth_id"] >= 0).any()
-                     for fr in dwell.frames)
+    with_truth = bool((dwell.reports["truth_id"] >= 0).any())
     cols = _COLUMNS + (("truth_id",) if with_truth else ())
     chunks = [f"{json.dumps(header, sort_keys=True)}\n{','.join(cols)}\n"
               .encode("ascii")]
-    for k, fr in enumerate(dwell.frames):
-        reports = fr.reports.view(np.ndarray)
+    for k, reports in enumerate(np.split(dwell.reports, dwell.offsets[1:-1])):
         t = reports["t"]
         bits = t.view(np.int64)
         # tolist() and item() yield Python floats, whose repr is the
@@ -317,21 +315,23 @@ def _read_dwell(blocks: Iterator[list[str]]) -> Dwell:
 
     n_frames = int(header["n_frames"])
     interval = float(header["frame_interval"])
-    # rows arrive in frame order, so a frame's reports are one slice of
-    # each block it spans; only a frame spanning blocks is copied, so the
-    # reports are never held twice
-    parts = [[] for _ in range(n_frames)]
+    # each checked block joins the bytes of the one report table, which grow
+    # in place, so the reports are never held twice; of its frames a block
+    # keeps only their report counts
+    raw, seen = bytearray(), []
     for table in _report_blocks(blocks, cols, n_frames, interval):
-        reports = report_array(*(table[name] for name in _FLOATS),
-                               _truth(table))
-        bounds = np.searchsorted(table["frame_index"], np.arange(n_frames + 1))
-        for k in np.flatnonzero(np.diff(bounds)):
-            parts[k].append(reports[bounds[k]:bounds[k + 1]])
-    no_reports = report_array(*(np.zeros(0),) * 5)
-    frames = tuple(
-        Frame(p[0] if len(p) == 1 else np.concatenate([no_reports] + p))
-        for p in parts)
-    return Dwell(frames=frames,
+        raw += report_array(*(table[name] for name in _FLOATS),
+                            _truth(table)).data
+        seen.append(np.unique(table["frame_index"], return_counts=True))
+    # the one frame-sized allocation, once every report is read
+    try:
+        counts = np.zeros(n_frames, dtype=np.int64)
+    except (MemoryError, ValueError):
+        raise ValueError(f"line 1: header 'n_frames' {n_frames} is more "
+                         "frames than memory holds") from None
+    for index, count in seen:
+        counts[index] += count
+    return Dwell(np.frombuffer(raw, REPORT_DTYPE), counts,
                  phi0=math.radians(float(header["phi0_deg"])),
                  theta0=math.radians(float(header["theta0_deg"])),
                  range_resolution=float(header["range_resolution_m"]),

@@ -88,8 +88,8 @@ def _extents(dwell: Dwell) -> tuple[np.ndarray, np.ndarray]:
     """Range extent (r_min, r_max) of each frame's reports after the
     multipath screen, NaN where under three reports survive. The frames of
     each of dwell.frame_groups are screened together, one frame a row."""
-    r_lo = np.full(len(dwell.frames), np.nan)
-    r_hi = np.full(len(dwell.frames), np.nan)
+    r_lo = np.full(len(dwell.counts), np.nan)
+    r_hi = np.full(len(dwell.counts), np.nan)
     for index, reports in dwell.frame_groups:
         if reports.shape[1] < 3:
             continue
@@ -115,7 +115,7 @@ def estimate_loa(dwell: Dwell, track, badfit_series=None) -> LengthEstimate:
     than five survivors is an error.
     """
     phi, theta = track.samples.phi, track.samples.theta
-    n = len(dwell.frames)
+    n = len(dwell.counts)
     if len(phi) != n:
         raise ValueError("angle track and dwell lengths disagree")
     r_lo, r_hi = _extents(dwell)

@@ -187,7 +187,8 @@ def compose(dwell: Dwell, classes: list[FrameClass], track: AngleTrack,
     to cross-ship). Frames whose rate magnitude falls under RATE_FLOOR_FRAC
     of the dwell median are excluded (the division blows up); negative-rate
     frames are mirrored so all frames add coherently. Each frame is
-    centroid-aligned and weighted by linear-power SNR.
+    centroid-aligned and weighted by linear-power SNR, taken relative to
+    the strongest report so that no weight overflows.
     """
     if kind not in (FrameClass.PROFILE, FrameClass.PLAN):
         raise ValueError("composites exist for Profile and Plan only")
@@ -196,7 +197,7 @@ def compose(dwell: Dwell, classes: list[FrameClass], track: AngleTrack,
     med_rate = float(np.median(np.abs(rates))) if len(rates) else 0.0
     pts_r: list[np.ndarray] = []
     pts_c: list[np.ndarray] = []
-    wts: list[np.ndarray] = []
+    snrs: list[np.ndarray] = []
     used: list[int] = []
     for k, cls in enumerate(classes):
         if cls is not kind:
@@ -204,7 +205,7 @@ def compose(dwell: Dwell, classes: list[FrameClass], track: AngleTrack,
         rate = rates[k]
         if abs(rate) < RATE_FLOOR_FRAC * med_rate or rate == 0.0:
             continue
-        reports = dwell.frames[k].reports.view(np.ndarray)
+        reports = dwell.reports[dwell.offsets[k]:dwell.offsets[k + 1]]
         cross = reports["f"] / abs(rate)
         r = reports["r"] - reports["r"].mean()
         cross = cross - cross.mean()
@@ -214,7 +215,7 @@ def compose(dwell: Dwell, classes: list[FrameClass], track: AngleTrack,
             cross = -cross
         pts_r.append(r)
         pts_c.append(cross)
-        wts.append(snr_power(reports["snr"]))
+        snrs.append(reports["snr"])
         used.append(k)
     if not used:
         return CompositeImage(kind=kind, grid=np.zeros((1, 1)),
@@ -222,7 +223,10 @@ def compose(dwell: Dwell, classes: list[FrameClass], track: AngleTrack,
                               frames_used=())
     r_all = np.concatenate(pts_r)
     c_all = np.concatenate(pts_c)
-    w_all = np.concatenate(wts)
+    # power relative to the strongest report: every weight is finite and
+    # the peak-scaled image is the same
+    snr_all = np.concatenate(snrs)
+    w_all = snr_power(snr_all - snr_all.max())
     r_lo, r_hi = float(r_all.min()), float(r_all.max())
     c_lo, c_hi = float(c_all.min()), float(c_all.max())
     nr = max(2, int(np.ceil((r_hi - r_lo) / COMPOSITE_CELL)) + 1)

@@ -327,7 +327,7 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
         noise = (sigmas if any(sigmas or ())
                  else report_noise(dwell.range_resolution, T))
         m, cond = motion_matrix(track, T)
-        sols = [None] * len(dwell.frames)
+        sols = [None] * len(dwell.counts)
         rows = mom.view(np.ndarray)   # a recarray's fancy index costs ~2.5x
         for index, reports in dwell.frame_groups:
             group = invert_frame(reports, rows[index], m[index], cond[index],
@@ -425,7 +425,7 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
     # a plain dict: asdict rebuilds a Counter from its (key, count) pairs,
     # which counts the pairs
     return RunReport(
-        mode=config.mode, n_frames=len(dwell.frames),
+        mode=config.mode, n_frames=len(dwell.counts),
         angle_summary=_angle_summary(track, state),
         class_counts=dict(Counter(c.value for c in classes)), loa=loa_dict,
         badfit_count=int(np.sum(bf.flagged)), flags=tuple(flags),

@@ -2,7 +2,8 @@
 
 Drydock coordinates: x alongship (m), y cross-ship (m), z height (m).
 All angles in radians. All types are immutable value data and safe to
-share between threads. A frame is its reports; its dwell holds the rest.
+share between threads. A dwell holds every report in one table, frame by
+frame, with each frame's report count; a Frame is one frame's reports.
 The rules of dwell input are held here once, metadata_fault and
 report_fault: every Dwell applies both, and the dwell file reader too.
 """
@@ -204,9 +205,9 @@ def report_fault(frame_index, reports, truth_id, n_frames, frame_interval,
                            last=n_frames - 1)
 
 
-# Dwell checks runs of about _RULE_ROWS reports, whose masks stay in cache,
-# joined as raw bytes, which NumPy copies faster than a record's fields
+# Dwell checks runs of _RULE_ROWS reports, whose masks stay in cache
 _RULE_ROWS = 8192
+# a report as raw bytes, which NumPy copies faster than a record's fields
 _RAW_REPORT = np.dtype((np.void, REPORT_DTYPE.itemsize))
 
 
@@ -228,21 +229,26 @@ class Frame:
         object.__setattr__(self, "reports", reports)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dwell:
     """One continuous observation: at least one frame plus metadata.
 
-    Frame k is centred at t[k] = (k + 0.5) * frame_interval and integrates
-    for integration_time (both s). phi0/theta0 are the externally supplied
-    mean aspect/tilt (rad), and range_resolution is in m. report_sigmas are
-    the nominal report noise sigmas (range m, Doppler m/s, acceleration
-    m/s^2), or None when unknown. The metadata must pass metadata_fault;
-    its error names the dwell file header's key ("phi0_deg must be ...").
-    The reports, frame k's with frame_index k, must pass report_fault, whose
-    error follows "frame k: ". So every Dwell saves as a file that loads.
+    reports holds every report in one read-only plain REPORT_DTYPE table,
+    frame by frame in order, and counts[k] is frame k's report count (a
+    read-only int64 array), so frame k's reports are the table slice
+    reports[offsets[k]:offsets[k + 1]]. Frame k is centred at
+    t[k] = (k + 0.5) * frame_interval and integrates for integration_time
+    (both s). phi0/theta0 are the externally supplied mean aspect/tilt
+    (rad), and range_resolution is in m. report_sigmas are the nominal
+    report noise sigmas (range m, Doppler m/s, acceleration m/s^2), or None
+    when unknown. The metadata must pass metadata_fault; its error names
+    the dwell file header's key ("phi0_deg must be ..."). The reports,
+    frame k's with frame_index k, must pass report_fault, whose error
+    follows "frame k: ". So every Dwell saves as a file that loads.
     """
 
-    frames: tuple[Frame, ...]
+    reports: np.ndarray
+    counts: np.ndarray
     phi0: float
     theta0: float
     range_resolution: float
@@ -251,33 +257,65 @@ class Dwell:
     report_sigmas: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
         if self.report_sigmas is not None:
             sig = tuple(float(s) for s in self.report_sigmas)
             if len(sig) != len(SIGMA_KEYS):
                 raise ValueError("report sigmas must be three numbers")
             object.__setattr__(self, "report_sigmas", sig)
-        fault = metadata_fault(len(self.frames), self.frame_interval,
+        reports, counts = np.asarray(self.reports), np.asarray(self.counts)
+        fault = metadata_fault(len(counts), self.frame_interval,
                                self.integration_time, self.phi0, self.theta0,
                                self.range_resolution, self.report_sigmas)
         if fault is not None:
             raise ValueError(" ".join(fault))
-        # a run starts a frame, so no report before it bears on its rules
-        reports = [fr.reports.view(_RAW_REPORT) for fr in self.frames]
-        step = _RULE_ROWS * len(reports) // max(sum(map(len, reports)), 1) or 1
-        for lo in range(0, len(reports), step):
-            run = reports[lo:lo + step]
-            table = np.concatenate(run).view(REPORT_DTYPE)
-            index = np.repeat(np.arange(lo, lo + len(run)), list(map(len, run)))
-            fault = report_fault(index, table, table["truth_id"],
-                                 len(reports), self.frame_interval)
+        if reports.dtype != REPORT_DTYPE or reports.ndim != 1:
+            raise ValueError("reports must be a 1-D REPORT_DTYPE array")
+        if not (counts.ndim == 1 and counts.dtype.kind in "iu"
+                and (counts >= 0).all() and counts.sum() == len(reports)):
+            raise ValueError("counts must be one report count per frame, "
+                             "summing to the reports")
+        # a read-only view of the caller's table, and a copy of the counts
+        for name, arr in (("reports", reports.view(REPORT_DTYPE)),
+                          ("counts", counts.astype(np.int64))):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        index = np.repeat(np.arange(len(counts)), counts)
+        t = self.reports["t"]
+        for lo in range(0, len(t), _RULE_ROWS):
+            run = self.reports[lo:lo + _RULE_ROWS]
+            prev = (index[lo - 1], t[lo - 1]) if lo else (-1, -math.inf)
+            fault = report_fault(index[lo:lo + _RULE_ROWS], run,
+                                 run["truth_id"], len(counts),
+                                 self.frame_interval, prev)
             if fault is not None:
-                raise ValueError(f"frame {index[fault[0]]}: {fault[1]}")
+                raise ValueError(f"frame {index[lo + fault[0]]}: {fault[1]}")
+
+    @classmethod
+    def from_frames(cls, frames, *metadata, **kw) -> Dwell:
+        """Dwell(reports, counts, *metadata, **kw) of the Frames in order,
+        their reports copied into its one table: the frame-by-frame way in."""
+        raw = [fr.reports.view(np.ndarray).view(_RAW_REPORT) for fr in frames]
+        reports = np.concatenate([np.empty(0, _RAW_REPORT)] + raw)
+        return cls(reports.view(REPORT_DTYPE), [len(r) for r in raw],
+                   *metadata, **kw)
 
     @property
     def t(self) -> np.ndarray:
         """Frame-centre times (s), one per frame."""
-        return (np.arange(len(self.frames)) + 0.5) * self.frame_interval
+        return (np.arange(len(self.counts)) + 0.5) * self.frame_interval
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        """Frame k's reports are reports[offsets[k]:offsets[k + 1]]."""
+        offsets = np.concatenate(([0], np.cumsum(self.counts)))
+        offsets.flags.writeable = False
+        return offsets
+
+    @functools.cached_property
+    def frames(self) -> tuple[Frame, ...]:
+        """Each frame's reports as a Frame, a view of the table, for callers
+        that take a dwell frame by frame; built on first use."""
+        return tuple(map(Frame, np.split(self.reports, self.offsets[1:-1])))
 
     @functools.cached_property
     def frame_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -285,21 +323,20 @@ class Dwell:
         pass per group: an (index, reports) pair per count, in increasing
         count order. index holds the group's k frame indices in order, and
         reports is their read-only (k, n) plain REPORT_DTYPE array, frame
-        index[i]'s reports its row i. A group of one frame is a view of the
-        frame's own reports; a larger group is stacked once per dwell."""
-        reports = [fr.reports.view(np.ndarray) for fr in self.frames]
-        counts = np.array([len(rep) for rep in reports], dtype=np.int64)
-        order = np.argsort(counts, kind="stable")
+        index[i]'s reports its row i. A group of consecutive frames is a
+        view of the table; any other group is gathered once per dwell."""
+        order = np.argsort(self.counts, kind="stable")
         groups = []
-        starts = np.flatnonzero(np.diff(counts[order])) + 1
+        starts = np.flatnonzero(np.diff(self.counts[order])) + 1
         for index in np.split(order, starts):
-            rows = reports[index[0]][None]
-            if len(index) > 1:
-                # joined as raw bytes, which NumPy copies faster than records
-                rows = np.concatenate([reports[k].view(_RAW_REPORT)
-                                       for k in index.tolist()])
-                rows = rows.view(REPORT_DTYPE).reshape(len(index),
-                                                       counts[index[0]])
+            k, n = len(index), int(self.counts[index[0]])
+            if index[-1] - index[0] == k - 1:
+                lo = int(self.offsets[index[0]])
+                rows = self.reports[lo:lo + k * n].reshape(k, n)
+            else:
+                rows = self.reports.view(_RAW_REPORT)[
+                    self.offsets[index, None] + np.arange(n)]
+                rows = rows.view(REPORT_DTYPE)
                 rows.flags.writeable = False
             groups.append((index, rows))
         return tuple(groups)

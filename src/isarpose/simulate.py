@@ -18,8 +18,8 @@ import numpy as np
 
 from .length import beam_rule
 from .motion import motion_rows
-from .ship import (SIGMA_KEYS, AngleTrack, Dwell, Frame, ShipModel,
-                   angle_array, metadata_fault, report_array)
+from .ship import (REPORT_DTYPE, SIGMA_KEYS, AngleTrack, Dwell, ShipModel,
+                   angle_array, metadata_fault)
 
 BASE_SNR_DB = 20.0  # reference SNR of a unit-rcs scatterer
 # the scenario's own names for metadata_fault's keys, where they differ
@@ -237,14 +237,20 @@ def simulate_degraded(model: ShipModel, track: AngleTrack,
     """Every scatterer's exact (r, f, a) at SNR 20 dB + 10 log10(rcs), under
     the noise, fading, SNR floor and injectors of cfg; the dwell records
     cfg.noise as its report sigmas. A source whose sigma is 0 adds nothing,
-    so a noise-free cfg reports the rfa_of values bit for bit."""
+    so a noise-free cfg reports the rfa_of values bit for bit. Each frame's
+    kept scatterers, then its injected rows, are written into the dwell's
+    one report table as the frame is drawn."""
     vals = rfa_of(model.xyz, track.samples)
     # math.log10 per value: np.log10 can differ in the last bit
     rcs_db = np.array([10 * math.log10(w) for w in model.rcs.tolist()])
     r_span = (float(vals[..., 0].min()), float(vals[..., 0].max()))
     f_span = (float(vals[..., 1].min()), float(vals[..., 1].max()))
     n_s = len(model.xyz)
-    frames = []
+    # room for every scatterer and injected row of every frame; the pages
+    # past the rows written are never touched
+    most = n_s + sum(spec.density for spec in cfg.injectors)
+    table = np.empty(len(track.samples) * most, REPORT_DTYPE)
+    counts, n = [], 0
     for k, tk in enumerate(track.samples.t.tolist()):
         rng = np.random.default_rng([cfg.seed, k])
         snr = BASE_SNR_DB + rcs_db
@@ -258,8 +264,14 @@ def simulate_degraded(model: ShipModel, track: AngleTrack,
         keep = np.flatnonzero(snr >= cfg.snr_floor)
         extra = np.array([row for spec in cfg.injectors
                           for row in _inject(spec, tk, rng, r_span, f_span)])
-        frames.append(Frame(np.concatenate([
-            report_array(tk, snr[keep], *rfa[keep].T, keep),
-            report_array(tk, *extra.reshape(-1, 4).T)])))
-    return Dwell(tuple(frames), cfg.phi0, cfg.theta0, cfg.range_resolution,
+        counts.append(len(keep) + len(extra))
+        kept, injected = np.split(table[n:n + counts[-1]], [len(keep)])
+        n += counts[-1]
+        for name, col in zip(REPORT_DTYPE.names, (tk, snr[keep], *rfa[keep].T,
+                                                  keep)):
+            kept[name] = col
+        for name, col in zip(REPORT_DTYPE.names, (tk, *extra.reshape(-1, 4).T,
+                                                  -1)):
+            injected[name] = col
+    return Dwell(table[:n], counts, cfg.phi0, cfg.theta0, cfg.range_resolution,
                  cfg.frame_interval, cfg.integration_time, cfg.noise)

@@ -5,12 +5,20 @@ import pytest
 
 from isarpose.angles import estimate_angles
 from isarpose.moments import moments_series
+from isarpose.ship import Dwell
 from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
                                simulate_degraded)
 
 PHI0 = np.deg2rad(45.0)
 THETA0 = np.deg2rad(30.0)
 LOA = 120.0
+
+
+def with_frames(dwell, frames):
+    """A dwell of the given frames with the metadata of `dwell`."""
+    return Dwell.from_frames(frames, dwell.phi0, dwell.theta0,
+                             dwell.range_resolution, dwell.frame_interval,
+                             dwell.integration_time, dwell.report_sigmas)
 
 
 @pytest.fixture(scope="session")

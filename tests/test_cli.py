@@ -25,6 +25,7 @@ from isarpose.pose import (COND_GUARD, PEARLS_EPS, FrameClass, _classify,
                            invert_frame, motion_matrix, report_noise)
 from isarpose.ship import SIGMA_KEYS, Dwell, Frame, report_array
 from isarpose.simulate import ScenarioConfig
+from tests.conftest import with_frames
 
 SCENARIO = {
     "duration": 30.0,
@@ -320,7 +321,7 @@ class TestSimulate:
                     reports = reports.copy()
                     reports.truth_id = -1
                 frames.append(Frame(reports))
-            simulated.append(dataclasses.replace(dwell, frames=tuple(frames)))
+            simulated.append(with_frames(dwell, frames))
             return simulated[-1]
 
         monkeypatch.setattr(isarpose.runner, "simulate_degraded", gappy)
@@ -425,7 +426,7 @@ class TestAnalyze:
         rep = frames[5].reports
         frames[5] = Frame(report_array(rep.t, snr_db, rep.r, rep.f, rep.a,
                                        rep.truth_id))
-        odd = dataclasses.replace(dwell, frames=tuple(frames))
+        odd = with_frames(dwell, frames)
         path = tmp_path / "dwell.csv"
         save_dwell(odd, path)
         out = tmp_path / "an"
@@ -439,6 +440,51 @@ class TestAnalyze:
         mom, before = moments_series(odd, "snr"), moments_series(dwell, "snr")
         assert all(mom[k].tobytes() == before[k].tobytes()
                    for k in range(len(frames)) if k != 5)
+
+    def test_overflowing_snr_keeps_its_composite(self, canonical_dir,
+                                                 tmp_path):
+        # 10^(SNR/10) overflows past ~3,083 dB; a composite weighs its
+        # reports by power relative to its strongest, so a Plan frame of
+        # 5000 dB leaves every weight finite and the image not blank
+        dwell = load_dwell(str(canonical_dir / "dwell.csv"))
+        frames = list(dwell.frames)
+        rep = frames[26].reports
+        frames[26] = Frame(report_array(rep.t, 5000.0, rep.r, rep.f, rep.a,
+                                        rep.truth_id))
+        path = tmp_path / "dwell.csv"
+        save_dwell(with_frames(dwell, frames), path)
+        out = tmp_path / "an"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--input", str(path), "--out", str(out),
+                         "--weighting", "uniform"]) == 0
+        plan = json.loads((out / "composite_plan.json").read_text())
+        assert 26 in plan["frames_used"]
+        pgm = (out / "composite_plan.pgm").read_bytes()
+        width, height = plan["shape"][1], plan["shape"][0]
+        pixels = pgm[-width * height:]
+        assert any(pixels)
+
+    def test_header_frame_count_beyond_memory_is_data_error(self, tmp_path,
+                                                            capsys):
+        # the frame counts are allocated once every report is read; a count
+        # no array can hold used to build a list per frame before any report
+        header = {"format": "isar-dwell", "version": 1, "n_frames": 2 ** 62,
+                  "frame_interval": 0.5, "integration_time": 0.5,
+                  "phi0_deg": 45.0, "theta0_deg": 30.0,
+                  "range_resolution_m": 0.5}
+        path = tmp_path / "dwell.csv"
+        path.write_text(json.dumps(header) + "\n"
+                        "frame_index,t,snr_db,range_m,doppler_mps,accel_mps2\n"
+                        "0,0.25,20.0,1.0,0.0,0.0\n"
+                        "1,0.75,20.0,2.0,0.0,0.0\n"
+                        "2,1.25,20.0,3.0,0.0,0.0\n")
+        code = main(["analyze", "--input", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == (
+            3, "data error: line 1: header 'n_frames' 4611686018427387904 is "
+            "more frames than memory holds\n")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_input_is_data_error(self, tmp_path):
         code = main(["analyze", "--input", str(tmp_path / "absent.csv"),
@@ -610,8 +656,8 @@ def test_dwell_rules_give_one_reason_at_every_boundary(sim_dir, tmp_path,
             2, f"config error: scenario '{scenario_key}': {reason}\n")
 
     with pytest.raises(ValueError) as err:
-        Dwell((Frame(report_array([0.25], 20.0, 0.0, 0.0, 0.0)),),
-              report_sigmas=sigmas, **kw)
+        Dwell.from_frames((Frame(report_array([0.25], 20.0, 0.0, 0.0, 0.0)),),
+                          report_sigmas=sigmas, **kw)
     assert str(err.value) == f"{key} {reason}"
 
 
@@ -623,6 +669,27 @@ def canonical_dir(tmp_path_factory):
                  "--out", str(out)])
     assert code == 0
     return out
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "snr"])
+def test_runs_build_no_frame_objects(tmp_path, monkeypatch, weighting):
+    # every stage of a run reads the dwell's one report table; Frame views
+    # are built only for a caller that asks for dwell.frames
+    built = []
+    init = Frame.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(Frame, "__post_init__", counted)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", _write_config(tmp_path, CANONICAL),
+                 "--out", str(sim), "--weighting", weighting]) == 0
+    assert main(["analyze", "--input", str(sim / "dwell.csv"),
+                 "--out", str(tmp_path / "an"), "--weighting", weighting]) == 0
+    assert built == []
+    assert len(load_dwell(str(sim / "dwell.csv")).frames) == len(built) == 120
 
 
 class TestReportSigmas:

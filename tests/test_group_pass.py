@@ -9,7 +9,6 @@ range or Doppler spread, near-collinear frames and frames whose motion
 cannot be inverted.
 """
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from isarpose.moments import (EPS_VAR, MOMENT_DTYPE, frame_moments,
 from isarpose.pose import (COND_GUARD, PEARLS_EPS, invert_frame,
                            motion_matrix)
 from isarpose.ship import AngleTrack, Dwell, Frame, angle_array, report_array
-from tests.conftest import PHI0, THETA0
+from tests.conftest import PHI0, THETA0, with_frames
 
 NOISE = (0.25, 0.03, 0.01)
 SIGMAS = (0.2, 0.03, 0.02)
@@ -108,9 +107,9 @@ def _ragged_dwell(seed, sigmas):
             f = 0.02 * r + rng.normal(0.0, 1e-4, n)
         snr = rng.uniform(5.0, 40.0, n)
         frames.append(Frame(report_array((k + 0.5) * 0.5, snr, r, f, a)))
-    return Dwell(frames=tuple(frames), phi0=PHI0, theta0=THETA0,
-                 range_resolution=0.5, frame_interval=0.5,
-                 integration_time=0.5, report_sigmas=sigmas)
+    return Dwell.from_frames(frames, phi0=PHI0, theta0=THETA0,
+                             range_resolution=0.5, frame_interval=0.5,
+                             integration_time=0.5, report_sigmas=sigmas)
 
 
 def _ragged_track(dwell, seed):
@@ -219,7 +218,7 @@ def test_a_replaced_dwell_groups_its_own_frames():
     dwell = _ragged_dwell(2, SIGMAS)
     frames = list(dwell.frames)
     frames[3] = Frame(frames[3].reports[:2])
-    other = dataclasses.replace(dwell, frames=tuple(frames))
+    other = with_frames(dwell, frames)
     mom = moments_series(other)
     assert not mom.valid[3] and mom.n_targets[3] == 2
     assert mom[4].tobytes() == moments_series(dwell)[4].tobytes()

@@ -45,10 +45,10 @@ def _dwell(rows, interval=0.5, phi0=math.radians(45.0),
         snr, r, f, a = np.array(frame_rows, dtype=float).reshape(-1, 4).T
         truth = -1 if truth_ids is None else truth_ids[k]
         frames.append(Frame(report_array(t, snr, r, f, a, truth)))
-    return Dwell(tuple(frames), phi0=phi0, theta0=theta0,
-                 range_resolution=0.5, frame_interval=interval,
-                 integration_time=integration_time,
-                 report_sigmas=report_sigmas)
+    return Dwell.from_frames(frames, phi0=phi0, theta0=theta0,
+                             range_resolution=0.5, frame_interval=interval,
+                             integration_time=integration_time,
+                             report_sigmas=report_sigmas)
 
 
 def test_round_trip_preserves_every_field(tmp_path):
@@ -129,8 +129,9 @@ def test_rows_match_the_per_row_reference_format(tmp_path):
                                  -2.0, 1e-12, [1, -1, 2, 3])),
               Frame(report_array([1.25, 1.25], 21.0, 4.0, 5.0, 6.0)),
               Frame(report_array(np.zeros(0), 0.0, 0.0, 0.0, 0.0)))
-    dwell = Dwell(frames, phi0=0.5, theta0=0.3, range_resolution=0.5,
-                  frame_interval=0.5, integration_time=0.5)
+    dwell = Dwell.from_frames(frames, phi0=0.5, theta0=0.3,
+                              range_resolution=0.5, frame_interval=0.5,
+                              integration_time=0.5)
     reference = [f"{k},{t!r},{snr!r},{r!r},{f!r},{a!r},"
                  + (str(truth) if truth >= 0 else "")
                  for k, fr in enumerate(frames)
@@ -138,6 +139,49 @@ def test_rows_match_the_per_row_reference_format(tmp_path):
     assert _text(dwell).splitlines()[2:] == reference
     assert [row.split(",")[1] for row in reference[:3]] == ["0.0", "-0.0",
                                                             "0.0"]
+    path = tmp_path / "d.csv"
+    save_dwell(dwell, path)
+    assert _text(load_dwell(path)) == path.read_text()
+
+
+def _per_frame_text(frames, with_truth):
+    """The report lines of a dwell file written frame by frame and row by
+    row from the frames themselves."""
+    return "".join(
+        f"{k},{t!r},{snr!r},{r!r},{f!r},{a!r}"
+        + (("," + (str(truth) if truth >= 0 else "")) if with_truth else "")
+        + "\n"
+        for k, fr in enumerate(frames)
+        for t, snr, r, f, a, truth in fr.reports.tolist())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_table_text_matches_the_per_frame_text(tmp_path, seed):
+    # ragged frames of 0-5 reports, empty ones first, last and in runs,
+    # times of 0.0 and -0.0 in frame 0 and blank truth_id cells; a dwell
+    # without any truth id writes no truth_id column
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 6, 12)
+    counts[[0, 5, 6, -1][seed % 4]] = 0
+    frames = []
+    for k, n in enumerate(counts.tolist()):
+        t = (k + rng.uniform(0.0, 1.0, n)) * 0.5
+        if k == 0:
+            t = rng.choice([0.0, -0.0, 0.25], n)
+        t.sort(kind="stable")
+        truth = (rng.integers(-1, 30, n) if seed % 3 else np.full(n, -1))
+        frames.append(Frame(report_array(
+            t, rng.normal(20.0, 3.0, n), rng.normal(0.0, 40.0, n),
+            rng.normal(0.0, 2.0, n), rng.normal(0.0, 0.1, n), truth)))
+    dwell = Dwell.from_frames(frames, phi0=0.5, theta0=0.3,
+                              range_resolution=0.5, frame_interval=0.5,
+                              integration_time=0.5)
+    with_truth = any((fr.reports.truth_id >= 0).any() for fr in frames)
+    assert with_truth == bool(seed % 3)
+    header, columns, rows = _text(dwell).split("\n", 2)
+    assert json.loads(header)["n_frames"] == len(frames)
+    assert columns.endswith(",truth_id") == with_truth
+    assert rows == _per_frame_text(frames, with_truth)
     path = tmp_path / "d.csv"
     save_dwell(dwell, path)
     assert _text(load_dwell(path)) == path.read_text()

@@ -1,6 +1,5 @@
 """Length estimation: projection correction, guards, dwell aggregation."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +13,7 @@ from isarpose.ship import Dwell, Frame, report_array
 from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
                                simulate_degraded)
 from isarpose.validate import BadFitSeries
-from tests.conftest import LOA, PHI0, THETA0
+from tests.conftest import LOA, PHI0, THETA0, with_frames
 
 FT_PER_M = 1.0 / 0.3048
 
@@ -107,9 +106,10 @@ def test_grouped_screen_matches_per_frame_guard():
             j = rng.integers(n)
             r[j], snr[j] = 300.0 + k, 5.0
         frames.append(Frame(report_array(0.5 * k + 0.25, snr, r, 0.0, 0.0)))
-    r_lo, r_hi = _extents(Dwell(frames=tuple(frames), phi0=PHI0,
-                                theta0=THETA0, range_resolution=0.5,
-                                frame_interval=0.5, integration_time=0.5))
+    dwell = Dwell.from_frames(frames, phi0=PHI0, theta0=THETA0,
+                              range_resolution=0.5, frame_interval=0.5,
+                              integration_time=0.5)
+    r_lo, r_hi = _extents(dwell)
     dropped = 0
     for k, fr in enumerate(frames):
         kept = multipath_guard(fr.reports)
@@ -139,7 +139,7 @@ class TestEstimateLoa:
                 fr.reports.t, fr.reports.snr, fr.reports.r + 500.0,
                 fr.reports.f, fr.reports.a, fr.reports.truth_id))
             for fr in ideal_dwell.frames)
-        shifted = dataclasses.replace(ideal_dwell, frames=shifted_frames)
+        shifted = with_frames(ideal_dwell, shifted_frames)
         a = estimate_loa(ideal_dwell, ideal_track)
         b = estimate_loa(shifted, ideal_track)
         assert b.loa == pytest.approx(a.loa, rel=1e-12)

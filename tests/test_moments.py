@@ -12,6 +12,7 @@ from isarpose.moments import (EPS_VAR, MOMENT_DTYPE, frame_moments,
 from isarpose.ship import Dwell, Frame, report_array
 from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
                                simulate_degraded)
+from tests.conftest import with_frames
 
 _finite = st.floats(min_value=-100.0, max_value=100.0,
                     allow_nan=False, allow_infinity=False)
@@ -72,9 +73,10 @@ def test_underpopulated_or_spreadless_frames_invalid():
 
 
 def _one_frame_dwell(frame, report_sigmas=None):
-    return Dwell((frame,), phi0=0.7, theta0=0.5, range_resolution=0.5,
-                 frame_interval=0.5, integration_time=0.5,
-                 report_sigmas=report_sigmas)
+    return Dwell.from_frames((frame,), phi0=0.7, theta0=0.5,
+                             range_resolution=0.5, frame_interval=0.5,
+                             integration_time=0.5,
+                             report_sigmas=report_sigmas)
 
 
 @pytest.mark.parametrize("weighting", ["uniform", "snr"])
@@ -230,7 +232,7 @@ def test_moments_series_preserves_order_and_invalid_slots(ideal_dwell):
     frames = list(ideal_dwell.frames)
     fr = frames[7]
     frames[7] = dataclasses.replace(fr, reports=fr.reports[:2])
-    dwell = dataclasses.replace(ideal_dwell, frames=frames)
+    dwell = with_frames(ideal_dwell, frames)
     mom = moments_series(dwell)
     assert mom.dtype == MOMENT_DTYPE and len(mom) == len(frames)
     assert np.array_equal(mom.t, (np.arange(len(frames)) + 0.5) * 0.5)

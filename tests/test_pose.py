@@ -263,9 +263,9 @@ class TestCompose:
             reports = _reports([(xi, -td * zi, 0.0) for xi, zi in zip(x, z)],
                                t=0.25 + 0.5 * k)
             frames.append(Frame(reports))
-        dwell = Dwell(tuple(frames), phi0=0.0, theta0=0.0,
-                      range_resolution=0.5, frame_interval=0.5,
-                      integration_time=0.5)
+        dwell = Dwell.from_frames(frames, phi0=0.0, theta0=0.0,
+                                  range_resolution=0.5, frame_interval=0.5,
+                                  integration_time=0.5)
         return dwell, [FrameClass.PROFILE] * 2
 
     def _track(self, rates):

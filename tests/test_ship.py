@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+import isarpose.ship
 from isarpose.io import load_dwell
 from isarpose.ship import (ANGLE_DTYPE, REPORT_DTYPE, AngleTrack, Dwell,
                            Frame, ShipModel, angle_array, report_array,
@@ -159,14 +160,14 @@ def _hand_written(kw):
 def test_dwell_reports_may_reach_their_slot_edges():
     # the reader's test is strict, so a report on a slot edge is in its frame
     frames = (Frame(report_array([0.0, 0.5], 20.0, 0.0, 0.0, 0.0, [-1, 0])),)
-    Dwell(frames, phi0=-1.5, theta0=1.5, range_resolution=0.5,
-          frame_interval=0.5, integration_time=0.5)
+    Dwell.from_frames(frames, phi0=-1.5, theta0=1.5, range_resolution=0.5,
+                      frame_interval=0.5, integration_time=0.5)
 
 
 def test_dwell_holds_the_frame_grid_once():
-    dwell = Dwell(_one_report_frames(3), phi0=0.5, theta0=0.3,
-                  range_resolution=0.5, frame_interval=0.5,
-                  integration_time=2.0)
+    dwell = Dwell.from_frames(_one_report_frames(3), phi0=0.5, theta0=0.3,
+                              range_resolution=0.5, frame_interval=0.5,
+                              integration_time=2.0)
     assert dwell.t.tolist() == [0.25, 0.75, 1.25]
     assert dwell.integration_time == 2.0
     assert [f.name for f in dataclasses.fields(Frame)] == ["reports"]
@@ -176,7 +177,7 @@ _ANGLE_RULE = "^{}_deg must be finite and strictly between -90 and 90$"
 
 
 # a pytest.param id names the rule its case breaks
-@pytest.mark.parametrize("change, match", [
+_DWELL_FAULTS = [
     pytest.param({"frames": ()}, "^n_frames must be an integer from 1 to the "
                  "int64 maximum$", id="change0-at least one frame"),
     ({"integration_time": 0.0}, "must be positive and finite"),
@@ -231,12 +232,15 @@ _ANGLE_RULE = "^{}_deg must be finite and strictly between -90 and 90$"
                    id=f"nonfinite-{field}")
       for field, value in zip(REPORT_DTYPE.names[:5],
                               (np.nan, np.inf, -np.inf, np.nan, np.inf))),
-])
+]
+
+
+@pytest.mark.parametrize("change, match", _DWELL_FAULTS)
 def test_dwell_rejects_what_a_dwell_file_cannot_hold(tmp_path, change, match):
     kw = dict(frames=_one_report_frames(2), phi0=0.5, theta0=0.3,
               range_resolution=0.5, frame_interval=0.5, integration_time=0.5)
     with pytest.raises(ValueError, match=match) as err:
-        Dwell(**{**kw, **change})
+        Dwell.from_frames(**{**kw, **change})
     if change.get("frames"):
         path = tmp_path / "dwell.csv"
         path.write_text(_hand_written({**kw, **change}))
@@ -246,20 +250,105 @@ def test_dwell_rejects_what_a_dwell_file_cannot_hold(tmp_path, change, match):
                 == re.fullmatch(r"frame \d+: (.*)", str(err.value))[1])
 
 
+@pytest.mark.parametrize("change, match", [
+    # a report rule's case, pytest.param or plain tuple, changes the frames
+    case for case in _DWELL_FAULTS
+    if getattr(case, "values", case)[0].get("frames")])
+def test_one_table_rejects_what_its_frames_break(change, match):
+    # the table and counts built by hand fail as from_frames does: one
+    # report rule pass over the whole table, frame k named
+    frames = change["frames"]
+    table = np.concatenate([fr.reports for fr in frames])
+    with pytest.raises(ValueError, match=match):
+        Dwell(table, [len(fr.reports) for fr in frames], phi0=0.5,
+              theta0=0.3, range_resolution=0.5, frame_interval=0.5,
+              integration_time=0.5)
+
+
+def test_report_rules_run_across_rule_runs(monkeypatch):
+    # a run of the rule pass may start inside a frame, and the first report
+    # of a run is judged against the last one of the run before
+    monkeypatch.setattr(isarpose.ship, "_RULE_ROWS", 2)
+    reps = report_array([0.85, 0.8, 0.9], 20.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError,
+                       match="^frame 1: time decreases within a frame$"):
+        Dwell.from_frames(_one_report_frames(1) + (Frame(reps),), phi0=0.5,
+                          theta0=0.3, range_resolution=0.5,
+                          frame_interval=0.5, integration_time=0.5)
+
+
+@pytest.mark.parametrize("counts", [[1, 1], [2, 0, 0], [1, -1, 3], [3.0],
+                                    [[3]]])
+def test_dwell_counts_must_sum_to_its_reports(counts):
+    reps = report_array(0.25, 20.0, [1.0, 2.0, 3.0], 0.0, 0.0)
+    with pytest.raises(ValueError, match="^counts must be one report count "
+                       "per frame, summing to the reports$"):
+        Dwell(reps, counts, phi0=0.5, theta0=0.3, range_resolution=0.5,
+              frame_interval=0.5, integration_time=0.5)
+    with pytest.raises(ValueError, match="REPORT_DTYPE"):
+        Dwell(np.zeros((3, 6)), [3], phi0=0.5, theta0=0.3,
+              range_resolution=0.5, frame_interval=0.5, integration_time=0.5)
+
+
+def _ragged_one_table_dwell():
+    # frames of 0-3 reports: runs of equal counts beside lone counts
+    counts = [2, 2, 2, 0, 3, 1, 1, 0, 2, 4, 4]
+    frames = tuple(
+        Frame(report_array((k + 0.5) * 0.5, 20.0 + np.arange(n), 1.0 * k,
+                           0.5, 0.0, np.arange(n) - 1))
+        for k, n in enumerate(counts))
+    return Dwell.from_frames(frames, phi0=0.5, theta0=0.3,
+                             range_resolution=0.5, frame_interval=0.5,
+                             integration_time=0.5), frames
+
+
+def test_dwell_holds_one_read_only_table_that_its_frames_view():
+    dwell, frames = _ragged_one_table_dwell()
+    assert type(dwell.reports) is np.ndarray
+    assert dwell.reports.dtype == REPORT_DTYPE
+    assert dwell.counts.tolist() == [len(fr.reports) for fr in frames]
+    assert dwell.offsets.tolist() == [0, 2, 4, 6, 6, 9, 10, 11, 11, 13, 17,
+                                      21]
+    for arr in (dwell.reports, dwell.counts, dwell.offsets):
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+    # the frames are built once, and each is a view of the table
+    assert dwell.frames is dwell.frames
+    for k, (fr, given) in enumerate(zip(dwell.frames, frames)):
+        assert fr.reports.tobytes() == given.reports.tobytes(), k
+        if len(given.reports):
+            assert np.shares_memory(fr.reports, dwell.reports), k
+
+
+def test_consecutive_equal_count_frames_group_as_a_view():
+    dwell, frames = _ragged_one_table_dwell()
+    for index, rows in dwell.frame_groups:
+        assert rows.tobytes() == b"".join(frames[k].reports.tobytes()
+                                          for k in index.tolist())
+        assert not rows.flags.writeable
+    # a group of consecutive frames is a view of the table; frames 0-2 and
+    # 8 hold two reports each, so their group is gathered
+    assert {tuple(index.tolist()): np.shares_memory(rows, dwell.reports)
+            for index, rows in dwell.frame_groups} == {
+        (3, 7): False, (5, 6): True, (0, 1, 2, 8): False, (4,): True,
+        (9, 10): True}
+
+
 @pytest.mark.parametrize("sigmas", [(0.2, 0.03), (0.2, -0.03, 0.02),
                                     (0.2, float("nan"), 0.02)])
 def test_dwell_rejects_bad_report_sigmas(sigmas):
     frames = _one_report_frames(1)
-    dwell = Dwell(frames, phi0=0.5, theta0=0.3, range_resolution=0.5,
-                  frame_interval=0.5, integration_time=0.5,
-                  report_sigmas=[0.2, 0, 0.02])
+    dwell = Dwell.from_frames(frames, phi0=0.5, theta0=0.3,
+                              range_resolution=0.5, frame_interval=0.5,
+                              integration_time=0.5,
+                              report_sigmas=[0.2, 0, 0.02])
     assert dwell.report_sigmas == (0.2, 0.0, 0.02)
     match = ("^report sigmas must be three numbers$" if len(sigmas) != 3
              else "^sigma_doppler_mps must be a finite number >= 0$")
     with pytest.raises(ValueError, match=match):
-        Dwell(frames, phi0=0.5, theta0=0.3, range_resolution=0.5,
-              frame_interval=0.5, integration_time=0.5,
-              report_sigmas=sigmas)
+        Dwell.from_frames(frames, phi0=0.5, theta0=0.3,
+                          range_resolution=0.5, frame_interval=0.5,
+                          integration_time=0.5, report_sigmas=sigmas)
 
 
 def test_report_array_broadcasts_columns():
@@ -279,8 +368,9 @@ def test_frame_rejects_nonfinite_column(field, value):
     reps[field][1] = value
     with pytest.raises(ValueError,
                        match="^frame 0: report fields must be finite$"):
-        Dwell((Frame(reps),), phi0=0.5, theta0=0.3, range_resolution=0.5,
-              frame_interval=0.5, integration_time=0.5)
+        Dwell.from_frames((Frame(reps),), phi0=0.5, theta0=0.3,
+                          range_resolution=0.5, frame_interval=0.5,
+                          integration_time=0.5)
 
 
 def test_frame_holds_a_read_only_record_array():
