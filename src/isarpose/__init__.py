@@ -16,8 +16,7 @@ from .ship import (ShipModel, ANGLE_DTYPE, angle_array, AngleTrack,
                    REPORT_DTYPE, report_array, Frame, Dwell, ship_moments)
 from .simulate import (ScenarioConfig, DegradationSpec, rfa_of,
                        build_angle_track, simulate_degraded, make_ship)
-from .moments import (MOMENT_DTYPE, frame_moments, moments_series,
-                      time_derivative)
+from .moments import MOMENT_DTYPE, moments_series, time_derivative
 from .bands import BandSplit, chapeau_band_split, dominant_wave_period
 from .angles import (FitState, lowpass_aspect_solve, waveband_joint_fit,
                      estimate_angles, model_covariances, ModelCovariances)
@@ -25,8 +24,7 @@ from .validate import (BadFitSeries, consistency_synth, badfit,
                        crosscheck_focus)
 from .pose import (FrameSolution, CompositeImage, FrameClass,
                    motion_matrix, invert_frame, classify_frames, compose)
-from .length import (LengthEstimate, frame_loa, beam_rule, multipath_guard,
-                     estimate_loa)
+from .length import LengthEstimate, frame_loa, beam_rule, estimate_loa
 from .io import load_dwell, save_dwell
 from .runner import RunConfig, RunReport, run, PipelineError
 
@@ -35,15 +33,14 @@ __all__ = [
     "REPORT_DTYPE", "report_array", "Frame", "Dwell", "ship_moments",
     "ScenarioConfig", "DegradationSpec", "rfa_of", "build_angle_track",
     "simulate_degraded", "make_ship",
-    "MOMENT_DTYPE", "frame_moments", "moments_series", "time_derivative",
+    "MOMENT_DTYPE", "moments_series", "time_derivative",
     "BandSplit", "chapeau_band_split", "dominant_wave_period",
     "FitState", "lowpass_aspect_solve", "waveband_joint_fit",
     "estimate_angles", "model_covariances", "ModelCovariances",
     "BadFitSeries", "consistency_synth", "badfit", "crosscheck_focus",
     "FrameSolution", "CompositeImage", "FrameClass",
     "motion_matrix", "invert_frame", "classify_frames", "compose",
-    "LengthEstimate", "frame_loa", "beam_rule", "multipath_guard",
-    "estimate_loa",
+    "LengthEstimate", "frame_loa", "beam_rule", "estimate_loa",
     "load_dwell", "save_dwell",
     "RunConfig", "RunReport", "run", "PipelineError",
 ]

@@ -9,6 +9,7 @@ one explicit runtime budget.
 
 from __future__ import annotations
 
+import dataclasses
 import filecmp
 import math
 import tempfile
@@ -21,11 +22,11 @@ import numpy as np
 from .angles import estimate_angles, model_covariances
 from .bands import chapeau_band_split, dominant_wave_period
 from .length import estimate_loa
-from .moments import frame_moments, moments_series
+from .moments import _moments, moments_series
 from .pose import (FrameClass, classify_frames, invert_frame, motion_matrix,
                    report_noise)
 from .runner import RunConfig, run
-from .ship import Dwell, Frame, ShipModel, report_array, ship_moments
+from .ship import Dwell, ShipModel, report_array, ship_moments
 from .simulate import (DegradationSpec, ScenarioConfig, angle_sample_at,
                        build_angle_track, make_ship, rfa_of,
                        simulate_degraded)
@@ -166,6 +167,18 @@ def check_acceleration_consistency() -> tuple[bool, str]:
                 f"{ratios[0.25]:.3f} at 0.25 s")
 
 
+def _invert(dwell, mom, m, cond, noise):
+    """Each frame's FrameSolution, one invert_frame pass per frame group."""
+    sols = [None] * len(dwell.counts)
+    rows = mom.view(np.ndarray)
+    for index, reports in dwell.frame_groups:
+        group = invert_frame(reports, rows[index], m[index], cond[index],
+                             noise)
+        for k, sol in zip(index.tolist(), group):
+            sols[k] = sol
+    return sols
+
+
 def check_pose_round_trip() -> tuple[bool, str]:
     """Exact coordinate recovery on clean frames; noise propagates as
     predicted."""
@@ -175,37 +188,39 @@ def check_pose_round_trip() -> tuple[bool, str]:
     dwell = simulate_degraded(ship, track, cfg)
     noise = report_noise(dwell.range_resolution, cfg.integration_time)
     m, cond = motion_matrix(track, cfg.integration_time)
-    worst, n_ok, best_k, best_cond = 0.0, 0, 0, np.inf
     mom = moments_series(dwell)   # zero report sigmas: nothing is debiased
-    for k, fr in enumerate(dwell.frames):
-        sol = invert_frame(fr, mom[k], m[k], cond[k], noise)
+    sols = _invert(dwell, mom, m, cond, noise)
+    worst, inverted = 0.0, []
+    for k, sol in enumerate(sols):
         if sol.xyz is None:
             continue
-        truth = ship.xyz[fr.reports.truth_id]
+        reports = dwell.reports[dwell.offsets[k]:dwell.offsets[k + 1]]
+        truth = ship.xyz[reports["truth_id"]]
         truth = truth - truth.mean(axis=0)
         worst = max(worst, float(np.abs(sol.xyz - truth).max()))
-        n_ok += 1
-        if cond[k] < best_cond:
-            best_cond, best_k = cond[k], k
-    fr = dwell.frames[best_k]
-    base = invert_frame(fr, mom[best_k], m[best_k], cond[best_k], noise)
-    rng = np.random.default_rng(0)
-    diffs = []
-    reps = fr.reports
-    for _ in range(500):
-        # one (r, f, a) draw per report, report by report
-        d = rng.normal(0.0, noise, size=(len(reps), 3))
-        noisy = report_array(reps.t, reps.snr, reps.r + d[:, 0],
-                             reps.f + d[:, 1], reps.a + d[:, 2], reps.truth_id)
-        noisy_fr = Frame(noisy)
-        sol = invert_frame(noisy_fr, frame_moments(noisy_fr, mom.t[best_k]),
-                           m[best_k], cond[best_k], noise)
-        diffs.append(sol.xyz - base.xyz)
+        inverted.append(k)
+    # the best-conditioned frame, the first of equals
+    best_k = inverted[int(np.argmin(cond[inverted]))]
+    base = sols[best_k]
+    # 500 noisy copies of that frame, one (r, f, a) draw per report, as one
+    # group: one moments pass (uniform weights, nothing debiased) and one
+    # inversion
+    reps = dwell.reports[dwell.offsets[best_k]:dwell.offsets[best_k + 1]]
+    d = np.random.default_rng(0).normal(0.0, noise, size=(500, len(reps), 3))
+    noisy = np.repeat(reps[None], 500, axis=0)
+    for j, name in enumerate(("r", "f", "a")):
+        noisy[name] += d[..., j]
+    noisy_mom = _moments([(np.arange(500), noisy)],
+                         np.full(500, mom.t[best_k]), "uniform", 0.0, 0.0)
+    noisy_sols = invert_frame(noisy, noisy_mom.view(np.ndarray),
+                              np.broadcast_to(m[best_k], (500, 3, 3)),
+                              np.full(500, cond[best_k]), noise)
+    diffs = [sol.xyz - base.xyz for sol in noisy_sols]
     emp = np.array(diffs).reshape(-1, 3).var(axis=0)
     ratio = emp / np.asarray(base.noise_var)
-    ok = (n_ok > 0 and worst <= 1e-6 * LOA_M
+    ok = (len(inverted) > 0 and worst <= 1e-6 * LOA_M
           and bool(np.all((ratio >= 0.5) & (ratio <= 2.0))))
-    return ok, (f"{n_ok} frames, worst recovery err {worst:.1e} m; "
+    return ok, (f"{len(inverted)} frames, worst recovery err {worst:.1e} m; "
                 f"MC var ratios {ratio[0]:.2f}/{ratio[1]:.2f}/{ratio[2]:.2f}")
 
 
@@ -221,10 +236,8 @@ def _classify_scene(ship, duration, asp_rate_dps, tilt_amp_deg,
         noise=noise, seed=seed)
     track = build_angle_track(cfg)
     dwell = simulate_degraded(ship, track, cfg)
-    mom = moments_series(dwell)
     m, cond = motion_matrix(track, T)
-    sols = [invert_frame(fr, mom[k], m[k], cond[k], dwell.report_sigmas)
-            for k, fr in enumerate(dwell.frames)]
+    sols = _invert(dwell, moments_series(dwell), m, cond, dwell.report_sigmas)
     classes, _ = classify_frames(sols)
     counts = Counter(c.value for c in classes)
     n_classified = len(classes) - counts[FrameClass.INVALID.value]
@@ -286,23 +299,26 @@ def check_confuser_gating() -> tuple[bool, str]:
 
 
 def _ghost_dwell(dwell: Dwell, seed=3) -> Dwell:
-    """Weak intermittent returns just beyond the far end of the ship."""
+    """Weak intermittent returns just beyond the far end of the ship: two
+    ghost rows after the reports of every even, non-empty frame."""
     rng = np.random.default_rng(seed)
-    frames = []
-    for k, (fr, tk) in enumerate(zip(dwell.frames, dwell.t.tolist())):
-        reports = fr.reports
-        if k % 2 == 0 and len(reports):
-            r_far = reports.r.max()
-            # two ghosts, each drawn in field order (r, f, a)
-            r, f, a = np.array([(r_far + rng.uniform(2.0, 8.0),
-                                 rng.normal(0, 0.2), rng.normal(0, 0.1))
-                                for _ in range(2)]).T
-            ghosts = report_array(tk, np.median(reports.snr) - 3.0, r, f, a)
-            reports = np.concatenate([reports, ghosts])
-        frames.append(Frame(reports))
-    return Dwell.from_frames(frames, dwell.phi0, dwell.theta0,
-                             dwell.range_resolution, dwell.frame_interval,
-                             dwell.integration_time, dwell.report_sigmas)
+    haunted = [k for k in range(0, len(dwell.counts), 2) if dwell.counts[k]]
+    ghosts = []
+    for k in haunted:
+        reports = dwell.reports[dwell.offsets[k]:dwell.offsets[k + 1]]
+        r_far = reports["r"].max()
+        # two ghosts, each drawn in field order (r, f, a)
+        r, f, a = np.array([(r_far + rng.uniform(2.0, 8.0),
+                             rng.normal(0, 0.2), rng.normal(0, 0.1))
+                            for _ in range(2)]).T
+        ghosts.append(report_array(dwell.t[k], np.median(reports["snr"]) - 3.0,
+                                   r, f, a))
+    ends = np.repeat(dwell.offsets[1:][haunted], 2)
+    counts = dwell.counts.copy()
+    counts[haunted] += 2
+    return dataclasses.replace(
+        dwell, reports=np.insert(dwell.reports, ends, np.concatenate(ghosts)),
+        counts=counts)
 
 
 def check_length_accuracy() -> tuple[bool, str]:

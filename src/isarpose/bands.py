@@ -21,7 +21,6 @@ class BandSplit:
     low: np.ndarray
     wave: np.ndarray
     high: np.ndarray
-    flags: tuple[str, ...] = ()
 
 
 def chapeau_smooth(t: np.ndarray, y: np.ndarray, spacing: float) -> np.ndarray:
@@ -47,7 +46,7 @@ def chapeau_band_split(t: np.ndarray, y: np.ndarray, period: float) -> BandSplit
     to the remainder (resolves the oscillation without tracking noise).
     high: what neither basis captured. A dwell shorter than 3 periods cannot
     support the low/wave distinction, so everything smooth goes to low and
-    the result is flagged.
+    the wave band is zero.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -56,8 +55,7 @@ def chapeau_band_split(t: np.ndarray, y: np.ndarray, period: float) -> BandSplit
     span = t[-1] - t[0]
     if span < 3 * period:
         low = chapeau_smooth(t, y, max(span / 3.0, 3 * np.median(np.diff(t))))
-        return BandSplit(low=low, wave=np.zeros_like(y), high=y - low,
-                         flags=("short dwell: wave band unresolved",))
+        return BandSplit(low=low, wave=np.zeros_like(y), high=y - low)
     low = chapeau_smooth(t, y, 3 * period)
     wave = chapeau_smooth(t, y - low, period / 3.0)
     return BandSplit(low=low, wave=wave, high=y - low - wave)

@@ -37,8 +37,8 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .ship import (REPORT_DTYPE, SIGMA_KEYS, Dwell, is_number,
-                   metadata_fault, report_array, report_fault)
+from .ship import (REPORT_DTYPE, SIGMA_KEYS, Dwell, is_json_number,
+                   is_number, metadata_fault, report_array, report_fault)
 
 FORMAT_NAME = "isar-dwell"
 FORMAT_VERSION = 1
@@ -125,7 +125,7 @@ def _parse_header(line: str) -> dict:
                 "phi0_deg", "theta0_deg", "range_resolution_m"):
         if key not in header:
             raise ValueError(f"line 1: header missing '{key}'")
-        if not isinstance(header[key], (int, float)) or isinstance(header[key], bool):
+        if not is_json_number(header[key]):
             raise ValueError(f"line 1: header '{key}' must be a number")
     # a JSON integer too large for a float fails the angle rule as NaN
     phi0, theta0 = (math.radians(header[key]) if is_number(header[key])

@@ -46,27 +46,28 @@ def beam_rule(loa: float) -> float:
     return (loa_ft ** (2.0 / 3.0) + 1.0) * FOOT
 
 
-def frame_loa(r_min: float, r_max: float, phi: float, theta: float,
-              beam: float) -> float:
-    """Length from one frame's range extent at known angles.
+def frame_loa(r_min, r_max, proj, lever, beam: float) -> np.ndarray:
+    """Length of each frame from its range extent at known angles.
 
-    raw = (r_max - r_min) / (cos(phi) cos(theta)) undoes the projection;
-    subtracting beam * |tan(phi)| removes the cross-ship widening. Frames
-    too near broadside (projection under MIN_PROJECTION) return NaN, and
-    the correction never removes more than half the raw length.
+    r_min, r_max, proj = cos(phi) cos(theta) and lever = |tan(phi)| are
+    arrays of one value per frame. raw = (r_max - r_min) / |proj| undoes
+    the projection; subtracting beam * lever removes the cross-ship
+    widening. Frames too near broadside (|proj| <= MIN_PROJECTION) give
+    NaN, and the correction never removes more than half the raw length.
     """
-    proj = math.cos(phi) * math.cos(theta)
-    if abs(proj) <= MIN_PROJECTION:
-        return float("nan")
-    raw = (r_max - r_min) / abs(proj)
-    corrected = raw - beam * abs(math.tan(phi))
-    return max(corrected, BEAM_CLAMP * raw)
+    proj = np.abs(proj)
+    raw = (r_max - r_min) / proj
+    return np.where(proj > MIN_PROJECTION,
+                    np.maximum(raw - beam * lever, BEAM_CLAMP * raw), np.nan)
 
 
 def _screen(r: np.ndarray, snr: np.ndarray) -> np.ndarray:
     """Keep mask of the multipath screen over k frames of n reports each:
-    r and snr are (k, n), one frame a row, and so is the mask. Frames of
-    under five reports keep every report."""
+    r and snr are (k, n), one frame a row, and so is the mask. A far-range
+    ghost lies beyond its frame's 90th percentile by GHOST_K_MAD robust
+    sigmas AND at least GHOST_SNR_DROP_DB below its median SNR; near-range
+    reports are never dropped (the bow is real). Frames of under five
+    reports, too few for a usable percentile, keep every report."""
     if r.shape[1] < 5:
         return np.ones(r.shape, dtype=bool)
     p90 = np.percentile(r, 90, axis=1)
@@ -74,14 +75,6 @@ def _screen(r: np.ndarray, snr: np.ndarray) -> np.ndarray:
     far = r > (p90 + GHOST_K_MAD * np.maximum(mad, 1e-9))[:, None]
     weak = snr <= (np.median(snr, axis=1) - GHOST_SNR_DROP_DB)[:, None]
     return ~(far & weak)
-
-
-def multipath_guard(reports: np.recarray) -> np.recarray:
-    """Drop far-range ghosts: beyond the 90th percentile by GHOST_K_MAD
-    robust sigmas AND at least GHOST_SNR_DROP_DB below the frame median
-    SNR. Near-range reports are never dropped (the bow is real). Needs five
-    reports to have a usable percentile; smaller frames pass through."""
-    return reports[_screen(reports["r"][None], reports["snr"][None])[0]]
 
 
 def _extents(dwell: Dwell) -> tuple[np.ndarray, np.ndarray]:
@@ -122,14 +115,19 @@ def estimate_loa(dwell: Dwell, track, badfit_series=None) -> LengthEstimate:
     usable = np.isfinite(r_lo)
     if badfit_series is not None:
         usable &= ~np.asarray(badfit_series.flagged, dtype=bool)
-    usable &= np.abs(np.cos(phi) * np.cos(theta)) > MIN_PROJECTION
-    used = np.flatnonzero(usable).tolist()
-    lo, hi, ph, th = (x.tolist() for x in (r_lo, r_hi, phi, theta))
+    # each frame's projection and beam lever, taken with math: NumPy's cos
+    # and tan round differently from C's in the last bit now and then, and
+    # the lengths keep the bits of their scalar formulas
+    proj = np.array([math.cos(p) * math.cos(q)
+                     for p, q in zip(phi.tolist(), theta.tolist())])
+    lever = np.array([abs(math.tan(p)) for p in phi.tolist()])
+    usable &= np.abs(proj) > MIN_PROJECTION
+    used = np.flatnonzero(usable)
 
     def series(beam: float) -> np.ndarray:
         vals = np.full(n, np.nan)
-        for k in used:
-            vals[k] = frame_loa(lo[k], hi[k], ph[k], th[k], beam)
+        vals[used] = frame_loa(r_lo[used], r_hi[used], proj[used],
+                               lever[used], beam)
         return vals
 
     def double_median(vals: np.ndarray) -> float:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ship import Dwell, Frame
+from .ship import Dwell
 
 EPS_VAR = 1e-12
 
@@ -166,16 +166,6 @@ def _moments(groups, t: np.ndarray, weighting: str, var_r: float,
     out = out.view(np.recarray)
     out.flags.writeable = False
     return out
-
-
-def frame_moments(frame: Frame, t: float,
-                  weighting: str = "uniform") -> np.record:
-    """Scaled covariances of a single frame at time t (s) as one MOMENT_DTYPE
-    record, the pass of moments_series on that frame alone; invalid when
-    under-populated. No noise floor is removed."""
-    group = (np.zeros(1, dtype=np.int64), frame.reports.view(np.ndarray)[None])
-    return _moments([group], np.array([t], dtype=float), weighting,
-                    0.0, 0.0)[0]
 
 
 def moments_series(dwell: Dwell, weighting: str = "uniform") -> np.recarray:

@@ -9,7 +9,7 @@ position (Plan), and frames with neither leave the reports strung along a
 range/rate line (StringOfPearls).
 
 Frames that share a report count (Dwell.frame_groups) are inverted in one
-array pass per group; a single frame is a group of one.
+array pass per group.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .moments import c_pow, snr_power
 from .motion import track_rows
-from .ship import AngleTrack, Dwell, Frame
+from .ship import AngleTrack, Dwell
 from .validate import BadFitSeries
 
 PEARLS_EPS = 0.01
@@ -95,35 +95,29 @@ _NO_SOLUTION = FrameSolution(xyz=None, noise_var=(0.0, 0.0, 0.0),
                              scores=(0.0, 0.0, 0.0))
 
 
-def invert_frame(frame, mom, m, cond, noise):
-    """Recover centered drydock coordinates for every report of a frame, or
-    of each frame of a group of equal report count in one array pass.
+def invert_frame(reports, mom, m, cond, noise):
+    """Recover centered drydock coordinates for every report of each frame
+    of a group of equal report count, in one array pass.
 
-    frame is a Frame, and mom, m and cond are its moments record under the
-    run's weighting, its motion matrix and its scaled condition number (a
-    row of motion_matrix); the result is its FrameSolution, the group pass
-    on that frame alone. Or frame is the (k, n) REPORT_DTYPE reports of k
-    frames, one frame a row, as Dwell.frame_groups holds them, and mom, m
-    and cond hold the k frames' rows; the result is their k FrameSolutions
-    in order. The moments' validity gates the inversion and crf sets the
-    pearls score.
+    reports is the (k, n) REPORT_DTYPE array of the k frames, one frame a
+    row, as Dwell.frame_groups holds them; mom, m and cond hold the k
+    frames' moments records under the run's weighting, motion matrices and
+    scaled condition numbers (rows of motion_matrix). The result is their
+    k FrameSolutions in order. The moments' validity gates the inversion
+    and crf sets the pearls score.
 
     noise_var_k = sum_j (M^-1)_kj^2 sigma_j^2 propagates the report noise
     through the inversion. An invalid moments record, or a condition number
     beyond COND_GUARD (the instantaneous motion cannot separate the axes),
     leaves the frame without coordinates and with zero scores.
     """
-    if isinstance(frame, Frame):
-        return invert_frame(frame.reports.view(np.ndarray)[None],
-                            np.asarray(mom)[None], np.asarray(m)[None],
-                            np.reshape(cond, 1), noise)[0]
     cond = np.asarray(cond)
     ok = mom["valid"] & np.isfinite(cond) & (cond <= COND_GUARD)
-    sols = [_NO_SOLUTION] * len(frame)
+    sols = [_NO_SOLUTION] * len(reports)
     if not ok.any():
         return sols
-    reports = frame if ok.all() else frame[ok]
-    rfa = np.stack([reports[name] for name in ("r", "f", "a")], axis=-1)
+    rows = reports if ok.all() else reports[ok]
+    rfa = np.stack([rows[name] for name in ("r", "f", "a")], axis=-1)
     rfa = rfa - rfa.mean(axis=1, keepdims=True)
     minv = np.linalg.inv(m[ok])
     xyz = rfa @ np.swapaxes(minv, 1, 2)

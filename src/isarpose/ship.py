@@ -3,7 +3,10 @@
 Drydock coordinates: x alongship (m), y cross-ship (m), z height (m).
 All angles in radians. All types are immutable value data and safe to
 share between threads. A dwell holds every report in one table, frame by
-frame, with each frame's report count; a Frame is one frame's reports.
+frame, with each frame's report count, and every stage reads that table
+or its frame groups. A Frame, one frame's reports as a view of the table,
+remains only for benchmarks/tracing.py, which counts reports through
+Dwell.frames.
 The rules of dwell input are held here once, metadata_fault and
 report_fault: every Dwell applies both, and the dwell file reader too.
 """
@@ -60,10 +63,15 @@ def in_angle_range(rad):
     return np.abs(rad) < math.pi / 2
 
 
+def is_json_number(value) -> bool:
+    """True for an int or float, which JSON numbers load as; not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def is_number(value) -> bool:
-    """True for an int or float that is finite as a float, which JSON numbers
-    load as; not a bool, nor the NaN or Infinity that Python's json reads."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True for a JSON number that is finite as a float; not the NaN or
+    Infinity that Python's json reads."""
+    return (is_json_number(value)
             and -sys.float_info.max <= value <= sys.float_info.max)
 
 
@@ -217,6 +225,8 @@ class Frame:
 
     reports is a read-only 1-D REPORT_DTYPE record array, so each field is
     one column (fr.reports.r). Its dwell holds the reports to report_fault.
+    No stage takes a Frame: the views remain only for benchmarks/tracing.py,
+    which counts a dwell's reports through Dwell.frames.
     """
 
     reports: np.recarray
@@ -290,15 +300,6 @@ class Dwell:
             if fault is not None:
                 raise ValueError(f"frame {index[lo + fault[0]]}: {fault[1]}")
 
-    @classmethod
-    def from_frames(cls, frames, *metadata, **kw) -> Dwell:
-        """Dwell(reports, counts, *metadata, **kw) of the Frames in order,
-        their reports copied into its one table: the frame-by-frame way in."""
-        raw = [fr.reports.view(np.ndarray).view(_RAW_REPORT) for fr in frames]
-        reports = np.concatenate([np.empty(0, _RAW_REPORT)] + raw)
-        return cls(reports.view(REPORT_DTYPE), [len(r) for r in raw],
-                   *metadata, **kw)
-
     @property
     def t(self) -> np.ndarray:
         """Frame-centre times (s), one per frame."""
@@ -313,8 +314,9 @@ class Dwell:
 
     @functools.cached_property
     def frames(self) -> tuple[Frame, ...]:
-        """Each frame's reports as a Frame, a view of the table, for callers
-        that take a dwell frame by frame; built on first use."""
+        """Each frame's reports as a Frame, a view of the table, built on
+        first use. No stage reads them; benchmarks/tracing.py counts a
+        dwell's reports through them."""
         return tuple(map(Frame, np.split(self.reports, self.offsets[1:-1])))
 
     @functools.cached_property

@@ -13,19 +13,21 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import isarpose
 import isarpose.io
 import isarpose.runner
+from isarpose.acceptance import _invert, run_all
 from isarpose.angles import estimate_angles
 from isarpose.cli import main
 from isarpose.io import dwell_text, load_dwell, save_dwell
-from isarpose.moments import frame_moments, moments_series
+from isarpose.moments import moments_series
 from isarpose.pose import (COND_GUARD, PEARLS_EPS, FrameClass, _classify,
-                           invert_frame, motion_matrix, report_noise)
+                           motion_matrix, report_noise)
 from isarpose.ship import SIGMA_KEYS, Dwell, Frame, report_array
 from isarpose.simulate import ScenarioConfig
-from tests.conftest import with_frames
 
 SCENARIO = {
     "duration": 30.0,
@@ -314,14 +316,14 @@ class TestSimulate:
 
         def gappy(*args):
             dwell = real(*args)
-            frames = []
-            for k, fr in enumerate(dwell.frames):
-                reports = fr.reports[:0] if k in empty else fr.reports
-                if not truth:
-                    reports = reports.copy()
-                    reports.truth_id = -1
-                frames.append(Frame(reports))
-            simulated.append(with_frames(dwell, frames))
+            frame = np.repeat(np.arange(len(dwell.counts)), dwell.counts)
+            reports = dwell.reports[~np.isin(frame, empty)]
+            if not truth:
+                reports["truth_id"] = -1
+            counts = dwell.counts.copy()
+            counts[list(empty)] = 0
+            simulated.append(dataclasses.replace(dwell, reports=reports,
+                                                 counts=counts))
             return simulated[-1]
 
         monkeypatch.setattr(isarpose.runner, "simulate_degraded", gappy)
@@ -338,8 +340,7 @@ class TestSimulate:
         assert written == b"".join(dwell_text(dwell))
         columns = written.split(b"\n")[1].split(b",")
         assert (b"truth_id" in columns) == truth
-        frames = load_dwell(saved).frames
-        assert [len(frames[k].reports) for k in empty] == [0, 0, 0]
+        assert load_dwell(saved).counts[list(empty)].tolist() == [0, 0, 0]
 
     def test_snr_weighting_reaches_simulate_analysis(self, sim_dir, tmp_path):
         out = tmp_path / "sim-snr"
@@ -388,8 +389,8 @@ class TestAnalyze:
         pearls = [float(row["pearls_score"])
                   for row in _rows(out / "classes.csv")]
         dwell = load_dwell(str(sim_dir / "dwell.csv"))
-        uniform = [frame_moments(fr, t).crf
-                   for fr, t in zip(dwell.frames, dwell.t)]
+        uniform = moments_series(
+            dataclasses.replace(dwell, report_sigmas=None)).crf
         assert max(abs(a - b) for a, b in zip(crf, uniform)) > 1e-3
         scored = [(c, p) for c, p in zip(crf, pearls) if p > 0]
         assert scored
@@ -409,8 +410,7 @@ class TestAnalyze:
         assert "report noise unknown: moments not debiased" in report["flags"]
         cov_ff = [float(row["cov_ff"])
                   for row in _rows(out / "covariances.csv")]
-        assert cov_ff == [frame_moments(fr, t).cov_ff
-                          for fr, t in zip(dwell.frames, dwell.t)]
+        assert cov_ff == moments_series(dwell).cov_ff.tolist()
         sim_report = json.loads((sim_dir / "run_report.json").read_text())
         assert not any("report noise" in f for f in sim_report["flags"])
 
@@ -422,11 +422,9 @@ class TestAnalyze:
         # below ~-3,240 dB; either way frame 5's normalized weights are not
         # finite, and the frame is invalid as an under-populated one is
         dwell = load_dwell(str(canonical_dir / "dwell.csv"))
-        frames = list(dwell.frames)
-        rep = frames[5].reports
-        frames[5] = Frame(report_array(rep.t, snr_db, rep.r, rep.f, rep.a,
-                                       rep.truth_id))
-        odd = with_frames(dwell, frames)
+        reports = dwell.reports.copy()
+        reports["snr"][dwell.offsets[5]:dwell.offsets[6]] = snr_db
+        odd = dataclasses.replace(dwell, reports=reports)
         path = tmp_path / "dwell.csv"
         save_dwell(odd, path)
         out = tmp_path / "an"
@@ -439,7 +437,7 @@ class TestAnalyze:
         # every other frame keeps the moments it has in the untouched dwell
         mom, before = moments_series(odd, "snr"), moments_series(dwell, "snr")
         assert all(mom[k].tobytes() == before[k].tobytes()
-                   for k in range(len(frames)) if k != 5)
+                   for k in range(len(dwell.counts)) if k != 5)
 
     def test_overflowing_snr_keeps_its_composite(self, canonical_dir,
                                                  tmp_path):
@@ -447,12 +445,10 @@ class TestAnalyze:
         # reports by power relative to its strongest, so a Plan frame of
         # 5000 dB leaves every weight finite and the image not blank
         dwell = load_dwell(str(canonical_dir / "dwell.csv"))
-        frames = list(dwell.frames)
-        rep = frames[26].reports
-        frames[26] = Frame(report_array(rep.t, 5000.0, rep.r, rep.f, rep.a,
-                                        rep.truth_id))
+        reports = dwell.reports.copy()
+        reports["snr"][dwell.offsets[26]:dwell.offsets[27]] = 5000.0
         path = tmp_path / "dwell.csv"
-        save_dwell(with_frames(dwell, frames), path)
+        save_dwell(dataclasses.replace(dwell, reports=reports), path)
         out = tmp_path / "an"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -656,8 +652,8 @@ def test_dwell_rules_give_one_reason_at_every_boundary(sim_dir, tmp_path,
             2, f"config error: scenario '{scenario_key}': {reason}\n")
 
     with pytest.raises(ValueError) as err:
-        Dwell.from_frames((Frame(report_array([0.25], 20.0, 0.0, 0.0, 0.0)),),
-                          report_sigmas=sigmas, **kw)
+        Dwell(report_array([0.25], 20.0, 0.0, 0.0, 0.0), [1],
+              report_sigmas=sigmas, **kw)
     assert str(err.value) == f"{key} {reason}"
 
 
@@ -673,8 +669,9 @@ def canonical_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("weighting", ["uniform", "snr"])
 def test_runs_build_no_frame_objects(tmp_path, monkeypatch, weighting):
-    # every stage of a run reads the dwell's one report table; Frame views
-    # are built only for a caller that asks for dwell.frames
+    # every stage of a run, and every acceptance check, reads the dwell's
+    # one report table; Frame views are built only for a caller that asks
+    # for dwell.frames
     built = []
     init = Frame.__post_init__
 
@@ -688,8 +685,15 @@ def test_runs_build_no_frame_objects(tmp_path, monkeypatch, weighting):
                  "--out", str(sim), "--weighting", weighting]) == 0
     assert main(["analyze", "--input", str(sim / "dwell.csv"),
                  "--out", str(tmp_path / "an"), "--weighting", weighting]) == 0
+    if weighting == "uniform":   # the checks take no weighting: run once
+        assert all(passed for _, passed, _ in run_all())
     assert built == []
     assert len(load_dwell(str(sim / "dwell.csv")).frames) == len(built) == 120
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in isarpose.__all__
+            if not hasattr(isarpose, name)] == []
 
 
 class TestReportSigmas:
@@ -715,7 +719,7 @@ class TestReportSigmas:
         # every scatterer reported at its own SNR, not a flat 20 dB
         ship = isarpose.runner.scenario_from_dict(CANONICAL)[1]
         snr = [20.0 + 10 * math.log10(w) for w in ship.rcs.tolist()]
-        assert all(fr.reports.snr.tolist() == snr for fr in dwell.frames)
+        assert dwell.reports["snr"].tolist() == snr * len(dwell.counts)
         path = tmp_path / "unknown.csv"
         save_dwell(dataclasses.replace(dwell, report_sigmas=None), path)
         again = tmp_path / "an"
@@ -737,12 +741,12 @@ class TestReportSigmas:
         guess = report_noise(dwell.range_resolution, T)
         rows = _rows(canonical_dir / "classes.csv")
         scored = 0
-        for k, fr in enumerate(dwell.frames):
-            sol = invert_frame(fr, mom[k], m[k], cond[k], dwell.report_sigmas)
+        for k, (sol, other) in enumerate(zip(
+                _invert(dwell, mom, m, cond, dwell.report_sigmas),
+                _invert(dwell, mom, m, cond, guess))):
             if sol.xyz is None or flagged[k]:
                 continue
             assert float(rows[k]["profile_score"]) == sol.scores[0]
-            other = invert_frame(fr, mom[k], m[k], cond[k], guess)
             assert other.scores[0] != sol.scores[0]
             scored += 1
         assert scored >= 10

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import isarpose.io
 from isarpose.io import _blocks, dwell_text, load_dwell, pgm_bytes, save_dwell
 from isarpose.moments import moments_series
-from isarpose.ship import Dwell, Frame, report_array
+from isarpose.ship import report_array
+from tests.conftest import make_dwell
 
 _val = st.floats(min_value=-1e6, max_value=1e6,
                  allow_nan=False, allow_infinity=False)
@@ -44,11 +45,11 @@ def _dwell(rows, interval=0.5, phi0=math.radians(45.0),
         t = (k + 0.5) * interval
         snr, r, f, a = np.array(frame_rows, dtype=float).reshape(-1, 4).T
         truth = -1 if truth_ids is None else truth_ids[k]
-        frames.append(Frame(report_array(t, snr, r, f, a, truth)))
-    return Dwell.from_frames(frames, phi0=phi0, theta0=theta0,
-                             range_resolution=0.5, frame_interval=interval,
-                             integration_time=integration_time,
-                             report_sigmas=report_sigmas)
+        frames.append(report_array(t, snr, r, f, a, truth))
+    return make_dwell(frames, phi0=phi0, theta0=theta0,
+                      range_resolution=0.5, frame_interval=interval,
+                      integration_time=integration_time,
+                      report_sigmas=report_sigmas)
 
 
 def test_round_trip_preserves_every_field(tmp_path):
@@ -124,18 +125,18 @@ def test_round_trip_property(tmp_path_factory, rows, interval,
 def test_rows_match_the_per_row_reference_format(tmp_path):
     """A frame's `k,t,` prefix is formatted once only when all its report
     times have the same bits: 0.0 and -0.0 compare equal but print apart."""
-    frames = (Frame(report_array([0.0, -0.0, 0.0], 20.0, 1.0, 2.0, 3.0)),
-              Frame(report_array([0.6, 0.75, 0.75, 0.9], 20.0, 0.1 + 0.2,
-                                 -2.0, 1e-12, [1, -1, 2, 3])),
-              Frame(report_array([1.25, 1.25], 21.0, 4.0, 5.0, 6.0)),
-              Frame(report_array(np.zeros(0), 0.0, 0.0, 0.0, 0.0)))
-    dwell = Dwell.from_frames(frames, phi0=0.5, theta0=0.3,
-                              range_resolution=0.5, frame_interval=0.5,
-                              integration_time=0.5)
+    frames = (report_array([0.0, -0.0, 0.0], 20.0, 1.0, 2.0, 3.0),
+              report_array([0.6, 0.75, 0.75, 0.9], 20.0, 0.1 + 0.2, -2.0,
+                           1e-12, [1, -1, 2, 3]),
+              report_array([1.25, 1.25], 21.0, 4.0, 5.0, 6.0),
+              report_array(np.zeros(0), 0.0, 0.0, 0.0, 0.0))
+    dwell = make_dwell(frames, phi0=0.5, theta0=0.3,
+                       range_resolution=0.5, frame_interval=0.5,
+                       integration_time=0.5)
     reference = [f"{k},{t!r},{snr!r},{r!r},{f!r},{a!r},"
                  + (str(truth) if truth >= 0 else "")
                  for k, fr in enumerate(frames)
-                 for t, snr, r, f, a, truth in fr.reports.tolist()]
+                 for t, snr, r, f, a, truth in fr.tolist()]
     assert _text(dwell).splitlines()[2:] == reference
     assert [row.split(",")[1] for row in reference[:3]] == ["0.0", "-0.0",
                                                             "0.0"]
@@ -152,7 +153,7 @@ def _per_frame_text(frames, with_truth):
         + (("," + (str(truth) if truth >= 0 else "")) if with_truth else "")
         + "\n"
         for k, fr in enumerate(frames)
-        for t, snr, r, f, a, truth in fr.reports.tolist())
+        for t, snr, r, f, a, truth in fr.tolist())
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -170,13 +171,13 @@ def test_one_table_text_matches_the_per_frame_text(tmp_path, seed):
             t = rng.choice([0.0, -0.0, 0.25], n)
         t.sort(kind="stable")
         truth = (rng.integers(-1, 30, n) if seed % 3 else np.full(n, -1))
-        frames.append(Frame(report_array(
+        frames.append(report_array(
             t, rng.normal(20.0, 3.0, n), rng.normal(0.0, 40.0, n),
-            rng.normal(0.0, 2.0, n), rng.normal(0.0, 0.1, n), truth)))
-    dwell = Dwell.from_frames(frames, phi0=0.5, theta0=0.3,
-                              range_resolution=0.5, frame_interval=0.5,
-                              integration_time=0.5)
-    with_truth = any((fr.reports.truth_id >= 0).any() for fr in frames)
+            rng.normal(0.0, 2.0, n), rng.normal(0.0, 0.1, n), truth))
+    dwell = make_dwell(frames, phi0=0.5, theta0=0.3,
+                       range_resolution=0.5, frame_interval=0.5,
+                       integration_time=0.5)
+    with_truth = any((fr.truth_id >= 0).any() for fr in frames)
     assert with_truth == bool(seed % 3)
     header, columns, rows = _text(dwell).split("\n", 2)
     assert json.loads(header)["n_frames"] == len(frames)

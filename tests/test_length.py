@@ -1,5 +1,6 @@
 """Length estimation: projection correction, guards, dwell aggregation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isarpose.length import (_extents, beam_rule, estimate_loa, frame_loa,
-                             multipath_guard)
-from isarpose.ship import Dwell, Frame, report_array
+from benchmarks.workloads import WORKLOADS
+from isarpose.length import (BEAM_CLAMP, MIN_PROJECTION, _extents, _screen,
+                             beam_rule, estimate_loa, frame_loa)
+from isarpose.runner import scenario_from_dict
+from isarpose.ship import report_array
 from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
                                simulate_degraded)
 from isarpose.validate import BadFitSeries
-from tests.conftest import LOA, PHI0, THETA0, with_frames
+from tests.conftest import LOA, PHI0, THETA0, frame_reports, make_dwell
+from tests.test_group_pass import SIGMAS, _ragged_dwell, _ragged_track
 
 FT_PER_M = 1.0 / 0.3048
 
@@ -32,52 +36,58 @@ def test_beam_rule_monotone(loa, step):
     assert beam_rule(loa + step) > beam_rule(loa)
 
 
+def _projection(phi, theta):
+    """(proj, lever) of one frame: cos(phi) cos(theta) and |tan(phi)|."""
+    return math.cos(phi) * math.cos(theta), abs(math.tan(phi))
+
+
 class TestFrameLoa:
     def test_projection_and_width_correction(self):
         phi, theta = np.deg2rad(30.0), np.deg2rad(20.0)
         raw = 80.0 / (math.cos(phi) * math.cos(theta))
-        got = frame_loa(-30.0, 50.0, phi, theta, beam=12.0)
+        got = frame_loa(-30.0, 50.0, *_projection(phi, theta), beam=12.0)
         assert got == pytest.approx(raw - 12.0 * math.tan(phi), rel=1e-12)
 
     def test_correction_clamped_to_half_raw(self):
         phi, theta = np.deg2rad(60.0), 0.0
         raw = 20.0 / math.cos(phi)
-        got = frame_loa(0.0, 20.0, phi, theta, beam=100.0)
+        got = frame_loa(0.0, 20.0, *_projection(phi, theta), beam=100.0)
         assert got == pytest.approx(0.5 * raw, rel=1e-12)
 
     def test_broadside_frames_unusable(self):
-        assert math.isnan(frame_loa(0.0, 50.0, np.deg2rad(85.0), 0.0, 10.0))
-        assert math.isnan(frame_loa(0.0, 50.0, 0.0, np.deg2rad(86.0), 10.0))
+        got = frame_loa(np.zeros(3), np.full(3, 50.0),
+                        *np.transpose([_projection(np.deg2rad(85.0), 0.0),
+                                       _projection(0.0, np.deg2rad(86.0)),
+                                       _projection(0.0, 0.0)]), 10.0)
+        assert np.isnan(got[:2]).all() and got[2] == 50.0
 
 
 class TestMultipathGuard:
-    def _reports(self, ranges, snrs):
-        return report_array(0.25, snrs, ranges, 0.0, 0.0)
+    def _kept(self, ranges, snrs):
+        """The ranges the screen keeps of one frame's reports."""
+        r = np.array(ranges)
+        return r[_screen(r[None], np.array(snrs)[None])[0]].tolist()
 
     def test_far_weak_echo_trimmed(self):
         ranges = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 120.0]
         snrs = [20.0, 21.0, 20.0, 22.0, 20.0, 21.0, 12.0]
-        kept = multipath_guard(self._reports(ranges, snrs))
-        assert kept.r.tolist() == ranges[:-1]
+        assert self._kept(ranges, snrs) == ranges[:-1]
 
     def test_far_strong_echo_kept(self):
         ranges = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 120.0]
         snrs = [20.0, 21.0, 20.0, 22.0, 20.0, 21.0, 19.0]
-        kept = multipath_guard(self._reports(ranges, snrs))
-        assert len(kept) == 7
+        assert self._kept(ranges, snrs) == ranges
 
     def test_weak_but_near_echo_kept(self):
         # low SNR alone is not evidence of a multipath ghost
         ranges = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0]
         snrs = [20.0, 21.0, 20.0, 22.0, 20.0, 5.0]
-        kept = multipath_guard(self._reports(ranges, snrs))
-        assert len(kept) == 6
+        assert self._kept(ranges, snrs) == ranges
 
     def test_small_frames_left_alone(self):
         ranges = [0.0, 50.0, 200.0]
         snrs = [20.0, 20.0, 1.0]
-        kept = multipath_guard(self._reports(ranges, snrs))
-        assert len(kept) == 3
+        assert self._kept(ranges, snrs) == ranges
 
 
 def _one_frame_screen(r, snr):
@@ -93,9 +103,10 @@ def _one_frame_screen(r, snr):
 
 def test_grouped_screen_matches_per_frame_guard():
     # frames of one report count (one of the dwell's frame_groups) are
-    # screened together as the rows of one array; each must get, bit for bit, the extent the one-frame guard
-    # leaves it: equal and ragged counts, counts under five (no screen) and
-    # under three (no extent), some frames with a far, weak ghost
+    # screened together as the rows of one array; each must get, bit for
+    # bit, the extent the one-frame screen leaves it: equal and ragged
+    # counts, counts under five (no screen) and under three (no extent),
+    # some frames with a far, weak ghost
     rng = np.random.default_rng(8)
     counts = [9, 9, 12, 9, 7, 12, 9, 5, 5, 4, 3, 2, 1, 0, 9, 6, 12]
     frames = []
@@ -105,18 +116,15 @@ def test_grouped_screen_matches_per_frame_guard():
         if n >= 5 and k % 2 == 0:
             j = rng.integers(n)
             r[j], snr[j] = 300.0 + k, 5.0
-        frames.append(Frame(report_array(0.5 * k + 0.25, snr, r, 0.0, 0.0)))
-    dwell = Dwell.from_frames(frames, phi0=PHI0, theta0=THETA0,
-                              range_resolution=0.5, frame_interval=0.5,
-                              integration_time=0.5)
+        frames.append(report_array(0.5 * k + 0.25, snr, r, 0.0, 0.0))
+    dwell = make_dwell(frames, phi0=PHI0, theta0=THETA0, range_resolution=0.5,
+                       frame_interval=0.5, integration_time=0.5)
     r_lo, r_hi = _extents(dwell)
     dropped = 0
-    for k, fr in enumerate(frames):
-        kept = multipath_guard(fr.reports)
-        ref = fr.reports.r[_one_frame_screen(fr.reports.r, fr.reports.snr)]
-        assert np.array_equal(kept.r, ref), k
-        dropped += len(fr.reports) - len(kept)
-        if len(kept) < 3:
+    for k, reports in enumerate(frames):
+        ref = reports.r[_one_frame_screen(reports.r, reports.snr)]
+        dropped += len(reports) - len(ref)
+        if len(ref) < 3:
             assert np.isnan(r_lo[k]) and np.isnan(r_hi[k]), k
         else:
             assert r_lo[k] == ref.min() and r_hi[k] == ref.max(), k
@@ -128,24 +136,21 @@ class TestEstimateLoa:
                                          ideal_ship):
         est = estimate_loa(ideal_dwell, ideal_track)
         assert est.loa == pytest.approx(LOA, abs=ideal_dwell.range_resolution)
-        assert est.frames_used == len(ideal_dwell.frames)
+        assert est.frames_used == len(ideal_dwell.counts)
         assert est.width_correction == pytest.approx(
             beam_rule(est.loa), rel=1e-3)
         assert np.isfinite(est.rmin_std) and np.isfinite(est.rmax_std)
 
     def test_translation_invariance(self, ideal_dwell, ideal_track):
-        shifted_frames = tuple(
-            Frame(report_array(
-                fr.reports.t, fr.reports.snr, fr.reports.r + 500.0,
-                fr.reports.f, fr.reports.a, fr.reports.truth_id))
-            for fr in ideal_dwell.frames)
-        shifted = with_frames(ideal_dwell, shifted_frames)
+        reports = ideal_dwell.reports.copy()
+        reports["r"] += 500.0
+        shifted = dataclasses.replace(ideal_dwell, reports=reports)
         a = estimate_loa(ideal_dwell, ideal_track)
         b = estimate_loa(shifted, ideal_track)
         assert b.loa == pytest.approx(a.loa, rel=1e-12)
 
     def test_flagged_frames_excluded(self, ideal_dwell, ideal_track):
-        n = len(ideal_dwell.frames)
+        n = len(ideal_dwell.counts)
         flagged = np.zeros(n, dtype=bool)
         flagged[:10] = True
         bf = BadFitSeries(score=np.zeros(n), n_accel=np.zeros(n),
@@ -177,15 +182,76 @@ class TestEstimateLoa:
         A single correction pass therefore undershoots the length; the
         fixed-point iteration should land much closer on clean data.
         """
-        phi, theta = ideal_track.samples.phi, ideal_track.samples.theta
-        raw = []
-        for k, fr in enumerate(ideal_dwell.frames):
-            r = fr.reports.r
-            raw.append(frame_loa(r.min(), r.max(), phi[k], theta[k], 0.0))
+        s = ideal_track.samples
+        r_min, r_max = np.transpose([
+            (frame_reports(ideal_dwell, k).r.min(),
+             frame_reports(ideal_dwell, k).r.max())
+            for k in range(len(ideal_dwell.counts))])
+        proj, lever = np.transpose([_projection(phi, theta) for phi, theta
+                                    in zip(s.phi.tolist(), s.theta.tolist())])
+        raw = frame_loa(r_min, r_max, proj, lever, 0.0)
         one_beam = beam_rule(float(np.median(raw)))
-        one_pass = float(np.median([
-            frame_loa(fr.reports.r.min(), fr.reports.r.max(),
-                      phi[k], theta[k], one_beam)
-            for k, fr in enumerate(ideal_dwell.frames)]))
+        one_pass = float(np.median(frame_loa(r_min, r_max, proj, lever,
+                                             one_beam)))
         est = estimate_loa(ideal_dwell, ideal_track)
         assert abs(est.loa - LOA) < 0.3 * abs(one_pass - LOA)
+
+
+def _scalar_frame_loa(r_min, r_max, phi, theta, beam):
+    # one frame's length in Python floats: the reference for frame_loa
+    proj = math.cos(phi) * math.cos(theta)
+    if abs(proj) <= MIN_PROJECTION:
+        return float("nan")
+    raw = (r_max - r_min) / abs(proj)
+    corrected = raw - beam * abs(math.tan(phi))
+    return max(corrected, BEAM_CLAMP * raw)
+
+
+def _scalar_loa(dwell, track, flagged):
+    # the beam fixed point one frame at a time, the reference for
+    # estimate_loa: (loa, loa_series, frames_used, width_correction)
+    phi, theta = track.samples.phi, track.samples.theta
+    r_lo, r_hi = _extents(dwell)
+    usable = np.isfinite(r_lo) & ~flagged
+    usable &= np.abs(np.cos(phi) * np.cos(theta)) > MIN_PROJECTION
+    loa = None
+    for _ in range(5):
+        beam = 0.0 if loa is None else beam_rule(loa)
+        series = np.full(len(phi), np.nan)
+        for k in np.flatnonzero(usable).tolist():
+            series[k] = _scalar_frame_loa(float(r_lo[k]), float(r_hi[k]),
+                                          float(phi[k]), float(theta[k]),
+                                          beam)
+        core = series[np.isfinite(series)]
+        inner = float(np.median(core))
+        near = core[np.abs(core - inner) <= 0.25 * inner]
+        loa = float(np.median(near)) if near.size else inner
+    return loa, series, int(usable.sum()), beam
+
+
+def _benchmark_scene(name):
+    cfg, ship, _ = scenario_from_dict(WORKLOADS[name].scenario, 11)
+    track = build_angle_track(cfg)
+    return simulate_degraded(ship, track, cfg), track
+
+
+@pytest.mark.parametrize("scene", ["canonical", "dense", "ragged"])
+def test_estimate_loa_is_the_scalar_fixed_point(scene):
+    # seed 11 of two benchmark dwells and the ragged dwell of the group-pass
+    # tests, each with every seventh frame flagged by the fit check
+    if scene == "ragged":
+        dwell = _ragged_dwell(1, SIGMAS)
+        track = _ragged_track(dwell, 1)
+    else:
+        dwell, track = _benchmark_scene(scene)
+    n = len(dwell.counts)
+    flagged = np.arange(n) % 7 == 3
+    bf = BadFitSeries(score=np.zeros(n), n_accel=np.zeros(n),
+                      n_spread=np.zeros(n), flagged=flagged, threshold=3.0)
+    est = estimate_loa(dwell, track, bf)
+    loa, series, used, beam = _scalar_loa(dwell, track, flagged)
+    assert np.array(est.loa).tobytes() == np.array(loa).tobytes()
+    assert est.loa_series.tobytes() == series.tobytes()
+    assert est.frames_used == used
+    assert np.array(est.width_correction).tobytes() == np.array(beam).tobytes()
+    assert 5 <= used < n

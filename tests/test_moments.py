@@ -7,19 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isarpose.moments import (EPS_VAR, MOMENT_DTYPE, frame_moments,
-                              moments_series, time_derivative)
-from isarpose.ship import Dwell, Frame, report_array
+from isarpose.moments import (EPS_VAR, MOMENT_DTYPE, moments_series,
+                              time_derivative)
+from isarpose.ship import report_array
 from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
                                simulate_degraded)
-from tests.conftest import with_frames
+from tests.conftest import frame_reports, one_frame_dwell, with_frames
 
 _finite = st.floats(min_value=-100.0, max_value=100.0,
                     allow_nan=False, allow_infinity=False)
 
 
 def _frame(r, f, a, snr=None):
-    return Frame(report_array(0.25, 20.0 if snr is None else snr, r, f, a))
+    return report_array(0.25, 20.0 if snr is None else snr, r, f, a)
+
+
+def _record(reports, weighting="uniform", report_sigmas=None):
+    """The moments record of a one-frame dwell of the reports at t = 0.25 s,
+    not debiased unless given report sigmas."""
+    return moments_series(one_frame_dwell(reports, report_sigmas),
+                          weighting)[0]
 
 
 def test_uniform_moments_match_covariance_oracle():
@@ -27,7 +34,7 @@ def test_uniform_moments_match_covariance_oracle():
     f = [1.0, -3.0, 2.0, 0.0, -1.5]
     a = [0.5, 1.0, -2.0, 0.3, 0.9]
     c = np.cov(np.array([r, f, a]), bias=True)
-    mom = frame_moments(_frame(r, f, a), 0.25)
+    mom = _record(_frame(r, f, a))
     assert mom.valid
     assert mom.n_targets == 5
     assert mom.cov_rf == pytest.approx(c[0, 1] / c[0, 0], rel=1e-12)
@@ -52,31 +59,21 @@ def test_snr_weighting_matches_weighted_oracle():
     rc = np.array(r) - w @ r
     fc = np.array(f) - w @ f
     rr = w @ rc ** 2
-    mom = frame_moments(_frame(r, f, a, snr=snr), 0.25, weighting="snr")
+    mom = _record(_frame(r, f, a, snr=snr), "snr")
     assert mom.cov_rf == pytest.approx((w @ (rc * fc)) / rr, rel=1e-12)
     assert mom.cov_ff == pytest.approx((w @ fc ** 2) / rr, rel=1e-12)
 
 
 def test_unknown_weighting_rejected():
     with pytest.raises(ValueError):
-        frame_moments(_frame([0, 1, 2], [0, 1, 2], [0, 1, 2]), 0.25,
-                      weighting="magic")
+        _record(_frame([0, 1, 2], [0, 1, 2], [0, 1, 2]), "magic")
 
 
 def test_underpopulated_or_spreadless_frames_invalid():
-    assert not frame_moments(_frame([1.0, 2.0], [0.0, 0.0],
-                                    [0.0, 0.0]), 0.25).valid
-    same_r = frame_moments(_frame([3.0] * 4, [0.0, 1.0, 2.0, 3.0],
-                                  [0.0] * 4), 0.25)
+    assert not _record(_frame([1.0, 2.0], [0.0, 0.0], [0.0, 0.0])).valid
+    same_r = _record(_frame([3.0] * 4, [0.0, 1.0, 2.0, 3.0], [0.0] * 4))
     assert not same_r.valid
     assert same_r.cov_rf == 0.0
-
-
-def _one_frame_dwell(frame, report_sigmas=None):
-    return Dwell.from_frames((frame,), phi0=0.7, theta0=0.5,
-                             range_resolution=0.5, frame_interval=0.5,
-                             integration_time=0.5,
-                             report_sigmas=report_sigmas)
 
 
 @pytest.mark.parametrize("weighting", ["uniform", "snr"])
@@ -90,8 +87,8 @@ def test_debiased_moments_remove_the_noise_floor(weighting):
          else 10.0 ** (np.array(snr) / 10.0))
     w = w / w.sum()
     sig = (0.5, 0.2, 0.1)
-    raw = frame_moments(frame, 0.25, weighting)
-    dwell = _one_frame_dwell(frame)
+    dwell = one_frame_dwell(frame)
+    raw = moments_series(dwell, weighting)[0]
     mom = moments_series(dataclasses.replace(dwell, report_sigmas=sig),
                          weighting)[0]
     floor = 1.0 - w @ w
@@ -105,12 +102,8 @@ def test_debiased_moments_remove_the_noise_floor(weighting):
                                           rel=1e-12), name
     assert mom.d_intrinsic == pytest.approx(ff / rr - mom.cov_rf ** 2,
                                             rel=1e-12)
-    # a dwell built with the sigmas debiases alike, and a dwell without
-    # any is not debiased
-    own = moments_series(_one_frame_dwell(frame, sig), weighting)[0]
-    assert own.tobytes() == mom.tobytes()
-    none = moments_series(dwell, weighting)[0]
-    assert none.tobytes() == raw.tobytes()
+    # a dwell built with the sigmas debiases alike
+    assert _record(frame, weighting, sig).tobytes() == mom.tobytes()
 
 
 @pytest.mark.parametrize("weighting", ["uniform", "snr"])
@@ -125,7 +118,7 @@ def test_moment_noise_sds_are_the_delta_method(weighting):
 
     def debiased(r, f):
         frame = _frame(r, f, a, snr=snr)
-        mom = moments_series(_one_frame_dwell(frame, sig), weighting)[0]
+        mom = _record(frame, weighting, sig)
         return np.array([mom.cov_rf, mom.d_intrinsic])
 
     var = np.zeros(2)
@@ -138,12 +131,11 @@ def test_moment_noise_sds_are_the_delta_method(weighting):
             down = debiased(r, f)
             col[i] += h
             var += sigma ** 2 * ((up - down) / (2 * h)) ** 2
-    mom = moments_series(_one_frame_dwell(_frame(r, f, a, snr=snr), sig),
-                         weighting)[0]
+    mom = _record(_frame(r, f, a, snr=snr), weighting, sig)
     assert mom.sd_rf == pytest.approx(np.sqrt(var[0]), rel=1e-6)
     assert mom.sd_d == pytest.approx(np.sqrt(var[1]), rel=1e-6)
     # with no report sigmas there is no noise to propagate
-    raw = frame_moments(_frame(r, f, a, snr=snr), 0.25, weighting)
+    raw = _record(_frame(r, f, a, snr=snr), weighting)
     assert raw.sd_rf == 0.0 and raw.sd_d == 0.0
 
 
@@ -179,7 +171,7 @@ def test_moment_noise_sds_match_monte_carlo():
 def test_frames_debiased_to_eps_var_are_invalid(sig, valid):
     # three uniform reports: <rr> = 2/3, <ff> = 8/3, 1 - sum w^2 = 2/3
     frame = _frame([-1.0, 0.0, 1.0], [2.0, -2.0, 0.0], [0.0, 0.0, 0.0])
-    mom = moments_series(_one_frame_dwell(frame, sig))[0]
+    mom = _record(frame, report_sigmas=sig)
     assert mom.valid == valid
     if not valid:
         assert mom.r_var == mom.cov_ff == mom.cov_rf == 0.0
@@ -191,7 +183,7 @@ def test_debiased_correlation_stays_within_one():
     # a string of pearls, f = 2 r: removing a Doppler floor it never had
     # leaves <rf>^2 > <rr><ff>, so crf would read 1.03 and d goes negative
     frame = _frame([-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [0.0, 0.0, 0.0])
-    mom = moments_series(_one_frame_dwell(frame, (0.0, 0.5, 0.0)))[0]
+    mom = _record(frame, report_sigmas=(0.0, 0.5, 0.0))
     assert mom.crf == 1.0
     assert mom.d_intrinsic == pytest.approx(3.75 - 4.0, rel=1e-12)
 
@@ -201,7 +193,7 @@ def test_debiased_correlation_stays_within_one():
 @settings(deadline=None)
 def test_correlation_bounded_and_spread_nonnegative(rows):
     r, f, a = zip(*rows)
-    mom = frame_moments(_frame(r, f, a), 0.25)
+    mom = _record(_frame(r, f, a))
     if mom.valid:
         assert abs(mom.crf) <= 1.0 + 1e-9
         assert mom.d_intrinsic >= -1e-9 * max(1.0, abs(mom.cov_ff))
@@ -212,7 +204,7 @@ def test_focus_coefficients_recover_exact_plane():
     r = rng.normal(size=12)
     f = rng.normal(size=12)
     a = 0.4 * r - 1.2 * f
-    mom = frame_moments(_frame(r, f, a), 0.25)
+    mom = _record(_frame(r, f, a))
     assert mom.a_r == pytest.approx(0.4, abs=1e-9)
     assert mom.a_f == pytest.approx(-1.2, abs=1e-9)
 
@@ -222,16 +214,16 @@ def test_focus_coefficients_damped_near_collinearity():
     r = np.linspace(-4.0, 4.0, 9)
     f = 2.0 * r + 1e-6 * np.cos(np.arange(9))
     a = 0.3 * r
-    mom = frame_moments(_frame(r, f, a), 0.25)
+    mom = _record(_frame(r, f, a))
     assert np.isfinite(mom.a_r) and np.isfinite(mom.a_f)
     assert abs(mom.a_r) < 1e3 and abs(mom.a_f) < 1e3
 
 
 def test_moments_series_preserves_order_and_invalid_slots(ideal_dwell):
     # frame 7 keeps two reports: too few for moments, but it keeps its slot
-    frames = list(ideal_dwell.frames)
-    fr = frames[7]
-    frames[7] = dataclasses.replace(fr, reports=fr.reports[:2])
+    frames = [frame_reports(ideal_dwell, k)
+              for k in range(len(ideal_dwell.counts))]
+    frames[7] = frames[7][:2]
     dwell = with_frames(ideal_dwell, frames)
     mom = moments_series(dwell)
     assert mom.dtype == MOMENT_DTYPE and len(mom) == len(frames)
@@ -244,16 +236,6 @@ def test_moments_series_preserves_order_and_invalid_slots(ideal_dwell):
     assert all(mom[n][6] != 0.0 for n in ("cov_rf", "cov_ff", "r_var"))
     with pytest.raises(ValueError):
         mom.cov_rf[0] = 1.0
-
-
-@pytest.mark.parametrize("weighting", ["uniform", "snr"])
-def test_frame_moments_is_the_series_record(ideal_dwell, weighting):
-    mom = moments_series(ideal_dwell, weighting)
-    for k in (0, 7, len(mom) - 1):
-        one = frame_moments(ideal_dwell.frames[k], ideal_dwell.t[k],
-                            weighting)
-        assert one.dtype == MOMENT_DTYPE
-        assert one.tobytes() == mom[k].tobytes()
 
 
 class TestTimeDerivative:

@@ -1,18 +1,22 @@
 """Per-frame inversion, classification, and composite accumulation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from isarpose.moments import frame_moments
+from isarpose.acceptance import _invert
+from isarpose.moments import moments_series
 from isarpose.motion import motion_rows
 from isarpose.pose import (PEARLS_EPS, FrameClass, FrameSolution,
                            classify_frames, compose, invert_frame,
                            motion_matrix, report_noise)
-from isarpose.ship import AngleTrack, Dwell, Frame, angle_array, report_array
+from isarpose.ship import AngleTrack, angle_array, report_array
 from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
                                rfa_of, simulate_degraded)
 from isarpose.validate import BadFitSeries
-from tests.conftest import LOA, PHI0, THETA0
+from tests.conftest import (LOA, PHI0, THETA0, frame_reports, make_dwell,
+                            one_frame_dwell)
 
 
 def _reports(rfa, t=0.25, snr=20.0):
@@ -32,10 +36,20 @@ def _one_state(T, t=0.0, phi=PHI0, theta=THETA0, **rates):
     return m[0], cond[0]
 
 
+def _invert_one(reports, m, cond, noise, mom=None):
+    """invert_frame on a group of one frame, by default under the uniform,
+    not debiased moments of its reports."""
+    if mom is None:
+        mom = moments_series(one_frame_dwell(reports))[0]
+    return invert_frame(np.asarray(reports)[None], np.asarray(mom)[None],
+                        m[None], np.reshape(cond, 1), noise)[0]
+
+
 def _invert_all(dwell, track, T, noise):
+    # under the uniform moments of the reports, not debiased
     m, cond = motion_matrix(track, T)
-    return [invert_frame(fr, frame_moments(fr, t), m[k], cond[k], noise)
-            for k, (fr, t) in enumerate(zip(dwell.frames, dwell.t))]
+    mom = moments_series(dataclasses.replace(dwell, report_sigmas=None))
+    return _invert(dwell, mom, m, cond, noise)
 
 
 def _badfit_flags(flagged):
@@ -101,44 +115,41 @@ class TestMotionMatrix:
 
 class TestInvertFrame:
     def test_round_trip_at_zero_noise(self, ideal_cfg, ideal_ship,
-                                      ideal_dwell, ideal_track):
+                                      ideal_dwell, ideal_track,
+                                      ideal_moments):
         m, cond = motion_matrix(ideal_track, ideal_cfg.integration_time)
         k = int(np.argmin(cond))
-        frame = ideal_dwell.frames[k]
-        sol = invert_frame(frame, frame_moments(frame, ideal_dwell.t[k]),
-                           m[k], cond[k], (0.25, 0.03, 0.01))
+        sol = _invert_one(frame_reports(ideal_dwell, k), m[k], cond[k],
+                          (0.25, 0.03, 0.01), ideal_moments[k])
         truth = ideal_ship.xyz - ideal_ship.xyz.mean(axis=0)
         assert sol.xyz is not None
         assert np.max(np.abs(sol.xyz - truth)) < 1e-9
 
-    def test_noise_variance_propagation_formula(self, ideal_cfg,
-                                                ideal_dwell, ideal_track):
+    def test_noise_variance_propagation_formula(self, ideal_cfg, ideal_dwell,
+                                                ideal_track, ideal_moments):
         noise = (0.25, 0.03, 0.01)
         m, cond = motion_matrix(ideal_track, ideal_cfg.integration_time)
         k = int(np.argmin(cond))
-        frame = ideal_dwell.frames[k]
-        sol = invert_frame(frame, frame_moments(frame, ideal_dwell.t[k]),
-                           m[k], cond[k], noise)
+        sol = _invert_one(frame_reports(ideal_dwell, k), m[k], cond[k], noise,
+                          ideal_moments[k])
         assert sol.xyz is not None
         minv = np.linalg.inv(m[k])
         expect = (minv ** 2) @ np.array(noise) ** 2
         assert sol.noise_var == pytest.approx(tuple(expect), rel=1e-12)
 
     def test_underpopulated_frame_invalid(self):
-        frame = Frame(_reports([(1.0, 0.0, 0.0)]))
         m, cond = _one_state(0.5, t=0.25, phi_dot=0.01, theta_dot=0.01)
-        sol = invert_frame(frame, frame_moments(frame, 0.25), m, cond,
-                           (0.25, 0.03, 0.01))
+        sol = _invert_one(_reports([(1.0, 0.0, 0.0)]), m, cond,
+                          (0.25, 0.03, 0.01))
         assert sol.xyz is None
         assert sol.scores == (0.0, 0.0, 0.0)
         assert classify_frames([sol])[0] == [FrameClass.INVALID]
 
     def test_ill_conditioned_frame_invalid_without_coordinates(
-            self, ideal_dwell):
+            self, ideal_dwell, ideal_moments):
         m, cond = _one_state(0.5, t=0.25, theta_dot=1e-9)
-        frame = ideal_dwell.frames[0]
-        sol = invert_frame(frame, frame_moments(frame, 0.25), m, cond,
-                           (0.25, 0.03, 0.01))
+        sol = _invert_one(frame_reports(ideal_dwell, 0), m, cond,
+                          (0.25, 0.03, 0.01), ideal_moments[0])
         assert sol.xyz is None
         assert sol.scores == (0.0, 0.0, 0.0)
         assert classify_frames([sol])[0] == [FrameClass.INVALID]
@@ -150,14 +161,13 @@ class TestInvertFrame:
                             (2.0, 0.1, 0.05), (11.0, 0.9, 0.0),
                             (0.5, -0.6, 0.3)],
                            snr=np.array([30.0, 12.0, 12.0, 12.0, 12.0]))
-        frame = Frame(reports)
-        uniform = frame_moments(frame, 0.25)
-        weighted = frame_moments(frame, 0.25, weighting="snr")
+        uniform = moments_series(one_frame_dwell(reports))[0]
+        weighted = moments_series(one_frame_dwell(reports), "snr")[0]
         assert abs(weighted.crf - uniform.crf) > 0.1
         m, cond = _one_state(0.5, t=0.25, phi_dot=0.010, theta_dot=0.012,
                              phi_ddot=8e-3, theta_ddot=6e-3)
         for mom in (uniform, weighted):
-            sol = invert_frame(frame, mom, m, cond, (0.25, 0.03, 0.01))
+            sol = _invert_one(reports, m, cond, (0.25, 0.03, 0.01), mom)
             assert sol.xyz is not None
             assert sol.scores[2] == pytest.approx(
                 mom.crf ** 2 / (1.0 - mom.crf ** 2 + PEARLS_EPS), rel=1e-15)
@@ -178,15 +188,11 @@ class TestInvertFrame:
             err = []
             for _ in range(400):
                 rfa = rfa0 + rng.normal(size=rfa0.shape) * np.array(noise)
-                frame = Frame(_reports(rfa))
-                sol = invert_frame(frame, frame_moments(frame, 0.0), m, cond,
-                                   noise)
+                sol = _invert_one(_reports(rfa), m, cond, noise)
                 centered = truth - truth.mean(axis=0)
                 err.append(sol.xyz - centered)
             meas = np.concatenate(err).var(axis=0)
-            clean = Frame(_reports(rfa0))
-            pred = invert_frame(clean, frame_moments(clean, 0.0), m, cond,
-                                noise).noise_var
+            pred = _invert_one(_reports(rfa0), m, cond, noise).noise_var
             ratios = meas / np.array(pred)
             assert np.all((ratios > 0.7) & (ratios < 1.4))
 
@@ -231,8 +237,8 @@ class TestClassification:
         noise = (0.25, 0.03, 0.01)
         classes, scores = classify_frames(_invert_all(
             ideal_dwell, ideal_track, ideal_cfg.integration_time, noise))
-        assert len(classes) == len(ideal_dwell.frames)
-        assert scores.shape == (len(ideal_dwell.frames), 3)
+        assert len(classes) == len(ideal_dwell.counts)
+        assert scores.shape == (len(ideal_dwell.counts), 3)
         assert all(isinstance(c, FrameClass) for c in classes)
 
     def test_flat_ship_under_turn_reads_plan(self):
@@ -262,10 +268,9 @@ class TestCompose:
         for k, td in enumerate((w, rate_b)):
             reports = _reports([(xi, -td * zi, 0.0) for xi, zi in zip(x, z)],
                                t=0.25 + 0.5 * k)
-            frames.append(Frame(reports))
-        dwell = Dwell.from_frames(frames, phi0=0.0, theta0=0.0,
-                                  range_resolution=0.5, frame_interval=0.5,
-                                  integration_time=0.5)
+            frames.append(reports)
+        dwell = make_dwell(frames, phi0=0.0, theta0=0.0, range_resolution=0.5,
+                           frame_interval=0.5, integration_time=0.5)
         return dwell, [FrameClass.PROFILE] * 2
 
     def _track(self, rates):

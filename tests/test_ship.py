@@ -13,6 +13,7 @@ from isarpose.io import load_dwell
 from isarpose.ship import (ANGLE_DTYPE, REPORT_DTYPE, AngleTrack, Dwell,
                            Frame, ShipModel, angle_array, report_array,
                            ship_moments)
+from tests.conftest import make_dwell
 
 
 def _ship(points, rcs=None, loa_true=None):
@@ -126,7 +127,7 @@ def test_angle_track_holds_a_read_only_record_array():
 
 
 def _one_report_frames(n):
-    return tuple(Frame(report_array((k + 0.5) * 0.5, [20.0], 0.0, 0.0, 0.0))
+    return tuple(report_array((k + 0.5) * 0.5, [20.0], 0.0, 0.0, 0.0)
                  for k in range(n))
 
 
@@ -135,7 +136,7 @@ def _frames_with(field, value):
     reports = [report_array((k + 0.5) * 0.5, [20.0], 0.0, 0.0, 0.0)
                for k in range(2)]
     reports[1][field] = value
-    return tuple(map(Frame, reports))
+    return tuple(reports)
 
 
 def _hand_written(kw):
@@ -150,8 +151,8 @@ def _hand_written(kw):
               "range_resolution_m": kw["range_resolution"]}
     lines = [json.dumps(header),
              "frame_index,t,snr_db,range_m,doppler_mps,accel_mps2,truth_id"]
-    for k, fr in enumerate(kw["frames"]):
-        for *floats, truth in fr.reports.tolist():
+    for k, reports in enumerate(kw["frames"]):
+        for *floats, truth in reports.tolist():
             lines.append(",".join([str(k), *map(repr, floats),
                                    "" if truth == -1 else str(truth)]))
     return "\n".join(lines) + "\n"
@@ -159,15 +160,15 @@ def _hand_written(kw):
 
 def test_dwell_reports_may_reach_their_slot_edges():
     # the reader's test is strict, so a report on a slot edge is in its frame
-    frames = (Frame(report_array([0.0, 0.5], 20.0, 0.0, 0.0, 0.0, [-1, 0])),)
-    Dwell.from_frames(frames, phi0=-1.5, theta0=1.5, range_resolution=0.5,
-                      frame_interval=0.5, integration_time=0.5)
+    frames = (report_array([0.0, 0.5], 20.0, 0.0, 0.0, 0.0, [-1, 0]),)
+    make_dwell(frames, phi0=-1.5, theta0=1.5, range_resolution=0.5,
+               frame_interval=0.5, integration_time=0.5)
 
 
 def test_dwell_holds_the_frame_grid_once():
-    dwell = Dwell.from_frames(_one_report_frames(3), phi0=0.5, theta0=0.3,
-                              range_resolution=0.5, frame_interval=0.5,
-                              integration_time=2.0)
+    dwell = make_dwell(_one_report_frames(3), phi0=0.5, theta0=0.3,
+                       range_resolution=0.5, frame_interval=0.5,
+                       integration_time=2.0)
     assert dwell.t.tolist() == [0.25, 0.75, 1.25]
     assert dwell.integration_time == 2.0
     assert [f.name for f in dataclasses.fields(Frame)] == ["reports"]
@@ -204,21 +205,19 @@ _DWELL_FAULTS = [
     # the report rules; each case is also written to a dwell file by hand,
     # and the reader must give the same reason after its own prefix
     pytest.param(
-        {"frames": (Frame(report_array([0.25], 20.0, 0.0, 0.0, 0.0)),
-                    Frame(report_array([0.75, 1.0 + 1e-9], 20.0, 0.0, 0.0,
-                                       0.0)))},
+        {"frames": (report_array([0.25], 20.0, 0.0, 0.0, 0.0),
+                    report_array([0.75, 1.0 + 1e-9], 20.0, 0.0, 0.0, 0.0))},
         "^frame 1: time 1\\.000000001 inconsistent with frame 1$",
         id="change15-frame 1: report time outside its slot"),
     pytest.param(
-        {"frames": (Frame(report_array([-1e-9], 20.0, 0.0, 0.0, 0.0)),)},
+        {"frames": (report_array([-1e-9], 20.0, 0.0, 0.0, 0.0),)},
         "^frame 0: time -1e-09 inconsistent with frame 0$",
         id="change16-frame 0: report time outside its slot"),
     pytest.param(
-        {"frames": (Frame(report_array([0.25], 20.0, 0.0, 0.0, 0.0, -2)),)},
+        {"frames": (report_array([0.25], 20.0, 0.0, 0.0, 0.0, -2),)},
         "^frame 0: bad truth_id$", id="change17-frame 0: truth_id below -1"),
     pytest.param(
-        {"frames": (Frame(report_array([0.3, 0.2, 0.25], 20.0, 0.0, 0.0,
-                                       0.0)),)},
+        {"frames": (report_array([0.3, 0.2, 0.25], 20.0, 0.0, 0.0, 0.0),)},
         "^frame 0: time decreases within a frame$",
         id="change18-frame 0: report time decreases"),
     # the pose stage squares it
@@ -240,7 +239,7 @@ def test_dwell_rejects_what_a_dwell_file_cannot_hold(tmp_path, change, match):
     kw = dict(frames=_one_report_frames(2), phi0=0.5, theta0=0.3,
               range_resolution=0.5, frame_interval=0.5, integration_time=0.5)
     with pytest.raises(ValueError, match=match) as err:
-        Dwell.from_frames(**{**kw, **change})
+        make_dwell(**{**kw, **change})
     if change.get("frames"):
         path = tmp_path / "dwell.csv"
         path.write_text(_hand_written({**kw, **change}))
@@ -255,12 +254,12 @@ def test_dwell_rejects_what_a_dwell_file_cannot_hold(tmp_path, change, match):
     case for case in _DWELL_FAULTS
     if getattr(case, "values", case)[0].get("frames")])
 def test_one_table_rejects_what_its_frames_break(change, match):
-    # the table and counts built by hand fail as from_frames does: one
-    # report rule pass over the whole table, frame k named
+    # the table and counts built by hand: one report rule pass over the
+    # whole table, frame k named
     frames = change["frames"]
-    table = np.concatenate([fr.reports for fr in frames])
+    table = np.concatenate(frames)
     with pytest.raises(ValueError, match=match):
-        Dwell(table, [len(fr.reports) for fr in frames], phi0=0.5,
+        Dwell(table, [len(fr) for fr in frames], phi0=0.5,
               theta0=0.3, range_resolution=0.5, frame_interval=0.5,
               integration_time=0.5)
 
@@ -272,9 +271,9 @@ def test_report_rules_run_across_rule_runs(monkeypatch):
     reps = report_array([0.85, 0.8, 0.9], 20.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError,
                        match="^frame 1: time decreases within a frame$"):
-        Dwell.from_frames(_one_report_frames(1) + (Frame(reps),), phi0=0.5,
-                          theta0=0.3, range_resolution=0.5,
-                          frame_interval=0.5, integration_time=0.5)
+        make_dwell(_one_report_frames(1) + (reps,), phi0=0.5, theta0=0.3,
+                   range_resolution=0.5, frame_interval=0.5,
+                   integration_time=0.5)
 
 
 @pytest.mark.parametrize("counts", [[1, 1], [2, 0, 0], [1, -1, 3], [3.0],
@@ -294,19 +293,19 @@ def _ragged_one_table_dwell():
     # frames of 0-3 reports: runs of equal counts beside lone counts
     counts = [2, 2, 2, 0, 3, 1, 1, 0, 2, 4, 4]
     frames = tuple(
-        Frame(report_array((k + 0.5) * 0.5, 20.0 + np.arange(n), 1.0 * k,
-                           0.5, 0.0, np.arange(n) - 1))
+        report_array((k + 0.5) * 0.5, 20.0 + np.arange(n), 1.0 * k, 0.5,
+                     0.0, np.arange(n) - 1)
         for k, n in enumerate(counts))
-    return Dwell.from_frames(frames, phi0=0.5, theta0=0.3,
-                             range_resolution=0.5, frame_interval=0.5,
-                             integration_time=0.5), frames
+    return make_dwell(frames, phi0=0.5, theta0=0.3,
+                      range_resolution=0.5, frame_interval=0.5,
+                      integration_time=0.5), frames
 
 
 def test_dwell_holds_one_read_only_table_that_its_frames_view():
     dwell, frames = _ragged_one_table_dwell()
     assert type(dwell.reports) is np.ndarray
     assert dwell.reports.dtype == REPORT_DTYPE
-    assert dwell.counts.tolist() == [len(fr.reports) for fr in frames]
+    assert dwell.counts.tolist() == [len(fr) for fr in frames]
     assert dwell.offsets.tolist() == [0, 2, 4, 6, 6, 9, 10, 11, 11, 13, 17,
                                       21]
     for arr in (dwell.reports, dwell.counts, dwell.offsets):
@@ -315,15 +314,15 @@ def test_dwell_holds_one_read_only_table_that_its_frames_view():
     # the frames are built once, and each is a view of the table
     assert dwell.frames is dwell.frames
     for k, (fr, given) in enumerate(zip(dwell.frames, frames)):
-        assert fr.reports.tobytes() == given.reports.tobytes(), k
-        if len(given.reports):
+        assert fr.reports.tobytes() == given.tobytes(), k
+        if len(given):
             assert np.shares_memory(fr.reports, dwell.reports), k
 
 
 def test_consecutive_equal_count_frames_group_as_a_view():
     dwell, frames = _ragged_one_table_dwell()
     for index, rows in dwell.frame_groups:
-        assert rows.tobytes() == b"".join(frames[k].reports.tobytes()
+        assert rows.tobytes() == b"".join(frames[k].tobytes()
                                           for k in index.tolist())
         assert not rows.flags.writeable
     # a group of consecutive frames is a view of the table; frames 0-2 and
@@ -338,17 +337,17 @@ def test_consecutive_equal_count_frames_group_as_a_view():
                                     (0.2, float("nan"), 0.02)])
 def test_dwell_rejects_bad_report_sigmas(sigmas):
     frames = _one_report_frames(1)
-    dwell = Dwell.from_frames(frames, phi0=0.5, theta0=0.3,
-                              range_resolution=0.5, frame_interval=0.5,
-                              integration_time=0.5,
-                              report_sigmas=[0.2, 0, 0.02])
+    dwell = make_dwell(frames, phi0=0.5, theta0=0.3,
+                       range_resolution=0.5, frame_interval=0.5,
+                       integration_time=0.5,
+                       report_sigmas=[0.2, 0, 0.02])
     assert dwell.report_sigmas == (0.2, 0.0, 0.02)
     match = ("^report sigmas must be three numbers$" if len(sigmas) != 3
              else "^sigma_doppler_mps must be a finite number >= 0$")
     with pytest.raises(ValueError, match=match):
-        Dwell.from_frames(frames, phi0=0.5, theta0=0.3,
-                          range_resolution=0.5, frame_interval=0.5,
-                          integration_time=0.5, report_sigmas=sigmas)
+        make_dwell(frames, phi0=0.5, theta0=0.3,
+                   range_resolution=0.5, frame_interval=0.5,
+                   integration_time=0.5, report_sigmas=sigmas)
 
 
 def test_report_array_broadcasts_columns():
@@ -368,9 +367,9 @@ def test_frame_rejects_nonfinite_column(field, value):
     reps[field][1] = value
     with pytest.raises(ValueError,
                        match="^frame 0: report fields must be finite$"):
-        Dwell.from_frames((Frame(reps),), phi0=0.5, theta0=0.3,
-                          range_resolution=0.5, frame_interval=0.5,
-                          integration_time=0.5)
+        make_dwell((reps,), phi0=0.5, theta0=0.3,
+                   range_resolution=0.5, frame_interval=0.5,
+                   integration_time=0.5)
 
 
 def test_frame_holds_a_read_only_record_array():
