@@ -22,7 +22,7 @@ from .angles import (FitState, lowpass_aspect_solve, waveband_joint_fit,
                      estimate_angles, model_covariances, ModelCovariances)
 from .validate import (BadFitSeries, consistency_synth, badfit,
                        crosscheck_focus)
-from .pose import (FrameSolution, CompositeImage, FrameClass,
+from .pose import (POSE_DTYPE, CompositeImage, FrameClass,
                    motion_matrix, invert_frame, classify_frames, compose)
 from .length import LengthEstimate, frame_loa, beam_rule, estimate_loa
 from .io import load_dwell, save_dwell
@@ -38,7 +38,7 @@ __all__ = [
     "FitState", "lowpass_aspect_solve", "waveband_joint_fit",
     "estimate_angles", "model_covariances", "ModelCovariances",
     "BadFitSeries", "consistency_synth", "badfit", "crosscheck_focus",
-    "FrameSolution", "CompositeImage", "FrameClass",
+    "POSE_DTYPE", "CompositeImage", "FrameClass",
     "motion_matrix", "invert_frame", "classify_frames", "compose",
     "LengthEstimate", "frame_loa", "beam_rule", "estimate_loa",
     "load_dwell", "save_dwell",

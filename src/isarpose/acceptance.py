@@ -23,8 +23,8 @@ from .angles import estimate_angles, model_covariances
 from .bands import chapeau_band_split, dominant_wave_period
 from .length import estimate_loa
 from .moments import _moments, moments_series
-from .pose import (FrameClass, classify_frames, invert_frame, motion_matrix,
-                   report_noise)
+from .pose import (POSE_DTYPE, FrameClass, classify_frames, invert_frame,
+                   motion_matrix, report_noise)
 from .runner import RunConfig, run
 from .ship import Dwell, ShipModel, report_array, ship_moments
 from .simulate import (DegradationSpec, ScenarioConfig, angle_sample_at,
@@ -168,15 +168,16 @@ def check_acceleration_consistency() -> tuple[bool, str]:
 
 
 def _invert(dwell, mom, m, cond, noise):
-    """Each frame's FrameSolution, one invert_frame pass per frame group."""
-    sols = [None] * len(dwell.counts)
+    """The dwell's POSE_DTYPE table, one invert_frame pass per frame group,
+    and its solved frames' coordinates in frame order."""
+    pose = np.zeros(len(dwell.counts), POSE_DTYPE)
+    coords = {}
     rows = mom.view(np.ndarray)
     for index, reports in dwell.frame_groups:
-        group = invert_frame(reports, rows[index], m[index], cond[index],
-                             noise)
-        for k, sol in zip(index.tolist(), group):
-            sols[k] = sol
-    return sols
+        pose[index], xyz = invert_frame(reports, rows[index], m[index],
+                                        cond[index], noise)
+        coords.update(zip(index[pose["solved"][index]].tolist(), xyz))
+    return pose, [coords[k] for k in sorted(coords)]
 
 
 def check_pose_round_trip() -> tuple[bool, str]:
@@ -189,19 +190,19 @@ def check_pose_round_trip() -> tuple[bool, str]:
     noise = report_noise(dwell.range_resolution, cfg.integration_time)
     m, cond = motion_matrix(track, cfg.integration_time)
     mom = moments_series(dwell)   # zero report sigmas: nothing is debiased
-    sols = _invert(dwell, mom, m, cond, noise)
-    worst, inverted = 0.0, []
-    for k, sol in enumerate(sols):
-        if sol.xyz is None:
-            continue
+    pose, coords = _invert(dwell, mom, m, cond, noise)
+    inverted = np.flatnonzero(pose["solved"])
+    if not len(inverted):
+        return False, "0 frames inverted"
+    worst = 0.0
+    for k, xyz in zip(inverted.tolist(), coords):
         reports = dwell.reports[dwell.offsets[k]:dwell.offsets[k + 1]]
         truth = ship.xyz[reports["truth_id"]]
         truth = truth - truth.mean(axis=0)
-        worst = max(worst, float(np.abs(sol.xyz - truth).max()))
-        inverted.append(k)
+        worst = max(worst, float(np.abs(xyz - truth).max()))
     # the best-conditioned frame, the first of equals
-    best_k = inverted[int(np.argmin(cond[inverted]))]
-    base = sols[best_k]
+    best = int(np.argmin(cond[inverted]))
+    best_k = int(inverted[best])
     # 500 noisy copies of that frame, one (r, f, a) draw per report, as one
     # group: one moments pass (uniform weights, nothing debiased) and one
     # inversion
@@ -212,13 +213,12 @@ def check_pose_round_trip() -> tuple[bool, str]:
         noisy[name] += d[..., j]
     noisy_mom = _moments([(np.arange(500), noisy)],
                          np.full(500, mom.t[best_k]), "uniform", 0.0, 0.0)
-    noisy_sols = invert_frame(noisy, noisy_mom.view(np.ndarray),
-                              np.broadcast_to(m[best_k], (500, 3, 3)),
-                              np.full(500, cond[best_k]), noise)
-    diffs = [sol.xyz - base.xyz for sol in noisy_sols]
-    emp = np.array(diffs).reshape(-1, 3).var(axis=0)
-    ratio = emp / np.asarray(base.noise_var)
-    ok = (len(inverted) > 0 and worst <= 1e-6 * LOA_M
+    _, noisy_xyz = invert_frame(noisy, noisy_mom.view(np.ndarray),
+                                np.broadcast_to(m[best_k], (500, 3, 3)),
+                                np.full(500, cond[best_k]), noise)
+    emp = (noisy_xyz - coords[best]).reshape(-1, 3).var(axis=0)
+    ratio = emp / pose["noise_var"][best_k]
+    ok = (worst <= 1e-6 * LOA_M
           and bool(np.all((ratio >= 0.5) & (ratio <= 2.0))))
     return ok, (f"{len(inverted)} frames, worst recovery err {worst:.1e} m; "
                 f"MC var ratios {ratio[0]:.2f}/{ratio[1]:.2f}/{ratio[2]:.2f}")
@@ -237,8 +237,9 @@ def _classify_scene(ship, duration, asp_rate_dps, tilt_amp_deg,
     track = build_angle_track(cfg)
     dwell = simulate_degraded(ship, track, cfg)
     m, cond = motion_matrix(track, T)
-    sols = _invert(dwell, moments_series(dwell), m, cond, dwell.report_sigmas)
-    classes, _ = classify_frames(sols)
+    pose, _ = _invert(dwell, moments_series(dwell), m, cond,
+                      dwell.report_sigmas)
+    classes, _ = classify_frames(pose)
     counts = Counter(c.value for c in classes)
     n_classified = len(classes) - counts[FrameClass.INVALID.value]
     return counts, n_classified, len(classes)

@@ -56,14 +56,6 @@ class ModelCovariances:
 
 
 @dataclass(frozen=True)
-class LowpassAspect:
-    """Slow aspect solution: phi_mean(t) about the external mean phi0."""
-
-    phi_mean: np.ndarray
-    flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class FitState:
     """What the fit knows beyond its track.
 
@@ -139,15 +131,16 @@ def _cumtrapz(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def lowpass_aspect_solve(t: np.ndarray, lhs_low: np.ndarray,
-                         phi0: float) -> LowpassAspect:
-    """Slow aspect excursion from the low band of -cov_rf.
+                         phi0: float) -> np.ndarray:
+    """Slow aspect phi_mean(t) about the external mean phi0, from the low
+    band of -cov_rf.
 
     The running integral of the low band equals
     tan(phi0) phi_M + phi_M^2 / (2 cos^2 phi0) for small excursions
     phi_M about phi0, anchored to zero at mid-dwell. Each frame takes the
     smaller-magnitude quadratic root; negative discriminants are clamped to
-    zero and reported. The excursion is re-centered so its mean vanishes
-    (phi0 carries the absolute level); its cubic seeds the fit (_slow_cubic).
+    zero. The excursion is re-centered so its mean vanishes (phi0 carries
+    the absolute level); its cubic seeds the fit (_slow_cubic).
     """
     if abs(math.tan(phi0)) <= math.tan(math.radians(MIN_ASPECT_DEG)):
         raise ValueError("aspect unobservable: mean aspect too close to bow-on")
@@ -155,13 +148,11 @@ def lowpass_aspect_solve(t: np.ndarray, lhs_low: np.ndarray,
     i = _cumtrapz(t, np.asarray(lhs_low, dtype=float))
     i = i - np.interp(t.mean(), t, i)
     a, b = 0.5 / math.cos(phi0) ** 2, math.tan(phi0)
-    disc = b * b + 4 * a * i
-    flags = ("lowpass discriminant clamped",) if np.any(disc < 0) else ()
-    disc = np.maximum(disc, 0.0)
+    disc = np.maximum(b * b + 4 * a * i, 0.0)
     r1 = (-b + np.sqrt(disc)) / (2 * a)
     r2 = (-b - np.sqrt(disc)) / (2 * a)
     phi_m = np.where(np.abs(r1) <= np.abs(r2), r1, r2)
-    return LowpassAspect(phi_mean=phi0 + (phi_m - phi_m.mean()), flags=flags)
+    return phi0 + (phi_m - phi_m.mean())
 
 
 def _projection(t: np.ndarray, y: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -381,9 +372,9 @@ def _times(t: np.ndarray):
     return t, u, u2 - u2.mean(), u ** 3, u2
 
 
-def _slow_cubic(times, low: LowpassAspect, phi0: float) -> np.ndarray:
-    # the least-squares cubic (p0, p1, p2) of low.phi_mean - phi0
-    return np.linalg.lstsq(np.stack(times[1:4], axis=-1), low.phi_mean - phi0,
+def _slow_cubic(times, phi_mean: np.ndarray, phi0: float) -> np.ndarray:
+    # the least-squares cubic (p0, p1, p2) of phi_mean - phi0
+    return np.linalg.lstsq(np.stack(times[1:4], axis=-1), phi_mean - phi0,
                            rcond=None)[0]
 
 
@@ -476,16 +467,16 @@ def _wave_problem(t: np.ndarray, data: np.ndarray, weight: np.ndarray,
                   period: float, phi0: float, theta0: float):
     """The joint fit of waveband_joint_fit as least_squares takes it.
 
-    Returns (low, x0, bounds, x_scale, args): the low-pass slow aspect, the
-    four starts, their bounds and scales, and args = (times, data, weight,
-    phi0, theta0), the arguments of _residual and _jacobian.
+    Returns (x0, bounds, x_scale, args): the four starts, their bounds and
+    scales, and args = (times, data, weight, phi0, theta0), the arguments
+    of _residual and _jacobian.
     """
     span = t[-1] - t[0]
     times = _times(t)
     s = chapeau_band_split(t, data[0], period)
-    low = lowpass_aspect_solve(t, -s.low, phi0)
     tp0, tt0 = math.tan(phi0), math.tan(theta0)
-    head = np.r_[_slow_cubic(times, low, phi0), 0.02, 0.02]   # ratios 0.02
+    head = np.r_[_slow_cubic(times, lowpass_aspect_solve(t, -s.low, phi0),
+                             phi0), 0.02, 0.02]   # ratios 0.02
     step = (PURSUIT_GRID[1] - PURSUIT_GRID[0]) / period
     k = int(0.75 / span / step)
     f = 1 / period + step * np.arange(-k, k + 1)
@@ -512,7 +503,7 @@ def _wave_problem(t: np.ndarray, data: np.ndarray, weight: np.ndarray,
     lb[:, freq] = np.where(w0 > mid, np.maximum(w0 - w_band, mid), w0 - w_band)
     ub[:, freq] = np.where(w0 < mid, np.minimum(w0 + w_band, mid), w0 + w_band)
     xsc[:, freq] = 0.01 * w0
-    return low, x0, (lb, ub), xsc, (times, data, weight, phi0, theta0)
+    return x0, (lb, ub), xsc, (times, data, weight, phi0, theta0)
 
 
 def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray,
@@ -568,7 +559,7 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray,
     else:
         source, scale = "report noise", LOSS_SCALE
         weight = 1.0 / (LOSS_SCALE * np.asarray(sd, dtype=float))
-    low, x0, bounds, xsc, args = _wave_problem(t, data, weight, period, phi0, theta0)
+    x0, bounds, xsc, args = _wave_problem(t, data, weight, period, phi0, theta0)
     held = np.zeros(x0.shape[1], dtype=bool)
     held[HEAD + 4::5] = True   # every line's w
     r = least_squares(_residual, x0, _jacobian, bounds, xsc, 400, args=args,
@@ -577,7 +568,7 @@ def waveband_joint_fit(t: np.ndarray, cov_rf: np.ndarray, d: np.ndarray,
     f = r.fun[win][weight.ravel() != 0]
     rms = scale * float(np.sqrt(np.mean(f * f)))
     converged = bool(r.status[win] in (2, 3))
-    flags = low.flags + (() if converged else ("wave fit did not converge",))
+    flags = () if converged else ("wave fit did not converge",)
     return _fit_result(t, r.x[win], phi0, theta0, rms, converged, source, flags)
 
 
@@ -636,10 +627,10 @@ def estimate_angles(mom: np.recarray, phi0: float, theta0: float,
     if seed is None or span < 3 * seed:
         # slow-only fallback: no resolvable wave line
         low_series = chapeau_smooth(t, -cov_rf, span / 5.0)
-        low = lowpass_aspect_solve(t, low_series, phi0)
-        x = np.r_[_slow_cubic(_times(t), low, phi0), 0.0, 0.0]
+        phi_mean = lowpass_aspect_solve(t, low_series, phi0)
+        x = np.r_[_slow_cubic(_times(t), phi_mean, phi0), 0.0, 0.0]
         return _fit_result(t, x, phi0, theta0, float(np.std(cov_rf + low_series)),
-                           False, "none", low.flags + ("no wave solution",))
+                           False, "none", ("no wave solution",))
 
     sd = np.array([mom.sd_rf, mom.sd_d])
     sd = np.where(valid, sd, np.inf) if np.all(sd[:, valid] > 0) else None

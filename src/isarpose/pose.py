@@ -9,7 +9,8 @@ position (Plan), and frames with neither leave the reports strung along a
 range/rate line (StringOfPearls).
 
 Frames that share a report count (Dwell.frame_groups) are inverted in one
-array pass per group.
+array pass per group, into one POSE_DTYPE record per frame, and every
+frame's class is decided in one array expression over those records.
 """
 
 from __future__ import annotations
@@ -38,21 +39,6 @@ class FrameClass(str, enum.Enum):
     THREE_D = "ThreeD"
     PEARLS = "StringOfPearls"
     INVALID = "Invalid"
-
-
-@dataclass(frozen=True)
-class FrameSolution:
-    """Inverted frame: xyz is (n_reports, 3), or None when the frame
-    cannot be inverted.
-
-    noise_var holds the propagated report-noise variances (N_X, N_Y, N_Z).
-    scores = (profile, plan, pearls): signal variance over noise variance
-    for height and cross-ship, and the range/rate collinearity odds.
-    """
-
-    xyz: np.ndarray | None
-    noise_var: tuple[float, float, float]
-    scores: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -91,8 +77,15 @@ def motion_matrix(track: AngleTrack,
     return m, np.linalg.cond(scale[:, None] * m)
 
 
-_NO_SOLUTION = FrameSolution(xyz=None, noise_var=(0.0, 0.0, 0.0),
-                             scores=(0.0, 0.0, 0.0))
+POSE_DTYPE = np.dtype([
+    ("solved", np.bool_), ("noise_var", np.float64, (3,)),
+    ("profile", np.float64), ("plan", np.float64), ("pearls", np.float64)])
+"""One inverted frame per record. solved is False when the frame has no
+coordinates (invert_frame's gate); its numeric fields are then 0.
+noise_var holds the propagated report-noise variances (N_X, N_Y, N_Z).
+profile and plan are the signal variance over the noise variance of
+height and of cross-ship position, and pearls the range/rate
+collinearity odds."""
 
 
 def invert_frame(reports, mom, m, cond, noise):
@@ -102,20 +95,21 @@ def invert_frame(reports, mom, m, cond, noise):
     reports is the (k, n) REPORT_DTYPE array of the k frames, one frame a
     row, as Dwell.frame_groups holds them; mom, m and cond hold the k
     frames' moments records under the run's weighting, motion matrices and
-    scaled condition numbers (rows of motion_matrix). The result is their
-    k FrameSolutions in order. The moments' validity gates the inversion
-    and crf sets the pearls score.
+    scaled condition numbers (rows of motion_matrix). Returns the k frames'
+    POSE_DTYPE records in order, and the (k_solved, n, 3) coordinates of
+    the solved ones in the same order. The moments' validity gates the
+    inversion and crf sets the pearls score.
 
     noise_var_k = sum_j (M^-1)_kj^2 sigma_j^2 propagates the report noise
     through the inversion. An invalid moments record, or a condition number
     beyond COND_GUARD (the instantaneous motion cannot separate the axes),
-    leaves the frame without coordinates and with zero scores.
+    leaves the frame unsolved.
     """
     cond = np.asarray(cond)
     ok = mom["valid"] & np.isfinite(cond) & (cond <= COND_GUARD)
-    sols = [_NO_SOLUTION] * len(reports)
+    pose = np.zeros(len(reports), POSE_DTYPE)
     if not ok.any():
-        return sols
+        return pose, np.empty((0, reports.shape[1], 3))
     rows = reports if ok.all() else reports[ok]
     rfa = np.stack([rows[name] for name in ("r", "f", "a")], axis=-1)
     rfa = rfa - rfa.mean(axis=1, keepdims=True)
@@ -127,48 +121,49 @@ def invert_frame(reports, mom, m, cond, noise):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(noise_var > 0, var_xyz / noise_var, np.inf)
     crf2 = c_pow(mom["crf"][ok], 2)
-    pearls = crf2 / (1.0 - crf2 + PEARLS_EPS)
-    for k, xyz_k, var_k, profile, plan, pearls_k in zip(
-            np.flatnonzero(ok).tolist(), xyz, noise_var.tolist(),
-            ratio[:, 2].tolist(), ratio[:, 1].tolist(), pearls.tolist()):
-        sols[k] = FrameSolution(xyz=xyz_k, noise_var=tuple(var_k),
-                                scores=(profile, plan, pearls_k))
-    return sols
+    pose["solved"] = ok
+    pose["noise_var"][ok] = noise_var
+    pose["profile"][ok] = ratio[:, 2]
+    pose["plan"][ok] = ratio[:, 1]
+    pose["pearls"][ok] = crf2 / (1.0 - crf2 + PEARLS_EPS)
+    return pose, xyz
 
 
-def _classify(profile: float, plan: float, pearls: float,
-              threshold: float) -> FrameClass:
-    if profile > threshold and plan > threshold:
-        lo, hi = sorted((profile, plan))
-        if lo / hi > THREE_D_BALANCE:
-            return FrameClass.THREE_D
-    scores = {FrameClass.PROFILE: profile, FrameClass.PLAN: plan,
-              FrameClass.PEARLS: pearls}
-    over = {k: v for k, v in scores.items() if v > threshold}
-    if not over:
-        return FrameClass.INVALID
-    return max(over, key=over.get)
+# classify_frames' decisions, indexed by its codes: the first three are the
+# (profile, plan, pearls) score columns
+_CLASSES = np.array([FrameClass.PROFILE, FrameClass.PLAN, FrameClass.PEARLS,
+                     FrameClass.THREE_D, FrameClass.INVALID], dtype=object)
 
 
-def classify_frames(solutions: list[FrameSolution],
+def classify_frames(pose: np.ndarray,
                     badfit_series: BadFitSeries | None = None,
                     threshold: float = CLASS_THRESHOLD
                     ) -> tuple[list[FrameClass], np.ndarray]:
-    """Each frame's class, and the (n, 3) scores it was decided on.
+    """Each frame's class, and the (n, 3) (profile, plan, pearls) scores it
+    was decided on; pose is the run's POSE_DTYPE table.
 
     Frames flagged by the fit check get their effective noise variances
     inflated tenfold before scoring, which demotes marginal Profile/Plan
     calls on contaminated frames; the collinearity score is geometric and
-    stays as is. A frame without coordinates is Invalid.
+    stays as is. A frame is ThreeD when profile and plan are both over the
+    threshold and min/max of the two is over THREE_D_BALANCE; otherwise it
+    takes its highest score over the threshold, a tie going to the first
+    of Profile, Plan, Pearls. A frame with no score over the threshold, or
+    an unsolved one, is Invalid.
     """
-    scores = np.array([sol.scores for sol in solutions],
-                      dtype=float).reshape(-1, 3)
+    scores = np.stack([pose[name] for name in ("profile", "plan", "pearls")],
+                      axis=-1)
     if badfit_series is not None:
         scores[np.asarray(badfit_series.flagged, dtype=bool), :2] /= 10.0
-    classes = [FrameClass.INVALID if sol.xyz is None
-               else _classify(*row, threshold)
-               for sol, row in zip(solutions, scores.tolist())]
-    return classes, scores
+    over = scores > threshold
+    profile, plan = scores[:, 0], scores[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        balanced = (np.minimum(profile, plan) / np.maximum(profile, plan)
+                    > THREE_D_BALANCE)
+    code = np.where(~pose["solved"] | ~over.any(axis=1), 4,
+                    np.where(over[:, 0] & over[:, 1] & balanced, 3,
+                             np.where(over, scores, -np.inf).argmax(axis=1)))
+    return _CLASSES[code].tolist(), scores
 
 
 def compose(dwell: Dwell, classes: list[FrameClass], track: AngleTrack,

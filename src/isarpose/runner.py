@@ -22,7 +22,7 @@ from .io import dwell_text, load_dwell, pgm_bytes
 from .length import estimate_loa
 from .moments import moments_series
 from .plots import svg_lines_text
-from .pose import (CLASS_THRESHOLD, CompositeImage, FrameClass,
+from .pose import (CLASS_THRESHOLD, POSE_DTYPE, CompositeImage, FrameClass,
                    classify_frames, compose, invert_frame, motion_matrix,
                    report_noise)
 from .ship import AngleTrack, ShipModel, is_count, is_number
@@ -327,14 +327,12 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
         noise = (sigmas if any(sigmas or ())
                  else report_noise(dwell.range_resolution, T))
         m, cond = motion_matrix(track, T)
-        sols = [None] * len(dwell.counts)
+        pose = np.zeros(len(dwell.counts), POSE_DTYPE)
         rows = mom.view(np.ndarray)   # a recarray's fancy index costs ~2.5x
         for index, reports in dwell.frame_groups:
-            group = invert_frame(reports, rows[index], m[index], cond[index],
-                                 noise)
-            for k, sol in zip(index.tolist(), group):
-                sols[k] = sol
-        classes, scores = classify_frames(sols, bf, config.class_threshold)
+            pose[index], _ = invert_frame(reports, rows[index], m[index],
+                                          cond[index], noise)
+        classes, scores = classify_frames(pose, bf, config.class_threshold)
         composites: list[CompositeImage] = []
         for kind in (FrameClass.PROFILE, FrameClass.PLAN):
             img = compose(dwell, classes, track, kind)

@@ -5,6 +5,7 @@ import pytest
 
 from isarpose.angles import estimate_angles
 from isarpose.moments import moments_series
+from isarpose.pose import THREE_D_BALANCE, FrameClass
 from isarpose.ship import REPORT_DTYPE, Dwell
 from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
                                simulate_degraded)
@@ -12,6 +13,21 @@ from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
 PHI0 = np.deg2rad(45.0)
 THETA0 = np.deg2rad(30.0)
 LOA = 120.0
+
+
+def classify_oracle(profile, plan, pearls, threshold):
+    """One solved frame's class from its (profile, plan, pearls) scores, one
+    rule at a time: the scalar form of pose.classify_frames."""
+    if profile > threshold and plan > threshold:
+        lo, hi = sorted((profile, plan))
+        if lo / hi > THREE_D_BALANCE:
+            return FrameClass.THREE_D
+    scores = {FrameClass.PROFILE: profile, FrameClass.PLAN: plan,
+              FrameClass.PEARLS: pearls}
+    over = {k: v for k, v in scores.items() if v > threshold}
+    if not over:
+        return FrameClass.INVALID
+    return max(over, key=over.get)
 
 
 def make_dwell(frames, *metadata, **kw):

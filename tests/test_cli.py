@@ -24,10 +24,11 @@ from isarpose.angles import estimate_angles
 from isarpose.cli import main
 from isarpose.io import dwell_text, load_dwell, save_dwell
 from isarpose.moments import moments_series
-from isarpose.pose import (COND_GUARD, PEARLS_EPS, FrameClass, _classify,
-                           motion_matrix, report_noise)
+from isarpose.pose import (COND_GUARD, PEARLS_EPS, FrameClass, motion_matrix,
+                           report_noise)
 from isarpose.ship import SIGMA_KEYS, Dwell, Frame, report_array
 from isarpose.simulate import ScenarioConfig
+from tests.conftest import classify_oracle
 
 SCENARIO = {
     "duration": 30.0,
@@ -740,16 +741,13 @@ class TestReportSigmas:
                    for row in _rows(canonical_dir / "badfit.csv")]
         guess = report_noise(dwell.range_resolution, T)
         rows = _rows(canonical_dir / "classes.csv")
-        scored = 0
-        for k, (sol, other) in enumerate(zip(
-                _invert(dwell, mom, m, cond, dwell.report_sigmas),
-                _invert(dwell, mom, m, cond, guess))):
-            if sol.xyz is None or flagged[k]:
-                continue
-            assert float(rows[k]["profile_score"]) == sol.scores[0]
-            assert other.scores[0] != sol.scores[0]
-            scored += 1
-        assert scored >= 10
+        pose, _ = _invert(dwell, mom, m, cond, dwell.report_sigmas)
+        other, _ = _invert(dwell, mom, m, cond, guess)
+        scored = np.flatnonzero(pose["solved"] & ~np.array(flagged))
+        for k in scored.tolist():
+            assert float(rows[k]["profile_score"]) == pose["profile"][k]
+            assert other["profile"][k] != pose["profile"][k]
+        assert len(scored) >= 10
 
     def test_valid_overrides_reach_every_class_decision(self, canonical_dir,
                                                         tmp_path):
@@ -767,7 +765,7 @@ class TestReportSigmas:
                       ("profile_score", "plan_score", "pearls_score")]
             expect = (FrameClass.INVALID
                       if not valid[k] or float(row["cond"]) > COND_GUARD
-                      else _classify(*scores, 8.0))
+                      else classify_oracle(*scores, 8.0))
             assert row["frame_class"] == expect.value, k
         # frames the lower BadFit threshold flags score with tenfold noise
         default = _rows(canonical_dir / "classes.csv")

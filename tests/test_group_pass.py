@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from isarpose.moments import EPS_VAR, MOMENT_DTYPE, moments_series
-from isarpose.pose import (COND_GUARD, PEARLS_EPS, invert_frame,
+from isarpose.pose import (COND_GUARD, PEARLS_EPS, POSE_DTYPE, invert_frame,
                            motion_matrix)
 from isarpose.ship import AngleTrack, angle_array, report_array
 from tests.conftest import PHI0, THETA0, frame_reports, make_dwell, with_frames
@@ -75,9 +75,11 @@ def _oracle_row(reports, t, weighting, var_r, var_f):
 
 
 def _oracle_invert(reports, mom, m, cond, noise):
-    """One frame's (xyz, noise_var, scores): the per-frame inversion."""
+    """One frame's POSE_DTYPE record fields (solved, noise_var, profile,
+    plan, pearls) and its coordinates, None when it is unsolved: the
+    per-frame inversion."""
     if not (mom.valid and np.isfinite(cond) and cond <= COND_GUARD):
-        return None, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+        return (False, (0.0, 0.0, 0.0), 0.0, 0.0, 0.0), None
     reports = np.asarray(reports)
     rfa = np.column_stack((reports["r"], reports["f"], reports["a"]))
     rfa = rfa - rfa.mean(axis=0)
@@ -88,7 +90,7 @@ def _oracle_invert(reports, mom, m, cond, noise):
     profile = float(var_xyz[2] / noise_var[2]) if noise_var[2] > 0 else np.inf
     plan = float(var_xyz[1] / noise_var[1]) if noise_var[1] > 0 else np.inf
     pearls = float(mom.crf ** 2 / (1.0 - mom.crf ** 2 + PEARLS_EPS))
-    return xyz, tuple(noise_var.tolist()), (profile, plan, pearls)
+    return (True, tuple(noise_var.tolist()), profile, plan, pearls), xyz
 
 
 def _ragged_dwell(seed, sigmas):
@@ -173,26 +175,24 @@ def test_pose_inversion_is_the_per_frame_oracle(seed, weighting):
     m, cond = motion_matrix(_ragged_track(dwell, seed), dwell.integration_time)
     assert not np.isfinite(cond[list(STATIC)]).any()
     assert (cond[list(SLOW_TILT)] > COND_GUARD).all()
-    grouped = [None] * len(dwell.counts)
+    pose = np.zeros(len(dwell.counts), POSE_DTYPE)
+    coords = {}
     for index, reports in dwell.frame_groups:
-        sols = invert_frame(reports, mom.view(np.ndarray)[index], m[index],
-                            cond[index], NOISE)
-        for k, sol in zip(index.tolist(), sols):
-            grouped[k] = sol
-    inverted = 0
-    for k, sol in enumerate(grouped):
-        xyz, noise_var, scores = _oracle_invert(
-            frame_reports(dwell, k), mom[k], m[k], cond[k], NOISE)
-        assert np.array(sol.scores).tobytes() == np.array(scores).tobytes(), k
-        assert (np.array(sol.noise_var).tobytes()
-                == np.array(noise_var).tobytes()), k
-        if xyz is None:
-            assert sol.xyz is None, k
-        else:
-            assert sol.xyz.shape == xyz.shape, k
-            assert sol.xyz.tobytes() == xyz.tobytes(), k
-        inverted += xyz is not None
-    assert inverted >= 10
+        pose[index], xyz = invert_frame(reports, mom.view(np.ndarray)[index],
+                                        m[index], cond[index], NOISE)
+        solved = index[pose["solved"][index]].tolist()
+        assert len(xyz) == len(solved)
+        coords.update(zip(solved, xyz))
+    oracle = [_oracle_invert(frame_reports(dwell, k), mom[k], m[k], cond[k],
+                             NOISE) for k in range(len(dwell.counts))]
+    assert pose.tobytes() == np.array([rec for rec, _ in oracle],
+                                      POSE_DTYPE).tobytes()
+    assert sorted(coords) == [k for k, (_, xyz) in enumerate(oracle)
+                              if xyz is not None]
+    for k, xyz in coords.items():
+        assert xyz.shape == oracle[k][1].shape, k
+        assert xyz.tobytes() == oracle[k][1].tobytes(), k
+    assert len(coords) >= 10
 
 
 def test_a_group_whose_frames_all_fail_the_gate_inverts_none():
@@ -201,10 +201,10 @@ def test_a_group_whose_frames_all_fail_the_gate_inverts_none():
     index, reports = next(g for g in dwell.frame_groups
                           if g[1].shape[1] == 40)
     m = np.zeros((len(index), 3, 3))
-    sols = invert_frame(reports, mom.view(np.ndarray)[index], m,
-                        np.full(len(index), np.inf), NOISE)
-    assert [sol.xyz for sol in sols] == [None] * len(index)
-    assert [sol.scores for sol in sols] == [(0.0, 0.0, 0.0)] * len(index)
+    pose, xyz = invert_frame(reports, mom.view(np.ndarray)[index], m,
+                             np.full(len(index), np.inf), NOISE)
+    assert pose.tobytes() == np.zeros(len(index), POSE_DTYPE).tobytes()
+    assert xyz.shape == (0, 40, 3)
 
 
 def test_a_replaced_dwell_groups_its_own_frames():

@@ -8,15 +8,15 @@ import pytest
 from isarpose.acceptance import _invert
 from isarpose.moments import moments_series
 from isarpose.motion import motion_rows
-from isarpose.pose import (PEARLS_EPS, FrameClass, FrameSolution,
-                           classify_frames, compose, invert_frame,
-                           motion_matrix, report_noise)
+from isarpose.pose import (CLASS_THRESHOLD, PEARLS_EPS, POSE_DTYPE,
+                           THREE_D_BALANCE, FrameClass, classify_frames,
+                           compose, invert_frame, motion_matrix, report_noise)
 from isarpose.ship import AngleTrack, angle_array, report_array
 from isarpose.simulate import (ScenarioConfig, build_angle_track, make_ship,
                                rfa_of, simulate_degraded)
 from isarpose.validate import BadFitSeries
-from tests.conftest import (LOA, PHI0, THETA0, frame_reports, make_dwell,
-                            one_frame_dwell)
+from tests.conftest import (LOA, PHI0, THETA0, classify_oracle,
+                            frame_reports, make_dwell, one_frame_dwell)
 
 
 def _reports(rfa, t=0.25, snr=20.0):
@@ -25,9 +25,16 @@ def _reports(rfa, t=0.25, snr=20.0):
     return report_array(t, snr, rfa[:, 0], rfa[:, 1], rfa[:, 2])
 
 
-def _solution(scores, xyz="dummy"):
-    xyz = np.zeros((4, 3)) if xyz == "dummy" else xyz
-    return FrameSolution(xyz=xyz, noise_var=(1.0, 1.0, 1.0), scores=scores)
+def _pose(*scores, solved=True):
+    """A POSE_DTYPE table of frames with the given (profile, plan, pearls)
+    scores and unit noise variances."""
+    pose = np.zeros(len(scores), POSE_DTYPE)
+    pose["solved"] = solved
+    pose["noise_var"] = 1.0
+    for name, column in zip(("profile", "plan", "pearls"),
+                            np.array(scores, dtype=float).reshape(-1, 3).T):
+        pose[name] = column
+    return pose
 
 
 def _one_state(T, t=0.0, phi=PHI0, theta=THETA0, **rates):
@@ -38,18 +45,20 @@ def _one_state(T, t=0.0, phi=PHI0, theta=THETA0, **rates):
 
 def _invert_one(reports, m, cond, noise, mom=None):
     """invert_frame on a group of one frame, by default under the uniform,
-    not debiased moments of its reports."""
+    not debiased moments of its reports: its (1,) pose table and its
+    coordinates, None when it is unsolved."""
     if mom is None:
         mom = moments_series(one_frame_dwell(reports))[0]
-    return invert_frame(np.asarray(reports)[None], np.asarray(mom)[None],
-                        m[None], np.reshape(cond, 1), noise)[0]
+    pose, xyz = invert_frame(np.asarray(reports)[None], np.asarray(mom)[None],
+                             m[None], np.reshape(cond, 1), noise)
+    return pose, (xyz[0] if len(xyz) else None)
 
 
 def _invert_all(dwell, track, T, noise):
-    # under the uniform moments of the reports, not debiased
+    # the pose table under the uniform moments of the reports, not debiased
     m, cond = motion_matrix(track, T)
     mom = moments_series(dataclasses.replace(dwell, report_sigmas=None))
-    return _invert(dwell, mom, m, cond, noise)
+    return _invert(dwell, mom, m, cond, noise)[0]
 
 
 def _badfit_flags(flagged):
@@ -119,40 +128,40 @@ class TestInvertFrame:
                                       ideal_moments):
         m, cond = motion_matrix(ideal_track, ideal_cfg.integration_time)
         k = int(np.argmin(cond))
-        sol = _invert_one(frame_reports(ideal_dwell, k), m[k], cond[k],
-                          (0.25, 0.03, 0.01), ideal_moments[k])
+        pose, xyz = _invert_one(frame_reports(ideal_dwell, k), m[k], cond[k],
+                                (0.25, 0.03, 0.01), ideal_moments[k])
         truth = ideal_ship.xyz - ideal_ship.xyz.mean(axis=0)
-        assert sol.xyz is not None
-        assert np.max(np.abs(sol.xyz - truth)) < 1e-9
+        assert pose["solved"][0] and xyz is not None
+        assert np.max(np.abs(xyz - truth)) < 1e-9
 
     def test_noise_variance_propagation_formula(self, ideal_cfg, ideal_dwell,
                                                 ideal_track, ideal_moments):
         noise = (0.25, 0.03, 0.01)
         m, cond = motion_matrix(ideal_track, ideal_cfg.integration_time)
         k = int(np.argmin(cond))
-        sol = _invert_one(frame_reports(ideal_dwell, k), m[k], cond[k], noise,
-                          ideal_moments[k])
-        assert sol.xyz is not None
+        pose, xyz = _invert_one(frame_reports(ideal_dwell, k), m[k], cond[k],
+                                noise, ideal_moments[k])
+        assert xyz is not None
         minv = np.linalg.inv(m[k])
         expect = (minv ** 2) @ np.array(noise) ** 2
-        assert sol.noise_var == pytest.approx(tuple(expect), rel=1e-12)
+        assert pose["noise_var"][0] == pytest.approx(expect, rel=1e-12)
 
     def test_underpopulated_frame_invalid(self):
         m, cond = _one_state(0.5, t=0.25, phi_dot=0.01, theta_dot=0.01)
-        sol = _invert_one(_reports([(1.0, 0.0, 0.0)]), m, cond,
-                          (0.25, 0.03, 0.01))
-        assert sol.xyz is None
-        assert sol.scores == (0.0, 0.0, 0.0)
-        assert classify_frames([sol])[0] == [FrameClass.INVALID]
+        pose, xyz = _invert_one(_reports([(1.0, 0.0, 0.0)]), m, cond,
+                                (0.25, 0.03, 0.01))
+        assert xyz is None
+        assert pose.tobytes() == np.zeros(1, POSE_DTYPE).tobytes()
+        assert classify_frames(pose)[0] == [FrameClass.INVALID]
 
     def test_ill_conditioned_frame_invalid_without_coordinates(
             self, ideal_dwell, ideal_moments):
         m, cond = _one_state(0.5, t=0.25, theta_dot=1e-9)
-        sol = _invert_one(frame_reports(ideal_dwell, 0), m, cond,
-                          (0.25, 0.03, 0.01), ideal_moments[0])
-        assert sol.xyz is None
-        assert sol.scores == (0.0, 0.0, 0.0)
-        assert classify_frames([sol])[0] == [FrameClass.INVALID]
+        pose, xyz = _invert_one(frame_reports(ideal_dwell, 0), m, cond,
+                                (0.25, 0.03, 0.01), ideal_moments[0])
+        assert xyz is None
+        assert pose.tobytes() == np.zeros(1, POSE_DTYPE).tobytes()
+        assert classify_frames(pose)[0] == [FrameClass.INVALID]
 
     def test_pearls_score_uses_the_given_weighted_moments(self):
         # one loud report pulls the SNR-weighted range/rate correlation far
@@ -167,9 +176,9 @@ class TestInvertFrame:
         m, cond = _one_state(0.5, t=0.25, phi_dot=0.010, theta_dot=0.012,
                              phi_ddot=8e-3, theta_ddot=6e-3)
         for mom in (uniform, weighted):
-            sol = _invert_one(reports, m, cond, (0.25, 0.03, 0.01), mom)
-            assert sol.xyz is not None
-            assert sol.scores[2] == pytest.approx(
+            pose, xyz = _invert_one(reports, m, cond, (0.25, 0.03, 0.01), mom)
+            assert xyz is not None
+            assert pose["pearls"][0] == pytest.approx(
                 mom.crf ** 2 / (1.0 - mom.crf ** 2 + PEARLS_EPS), rel=1e-15)
 
     def test_monte_carlo_variance_matches_propagation_at_two_T(
@@ -188,12 +197,12 @@ class TestInvertFrame:
             err = []
             for _ in range(400):
                 rfa = rfa0 + rng.normal(size=rfa0.shape) * np.array(noise)
-                sol = _invert_one(_reports(rfa), m, cond, noise)
+                _, xyz = _invert_one(_reports(rfa), m, cond, noise)
                 centered = truth - truth.mean(axis=0)
-                err.append(sol.xyz - centered)
+                err.append(xyz - centered)
             meas = np.concatenate(err).var(axis=0)
-            pred = _invert_one(_reports(rfa0), m, cond, noise).noise_var
-            ratios = meas / np.array(pred)
+            pred = _invert_one(_reports(rfa0), m, cond, noise)[0]["noise_var"][0]
+            ratios = meas / pred
             assert np.all((ratios > 0.7) & (ratios < 1.4))
 
 
@@ -207,18 +216,16 @@ class TestClassification:
         ((3.9, 3.9, 3.9), FrameClass.INVALID),
     ])
     def test_score_rules(self, scores, expected):
-        classes, _ = classify_frames([_solution(scores)])
+        classes, _ = classify_frames(_pose(scores))
         assert classes[0] is expected
 
     def test_missing_coordinates_stay_invalid(self):
-        classes, _ = classify_frames([_solution((9.0, 1.0, 0.0), xyz=None)])
+        classes, _ = classify_frames(_pose((9.0, 1.0, 0.0), solved=False))
         assert classes[0] is FrameClass.INVALID
 
     def test_flagged_frames_score_with_inflated_noise(self):
-        sols = [_solution((30.0, 1.0, 0.0)),
-                _solution((30.0, 1.0, 0.0)),
-                _solution((300.0, 1.0, 0.0))]
-        classes, scores = classify_frames(sols,
+        pose = _pose((30.0, 1.0, 0.0), (30.0, 1.0, 0.0), (300.0, 1.0, 0.0))
+        classes, scores = classify_frames(pose,
                                           _badfit_flags([False, True, True]))
         assert classes[0] is FrameClass.PROFILE
         # tenfold noise divides the variance-ratio scores by ten
@@ -227,10 +234,38 @@ class TestClassification:
         assert classes[2] is FrameClass.PROFILE
 
     def test_collinearity_score_not_inflated(self):
-        classes, scores = classify_frames([_solution((1.0, 1.0, 8.0))],
+        classes, scores = classify_frames(_pose((1.0, 1.0, 8.0)),
                                           _badfit_flags([True]))
         assert scores[0, 2] == 8.0
         assert classes[0] is FrameClass.PEARLS
+
+    @pytest.mark.parametrize("threshold", [CLASS_THRESHOLD, 8.0])
+    def test_array_decision_is_the_scalar_oracle(self, threshold):
+        # every triple of scores from a grid that holds ties, the threshold
+        # itself (40 and 80 reach it once flagged), min/max of exactly
+        # THREE_D_BALANCE (5 and 10, or 50 and 100 flagged), inf and NaN;
+        # each triple solved and unsolved, flagged and not
+        grid = [0.0, 2.0, threshold, np.nextafter(threshold, np.inf), 5.0,
+                10.0, 40.0, 50.0, 80.0, 100.0, np.inf, np.nan]
+        assert THREE_D_BALANCE == 0.5
+        triples = np.array(np.meshgrid(grid, grid, grid,
+                                       indexing="ij")).reshape(3, -1).T
+        n = len(triples)
+        pose = _pose(*np.tile(triples, (4, 1)))
+        pose["solved"] = np.repeat([True, False, True, False], n)
+        flagged = np.repeat([False, False, True, True], n)
+        classes, scores = classify_frames(pose, _badfit_flags(flagged),
+                                          threshold)
+        want = np.tile(triples, (4, 1))
+        want[flagged, :2] /= 10.0
+        assert scores.tobytes() == want.tobytes()
+        expect = [classify_oracle(*row, threshold) if solved
+                  else FrameClass.INVALID
+                  for row, solved in zip(want.tolist(),
+                                         pose["solved"].tolist())]
+        assert classes == expect
+        # the grid reaches every class
+        assert set(classes) == set(FrameClass)
 
     def test_each_frame_gets_exactly_one_class(self, ideal_cfg, ideal_dwell,
                                                ideal_track):
