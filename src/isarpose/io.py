@@ -13,9 +13,10 @@ accepted and ignored. Frame k is frame_index k, and every row must pass
 ship.report_fault, the report rules every Dwell holds. Floats are written
 with shortest round-trip repr, so every Dwell loads back as saved, and
 save -> load -> save is byte-identical. Neither direction holds the file
-as one text. The writer gives one ASCII byte chunk per frame, a slice of
-the dwell's report table. The reader takes the report lines from the open
-file in blocks of _BLOCK_ROWS; each block is parsed natively, by one
+as one text. The writer formats one frame at a time, a slice of the
+dwell's report table, and writes it to the open file as one ASCII byte
+chunk before it formats the next. The reader takes the report lines from
+the open file in blocks of _BLOCK_ROWS; each block is parsed natively, by one
 np.loadtxt call on its final dtype, checked by report_fault and appended
 to the one report table of the Dwell, whose frame counts it then takes.
 Only a block that fails goes to the line-level diagnosis, which reads its
@@ -33,7 +34,7 @@ import warnings
 from collections import deque
 from itertools import compress, repeat
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import BinaryIO, Iterator, TextIO
 
 import numpy as np
 
@@ -66,13 +67,13 @@ def _exact_degrees(rad: float) -> float:
 
 def save_dwell(dwell: Dwell, path: str | Path) -> None:
     with Path(path).open("wb") as fh:
-        fh.writelines(dwell_text(dwell))
+        dwell_text(dwell, fh)
 
 
-def dwell_text(dwell: Dwell) -> list[bytes]:
-    """The dwell file as ASCII byte chunks: the header and column rows,
-    then one chunk of report rows per frame. Written in order, the chunks
-    are the file."""
+def dwell_text(dwell: Dwell, fh: BinaryIO) -> None:
+    """Write the dwell file to the binary file fh: the header and column
+    rows, then one ASCII chunk of report rows per frame, each formatted
+    just before it is written, so the file's text is never held whole."""
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -87,8 +88,8 @@ def dwell_text(dwell: Dwell) -> list[bytes]:
         header.update(zip(SIGMA_KEYS, dwell.report_sigmas))
     with_truth = bool((dwell.reports["truth_id"] >= 0).any())
     cols = _COLUMNS + (("truth_id",) if with_truth else ())
-    chunks = [f"{json.dumps(header, sort_keys=True)}\n{','.join(cols)}\n"
-              .encode("ascii")]
+    fh.write(f"{json.dumps(header, sort_keys=True)}\n{','.join(cols)}\n"
+             .encode("ascii"))
     for k, reports in enumerate(np.split(dwell.reports, dwell.offsets[1:-1])):
         t = reports["t"]
         bits = t.view(np.int64)
@@ -106,8 +107,7 @@ def dwell_text(dwell: Dwell) -> list[bytes]:
             if with_truth:
                 row += f",{truth}" if truth >= 0 else ","
             rows.append(row + "\n")
-        chunks.append("".join(rows).encode("ascii"))
-    return chunks
+        fh.write("".join(rows).encode("ascii"))
 
 
 def _parse_header(line: str) -> dict:

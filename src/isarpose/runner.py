@@ -14,6 +14,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -246,18 +247,22 @@ def _json_text(obj) -> str:
 
 
 class _Outputs:
-    """Collects output files in memory, each as a list of byte chunks;
-    writes all-or-nothing."""
+    """Output files as writers: write(fh) fills one open binary file, and
+    flush calls each in turn, so a file's bytes need exist only while it
+    is written. The write is all-or-nothing."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        self.items: list[tuple[str, list[bytes]]] = []
+        self.items: list[tuple[str, Callable[[BinaryIO], object]]] = []
 
-    def add_chunks(self, name: str, chunks: list[bytes]) -> None:
-        self.items.append((name, chunks))
+    def add(self, name: str, write: Callable[[BinaryIO], object]) -> None:
+        self.items.append((name, write))
+
+    def add_bytes(self, name: str, data: bytes) -> None:
+        self.add(name, lambda fh: fh.write(data))
 
     def add_text(self, name: str, text: str) -> None:
-        self.add_chunks(name, [text.encode("utf-8")])
+        self.add_bytes(name, text.encode("utf-8"))
 
     def manifest(self) -> tuple[str, ...]:
         return tuple(sorted(name for name, _ in self.items))
@@ -266,13 +271,15 @@ class _Outputs:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         written: list[Path] = []
         try:
-            for name, chunks in self.items:
+            for name, write in self.items:
                 p = self.out_dir / name
                 with p.open("wb") as fh:
                     # listed once opened, so a file cut short is removed too
                     written.append(p)
-                    fh.writelines(chunks)
-        except OSError:
+                    write(fh)
+        except BaseException:
+            # whatever a writer raises, a disk error or a fault in its
+            # formatting, no file it or an earlier writer began stays
             for p in written:
                 try:
                     p.unlink()
@@ -393,7 +400,7 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
         "usable": np.isfinite(loa_series)}))
     for img in composites:
         base = f"composite_{img.kind.value.lower()}"
-        out.add_chunks(base + ".pgm", [pgm_bytes(img.grid)])
+        out.add_bytes(base + ".pgm", pgm_bytes(img.grid))
         out.add_text(base + ".json", _json_text({
             "kind": img.kind.value,
             "cell_m": float(img.range_axis[1] - img.range_axis[0])
@@ -441,7 +448,8 @@ def run(config: RunConfig) -> RunReport:
                           snr_floor=-math.inf, injectors=())
         with _stage("simulate"):
             dwell = simulate_degraded(ship, build_angle_track(cfg), cfg)
-        out.add_chunks("dwell.csv", dwell_text(dwell))
+        # formatted frame by frame as flush writes it, never held whole
+        out.add("dwell.csv", lambda fh: dwell_text(dwell, fh))
     else:
         try:
             dwell = load_dwell(config.input_path)

@@ -4,12 +4,14 @@ import csv
 import dataclasses
 import errno
 import filecmp
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -304,6 +306,70 @@ class TestSimulate:
         assert cut == [room]
         assert not out.exists() or not any(out.iterdir())
 
+    def test_writer_fault_mid_file_leaves_no_outputs(self, sim_dir, tmp_path,
+                                                     monkeypatch):
+        # formatting fails half way through dwell.csv, the first file
+        # written: the fault reaches the caller as raised, and the half
+        # already on disk does not stay behind
+        room = (sim_dir / "dwell.csv").stat().st_size // 2
+        real = isarpose.runner.dwell_text
+        fault = ValueError("frame formatting failed")
+        cut = []
+
+        class Faulty:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                if self.fh.tell() + len(data) > room:
+                    cut.append(self.fh.tell())
+                    raise fault
+                return self.fh.write(data)
+
+        monkeypatch.setattr(isarpose.runner, "dwell_text",
+                            lambda dwell, fh: real(dwell, Faulty(fh)))
+        out = tmp_path / "faulty"
+        with pytest.raises(ValueError) as raised:
+            isarpose.runner.run(isarpose.runner.RunConfig(
+                mode="simulate", output_dir=str(out), scenario=SCENARIO))
+        assert raised.value is fault
+        assert len(cut) == 1 and 0 < cut[0] <= room
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_flush_never_holds_the_dwell_text(self, tmp_path, monkeypatch):
+        # 40 frames of 2,000 reports, a 7 MB dwell.csv: from the simulated
+        # dwell on, traced memory never grows by the file's size, and
+        # writing it adds a few frames' text, not the file's
+        scenario = dict(SCENARIO, duration=20.0,
+                        ship={"loa": 120.0, "n_scatterers": 2000})
+        real_sim = isarpose.runner.simulate_degraded
+        real_flush = isarpose.runner._Outputs.flush
+        seen = {}
+
+        def simulate(*args):
+            dwell = real_sim(*args)
+            tracemalloc.start()
+            return dwell
+
+        def flush(self):
+            seen["held"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            real_flush(self)
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+
+        monkeypatch.setattr(isarpose.runner, "simulate_degraded", simulate)
+        monkeypatch.setattr(isarpose.runner._Outputs, "flush", flush)
+        out = tmp_path / "sim"
+        try:
+            isarpose.runner.run(isarpose.runner.RunConfig(
+                mode="simulate", output_dir=str(out), scenario=scenario))
+        finally:
+            tracemalloc.stop()
+        size = (out / "dwell.csv").stat().st_size
+        assert size > 5e6
+        assert seen["peak"] - seen["held"] < size / 4
+        assert seen["peak"] < size / 2
+
     @pytest.mark.parametrize("truth", [True, False], ids=["truth", "no-truth"])
     def test_every_dwell_writer_gives_the_same_bytes(self, tmp_path,
                                                      monkeypatch, truth):
@@ -338,7 +404,9 @@ class TestSimulate:
         save_dwell(load_dwell(saved), again)
         written = (out / "dwell.csv").read_bytes()
         assert written == saved.read_bytes() == again.read_bytes()
-        assert written == b"".join(dwell_text(dwell))
+        buf = io.BytesIO()
+        dwell_text(dwell, buf)
+        assert written == buf.getvalue()
         columns = written.split(b"\n")[1].split(b",")
         assert (b"truth_id" in columns) == truth
         assert load_dwell(saved).counts[list(empty)].tolist() == [0, 0, 0]

@@ -1,5 +1,6 @@
 """Dwell file round trips and schema diagnostics."""
 
+import io
 import itertools
 import json
 import math
@@ -21,8 +22,10 @@ _val = st.floats(min_value=-1e6, max_value=1e6,
 
 
 def _text(dwell):
-    """dwell_text's chunks joined into the file's text."""
-    return b"".join(dwell_text(dwell)).decode("ascii")
+    """The file's text as dwell_text writes it."""
+    buf = io.BytesIO()
+    dwell_text(dwell, buf)
+    return buf.getvalue().decode("ascii")
 
 
 @pytest.fixture(params=[(1, 1), (2, 7), (3, 64)],
