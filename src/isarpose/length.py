@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ship import Dwell
+from .validate import MAD_TO_SIGMA
 
 FOOT = 0.3048
 MIN_PROJECTION = 0.1   # |cos(phi) cos(theta)| floor for a usable frame
@@ -26,8 +27,14 @@ GHOST_SNR_DROP_DB = 6.0  # ... and this far under the frame's median SNR
 
 @dataclass(frozen=True)
 class LengthEstimate:
+    """A dwell's length loa (m); loa_series its frame lengths (NaN on unused
+    frames), read from the range extents r_min/r_max that the multipath
+    screen leaves (NaN where under three reports survive it)."""
+
     loa: float
     loa_series: np.ndarray
+    r_min: np.ndarray
+    r_max: np.ndarray
     rmin_std: float
     rmax_std: float
     frames_used: int
@@ -71,7 +78,7 @@ def _screen(r: np.ndarray, snr: np.ndarray) -> np.ndarray:
     if r.shape[1] < 5:
         return np.ones(r.shape, dtype=bool)
     p90 = np.percentile(r, 90, axis=1)
-    mad = 1.4826 * np.median(np.abs(r - np.median(r, axis=1)[:, None]), axis=1)
+    mad = MAD_TO_SIGMA * np.median(np.abs(r - np.median(r, axis=1)[:, None]), axis=1)
     far = r > (p90 + GHOST_K_MAD * np.maximum(mad, 1e-9))[:, None]
     weak = snr <= (np.median(snr, axis=1) - GHOST_SNR_DROP_DB)[:, None]
     return ~(far & weak)
@@ -145,7 +152,7 @@ def estimate_loa(dwell: Dwell, track, badfit_series=None) -> LengthEstimate:
         loa = double_median(second)
 
     # usable frames have finite extents, and at least five of them
-    return LengthEstimate(loa=loa, loa_series=second,
+    return LengthEstimate(loa=loa, loa_series=second, r_min=r_lo, r_max=r_hi,
                           rmin_std=float(np.std(r_lo[usable])),
                           rmax_std=float(np.std(r_hi[usable])),
                           frames_used=int(usable.sum()),

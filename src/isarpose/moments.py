@@ -33,19 +33,16 @@ from .ship import Dwell
 EPS_VAR = 1e-12
 
 MOMENT_DTYPE = np.dtype([
-    ("t", np.float64), ("n_targets", np.int64), ("valid", np.bool_),
-    ("cov_rf", np.float64), ("cov_ff", np.float64), ("cov_ra", np.float64),
-    ("cov_fa", np.float64), ("crf", np.float64), ("d_intrinsic", np.float64),
-    ("r_var", np.float64), ("r_min", np.float64), ("r_max", np.float64),
-    ("a_r", np.float64), ("a_f", np.float64), ("sd_rf", np.float64),
-    ("sd_d", np.float64)])
+    ("t", np.float64), ("valid", np.bool_), ("cov_rf", np.float64),
+    ("cov_ff", np.float64), ("cov_ra", np.float64), ("cov_fa", np.float64),
+    ("crf", np.float64), ("d_intrinsic", np.float64), ("r_var", np.float64),
+    ("sd_rf", np.float64), ("sd_d", np.float64)])
 """Scaled covariances of one frame per record. valid is False when fewer
 than three reports survive, the normalized weights are not finite, or
 the debiased <rr> or <ff> is at most EPS_VAR; the numeric fields are then
-0. a_r/a_f are the focus coefficients
-of the regression a ~ a_r * r + a_f * f over the frame's centered
-reports. sd_rf/sd_d are the noise sds of cov_rf and d_intrinsic under
-the report sigmas whose floor was removed (0 without them)."""
+0. sd_rf/sd_d are the noise sds of cov_rf and d_intrinsic under the report
+sigmas whose floor was removed (0 without them). A frame's report count is
+the dwell's (Dwell.counts), its range extent the length stage's."""
 
 
 def snr_power(snr_db) -> np.ndarray:
@@ -77,8 +74,7 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # the weighted sums of a frame's reports that its moments are formed from
-_SUMS = ("rr", "ff", "rf", "ra", "fa", "s_rr", "s_rf", "s_ff", "r_min",
-         "r_max")
+_SUMS = ("rr", "ff", "rf", "ra", "fa", "s_rr", "s_rf", "s_ff")
 
 
 def _sums(reports: np.ndarray, weighting: str, var_r: float,
@@ -89,7 +85,7 @@ def _sums(reports: np.ndarray, weighting: str, var_r: float,
     centered on their weighted means, rr = <r r> and ff = <f f> less the
     noise floors of the report variances var_r (m^2) and var_f (m^2/s^2);
     rf, ra, fa the other weighted moments; s_rr, s_rf, s_ff the
-    w^2-weighted ones; r_min, r_max the range extent."""
+    w^2-weighted ones."""
     # an SNR whose power overflows, or a frame whose every weight underflows
     # to 0, leaves NaN weights and so NaN sums
     with np.errstate(over="ignore", invalid="ignore"):
@@ -98,7 +94,6 @@ def _sums(reports: np.ndarray, weighting: str, var_r: float,
     # contiguous rows: BLAS sums a strided row's dot product in another
     # order, which would move the last bits of every moment
     r, f, a = (np.array(reports[name]) for name in ("r", "f", "a"))
-    r_min, r_max = r.min(axis=1), r.max(axis=1)
     r = r - _dot(w, r)[:, None]
     f = f - _dot(w, f)[:, None]
     a = a - _dot(w, a)[:, None]
@@ -108,8 +103,7 @@ def _sums(reports: np.ndarray, weighting: str, var_r: float,
     return np.stack((_dot(w, r * r) - var_r * spread,
                      _dot(w, f * f) - var_f * spread,
                      _dot(w, r * f), _dot(w, r * a), _dot(w, f * a),
-                     _dot(w2r, r), _dot(w2r, f), _dot(w2 * f, f),
-                     r_min, r_max))
+                     _dot(w2r, r), _dot(w2r, f), _dot(w2 * f, f)))
 
 
 def _moments(groups, t: np.ndarray, weighting: str, var_r: float,
@@ -120,29 +114,21 @@ def _moments(groups, t: np.ndarray, weighting: str, var_r: float,
     pass over every frame forms the moments from them, with the noise
     floors var_r (m^2) and var_f (m^2/s^2) removed from <rr> and <ff> and
     propagated to sd_rf, sd_d: sd^2 = var_r sum (d/d r_i)^2 + var_f sum
-    (d/d f_i)^2. Only valid frames reach the formulas.
-
-    The focus coefficients solve the centered normal equations directly:
-        a_r = (<ra><ff> - <fa><rf>) / Det,  a_f = (<fa><rr> - <ra><rf>) / Det
-    with Det = <rr><ff>(1 - crf^2). Near-collinear frames (crf^2 > 0.98) have
-    Det shrunk toward zero, so the estimates are damped instead of exploding.
-    """
+    (d/d f_i)^2. Only valid frames reach the formulas."""
     out = np.zeros(len(t), MOMENT_DTYPE)
     out["t"] = t
     # a frame of under three reports keeps zero sums, which fail `valid`
     sums = np.zeros((len(_SUMS), len(t)))
     for index, reports in groups:
-        out["n_targets"][index] = reports.shape[1]
         if reports.shape[1] >= 3:
             sums[:, index] = _sums(reports, weighting, var_r, var_f)
     valid = (sums[0] > EPS_VAR) & (sums[1] > EPS_VAR)   # False for NaN sums
-    rr, ff, rf, ra, fa, s_rr, s_rf, s_ff, r_min, r_max = sums[:, valid]
+    rr, ff, rf, ra, fa, s_rr, s_rf, s_ff = sums[:, valid]
     cov_rf = rf / rr
     cov_ff = ff / rr
     # a rigid ship's |crf| is at most 1; debiasing can carry a string of
     # pearls frame past it, where the pearls score would change sign
     crf = np.clip(cov_rf / np.sqrt(cov_ff), -1.0, 1.0)
-    det = rr * ff * np.maximum(1.0 - rf * rf / (rr * ff), 0.02)
     # noise sds: with c = cov_rf and k = cov_ff - 2 c^2, the partials are
     # d c/d r_i = w_i (f_i - 2 c r_i) / rr, d c/d f_i = w_i r_i / rr,
     # d d/d r_i = -2 w_i (k r_i + c f_i) / rr, d d/d f_i = 2 w_i (f_i - c r_i) / rr,
@@ -152,8 +138,7 @@ def _moments(groups, t: np.ndarray, weighting: str, var_r: float,
     columns = {
         "cov_rf": cov_rf, "cov_ff": cov_ff, "cov_ra": ra / rr,
         "cov_fa": fa / rr, "crf": crf, "d_intrinsic": cov_ff - c2,
-        "r_var": rr, "r_min": r_min, "r_max": r_max,
-        "a_r": (ra * ff - fa * rf) / det, "a_f": (fa * rr - ra * rf) / det,
+        "r_var": rr,
         "sd_rf": c_pow(np.maximum(
             var_r * (s_ff - 4 * c * s_rf + 4 * c * c * s_rr)
             + var_f * s_rr, 0.0), 0.5) / rr,

@@ -364,7 +364,7 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
 
     t, cov_rf, angle = mom.t, mom.cov_rf, track.samples
     out.add_text("covariances.csv", _csv({
-        "t": t, "valid": mom.valid, "n_targets": mom.n_targets,
+        "t": t, "valid": mom.valid, "n_targets": dwell.counts,
         "cov_rf": cov_rf, "cov_ff": mom.cov_ff, "cov_ra": mom.cov_ra,
         "cov_fa": mom.cov_fa, "crf": mom.crf, "d": mom.d_intrinsic,
         "sd_rf": mom.sd_rf, "sd_d": mom.sd_d, "model_cov_rf": model.cov_rf,
@@ -392,11 +392,11 @@ def _pipeline(dwell, config: RunConfig, out: _Outputs) -> RunReport:
         "frame_class": [c.value for c in classes],
         "profile_score": scores[:, 0], "plan_score": scores[:, 1],
         "pearls_score": scores[:, 2], "cond": cond}))
-    loa_series = (loa_est.loa_series if loa_est is not None
-                  else np.full(len(mom), np.nan))
+    loa_series, r_min, r_max = (
+        (loa_est.loa_series, loa_est.r_min, loa_est.r_max)
+        if loa_est is not None else np.full((3, len(t)), np.nan))
     out.add_text("length.csv", _csv({
-        "t": t, "loa_frame": loa_series,
-        "r_min": mom.r_min, "r_max": mom.r_max,
+        "t": t, "loa_frame": loa_series, "r_min": r_min, "r_max": r_max,
         "usable": np.isfinite(loa_series)}))
     for img in composites:
         base = f"composite_{img.kind.value.lower()}"

@@ -129,23 +129,30 @@ def badfit(mom: np.recarray, records: np.recarray, d_out: np.ndarray,
                         flagged=flagged, threshold=threshold)
 
 
-def crosscheck_focus(mom: np.recarray, model: ModelCovariances) -> FocusCheck:
-    """Focus coefficients from data regression vs from model covariances.
-
-    The model-side coefficients solve the same normal equations,
+def _focus(cov_rf, cov_ff, cov_ra, cov_fa) -> np.ndarray:
+    """Focus coefficients [a_r, a_f] of the regression a ~ a_r r + a_f f
+    over a frame's centered reports, from its scaled covariances:
         a_r = (cov_ra cov_ff - cov_fa cov_rf) / D
         a_f = (cov_fa - cov_ra cov_rf) / D,   D = cov_ff - cov_rf^2,
-    with D floored at 0.02 cov_ff so both sides stay finite as the frame
-    approaches a perfect range/rate line. Frames with crf^2 of PEARLS_LIMIT
-    or more are excluded from the summary statistics. The data side is the
-    a_r/a_f columns of the moments_series table mom, the model side model's.
-    """
-    a_r_data, a_f_data = mom.a_r, mom.a_f
-    rf, ff, ra, fa = model.cov_rf, model.cov_ff, model.cov_ra, model.cov_fa
-    d_eff = np.maximum(ff - rf ** 2, 0.02 * ff)
-    a_r_out = (ra * ff - fa * rf) / d_eff
-    a_f_out = (fa - ra * rf) / d_eff
-    conditioned = mom.valid & (mom.crf ** 2 < PEARLS_LIMIT)
+    with D floored at 0.02 cov_ff so both stay finite as the frame
+    approaches a perfect range/rate line."""
+    d_eff = np.maximum(cov_ff - cov_rf ** 2, 0.02 * cov_ff)
+    return np.array([cov_ra * cov_ff - cov_fa * cov_rf,
+                     cov_fa - cov_ra * cov_rf]) / d_eff
+
+
+def crosscheck_focus(mom: np.recarray, model: ModelCovariances) -> FocusCheck:
+    """Focus coefficients of the data's covariances vs of the model's: both
+    are _focus, of the moments_series table mom's columns (0 on its invalid
+    frames) and of model's. Frames with crf^2 of PEARLS_LIMIT or more are
+    excluded from the summary statistics."""
+    valid = mom.valid
+    data = np.zeros((2, len(mom)))
+    data[:, valid] = _focus(mom.cov_rf[valid], mom.cov_ff[valid],
+                            mom.cov_ra[valid], mom.cov_fa[valid])
+    (a_r_data, a_f_data), (a_r_out, a_f_out) = data, _focus(
+        model.cov_rf, model.cov_ff, model.cov_ra, model.cov_fa)
+    conditioned = valid & (mom.crf ** 2 < PEARLS_LIMIT)
     if conditioned.any():
         def rel_rms(data, out):
             scale = max(float(np.sqrt(np.mean(out[conditioned] ** 2))), 1e-12)

@@ -530,6 +530,48 @@ class TestAnalyze:
         pixels = pgm[-width * height:]
         assert any(pixels)
 
+    def test_length_table_shows_the_extents_its_lengths_used(
+            self, canonical_dir, tmp_path):
+        # each frame gains a multipath ghost 200 m past its far end, 10 dB
+        # under its median SNR: the length stage screens it out, and
+        # length.csv's extents are the screened ones its lengths came from
+        dwell = load_dwell(str(canonical_dir / "dwell.csv"))
+        frames = []
+        for k in range(len(dwell.counts)):
+            reports = dwell.reports[dwell.offsets[k]:dwell.offsets[k + 1]]
+            far = int(np.argmax(reports["r"]))
+            ghost = report_array([reports["t"][far]],
+                                 np.median(reports["snr"]) - 10.0,
+                                 reports["r"][far] + 200.0, reports["f"][far],
+                                 reports["a"][far])
+            frames.append(np.concatenate([reports, ghost]))
+        ghosted = Dwell(np.concatenate(frames),
+                        [len(fr) for fr in frames], dwell.phi0, dwell.theta0,
+                        dwell.range_resolution, dwell.frame_interval,
+                        dwell.integration_time, dwell.report_sigmas)
+        path = tmp_path / "dwell.csv"
+        save_dwell(ghosted, path)
+        out = tmp_path / "an"
+        assert main(["analyze", "--input", str(path), "--out", str(out)]) == 0
+        rows = _rows(out / "length.csv")
+        r_max = np.array([float(row["r_max"]) for row in rows])
+        r_min = np.array([float(row["r_min"]) for row in rows])
+        assert r_max.tolist() == [float(fr["r"][:-1].max()) for fr in frames]
+        assert r_min.tolist() == [float(fr["r"].min()) for fr in frames]
+        assert sum(row["usable"] == "1" for row in rows) >= 5
+
+        # a run whose length fails writes NaN extents beside its NaN lengths
+        cfg = _write_config(tmp_path, {"badfit_threshold": 1e-12},
+                            name="overrides.json")
+        failed = tmp_path / "failed"
+        assert main(["analyze", "--input", str(path), "--out", str(failed),
+                     "--config", cfg]) == 0
+        report = json.loads((failed / "run_report.json").read_text())
+        assert report["loa"] is None
+        assert any(f.startswith("length: ") for f in report["flags"])
+        assert all(row[name] == "nan" for row in _rows(failed / "length.csv")
+                   for name in ("loa_frame", "r_min", "r_max"))
+
     def test_header_frame_count_beyond_memory_is_data_error(self, tmp_path,
                                                             capsys):
         # the frame counts are allocated once every report is read; a count
@@ -859,13 +901,16 @@ class TestSelftest:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # the package runs on NumPy alone; SciPy's import would dominate start-up
+    # the benchmark's setup_s times a fresh `import isarpose.cli`: SciPy,
+    # whose import would dominate it, and the acceptance checks load only
+    # when a verb needs them
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, isarpose.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m == 'isarpose.acceptance'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

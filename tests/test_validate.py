@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from isarpose.angles import ModelCovariances
-from isarpose.moments import MOMENT_DTYPE
+from isarpose.moments import MOMENT_DTYPE, moments_series
+from isarpose.ship import report_array
 from isarpose.validate import (CONSISTENCY_DTYPE, badfit, consistency_synth,
                                crosscheck_focus)
+from tests.conftest import PHI0, THETA0, make_dwell
 
 
 def _mom(n, d_intrinsic=0.0, crf=0.3, valid=True, **cols):
     """Writable moments table of n frames 0.5 s apart; cols are columns."""
     mom = np.zeros(n, MOMENT_DTYPE).view(np.recarray)
     mom.t = 0.5 * np.arange(n)
-    mom.n_targets = 10
     mom.valid = valid
     mom.d_intrinsic = d_intrinsic
     mom.crf = crf
@@ -70,7 +71,7 @@ class TestConsistencySynth:
         mom = _mom(n, cov_rf=rf, cov_ff=ff, cov_ra=np.sin(t), cov_fa=np.cos(t))
         for k in gaps:
             # what moments_series holds for an under-populated frame
-            mom[k] = (t[k], 2, False) + (0.0,) * (len(MOMENT_DTYPE) - 3)
+            mom[k] = (t[k], False) + (0.0,) * (len(MOMENT_DTYPE) - 2)
         records = consistency_synth(mom)
         assert not records.valid[gaps].any()
         for name in CONSISTENCY_DTYPE.names[1:]:
@@ -140,9 +141,50 @@ class TestBadFit:
 
 
 class TestCrosscheckFocus:
-    def _hand_focus(self, rf, ff, ra, fa):
-        d_eff = np.maximum(ff - rf ** 2, 0.02 * ff)
-        return ((ra * ff - fa * rf) / d_eff, (fa - ra * rf) / d_eff)
+    @pytest.mark.parametrize("weighting", ["uniform", "snr"])
+    def test_data_side_is_the_weighted_regression(self, weighting):
+        # a dwell without sigmas, so no moment is debiased: each frame's
+        # data-side coefficients are the weighted least-squares fit of its
+        # centered accelerations on its centered ranges and rates
+        rng = np.random.default_rng(4)
+        frames = []
+        for k in range(12):
+            n = 6 + k
+            r = rng.normal(0.0, 20.0, n)
+            f = 0.01 * k * r + rng.normal(0.0, 0.5, n)   # crf^2 0.2 to 0.97
+            a = 0.4 * r - 1.2 * f + rng.normal(0.0, 0.05, n)
+            frames.append(report_array(0.5 * k, rng.uniform(10.0, 30.0, n),
+                                       r, f, a))
+        frames[3] = frames[3][:2]   # too few reports: invalid moments
+        r = np.linspace(-40.0, 40.0, 9)   # rate on a line in range
+        frames[7] = report_array(3.5, 20.0, r,
+                                 0.02 * r + 1e-6 * np.cos(np.arange(9)),
+                                 0.3 * r)
+        dwell = make_dwell(frames, PHI0, THETA0, 0.5, 0.5, 0.5)
+        mom = moments_series(dwell, weighting)
+        ones = np.ones(len(frames))
+        chk = crosscheck_focus(mom, ModelCovariances(
+            0.1 * ones, 0.09 * ones, 0.0 * ones, 0.0 * ones, 0.08 * ones))
+        assert not mom.valid[3]
+        assert chk.a_r_data[3] == 0.0 and chk.a_f_data[3] == 0.0
+        assert mom.crf[7] ** 2 > 0.98
+        assert np.isfinite([chk.a_r_data[7], chk.a_f_data[7]]).all()
+        assert max(abs(chk.a_r_data[7]), abs(chk.a_f_data[7])) < 1e3
+        checked = 0
+        for k in np.flatnonzero(mom.valid & (mom.crf ** 2 < 0.98)).tolist():
+            rep = frames[k]
+            w = (np.ones(len(rep)) if weighting == "uniform"
+                 else 10.0 ** (rep["snr"] / 10.0))
+            w = w / w.sum()
+            x = np.column_stack([rep["r"] - w @ rep["r"],
+                                 rep["f"] - w @ rep["f"]])
+            y = rep["a"] - w @ rep["a"]
+            sw = np.sqrt(w)
+            coef = np.linalg.lstsq(x * sw[:, None], y * sw, rcond=None)[0]
+            assert [chk.a_r_data[k], chk.a_f_data[k]] == pytest.approx(
+                coef, rel=1e-9), k
+            checked += 1
+        assert checked == 10
 
     def test_matching_sides_give_zero_rms(self):
         rng = np.random.default_rng(2)
@@ -151,9 +193,8 @@ class TestCrosscheckFocus:
         ff = 0.01 + rng.uniform(0.2, 0.6, n) ** 2
         ra = rng.normal(0.0, 0.02, n)
         fa = rng.normal(0.0, 0.02, n)
-        a_r, a_f = self._hand_focus(rf, ff, ra, fa)
         mom = _mom(n, crf=rf / np.sqrt(ff), cov_rf=rf, cov_ff=ff, cov_ra=ra,
-                   cov_fa=fa, a_r=a_r, a_f=a_f)
+                   cov_fa=fa)
         chk = crosscheck_focus(mom, ModelCovariances(rf, ff, ra, fa,
                                                      ff - rf ** 2))
         assert chk.rms_r == pytest.approx(0.0, abs=1e-9)
